@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
 from .types import (
@@ -139,24 +139,57 @@ def instability_tuples(
 
     With ``canonical=True`` only one representative of each sign-equivalent
     family is produced (x before y in universe order, S before T in menu
-    order), which quarters the work of scans that are insensitive to the
-    antisymmetries.
+    order): a quarter of the full set, since swapping x and y or S and T
+    flips the sign of every instability measure.  The library's own scans
+    walk this canonical order without building tuple objects.
     """
+    pick = combinations if canonical else permutations
     menus = sorted({frozenset(m) for m in menus}, key=universe.menu_key)
-    for x in universe.alternatives:
-        for y in universe.alternatives:
-            if x == y:
-                continue
-            if canonical and universe.index(y) < universe.index(x):
-                continue
-            holding = [m for m in menus if x in m and y in m]
-            for i, s in enumerate(holding):
-                for j, t in enumerate(holding):
-                    if i == j:
-                        continue
-                    if canonical and j < i:
-                        continue
-                    yield InstabilityTuple(x, y, s, t)
+    for x, y in pick(universe.alternatives, 2):
+        holding = [m for m in menus if x in m and y in m]
+        for s, t in pick(holding, 2):
+            yield InstabilityTuple(x, y, s, t)
+
+
+def _instability_scan(
+    rho: StochasticChoice, menus: list[Menu], other: StochasticChoice | None = None
+) -> Iterator[tuple[str, str, Menu, Menu, Scalar, Scalar | None]]:
+    """Plain ``(x, y, S, T, d, p)`` rows in ``instability_tuples(canonical=True)`` order.
+
+    ``menus`` is in canonical order and recorded by both functions.  ``d`` is
+    the own instability of ``rho`` and ``p`` the composite instability with
+    ``other`` (None without it), each evaluated as :func:`own_instability`
+    and :func:`composite_instability` do, so float results agree bit for
+    bit.  Each probability is read once per pair of alternatives.
+    """
+    alts = rho.universe.alternatives
+    mine = [rho.table[m] for m in menus]
+    theirs = mine if other is None else [other.table[m] for m in menus]
+    for x, y in combinations(alts, 2):
+        held = [
+            (m, r.get(x, 0), r.get(y, 0), o.get(x, 0), o.get(y, 0))
+            for m, r, o in zip(menus, mine, theirs)
+            if x in m and y in m
+        ]
+        for (s, sx, sy, sx2, sy2), (t, tx, ty, tx2, ty2) in combinations(held, 2):
+            d = sx * ty - sy * tx
+            p = None if other is None else (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
+            yield x, y, s, t, d, p
+
+
+def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] | None:
+    """The first (menu, alternative), in canonical order, with probability <= ``eff``."""
+    for menu in rho.domain:
+        for alt in rho.universe.sorted_members(menu):
+            if not rho.table[menu].get(alt, 0) > eff:
+                return menu, alt
+    return None
+
+
+def _first_iia_violation(rho: StochasticChoice, eff: Scalar) -> InstabilityTuple | None:
+    """The first canonical IIA violation, which ``iia_violations`` also lists first."""
+    row = next((r for r in _instability_scan(rho, rho.domain) if abs(r[4]) > eff), None)
+    return None if row is None else InstabilityTuple(*row[:4])
 
 
 def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[InstabilityTuple]:
@@ -175,11 +208,7 @@ def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[Ins
 
 def satisfies_iia(rho: StochasticChoice, tol: Scalar | None = None) -> bool:
     """IIA test with early exit; equivalent to ``not iia_violations(rho, tol)``."""
-    eff = resolve_tol(tol, rho.is_exact)
-    for t in instability_tuples(rho.universe, rho.domain, canonical=True):
-        if abs(own_instability(rho, t)) > eff:
-            return False
-    return True
+    return _first_iia_violation(rho, resolve_tol(tol, rho.is_exact)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +235,29 @@ def recover_luce_utility(
     universe.index(anchor)
     eff = resolve_tol(tol, rho.is_exact)
 
-    for menu in rho.domain:
-        for alt in menu:
-            if not rho.prob(alt, menu) > eff:
-                raise NotLuceError(
-                    f"positivity fails: probability of {alt!r} in "
-                    f"{universe.sorted_members(menu)} is not above {eff!r}"
-                )
-    bad = iia_violations(rho, eff)
-    if bad:
+    zero = _first_nonpositive(rho, eff)
+    if zero is not None:
         raise NotLuceError(
-            f"IIA violated at tolerance {eff!r} for {len(bad)} tuples, e.g. "
-            + bad[0].describe(universe)
+            f"positivity fails: probability of {zero[1]!r} in "
+            f"{universe.sorted_members(zero[0])} is not above {eff!r}"
+        )
+    bad = (r for r in _instability_scan(rho, rho.domain) if abs(r[4]) > eff)
+    first = next(bad, None)
+    if first is not None:
+        # each canonical violation stands for four sign-equivalent tuples,
+        # and the first in lexicographic order is the canonical one
+        n_bad = 4 * (1 + sum(1 for _ in bad))
+        raise NotLuceError(
+            f"IIA violated at tolerance {eff!r} for {n_bad} tuples, e.g. "
+            + InstabilityTuple(*first[:4]).describe(universe)
         )
 
     # one ratio sample per shared menu, keyed by the (a, b) edge
     samples: dict[tuple[str, str], list[Scalar]] = {}
     for menu in rho.domain:
-        members = universe.sorted_members(menu)
-        for a, b in combinations(members, 2):
-            samples.setdefault((a, b), []).append(rho.prob(b, menu) / rho.prob(a, menu))
+        row = rho.table[menu]
+        for a, b in combinations(universe.sorted_members(menu), 2):
+            samples.setdefault((a, b), []).append(row[b] / row[a])
 
     exact = rho.is_exact
     edges: dict[tuple[str, str], Scalar] = {}

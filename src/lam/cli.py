@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .dataio import (
@@ -20,6 +19,7 @@ from .dataio import (
     parse_dataset,
     parse_params,
     parse_report,
+    parse_scalar,
     serialize_dataset,
 )
 from .estimate import ChoiceCounts, fit_mle, simulate_counts
@@ -246,11 +246,15 @@ def _report_value(rows: list[list[str]], key: str) -> str | None:
     return None
 
 
-def _parse_report_scalar(token: str) -> Scalar:
-    if "/" in token:
-        num, den = token.split("/")
-        return Fraction(int(num), int(den))
-    return float(token) if "." in token or "e" in token or "E" in token else Fraction(int(token))
+def _report_scalars(rows: list[list[str]], key: str, report: str, count: int) -> list[Scalar]:
+    """The ``count`` ;-separated values of a report row, in the report's mode."""
+    mode, value = _report_value(rows, "mode"), _report_value(rows, key)
+    if mode is None or value is None:
+        raise LamError(f"{report} report has no {'mode' if mode is None else key} row")
+    tokens = value.split(";")
+    if len(tokens) != count:
+        raise LamError(f"{report} report {key} row needs {count} value(s)")
+    return [parse_scalar(tok, mode == "exact") for tok in tokens]
 
 
 def _cmd_deception_gap(args) -> tuple[list[str], int]:
@@ -266,9 +270,8 @@ def _cmd_deception_gap(args) -> tuple[list[str], int]:
     if field_status != "identified-up-to-swap":
         lines.append(f"reason,field report status is {field_status}; gap undefined")
         return lines, 2
-    lab_alpha = _parse_report_scalar(_report_value(lab_rows, "alpha"))
-    pair_tok = _report_value(field_rows, "alpha_pair")
-    hi, lo = (_parse_report_scalar(t) for t in pair_tok.split(";"))
+    (lab_alpha,) = _report_scalars(lab_rows, "alpha", "lab", 1)
+    hi, lo = _report_scalars(field_rows, "alpha_pair", "field", 2)
     shell = FieldResult(
         status="identified-up-to-swap",
         primary=None,

@@ -17,15 +17,15 @@ failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Mapping
+from dataclasses import dataclass, fields
+from itertools import islice
+from typing import Literal, Mapping, get_args
 
 from .choice import (
-    composite_instability,
-    iia_violations,
-    instability_tuples,
+    _first_iia_violation,
+    _first_nonpositive,
+    _instability_scan,
     lam_table,
-    own_instability,
     recover_luce_utility,
     satisfies_iia,
 )
@@ -60,6 +60,11 @@ __all__ = [
 AlphaStrategy = Literal["single-tuple", "least-squares"]
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in get_args(AlphaStrategy):
+        raise InvalidParameterError(f"unknown alpha strategy {strategy!r}")
+
+
 def _common_menus(a: StochasticChoice, b: StochasticChoice) -> list[Menu]:
     menus = [m for m in a.domain if b.has_menu(m)]
     if not menus:
@@ -74,21 +79,20 @@ def _common_menus(a: StochasticChoice, b: StochasticChoice) -> list[Menu]:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Compliance estimate with per-tuple diagnostics.
+    """Compliance estimate with fit diagnostics.
 
-    ``samples`` holds (tuple, own instability, composite instability) for
-    every canonical tuple with a usable composite term; the per-tuple ratio
-    estimates are their quotients.  ``r_squared`` measures how well the
-    proportionality law fits (1 means exact), which is the model-fit
-    diagnostic for noisy data.  ``alpha`` is clamped to [0, 1] in float
-    mode; ``raw`` is the unclamped value.
+    ``n_tuples`` counts the canonical tuples with a usable composite term
+    (magnitude above tol), and ``best`` is the one with the largest
+    composite instability.  ``r_squared`` measures how well the
+    proportionality law fits over all canonical tuples (1 means exact),
+    which is the model-fit diagnostic for noisy data.  ``alpha`` is
+    clamped to [0, 1] in float mode; ``raw`` is the unclamped value.
     """
 
     alpha: Scalar
     raw: Scalar
     strategy: AlphaStrategy
     best: InstabilityTuple
-    samples: tuple[tuple[InstabilityTuple, Scalar, Scalar], ...]
     r_squared: Scalar
     n_tuples: int
 
@@ -101,15 +105,19 @@ def estimate_alpha(
 ) -> AlphaEstimate:
     """Estimate compliance from the instability proportionality law.
 
-    single-tuple picks the tuple with the largest composite instability and
-    returns the ratio own/composite there; least-squares returns the slope
-    of own-on-composite over all tuples with composite magnitude above tol.
+    One pass over the canonical tuples of the common menus gives each
+    tuple's own and composite instability.  single-tuple picks the tuple
+    with the largest composite instability and returns the ratio
+    own/composite there; least-squares returns the slope of
+    own-on-composite over all tuples with composite magnitude above tol.
     The two agree exactly on noiseless mixture data.
 
-    Raises :class:`PartiallyIdentifiedError` when the AI and human data
+    Raises :class:`InvalidParameterError` for an unknown strategy,
+    :class:`PartiallyIdentifiedError` when the AI and human data
     coincide, and :class:`NotIdentifiedError` when the AI data has no IIA
     violation (compliance could be 0 or 1, or the utilities aligned).
     """
+    _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     menus = _common_menus(rho_ai, rho_h)
@@ -119,38 +127,36 @@ def estimate_alpha(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
 
-    rows: list[tuple[InstabilityTuple, Scalar, Scalar]] = []
-    any_violation = False
-    for t in instability_tuples(rho_ai.universe, menus, canonical=True):
-        d = own_instability(rho_ai, t)
-        p = composite_instability(rho_ai, rho_h, t)
-        if abs(d) > eff:
-            any_violation = True
-        rows.append((t, d, p))
-    if not any_violation:
+    ds: list[Scalar] = []
+    ps: list[Scalar] = []
+    best = None  # first usable tuple with the largest composite term
+    for row in _instability_scan(rho_ai, menus, rho_h):
+        d, p = row[4], row[5]
+        ds.append(d)
+        ps.append(p)
+        if abs(p) > eff and (best is None or abs(p) > abs(best[5])):
+            best = row
+    if not any(abs(d) > eff for d in ds):
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
             "are aligned; it cannot be point-identified",
             possible_regimes=("autonomous", "compliant", "aligned"),
         )
-
-    usable = [(t, d, p) for t, d, p in rows if abs(p) > eff]
-    if not usable:
+    if best is None:
         raise InconsistentInputsError(
             "AI data violates IIA while every composite instability vanishes; "
             "no mixture representation exists"
         )
 
-    best = max(usable, key=lambda r: abs(r[2]))
     if strategy == "single-tuple":
-        raw = best[1] / best[2]
-    elif strategy == "least-squares":
-        raw = sum(d * p for _, d, p in usable) / sum(p * p for _, _, p in usable)
+        raw = best[4] / best[5]
     else:
-        raise InvalidParameterError(f"unknown alpha strategy {strategy!r}")
+        raw = sum(d * p for d, p in zip(ds, ps) if abs(p) > eff) / sum(
+            p * p for p in ps if abs(p) > eff
+        )
 
-    ss_tot = sum(d * d for _, d, _ in rows)
-    ss_res = sum((d - raw * p) ** 2 for _, d, p in rows)
+    ss_tot = sum(d * d for d in ds)
+    ss_res = sum((d - raw * p) ** 2 for d, p in zip(ds, ps))
     r_squared = 1 - ss_res / ss_tot if ss_tot > 0 else 1
 
     alpha = raw if exact else min(max(raw, 0.0), 1.0)
@@ -158,10 +164,9 @@ def estimate_alpha(
         alpha=alpha,
         raw=raw,
         strategy=strategy,
-        best=best[0],
-        samples=tuple(usable),
+        best=InstabilityTuple(*best[:4]),
         r_squared=r_squared,
-        n_tuples=len(usable),
+        n_tuples=sum(1 for p in ps if abs(p) > eff),
     )
 
 
@@ -186,15 +191,14 @@ def recover_autonomous(
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     if not alpha < 1 - eff:
-        raise DegenerateDivisionError(
-            "alpha = 1 leaves no autonomous component to recover"
-        )
+        raise DegenerateDivisionError("alpha = 1 leaves no autonomous component to recover")
     menus = _common_menus(rho_ai, rho_h)
     table: dict[Menu, dict[str, Scalar]] = {}
     for menu in menus:
         row: dict[str, Scalar] = {}
+        row_ai, row_h = rho_ai.table[menu], rho_h.table[menu]
         for alt in rho_ai.universe.sorted_members(menu):
-            p = (rho_ai.prob(alt, menu) - alpha * rho_h.prob(alt, menu)) / (1 - alpha)
+            p = (row_ai.get(alt, 0) - alpha * row_h.get(alt, 0)) / (1 - alpha)
             if p < -eff:
                 raise InconsistentInputsError(
                     f"autonomous probability of {alt!r} in "
@@ -238,8 +242,10 @@ def identify_lab(
     Recovers u from the human data, branches on the degenerate cases
     (identical data; IIA-satisfying AI data), and otherwise estimates
     compliance, reconstructs the autonomous rule, and recovers v from it.
-    Any step that fails marks the pair inconsistent rather than raising.
+    Any step that fails marks the pair inconsistent rather than raising;
+    an unknown strategy raises :class:`InvalidParameterError`.
     """
+    _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
 
@@ -277,9 +283,7 @@ def identify_lab(
             v = recover_luce_utility(rho_ai, anchor, tol=eff)
         except NotLuceError as e:
             return inconsistent(f"AI data satisfies IIA but is not a Luce rule: {e}")
-        params = LamParams(
-            rho_ai.universe, u, v, 0 if exact else 0.0, anchor
-        )
+        params = LamParams(rho_ai.universe, u, v, 0 if exact else 0.0, anchor)
         return LabResult(
             status="point-identified",
             human_utility=u,
@@ -295,9 +299,7 @@ def identify_lab(
         return inconsistent(str(e))
 
     if est.raw < -eff or est.raw > 1 + eff:
-        return inconsistent(
-            f"estimated compliance {est.raw!r} falls outside [0, 1]"
-        )
+        return inconsistent(f"estimated compliance {est.raw!r} falls outside [0, 1]")
     alpha = est.alpha
 
     try:
@@ -309,9 +311,7 @@ def identify_lab(
     params = LamParams(rho_ai.universe, u, v, alpha, anchor)
     residual = sup_distance(lam_table(params, rho_ai.domain), rho_ai)
     if residual > eff:
-        return inconsistent(
-            f"recovered parameters miss the AI data by {residual!r}"
-        )
+        return inconsistent(f"recovered parameters miss the AI data by {residual!r}")
     return LabResult(
         status="point-identified",
         human_utility=u,
@@ -360,81 +360,116 @@ class AxiomReport:
 
     @property
     def overall(self) -> bool:
-        return all(
-            v.passed
-            for v in (
-                self.positivity,
-                self.h_iia,
-                self.proportionality,
-                self.bounded_instability,
-                self.bounded_divergence,
-            )
-        )
+        return all(v.passed for v in self.verdicts().values())
 
     def verdicts(self) -> dict[str, AxiomVerdict]:
-        return {
-            "positivity": self.positivity,
-            "h_iia": self.h_iia,
-            "proportionality": self.proportionality,
-            "bounded_instability": self.bounded_instability,
-            "bounded_divergence": self.bounded_divergence,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tol"}
 
 
 def check_axioms(
     rho_ai: StochasticChoice,
     rho_h: StochasticChoice,
     tol: Scalar | None = None,
-    exhaustive: bool = False,
 ) -> AxiomReport:
     """Test the five behavioral conditions, producing witnesses for failures.
 
-    Proportionality and bounded divergence are checked in slope form
-    against the tuple with the largest composite instability, which is
-    equivalent to the full quadratic-size scans; pass ``exhaustive=True``
-    to run those scans verbatim instead.
+    Human IIA reports the first canonical violation.  The other conditions
+    come from one pass over the canonical tuples of the common menus, with
+    proportionality and bounded divergence in slope form: against the tuples
+    with the largest composite instability and the largest own-to-composite
+    ratio, which is equivalent to comparing every pair of tuples and
+    testing every tuple's ratio.
     """
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     universe = rho_ai.universe
     menus = _common_menus(rho_ai, rho_h)
 
+    def at(row) -> InstabilityTuple:
+        return InstabilityTuple(*row[:4])
+
     # positivity, over each function's own recorded domain
     positivity = AxiomVerdict(True)
     for name, rho in (("ai", rho_ai), ("human", rho_h)):
-        if not positivity.passed:
+        zero = _first_nonpositive(rho, eff)
+        if zero is not None:
+            positivity = AxiomVerdict(
+                False,
+                witness=(name, universe.sorted_members(zero[0]), zero[1]),
+                note=f"{name} probability of {zero[1]!r} is not positive",
+            )
             break
-        for menu in rho.domain:
-            bad = [a for a in universe.sorted_members(menu) if not rho.prob(a, menu) > eff]
-            if bad:
-                positivity = AxiomVerdict(
-                    False,
-                    witness=(name, universe.sorted_members(menu), bad[0]),
-                    note=f"{name} probability of {bad[0]!r} is not positive",
-                )
-                break
 
-    viol_h = iia_violations(rho_h, eff)
-    h_iia = (
-        AxiomVerdict(True)
-        if not viol_h
-        else AxiomVerdict(
-            False,
-            witness=(viol_h[0],),
-            note="human data violates IIA at " + viol_h[0].describe(universe),
+    t = _first_iia_violation(rho_h, eff)
+    h_iia = AxiomVerdict(True)
+    if t is not None:
+        h_iia = AxiomVerdict(
+            False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
         )
-    )
 
-    rows = [
-        (t, own_instability(rho_ai, t), composite_instability(rho_ai, rho_h, t))
-        for t in instability_tuples(universe, menus, canonical=True)
-    ]
+    # One pass keeps the scan rows the checks refer to: the largest
+    # composite term (proportionality reference), the first own term not
+    # dominated by its composite, the first vanishing composite under a
+    # non-vanishing own term, and the largest own-to-composite ratio.
+    ds: list[Scalar] = []
+    ps: list[Scalar] = []
+    ref = undominated = vanishing = binding = None
+    for row in _instability_scan(rho_ai, menus, rho_h):
+        d, p = row[4], row[5]
+        ds.append(d)
+        ps.append(p)
+        if ref is None or abs(p) > abs(ref[5]):
+            ref = row
+        if undominated is None and not _dominated(d, p, eff):
+            undominated = row
+        if abs(p) <= eff:
+            if vanishing is None and abs(d) > eff:
+                vanishing = row
+        elif binding is None or abs(d) * abs(binding[5]) > abs(binding[4]) * abs(p):
+            binding = row
 
-    proportionality = _check_proportionality(universe, rows, eff, exhaustive)
-    bounded_instability = _check_bounded_instability(universe, rows, eff)
-    bounded_divergence = _check_bounded_divergence(
-        universe, rows, rho_ai, rho_h, menus, eff, exhaustive
-    )
+    proportionality = AxiomVerdict(True, note="no tuples to compare" if ref is None else "")
+    if ref is not None:
+        d_ref, p_ref = ref[4], ref[5]
+        k = next(
+            (k for k, (d, p) in enumerate(zip(ds, ps)) if abs(d * p_ref - d_ref * p) > eff),
+            None,
+        )
+        if k is not None:
+            # rebuild the k-th tuple by walking the scan up to it
+            t = at(next(islice(_instability_scan(rho_ai, menus, rho_h), k, None)))
+            proportionality = AxiomVerdict(
+                False,
+                witness=(t, at(ref)),
+                note=f"instability ratios differ between {t.describe(universe)} "
+                f"and {at(ref).describe(universe)}",
+            )
+
+    bounded_instability = AxiomVerdict(True)
+    if undominated is not None:
+        t, (d, p) = at(undominated), undominated[4:]
+        bounded_instability = AxiomVerdict(
+            False,
+            witness=(t, d, p),
+            note=f"own instability {d!r} is not dominated by composite {p!r} at "
+            + t.describe(universe),
+        )
+
+    # slope form: a tuple with vanishing composite but non-vanishing own
+    # term fails outright (no probability can compensate a zero left-hand
+    # side); otherwise the binding tuple is the one with the largest |d|/|p|
+    if vanishing is not None:
+        t = at(vanishing)
+        bounded_divergence = AxiomVerdict(
+            False,
+            witness=(t, *vanishing[4:]),
+            note="composite instability vanishes while own does not at "
+            + t.describe(universe),
+        )
+    elif binding is None:
+        bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
+    else:
+        bounded_divergence = _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff)
 
     return AxiomReport(
         positivity=positivity,
@@ -446,106 +481,33 @@ def check_axioms(
     )
 
 
-def _check_proportionality(universe, rows, eff, exhaustive) -> AxiomVerdict:
-    if exhaustive:
-        for i, (t1, d1, p1) in enumerate(rows):
-            for t2, d2, p2 in rows[i + 1 :]:
-                if abs(d1 * p2 - d2 * p1) > eff:
-                    return AxiomVerdict(
-                        False,
-                        witness=(t1, t2),
-                        note="instability ratios differ between "
-                        + t1.describe(universe)
-                        + " and "
-                        + t2.describe(universe),
-                    )
-        return AxiomVerdict(True)
-    anchor_row = None
-    for t, d, p in rows:
-        if anchor_row is None or abs(p) > abs(anchor_row[2]):
-            anchor_row = (t, d, p)
-    if anchor_row is None:
-        return AxiomVerdict(True, note="no tuples to compare")
-    t_ref, d_ref, p_ref = anchor_row
-    for t, d, p in rows:
-        if abs(d * p_ref - d_ref * p) > eff:
-            return AxiomVerdict(
-                False,
-                witness=(t, t_ref),
-                note="instability ratios differ between "
-                + t.describe(universe)
-                + " and "
-                + t_ref.describe(universe),
-            )
-    return AxiomVerdict(True)
+def _dominated(d, p, eff) -> bool:
+    """Own instability ``d`` shares the sign of ``p`` and does not exceed it."""
+    sign_ok = d * p >= -eff
+    size_ok = abs(d) <= abs(p) + eff
+    if abs(d) > eff:
+        sign_ok = sign_ok and d * p > 0
+        if eff == 0:
+            size_ok = size_ok and abs(d) < abs(p)
+    return sign_ok and size_ok
 
 
-def _check_bounded_instability(universe, rows, eff) -> AxiomVerdict:
-    for t, d, p in rows:
-        sign_ok = d * p >= -eff
-        size_ok = abs(d) <= abs(p) + eff
-        if abs(d) > eff:
-            sign_ok = sign_ok and d * p > 0
-            if eff == 0:
-                size_ok = size_ok and abs(d) < abs(p)
-        if not (sign_ok and size_ok):
-            return AxiomVerdict(
-                False,
-                witness=(t, d, p),
-                note="own instability "
-                + f"{d!r} is not dominated by composite {p!r} at "
-                + t.describe(universe),
-            )
-    return AxiomVerdict(True)
-
-
-def _check_bounded_divergence(
-    universe, rows, rho_ai, rho_h, menus, eff, exhaustive
-) -> AxiomVerdict:
-    def entry_check(t, d, p) -> AxiomVerdict | None:
-        strict = abs(d) > eff
-        for menu in menus:
-            for z in universe.sorted_members(menu):
-                lhs = rho_ai.prob(z, menu) * abs(p)
-                rhs = rho_h.prob(z, menu) * abs(d)
-                if strict and eff == 0:
-                    fail = lhs <= rhs
-                else:
-                    fail = lhs < rhs - eff
-                if fail:
-                    return AxiomVerdict(
-                        False,
-                        witness=(t, universe.sorted_members(menu), z),
-                        note=f"AI probability of {z!r} in "
-                        f"{universe.sorted_members(menu)} is too small for the "
-                        "instability ratio at " + t.describe(universe),
-                    )
-        return None
-
-    if exhaustive:
-        for t, d, p in rows:
-            bad = entry_check(t, d, p)
-            if bad is not None:
-                return bad
-        return AxiomVerdict(True)
-
-    # slope form: the binding tuple is the one with the largest |d|/|p|;
-    # a tuple with vanishing composite but non-vanishing own term fails
-    # outright (no probability can compensate a zero left-hand side).
-    binding = None
-    for t, d, p in rows:
-        if abs(p) <= eff:
-            if abs(d) > eff:
+def _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff) -> AxiomVerdict:
+    """Bounded divergence at the binding tuple, menu by menu."""
+    d, p = binding[4], binding[5]
+    strict = eff == 0 and abs(d) > eff
+    for menu in menus:
+        row_ai, row_h = rho_ai.table[menu], rho_h.table[menu]
+        for z in universe.sorted_members(menu):
+            lhs = row_ai.get(z, 0) * abs(p)
+            rhs = row_h.get(z, 0) * abs(d)
+            if lhs <= rhs if strict else lhs < rhs - eff:
+                t = InstabilityTuple(*binding[:4])
                 return AxiomVerdict(
                     False,
-                    witness=(t, d, p),
-                    note="composite instability vanishes while own does not at "
-                    + t.describe(universe),
+                    witness=(t, universe.sorted_members(menu), z),
+                    note=f"AI probability of {z!r} in "
+                    f"{universe.sorted_members(menu)} is too small for the "
+                    "instability ratio at " + t.describe(universe),
                 )
-            continue
-        if binding is None or abs(d) * abs(binding[2]) > abs(binding[1]) * abs(p):
-            binding = (t, d, p)
-    if binding is None:
-        return AxiomVerdict(True, note="no tuples to compare")
-    bad = entry_check(*binding)
-    return bad if bad is not None else AxiomVerdict(True)
+    return AxiomVerdict(True)

@@ -1,7 +1,11 @@
 """Forward models, instability measures, IIA testing, recovery, regimes."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -344,6 +348,35 @@ def test_recover_rejects_zero_probability(uni3):
     )
     with pytest.raises(NotLuceError):
         recover_luce_utility(rho, "x")
+
+
+POSITIVITY_CASE = """
+from fractions import Fraction as F
+from lam import NotLuceError, StochasticChoice, Universe, recover_luce_utility
+uni = Universe(("x", "y", "z", "t"))
+rho = StochasticChoice(uni, {("x", "y", "z", "t"): {"x": F(1), "y": F(0), "z": F(0), "t": F(0)}})
+try:
+    recover_luce_utility(rho, "x")
+except NotLuceError as e:
+    print(e)
+"""
+
+
+def test_recover_positivity_message_independent_of_hash_seed():
+    src = str(Path(__file__).parent.parent / "src")
+    messages = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", POSITIVITY_CASE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout)
+    assert messages == {
+        "positivity fails: probability of 'y' in ('x', 'y', 'z', 't') is not above 0\n"
+    }
 
 
 def test_recover_disconnected_graph():

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from lam.cli import main
 from lam.dataio import parse_dataset, serialize_dataset
 from lam import luce_table, Universe
@@ -222,3 +224,131 @@ def test_float_mode_identify_lab(capsys, tmp_path):
     assert code == 0
     assert "mode,float" in out
     assert "status,point-identified" in out
+
+
+# Full reports over the lab example, exact and float, and with the human's
+# x;y;z row moved by 2e-4 so that IIA fails in float mode.
+LAB_EXACT = """report,identify-lab
+mode,exact
+tolerance,0
+status,point-identified
+alpha,1/2
+alpha_raw,1/2
+alpha_strategy,least-squares
+r_squared,1
+tuples_used,2
+anchor,x
+u,x,1
+u,y,2/3
+u,z,1/3
+v,x,1
+v,y,2
+v,z,3
+autonomous,x;y,x,1/3
+autonomous,x;y,y,2/3
+autonomous,x;y;z,x,1/6
+autonomous,x;y;z,y,1/3
+autonomous,x;y;z,z,1/2
+autonomous,x;z,x,1/4
+autonomous,x;z,z,3/4
+autonomous,y;z,y,2/5
+autonomous,y;z,z,3/5
+"""
+
+LAB_FLOAT = """report,identify-lab
+mode,float
+tolerance,1e-09
+status,point-identified
+alpha,0.49999999999999956
+alpha_raw,0.49999999999999956
+alpha_strategy,least-squares
+r_squared,1.0
+tuples_used,2
+anchor,x
+u,x,1.0
+u,y,0.6666666666666667
+u,z,0.3333333333333332
+v,x,1.0
+v,y,1.9999999999999964
+v,z,2.999999999999993
+autonomous,x;y,x,0.33333333333333365
+autonomous,x;y,y,0.6666666666666664
+autonomous,x;y;z,x,0.16666666666666693
+autonomous,x;y;z,y,0.3333333333333333
+autonomous,x;y;z,z,0.49999999999999967
+autonomous,x;z,x,0.25000000000000044
+autonomous,x;z,z,0.7499999999999996
+autonomous,y;z,y,0.40000000000000024
+autonomous,y;z,z,0.5999999999999998
+"""
+
+LAB_PERTURBED = """report,identify-lab
+mode,float
+tolerance,1e-09
+status,inconsistent
+reason,human data is not a Luce rule: IIA violated at tolerance 1e-09 for 12 tuples, e.g. (x,y,{x,y},{x,y,z})
+"""
+
+AXIOMS_PASS = """report,check-axioms
+mode,{mode}
+tolerance,{tol}
+axiom,positivity,pass
+axiom,h_iia,pass
+axiom,proportionality,pass
+axiom,bounded_instability,pass
+axiom,bounded_divergence,pass
+overall,pass
+"""
+
+AXIOMS_PERTURBED = """report,check-axioms
+mode,float
+tolerance,1e-09
+axiom,positivity,pass
+axiom,h_iia,fail
+witness,h_iia,human data violates IIA at (x,y,{x,y},{x,y,z})
+axiom,proportionality,fail
+witness,proportionality,instability ratios differ between (x,z,{x,y,z},{x,z}) and (x,y,{x,y},{x,y,z})
+axiom,bounded_instability,pass
+axiom,bounded_divergence,pass
+overall,fail
+"""
+
+
+@pytest.mark.parametrize(
+    "human, flags, lab_report, lab_code, axioms_report, axioms_code",
+    [
+        ("lab_human.csv", ["--exact"], LAB_EXACT, 0,
+         AXIOMS_PASS.format(mode="exact", tol="0"), 0),
+        ("lab_human.csv", [], LAB_FLOAT, 0,
+         AXIOMS_PASS.format(mode="float", tol="1e-09"), 0),
+        ("lab_human_perturbed.csv", [], LAB_PERTURBED, 2, AXIOMS_PERTURBED, 2),
+    ],
+)
+def test_lab_reports_golden(capsys, human, flags, lab_report, lab_code, axioms_report, axioms_code):
+    pair = ["--ai", str(DATA / "lab_ai.csv"), "--human", str(DATA / human)]
+    code, out, _ = run(capsys, "identify-lab", *pair, "--anchor", "x", *flags)
+    assert (code, out) == (lab_code, lab_report)
+    code, out, _ = run(capsys, "check-axioms", *pair, *flags)
+    assert (code, out) == (axioms_code, axioms_report)
+
+
+def test_deception_gap_malformed_reports_are_input_errors(capsys, tmp_path):
+    field_path = tmp_path / "field.txt"
+    field_path.write_text(
+        "report,identify-field\nmode,exact\nstatus,identified-up-to-swap\nalpha_pair,3/4;1/4\n"
+    )
+    lab_path = tmp_path / "lab.txt"
+    lab_path.write_text("report,identify-lab\nmode,float\nstatus,point-identified\nalpha,abc\n")
+    code, out, err = run(
+        capsys, "deception-gap", "--lab", str(lab_path), "--field", str(field_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "'abc'" in err
+
+    lab_path.write_text("report,identify-lab\nmode,exact\nstatus,point-identified\nalpha,1/2\n")
+    field_path.write_text("report,identify-field\nmode,exact\nstatus,identified-up-to-swap\n")
+    code, out, err = run(
+        capsys, "deception-gap", "--lab", str(lab_path), "--field", str(field_path)
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: field report has no alpha_pair row\n"

@@ -9,18 +9,37 @@ import gen
 from lam import (
     DegenerateDivisionError,
     InconsistentInputsError,
+    InvalidParameterError,
+    LamError,
+    LamParams,
     NotIdentifiedError,
+    NotLuceError,
     PartiallyIdentifiedError,
     StochasticChoice,
     check_axioms,
+    composite_instability,
     estimate_alpha,
     iia_violations,
     identify_lab,
+    instability_tuples,
     lam_table,
     luce_table,
+    own_instability,
     recover_autonomous,
+    recover_luce_utility,
+    satisfies_iia,
     sup_distance,
 )
+from lam.types import resolve_tol
+
+
+def instability_rows(ai, human, menus=None):
+    """(tuple, own, composite) at every canonical tuple, one call per measure."""
+    menus = ai.domain if menus is None else menus
+    return [
+        (t, own_instability(ai, t), composite_instability(ai, human, t))
+        for t in instability_tuples(ai.universe, menus, canonical=True)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +52,17 @@ def test_alpha_golden_single_tuple(ex_a_ai, ex_a_human):
     assert est.raw == F(1, 2)
     assert est.alpha == F(1, 2)
     assert est.r_squared == 1
+    # (x,y) and (y,z) tie for the largest composite term; the first wins
+    assert est.best.describe(ex_a_ai.universe) == "(x,y,{x,y},{x,y,z})"
 
 
 def test_alpha_golden_least_squares(ex_a_ai, ex_a_human):
     est = estimate_alpha(ex_a_ai, ex_a_human, strategy="least-squares")
     assert est.raw == F(1, 2)
     assert est.n_tuples > 0
-    assert all(d == F(1, 2) * p for _, d, p in est.samples)
+    usable = [(d, p) for _, d, p in instability_rows(ex_a_ai, ex_a_human) if p != 0]
+    assert len(usable) == est.n_tuples
+    assert all(d == F(1, 2) * p for d, p in usable)
 
 
 def test_alpha_round_trip_both_strategies():
@@ -50,6 +73,17 @@ def test_alpha_round_trip_both_strategies():
         for strategy in ("single-tuple", "least-squares"):
             est = estimate_alpha(ai, human, strategy=strategy)
             assert est.raw == F(3, 10)
+
+
+def test_unknown_strategy_rejected_on_entry(uni3):
+    # IIA-satisfying AI data: the scan alone would raise NotIdentifiedError
+    # or point-identify with alpha = 0, so the strategy must be checked first
+    human = luce_table(uni3, {"x": F(1), "y": F(2), "z": F(3)}, uni3.all_menus(2))
+    ai = luce_table(uni3, {"x": F(3), "y": F(2), "z": F(1)}, uni3.all_menus(2))
+    with pytest.raises(InvalidParameterError, match="bogus"):
+        estimate_alpha(ai, human, strategy="bogus")
+    with pytest.raises(InvalidParameterError, match="bogus"):
+        identify_lab(ai, human, "x", strategy="bogus")
 
 
 def test_alpha_identical_data_partially_identified(ex_a_human):
@@ -259,19 +293,97 @@ def test_axioms_h_iia_failure(ex_a_ai, ex_a_human):
     assert not report.h_iia.passed
 
 
+def exhaustive_axioms(rho_ai, rho_h, tol=None):
+    """Oracle for ``check_axioms``: pass/fail of each of the five conditions.
+
+    Proportionality compares every pair of tuples and bounded divergence
+    tests every tuple's instability ratio, the quadratic-size scans that
+    the library's slope form replaces.
+    """
+    exact = rho_ai.is_exact and rho_h.is_exact
+    eff = resolve_tol(tol, exact)
+    universe = rho_ai.universe
+    menus = [m for m in rho_ai.domain if rho_h.has_menu(m)]
+    rows = instability_rows(rho_ai, rho_h, menus)
+
+    positivity = all(
+        rho.prob(a, m) > eff for rho in (rho_ai, rho_h) for m in rho.domain for a in m
+    )
+    h_iia = not iia_violations(rho_h, eff)
+
+    bounded_instability = True
+    for t, d, p in rows:
+        sign_ok = d * p >= -eff
+        size_ok = abs(d) <= abs(p) + eff
+        if abs(d) > eff:
+            sign_ok = sign_ok and d * p > 0
+            if eff == 0:
+                size_ok = size_ok and abs(d) < abs(p)
+        if not (sign_ok and size_ok):
+            bounded_instability = False
+            break
+
+    proportionality = True
+    for i, (t1, d1, p1) in enumerate(rows):
+        for t2, d2, p2 in rows[i + 1 :]:
+            if abs(d1 * p2 - d2 * p1) > eff:
+                proportionality = False
+                break
+        if not proportionality:
+            break
+
+    def entry_ok(t, d, p) -> bool:
+        strict = abs(d) > eff
+        for menu in menus:
+            for z in universe.sorted_members(menu):
+                lhs = rho_ai.prob(z, menu) * abs(p)
+                rhs = rho_h.prob(z, menu) * abs(d)
+                if strict and eff == 0:
+                    fail = lhs <= rhs
+                else:
+                    fail = lhs < rhs - eff
+                if fail:
+                    return False
+        return True
+
+    bounded_divergence = all(entry_ok(t, d, p) for t, d, p in rows)
+    return {
+        "positivity": positivity,
+        "h_iia": h_iia,
+        "proportionality": proportionality,
+        "bounded_instability": bounded_instability,
+        "bounded_divergence": bounded_divergence,
+    }
+
+
 def test_axioms_slope_matches_exhaustive():
     rng = random.Random(3)
     for _ in range(8):
         params = gen.random_params(rng, rng.choice([3, 4]))
         ai, human = gen.forward_pair(params)
         fast = check_axioms(ai, human)
-        slow = check_axioms(ai, human, exhaustive=True)
-        assert fast.overall == slow.overall
+        slow = exhaustive_axioms(ai, human)
+        assert fast.overall == all(slow.values())
+        assert {k: v.passed for k, v in fast.verdicts().items()} == slow
         ai_f, human_f = ai.as_float(), human.as_float()
         bad = gen.perturb_entry(ai_f, rng)
         fast = check_axioms(bad, human_f)
-        slow = check_axioms(bad, human_f, exhaustive=True)
-        assert fast.overall == slow.overall is False
+        slow = exhaustive_axioms(bad, human_f)
+        assert fast.overall == all(slow.values()) is False
+        assert {k: v.passed for k, v in fast.verdicts().items()} == slow
+
+
+def test_axioms_proportionality_reference_is_first_largest(uni3):
+    # two tuples tie for the largest composite term; the first in canonical
+    # order is the reference that the witness names second
+    params = LamParams.normalized(
+        uni3, {"x": 1, "y": 1, "z": 1}, {"x": 1, "y": 2, "z": 3}, F(1, 3)
+    )
+    ai = lam_table(params, uni3.all_menus(2))
+    human = luce_table(uni3, {"x": F(1), "y": F(1), "z": F(3)}, uni3.all_menus(2))
+    t, ref = check_axioms(ai, human).proportionality.witness
+    assert t.describe(uni3) == "(x,z,{x,y,z},{x,z})"
+    assert ref.describe(uni3) == "(x,y,{x,y},{x,y,z})"
 
 
 def test_axioms_agree_with_identification():
@@ -288,3 +400,93 @@ def test_axioms_agree_with_identification():
         report = check_axioms(ai, human)
         result = identify_lab(ai, human, params.anchor)
         assert report.overall == (result.status != "inconsistent")
+
+
+# ---------------------------------------------------------------------------
+# The shared instability scan against per-tuple measure calls
+# ---------------------------------------------------------------------------
+
+
+def perturb_exact(rho, rng, shift=F(1, 50)):
+    """Move one probability by ``shift`` and renormalize its row, exactly."""
+    menus = [m for m in rho.domain if len(m) >= 2]
+    menu = menus[rng.randrange(len(menus))]
+    alt = rho.universe.sorted_members(menu)[rng.randrange(len(menu))]
+    table = {m: dict(row) for m, row in rho.table.items()}
+    table[menu][alt] += shift
+    total = sum(table[menu].values())
+    table[menu] = {a: p / total for a, p in table[menu].items()}
+    return StochasticChoice(rho.universe, table)
+
+
+def brute_force_alpha(ai, human, strategy):
+    """``estimate_alpha``'s (raw, r_squared, n_tuples, best), or its error type."""
+    eff = resolve_tol(None, ai.is_exact and human.is_exact)
+    if sup_distance(ai, human) <= eff:
+        return PartiallyIdentifiedError
+    rows = instability_rows(ai, human, [m for m in ai.domain if human.has_menu(m)])
+    if not any(abs(d) > eff for _, d, _ in rows):
+        return NotIdentifiedError
+    usable = [r for r in rows if abs(r[2]) > eff]
+    if not usable:
+        return InconsistentInputsError
+    best = max(usable, key=lambda r: abs(r[2]))
+    if strategy == "single-tuple":
+        raw = best[1] / best[2]
+    else:
+        raw = sum(d * p for _, d, p in usable) / sum(p * p for _, _, p in usable)
+    ss_tot = sum(d * d for _, d, _ in rows)
+    ss_res = sum((d - raw * p) ** 2 for _, d, p in rows)
+    r_squared = 1 - ss_res / ss_tot if ss_tot > 0 else 1
+    return raw, r_squared, len(usable), best[0]
+
+
+def test_shared_scan_matches_brute_force():
+    rng = random.Random(41)
+    for n in (3, 4, 5):
+        for exact in (True, False):
+            for perturbed in (None, "ai", "human"):
+                params = gen.random_params(rng, n)
+                ai, human = gen.forward_pair(params)
+                if not exact:
+                    ai, human = ai.as_float(), human.as_float()
+                bump = perturb_exact if exact else gen.perturb_entry
+                if perturbed == "ai":
+                    ai = bump(ai, rng)
+                elif perturbed == "human":
+                    human = bump(human, rng)
+                assert ai.is_exact == human.is_exact == exact
+
+                for rho in (ai, human):
+                    eff = resolve_tol(None, exact)
+                    full = [
+                        t
+                        for t in instability_tuples(rho.universe, rho.domain)
+                        if abs(own_instability(rho, t)) > eff
+                    ]
+                    canonical = [
+                        t
+                        for t in instability_tuples(rho.universe, rho.domain, canonical=True)
+                        if abs(own_instability(rho, t)) > eff
+                    ]
+                    assert satisfies_iia(rho) == (not full)
+                    assert len(full) == 4 * len(canonical)
+                    if not full:
+                        recover_luce_utility(rho, params.anchor)
+                        continue
+                    assert full[0] == canonical[0]
+                    with pytest.raises(NotLuceError) as err:
+                        recover_luce_utility(rho, params.anchor)
+                    assert str(err.value) == (
+                        f"IIA violated at tolerance {eff!r} for {len(full)} tuples, "
+                        f"e.g. {full[0].describe(rho.universe)}"
+                    )
+
+                for strategy in ("least-squares", "single-tuple"):
+                    want = brute_force_alpha(ai, human, strategy)
+                    try:
+                        est = estimate_alpha(ai, human, strategy=strategy)
+                    except LamError as e:
+                        assert type(e) is want
+                        continue
+                    assert (est.raw, est.r_squared, est.n_tuples, est.best) == want
