@@ -8,11 +8,14 @@ log-likelihood, and an EM fitter for the two-component Luce mixture.
 EM here is the standard mixture recipe.  The E-step attributes each
 observation to the human-utility component with responsibility
 alpha * Luce_u / mixture; the M-step re-estimates alpha as the mean
-responsibility and re-fits each component's utilities on its
-responsibility-weighted counts with minorize-maximize updates (each inner
-update provably increases the weighted Luce likelihood, so the overall
-likelihood never decreases).  Estimation is double-precision throughout;
-exact inputs are converted on entry.
+responsibility and takes one minorize-maximize (MM) step per component
+on its responsibility-weighted counts.  One MM step already raises the
+weighted Luce likelihood (Hunter 2004), so this is a generalised EM
+(ECM, Meng & Rubin 1993) whose likelihood never decreases.  Estimation
+is double-precision throughout; exact inputs are converted on entry.
+It runs as array operations on one dense layout of the counts (menus in
+``data.domain`` order x alternatives in universe order), so every float
+reduction has a fixed order and no result depends on ``PYTHONHASHSEED``.
 
 Randomness comes from numpy's default generator (PCG64), seeded
 explicitly: identical seeds give identical draws on any platform.
@@ -27,11 +30,11 @@ from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .choice import lam_choice, luce_choice
 from .types import (
     InvalidParameterError,
     LamParams,
     Menu,
+    MissingDataError,
     StochasticChoice,
     Universe,
 )
@@ -83,7 +86,12 @@ class ChoiceCounts:
         return tuple(sorted(self.counts, key=self.universe.menu_key))
 
     def trials(self, menu: Iterable[str]) -> int:
-        return sum(self.counts[frozenset(menu)].values())
+        m = self.universe.menu(menu)
+        if m not in self.counts:
+            raise MissingDataError(
+                f"menu {self.universe.sorted_members(m)} has no counts in the data"
+            )
+        return sum(self.counts[m].values())
 
     def total(self) -> int:
         return sum(self.trials(m) for m in self.counts)
@@ -106,37 +114,121 @@ def simulate_counts(
     """Draw ``n_per_menu`` i.i.d. mixture choices from each menu.
 
     Sampling is multinomial per menu with PCG64 randomness; the same seed
-    reproduces the same counts exactly.
+    reproduces the same counts exactly.  Mixture probabilities are summed
+    in universe order (exactly, for exact params).
     """
     if n_per_menu < 1:
         raise InvalidParameterError("n_per_menu must be at least 1")
     universe = params.universe
+    u, v, a = params.u, params.v, params.alpha
     rng = np.random.default_rng(seed)
     counts: dict[Menu, dict[str, int]] = {}
     for raw in sorted((universe.menu(m) for m in menus), key=universe.menu_key):
         members = universe.sorted_members(raw)
-        probs = lam_choice(params, raw)
-        p = np.array([float(probs[a]) for a in members])
+        su = sum(u[x] for x in members)
+        sv = sum(v[x] for x in members)
+        p = np.array([float(a * (u[x] / su) + (1 - a) * (v[x] / sv)) for x in members])
         p = p / p.sum()
         draw = rng.multinomial(n_per_menu, p)
-        counts[raw] = {a: int(c) for a, c in zip(members, draw)}
+        counts[raw] = {x: int(c) for x, c in zip(members, draw)}
     return ChoiceCounts(universe, counts)
 
 
 # ---------------------------------------------------------------------------
-# Likelihood and its gradient
+# Dense layout: likelihood, gradient and EM as array operations
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Counts as menus (``data.domain`` order) x alternatives (universe order).
+
+    ``off`` is 1 off the menus, where it pads the mixture so that logs and
+    quotients there stay finite (and vanish against the zero counts).
+    """
+
+    inc: np.ndarray
+    off: np.ndarray
+    counts: np.ndarray
+    total: float
+
+
+def _layout(data: ChoiceCounts) -> _Layout:
+    universe = data.universe
+    domain = data.domain
+    inc = np.zeros((len(domain), universe.size))
+    counts = np.zeros_like(inc)
+    for i, menu in enumerate(domain):
+        for alt in menu:
+            inc[i, universe.index(alt)] = 1.0
+        for alt, n in data.counts[menu].items():
+            counts[i, universe.index(alt)] = n
+    return _Layout(inc, 1.0 - inc, counts, float(counts.sum()))
+
+
+def _vectors(params: LamParams) -> tuple[np.ndarray, np.ndarray, float]:
+    p = params.as_float()
+    return np.array(p.u_vector()), np.array(p.v_vector()), p.alpha
+
+
+def _luce(lay: _Layout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Luce probabilities of utilities ``w`` on every menu, and the menu totals."""
+    cells = lay.inc * w
+    totals = cells.sum(axis=1)
+    return cells / totals[:, None], totals
+
+
+def _e_step(lay: _Layout, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
+    """Both components' probabilities and menu totals, and the mixture."""
+    pu, su = _luce(lay, u)
+    pv, sv = _luce(lay, v)
+    return pu, su, pv, sv, a * pu + (1 - a) * pv + lay.off
+
+
+def _loglik(lay: _Layout, mix: np.ndarray) -> float:
+    return float((lay.counts * np.log(mix)).sum())
+
+
+def _mm_step(lay: _Layout, w, weights, totals, anchor: int) -> np.ndarray:
+    """One MM update of Luce utilities ``w`` on weighted counts.
+
+    Sets w(k) <- W(k) / sum over menus S containing k of N(S)/w(S), where
+    W(k) are k's weighted wins and N(S) the menu's weighted total.  The
+    update increases the weighted likelihood; alternatives with no
+    weighted wins keep their current value (their likelihood term is
+    flat at zero weight).
+    """
+    wins = weights.sum(axis=0)
+    denom = (lay.inc * (weights.sum(axis=1) / totals)[:, None]).sum(axis=0)
+    new = np.divide(wins, denom, out=w.copy(), where=wins > 0)
+    return new / new[anchor]
+
+
+def _m_step(lay: _Layout, u, v, a: float, anchor: int, e: tuple) -> tuple:
+    """The EM update of (u, v, alpha) from the E-step ``e`` at that point."""
+    pu, su, pv, sv, mix = e
+    if a <= 0.0 or a >= 1.0:
+        warnings.warn(
+            "alpha is at a boundary; freezing it and updating the active "
+            "component only",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if a >= 1.0:
+            return _mm_step(lay, u, lay.counts, su, anchor), v, a
+        return u, _mm_step(lay, v, lay.counts, sv, anchor), a
+    wu = lay.counts * a * pu / mix
+    return (
+        _mm_step(lay, u, wu, su, anchor),
+        _mm_step(lay, v, lay.counts - wu, sv, anchor),
+        float(wu.sum() / lay.total),
+    )
 
 
 def log_likelihood(params: LamParams, data: ChoiceCounts) -> float:
     """Multinomial log-likelihood of the counts under the mixture model."""
-    ll = 0.0
-    for menu, row in data.counts.items():
-        probs = lam_choice(params, menu)
-        for alt, n in row.items():
-            if n:
-                ll += n * math.log(float(probs[alt]))
-    return ll
+    lay = _layout(data)
+    return _loglik(lay, _e_step(lay, *_vectors(params))[-1])
 
 
 def log_likelihood_gradient(
@@ -148,89 +240,23 @@ def log_likelihood_gradient(
     anchor is pinned at log 1 = 0) and the log-odds of alpha.  Keys are
     ("log_u", a), ("log_v", a), and ("logit_alpha", "").
     """
-    a = float(params.alpha)
+    u, v, a = _vectors(params)
     if not 0 < a < 1:
         raise InvalidParameterError("gradient needs interior alpha")
-    universe = params.universe
+    lay = _layout(data)
+    pu, _, pv, _, mix = _e_step(lay, u, v, a)
+    wu = lay.counts * a * pu / mix
+    wv = lay.counts - wu
+    d_u = wu.sum(axis=0) - (pu * wu.sum(axis=1)[:, None]).sum(axis=0)
+    d_v = wv.sum(axis=0) - (pv * wv.sum(axis=1)[:, None]).sum(axis=0)
     grad: dict[tuple[str, str], float] = {}
-    for alt in universe.alternatives:
+    for i, alt in enumerate(params.universe.alternatives):
         if alt != params.anchor:
-            grad[("log_u", alt)] = 0.0
-            grad[("log_v", alt)] = 0.0
-    d_alpha = 0.0
-    for menu, row in data.counts.items():
-        pu = luce_choice(params.u, menu)
-        pv = luce_choice(params.v, menu)
-        mix = {x: a * float(pu[x]) + (1 - a) * float(pv[x]) for x in pu}
-        wu_tot = 0.0
-        wv_tot = 0.0
-        for x, n in row.items():
-            if not n:
-                continue
-            wu = n * a * float(pu[x]) / mix[x]
-            wv = n - wu
-            wu_tot += wu
-            wv_tot += wv
-            d_alpha += n * (float(pu[x]) - float(pv[x])) / mix[x]
-            if x != params.anchor:
-                grad[("log_u", x)] += wu
-                grad[("log_v", x)] += wv
-        for k in menu:
-            if k != params.anchor:
-                grad[("log_u", k)] -= float(pu[k]) * wu_tot
-                grad[("log_v", k)] -= float(pv[k]) * wv_tot
+            grad[("log_u", alt)] = float(d_u[i])
+            grad[("log_v", alt)] = float(d_v[i])
+    d_alpha = float((lay.counts * (pu - pv) / mix).sum())
     grad[("logit_alpha", "")] = a * (1 - a) * d_alpha
     return grad
-
-
-# ---------------------------------------------------------------------------
-# EM
-# ---------------------------------------------------------------------------
-
-
-def _weighted_luce_mm(
-    universe: Universe,
-    weighted: dict[Menu, dict[str, float]],
-    init: Mapping[str, float],
-    anchor: str,
-    inner_tol: float = 1e-12,
-    max_inner: int = 500,
-) -> dict[str, float]:
-    """Minorize-maximize fit of Luce utilities to weighted counts.
-
-    Iterates u(k) <- W(k) / sum over menus containing k of N(S)/u(S),
-    where W(k) are k's weighted wins and N(S) the menu's weighted total.
-    Each update increases the weighted likelihood; alternatives with no
-    weighted wins keep their current value (their likelihood term is
-    flat at zero weight).
-    """
-    wins = {a: 0.0 for a in universe.alternatives}
-    menu_totals: dict[Menu, float] = {}
-    for menu, row in weighted.items():
-        menu_totals[menu] = sum(row.values())
-        for alt, w in row.items():
-            wins[alt] += w
-    u = {a: float(init[a]) for a in universe.alternatives}
-    for _ in range(max_inner):
-        sums = {menu: sum(u[a] for a in menu) for menu in weighted}
-        biggest = 0.0
-        new = dict(u)
-        for k in universe.alternatives:
-            if wins[k] <= 0.0:
-                continue
-            denom = sum(
-                menu_totals[menu] / sums[menu] for menu in weighted if k in menu
-            )
-            if denom <= 0.0:
-                continue
-            cand = wins[k] / denom
-            biggest = max(biggest, abs(math.log(cand / u[k])))
-            new[k] = cand
-        u = new
-        if biggest < inner_tol:
-            break
-    scale = u[anchor]
-    return {a: val / scale for a, val in u.items()}
 
 
 def em_step(params: LamParams, data: ChoiceCounts) -> LamParams:
@@ -240,47 +266,14 @@ def em_step(params: LamParams, data: ChoiceCounts) -> LamParams:
     mixture weight is frozen, only the active component is refit, and a
     warning is emitted.
     """
-    p = params.as_float()
-    universe = p.universe
-    a = p.alpha
-
-    if a <= 0.0 or a >= 1.0:
-        warnings.warn(
-            "alpha is at a boundary; freezing it and updating the active "
-            "component only",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        raw = {m: {x: float(n) for x, n in row.items()} for m, row in data.counts.items()}
-        if a >= 1.0:
-            u = _weighted_luce_mm(universe, raw, p.u, p.anchor)
-            return LamParams(universe, u, dict(p.v), a, p.anchor)
-        v = _weighted_luce_mm(universe, raw, p.v, p.anchor)
-        return LamParams(universe, dict(p.u), v, a, p.anchor)
-
-    wu_table: dict[Menu, dict[str, float]] = {}
-    wv_table: dict[Menu, dict[str, float]] = {}
-    resp_sum = 0.0
-    total = 0.0
-    for menu, row in data.counts.items():
-        pu = luce_choice(p.u, menu)
-        pv = luce_choice(p.v, menu)
-        wu_row = {}
-        wv_row = {}
-        for x, n in row.items():
-            mix = a * pu[x] + (1 - a) * pv[x]
-            wu = n * a * pu[x] / mix
-            wu_row[x] = wu
-            wv_row[x] = n - wu
-            resp_sum += wu
-            total += n
-        wu_table[menu] = wu_row
-        wv_table[menu] = wv_row
-
-    new_alpha = resp_sum / total
-    new_u = _weighted_luce_mm(universe, wu_table, p.u, p.anchor)
-    new_v = _weighted_luce_mm(universe, wv_table, p.v, p.anchor)
-    return LamParams(universe, new_u, new_v, new_alpha, p.anchor)
+    universe = params.universe
+    lay = _layout(data)
+    u, v, a = _vectors(params)
+    u, v, a = _m_step(lay, u, v, a, universe.index(params.anchor), _e_step(lay, u, v, a))
+    alts = universe.alternatives
+    return LamParams(
+        universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), a, params.anchor
+    )
 
 
 @dataclass(frozen=True)
@@ -326,29 +319,33 @@ def fit_mle(
     """
     if inits < 1:
         raise InvalidParameterError("need at least one start")
+    if max_iter < 0:
+        raise InvalidParameterError(f"max_iter must be non-negative, got {max_iter}")
     universe = data.universe
-    anchor = universe.alternatives[0]
+    alts = universe.alternatives
+    anchor = alts[0]
+    lay = _layout(data)
     rng = np.random.default_rng(seed)
 
-    best = None  # (degenerate, -ll) minimizing tuple, params, trace, iters, converged
+    best = None  # (degenerate, -ll) minimizing tuple, (u, v, alpha), trace, iters, converged
     monotone = True
     for start in range(inits):
-        u0 = {a: 1.0 for a in universe.alternatives}
-        v0 = {a: 1.0 for a in universe.alternatives}
-        alpha0 = 0.5
+        u = np.ones(universe.size)
+        v = np.ones(universe.size)
+        alpha = 0.5
         if start > 0:
-            for a in universe.alternatives:
-                if a != anchor:
-                    u0[a] = math.exp(rng.normal())
-                    v0[a] = math.exp(rng.normal())
-            alpha0 = float(rng.uniform(0.1, 0.9))
-        params = LamParams(universe, u0, v0, alpha0, anchor)
+            for i in range(1, universe.size):  # the anchor, index 0, stays at 1
+                u[i] = math.exp(rng.normal())
+                v[i] = math.exp(rng.normal())
+            alpha = float(rng.uniform(0.1, 0.9))
 
-        trace = [log_likelihood(params, data)]
+        e = _e_step(lay, u, v, alpha)
+        trace = [_loglik(lay, e[-1])]
         converged = False
         for _ in range(max_iter):
-            params = em_step(params, data)
-            trace.append(log_likelihood(params, data))
+            u, v, alpha = _m_step(lay, u, v, alpha, 0, e)
+            e = _e_step(lay, u, v, alpha)
+            trace.append(_loglik(lay, e[-1]))
             rel = (trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
             if abs(rel) < tol_ll:
                 converged = True
@@ -356,12 +353,15 @@ def fit_mle(
         monotone = monotone and all(
             b - a >= -1e-10 for a, b in zip(trace, trace[1:])
         )
-        degenerate = not (1e-12 < params.alpha < 1 - 1e-12)
+        degenerate = not (1e-12 < alpha < 1 - 1e-12)
         key = (degenerate, -trace[-1])
         if best is None or key < best[0]:
-            best = (key, params, tuple(trace), len(trace) - 1, converged)
+            best = (key, (u, v, alpha), tuple(trace), len(trace) - 1, converged)
 
-    _, params, trace, iters, converged = best
+    _, (u, v, alpha), trace, iters, converged = best
+    params = LamParams(
+        universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), alpha, anchor
+    )
     return FitResult(
         params=params,
         log_likelihood=trace[-1],

@@ -1,8 +1,13 @@
 """Simulation, likelihood, EM ascent, gradient checks, MLE fitting."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +17,18 @@ from lam import (
     ChoiceCounts,
     InvalidParameterError,
     LamParams,
+    MissingDataError,
     classify_regime,
     em_step,
     fit_mle,
     lam_choice,
     log_likelihood,
     log_likelihood_gradient,
+    luce_choice,
     simulate_counts,
 )
+from lam.cli import main
+from lam.dataio import serialize_dataset
 
 
 def _perturbed(params, rng, radius=0.1):
@@ -270,3 +279,199 @@ def test_fit_monotone_trace(uni3, ex_a_params):
     assert fit.empirical_rho.prob("x", frozenset({"x", "y"})) == pytest.approx(
         counts.counts[frozenset({"x", "y"})]["x"] / 2000
     )
+
+
+def test_fit_rejects_negative_max_iter(uni3, ex_a_params):
+    counts = simulate_counts(ex_a_params, uni3.all_menus(2), 100, seed=0)
+    with pytest.raises(InvalidParameterError):
+        fit_mle(counts, inits=2, seed=1, max_iter=-3)
+    assert fit_mle(counts, inits=2, seed=1, max_iter=0).iterations == 0
+
+
+def test_cli_fit_rejects_negative_max_iter(capsys, tmp_path, ex_a_params, uni3):
+    path = tmp_path / "counts.csv"
+    path.write_text(serialize_dataset(simulate_counts(ex_a_params, uni3.all_menus(2), 100, seed=0)))
+    code = main(["fit", "--data", str(path), "--starts", "2", "--seed", "1", "--max-iter", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "max_iter" in captured.err
+
+
+def test_trials_of_menu_without_data(uni4):
+    counts = ChoiceCounts(uni4, {("x", "y"): {"x": 3, "y": 1}})
+    assert counts.trials(["y", "x"]) == 4
+    with pytest.raises(MissingDataError, match=r"\('x', 'z'\)"):
+        counts.trials(["z", "x"])
+    with pytest.raises(MissingDataError):
+        counts.trials(["x", "q"])  # not in the universe
+
+
+# ---------------------------------------------------------------------------
+# The dense EM step against a dict-based reference
+# ---------------------------------------------------------------------------
+
+
+def reference_em_step(params, data):
+    """One EM step written out over dicts: E-step, alpha, one MM step per component."""
+    p = params.as_float()
+    uni, a = p.universe, p.alpha
+
+    def mm(w, table):
+        wins = {x: 0.0 for x in uni.alternatives}
+        denom = dict(wins)
+        for menu, row in table.items():
+            size = sum(w[x] for x in menu)
+            for x in menu:
+                denom[x] += sum(row.values()) / size
+            for x, c in row.items():
+                wins[x] += c
+        new = {x: wins[x] / denom[x] if wins[x] > 0 else w[x] for x in uni.alternatives}
+        return {x: val / new[p.anchor] for x, val in new.items()}
+
+    raw = {m: {x: float(c) for x, c in row.items()} for m, row in data.counts.items()}
+    if a >= 1:
+        return LamParams(uni, mm(p.u, raw), p.v, a, p.anchor)
+    if a <= 0:
+        return LamParams(uni, p.u, mm(p.v, raw), a, p.anchor)
+    wu, wv = {}, {}
+    for menu, row in raw.items():
+        pu, pv = luce_choice(p.u, menu), luce_choice(p.v, menu)
+        wu[menu] = {x: c * a * pu[x] / (a * pu[x] + (1 - a) * pv[x]) for x, c in row.items()}
+        wv[menu] = {x: c - wu[menu][x] for x, c in row.items()}
+    alpha = sum(sum(row.values()) for row in wu.values()) / data.total()
+    return LamParams(uni, mm(p.u, wu), mm(p.v, wv), alpha, p.anchor)
+
+
+def assert_params_close(got, want, tol=1e-12):
+    assert abs(got.alpha - want.alpha) <= tol
+    for a in want.universe.alternatives:
+        for g, w in ((got.u[a], want.u[a]), (got.v[a], want.v[a])):
+            assert math.isfinite(g) and abs(g - w) <= tol * max(1.0, abs(w))
+
+
+def random_counts(rng, n, partial=False, zero_wins=None):
+    """Float data at n alternatives on all menus of 2+ or a random part of them."""
+    truth = gen.random_params(rng, n).as_float()
+    menus = truth.universe.all_menus(2)
+    if partial:
+        menus = rng.sample(menus, rng.randint(2, len(menus) - 1))
+    counts = simulate_counts(truth, menus, 500, seed=rng.randrange(10**6))
+    if zero_wins is not None:
+        counts = ChoiceCounts(
+            truth.universe,
+            {m: {x: 0 if x == zero_wins else c for x, c in row.items()}
+             for m, row in counts.counts.items()},
+        )
+    return counts
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_em_step_matches_dict_reference(partial):
+    rng = random.Random(41 + partial)
+    for _ in range(12):
+        counts = random_counts(rng, rng.randint(3, 5), partial)
+        params = gen.random_params(rng, counts.universe.size).as_float()
+        for _ in range(3):
+            stepped = em_step(params, counts)
+            assert_params_close(stepped, reference_em_step(params, counts))
+            params = stepped
+
+
+def test_em_step_zero_wins_without_nan_or_warning():
+    rng = random.Random(43)
+    for n in (3, 4, 5):
+        idle = gen.ALT_NAMES[n - 1]
+        counts = random_counts(rng, n, zero_wins=idle)
+        params = gen.random_params(rng, n).as_float()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            stepped = em_step(params, counts)
+        assert_params_close(stepped, reference_em_step(params, counts))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_em_step_boundary_matches_dict_reference(alpha):
+    rng = random.Random(44)
+    for _ in range(4):
+        counts = random_counts(rng, rng.randint(3, 5), partial=rng.random() < 0.5)
+        free = gen.random_params(rng, counts.universe.size).as_float()
+        params = LamParams(counts.universe, free.u, free.v, alpha, free.anchor)
+        with pytest.warns(RuntimeWarning, match="boundary"):
+            stepped = em_step(params, counts)
+        assert stepped.alpha == alpha
+        frozen = stepped.v if alpha == 1.0 else stepped.u
+        assert frozen == (params.v if alpha == 1.0 else params.u)
+        assert_params_close(stepped, reference_em_step(params, counts))
+
+
+# ---------------------------------------------------------------------------
+# Independence from PYTHONHASHSEED
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+
+def run_hashed(hash_seed, args, cwd=None):
+    """Run ``python <args>`` with ``lam`` importable under a given PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, cwd=cwd, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+FLOAT_PARAMS = """universe,a;b;c;d;e
+anchor,a
+alpha,0.3719
+u,a,1
+u,b,0.5123
+u,c,2.7183
+u,d,1.4142
+u,e,0.1357
+v,a,1
+v,b,3.1416
+v,c,0.2718
+v,d,0.7071
+v,e,1.6180
+"""
+
+SIM_THEN_FIT = """
+import sys
+from lam.cli import main
+for argv in (
+    ["simulate", "--params", "params.csv", "--menus", "all", "--n", "3000", "--seed", "5",
+     "--out", "sim.csv"],
+    ["fit", "--data", "sim.csv", "--starts", "2", "--seed", "7", "--max-iter", "300"],
+):
+    if main(argv) != 0:
+        sys.exit(1)
+sys.stdout.write(open("sim.csv").read())
+"""
+
+
+def test_float_simulate_and_fit_independent_of_hash_seed(tmp_path):
+    outputs = set()
+    for hash_seed in (0, 1, 2):
+        work = tmp_path / str(hash_seed)
+        work.mkdir()
+        (work / "params.csv").write_text(FLOAT_PARAMS)
+        outputs.add(run_hashed(hash_seed, ["-c", SIM_THEN_FIT], cwd=work))
+    assert len(outputs) == 1
+
+
+CRITERION_7_CUT = """
+from lam import dataio, fit_mle, simulate_counts
+truth = dataio.parse_params(open("tests/data/field_params.csv").read(), exact=True)
+counts = simulate_counts(truth, truth.universe.all_menus(2), 10**5, seed=33)
+fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=300)
+p = fit.params
+print(repr((fit.iterations, fit.log_likelihood, p.alpha, p.u_vector(), p.v_vector())))
+"""
+
+
+def test_criterion_7_cut_independent_of_hash_seed():
+    root = Path(__file__).parent.parent
+    first, second = (run_hashed(s, ["-c", CRITERION_7_CUT], cwd=root) for s in (0, 5))
+    assert first == second
