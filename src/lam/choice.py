@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from itertools import chain, combinations, permutations, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .types import (
     InstabilityTuple,
@@ -64,19 +67,24 @@ __all__ = [
 
 
 def luce_choice(weights: Mapping[str, Scalar], menu: Iterable[str]) -> dict[str, Scalar]:
-    """Luce choice probabilities u(x)/u(menu) for each member of the menu."""
+    """Luce choice probabilities u(x)/u(menu) for each member of the menu.
+
+    Members are summed in the order of ``weights``, so a float total does
+    not depend on the hash seed.
+    """
     members = frozenset(menu)
     if not members:
         raise InvalidParameterError("menus must be non-empty")
-    for a in members:
+    order = [a for a in weights if a in members]
+    for a in order + sorted(members.difference(weights)):
         if a not in weights or not weights[a] > 0:
             raise InvalidParameterError(
                 f"utility for {a!r} must be positive to form a Luce rule"
             )
-    total = sum(weights[a] for a in members)
-    if all(is_exact_scalar(weights[a]) for a in members):
+    total = sum(weights[a] for a in order)
+    if all(is_exact_scalar(weights[a]) for a in order):
         total = Fraction(total)  # keep integer weights on the exact path
-    return {a: weights[a] / total for a in members}
+    return {a: weights[a] / total for a in order}
 
 
 def lam_choice(params: LamParams, menu: Iterable[str]) -> dict[str, Scalar]:
@@ -151,30 +159,260 @@ def instability_tuples(
             yield InstabilityTuple(x, y, s, t)
 
 
-def _instability_scan(
-    rho: StochasticChoice, menus: list[Menu], other: StochasticChoice | None = None
-) -> Iterator[tuple[str, str, Menu, Menu, Scalar, Scalar | None]]:
-    """Plain ``(x, y, S, T, d, p)`` rows in ``instability_tuples(canonical=True)`` order.
+#: Canonical tuples evaluated per array pass; bounds the temporary arrays.
+_BLOCK = 1 << 13
 
-    ``menus`` is in canonical order and recorded by both functions.  ``d`` is
-    the own instability of ``rho`` and ``p`` the composite instability with
-    ``other`` (None without it), each evaluated as :func:`own_instability`
-    and :func:`composite_instability` do, so float results agree bit for
-    bit.  Each probability is read once per pair of alternatives.
+
+@lru_cache(maxsize=64)
+def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the S < T triangle of ``m`` menus, row by row."""
+    return np.triu_indices(m, 1)
+
+
+@lru_cache(maxsize=8)
+def _layout(alternatives: tuple[str, ...], menus: tuple[Menu, ...]):
+    """The pairs sharing menus, their offsets in the tuple order, and their blocks.
+
+    A pair is ``(x, y, held)``: alternative indices and the rows of the
+    menus holding both, when there are at least two.  The offsets end with
+    the tuple count.  A layout that fits in one block keeps its index
+    arrays (see :func:`_index_blocks`), at most 128 KB: a call on a small
+    table builds several kernels on one layout, and rebuilding the arrays
+    would cost about as much as evaluating them.  Larger layouts give None
+    and rebuild them per pass.
     """
-    alts = rho.universe.alternatives
-    mine = [rho.table[m] for m in menus]
-    theirs = mine if other is None else [other.table[m] for m in menus]
-    for x, y in combinations(alts, 2):
-        held = [
-            (m, r.get(x, 0), r.get(y, 0), o.get(x, 0), o.get(y, 0))
-            for m, r, o in zip(menus, mine, theirs)
-            if x in m and y in m
-        ]
-        for (s, sx, sy, sx2, sy2), (t, tx, ty, tx2, ty2) in combinations(held, 2):
-            d = sx * ty - sy * tx
-            p = None if other is None else (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
-            yield x, y, s, t, d, p
+    n = len(alternatives)
+    inc = np.array([[a in m for a in alternatives] for m in menus], dtype=bool)
+    pairs = []
+    for x, y in combinations(range(n), 2):
+        held = np.flatnonzero(inc[:, x] & inc[:, y])
+        if len(held) > 1:
+            pairs.append((x, y, held))
+    starts = np.cumsum([0] + [len(h) * (len(h) - 1) // 2 for *_, h in pairs])
+    blocks = tuple(_index_blocks(pairs, starts, n)) if starts[-1] <= _BLOCK else None
+    return pairs, starts, blocks
+
+
+def _index_blocks(pairs, starts, n: int):
+    """Runs of consecutive pairs, each as flat indices into a menus x ``n``
+    matrix of the entries rho(x,S), rho(y,S), rho(x,T), rho(y,T) of every tuple."""
+    lo = 0
+    for hi in range(1, len(pairs) + 1):
+        if hi == len(pairs) or starts[hi + 1] - starts[lo] > _BLOCK:
+            run = pairs[lo:hi]
+            tris = [_triangle(len(h)) for *_, h in run]
+            s = np.concatenate([h[i] for (*_, h), (i, _) in zip(run, tris)]) * n
+            t = np.concatenate([h[j] for (*_, h), (_, j) in zip(run, tris)]) * n
+            counts = [len(i) for i, _ in tris]
+            x = np.repeat([x for x, _, _ in run], counts)
+            y = np.repeat([y for _, y, _ in run], counts)
+            yield tuple(i.astype(np.int32) for i in (s + x, s + y, t + x, t + y))
+            lo = hi
+
+
+def _sum_in_order(values: np.ndarray, *, squared: bool = False) -> float:
+    """``sum()`` of the values (or of their squares, as ``v ** 2``) in order.
+
+    Float sums must equal a loop adding each tuple's Python float with
+    ``sum()`` in canonical order; ``sum()`` over the same floats in the
+    same order does, on any Python version.  Values are converted to
+    Python floats a block at a time.
+    """
+    chunks = chain.from_iterable(
+        values[i : i + _BLOCK].tolist() for i in range(0, len(values), _BLOCK)
+    )
+    return sum(map(pow, chunks, repeat(2)) if squared else chunks)
+
+
+class _Kernel:
+    """Own and composite instability of every canonical tuple, pair by pair.
+
+    Fix alternatives x before y and let a, b be rho(x, .), rho(y, .) over
+    the menus holding both, in canonical order, with primes for ``other``.
+    The pair's tuples are the triangle S < T, where own instability is
+    a_S b_T - b_S a_T = det(a, b) and composite instability is
+    det(a, b') + det(a', b).  :meth:`arrays` evaluates the triangles of
+    consecutive pairs in one array pass per block, in the order of
+    ``instability_tuples(canonical=True)``, and :meth:`sums` gets the sums
+    over all tuples from inner products alone.
+
+    Float tables give float64 values with the operand order of
+    :func:`own_instability` and :func:`composite_instability`, so they
+    agree bit for bit.  Exact tables scale each menu's rows by the lcm c_S
+    of their denominators: every entry is an int, and the tuple (S, T)
+    carries d and p times ``k`` = c_S c_T.  Sign and ratio tests do not see
+    the scale, and :meth:`scaled` puts a tolerance on it.
+    """
+
+    def __init__(
+        self, rho: StochasticChoice, menus: Sequence[Menu], other: StochasticChoice | None = None
+    ):
+        self.universe = rho.universe
+        self.menus = tuple(menus)
+        self.exact = rho.is_exact and (other is None or other.is_exact)
+        alts = self.universe.alternatives
+        rows = [[t.table[m] for m in menus] for t in ([rho] if other is None else [rho, other])]
+        if self.exact:
+            c = [math.lcm(*(p.denominator for r in rs for p in r.values())) for rs in zip(*rows)]
+            self.c = np.array(c, dtype=object)
+            mats = [
+                [[r[a].numerator * (cm // r[a].denominator) if a in r else 0 for a in alts]
+                 for r, cm in zip(table, c)]
+                for table in rows
+            ]
+        else:
+            self.c = None
+            mats = [[[float(r.get(a, 0)) for a in alts] for r in table] for table in rows]
+        self.mine, *theirs = (np.array(m, dtype=object if self.exact else float) for m in mats)
+        self.theirs = theirs[0] if theirs else None
+        self.pairs, self.starts, self.index_blocks = _layout(alts, self.menus)
+
+    def tuple_at(self, i: int) -> InstabilityTuple:
+        """The i-th canonical tuple."""
+        n = int(np.searchsorted(self.starts, i, side="right")) - 1
+        x, y, held = self.pairs[n]
+        s, t = _triangle(len(held))
+        j = i - self.starts[n]
+        alts = self.universe.alternatives
+        return InstabilityTuple(alts[x], alts[y], self.menus[held[s[j]]], self.menus[held[t[j]]])
+
+    def value(self, v: np.ndarray, i: int) -> Scalar:
+        """The true value of tuple i's entry of a d or p array from :meth:`arrays`."""
+        return Fraction(v[i], self.k[i]) if self.exact else float(v[i])
+
+    def blocks(self, composite: bool = True) -> Iterator[tuple]:
+        """(d, p, k) per block of consecutive pairs, in canonical order.
+
+        p is None without ``other`` or when not asked, and k, the tuples'
+        scale, is None in float mode.
+        """
+        n = len(self.universe.alternatives)
+        mine = self.mine.ravel()
+        theirs = None if self.theirs is None or not composite else self.theirs.ravel()
+        blocks = self.index_blocks or _index_blocks(self.pairs, self.starts, n)
+        for sx_, sy_, tx_, ty_ in blocks:
+            sx, sy, tx, ty = mine.take(sx_), mine.take(sy_), mine.take(tx_), mine.take(ty_)
+            p = None
+            if theirs is not None:
+                sx2, sy2 = theirs.take(sx_), theirs.take(sy_)
+                tx2, ty2 = theirs.take(tx_), theirs.take(ty_)
+                p = (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
+            k = self.c.take(sx_ // n) * self.c.take(tx_ // n) if self.exact else None
+            yield sx * ty - sy * tx, p, k
+
+    def arrays(self, composite: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """(d, p) over all canonical tuples, and sets ``k``; see :meth:`blocks`."""
+        empty = [np.zeros(0, object if self.exact else float)]  # no two menus share a pair
+        ds, ps, ks = list(zip(*self.blocks(composite))) or (empty, empty, empty)
+        d = np.concatenate(ds)
+        p = np.concatenate(ps) if composite and self.theirs is not None else None
+        self.k = np.concatenate(ks) if self.exact else None
+        return d, p
+
+    def parallel(self) -> Iterator[bool]:
+        """Per pair, in order, whether all its own instabilities vanish (exact mode).
+
+        By Lagrange's identity they do iff |a|^2 |b|^2 = (a.b)^2, that is,
+        iff a and b are parallel, which the menu scales do not change.
+        """
+        for x, y, held in self.pairs:
+            a, b = self.mine[held, x], self.mine[held, y]
+            yield (a * a).sum() * (b * b).sum() == (a * b).sum() ** 2
+
+    def sums(self) -> tuple[Fraction, Fraction | None, Fraction | None]:
+        """Exact sums of d*d, d*p and p*p over every canonical tuple.
+
+        By Binet-Cauchy, the sum over S < T of det(u, v) det(w, z) is
+        (u.w)(v.z) - (u.z)(v.w), so each pair costs a few inner products.
+        The sums of d*p and p*p are None without ``other``.
+        """
+        big = math.lcm(*self.c)
+        weight = np.array([(big // c) ** 2 for c in self.c], dtype=object)
+        dd = dp = pp = 0
+        for x, y, held in self.pairs:
+            w = weight[held]
+            a, b = self.mine[held, x], self.mine[held, y]
+
+            def dot(u, v):  # the true inner product, times big**2
+                return (u * v * w).sum()
+
+            aa, bb, ab = dot(a, a), dot(b, b), dot(a, b)
+            dd += aa * bb - ab * ab
+            if self.theirs is not None:
+                a2, b2 = self.theirs[held, x], self.theirs[held, y]
+                aa2, ab2, ba2, bb2 = dot(a, a2), dot(a, b2), dot(b, a2), dot(b, b2)
+                dp += aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2
+                pp += (
+                    aa * dot(b2, b2) - ab2 * ab2
+                    + 2 * (aa2 * bb2 - ab * dot(a2, b2))
+                    + dot(a2, a2) * bb - ba2 * ba2
+                )
+        scale = big**4
+        if self.theirs is None:
+            return Fraction(dd, scale), None, None
+        return Fraction(dd, scale), Fraction(dp, scale), Fraction(pp, scale)
+
+    def scaled(self, eff: Scalar, power: int = 1, ref: int | None = None):
+        """``eff`` on the scale of each tuple's values to ``power``, or of
+        their products with tuple ``ref``'s values.
+
+        For an int x and real E, x > E iff x > floor(E), x <= E iff
+        x <= floor(E), and likewise against -E, so integer tests against
+        the floor agree with the tests of the true values against ``eff``.
+        """
+        if not self.exact:
+            return eff
+        if eff == 0:
+            return 0
+        r = Fraction(eff)
+        scale = self.k**power if ref is None else self.k * self.k[ref]
+        return scale * r.numerator // r.denominator
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _running_max(
+    num: np.ndarray, den: np.ndarray | None = None, among: np.ndarray | None = None
+) -> int | None:
+    """Where a scan's running maximum of num/den ends among the flagged tuples.
+
+    The scan keeps the first flagged tuple (all are flagged by default)
+    and moves from the kept b to a later flagged k only when
+    num[k] * den[b] > num[b] * den[k], or num[k] > num[b] without ``den``,
+    evaluated as the per-tuple checks do: rounded in float mode, where the
+    test need not be transitive.  Each step tests a growing window after b
+    at once, so the cost is one pass over the arrays plus a few calls per
+    move.
+    """
+    b = _first_true(among) if among is not None else 0 if len(num) else None
+    if b is None:
+        return None
+    lo, width = b + 1, 256
+    while lo < len(num):
+        hi = min(lo + width, len(num))
+        if den is None:
+            beats = num[lo:hi] > num[b]
+        else:
+            beats = num[lo:hi] * den[b] > num[b] * den[lo:hi]
+        j = _first_true(beats if among is None else beats & among[lo:hi])
+        if j is None:
+            lo, width = hi, 2 * width
+        else:
+            b, lo, width = lo + j, lo + j + 1, 256
+    return b
+
+
+def _own_violations(kernel: _Kernel, eff: Scalar) -> np.ndarray | None:
+    """The mask of canonical tuples whose own instability exceeds ``eff`` in
+    magnitude, or None when none does; at tol 0 on exact data the tuples
+    are evaluated only when some pair is not parallel."""
+    if kernel.exact and eff == 0 and all(kernel.parallel()):
+        return None
+    d, _ = kernel.arrays(composite=False)
+    bad = np.abs(d) > kernel.scaled(eff)
+    return bad if bad.any() else None
 
 
 def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] | None:
@@ -188,8 +426,9 @@ def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] |
 
 def _first_iia_violation(rho: StochasticChoice, eff: Scalar) -> InstabilityTuple | None:
     """The first canonical IIA violation, which ``iia_violations`` also lists first."""
-    row = next((r for r in _instability_scan(rho, rho.domain) if abs(r[4]) > eff), None)
-    return None if row is None else InstabilityTuple(*row[:4])
+    kernel = _Kernel(rho, rho.domain)
+    bad = _own_violations(kernel, eff)
+    return None if bad is None else kernel.tuple_at(_first_true(bad))
 
 
 def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[InstabilityTuple]:
@@ -207,8 +446,8 @@ def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[Ins
 
 
 def satisfies_iia(rho: StochasticChoice, tol: Scalar | None = None) -> bool:
-    """IIA test with early exit; equivalent to ``not iia_violations(rho, tol)``."""
-    return _first_iia_violation(rho, resolve_tol(tol, rho.is_exact)) is None
+    """IIA test; equivalent to ``not iia_violations(rho, tol)``."""
+    return _own_violations(_Kernel(rho, rho.domain), resolve_tol(tol, rho.is_exact)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +480,14 @@ def recover_luce_utility(
             f"positivity fails: probability of {zero[1]!r} in "
             f"{universe.sorted_members(zero[0])} is not above {eff!r}"
         )
-    bad = (r for r in _instability_scan(rho, rho.domain) if abs(r[4]) > eff)
-    first = next(bad, None)
-    if first is not None:
+    kernel = _Kernel(rho, rho.domain)
+    bad = _own_violations(kernel, eff)
+    if bad is not None:
         # each canonical violation stands for four sign-equivalent tuples,
         # and the first in lexicographic order is the canonical one
-        n_bad = 4 * (1 + sum(1 for _ in bad))
         raise NotLuceError(
-            f"IIA violated at tolerance {eff!r} for {n_bad} tuples, e.g. "
-            + InstabilityTuple(*first[:4]).describe(universe)
+            f"IIA violated at tolerance {eff!r} for {4 * int(bad.sum())} tuples, e.g. "
+            + kernel.tuple_at(_first_true(bad)).describe(universe)
         )
 
     # one ratio sample per shared menu, keyed by the (a, b) edge
@@ -305,8 +543,6 @@ def _log_least_squares(
     with log u(anchor) fixed at 0, which averages every ratio path instead
     of committing to a single spanning tree.
     """
-    import numpy as np
-
     free = [a for a in universe.alternatives if a != anchor]
     col = {a: i for i, a in enumerate(free)}
     rows = []

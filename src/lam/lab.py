@@ -18,13 +18,18 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import islice
+from fractions import Fraction
 from typing import Literal, Mapping, get_args
+
+import numpy as np
 
 from .choice import (
     _first_iia_violation,
     _first_nonpositive,
-    _instability_scan,
+    _first_true,
+    _Kernel,
+    _running_max,
+    _sum_in_order,
     lam_table,
     recover_luce_utility,
     satisfies_iia,
@@ -105,12 +110,19 @@ def estimate_alpha(
 ) -> AlphaEstimate:
     """Estimate compliance from the instability proportionality law.
 
-    One pass over the canonical tuples of the common menus gives each
-    tuple's own and composite instability.  single-tuple picks the tuple
-    with the largest composite instability and returns the ratio
-    own/composite there; least-squares returns the slope of
-    own-on-composite over all tuples with composite magnitude above tol.
-    The two agree exactly on noiseless mixture data.
+    single-tuple picks the canonical tuple with the largest composite
+    instability and returns the ratio own/composite there; least-squares
+    returns the slope of own-on-composite over the tuples with composite
+    magnitude above tol.  The two agree exactly on noiseless mixture data.
+    ``r_squared`` compares the residuals over every tuple with the sum of
+    squared own instabilities.
+
+    Exact sums come from per-pair inner products (see :class:`_Kernel`)
+    and cover every tuple; with tol > 0 the slope subtracts the tuples with
+    0 < |p| <= tol again.  Float sums add the per-tuple terms in canonical
+    order, and the slope's sums run over |p| > tol only.  A tuple left out
+    would move the sum of d*p by at most tol*|d| and that of p*p by at most
+    tol^2, so the two agree at tol 0, the exact default.
 
     Raises :class:`InvalidParameterError` for an unknown strategy,
     :class:`PartiallyIdentifiedError` when the AI and human data
@@ -127,36 +139,41 @@ def estimate_alpha(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
 
-    ds: list[Scalar] = []
-    ps: list[Scalar] = []
-    best = None  # first usable tuple with the largest composite term
-    for row in _instability_scan(rho_ai, menus, rho_h):
-        d, p = row[4], row[5]
-        ds.append(d)
-        ps.append(p)
-        if abs(p) > eff and (best is None or abs(p) > abs(best[5])):
-            best = row
-    if not any(abs(d) > eff for d in ds):
+    kernel = _Kernel(rho_ai, menus, rho_h)
+    d, p = kernel.arrays()
+    k, e = kernel.k, kernel.scaled(eff)
+    usable = np.abs(p) > e
+    if not (np.abs(d) > e).any():
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
             "are aligned; it cannot be point-identified",
             possible_regimes=("autonomous", "compliant", "aligned"),
         )
+    best = _running_max(np.abs(p), k, usable)  # first usable tuple with the largest |p|
     if best is None:
         raise InconsistentInputsError(
             "AI data violates IIA while every composite instability vanishes; "
             "no mixture representation exists"
         )
 
+    if kernel.exact:
+        dd, dp, pp = kernel.sums()
     if strategy == "single-tuple":
-        raw = best[4] / best[5]
-    else:
-        raw = sum(d * p for d, p in zip(ds, ps) if abs(p) > eff) / sum(
-            p * p for p in ps if abs(p) > eff
+        raw = kernel.value(d, best) / kernel.value(p, best)
+    elif kernel.exact:
+        # the full sums, less the tuples with 0 < |p| <= tol
+        left_out = np.flatnonzero(~usable & (p != 0))
+        raw = (dp - sum(Fraction(d[i] * p[i], k[i] ** 2) for i in left_out)) / (
+            pp - sum(Fraction(p[i] ** 2, k[i] ** 2) for i in left_out)
         )
+    else:
+        raw = _sum_in_order((d * p)[usable]) / _sum_in_order((p * p)[usable])
 
-    ss_tot = sum(d * d for d in ds)
-    ss_res = sum((d - raw * p) ** 2 for d, p in zip(ds, ps))
+    if kernel.exact:
+        ss_tot, ss_res = dd, dd - 2 * raw * dp + raw * raw * pp
+    else:
+        ss_tot = _sum_in_order(d * d)
+        ss_res = _sum_in_order(d - raw * p, squared=True)
     r_squared = 1 - ss_res / ss_tot if ss_tot > 0 else 1
 
     alpha = raw if exact else min(max(raw, 0.0), 1.0)
@@ -164,9 +181,9 @@ def estimate_alpha(
         alpha=alpha,
         raw=raw,
         strategy=strategy,
-        best=InstabilityTuple(*best[:4]),
+        best=kernel.tuple_at(best),
         r_squared=r_squared,
-        n_tuples=sum(1 for p in ps if abs(p) > eff),
+        n_tuples=int(np.count_nonzero(usable)),
     )
 
 
@@ -374,19 +391,16 @@ def check_axioms(
     """Test the five behavioral conditions, producing witnesses for failures.
 
     Human IIA reports the first canonical violation.  The other conditions
-    come from one pass over the canonical tuples of the common menus, with
-    proportionality and bounded divergence in slope form: against the tuples
-    with the largest composite instability and the largest own-to-composite
-    ratio, which is equivalent to comparing every pair of tuples and
-    testing every tuple's ratio.
+    come from one array pass over the canonical tuples of the common menus,
+    with proportionality and bounded divergence in slope form: against the
+    tuples with the largest composite instability and the largest
+    own-to-composite ratio, which is equivalent to comparing every pair of
+    tuples and testing every tuple's ratio.
     """
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     universe = rho_ai.universe
     menus = _common_menus(rho_ai, rho_h)
-
-    def at(row) -> InstabilityTuple:
-        return InstabilityTuple(*row[:4])
 
     # positivity, over each function's own recorded domain
     positivity = AxiomVerdict(True)
@@ -407,51 +421,54 @@ def check_axioms(
             False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
         )
 
-    # One pass keeps the scan rows the checks refer to: the largest
-    # composite term (proportionality reference), the first own term not
-    # dominated by its composite, the first vanishing composite under a
-    # non-vanishing own term, and the largest own-to-composite ratio.
-    ds: list[Scalar] = []
-    ps: list[Scalar] = []
-    ref = undominated = vanishing = binding = None
-    for row in _instability_scan(rho_ai, menus, rho_h):
-        d, p = row[4], row[5]
-        ds.append(d)
-        ps.append(p)
-        if ref is None or abs(p) > abs(ref[5]):
-            ref = row
-        if undominated is None and not _dominated(d, p, eff):
-            undominated = row
-        if abs(p) <= eff:
-            if vanishing is None and abs(d) > eff:
-                vanishing = row
-        elif binding is None or abs(d) * abs(binding[5]) > abs(binding[4]) * abs(p):
-            binding = row
+    # The tuples the checks refer to: the largest composite term
+    # (proportionality reference), the first own term not dominated by its
+    # composite, the first vanishing composite under a non-vanishing own
+    # term, and the largest own-to-composite ratio.
+    kernel = _Kernel(rho_ai, menus, rho_h)
+    d, p = kernel.arrays()
+    k = kernel.k
+    e1, e2 = kernel.scaled(eff), kernel.scaled(eff, 2)
+    ad, ap, dp = np.abs(d), np.abs(p), d * p
+    big = ad > e1
+    sign_ok = (dp >= -e2) & (~big | (dp > 0))
+    del dp
+    if kernel.exact and isinstance(eff, float):
+        # adding a float tol to an exact |p| rounds the sum to a float
+        size_ok = np.array([Fraction(x, s) <= y / s + eff for x, y, s in zip(ad, ap, k)], bool)
+    else:
+        size_ok = ad <= ap + e1
+    if eff == 0:
+        size_ok &= ~big | (ad < ap)
+    undominated = _first_true(~(sign_ok & size_ok))
+    vanishing = _first_true((ap <= e1) & big)
+    ref = _running_max(ap, k)
+    binding = _running_max(ad, ap, ap > e1)
+
+    def row(i: int):
+        return kernel.tuple_at(i), kernel.value(d, i), kernel.value(p, i)
 
     proportionality = AxiomVerdict(True, note="no tuples to compare" if ref is None else "")
     if ref is not None:
-        d_ref, p_ref = ref[4], ref[5]
-        k = next(
-            (k for k, (d, p) in enumerate(zip(ds, ps)) if abs(d * p_ref - d_ref * p) > eff),
-            None,
-        )
-        if k is not None:
-            # rebuild the k-th tuple by walking the scan up to it
-            t = at(next(islice(_instability_scan(rho_ai, menus, rho_h), k, None)))
+        gap = d * p[ref]
+        gap -= d[ref] * p
+        bad = _first_true(np.abs(gap) > kernel.scaled(eff, ref=ref))
+        if bad is not None:
+            t, t_ref = kernel.tuple_at(bad), kernel.tuple_at(ref)
             proportionality = AxiomVerdict(
                 False,
-                witness=(t, at(ref)),
+                witness=(t, t_ref),
                 note=f"instability ratios differ between {t.describe(universe)} "
-                f"and {at(ref).describe(universe)}",
+                f"and {t_ref.describe(universe)}",
             )
 
     bounded_instability = AxiomVerdict(True)
     if undominated is not None:
-        t, (d, p) = at(undominated), undominated[4:]
+        t, d_t, p_t = row(undominated)
         bounded_instability = AxiomVerdict(
             False,
-            witness=(t, d, p),
-            note=f"own instability {d!r} is not dominated by composite {p!r} at "
+            witness=(t, d_t, p_t),
+            note=f"own instability {d_t!r} is not dominated by composite {p_t!r} at "
             + t.describe(universe),
         )
 
@@ -459,17 +476,19 @@ def check_axioms(
     # term fails outright (no probability can compensate a zero left-hand
     # side); otherwise the binding tuple is the one with the largest |d|/|p|
     if vanishing is not None:
-        t = at(vanishing)
+        t, d_t, p_t = row(vanishing)
         bounded_divergence = AxiomVerdict(
             False,
-            witness=(t, *vanishing[4:]),
+            witness=(t, d_t, p_t),
             note="composite instability vanishes while own does not at "
             + t.describe(universe),
         )
     elif binding is None:
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
-        bounded_divergence = _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff)
+        bounded_divergence = _bounded_divergence(
+            universe, rho_ai, rho_h, menus, *row(binding), eff
+        )
 
     return AxiomReport(
         positivity=positivity,
@@ -481,20 +500,8 @@ def check_axioms(
     )
 
 
-def _dominated(d, p, eff) -> bool:
-    """Own instability ``d`` shares the sign of ``p`` and does not exceed it."""
-    sign_ok = d * p >= -eff
-    size_ok = abs(d) <= abs(p) + eff
-    if abs(d) > eff:
-        sign_ok = sign_ok and d * p > 0
-        if eff == 0:
-            size_ok = size_ok and abs(d) < abs(p)
-    return sign_ok and size_ok
-
-
-def _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff) -> AxiomVerdict:
-    """Bounded divergence at the binding tuple, menu by menu."""
-    d, p = binding[4], binding[5]
+def _bounded_divergence(universe, rho_ai, rho_h, menus, t, d, p, eff) -> AxiomVerdict:
+    """Bounded divergence at the binding tuple ``t``, menu by menu."""
     strict = eff == 0 and abs(d) > eff
     for menu in menus:
         row_ai, row_h = rho_ai.table[menu], rho_h.table[menu]
@@ -502,7 +509,6 @@ def _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff) -> AxiomVe
             lhs = row_ai.get(z, 0) * abs(p)
             rhs = row_h.get(z, 0) * abs(d)
             if lhs <= rhs if strict else lhs < rhs - eff:
-                t = InstabilityTuple(*binding[:4])
                 return AxiomVerdict(
                     False,
                     witness=(t, universe.sorted_members(menu), z),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Union
 
@@ -243,9 +244,9 @@ class StochasticChoice:
         object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "is_positive", positive)
 
-    @property
+    @cached_property
     def domain(self) -> tuple[Menu, ...]:
-        """Observed menus in canonical order."""
+        """Observed menus in canonical order, sorted once per table."""
         return tuple(sorted(self.table, key=self.universe.menu_key))
 
     def has_menu(self, menu: Iterable[str]) -> bool:
@@ -283,13 +284,14 @@ class StochasticChoice:
 
 def sup_distance(a: StochasticChoice, b: StochasticChoice) -> Scalar:
     """Sup-norm distance between two choice functions on their common menus."""
-    common = [m for m in a.domain if b.has_menu(m)]
+    common = [m for m in a.domain if m in b.table]
     if not common:
         raise InsufficientDataError("the two choice functions share no menus")
     worst: Scalar = 0
     for m in common:
+        row_a, row_b = a.table[m], b.table[m]
         for alt in m:
-            d = abs(a.prob(alt, m) - b.prob(alt, m))
+            d = abs(row_a.get(alt, 0) - row_b.get(alt, 0))
             if d > worst:
                 worst = d
     return worst

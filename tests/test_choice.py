@@ -379,6 +379,45 @@ def test_recover_positivity_message_independent_of_hash_seed():
     }
 
 
+FLOAT_LAM_TABLES = """
+import hashlib, random
+from lam import LamParams, Universe, lam_table
+uni = Universe(tuple("abcdefgh"))
+rng = random.Random(3)
+digest = hashlib.md5()
+for _ in range(20):
+    u = {a: rng.uniform(0.1, 10) for a in uni.alternatives}
+    v = {a: rng.uniform(0.1, 10) for a in uni.alternatives}
+    rho = lam_table(LamParams.normalized(uni, u, v, rng.random()), uni.all_menus(2))
+    for m in rho.domain:
+        digest.update(repr([(a, rho.table[m][a]) for a in uni.sorted_members(m)]).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_float_lam_table_independent_of_hash_seed():
+    src = str(Path(__file__).parent.parent / "src")
+    digests = set()
+    for seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FLOAT_LAM_TABLES],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
+
+
+def test_luce_choice_sums_in_weights_order():
+    weights = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
+    got = luce_choice(weights, ["d", "b", "c", "a"])
+    total = ((0.1 + 0.2) + 0.3) + 0.4
+    assert list(got) == ["a", "b", "c", "d"]
+    assert got == {a: w / total for a, w in weights.items()}
+
+
 def test_recover_disconnected_graph():
     uni = Universe(("a", "b", "c", "d"))
     rho = StochasticChoice(

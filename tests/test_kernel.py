@@ -1,0 +1,550 @@
+"""The array instability kernel against the per-tuple scans it replaced.
+
+The oracle below is the library's former per-tuple code: one canonical
+row per tuple, compliance sums and axiom trackers kept tuple by tuple.
+Every output visible through the public API must match it exactly, in
+both scalar modes, down to the witness values, the tie-breaks and the
+error messages.
+"""
+
+import random
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+
+import gen
+from lam import (
+    InconsistentInputsError,
+    InstabilityTuple,
+    LamError,
+    LamParams,
+    NotIdentifiedError,
+    NotLuceError,
+    PartiallyIdentifiedError,
+    StochasticChoice,
+    Universe,
+    check_axioms,
+    composite_instability,
+    estimate_alpha,
+    instability_tuples,
+    lam_table,
+    luce_table,
+    own_instability,
+    recover_luce_utility,
+    satisfies_iia,
+    sup_distance,
+)
+from lam import choice
+from lam.choice import _first_nonpositive, _Kernel
+from lam.lab import AlphaEstimate, AxiomReport, AxiomVerdict, _common_menus
+from lam.types import resolve_tol
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-tuple computations
+# ---------------------------------------------------------------------------
+
+
+def scan_rows(rho, menus, other=None):
+    """Plain ``(x, y, S, T, d, p)`` rows in canonical order, one tuple at a time."""
+    alts = rho.universe.alternatives
+    mine = [rho.table[m] for m in menus]
+    theirs = mine if other is None else [other.table[m] for m in menus]
+    for x, y in combinations(alts, 2):
+        held = [
+            (m, r.get(x, 0), r.get(y, 0), o.get(x, 0), o.get(y, 0))
+            for m, r, o in zip(menus, mine, theirs)
+            if x in m and y in m
+        ]
+        for (s, sx, sy, sx2, sy2), (t, tx, ty, tx2, ty2) in combinations(held, 2):
+            d = sx * ty - sy * tx
+            p = None if other is None else (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
+            yield x, y, s, t, d, p
+
+
+def oracle_first_violation(rho, eff):
+    row = next((r for r in scan_rows(rho, rho.domain) if abs(r[4]) > eff), None)
+    return None if row is None else InstabilityTuple(*row[:4])
+
+
+def oracle_satisfies_iia(rho, tol=None):
+    return oracle_first_violation(rho, resolve_tol(tol, rho.is_exact)) is None
+
+
+def oracle_luce_error(rho, tol=None):
+    """The NotLuceError message ``recover_luce_utility`` must raise, or None."""
+    universe = rho.universe
+    eff = resolve_tol(tol, rho.is_exact)
+    zero = _first_nonpositive(rho, eff)
+    if zero is not None:
+        return (
+            f"positivity fails: probability of {zero[1]!r} in "
+            f"{universe.sorted_members(zero[0])} is not above {eff!r}"
+        )
+    bad = [r for r in scan_rows(rho, rho.domain) if abs(r[4]) > eff]
+    if bad:
+        return (
+            f"IIA violated at tolerance {eff!r} for {4 * len(bad)} tuples, e.g. "
+            + InstabilityTuple(*bad[0][:4]).describe(universe)
+        )
+    return None
+
+
+def oracle_estimate_alpha(rho_ai, rho_h, strategy="least-squares", tol=None):
+    exact = rho_ai.is_exact and rho_h.is_exact
+    eff = resolve_tol(tol, exact)
+    menus = _common_menus(rho_ai, rho_h)
+    if sup_distance(rho_ai, rho_h) <= eff:
+        raise PartiallyIdentifiedError(
+            "AI and human choices coincide; alpha and v are not separately identified"
+        )
+    ds, ps = [], []
+    best = None
+    for row in scan_rows(rho_ai, menus, rho_h):
+        d, p = row[4], row[5]
+        ds.append(d)
+        ps.append(p)
+        if abs(p) > eff and (best is None or abs(p) > abs(best[5])):
+            best = row
+    if not any(abs(d) > eff for d in ds):
+        raise NotIdentifiedError(
+            "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
+            "are aligned; it cannot be point-identified",
+            possible_regimes=("autonomous", "compliant", "aligned"),
+        )
+    if best is None:
+        raise InconsistentInputsError(
+            "AI data violates IIA while every composite instability vanishes; "
+            "no mixture representation exists"
+        )
+    if strategy == "single-tuple":
+        raw = best[4] / best[5]
+    else:
+        raw = sum(d * p for d, p in zip(ds, ps) if abs(p) > eff) / sum(
+            p * p for p in ps if abs(p) > eff
+        )
+    ss_tot = sum(d * d for d in ds)
+    ss_res = sum((d - raw * p) ** 2 for d, p in zip(ds, ps))
+    r_squared = 1 - ss_res / ss_tot if ss_tot > 0 else 1
+    alpha = raw if exact else min(max(raw, 0.0), 1.0)
+    return AlphaEstimate(
+        alpha=alpha,
+        raw=raw,
+        strategy=strategy,
+        best=InstabilityTuple(*best[:4]),
+        r_squared=r_squared,
+        n_tuples=sum(1 for p in ps if abs(p) > eff),
+    )
+
+
+def _dominated(d, p, eff):
+    sign_ok = d * p >= -eff
+    size_ok = abs(d) <= abs(p) + eff
+    if abs(d) > eff:
+        sign_ok = sign_ok and d * p > 0
+        if eff == 0:
+            size_ok = size_ok and abs(d) < abs(p)
+    return sign_ok and size_ok
+
+
+def _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff):
+    d, p = binding[4], binding[5]
+    strict = eff == 0 and abs(d) > eff
+    for menu in menus:
+        row_ai, row_h = rho_ai.table[menu], rho_h.table[menu]
+        for z in universe.sorted_members(menu):
+            lhs = row_ai.get(z, 0) * abs(p)
+            rhs = row_h.get(z, 0) * abs(d)
+            if lhs <= rhs if strict else lhs < rhs - eff:
+                t = InstabilityTuple(*binding[:4])
+                return AxiomVerdict(
+                    False,
+                    witness=(t, universe.sorted_members(menu), z),
+                    note=f"AI probability of {z!r} in "
+                    f"{universe.sorted_members(menu)} is too small for the "
+                    "instability ratio at " + t.describe(universe),
+                )
+    return AxiomVerdict(True)
+
+
+def oracle_check_axioms(rho_ai, rho_h, tol=None):
+    exact = rho_ai.is_exact and rho_h.is_exact
+    eff = resolve_tol(tol, exact)
+    universe = rho_ai.universe
+    menus = _common_menus(rho_ai, rho_h)
+
+    def at(row):
+        return InstabilityTuple(*row[:4])
+
+    positivity = AxiomVerdict(True)
+    for name, rho in (("ai", rho_ai), ("human", rho_h)):
+        zero = _first_nonpositive(rho, eff)
+        if zero is not None:
+            positivity = AxiomVerdict(
+                False,
+                witness=(name, universe.sorted_members(zero[0]), zero[1]),
+                note=f"{name} probability of {zero[1]!r} is not positive",
+            )
+            break
+
+    t = oracle_first_violation(rho_h, eff)
+    h_iia = AxiomVerdict(True)
+    if t is not None:
+        h_iia = AxiomVerdict(
+            False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
+        )
+
+    rows = list(scan_rows(rho_ai, menus, rho_h))
+    ref = undominated = vanishing = binding = None
+    for row in rows:
+        d, p = row[4], row[5]
+        if ref is None or abs(p) > abs(ref[5]):
+            ref = row
+        if undominated is None and not _dominated(d, p, eff):
+            undominated = row
+        if abs(p) <= eff:
+            if vanishing is None and abs(d) > eff:
+                vanishing = row
+        elif binding is None or abs(d) * abs(binding[5]) > abs(binding[4]) * abs(p):
+            binding = row
+
+    proportionality = AxiomVerdict(True, note="no tuples to compare" if ref is None else "")
+    if ref is not None:
+        d_ref, p_ref = ref[4], ref[5]
+        bad = next((r for r in rows if abs(r[4] * p_ref - d_ref * r[5]) > eff), None)
+        if bad is not None:
+            proportionality = AxiomVerdict(
+                False,
+                witness=(at(bad), at(ref)),
+                note=f"instability ratios differ between {at(bad).describe(universe)} "
+                f"and {at(ref).describe(universe)}",
+            )
+
+    bounded_instability = AxiomVerdict(True)
+    if undominated is not None:
+        t, (d, p) = at(undominated), undominated[4:]
+        bounded_instability = AxiomVerdict(
+            False,
+            witness=(t, d, p),
+            note=f"own instability {d!r} is not dominated by composite {p!r} at "
+            + t.describe(universe),
+        )
+
+    if vanishing is not None:
+        t = at(vanishing)
+        bounded_divergence = AxiomVerdict(
+            False,
+            witness=(t, *vanishing[4:]),
+            note="composite instability vanishes while own does not at "
+            + t.describe(universe),
+        )
+    elif binding is None:
+        bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
+    else:
+        bounded_divergence = _bounded_divergence(universe, rho_ai, rho_h, menus, binding, eff)
+
+    return AxiomReport(
+        positivity=positivity,
+        h_iia=h_iia,
+        proportionality=proportionality,
+        bounded_instability=bounded_instability,
+        bounded_divergence=bounded_divergence,
+        tol=eff,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Random cases
+# ---------------------------------------------------------------------------
+
+
+def canon(obj):
+    """A comparable form that keeps scalar types: 1/2 and 0.5 must not match."""
+    if isinstance(obj, InstabilityTuple):
+        return ("tuple", obj.x, obj.y, obj.menu_s, obj.menu_t)
+    if isinstance(obj, (AlphaEstimate, AxiomReport, AxiomVerdict)):
+        return (type(obj).__name__,) + tuple(canon(v) for v in vars(obj).values())
+    if isinstance(obj, (tuple, list)):
+        return tuple(canon(v) for v in obj)
+    if isinstance(obj, dict):
+        return tuple((k, canon(v)) for k, v in obj.items())
+    if isinstance(obj, LamError):
+        return (type(obj).__name__, str(obj))
+    return (type(obj).__name__, obj)
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return canon(f(*args, **kwargs))
+    except LamError as e:
+        return canon(e)
+
+
+def perturb_exact(rho, rng, shift=F(1, 50)):
+    """Move one probability by ``shift`` and renormalize its row, exactly."""
+    menus = [m for m in rho.domain if len(m) >= 2]
+    menu = menus[rng.randrange(len(menus))]
+    alt = rho.universe.sorted_members(menu)[rng.randrange(len(menu))]
+    table = {m: dict(row) for m, row in rho.table.items()}
+    table[menu][alt] += shift
+    total = sum(table[menu].values())
+    table[menu] = {a: p / total for a, p in table[menu].items()}
+    return StochasticChoice(rho.universe, table)
+
+
+def drop_entry(rho, rng):
+    """Leave one alternative out of a menu of three or more (a zero entry)."""
+    menus = [m for m in rho.domain if len(m) >= 3]
+    menu = menus[rng.randrange(len(menus))]
+    alt = rho.universe.sorted_members(menu)[rng.randrange(len(menu))]
+    table = {m: dict(row) for m, row in rho.table.items()}
+    del table[menu][alt]
+    total = sum(table[menu][a] for a in sorted(table[menu]))
+    table[menu] = {a: p / total for a, p in table[menu].items()}
+    return StochasticChoice(rho.universe, table, eps_sum=1e-6)
+
+
+def tied_params(rng, n):
+    """Utilities from {1, 2} make many instabilities equal in size."""
+    uni = Universe(gen.ALT_NAMES[:n])
+    while True:
+        u = {a: F(rng.choice([1, 2])) for a in uni.alternatives}
+        v = {a: F(rng.choice([1, 2])) for a in uni.alternatives}
+        params = LamParams.normalized(uni, u, v, F(rng.choice([1, 1, 2]), 3))
+        if len(set(params.ratio().values())) > 1:
+            return params
+
+
+VARIANTS = ("clean", "human", "ai", "partial", "zeros", "tol", "ties")
+
+
+def random_case(rng, n, exact, variant):
+    """(AI, human, anchor, tol) for one variant."""
+    params = tied_params(rng, n) if variant == "ties" else gen.random_params(rng, n)
+    menus = params.universe.all_menus(2)
+    if variant == "partial":
+        menus = [m for m in menus if rng.random() < 0.5] or menus
+    ai, human = lam_table(params, menus), luce_table(params.universe, params.u, menus)
+    if not exact:
+        ai, human = ai.as_float(), human.as_float()
+    bump = perturb_exact if exact else gen.perturb_entry
+    tol = None
+    if variant == "human":
+        human = bump(human, rng)
+    elif variant == "ai":
+        ai = bump(ai, rng)
+    elif variant == "zeros":
+        ai = drop_entry(ai, rng)
+        if rng.random() < 0.5:
+            human = drop_entry(human, rng)
+    elif variant == "tol":
+        ai = bump(ai, rng)
+        tol = rng.choice([F(1, 300), F(1, 40), 0.004, 0.02]) if exact else rng.choice([1e-3, 0.02])
+    return ai, human, params.anchor, tol
+
+
+CASES = [(n, exact, v) for n in (3, 4, 5, 6) for exact in (True, False) for v in VARIANTS]
+
+
+def assert_matches_oracle(ai, human, anchor, tol):
+    for strategy in ("least-squares", "single-tuple"):
+        assert outcome(estimate_alpha, ai, human, strategy, tol) == outcome(
+            oracle_estimate_alpha, ai, human, strategy, tol
+        )
+    assert canon(check_axioms(ai, human, tol)) == canon(oracle_check_axioms(ai, human, tol))
+    for rho in (ai, human):
+        assert satisfies_iia(rho, tol) == oracle_satisfies_iia(rho, tol)
+        got = outcome(recover_luce_utility, rho, anchor, tol)
+        want = oracle_luce_error(rho, tol)
+        if want is None:
+            assert got[0] != "NotLuceError"  # a result, or a disconnected ratio graph
+        else:
+            assert got == ("NotLuceError", want)
+
+
+@pytest.mark.parametrize("n, exact, variant", CASES)
+def test_kernel_matches_per_tuple_oracle(n, exact, variant):
+    rng = random.Random(f"{n}-{exact}-{variant}")
+    for _ in range(3 if n < 6 else 1):
+        assert_matches_oracle(*random_case(rng, n, exact, variant))
+
+
+@pytest.mark.parametrize("block", [64, 250])
+def test_kernel_matches_oracle_across_blocks(monkeypatch, request, block):
+    # Tables up to n = 6 fit in one array pass, and their layouts keep
+    # their index arrays; small blocks split them into several passes, and
+    # the arrays are rebuilt per pass.  A pair's triangle holds 28 tuples
+    # at n = 5 and 120 at n = 6 on all menus, so at 64 the n = 6 blocks
+    # hold one pair each, larger than the block, and at 250 they hold two.
+    monkeypatch.setattr(choice, "_BLOCK", block)
+    choice._layout.cache_clear()  # layouts kept under the default block size
+    request.addfinalizer(choice._layout.cache_clear)
+    rng = random.Random(block)
+    for n, exact, variant in [
+        (5, True, "ai"), (5, False, "human"), (5, False, "zeros"),
+        (6, True, "tol"), (6, True, "partial"), (6, False, "ai"), (6, False, "ties"),
+    ]:
+        ai, human, anchor, tol = random_case(rng, n, exact, variant)
+        assert len(list(_Kernel(ai, _common_menus(ai, human), human).blocks())) > 1
+        assert_matches_oracle(ai, human, anchor, tol)
+
+
+def test_mixed_pair_is_evaluated_as_the_float_pair():
+    # An exact table against a float one takes every product on
+    # float(entry): witnesses and notes show floats, as for two float tables.
+    rng = random.Random(37)
+    ai, human = gen.forward_pair(gen.random_params(rng, 4))
+    ai, human = perturb_exact(ai, rng, F(1, 5)), human.as_float()
+    report = check_axioms(ai, human)
+    assert canon(report) == canon(check_axioms(ai.as_float(), human))
+    t, d, p = report.bounded_instability.witness
+    assert type(d) is float and d == own_instability(ai.as_float(), t)
+    assert type(p) is float and p == composite_instability(ai.as_float(), human, t)
+    assert report.bounded_instability.note.startswith(f"own instability {d!r} ")
+    for strategy in ("least-squares", "single-tuple"):
+        est = estimate_alpha(ai, human, strategy)
+        assert canon(est) == canon(estimate_alpha(ai.as_float(), human, strategy))
+        assert type(est.raw) is float
+
+
+def test_kernel_float_ties_are_broken_as_the_scan_did():
+    # on float mixture data every own/composite ratio equals alpha up to
+    # rounding, so the binding tuple rests on rounded cross products
+    rng = random.Random(7)
+    for _ in range(6):
+        ai, human = gen.forward_pair(gen.random_params(rng, 5))
+        ai, human = ai.as_float(), human.as_float()
+        assert canon(check_axioms(ai, human)) == canon(oracle_check_axioms(ai, human))
+
+
+def one_tuple_pair(ai_t, human_t):
+    """Exact tables on {x,y} and {x,y,z}: one canonical tuple, (x,y,{x,y},{x,y,z}).
+
+    Both {x,y} rows are uniform, so d = (b_T - a_T)/2 and
+    p = (b'_T - a'_T)/2 + d for the {x,y,z} rows given.
+    """
+    uni = Universe(("x", "y", "z"))
+    half = {"x": F(1, 2), "y": F(1, 2)}
+
+    def table(row):
+        return StochasticChoice(uni, {("x", "y"): half, ("x", "y", "z"): dict(zip("xyz", row))})
+
+    return table(ai_t), table(human_t)
+
+
+def test_kernel_boundary_cases():
+    # |d| = |p| at tol 0: strictly dominated fails
+    ai, human = one_tuple_pair((F(1, 5), F(3, 5), F(1, 5)), (F(2, 5), F(2, 5), F(1, 5)))
+    cases = [(ai, human, None), (ai.as_float(), human.as_float(), 0)]
+    # d = 1/5 + 2^-57 and p = 1/10 under a float tol of 0.1: |p| + 0.1 rounds
+    # to a float just above d, while the exact sum lies just below it
+    eps = F(1, 2**56)
+    ai, human = one_tuple_pair(
+        (F(1, 5), F(3, 5) + eps, F(1, 5) - eps), (F(1, 2), F(3, 10) - eps, F(1, 5) + eps)
+    )
+    assert oracle_check_axioms(ai, human, 0.1).bounded_instability.passed
+    assert not oracle_check_axioms(ai, human, F(1, 10)).bounded_instability.passed
+    cases += [(ai, human, 0.1), (ai, human, F(1, 10))]
+    # no two menus share a pair of alternatives: no tuples at all
+    uni = Universe(("x", "y", "z"))
+    apart = {("x", "y"): {"x": F(1, 4), "y": F(3, 4)}, ("y", "z"): {"y": F(1, 3), "z": F(2, 3)}}
+    ai = StochasticChoice(uni, apart)
+    human = luce_table(uni, {"x": F(1), "y": F(2), "z": F(3)}, ai.domain)
+    cases += [(ai, human, None), (ai.as_float(), human.as_float(), None)]
+    # tolerances a hair below a tuple's own |d| or |p|, where the scaled
+    # tolerance must be rounded down, not up
+    rng = random.Random(43)
+    for _ in range(4):
+        ai, human = gen.forward_pair(gen.random_params(rng, 4))
+        ai = perturb_exact(ai, rng)
+        rows = list(scan_rows(ai, ai.domain, human))
+        _, _, _, _, d, p = rows[rng.randrange(len(rows))]
+        for value in (abs(d), abs(p)):
+            if value:
+                cases.append((ai, human, value - F(1, 10**40)))
+    for ai, human, tol in cases:
+        assert canon(check_axioms(ai, human, tol)) == canon(oracle_check_axioms(ai, human, tol))
+        for strategy in ("least-squares", "single-tuple"):
+            assert outcome(estimate_alpha, ai, human, strategy, tol) == outcome(
+                oracle_estimate_alpha, ai, human, strategy, tol
+            )
+        assert satisfies_iia(ai, tol) == oracle_satisfies_iia(ai, tol)
+
+
+# ---------------------------------------------------------------------------
+# The identities behind the kernel
+# ---------------------------------------------------------------------------
+
+
+def det(u, v, s, t):
+    return u[s] * v[t] - v[s] * u[t]
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def test_binet_cauchy_on_random_vectors():
+    rng = random.Random(17)
+    for m in range(2, 9):
+        u, v, w, z = ([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)] for _ in "uvwz")
+        brute = sum(det(u, v, s, t) * det(w, z, s, t) for s, t in combinations(range(m), 2))
+        assert brute == dot(u, w) * dot(v, z) - dot(u, z) * dot(v, w)
+        # Lagrange's identity: the own instabilities of one pair vanish iff u, v are parallel
+        assert sum(det(u, v, s, t) ** 2 for s, t in combinations(range(m), 2)) == (
+            dot(u, u) * dot(v, v) - dot(u, v) ** 2
+        )
+
+
+@pytest.mark.parametrize("variant", ["clean", "human", "ai", "partial", "zeros"])
+def test_kernel_sums_equal_brute_force(variant):
+    rng = random.Random(variant)
+    for n in (3, 4, 5):
+        ai, human, _, _ = random_case(rng, n, True, variant)
+        menus = _common_menus(ai, human)
+        rows = list(scan_rows(ai, menus, human))
+        kernel = _Kernel(ai, menus, human)
+        assert kernel.sums() == (
+            sum(r[4] * r[4] for r in rows),
+            sum(r[4] * r[5] for r in rows),
+            sum(r[5] * r[5] for r in rows),
+        )
+        d, p = kernel.arrays()
+        assert [kernel.value(d, i) for i in range(len(d))] == [r[4] for r in rows]
+        assert [kernel.value(p, i) for i in range(len(p))] == [r[5] for r in rows]
+        assert [kernel.tuple_at(i) for i in range(len(d))] == [
+            InstabilityTuple(*r[:4]) for r in rows
+        ]
+
+
+def test_exact_iia_test_agrees_with_scan():
+    rng = random.Random(29)
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            params = gen.random_params(rng, n)
+            human = luce_table(params.universe, params.u, params.universe.all_menus(2))
+            assert satisfies_iia(human) and oracle_satisfies_iia(human)
+            bad = perturb_exact(human, rng)
+            assert satisfies_iia(bad) == oracle_satisfies_iia(bad)
+            assert not satisfies_iia(bad)
+            full = [
+                t
+                for t in instability_tuples(bad.universe, bad.domain)
+                if own_instability(bad, t) != 0
+            ]
+            with pytest.raises(NotLuceError, match=f"for {len(full)} tuples"):
+                recover_luce_utility(bad, params.anchor)
+
+
+def test_kernel_values_agree_with_public_measures():
+    rng = random.Random(31)
+    ai, human = gen.forward_pair(gen.random_params(rng, 4))
+    bad = gen.perturb_entry(ai.as_float(), rng)
+    for a, h in ((ai, human), (bad, human.as_float())):
+        kernel = _Kernel(a, a.domain, h)
+        d, p = kernel.arrays()
+        for i, t in enumerate(instability_tuples(a.universe, a.domain, canonical=True)):
+            assert kernel.tuple_at(i) == t
+            assert kernel.value(d, i) == own_instability(a, t)
+            assert kernel.value(p, i) == composite_instability(a, h, t)
+            assert type(kernel.value(d, i)) is type(own_instability(a, t))

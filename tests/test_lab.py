@@ -403,7 +403,7 @@ def test_axioms_agree_with_identification():
 
 
 # ---------------------------------------------------------------------------
-# The shared instability scan against per-tuple measure calls
+# The instability kernel against per-tuple measure calls
 # ---------------------------------------------------------------------------
 
 
