@@ -159,7 +159,7 @@ def instability_tuples(
             yield InstabilityTuple(x, y, s, t)
 
 
-#: Canonical tuples evaluated per array pass; bounds the temporary arrays.
+#: Values converted to Python floats at a time by :func:`_sum_in_order`.
 _BLOCK = 1 << 13
 
 
@@ -171,43 +171,19 @@ def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _layout(alternatives: tuple[str, ...], menus: tuple[Menu, ...]):
-    """The pairs sharing menus, their offsets in the tuple order, and their blocks.
+    """The pairs sharing menus and their offsets in the tuple order.
 
     A pair is ``(x, y, held)``: alternative indices and the rows of the
     menus holding both, when there are at least two.  The offsets end with
-    the tuple count.  A layout that fits in one block keeps its index
-    arrays (see :func:`_index_blocks`), at most 128 KB: a call on a small
-    table builds several kernels on one layout, and rebuilding the arrays
-    would cost about as much as evaluating them.  Larger layouts give None
-    and rebuild them per pass.
+    the tuple count.
     """
-    n = len(alternatives)
     inc = np.array([[a in m for a in alternatives] for m in menus], dtype=bool)
     pairs = []
-    for x, y in combinations(range(n), 2):
+    for x, y in combinations(range(len(alternatives)), 2):
         held = np.flatnonzero(inc[:, x] & inc[:, y])
         if len(held) > 1:
             pairs.append((x, y, held))
-    starts = np.cumsum([0] + [len(h) * (len(h) - 1) // 2 for *_, h in pairs])
-    blocks = tuple(_index_blocks(pairs, starts, n)) if starts[-1] <= _BLOCK else None
-    return pairs, starts, blocks
-
-
-def _index_blocks(pairs, starts, n: int):
-    """Runs of consecutive pairs, each as flat indices into a menus x ``n``
-    matrix of the entries rho(x,S), rho(y,S), rho(x,T), rho(y,T) of every tuple."""
-    lo = 0
-    for hi in range(1, len(pairs) + 1):
-        if hi == len(pairs) or starts[hi + 1] - starts[lo] > _BLOCK:
-            run = pairs[lo:hi]
-            tris = [_triangle(len(h)) for *_, h in run]
-            s = np.concatenate([h[i] for (*_, h), (i, _) in zip(run, tris)]) * n
-            t = np.concatenate([h[j] for (*_, h), (_, j) in zip(run, tris)]) * n
-            counts = [len(i) for i, _ in tris]
-            x = np.repeat([x for x, _, _ in run], counts)
-            y = np.repeat([y for _, y, _ in run], counts)
-            yield tuple(i.astype(np.int32) for i in (s + x, s + y, t + x, t + y))
-            lo = hi
+    return pairs, np.cumsum([0] + [len(h) * (len(h) - 1) // 2 for *_, h in pairs])
 
 
 def _sum_in_order(values: np.ndarray, *, squared: bool = False) -> float:
@@ -231,17 +207,17 @@ class _Kernel:
     the menus holding both, in canonical order, with primes for ``other``.
     The pair's tuples are the triangle S < T, where own instability is
     a_S b_T - b_S a_T = det(a, b) and composite instability is
-    det(a, b') + det(a', b).  :meth:`arrays` evaluates the triangles of
-    consecutive pairs in one array pass per block, in the order of
-    ``instability_tuples(canonical=True)``, and :meth:`sums` gets the sums
-    over all tuples from inner products alone.
+    det(a, b') + det(a', b).  :meth:`arrays` evaluates one pair's triangle
+    per array pass, in the order of ``instability_tuples(canonical=True)``,
+    and :meth:`sums` gets the sums over all tuples from inner products alone.
 
-    Float tables give float64 values with the operand order of
-    :func:`own_instability` and :func:`composite_instability`, so they
-    agree bit for bit.  Exact tables scale each menu's rows by the lcm c_S
-    of their denominators: every entry is an int, and the tuple (S, T)
-    carries d and p times ``k`` = c_S c_T.  Sign and ratio tests do not see
-    the scale, and :meth:`scaled` puts a tolerance on it.
+    The rows come from each table's dense view.  Float tables give float64
+    values with the operand order of :func:`own_instability` and
+    :func:`composite_instability`, so they agree bit for bit.  Exact tables
+    scale each menu's rows by the lcm c_S of their denominators: every
+    entry is an int, and the tuple (S, T) carries d and p times ``k`` =
+    c_S c_T.  Sign and ratio tests do not see the scale, and
+    :meth:`scaled` puts a tolerance on it.
     """
 
     def __init__(
@@ -250,22 +226,19 @@ class _Kernel:
         self.universe = rho.universe
         self.menus = tuple(menus)
         self.exact = rho.is_exact and (other is None or other.is_exact)
-        alts = self.universe.alternatives
-        rows = [[t.table[m] for m in menus] for t in ([rho] if other is None else [rho, other])]
+        views = [t._dense for t in ([rho] if other is None else [rho, other])]
+        self.c = None
         if self.exact:
-            c = [math.lcm(*(p.denominator for r in rs for p in r.values())) for rs in zip(*rows)]
-            self.c = np.array(c, dtype=object)
-            mats = [
-                [[r[a].numerator * (cm // r[a].denominator) if a in r else 0 for a in alts]
-                 for r, cm in zip(table, c)]
-                for table in rows
-            ]
+            picks = [[v.rows[m] for m in self.menus] for v in views]
+            parts = [[a[i] for a in v.scaled_rows] for v, i in zip(views, picks)]
+            # each table's rows are over their own lcm: rescale them to the joint one
+            self.c = np.array([math.lcm(*cs) for cs in zip(*(s for _, s in parts))], dtype=object)
+            mats = [ints * (self.c // s)[:, None] for ints, s in parts]
         else:
-            self.c = None
-            mats = [[[float(r.get(a, 0)) for a in alts] for r in table] for table in rows]
-        self.mine, *theirs = (np.array(m, dtype=object if self.exact else float) for m in mats)
+            mats = [v.pick(self.menus, False)[1] for v in views]
+        self.mine, *theirs = mats
         self.theirs = theirs[0] if theirs else None
-        self.pairs, self.starts, self.index_blocks = _layout(alts, self.menus)
+        self.pairs, self.starts = _layout(self.universe.alternatives, self.menus)
 
     def tuple_at(self, i: int) -> InstabilityTuple:
         """The i-th canonical tuple."""
@@ -280,34 +253,28 @@ class _Kernel:
         """The true value of tuple i's entry of a d or p array from :meth:`arrays`."""
         return Fraction(v[i], self.k[i]) if self.exact else float(v[i])
 
-    def blocks(self, composite: bool = True) -> Iterator[tuple]:
-        """(d, p, k) per block of consecutive pairs, in canonical order.
-
-        p is None without ``other`` or when not asked, and k, the tuples'
-        scale, is None in float mode.
-        """
-        n = len(self.universe.alternatives)
-        mine = self.mine.ravel()
-        theirs = None if self.theirs is None or not composite else self.theirs.ravel()
-        blocks = self.index_blocks or _index_blocks(self.pairs, self.starts, n)
-        for sx_, sy_, tx_, ty_ in blocks:
-            sx, sy, tx, ty = mine.take(sx_), mine.take(sy_), mine.take(tx_), mine.take(ty_)
-            p = None
-            if theirs is not None:
-                sx2, sy2 = theirs.take(sx_), theirs.take(sy_)
-                tx2, ty2 = theirs.take(tx_), theirs.take(ty_)
-                p = (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
-            k = self.c.take(sx_ // n) * self.c.take(tx_ // n) if self.exact else None
-            yield sx * ty - sy * tx, p, k
-
     def arrays(self, composite: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """(d, p) over all canonical tuples, and sets ``k``; see :meth:`blocks`."""
-        empty = [np.zeros(0, object if self.exact else float)]  # no two menus share a pair
-        ds, ps, ks = list(zip(*self.blocks(composite))) or (empty, empty, empty)
-        d = np.concatenate(ds)
-        p = np.concatenate(ps) if composite and self.theirs is not None else None
+        """(d, p) over all canonical tuples, one pair's triangle per array pass.
+
+        p is None without ``other`` or when not asked.  Sets ``k``, the
+        tuples' scale, which is None in float mode.
+        """
+        theirs = self.theirs if composite else None
+        empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
+        ds, ps, ks = [empty], [empty], [empty]
+        for x, y, held in self.pairs:
+            s, t = _triangle(len(held))
+            a, b = self.mine[held, x], self.mine[held, y]
+            sx, sy, tx, ty = a[s], b[s], a[t], b[t]
+            ds.append(sx * ty - sy * tx)
+            if theirs is not None:
+                a2, b2 = theirs[held, x], theirs[held, y]
+                ps.append((sx * b2[t] - sy * a2[t]) + (a2[s] * ty - b2[s] * tx))
+            if self.exact:
+                c = self.c[held]
+                ks.append(c[s] * c[t])
         self.k = np.concatenate(ks) if self.exact else None
-        return d, p
+        return np.concatenate(ds), None if theirs is None else np.concatenate(ps)
 
     def parallel(self) -> Iterator[bool]:
         """Per pair, in order, whether all its own instabilities vanish (exact mode).
@@ -404,31 +371,27 @@ def _running_max(
     return b
 
 
-def _own_violations(kernel: _Kernel, eff: Scalar) -> np.ndarray | None:
-    """The mask of canonical tuples whose own instability exceeds ``eff`` in
-    magnitude, or None when none does; at tol 0 on exact data the tuples
-    are evaluated only when some pair is not parallel."""
+def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.ndarray | None]:
+    """The kernel of ``rho``, and the mask of canonical tuples whose own
+    instability exceeds ``eff`` in magnitude, or None when none does; at
+    tol 0 on exact data the tuples are evaluated only when some pair is not
+    parallel."""
+    kernel = _Kernel(rho, rho.domain)
     if kernel.exact and eff == 0 and all(kernel.parallel()):
-        return None
+        return kernel, None
     d, _ = kernel.arrays(composite=False)
     bad = np.abs(d) > kernel.scaled(eff)
-    return bad if bad.any() else None
+    return kernel, bad if bad.any() else None
 
 
 def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] | None:
     """The first (menu, alternative), in canonical order, with probability <= ``eff``."""
-    for menu in rho.domain:
-        for alt in rho.universe.sorted_members(menu):
-            if not rho.table[menu].get(alt, 0) > eff:
-                return menu, alt
-    return None
-
-
-def _first_iia_violation(rho: StochasticChoice, eff: Scalar) -> InstabilityTuple | None:
-    """The first canonical IIA violation, which ``iia_violations`` also lists first."""
-    kernel = _Kernel(rho, rho.domain)
-    bad = _own_violations(kernel, eff)
-    return None if bad is None else kernel.tuple_at(_first_true(bad))
+    view = rho._dense
+    i = _first_true(view.mask & ~(view.entries > eff))
+    if i is None:
+        return None
+    row, col = divmod(i, rho.universe.size)
+    return rho.domain[row], rho.universe.alternatives[col]
 
 
 def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[InstabilityTuple]:
@@ -447,7 +410,7 @@ def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[Ins
 
 def satisfies_iia(rho: StochasticChoice, tol: Scalar | None = None) -> bool:
     """IIA test; equivalent to ``not iia_violations(rho, tol)``."""
-    return _own_violations(_Kernel(rho, rho.domain), resolve_tol(tol, rho.is_exact)) is None
+    return _own_violations(rho, resolve_tol(tol, rho.is_exact))[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +443,7 @@ def recover_luce_utility(
             f"positivity fails: probability of {zero[1]!r} in "
             f"{universe.sorted_members(zero[0])} is not above {eff!r}"
         )
-    kernel = _Kernel(rho, rho.domain)
-    bad = _own_violations(kernel, eff)
+    kernel, bad = _own_violations(rho, eff)
     if bad is not None:
         # each canonical violation stands for four sign-equivalent tuples,
         # and the first in lexicographic order is the canonical one
@@ -490,37 +452,31 @@ def recover_luce_utility(
             + kernel.tuple_at(_first_true(bad)).describe(universe)
         )
 
-    # one ratio sample per shared menu, keyed by the (a, b) edge
-    samples: dict[tuple[str, str], list[Scalar]] = {}
-    for menu in rho.domain:
-        row = rho.table[menu]
-        for a, b in combinations(universe.sorted_members(menu), 2):
-            samples.setdefault((a, b), []).append(row[b] / row[a])
-
-    exact = rho.is_exact
+    # one edge per pair of alternatives sharing menus: the ratio of their
+    # probabilities, a geometric mean over the menus in float mode
+    view, alts, exact = rho._dense, universe.alternatives, rho.is_exact
     edges: dict[tuple[str, str], Scalar] = {}
-    for (a, b), vals in samples.items():
-        if exact:
-            edges[(a, b)] = vals[0]  # IIA held exactly, so all samples agree
-        else:
-            edges[(a, b)] = math.exp(math.fsum(math.log(r) for r in vals) / len(vals))
-
-    adjacency: dict[str, list[str]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+    steps: dict[str, list[tuple[str, Scalar]]] = {}  # both directions of every edge
+    for x, y in combinations(range(universe.size), 2):
+        held = view.mask[:, x] & view.mask[:, y]
+        if held.any():
+            ratios = (view.entries[held, y] / view.entries[held, x]).tolist()
+            if exact:
+                r = ratios[0]  # IIA held exactly, so all samples agree
+            else:
+                r = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
+            edges[alts[x], alts[y]] = r
+            steps.setdefault(alts[x], []).append((alts[y], r))
+            steps.setdefault(alts[y], []).append((alts[x], 1 / r))
 
     util: dict[str, Scalar] = {anchor: Fraction(1) if exact else 1.0}
     frontier = [anchor]
     while frontier:
         here = frontier.pop()
-        for nxt in sorted(adjacency.get(here, []), key=universe.index):
-            if nxt in util:
-                continue
-            key = (here, nxt)
-            ratio = edges[key] if key in edges else 1 / edges[(nxt, here)]
-            util[nxt] = util[here] * ratio
-            frontier.append(nxt)
+        for nxt, ratio in sorted(steps.get(here, []), key=lambda step: universe.index(step[0])):
+            if nxt not in util:
+                util[nxt] = util[here] * ratio
+                frontier.append(nxt)
 
     missing = [a for a in universe.alternatives if a not in util]
     if missing:

@@ -23,7 +23,7 @@ from .dataio import (
     serialize_dataset,
 )
 from .estimate import ChoiceCounts, fit_mle, simulate_counts
-from .field import FieldResult, deception_gap, identify_field
+from .field import _gap, identify_field
 from .lab import check_axioms, identify_lab
 from .types import LamError, Scalar, StochasticChoice
 
@@ -272,16 +272,7 @@ def _cmd_deception_gap(args) -> tuple[list[str], int]:
         return lines, 2
     (lab_alpha,) = _report_scalars(lab_rows, "alpha", "lab", 1)
     hi, lo = _report_scalars(field_rows, "alpha_pair", "field", 2)
-    shell = FieldResult(
-        status="identified-up-to-swap",
-        primary=None,
-        swapped=None,
-        alpha_pair=(hi, lo),
-        candidates={},
-        consistency={},
-        tol=0,
-    )
-    gap = deception_gap(lab_alpha, shell)
+    gap = _gap(lab_alpha, (hi, lo))
     lines.append(f"lab_alpha,{format_scalar(lab_alpha)}")
     lines.append(f"field_alpha_pair,{format_scalar(hi)};{format_scalar(lo)}")
     lines.append(f"gap,{format_scalar(gap)}")

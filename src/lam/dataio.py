@@ -31,6 +31,7 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -88,7 +89,7 @@ def parse_scalar(token: str, exact: bool, line: int | None = None) -> Scalar:
                     f"exact mode requires rational literals, got {tok!r}", line
                 ) from None
         return float(tok)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise DatasetFormatError(f"bad numeric value {tok!r}: {e}", line) from None
 
 
@@ -160,6 +161,8 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
                 raise DatasetFormatError(f"counts must be non-negative, got {value_tok!r}", line)
         else:
             value = parse_scalar(value_tok, exact, line)
+            if not exact and not math.isfinite(value):
+                raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
         row = table.setdefault(menu, {})
         if alt in row:
             raise DatasetFormatError(
@@ -191,11 +194,9 @@ def serialize_dataset(data: Dataset) -> str:
     """Canonical dataset text: menus sorted, members in universe order."""
     universe = data.universe
     if isinstance(data, ChoiceCounts):
-        mode = "counts"
-        rows_of = lambda menu: data.counts[menu]
+        mode, table = "counts", data.counts
     else:
-        mode = "probabilities"
-        rows_of = lambda menu: data.table[menu]
+        mode, table = "probabilities", data.table
     lines = [
         f"mode,{mode}",
         "universe," + ";".join(universe.alternatives),
@@ -203,7 +204,7 @@ def serialize_dataset(data: Dataset) -> str:
     ]
     for menu in data.domain:
         tok = _menu_token(universe, menu)
-        row = rows_of(menu)
+        row = table[menu]
         for alt in universe.sorted_members(menu):
             if alt in row:
                 lines.append(f"{tok},{alt},{format_scalar(row[alt])}")

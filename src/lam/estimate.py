@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -37,6 +38,7 @@ from .types import (
     MissingDataError,
     StochasticChoice,
     Universe,
+    _Dense,
 )
 
 __all__ = [
@@ -81,9 +83,14 @@ class ChoiceCounts:
             raise InvalidParameterError("choice counts need at least one menu")
         object.__setattr__(self, "counts", norm)
 
-    @property
+    @cached_property
     def domain(self) -> tuple[Menu, ...]:
         return tuple(sorted(self.counts, key=self.universe.menu_key))
+
+    @cached_property
+    def _dense(self) -> _Dense:
+        """The counts as one dense float64 view, built once on first use."""
+        return _Dense.build(self.universe, self.domain, self.counts, exact=False)
 
     def trials(self, menu: Iterable[str]) -> int:
         m = self.universe.menu(menu)
@@ -154,16 +161,9 @@ class _Layout:
 
 
 def _layout(data: ChoiceCounts) -> _Layout:
-    universe = data.universe
-    domain = data.domain
-    inc = np.zeros((len(domain), universe.size))
-    counts = np.zeros_like(inc)
-    for i, menu in enumerate(domain):
-        for alt in menu:
-            inc[i, universe.index(alt)] = 1.0
-        for alt, n in data.counts[menu].items():
-            counts[i, universe.index(alt)] = n
-    return _Layout(inc, 1.0 - inc, counts, float(counts.sum()))
+    view = data._dense
+    inc = view.mask.astype(float)
+    return _Layout(inc, 1.0 - inc, view.entries, float(view.entries.sum()))
 
 
 def _vectors(params: LamParams) -> tuple[np.ndarray, np.ndarray, float]:

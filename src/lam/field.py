@@ -606,9 +606,9 @@ def identify_field(
     candidates: dict[str, tuple[CandidateSet, ...]] = {}
     consistency: dict[str, tuple[ConsistencyRow, ...]] = {}
 
-    def fail(reason: str, pairs: tuple = ()) -> FieldResult:
+    def fail(reason: str, pairs: tuple = (), status: str = "non-generic-failure") -> FieldResult:
         return FieldResult(
-            status="non-generic-failure",
+            status=status,
             primary=None,
             swapped=None,
             alpha_pair=None,
@@ -620,16 +620,10 @@ def identify_field(
         )
 
     if satisfies_iia(rho_ai, eff):
-        return FieldResult(
-            status="degenerate-iia",
-            primary=None,
-            swapped=None,
-            alpha_pair=None,
-            candidates={},
-            consistency={},
-            tol=eff,
-            reason="AI data satisfies IIA: the utilities are aligned or compliance "
+        return fail(
+            "AI data satisfies IIA: the utilities are aligned or compliance "
             "sits at 0 or 1, and neither case is further identified",
+            status="degenerate-iia",
         )
 
     targets = [a for a in universe.alternatives if a != anchor]
@@ -829,11 +823,16 @@ def deception_gap(lab_alpha: Scalar, field_result: FieldResult) -> Scalar:
     two settings agree; large values flag behavior that changes between
     monitored and unmonitored choice.
     """
-    if not 0 <= lab_alpha <= 1:
-        raise InvalidParameterError(f"lab compliance {lab_alpha!r} outside [0, 1]")
     if field_result.status != "identified-up-to-swap" or field_result.alpha_pair is None:
         raise GapUndefinedError(
             f"field result is {field_result.status}; the deception gap is undefined"
         )
-    hi, lo = field_result.alpha_pair
-    return min(abs(lab_alpha - hi), abs(lab_alpha - lo))
+    return _gap(lab_alpha, field_result.alpha_pair)
+
+
+def _gap(lab_alpha: Scalar, alpha_pair: tuple[Scalar, Scalar]) -> Scalar:
+    """The deception gap of a lab compliance and a field pair, each in [0, 1]."""
+    for name, a in zip(("lab", "field", "field"), (lab_alpha, *alpha_pair)):
+        if not 0 <= a <= 1:
+            raise InvalidParameterError(f"{name} compliance {a!r} outside [0, 1]")
+    return min(abs(lab_alpha - a) for a in alpha_pair)

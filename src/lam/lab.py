@@ -24,10 +24,10 @@ from typing import Literal, Mapping, get_args
 import numpy as np
 
 from .choice import (
-    _first_iia_violation,
     _first_nonpositive,
     _first_true,
     _Kernel,
+    _own_violations,
     _running_max,
     _sum_in_order,
     lam_table,
@@ -209,22 +209,25 @@ def recover_autonomous(
     eff = resolve_tol(tol, exact)
     if not alpha < 1 - eff:
         raise DegenerateDivisionError("alpha = 1 leaves no autonomous component to recover")
+    universe = rho_ai.universe
     menus = _common_menus(rho_ai, rho_h)
+    mask, ai = rho_ai._dense.pick(menus, exact)
+    _, human = rho_h._dense.pick(menus, exact)
+    auto = (ai[mask] - alpha * human[mask]) / (1 - alpha)  # the members, in canonical order
+    low = _first_true(auto < -eff)
+    cells = auto.tolist()
+    rows, cols = (i.tolist() for i in np.nonzero(mask))
+    if low is not None:
+        raise InconsistentInputsError(
+            f"autonomous probability of {universe.alternatives[cols[low]]!r} in "
+            f"{universe.sorted_members(menus[rows[low]])} is {cells[low]!r}; the pair "
+            f"admits no mixture with alpha = {alpha!r}"
+        )
     table: dict[Menu, dict[str, Scalar]] = {}
-    for menu in menus:
-        row: dict[str, Scalar] = {}
-        row_ai, row_h = rho_ai.table[menu], rho_h.table[menu]
-        for alt in rho_ai.universe.sorted_members(menu):
-            p = (row_ai.get(alt, 0) - alpha * row_h.get(alt, 0)) / (1 - alpha)
-            if p < -eff:
-                raise InconsistentInputsError(
-                    f"autonomous probability of {alt!r} in "
-                    f"{rho_ai.universe.sorted_members(menu)} is {p!r}; the pair "
-                    f"admits no mixture with alpha = {alpha!r}"
-                )
-            row[alt] = max(p, 0) if exact else max(p, 0.0)
-        table[menu] = row
-    return StochasticChoice(rho_ai.universe, table, eps_sum=max(rho_ai.eps_sum, 1e-9))
+    zero = 0 if exact else 0.0
+    for i, j, p in zip(rows, cols, cells):
+        table.setdefault(menus[i], {})[universe.alternatives[j]] = max(p, zero)
+    return StochasticChoice(universe, table, eps_sum=max(rho_ai.eps_sum, 1e-9))
 
 
 @dataclass(frozen=True)
@@ -414,9 +417,10 @@ def check_axioms(
             )
             break
 
-    t = _first_iia_violation(rho_h, eff)
+    h_kernel, violations = _own_violations(rho_h, eff)
     h_iia = AxiomVerdict(True)
-    if t is not None:
+    if violations is not None:
+        t = h_kernel.tuple_at(_first_true(violations))
         h_iia = AxiomVerdict(
             False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
         )
@@ -487,7 +491,7 @@ def check_axioms(
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
         bounded_divergence = _bounded_divergence(
-            universe, rho_ai, rho_h, menus, *row(binding), eff
+            universe, rho_ai, rho_h, menus, kernel.exact, *row(binding), eff
         )
 
     return AxiomReport(
@@ -500,20 +504,20 @@ def check_axioms(
     )
 
 
-def _bounded_divergence(universe, rho_ai, rho_h, menus, t, d, p, eff) -> AxiomVerdict:
-    """Bounded divergence at the binding tuple ``t``, menu by menu."""
+def _bounded_divergence(universe, rho_ai, rho_h, menus, exact, t, d, p, eff) -> AxiomVerdict:
+    """Bounded divergence at the binding tuple ``t``; the witness is the first failing cell."""
     strict = eff == 0 and abs(d) > eff
-    for menu in menus:
-        row_ai, row_h = rho_ai.table[menu], rho_h.table[menu]
-        for z in universe.sorted_members(menu):
-            lhs = row_ai.get(z, 0) * abs(p)
-            rhs = row_h.get(z, 0) * abs(d)
-            if lhs <= rhs if strict else lhs < rhs - eff:
-                return AxiomVerdict(
-                    False,
-                    witness=(t, universe.sorted_members(menu), z),
-                    note=f"AI probability of {z!r} in "
-                    f"{universe.sorted_members(menu)} is too small for the "
-                    "instability ratio at " + t.describe(universe),
-                )
-    return AxiomVerdict(True)
+    mask, ai = rho_ai._dense.pick(menus, exact)
+    _, human = rho_h._dense.pick(menus, exact)
+    lhs, rhs = ai[mask] * abs(p), human[mask] * abs(d)  # the members, in canonical order
+    bad = _first_true((lhs <= rhs) if strict else (lhs < rhs - eff))
+    if bad is None:
+        return AxiomVerdict(True)
+    i, j = (k[bad] for k in np.nonzero(mask))
+    members, z = universe.sorted_members(menus[i]), universe.alternatives[j]
+    return AxiomVerdict(
+        False,
+        witness=(t, members, z),
+        note=f"AI probability of {z!r} in {members} is too small for the "
+        "instability ratio at " + t.describe(universe),
+    )

@@ -18,11 +18,14 @@ Types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction, float]
 
@@ -185,6 +188,47 @@ class Universe:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Dense:
+    """A table's rows as read-only arrays, menus in ``domain`` order x
+    universe order, so that row-major order is canonical order.
+
+    ``rows`` maps each menu to its row, ``mask`` marks each menu's members,
+    and ``entries`` holds the recorded values, 0 where a row records
+    nothing: float64, or the exact scalars themselves (object dtype).
+    """
+
+    rows: Mapping[Menu, int]
+    mask: np.ndarray
+    entries: np.ndarray
+
+    @classmethod
+    def build(cls, universe: Universe, domain: Sequence[Menu], table, exact: bool) -> "_Dense":
+        n, index = universe.size, universe._index
+        mask = np.zeros((len(domain), n), dtype=bool)
+        entries = np.zeros((len(domain), n), dtype=object if exact else float)
+        mask.ravel()[[i * n + index[a] for i, m in enumerate(domain) for a in m]] = True
+        cells = [i * n + index[a] for i, m in enumerate(domain) for a in table[m]]
+        entries.ravel()[cells] = [p for m in domain for p in table[m].values()]
+        mask.flags.writeable = entries.flags.writeable = False
+        return cls({m: i for i, m in enumerate(domain)}, mask, entries)
+
+    @cached_property
+    def scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact entries as ints over each row's lcm of denominators, and the lcms."""
+        rows = self.entries.tolist()
+        scale = [math.lcm(*(p.denominator for p in row)) for row in rows]
+        ints = [[p.numerator * (c // p.denominator) for p in row] for row, c in zip(rows, scale)]
+        return np.array(ints, dtype=object), np.array(scale, dtype=object)
+
+    def pick(self, menus: Sequence[Menu], exact: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The mask and entries of the rows of ``menus``, a subsequence of the
+        domain; the entries as float64 (``float(entry)``) unless ``exact``."""
+        i = slice(None) if len(menus) == len(self.rows) else [self.rows[m] for m in menus]
+        mask, entries = self.mask[i], self.entries[i]
+        return mask, entries if exact else entries.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class StochasticChoice:
     """A stochastic choice function over an observed set of menus.
@@ -224,9 +268,10 @@ class StochasticChoice:
                 row[alt] = p
             eff = 0 if all(is_exact_scalar(p) for p in row.values()) else self.eps_sum
             for alt, p in row.items():
-                if p < -eff or p > 1 + eff:
+                if not -eff <= p <= 1 + eff:  # also rejects NaN
                     raise InvalidParameterError(
-                        f"probability {p!r} for {alt!r} outside [0, 1]"
+                        f"probability {p!r} for {alt!r} in menu "
+                        f"{self.universe.sorted_members(menu)} outside [0, 1]"
                     )
                 if p < 0:
                     row[alt] = 0.0
@@ -248,6 +293,11 @@ class StochasticChoice:
     def domain(self) -> tuple[Menu, ...]:
         """Observed menus in canonical order, sorted once per table."""
         return tuple(sorted(self.table, key=self.universe.menu_key))
+
+    @cached_property
+    def _dense(self) -> _Dense:
+        """The rows as one dense view, built once per table on first use."""
+        return _Dense.build(self.universe, self.domain, self.table, self.is_exact)
 
     def has_menu(self, menu: Iterable[str]) -> bool:
         return frozenset(menu) in self.table
@@ -287,14 +337,11 @@ def sup_distance(a: StochasticChoice, b: StochasticChoice) -> Scalar:
     common = [m for m in a.domain if m in b.table]
     if not common:
         raise InsufficientDataError("the two choice functions share no menus")
-    worst: Scalar = 0
-    for m in common:
-        row_a, row_b = a.table[m], b.table[m]
-        for alt in m:
-            d = abs(row_a.get(alt, 0) - row_b.get(alt, 0))
-            if d > worst:
-                worst = d
-    return worst
+    exact = a.is_exact and b.is_exact
+    mask, rows_a = a._dense.pick(common, exact)
+    _, rows_b = b._dense.pick(common, exact)
+    worst = max(np.abs(rows_a[mask] - rows_b[mask]).tolist())
+    return worst if worst > 0 else 0
 
 
 # ---------------------------------------------------------------------------

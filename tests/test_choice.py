@@ -326,6 +326,11 @@ def test_recover_human_utility(ex_a_human):
     assert util == {"x": F(1), "y": F(2, 3), "z": F(1, 3)}
 
 
+def test_recover_chains_ratios_back_to_a_later_anchor(ex_a_human):
+    # from the last alternative every ratio is followed against its edge
+    assert recover_luce_utility(ex_a_human, "z") == {"x": F(3), "y": F(2), "z": F(1)}
+
+
 def test_recover_autonomous_utility(ex_a_autonomous):
     util = recover_luce_utility(ex_a_autonomous, "x")
     assert util == {"x": F(1), "y": F(2), "z": F(3)}

@@ -1,5 +1,8 @@
 """End-to-end CLI runs over the bundled golden files."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -352,3 +355,68 @@ def test_deception_gap_malformed_reports_are_input_errors(capsys, tmp_path):
     )
     assert (code, out) == (1, "")
     assert err == "error: field report has no alpha_pair row\n"
+
+
+def test_non_finite_probability_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "mode,probabilities\nuniverse,x;y;z\nmenu,alternative,value\n"
+        "x;y,x,0.5\nx;y,y,0.5\nx;y;z,x,nan\nx;y;z,y,0.5\nx;y;z,z,0.5\n"
+    )
+    pair = ["--ai", str(path), "--human", str(DATA / "lab_human.csv")]
+    for argv in (["identify-lab", *pair, "--anchor", "x"], ["check-axioms", *pair]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: line 6: probability 'nan' is not finite\n"
+
+
+@pytest.mark.parametrize("alpha_pair", ["3;-2", "nan;0.25"])
+def test_deception_gap_rejects_field_compliance_outside_unit_interval(
+    capsys, tmp_path, alpha_pair
+):
+    lab_path = tmp_path / "lab.txt"
+    lab_path.write_text("report,identify-lab\nmode,float\nstatus,point-identified\nalpha,0.5\n")
+    field_path = tmp_path / "field.txt"
+    field_path.write_text(
+        "report,identify-field\nmode,float\nstatus,identified-up-to-swap\n"
+        f"alpha_pair,{alpha_pair}\n"
+    )
+    code, out, err = run(
+        capsys, "deception-gap", "--lab", str(lab_path), "--field", str(field_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: field compliance ") and err.endswith(" outside [0, 1]\n")
+
+
+FLOAT_REPORTS = """
+import sys
+from lam.cli import main
+data = sys.argv[1]
+for argv in (
+    ["identify-lab", "--ai", f"{data}/lab_ai.csv", "--human", f"{data}/lab_human.csv",
+     "--anchor", "x"],
+    ["check-axioms", "--ai", f"{data}/lab_ai.csv", "--human", f"{data}/lab_human.csv"],
+    ["identify-lab", "--ai", f"{data}/lab_ai.csv", "--human",
+     f"{data}/lab_human_perturbed.csv", "--anchor", "x"],
+    ["check-axioms", "--ai", f"{data}/lab_ai.csv", "--human",
+     f"{data}/lab_human_perturbed.csv"],
+    ["identify-field", "--ai", f"{data}/field_ai.csv", "--anchor", "x"],
+):
+    print("exit", main(argv))
+"""
+
+
+def test_float_reports_independent_of_hash_seed():
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = set()
+    for seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FLOAT_REPORTS, str(DATA)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert out.count(b"report,") == 5 and b"mode,float" in out

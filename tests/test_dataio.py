@@ -94,6 +94,30 @@ def test_counts_reject_fractional_value():
         parse_dataset(text)
 
 
+def test_non_finite_probability_rejected():
+    for bad in ("nan", "inf", "-inf"):
+        text = "\n".join(
+            [
+                "mode,probabilities",
+                "universe,x;y;z",
+                "menu,alternative,value",
+                "x;y,x,0.5",
+                "x;y,y,0.5",
+                f"x;y;z,x,{bad}",
+                "x;y;z,y,0.5",
+                "x;y;z,z,0.5",
+            ]
+        )
+        with pytest.raises(DatasetFormatError, match=f"line 6: probability '{bad}' is not finite"):
+            parse_dataset(text)
+
+
+def test_rational_too_large_for_a_float_rejected():
+    huge = "1" + "0" * 400 + "/3"
+    with pytest.raises(DatasetFormatError, match="line 4: bad numeric value"):
+        parse_dataset(f"mode,probabilities\nuniverse,x;y;z\nmenu,alternative,value\nx;y,x,{huge}\n")
+
+
 def test_duplicate_row_rejected():
     text = "\n".join(
         [

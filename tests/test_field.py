@@ -1,6 +1,7 @@
 """Field identification: cubic construction, root screening, the swap class."""
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from lam import (
     GapUndefinedError,
     InstabilityTuple,
     InsufficientDataError,
+    InvalidParameterError,
     LamParams,
     StochasticChoice,
     candidate_utilities,
@@ -489,3 +491,22 @@ def test_deception_gap_undefined_for_degenerate(uni4):
     result = identify_field(rho, "x")
     with pytest.raises(GapUndefinedError):
         deception_gap(F(1, 2), result)
+
+
+def test_deception_gap_rejects_compliance_outside_unit_interval():
+    def field(pair):
+        return FieldResult(
+            status="identified-up-to-swap",
+            primary=None,
+            swapped=None,
+            alpha_pair=pair,
+            candidates={},
+            consistency={},
+            tol=0,
+        )
+
+    for lab, pair, bad in ((F(1, 2), (F(3), F(-2)), "field compliance Fraction(3, 1)"),
+                           (0.5, (float("nan"), 0.25), "field compliance nan"),
+                           (1.5, (0.75, 0.25), "lab compliance 1.5")):
+        with pytest.raises(InvalidParameterError, match=re.escape(bad)):
+            deception_gap(lab, field(pair))

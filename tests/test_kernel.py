@@ -370,22 +370,19 @@ def test_kernel_matches_per_tuple_oracle(n, exact, variant):
 
 
 @pytest.mark.parametrize("block", [64, 250])
-def test_kernel_matches_oracle_across_blocks(monkeypatch, request, block):
-    # Tables up to n = 6 fit in one array pass, and their layouts keep
-    # their index arrays; small blocks split them into several passes, and
-    # the arrays are rebuilt per pass.  A pair's triangle holds 28 tuples
-    # at n = 5 and 120 at n = 6 on all menus, so at 64 the n = 6 blocks
-    # hold one pair each, larger than the block, and at 250 they hold two.
+def test_kernel_matches_oracle_across_blocks(monkeypatch, block):
+    # Float sums convert their terms to Python floats a block of tuples at
+    # a time; tables up to n = 6 fit in one block of the default size.
+    # Small blocks make every sum below run over several blocks.
     monkeypatch.setattr(choice, "_BLOCK", block)
-    choice._layout.cache_clear()  # layouts kept under the default block size
-    request.addfinalizer(choice._layout.cache_clear)
     rng = random.Random(block)
     for n, exact, variant in [
         (5, True, "ai"), (5, False, "human"), (5, False, "zeros"),
         (6, True, "tol"), (6, True, "partial"), (6, False, "ai"), (6, False, "ties"),
     ]:
         ai, human, anchor, tol = random_case(rng, n, exact, variant)
-        assert len(list(_Kernel(ai, _common_menus(ai, human), human).blocks())) > 1
+        d, _ = _Kernel(ai, _common_menus(ai, human), human).arrays()
+        assert len(d) > block
         assert_matches_oracle(ai, human, anchor, tol)
 
 

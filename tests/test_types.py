@@ -53,6 +53,12 @@ def test_choice_table_validation(uni3):
         rho.prob("x", frozenset({"x", "z"}))
 
 
+def test_choice_table_rejects_non_finite_entries(uni3):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameterError, match=r"for 'y' in menu \('x', 'y'\) outside"):
+            StochasticChoice(uni3, {("y", "x"): {"y": bad, "x": 0.5}})
+
+
 def test_choice_table_implicit_zero_clears_positivity(uni3):
     rho = StochasticChoice(uni3, {("x", "y"): {"x": F(1)}})
     assert not rho.is_positive
@@ -100,5 +106,7 @@ def test_instability_tuple_validation():
 
 def test_sup_distance(ex_a_ai, ex_a_human):
     assert sup_distance(ex_a_ai, ex_a_ai) == 0
+    # identical tables are at distance int 0, float tables included
+    assert repr(sup_distance(ex_a_ai.as_float(), ex_a_ai.as_float())) == "0"
     d = sup_distance(ex_a_ai, ex_a_human)
     assert d == F(1, 4)  # attained at (x, {x, z}): 1/2 vs 3/4
