@@ -55,6 +55,7 @@ def main():
     print(f"fit status         {fit.status}, converged={fit.converged}, "
           f"iterations={fit.iterations}, monotone={fit.monotone}")
     print(f"log likelihood     {fit.log_likelihood:.3f}")
+    print(f"gradient max       {fit.grad_max:.3g}")
     print(f"fitted alpha       {fit.params.alpha:.5f}")
     print(f"swap-aligned err   {swap_aligned_error(fit.params, truth):.5f}")
     print(f"fit time           {elapsed:.1f}s")

@@ -11,8 +11,14 @@ alpha * Luce_u / mixture; the M-step re-estimates alpha as the mean
 responsibility and takes one minorize-maximize (MM) step per component
 on its responsibility-weighted counts.  One MM step already raises the
 weighted Luce likelihood (Hunter 2004), so this is a generalised EM
-(ECM, Meng & Rubin 1993) whose likelihood never decreases.  Estimation
-is double-precision throughout; exact inputs are converted on entry.
+(ECM, Meng & Rubin 1993) whose likelihood never decreases.  ``fit_mle``
+accelerates that map with SQUAREM (Varadhan & Roland 2008) in
+(log u, log v, logit alpha), keeps an extrapolated point only if it does
+not lower the likelihood (else it backtracks, then takes the plain double
+EM step), and stops a start on the gradient, not on the likelihood
+change, or where even the plain step reads lower: EM's gain is then
+below the rounding of the likelihood.  Estimation is double-precision
+throughout; exact inputs are converted on entry.
 It runs as array operations on one dense layout of the counts (menus in
 ``data.domain`` order x alternatives in universe order), so every float
 reduction has a fixed order and no result depends on ``PYTHONHASHSEED``.
@@ -231,6 +237,22 @@ def log_likelihood(params: LamParams, data: ChoiceCounts) -> float:
     return _loglik(lay, _e_step(lay, *_vectors(params))[-1])
 
 
+def _gradient(lay: _Layout, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The log-likelihood gradient at the E-step ``e`` of a point with weight ``a``.
+
+    Returns d/d log u and d/d log v for every alternative (the anchor's
+    entries included) and d/d logit alpha.  The last is a(1 - a) times
+    sum N (pu - pv) / mix, which the responsibilities reduce to
+    sum wu - a * total.
+    """
+    pu, _, pv, _, mix = e
+    wu = lay.counts * a * pu / mix
+    wv = lay.counts - wu
+    d_u = wu.sum(axis=0) - (pu * wu.sum(axis=1)[:, None]).sum(axis=0)
+    d_v = wv.sum(axis=0) - (pv * wv.sum(axis=1)[:, None]).sum(axis=0)
+    return d_u, d_v, float(wu.sum()) - a * lay.total
+
+
 def log_likelihood_gradient(
     params: LamParams, data: ChoiceCounts
 ) -> dict[tuple[str, str], float]:
@@ -244,18 +266,13 @@ def log_likelihood_gradient(
     if not 0 < a < 1:
         raise InvalidParameterError("gradient needs interior alpha")
     lay = _layout(data)
-    pu, _, pv, _, mix = _e_step(lay, u, v, a)
-    wu = lay.counts * a * pu / mix
-    wv = lay.counts - wu
-    d_u = wu.sum(axis=0) - (pu * wu.sum(axis=1)[:, None]).sum(axis=0)
-    d_v = wv.sum(axis=0) - (pv * wv.sum(axis=1)[:, None]).sum(axis=0)
+    d_u, d_v, d_logit = _gradient(lay, _e_step(lay, u, v, a), a)
     grad: dict[tuple[str, str], float] = {}
     for i, alt in enumerate(params.universe.alternatives):
         if alt != params.anchor:
             grad[("log_u", alt)] = float(d_u[i])
             grad[("log_v", alt)] = float(d_v[i])
-    d_alpha = float((lay.counts * (pu - pv) / mix).sum())
-    grad[("logit_alpha", "")] = a * (1 - a) * d_alpha
+    grad[("logit_alpha", "")] = d_logit
     return grad
 
 
@@ -276,20 +293,130 @@ def em_step(params: LamParams, data: ChoiceCounts) -> LamParams:
     )
 
 
+# SQUAREM extrapolates in (log u, log v, logit alpha).  A coordinate past
+# 709 overflows exp (math.exp(710) raises), so such a point is refused.
+_LOG_MAX = 709.0
+# A steplength backtracked this close to -1 is taken as the double EM step.
+_ST_NEAR_EM = -1.01
+# The largest decrease of ll that ``monotone`` tolerates in an accepted step.
+_LL_DROP = 1e-10
+
+
+def _coords(u: np.ndarray, v: np.ndarray, a) -> np.ndarray:
+    """A point as (log u, log v, logit alpha); the anchor's entries stay 0."""
+    return np.concatenate((np.log(u), np.log(v), [np.log(a) - np.log1p(-a)]))
+
+
+def _point(x: np.ndarray) -> tuple | None:
+    """(u, v, alpha) at coordinates ``x``, or None where exp would overflow
+    or alpha rounds to 0 or 1."""
+    if not (np.abs(x) < _LOG_MAX).all():
+        return None
+    a = 1.0 / (1.0 + math.exp(-x[-1]))
+    if not 0.0 < a < 1.0:
+        return None
+    w = np.exp(x[:-1])
+    return w[: len(w) // 2], w[len(w) // 2 :], a
+
+
+def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple:
+    """One start of SQUAREM-accelerated EM from ``point`` = (u, v, alpha).
+
+    Each cycle takes two EM maps x1 = F(x0), x2 = F(x1), extrapolates to
+    x0 - 2 st r + st^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and the S3
+    steplength st = min(-1, -|r|/|v|) (Varadhan & Roland 2008), and
+    stabilises that point with one more map.  It is accepted only if its
+    log-likelihood is finite and at least the last accepted one; otherwise
+    st backtracks to (st - 1)/2, and the plain double step x2 is taken once
+    st is near -1, or at once when the point fails a guard (an overflowing
+    exp, alpha rounding to 0 or 1).  The start stops when max |gradient| in
+    the unconstrained coordinates is at most ``tol_ll * max(1, |ll|)``,
+    after ``max_iter`` EM maps, backtracking maps included, or when the
+    plain EM step it falls back to lowers ll by more than ``_LL_DROP``; it
+    then keeps its last accepted point, so no accepted step fails
+    ``monotone``.
+
+    Returns the final point, the log-likelihood of every accepted point,
+    the EM maps spent, whether the gradient test passed, and the final
+    max |gradient|.
+    """
+
+    def em_map(p, e):
+        q = _m_step(lay, *p, 0, e)
+        eq = _e_step(lay, *q)
+        return q, eq, _loglik(lay, eq[-1])
+
+    e = _e_step(lay, *point)
+    trace = [_loglik(lay, e[-1])]
+    maps = 0
+    while True:
+        d_u, d_v, d_logit = _gradient(lay, e, point[2])
+        grad = float(np.abs(np.concatenate((d_u[1:], d_v[1:], [d_logit]))).max())
+        converged = grad <= tol_ll * max(1.0, abs(trace[-1]))
+        if converged or maps == max_iter:
+            return point, trace, maps, converged, grad
+        new = first = em_map(point, e)
+        maps += 1
+        if maps < max_iter:
+            new = em_map(*first[:2])
+            maps += 1
+        if maps < max_iter:
+            # an extrapolated point may overflow or divide by zero anywhere;
+            # the guards below catch what that leaves non-finite
+            with np.errstate(all="ignore"):
+                x0, x1, x2 = _coords(*point), _coords(*first[0]), _coords(*new[0])
+                r, v = x1 - x0, x2 - 2 * x1 + x0
+                # summed in a fixed order (no BLAS), so fits repeat across processes
+                nr, nv = np.sqrt((r * r).sum()), np.sqrt((v * v).sum())
+                st = min(-1.0, -nr / nv) if nv > 0 else -1.0
+                while st < _ST_NEAR_EM and maps < max_iter:
+                    q = _point(x0 - 2 * st * r + st * st * v)
+                    if q is None:
+                        break
+                    q, eq, llq = em_map(q, _e_step(lay, *q))
+                    maps += 1
+                    if not (0.0 < q[2] < 1.0 and math.isfinite(llq)):
+                        break
+                    if llq >= trace[-1]:
+                        new = q, eq, llq
+                        break
+                    st = (st - 1) / 2
+        # EM raises ll in exact arithmetic, but near a stationary point the
+        # gain falls below ll's rounding (one ulp is 1.2e-10 at |ll| = 1e6),
+        # so even the plain step can read lower: the start ends there
+        if new[2] - trace[-1] < -_LL_DROP:
+            return point, trace, maps, False, grad
+        point, e = new[0], new[1]
+        trace.append(new[2])
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Best fit over the EM starts.
 
-    ``ll_trace`` is the likelihood path of the winning start and
-    ``monotone`` certifies that no step of any start decreased the
-    likelihood beyond 1e-10.  ``status`` is ``degenerate-fit`` when every
-    start collapsed to a boundary mixture weight.
+    ``iterations`` is the winning start's number of EM maps and
+    ``start_iterations`` that number for every start.  ``ll_trace`` is the
+    log-likelihood of the winning start at its first point and after each
+    accepted SQUAREM cycle (one entry per cycle, not per map).
+    ``converged`` means that the winning start stopped on the gradient
+    test: ``grad_max``, its final max |gradient| in the unconstrained
+    coordinates (log u, log v, logit alpha), is at most
+    ``tol_ll * max(1, |log_likelihood|)``.  That certifies a stationary
+    point, which need not be a maximum.  ``monotone`` certifies that no
+    accepted step of any start decreased the likelihood beyond 1e-10.  A
+    start ends unconverged when its next step would break that: from
+    |ll| = 2**19 one ulp of ll exceeds 1e-10, so on large data a start can
+    end where EM's gain is below ll's rounding, before the gradient test.
+    ``status`` is ``degenerate-fit`` when every start collapsed to a
+    boundary mixture weight.
     """
 
     params: LamParams
     log_likelihood: float
     iterations: int
     converged: bool
+    grad_max: float
+    start_iterations: tuple[int, ...]
     empirical_rho: StochasticChoice
     ll_trace: tuple[float, ...]
     monotone: bool
@@ -308,14 +435,16 @@ def fit_mle(
     """Multi-start EM for the mixture model; deterministic given the seed.
 
     The first start is symmetric (u = v = 1, weight 1/2): equal components
-    are EM-invariant, so on effectively single-rule data this start
-    converges to the exact aligned optimum that random starts only crawl
-    toward.  Remaining starts draw log-utilities from a standard normal
-    (anchor pinned) and a uniform interior mixture weight.  Each start runs
-    EM to relative likelihood convergence ``tol_ll`` or ``max_iter``, and
-    the best final likelihood wins (ties keep the earlier start).  Starts
-    whose mixture weight collapses to a boundary are marked degenerate and
-    only win if every start degenerates.
+    are EM-invariant, so this start ends at the aligned stationary point
+    u = v, which is the optimum on effectively single-rule data and may be
+    a saddle otherwise.  Remaining starts draw log-utilities from a
+    standard normal (anchor pinned) and a uniform interior mixture weight.
+    Each start runs SQUAREM-accelerated EM (see ``_em_start``) until max
+    |gradient| is at most ``tol_ll * max(1, |ll|)``, it has spent
+    ``max_iter`` EM maps, or its next step would lower the likelihood by
+    more than 1e-10, and the best final likelihood wins (ties keep the
+    earlier start).  Starts whose mixture weight collapses to a boundary
+    are marked degenerate and only win if every start degenerates.
     """
     if inits < 1:
         raise InvalidParameterError("need at least one start")
@@ -327,8 +456,9 @@ def fit_mle(
     lay = _layout(data)
     rng = np.random.default_rng(seed)
 
-    best = None  # (degenerate, -ll) minimizing tuple, (u, v, alpha), trace, iters, converged
+    best = None  # (degenerate, -ll) minimizing tuple, then _em_start's results
     monotone = True
+    start_iterations = []
     for start in range(inits):
         u = np.ones(universe.size)
         v = np.ones(universe.size)
@@ -339,26 +469,18 @@ def fit_mle(
                 v[i] = math.exp(rng.normal())
             alpha = float(rng.uniform(0.1, 0.9))
 
-        e = _e_step(lay, u, v, alpha)
-        trace = [_loglik(lay, e[-1])]
-        converged = False
-        for _ in range(max_iter):
-            u, v, alpha = _m_step(lay, u, v, alpha, 0, e)
-            e = _e_step(lay, u, v, alpha)
-            trace.append(_loglik(lay, e[-1]))
-            rel = (trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
-            if abs(rel) < tol_ll:
-                converged = True
-                break
+        point, trace, maps, converged, grad = _em_start(lay, (u, v, alpha), tol_ll, max_iter)
+        start_iterations.append(maps)
         monotone = monotone and all(
-            b - a >= -1e-10 for a, b in zip(trace, trace[1:])
+            b - a >= -_LL_DROP for a, b in zip(trace, trace[1:])
         )
+        alpha = point[2]
         degenerate = not (1e-12 < alpha < 1 - 1e-12)
         key = (degenerate, -trace[-1])
         if best is None or key < best[0]:
-            best = (key, (u, v, alpha), tuple(trace), len(trace) - 1, converged)
+            best = (key, point, tuple(trace), maps, converged, grad)
 
-    _, (u, v, alpha), trace, iters, converged = best
+    _, (u, v, alpha), trace, iters, converged, grad = best
     params = LamParams(
         universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), alpha, anchor
     )
@@ -367,6 +489,8 @@ def fit_mle(
         log_likelihood=trace[-1],
         iterations=iters,
         converged=converged,
+        grad_max=grad,
+        start_iterations=tuple(start_iterations),
         empirical_rho=data.to_frequencies(),
         ll_trace=trace,
         monotone=monotone,

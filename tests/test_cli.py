@@ -129,6 +129,9 @@ def test_simulate_then_fit(capsys, tmp_path):
     assert "report,fit" in out
     assert "monotone,yes" in out
     assert "alpha," in out
+    rows = out.splitlines()
+    converged = next(i for i, row in enumerate(rows) if row.startswith("converged,"))
+    assert float(rows[converged + 1].removeprefix("grad_max,")) >= 0
 
 
 def test_simulate_deterministic_bytes(capsys, tmp_path):

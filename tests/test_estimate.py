@@ -288,6 +288,61 @@ def test_fit_rejects_negative_max_iter(uni3, ex_a_params):
     assert fit_mle(counts, inits=2, seed=1, max_iter=0).iterations == 0
 
 
+def test_fit_converged_means_stationary(uni4, ex_b_params):
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 3000, seed=19)
+    fit = fit_mle(counts, inits=3, seed=5, tol_ll=1e-12, max_iter=20000)
+    grad = max(abs(g) for g in log_likelihood_gradient(fit.params, counts).values())
+    assert fit.converged
+    assert grad <= 1e-12 * max(1.0, abs(fit.log_likelihood))
+    assert fit.grad_max == grad
+    assert fit.iterations in fit.start_iterations
+
+
+def test_fit_ends_a_start_where_em_reads_lower(uni4, ex_b_params):
+    # at |ll| ~ 9.6e5 one ulp of ll exceeds 1e-10; near the aligned
+    # stationary point the plain EM step reads lower before the gradient
+    # test passes, and the start ends there instead of accepting it
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    fit = fit_mle(counts, inits=1, seed=7, tol_ll=1e-13, max_iter=1000)
+    assert fit.iterations < 1000
+    assert not fit.converged
+    assert fit.grad_max > 1e-13 * abs(fit.log_likelihood)
+    assert fit.monotone
+    assert all(b >= a for a, b in zip(fit.ll_trace, fit.ll_trace[1:]))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 7])
+def test_fit_spends_at_most_max_iter_maps(uni4, ex_b_params, max_iter):
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 3000, seed=19)
+    fit = fit_mle(counts, inits=3, seed=5, max_iter=max_iter)
+    # no start reaches the gradient test this early, so each spends its budget
+    assert fit.start_iterations == (max_iter,) * 3
+    assert fit.iterations == max_iter
+    assert not fit.converged
+    assert 2 <= len(fit.ll_trace) <= max_iter + 1
+
+
+def test_fit_raises_no_warning(uni3, uni4, ex_b_params):
+    # y never beats x, so there is no interior MLE: utilities run off, and
+    # extrapolated points overflow exp or round alpha to 1 unless guarded
+    dominated = ChoiceCounts(
+        uni3,
+        {
+            ("x", "y"): {"x": 100, "y": 0},
+            ("x", "z"): {"x": 50, "z": 50},
+            ("y", "z"): {"y": 30, "z": 70},
+            ("x", "y", "z"): {"x": 60, "y": 0, "z": 40},
+        },
+    )
+    field = simulate_counts(ex_b_params, uni4.all_menus(2), 2000, seed=3)
+    for counts in (dominated, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(counts, inits=4, seed=3, max_iter=1000)
+        assert fit.monotone
+        assert math.isfinite(fit.log_likelihood) and math.isfinite(fit.grad_max)
+
+
 def test_cli_fit_rejects_negative_max_iter(capsys, tmp_path, ex_a_params, uni3):
     path = tmp_path / "counts.csv"
     path.write_text(serialize_dataset(simulate_counts(ex_a_params, uni3.all_menus(2), 100, seed=0)))
@@ -468,6 +523,7 @@ counts = simulate_counts(truth, truth.universe.all_menus(2), 10**5, seed=33)
 fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=300)
 p = fit.params
 print(repr((fit.iterations, fit.log_likelihood, p.alpha, p.u_vector(), p.v_vector())))
+print(repr((fit.converged, fit.grad_max, fit.start_iterations)))
 """
 
 

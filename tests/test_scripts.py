@@ -32,4 +32,5 @@ def test_em_recovery_script():
     proc = run("em_recovery.py", "--n", "500", "--max-iter", "200", "--starts", "2")
     assert proc.returncode == 0, proc.stderr
     assert "swap-aligned err" in proc.stdout
+    assert "gradient max" in proc.stdout
     assert "algebraic field id" in proc.stdout
