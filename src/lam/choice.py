@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, permutations, repeat
+from functools import cached_property, lru_cache
+from itertools import combinations, groupby, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -159,23 +159,23 @@ def instability_tuples(
             yield InstabilityTuple(x, y, s, t)
 
 
-#: Values converted to Python floats at a time by :func:`_sum_in_order`.
-_BLOCK = 1 << 13
-
-
 @lru_cache(maxsize=64)
 def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the S < T triangle of ``m`` menus, row by row."""
     return np.triu_indices(m, 1)
 
 
+#: Tuples one array pass covers at most, which bounds the memory of a pass.
+_PASS_TUPLES = 1 << 12
+
+
 @lru_cache(maxsize=8)
 def _layout(alternatives: tuple[str, ...], menus: tuple[Menu, ...]):
-    """The pairs sharing menus and their offsets in the tuple order.
+    """Runs of the pairs sharing menus, and the runs' offsets in the tuple order.
 
-    A pair is ``(x, y, held)``: alternative indices and the rows of the
-    menus holding both, when there are at least two.  The offsets end with
-    the tuple count.
+    A run ``(xs, ys, held)`` is consecutive pairs x before y holding equally
+    many menus, at least two, with those menus' rows in ``held``, a row per
+    pair, and at most ``_PASS_TUPLES`` tuples unless one pair has more.
     """
     inc = np.array([[a in m for a in alternatives] for m in menus], dtype=bool)
     pairs = []
@@ -183,33 +183,27 @@ def _layout(alternatives: tuple[str, ...], menus: tuple[Menu, ...]):
         held = np.flatnonzero(inc[:, x] & inc[:, y])
         if len(held) > 1:
             pairs.append((x, y, held))
-    return pairs, np.cumsum([0] + [len(h) * (len(h) - 1) // 2 for *_, h in pairs])
-
-
-def _sum_in_order(values: np.ndarray, *, squared: bool = False) -> float:
-    """``sum()`` of the values (or of their squares, as ``v ** 2``) in order.
-
-    Float sums must equal a loop adding each tuple's Python float with
-    ``sum()`` in canonical order; ``sum()`` over the same floats in the
-    same order does, on any Python version.  Values are converted to
-    Python floats a block at a time.
-    """
-    chunks = chain.from_iterable(
-        values[i : i + _BLOCK].tolist() for i in range(0, len(values), _BLOCK)
-    )
-    return sum(map(pow, chunks, repeat(2)) if squared else chunks)
+    runs, sizes = [], [0]
+    for h, group in groupby(pairs, key=lambda pair: len(pair[2])):
+        group, tuples = list(group), h * (h - 1) // 2
+        step = max(1, _PASS_TUPLES // tuples)
+        for i in range(0, len(group), step):
+            xs, ys, held = zip(*group[i : i + step])
+            runs.append((np.array(xs), np.array(ys), np.stack(held)))
+            sizes.append(len(xs) * tuples)
+    return runs, np.cumsum(sizes)
 
 
 class _Kernel:
-    """Own and composite instability of every canonical tuple, pair by pair.
+    """Own and composite instability of every canonical tuple, run by run.
 
     Fix alternatives x before y and let a, b be rho(x, .), rho(y, .) over
     the menus holding both, in canonical order, with primes for ``other``.
     The pair's tuples are the triangle S < T, where own instability is
     a_S b_T - b_S a_T = det(a, b) and composite instability is
-    det(a, b') + det(a', b).  :meth:`arrays` evaluates one pair's triangle
-    per array pass, in the order of ``instability_tuples(canonical=True)``,
-    and :meth:`sums` gets the sums over all tuples from inner products alone.
+    det(a, b') + det(a', b).  :meth:`arrays` evaluates them a run of pairs
+    per array pass, in the order of ``instability_tuples(canonical=True)``;
+    :meth:`sums` gets their exact sums from inner products.
 
     The rows come from each table's dense view.  Float tables give float64
     values with the operand order of :func:`own_instability` and
@@ -238,23 +232,47 @@ class _Kernel:
             mats = [v.pick(self.menus, False)[1] for v in views]
         self.mine, *theirs = mats
         self.theirs = theirs[0] if theirs else None
-        self.pairs, self.starts = _layout(self.universe.alternatives, self.menus)
+        self.runs, self.starts = _layout(self.universe.alternatives, self.menus)
 
     def tuple_at(self, i: int) -> InstabilityTuple:
         """The i-th canonical tuple."""
-        n = int(np.searchsorted(self.starts, i, side="right")) - 1
-        x, y, held = self.pairs[n]
-        s, t = _triangle(len(held))
-        j = i - self.starts[n]
-        alts = self.universe.alternatives
-        return InstabilityTuple(alts[x], alts[y], self.menus[held[s[j]]], self.menus[held[t[j]]])
+        r = int(np.searchsorted(self.starts, i, side="right")) - 1
+        xs, ys, held = self.runs[r]
+        s, t = _triangle(held.shape[1])
+        q, j = divmod(int(i - self.starts[r]), len(s))
+        alts, menus = self.universe.alternatives, self.menus
+        return InstabilityTuple(alts[xs[q]], alts[ys[q]], menus[held[q, s[j]]], menus[held[q, t[j]]])
 
     def value(self, v: np.ndarray, i: int) -> Scalar:
         """The true value of tuple i's entry of a d or p array from :meth:`arrays`."""
         return Fraction(v[i], self.k[i]) if self.exact else float(v[i])
 
+    def _passes(self, mine: np.ndarray, theirs: np.ndarray | None, among=None):
+        """Per run: ``ends``, ``held``, d and p (None without ``theirs``) of its
+        tuples, or of those ``among`` flags; ``ends`` maps per-menu values
+        shaped as ``held`` to their values at S and at T of those tuples."""
+        for (xs, ys, held), lo in zip(self.runs, self.starts):
+            s, t = _triangle(held.shape[1])
+            if among is None:
+                def ends(v):
+                    return v.take(s, axis=1).ravel(), v.take(t, axis=1).ravel()
+            else:
+                q, j = np.divmod(np.flatnonzero(among[lo : lo + len(xs) * len(s)]), len(s))
+                if not len(q):
+                    continue
+
+                def ends(v):
+                    return v[q, s[j]], v[q, t[j]]
+            sx, tx = ends(mine[held, xs[:, None]])
+            sy, ty = ends(mine[held, ys[:, None]])
+            d, p = sx * ty - sy * tx, None
+            if theirs is not None:
+                (sx2, tx2), (sy2, ty2) = (ends(theirs[held, zs[:, None]]) for zs in (xs, ys))
+                p = (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
+            yield ends, held, d, p
+
     def arrays(self, composite: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """(d, p) over all canonical tuples, one pair's triangle per array pass.
+        """(d, p) over all canonical tuples, one run per array pass.
 
         p is None without ``other`` or when not asked.  Sets ``k``, the
         tuples' scale, which is None in float mode.
@@ -262,17 +280,12 @@ class _Kernel:
         theirs = self.theirs if composite else None
         empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
         ds, ps, ks = [empty], [empty], [empty]
-        for x, y, held in self.pairs:
-            s, t = _triangle(len(held))
-            a, b = self.mine[held, x], self.mine[held, y]
-            sx, sy, tx, ty = a[s], b[s], a[t], b[t]
-            ds.append(sx * ty - sy * tx)
-            if theirs is not None:
-                a2, b2 = theirs[held, x], theirs[held, y]
-                ps.append((sx * b2[t] - sy * a2[t]) + (a2[s] * ty - b2[s] * tx))
+        for ends, held, d, p in self._passes(self.mine, theirs):
+            ds.append(d)
+            ps.append(p)
             if self.exact:
-                c = self.c[held]
-                ks.append(c[s] * c[t])
+                cs, ct = ends(self.c[held])
+                ks.append(cs * ct)
         self.k = np.concatenate(ks) if self.exact else None
         return np.concatenate(ds), None if theirs is None else np.concatenate(ps)
 
@@ -282,42 +295,51 @@ class _Kernel:
         By Lagrange's identity they do iff |a|^2 |b|^2 = (a.b)^2, that is,
         iff a and b are parallel, which the menu scales do not change.
         """
-        for x, y, held in self.pairs:
-            a, b = self.mine[held, x], self.mine[held, y]
-            yield (a * a).sum() * (b * b).sum() == (a * b).sum() ** 2
+        for xs, ys, held in self.runs:
+            a, b = self.mine[held, xs[:, None]], self.mine[held, ys[:, None]]
+            yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
 
-    def sums(self) -> tuple[Fraction, Fraction | None, Fraction | None]:
-        """Exact sums of d*d, d*p and p*p over every canonical tuple.
+    @cached_property
+    def ints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``rho`` and ``other`` side by side as ints, and per menu
+        the weight that puts a product of two of its entries on a scale B**2:
+        exact rows weighted (B / c_S)**2 for B the lcm of the c_S, and float
+        rows as ints over B = 2**(53 - min e), a float64 being f 2**e with
+        2**53 f an int, weighted 1."""
+        rows = np.concatenate([self.mine, self.theirs], axis=1)
+        if self.exact:
+            return rows, (math.lcm(*self.c) // self.c) ** 2
+        frac, exp = np.frexp(rows)
+        ints = np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - exp.min()).astype(object)
+        return ints, np.ones(len(rows), dtype=object)
 
-        By Binet-Cauchy, the sum over S < T of det(u, v) det(w, z) is
-        (u.w)(v.z) - (u.z)(v.w), so each pair costs a few inner products.
-        The sums of d*p and p*p are None without ``other``.
+    def sums(self) -> tuple[int, int, int]:
+        """Exact sums of d*d, d*p and p*p over every canonical tuple, times
+        B**4 for the scale B of :attr:`ints`.  By Binet-Cauchy the sum over
+        S < T of det(u, v) det(w, z) is (u.w)(v.z) - (u.z)(v.w): a pair
+        costs the Gram matrix of a, b, a', b', a run one stacked product.
         """
-        big = math.lcm(*self.c)
-        weight = np.array([(big // c) ** 2 for c in self.c], dtype=object)
+        n, (rows, weight) = self.universe.size, self.ints
         dd = dp = pp = 0
-        for x, y, held in self.pairs:
-            w = weight[held]
-            a, b = self.mine[held, x], self.mine[held, y]
-
-            def dot(u, v):  # the true inner product, times big**2
-                return (u * v * w).sum()
-
-            aa, bb, ab = dot(a, a), dot(b, b), dot(a, b)
-            dd += aa * bb - ab * ab
-            if self.theirs is not None:
-                a2, b2 = self.theirs[held, x], self.theirs[held, y]
-                aa2, ab2, ba2, bb2 = dot(a, a2), dot(a, b2), dot(b, a2), dot(b, b2)
+        for xs, ys, held in self.runs:
+            g = rows[held[:, :, None], np.stack([xs, ys, n + xs, n + ys], axis=1)[:, None, :]]
+            gram = np.matmul((g * weight[held][:, :, None]).transpose(0, 2, 1), g)
+            for (aa, ab, aa2, ab2), (_, bb, ba2, bb2), (*_, a2a2, a2b2), (*_, b2b2) in gram.tolist():
+                dd += aa * bb - ab * ab
                 dp += aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2
-                pp += (
-                    aa * dot(b2, b2) - ab2 * ab2
-                    + 2 * (aa2 * bb2 - ab * dot(a2, b2))
-                    + dot(a2, a2) * bb - ba2 * ba2
-                )
-        scale = big**4
-        if self.theirs is None:
-            return Fraction(dd, scale), None, None
-        return Fraction(dd, scale), Fraction(dp, scale), Fraction(pp, scale)
+                pp += aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2
+        return dd, dp, pp
+
+    def terms(self, among: np.ndarray) -> tuple[int, int]:
+        """Exact sums of d*p and p*p over the tuples ``among`` flags, as :meth:`sums`."""
+        n, (rows, weight) = self.universe.size, self.ints
+        dp = pp = 0
+        for ends, held, d, p in self._passes(rows[:, :n], rows[:, n:], among):
+            ws, wt = ends(weight[held])
+            wp = ws * wt * p
+            dp += d.dot(wp)
+            pp += p.dot(wp)
+        return dp, pp
 
     def scaled(self, eff: Scalar, power: int = 1, ref: int | None = None):
         """``eff`` on the scale of each tuple's values to ``power``, or of

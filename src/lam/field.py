@@ -635,15 +635,10 @@ def identify_field(
         others = [a for a in targets if a != y]
         sets: list[CandidateSet] = []
         for z, t in combinations(others, 2):
-            menus = (
-                frozenset({anchor, y, z, t}),
-                frozenset({anchor, y}),
-                frozenset({anchor, y, z}),
-                frozenset({anchor, y, t}),
-            )
-            if not all(rho_ai.has_menu(m) for m in menus):
+            try:
+                poly = identification_polynomial(rho_ai, anchor, y, z, t)
+            except InsufficientDataError:  # a required menu is unobserved
                 continue
-            poly = identification_polynomial(rho_ai, anchor, y, z, t)
             sets.append(candidate_utilities(poly, rho_ai, tol=eff))
         if not sets:
             raise InsufficientDataError(

@@ -6,7 +6,8 @@ ratio of the AI's own instability to the composite instability of the pair
 (the two are proportional with slope alpha across every tuple), then peel
 the human component out of the AI data and read v off the remaining Luce
 rule.  The whole pipeline collapses into three explicit degenerate cases:
-identical AI and human data (alpha and v not separately identified), an
+identical AI and human data, or AI data violating IIA only with menus the
+human data lacks (alpha and v not separately identified), an
 IIA-satisfying AI that differs from the human (compliance must be zero),
 and data admitting no mixture representation at all (inconsistent).
 
@@ -17,6 +18,7 @@ failure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Literal, Mapping, get_args
@@ -29,7 +31,6 @@ from .choice import (
     _Kernel,
     _own_violations,
     _running_max,
-    _sum_in_order,
     lam_table,
     recover_luce_utility,
     satisfies_iia,
@@ -91,7 +92,10 @@ class AlphaEstimate:
     composite instability.  ``r_squared`` measures how well the
     proportionality law fits over all canonical tuples (1 means exact),
     which is the model-fit diagnostic for noisy data.  ``alpha`` is
-    clamped to [0, 1] in float mode; ``raw`` is the unclamped value.
+    clamped to [0, 1] in float mode; ``raw`` is the unclamped value.  In
+    float mode the least-squares ``raw`` and ``r_squared`` are the
+    correctly rounded values of their exact counterparts over the float64
+    entries, so no summation order or Python version moves them.
     """
 
     alpha: Scalar
@@ -117,12 +121,13 @@ def estimate_alpha(
     ``r_squared`` compares the residuals over every tuple with the sum of
     squared own instabilities.
 
-    Exact sums come from per-pair inner products (see :class:`_Kernel`)
-    and cover every tuple; with tol > 0 the slope subtracts the tuples with
-    0 < |p| <= tol again.  Float sums add the per-tuple terms in canonical
-    order, and the slope's sums run over |p| > tol only.  A tuple left out
-    would move the sum of d*p by at most tol*|d| and that of p*p by at most
-    tol^2, so the two agree at tol 0, the exact default.
+    The sums are exact in both modes: per-pair inner products of integer
+    rows (see :class:`_Kernel`), over every tuple, of the entries' true
+    values, a float64 being a dyadic rational.  The slope subtracts the
+    tuples with |p| <= tol again, exactly; ``r_squared`` uses the reported
+    ``raw``, and float mode rounds each of the two once.  The tests against
+    tol, ``best`` and the single-tuple ratio use d and p as evaluated in
+    the tables' arithmetic.
 
     Raises :class:`InvalidParameterError` for an unknown strategy,
     :class:`PartiallyIdentifiedError` when the AI and human data
@@ -156,25 +161,16 @@ def estimate_alpha(
             "no mixture representation exists"
         )
 
-    if kernel.exact:
-        dd, dp, pp = kernel.sums()
+    dd, dp, pp = kernel.sums()
+    div = Fraction if exact else operator.truediv  # int / int rounds correctly
     if strategy == "single-tuple":
         raw = kernel.value(d, best) / kernel.value(p, best)
-    elif kernel.exact:
-        # the full sums, less the tuples with 0 < |p| <= tol
-        left_out = np.flatnonzero(~usable & (p != 0))
-        raw = (dp - sum(Fraction(d[i] * p[i], k[i] ** 2) for i in left_out)) / (
-            pp - sum(Fraction(p[i] ** 2, k[i] ** 2) for i in left_out)
-        )
-    else:
-        raw = _sum_in_order((d * p)[usable]) / _sum_in_order((p * p)[usable])
-
-    if kernel.exact:
-        ss_tot, ss_res = dd, dd - 2 * raw * dp + raw * raw * pp
-    else:
-        ss_tot = _sum_in_order(d * d)
-        ss_res = _sum_in_order(d - raw * p, squared=True)
-    r_squared = 1 - ss_res / ss_tot if ss_tot > 0 else 1
+    else:  # the sums cover every tuple: take the unusable ones out again
+        out_dp, out_pp = kernel.terms(~usable)
+        raw = div(dp - out_dp, pp - out_pp)
+    # 1 - ss_res / ss_tot, with ss_tot = dd and ss_res = dd - 2 raw dp + raw^2 pp
+    num, den = raw.as_integer_ratio()
+    r_squared = div(num * (2 * den * dp - num * pp), den * den * dd)
 
     alpha = raw if exact else min(max(raw, 0.0), 1.0)
     return AlphaEstimate(
@@ -235,10 +231,11 @@ class LabResult:
     """Outcome of laboratory identification.
 
     point-identified: ``params`` holds (u, v, alpha) and reproduces the AI
-    data on its domain within ``tol``; partially-identified: the AI and
-    human data coincide, only ``human_utility`` is pinned down;
-    inconsistent: the pair admits no mixture representation (see
-    ``reason``).
+    data on its domain within ``tol``; partially-identified: only
+    ``human_utility`` is pinned down, because the AI and human data
+    coincide or because the AI violates IIA only with menus the human data
+    lacks (see ``reason``); inconsistent: the pair admits no mixture
+    representation (see ``reason``).
     """
 
     status: Literal["point-identified", "partially-identified", "inconsistent"]
@@ -260,41 +257,30 @@ def identify_lab(
     """Run the three-step laboratory identification pipeline.
 
     Recovers u from the human data, branches on the degenerate cases
-    (identical data; IIA-satisfying AI data), and otherwise estimates
-    compliance, reconstructs the autonomous rule, and recovers v from it.
-    Any step that fails marks the pair inconsistent rather than raising;
-    an unknown strategy raises :class:`InvalidParameterError`.
+    (identical data; IIA-satisfying AI data; AI data violating IIA only
+    with menus the human data lacks), and otherwise estimates compliance,
+    reconstructs the autonomous rule, and recovers v from it.  Any step
+    that fails marks the pair inconsistent rather than raising; an unknown
+    strategy or an invalid tolerance raises :class:`InvalidParameterError`.
     """
     _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
 
-    def inconsistent(reason: str) -> LabResult:
-        return LabResult(
-            status="inconsistent",
-            human_utility=None,
-            params=None,
-            alpha_diagnostics=None,
-            recovered_autonomous=None,
-            tol=eff,
-            reason=reason,
-        )
+    def result(status, reason="", u=None, params=None, est=None, auto=None) -> LabResult:
+        return LabResult(status, u, params, est, auto, eff, reason)
 
     try:
         u = recover_luce_utility(rho_h, anchor, tol=eff)
     except NotLuceError as e:
-        return inconsistent(f"human data is not a Luce rule: {e}")
+        return result("inconsistent", f"human data is not a Luce rule: {e}")
 
     if sup_distance(rho_ai, rho_h) <= eff:
-        return LabResult(
-            status="partially-identified",
-            human_utility=u,
-            params=None,
-            alpha_diagnostics=None,
-            recovered_autonomous=None,
-            tol=eff,
-            reason="AI and human choices coincide: the AI is perfectly compliant "
+        return result(
+            "partially-identified",
+            "AI and human choices coincide: the AI is perfectly compliant "
             "or perfectly aligned, and alpha and v cannot be separated",
+            u,
         )
 
     if satisfies_iia(rho_ai, eff):
@@ -302,44 +288,38 @@ def identify_lab(
         try:
             v = recover_luce_utility(rho_ai, anchor, tol=eff)
         except NotLuceError as e:
-            return inconsistent(f"AI data satisfies IIA but is not a Luce rule: {e}")
+            return result("inconsistent", f"AI data satisfies IIA but is not a Luce rule: {e}")
         params = LamParams(rho_ai.universe, u, v, 0 if exact else 0.0, anchor)
-        return LabResult(
-            status="point-identified",
-            human_utility=u,
-            params=params,
-            alpha_diagnostics=None,
-            recovered_autonomous=rho_ai,
-            tol=eff,
-        )
+        return result("point-identified", u=u, params=params, auto=rho_ai)
 
     try:
         est = estimate_alpha(rho_ai, rho_h, strategy=strategy, tol=eff)
     except InconsistentInputsError as e:
-        return inconsistent(str(e))
+        return result("inconsistent", str(e))
+    except NotIdentifiedError:
+        menus = (",".join(rho_ai.universe.sorted_members(m)) for m in _common_menus(rho_ai, rho_h))
+        shared = " ".join("{" + m + "}" for m in menus)
+        return result(
+            "partially-identified",
+            "AI data violates IIA only with menus the human data lacks; on the "
+            f"shared menus ({shared}) compliance and v are not identified",
+            u,
+        )
 
     if est.raw < -eff or est.raw > 1 + eff:
-        return inconsistent(f"estimated compliance {est.raw!r} falls outside [0, 1]")
-    alpha = est.alpha
+        return result("inconsistent", f"estimated compliance {est.raw!r} falls outside [0, 1]")
 
     try:
-        rho_a = recover_autonomous(rho_ai, rho_h, alpha, tol=eff)
+        rho_a = recover_autonomous(rho_ai, rho_h, est.alpha, tol=eff)
         v = recover_luce_utility(rho_a, anchor, tol=eff)
     except (DegenerateDivisionError, InconsistentInputsError, NotLuceError) as e:
-        return inconsistent(f"autonomous component is not a Luce rule: {e}")
+        return result("inconsistent", f"autonomous component is not a Luce rule: {e}")
 
-    params = LamParams(rho_ai.universe, u, v, alpha, anchor)
+    params = LamParams(rho_ai.universe, u, v, est.alpha, anchor)
     residual = sup_distance(lam_table(params, rho_ai.domain), rho_ai)
     if residual > eff:
-        return inconsistent(f"recovered parameters miss the AI data by {residual!r}")
-    return LabResult(
-        status="point-identified",
-        human_utility=u,
-        params=params,
-        alpha_diagnostics=est,
-        recovered_autonomous=rho_a,
-        tol=eff,
-    )
+        return result("inconsistent", f"recovered parameters miss the AI data by {residual!r}")
+    return result("point-identified", u=u, params=params, est=est, auto=rho_a)
 
 
 # ---------------------------------------------------------------------------

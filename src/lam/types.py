@@ -111,10 +111,12 @@ def is_exact_scalar(x: Scalar) -> bool:
 
 
 def resolve_tol(tol: Scalar | None, exact: bool) -> Scalar:
-    """Pick the effective tolerance: explicit > exact-zero > float default."""
-    if tol is not None:
-        return tol
-    return 0 if exact else FLOAT_TOL
+    """Pick the effective tolerance: explicit (finite, >= 0) > exact-zero > float default."""
+    if tol is None:
+        return 0 if exact else FLOAT_TOL
+    if not 0 <= tol < math.inf:
+        raise InvalidParameterError(f"tolerance {tol!r} must be finite and non-negative")
+    return tol
 
 
 # ---------------------------------------------------------------------------

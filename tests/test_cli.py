@@ -101,6 +101,38 @@ def test_check_axioms_pass_and_fail(capsys):
     assert "witness,h_iia" in out
 
 
+def test_identify_lab_violations_only_off_shared_menus_exit_code(capsys, tmp_path):
+    head = "mode,probabilities\nuniverse,x;y;z\nmenu,alternative,value\n"
+    rest = "x;z,x,1/2\nx;z,z,1/2\ny;z,y,1/2\ny;z,z,1/2\n"
+    (tmp_path / "human.csv").write_text(head + "x;y,x,1/2\nx;y,y,1/2\n" + rest)
+    (tmp_path / "ai.csv").write_text(
+        head + "x;y,x,2/3\nx;y,y,1/3\nx;y;z,x,1/3\nx;y;z,y,1/3\nx;y;z,z,1/3\n" + rest
+    )
+    pair = ["--ai", str(tmp_path / "ai.csv"), "--human", str(tmp_path / "human.csv")]
+    for flags in ([], ["--exact"]):
+        code, out, err = run(capsys, "identify-lab", *pair, "--anchor", "x", *flags)
+        assert (code, err) == (2, "")
+        assert "status,partially-identified" in out
+        assert "shared menus ({x,y} {x,z} {y,z})" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identify-lab", "--ai", str(DATA / "lab_ai.csv"), "--human", str(DATA / "lab_human.csv"),
+         "--anchor", "x"],
+        ["identify-field", "--ai", str(DATA / "field_ai.csv"), "--anchor", "x"],
+        ["check-axioms", "--ai", str(DATA / "lab_ai.csv"), "--human", str(DATA / "lab_human.csv")],
+    ],
+    ids=["identify-lab", "identify-field", "check-axioms"],
+)
+def test_invalid_tolerance_is_an_input_error(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert (code, out) == (1, "")
+    assert err == f"error: tolerance {float(tol)!r} must be finite and non-negative\n"
+
+
 def test_simulate_then_fit(capsys, tmp_path):
     out_path = tmp_path / "sim.csv"
     code, out, _ = run(
@@ -265,8 +297,8 @@ LAB_FLOAT = """report,identify-lab
 mode,float
 tolerance,1e-09
 status,point-identified
-alpha,0.49999999999999956
-alpha_raw,0.49999999999999956
+alpha,0.49999999999999983
+alpha_raw,0.49999999999999983
 alpha_strategy,least-squares
 r_squared,1.0
 tuples_used,2
@@ -275,17 +307,17 @@ u,x,1.0
 u,y,0.6666666666666667
 u,z,0.3333333333333332
 v,x,1.0
-v,y,1.9999999999999964
-v,z,2.999999999999993
-autonomous,x;y,x,0.33333333333333365
+v,y,1.9999999999999987
+v,z,2.9999999999999982
+autonomous,x;y,x,0.3333333333333334
 autonomous,x;y,y,0.6666666666666664
-autonomous,x;y;z,x,0.16666666666666693
-autonomous,x;y;z,y,0.3333333333333333
-autonomous,x;y;z,z,0.49999999999999967
-autonomous,x;z,x,0.25000000000000044
-autonomous,x;z,z,0.7499999999999996
-autonomous,y;z,y,0.40000000000000024
-autonomous,y;z,z,0.5999999999999998
+autonomous,x;y;z,x,0.1666666666666667
+autonomous,x;y;z,y,0.33333333333333326
+autonomous,x;y;z,z,0.4999999999999998
+autonomous,x;z,x,0.2500000000000001
+autonomous,x;z,z,0.7499999999999998
+autonomous,y;z,y,0.4000000000000001
+autonomous,y;z,z,0.5999999999999999
 """
 
 LAB_PERTURBED = """report,identify-lab

@@ -2,15 +2,18 @@
 
 The oracle below is the library's former per-tuple code: one canonical
 row per tuple, compliance sums and axiom trackers kept tuple by tuple.
-Every output visible through the public API must match it exactly, in
-both scalar modes, down to the witness values, the tie-breaks and the
-error messages.
+Its compliance sums add the entries' true values, a float64 entry taken
+as the rational it equals, and float mode rounds the slope and the fit
+once.  Every output visible through the public API must match it
+exactly, in both scalar modes, down to the witness values, the
+tie-breaks and the error messages.
 """
 
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import gen
@@ -45,11 +48,19 @@ from lam.types import resolve_tol
 # ---------------------------------------------------------------------------
 
 
-def scan_rows(rho, menus, other=None):
-    """Plain ``(x, y, S, T, d, p)`` rows in canonical order, one tuple at a time."""
+def scan_rows(rho, menus, other=None, scalar=None):
+    """Plain ``(x, y, S, T, d, p)`` rows in canonical order, one tuple at a time,
+    on the entries as recorded or as ``scalar`` maps them."""
     alts = rho.universe.alternatives
-    mine = [rho.table[m] for m in menus]
-    theirs = mine if other is None else [other.table[m] for m in menus]
+
+    def rows(table):
+        return [
+            table[m] if scalar is None else {a: scalar(v) for a, v in table[m].items()}
+            for m in menus
+        ]
+
+    mine = rows(rho.table)
+    theirs = mine if other is None else rows(other.table)
     for x, y in combinations(alts, 2):
         held = [
             (m, r.get(x, 0), r.get(y, 0), o.get(x, 0), o.get(y, 0))
@@ -90,7 +101,15 @@ def oracle_luce_error(rho, tol=None):
     return None
 
 
+def exact_value(v):
+    """An entry as the rational it equals; a float64 entry is a dyadic rational."""
+    return F(float(v))
+
+
 def oracle_estimate_alpha(rho_ai, rho_h, strategy="least-squares", tol=None):
+    """Tests and the tuple choice on the entries as the library evaluates
+    them; slope and fit from per-tuple sums of the true values of the
+    entries, rounded once in float mode."""
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     menus = _common_menus(rho_ai, rho_h)
@@ -98,15 +117,14 @@ def oracle_estimate_alpha(rho_ai, rho_h, strategy="least-squares", tol=None):
         raise PartiallyIdentifiedError(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
-    ds, ps = [], []
+    rows = list(scan_rows(rho_ai, menus, rho_h))
+    true = rows if exact else list(scan_rows(rho_ai, menus, rho_h, exact_value))
+    usable = [abs(row[5]) > eff for row in rows]
     best = None
-    for row in scan_rows(rho_ai, menus, rho_h):
-        d, p = row[4], row[5]
-        ds.append(d)
-        ps.append(p)
-        if abs(p) > eff and (best is None or abs(p) > abs(best[5])):
+    for row, ok in zip(rows, usable):
+        if ok and (best is None or abs(row[5]) > abs(best[5])):
             best = row
-    if not any(abs(d) > eff for d in ds):
+    if not any(abs(row[4]) > eff for row in rows):
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
             "are aligned; it cannot be point-identified",
@@ -120,12 +138,13 @@ def oracle_estimate_alpha(rho_ai, rho_h, strategy="least-squares", tol=None):
     if strategy == "single-tuple":
         raw = best[4] / best[5]
     else:
-        raw = sum(d * p for d, p in zip(ds, ps) if abs(p) > eff) / sum(
-            p * p for p in ps if abs(p) > eff
-        )
-    ss_tot = sum(d * d for d in ds)
-    ss_res = sum((d - raw * p) ** 2 for d, p in zip(ds, ps))
+        kept = [row for row, ok in zip(true, usable) if ok]
+        raw = sum(r[4] * r[5] for r in kept) / sum(r[5] * r[5] for r in kept)
+    ss_tot = sum(r[4] * r[4] for r in true)
+    ss_res = sum((r[4] - F(raw) * r[5]) ** 2 for r in true)
     r_squared = 1 - ss_res / ss_tot if ss_tot > 0 else 1
+    if not exact:
+        raw, r_squared = float(raw), float(r_squared)
     alpha = raw if exact else min(max(raw, 0.0), 1.0)
     return AlphaEstimate(
         alpha=alpha,
@@ -133,7 +152,7 @@ def oracle_estimate_alpha(rho_ai, rho_h, strategy="least-squares", tol=None):
         strategy=strategy,
         best=InstabilityTuple(*best[:4]),
         r_squared=r_squared,
-        n_tuples=sum(1 for p in ps if abs(p) > eff),
+        n_tuples=sum(usable),
     )
 
 
@@ -369,21 +388,26 @@ def test_kernel_matches_per_tuple_oracle(n, exact, variant):
         assert_matches_oracle(*random_case(rng, n, exact, variant))
 
 
-@pytest.mark.parametrize("block", [64, 250])
-def test_kernel_matches_oracle_across_blocks(monkeypatch, block):
-    # Float sums convert their terms to Python floats a block of tuples at
-    # a time; tables up to n = 6 fit in one block of the default size.
-    # Small blocks make every sum below run over several blocks.
-    monkeypatch.setattr(choice, "_BLOCK", block)
-    rng = random.Random(block)
-    for n, exact, variant in [
-        (5, True, "ai"), (5, False, "human"), (5, False, "zeros"),
-        (6, True, "tol"), (6, True, "partial"), (6, False, "ai"), (6, False, "ties"),
-    ]:
-        ai, human, anchor, tol = random_case(rng, n, exact, variant)
-        d, _ = _Kernel(ai, _common_menus(ai, human), human).arrays()
-        assert len(d) > block
-        assert_matches_oracle(ai, human, anchor, tol)
+def test_kernel_matches_oracle_across_passes(monkeypatch):
+    # One array pass covers a run of pairs holding equally many menus, cut
+    # at _PASS_TUPLES tuples; tables up to n = 6 take one pass per run at
+    # the default.  A small bound cuts the runs below into several passes.
+    monkeypatch.setattr(choice, "_PASS_TUPLES", 256)
+    choice._layout.cache_clear()
+    try:
+        rng, widths = random.Random(64), set()
+        for n, exact, variant in [
+            (5, True, "ai"), (5, False, "human"), (5, False, "zeros"),
+            (6, True, "tol"), (6, True, "partial"), (6, False, "ai"), (6, False, "ties"),
+        ]:
+            ai, human, anchor, tol = random_case(rng, n, exact, variant)
+            runs = _Kernel(ai, _common_menus(ai, human), human).runs
+            assert len(runs) > 1
+            widths.update(len(xs) for xs, _, _ in runs)
+            assert_matches_oracle(ai, human, anchor, tol)
+        assert max(widths) > 1
+    finally:
+        choice._layout.cache_clear()
 
 
 def test_mixed_pair_is_evaluated_as_the_float_pair():
@@ -497,21 +521,29 @@ def test_binet_cauchy_on_random_vectors():
 def test_kernel_sums_equal_brute_force(variant):
     rng = random.Random(variant)
     for n in (3, 4, 5):
-        ai, human, _, _ = random_case(rng, n, True, variant)
-        menus = _common_menus(ai, human)
-        rows = list(scan_rows(ai, menus, human))
-        kernel = _Kernel(ai, menus, human)
-        assert kernel.sums() == (
-            sum(r[4] * r[4] for r in rows),
-            sum(r[4] * r[5] for r in rows),
-            sum(r[5] * r[5] for r in rows),
-        )
-        d, p = kernel.arrays()
-        assert [kernel.value(d, i) for i in range(len(d))] == [r[4] for r in rows]
-        assert [kernel.value(p, i) for i in range(len(p))] == [r[5] for r in rows]
-        assert [kernel.tuple_at(i) for i in range(len(d))] == [
-            InstabilityTuple(*r[:4]) for r in rows
-        ]
+        for exact in (True, False):
+            ai, human, _, _ = random_case(rng, n, exact, variant)
+            menus = _common_menus(ai, human)
+            rows = list(scan_rows(ai, menus, human))
+            true = rows if exact else list(scan_rows(ai, menus, human, exact_value))
+            kernel = _Kernel(ai, menus, human)
+            # sums and terms share one unstated positive scale
+            got = kernel.sums()
+            want = [sum(r[i] * r[j] for r in true) for i, j in ((4, 4), (4, 5), (5, 5))]
+            scale = F(got[0] + got[2]) / (want[0] + want[2]) if want[0] + want[2] else 1
+            assert scale > 0 and list(got) == [scale * w for w in want]
+            flags = np.array([rng.random() < 0.5 for _ in rows], dtype=bool)
+            kept = [r for r, flag in zip(true, flags) if flag]
+            assert kernel.terms(flags) == (
+                scale * sum(r[4] * r[5] for r in kept),
+                scale * sum(r[5] * r[5] for r in kept),
+            )
+            d, p = kernel.arrays()
+            assert [kernel.value(d, i) for i in range(len(d))] == [r[4] for r in rows]
+            assert [kernel.value(p, i) for i in range(len(p))] == [r[5] for r in rows]
+            assert [kernel.tuple_at(i) for i in range(len(d))] == [
+                InstabilityTuple(*r[:4]) for r in rows
+            ]
 
 
 def test_exact_iia_test_agrees_with_scan():
