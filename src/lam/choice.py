@@ -421,17 +421,19 @@ def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[Ins
 
     An empty list means the function satisfies IIA at that tolerance.
     Enumeration order is deterministic (lexicographic in (x, y, S, T)).
+    The scan is :func:`satisfies_iia`'s: each canonical violation stands for
+    its four sign-equivalent tuples, of equal |own instability| bit for bit.
     """
-    eff = resolve_tol(tol, rho.is_exact)
-    return [
-        t
-        for t in instability_tuples(rho.universe, rho.domain)
-        if abs(own_instability(rho, t)) > eff
-    ]
+    kernel, bad = _own_violations(rho, resolve_tol(tol, rho.is_exact))
+    found = () if bad is None else map(kernel.tuple_at, np.flatnonzero(bad).tolist())
+    full = [InstabilityTuple(x, y, s, t) for c in found for x, y in ((c.x, c.y), (c.y, c.x))
+            for s, t in ((c.menu_s, c.menu_t), (c.menu_t, c.menu_s))]
+    index, key = rho.universe.index, rho.universe.menu_key
+    return sorted(full, key=lambda t: (index(t.x), index(t.y), key(t.menu_s), key(t.menu_t)))
 
 
 def satisfies_iia(rho: StochasticChoice, tol: Scalar | None = None) -> bool:
-    """IIA test; equivalent to ``not iia_violations(rho, tol)``."""
+    """IIA test; ``not iia_violations(rho, tol)``, from the same canonical scan."""
     return _own_violations(rho, resolve_tol(tol, rho.is_exact))[1] is None
 
 

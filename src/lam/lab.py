@@ -39,7 +39,6 @@ from .types import (
     DegenerateDivisionError,
     InconsistentInputsError,
     InstabilityTuple,
-    InsufficientDataError,
     InvalidParameterError,
     LamParams,
     Menu,
@@ -48,6 +47,7 @@ from .types import (
     PartiallyIdentifiedError,
     Scalar,
     StochasticChoice,
+    _join,
     resolve_tol,
     sup_distance,
 )
@@ -64,18 +64,12 @@ __all__ = [
 ]
 
 AlphaStrategy = Literal["single-tuple", "least-squares"]
+_DISJOINT = "the AI and human data share no menus"
 
 
 def _check_strategy(strategy: str) -> None:
     if strategy not in get_args(AlphaStrategy):
         raise InvalidParameterError(f"unknown alpha strategy {strategy!r}")
-
-
-def _common_menus(a: StochasticChoice, b: StochasticChoice) -> list[Menu]:
-    menus = [m for m in a.domain if b.has_menu(m)]
-    if not menus:
-        raise InsufficientDataError("the AI and human data share no menus")
-    return menus
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +123,19 @@ def estimate_alpha(
     tol, ``best`` and the single-tuple ratio use d and p as evaluated in
     the tables' arithmetic.
 
-    Raises :class:`InvalidParameterError` for an unknown strategy,
-    :class:`PartiallyIdentifiedError` when the AI and human data
-    coincide, and :class:`NotIdentifiedError` when the AI data has no IIA
-    violation (compliance could be 0 or 1, or the utilities aligned).
+    Raises, in this order, :class:`InvalidParameterError` for an unknown
+    strategy, :class:`InsufficientDataError` when the data share no menus,
+    :class:`PartiallyIdentifiedError` when they coincide there,
+    :class:`NotIdentifiedError` when the AI data has no IIA violation there
+    (compliance could be 0 or 1, or the utilities aligned), and
+    :class:`InconsistentInputsError` when every composite term vanishes.
     """
     _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
-    menus = _common_menus(rho_ai, rho_h)
+    menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
 
-    if sup_distance(rho_ai, rho_h) <= eff:
+    if not (np.abs(ai[mask] - human[mask]) > eff).any():  # sup distance <= eff
         raise PartiallyIdentifiedError(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
@@ -206,9 +202,7 @@ def recover_autonomous(
     if not alpha < 1 - eff:
         raise DegenerateDivisionError("alpha = 1 leaves no autonomous component to recover")
     universe = rho_ai.universe
-    menus = _common_menus(rho_ai, rho_h)
-    mask, ai = rho_ai._dense.pick(menus, exact)
-    _, human = rho_h._dense.pick(menus, exact)
+    menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
     auto = (ai[mask] - alpha * human[mask]) / (1 - alpha)  # the members, in canonical order
     low = _first_true(auto < -eff)
     cells = auto.tolist()
@@ -256,12 +250,14 @@ def identify_lab(
 ) -> LabResult:
     """Run the three-step laboratory identification pipeline.
 
-    Recovers u from the human data, branches on the degenerate cases
-    (identical data; IIA-satisfying AI data; AI data violating IIA only
-    with menus the human data lacks), and otherwise estimates compliance,
-    reconstructs the autonomous rule, and recovers v from it.  Any step
-    that fails marks the pair inconsistent rather than raising; an unknown
-    strategy or an invalid tolerance raises :class:`InvalidParameterError`.
+    Recovers u from the human data, estimates compliance, reconstructs the
+    autonomous rule and recovers v from it.  The degenerate cases come from
+    :func:`estimate_alpha`'s errors: identical data, or no AI IIA violation
+    on the shared menus, where IIA on the AI's whole domain forces alpha = 0
+    and otherwise leaves compliance and v unidentified.  Any step that fails
+    marks the pair inconsistent rather than raising; an unknown strategy or
+    an invalid tolerance raises :class:`InvalidParameterError`, and data
+    sharing no menus :class:`InsufficientDataError`.
     """
     _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
@@ -275,15 +271,27 @@ def identify_lab(
     except NotLuceError as e:
         return result("inconsistent", f"human data is not a Luce rule: {e}")
 
-    if sup_distance(rho_ai, rho_h) <= eff:
+    try:
+        est = estimate_alpha(rho_ai, rho_h, strategy=strategy, tol=eff)
+    except PartiallyIdentifiedError:
         return result(
             "partially-identified",
             "AI and human choices coincide: the AI is perfectly compliant "
             "or perfectly aligned, and alpha and v cannot be separated",
             u,
         )
-
-    if satisfies_iia(rho_ai, eff):
+    except InconsistentInputsError as e:
+        return result("inconsistent", str(e))
+    except NotIdentifiedError:
+        if not satisfies_iia(rho_ai, eff):
+            menus = map(rho_ai.universe.sorted_members, _join(rho_ai, rho_h, _DISJOINT)[0])
+            shared = " ".join("{" + ",".join(m) + "}" for m in menus)
+            return result(
+                "partially-identified",
+                "AI data violates IIA only with menus the human data lacks; on the "
+                f"shared menus ({shared}) compliance and v are not identified",
+                u,
+            )
         # different data without IIA violations forces alpha = 0
         try:
             v = recover_luce_utility(rho_ai, anchor, tol=eff)
@@ -291,20 +299,6 @@ def identify_lab(
             return result("inconsistent", f"AI data satisfies IIA but is not a Luce rule: {e}")
         params = LamParams(rho_ai.universe, u, v, 0 if exact else 0.0, anchor)
         return result("point-identified", u=u, params=params, auto=rho_ai)
-
-    try:
-        est = estimate_alpha(rho_ai, rho_h, strategy=strategy, tol=eff)
-    except InconsistentInputsError as e:
-        return result("inconsistent", str(e))
-    except NotIdentifiedError:
-        menus = (",".join(rho_ai.universe.sorted_members(m)) for m in _common_menus(rho_ai, rho_h))
-        shared = " ".join("{" + m + "}" for m in menus)
-        return result(
-            "partially-identified",
-            "AI data violates IIA only with menus the human data lacks; on the "
-            f"shared menus ({shared}) compliance and v are not identified",
-            u,
-        )
 
     if est.raw < -eff or est.raw > 1 + eff:
         return result("inconsistent", f"estimated compliance {est.raw!r} falls outside [0, 1]")
@@ -380,10 +374,9 @@ def check_axioms(
     own-to-composite ratio, which is equivalent to comparing every pair of
     tuples and testing every tuple's ratio.
     """
-    exact = rho_ai.is_exact and rho_h.is_exact
-    eff = resolve_tol(tol, exact)
+    eff = resolve_tol(tol, rho_ai.is_exact and rho_h.is_exact)
     universe = rho_ai.universe
-    menus = _common_menus(rho_ai, rho_h)
+    menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
 
     # positivity, over each function's own recorded domain
     positivity = AxiomVerdict(True)
@@ -418,8 +411,12 @@ def check_axioms(
     sign_ok = (dp >= -e2) & (~big | (dp > 0))
     del dp
     if kernel.exact and isinstance(eff, float):
-        # adding a float tol to an exact |p| rounds the sum to a float
-        size_ok = np.array([Fraction(x, s) <= y / s + eff for x, y, s in zip(ad, ap, k)], bool)
+        # adding a float tol to an exact |p| rounds the sum to a float f 2**e:
+        # test |d| k <= f 2**e k in ints, both sides times 2**-b
+        frac, exp = np.frexp((ap / k).astype(float) + eff)
+        b = int(exp.min(initial=53)) - 53
+        bound = np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - 53 - b).astype(object)
+        size_ok = np.asarray((ad << -b) <= bound * k, bool)
     else:
         size_ok = ad <= ap + e1
     if eff == 0:
@@ -471,7 +468,7 @@ def check_axioms(
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
         bounded_divergence = _bounded_divergence(
-            universe, rho_ai, rho_h, menus, kernel.exact, *row(binding), eff
+            universe, menus, mask, ai, human, *row(binding), eff
         )
 
     return AxiomReport(
@@ -484,11 +481,9 @@ def check_axioms(
     )
 
 
-def _bounded_divergence(universe, rho_ai, rho_h, menus, exact, t, d, p, eff) -> AxiomVerdict:
+def _bounded_divergence(universe, menus, mask, ai, human, t, d, p, eff) -> AxiomVerdict:
     """Bounded divergence at the binding tuple ``t``; the witness is the first failing cell."""
     strict = eff == 0 and abs(d) > eff
-    mask, ai = rho_ai._dense.pick(menus, exact)
-    _, human = rho_h._dense.pick(menus, exact)
     lhs, rhs = ai[mask] * abs(p), human[mask] * abs(d)  # the members, in canonical order
     bad = _first_true((lhs <= rhs) if strict else (lhs < rhs - eff))
     if bad is None:

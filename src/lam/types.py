@@ -171,7 +171,7 @@ class Universe:
 
     def menu_key(self, menu: Iterable[str]) -> tuple[int, ...]:
         """Sort key giving the canonical (lexicographic) order on menus."""
-        return tuple(sorted(self._index[a] for a in menu))
+        return tuple(sorted(map(self.index, menu)))
 
     def sorted_members(self, menu: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(menu, key=self.index))
@@ -304,27 +304,22 @@ class StochasticChoice:
     def has_menu(self, menu: Iterable[str]) -> bool:
         return frozenset(menu) in self.table
 
-    def prob(self, alt: str, menu: Iterable[str]) -> Scalar:
-        """Choice probability of ``alt`` from ``menu``; zero off the menu."""
-        m = frozenset(menu)
-        try:
-            row = self.table[m]
-        except KeyError:
-            raise MissingDataError(
-                f"menu {tuple(sorted(menu))} not in the observed domain"
-            ) from None
-        self.universe.index(alt)
-        if alt not in m:
-            return 0
-        return row.get(alt, 0)
-
-    def row(self, menu: Iterable[str]) -> dict[str, Scalar]:
+    def _recorded(self, menu: Iterable[str]) -> tuple[Menu, Mapping[str, Scalar]]:
         m = frozenset(menu)
         if m not in self.table:
-            raise MissingDataError(
-                f"menu {tuple(sorted(menu))} not in the observed domain"
-            )
-        return {a: self.table[m].get(a, 0) for a in self.universe.sorted_members(m)}
+            members = self.universe.sorted_members(m)
+            raise MissingDataError(f"menu {members} not in the observed domain")
+        return m, self.table[m]
+
+    def prob(self, alt: str, menu: Iterable[str]) -> Scalar:
+        """Choice probability of ``alt`` from ``menu``; zero off the menu."""
+        _, row = self._recorded(menu)
+        self.universe.index(alt)
+        return row.get(alt, 0)  # a row records only its menu's members
+
+    def row(self, menu: Iterable[str]) -> dict[str, Scalar]:
+        m, row = self._recorded(menu)
+        return {a: row.get(a, 0) for a in self.universe.sorted_members(m)}
 
     def as_float(self) -> "StochasticChoice":
         return StochasticChoice(
@@ -334,14 +329,21 @@ class StochasticChoice:
         )
 
 
+def _join(a: StochasticChoice, b: StochasticChoice, message: str):
+    """The menus ``a`` and ``b`` share, in ``a``'s domain order, their members'
+    mask and both tables' rows there, float64 unless both are exact; or
+    :class:`InsufficientDataError` with ``message`` when they share none."""
+    menus = [m for m in a.domain if m in b.table]
+    if not menus:
+        raise InsufficientDataError(message)
+    exact = a.is_exact and b.is_exact
+    (mask, rows_a), (_, rows_b) = (t._dense.pick(menus, exact) for t in (a, b))
+    return menus, mask, rows_a, rows_b
+
+
 def sup_distance(a: StochasticChoice, b: StochasticChoice) -> Scalar:
     """Sup-norm distance between two choice functions on their common menus."""
-    common = [m for m in a.domain if m in b.table]
-    if not common:
-        raise InsufficientDataError("the two choice functions share no menus")
-    exact = a.is_exact and b.is_exact
-    mask, rows_a = a._dense.pick(common, exact)
-    _, rows_b = b._dense.pick(common, exact)
+    _, mask, rows_a, rows_b = _join(a, b, "the two choice functions share no menus")
     worst = max(np.abs(rows_a[mask] - rows_b[mask]).tolist())
     return worst if worst > 0 else 0
 
@@ -380,9 +382,9 @@ class LamParams:
                 val = vec[alt]
                 if isinstance(val, int) and not isinstance(val, bool):
                     val = Fraction(val)  # ints join the exact path
-                if not val > 0:
+                if not 0 < val < math.inf:
                     raise InvalidParameterError(
-                        f"{name}({alt!r}) = {val!r}; utilities must be positive"
+                        f"{name}({alt!r}) = {val!r}; utilities must be positive and finite"
                     )
                 exact = exact and is_exact_scalar(val)
                 clean[alt] = val

@@ -17,6 +17,7 @@ from lam import (
     InsufficientDataError,
     InvalidParameterError,
     LamParams,
+    MissingDataError,
     NotLuceError,
     StochasticChoice,
     Universe,
@@ -290,6 +291,11 @@ def test_iia_violations_deterministic_order(ex_a_ai):
     ]
     assert keys == sorted(keys)
     assert found == iia_violations(ex_a_ai)
+
+
+def test_instability_tuples_reject_unknown_alternatives(uni3):
+    with pytest.raises(MissingDataError, match="unknown alternative 'q'"):
+        list(instability_tuples(uni3, [{"x", "y"}, {"x", "q"}]))
 
 
 def test_half_mixture_of_distinct_rules_violates_iia():

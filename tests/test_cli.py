@@ -405,6 +405,21 @@ def test_non_finite_probability_is_an_input_error(capsys, tmp_path):
         assert err == "error: line 6: probability 'nan' is not finite\n"
 
 
+def test_simulate_rejects_infinite_utility(capsys, tmp_path):
+    params = tmp_path / "params.csv"
+    params.write_text(
+        "universe,x;y;z\nanchor,x\nalpha,0.5\n"
+        "u,x,1\nu,y,inf\nu,z,2\nv,x,1\nv,y,2\nv,z,3\n"
+    )
+    code, out, err = run(
+        capsys, "simulate", "--params", str(params), "--menus", "all", "--n", "10",
+        "--seed", "1", "--out", str(tmp_path / "sim.csv"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: u('y') = inf; utilities must be positive and finite\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
 @pytest.mark.parametrize("alpha_pair", ["3;-2", "nan;0.25"])
 def test_deception_gap_rejects_field_compliance_outside_unit_interval(
     capsys, tmp_path, alpha_pair

@@ -30,6 +30,7 @@ from lam import (
     check_axioms,
     composite_instability,
     estimate_alpha,
+    iia_violations,
     instability_tuples,
     lam_table,
     luce_table,
@@ -40,12 +41,16 @@ from lam import (
 )
 from lam import choice
 from lam.choice import _first_nonpositive, _Kernel
-from lam.lab import AlphaEstimate, AxiomReport, AxiomVerdict, _common_menus
-from lam.types import resolve_tol
+from lam.lab import AlphaEstimate, AxiomReport, AxiomVerdict
+from lam.types import _join, resolve_tol
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-tuple computations
 # ---------------------------------------------------------------------------
+
+
+def common_menus(ai, human):
+    return _join(ai, human, "the AI and human data share no menus")[0]
 
 
 def scan_rows(rho, menus, other=None, scalar=None):
@@ -112,7 +117,7 @@ def oracle_estimate_alpha(rho_ai, rho_h, strategy="least-squares", tol=None):
     entries, rounded once in float mode."""
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
-    menus = _common_menus(rho_ai, rho_h)
+    menus = common_menus(rho_ai, rho_h)
     if sup_distance(rho_ai, rho_h) <= eff:
         raise PartiallyIdentifiedError(
             "AI and human choices coincide; alpha and v are not separately identified"
@@ -190,7 +195,7 @@ def oracle_check_axioms(rho_ai, rho_h, tol=None):
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     universe = rho_ai.universe
-    menus = _common_menus(rho_ai, rho_h)
+    menus = common_menus(rho_ai, rho_h)
 
     def at(row):
         return InstabilityTuple(*row[:4])
@@ -401,7 +406,7 @@ def test_kernel_matches_oracle_across_passes(monkeypatch):
             (6, True, "tol"), (6, True, "partial"), (6, False, "ai"), (6, False, "ties"),
         ]:
             ai, human, anchor, tol = random_case(rng, n, exact, variant)
-            runs = _Kernel(ai, _common_menus(ai, human), human).runs
+            runs = _Kernel(ai, common_menus(ai, human), human).runs
             assert len(runs) > 1
             widths.update(len(xs) for xs, _, _ in runs)
             assert_matches_oracle(ai, human, anchor, tol)
@@ -523,7 +528,7 @@ def test_kernel_sums_equal_brute_force(variant):
     for n in (3, 4, 5):
         for exact in (True, False):
             ai, human, _, _ = random_case(rng, n, exact, variant)
-            menus = _common_menus(ai, human)
+            menus = common_menus(ai, human)
             rows = list(scan_rows(ai, menus, human))
             true = rows if exact else list(scan_rows(ai, menus, human, exact_value))
             kernel = _Kernel(ai, menus, human)
@@ -561,6 +566,7 @@ def test_exact_iia_test_agrees_with_scan():
                 for t in instability_tuples(bad.universe, bad.domain)
                 if own_instability(bad, t) != 0
             ]
+            assert iia_violations(bad) == full
             with pytest.raises(NotLuceError, match=f"for {len(full)} tuples"):
                 recover_luce_utility(bad, params.anchor)
 

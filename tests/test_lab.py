@@ -9,6 +9,7 @@ import gen
 from lam import (
     DegenerateDivisionError,
     InconsistentInputsError,
+    InsufficientDataError,
     InvalidParameterError,
     LamError,
     LamParams,
@@ -30,6 +31,7 @@ from lam import (
     satisfies_iia,
     sup_distance,
 )
+from lam.choice import _Kernel
 from lam.types import resolve_tol
 
 
@@ -256,6 +258,38 @@ def test_identify_lab_violations_only_off_shared_menus(uni3):
         assert result.reason.endswith(
             "on the shared menus ({x,y} {x,z} {y,z}) compliance and v are not identified"
         )
+
+
+def test_disjoint_menus_are_insufficient_data(uni3):
+    ai = luce_table(uni3, {"x": F(1), "y": F(2), "z": F(3)}, [("x", "y"), ("x", "y", "z")])
+    human = luce_table(uni3, {"x": F(1), "y": F(2), "z": F(3)}, [("x", "z"), ("y", "z")])
+    lab = "the AI and human data share no menus"
+    for call, message in [
+        (lambda: identify_lab(ai, human, "x"), lab),
+        (lambda: estimate_alpha(ai, human), lab),
+        (lambda: recover_autonomous(ai, human, F(1, 2)), lab),
+        (lambda: check_axioms(ai, human), lab),
+        (lambda: sup_distance(ai, human), "the two choice functions share no menus"),
+    ]:
+        with pytest.raises(InsufficientDataError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_identify_lab_evaluates_each_table_once(monkeypatch):
+    # one instability pass each: the human's IIA test, the pair for
+    # compliance (which also tests the AI's IIA), the autonomous rule's IIA
+    calls = []
+    arrays = _Kernel.arrays
+
+    def counted(self, **kwargs):
+        calls.append(kwargs)
+        return arrays(self, **kwargs)
+
+    monkeypatch.setattr(_Kernel, "arrays", counted)
+    ai, human = (t.as_float() for t in gen.forward_pair(gen.random_params(random.Random(3), 5)))
+    assert identify_lab(ai, human, "a").status == "point-identified"
+    assert len(calls) == 3
 
 
 def test_identify_lab_partial_domain():
@@ -530,6 +564,7 @@ def test_shared_scan_matches_brute_force():
                         if abs(own_instability(rho, t)) > eff
                     ]
                     assert satisfies_iia(rho) == (not full)
+                    assert iia_violations(rho) == full
                     assert len(full) == 4 * len(canonical)
                     if not full:
                         recover_luce_utility(rho, params.anchor)

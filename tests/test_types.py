@@ -94,6 +94,22 @@ def test_params_validation(uni3):
         LamParams(uni3, {"x": 1, "y": 1}, {"x": 1, "y": 1, "z": 1}, F(1, 2), "x")
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_params_reject_utilities_outside_the_positive_reals(uni3, bad):
+    with pytest.raises(InvalidParameterError, match="utilities must be positive and finite"):
+        LamParams(uni3, {"x": 1.0, "y": bad, "z": 2.0}, {"x": 1.0, "y": 2.0, "z": 3.0}, 0.5, "x")
+
+
+def test_unobserved_menu_is_named_in_universe_order():
+    # on universe (z, y, x) string order would name the menu ('x', 'z')
+    uni = Universe(("z", "y", "x"))
+    rho = StochasticChoice(uni, {("z", "y"): {"z": F(1, 2), "y": F(1, 2)}})
+    for lookup in (lambda: rho.prob("x", {"x", "z"}), lambda: rho.row(iter("xz"))):
+        with pytest.raises(MissingDataError) as err:
+            lookup()
+        assert str(err.value) == "menu ('z', 'x') not in the observed domain"
+
+
 def test_instability_tuple_validation():
     menu = frozenset({"x", "y", "z"})
     with pytest.raises(InvalidParameterError):
