@@ -77,9 +77,9 @@ def luce_choice(weights: Mapping[str, Scalar], menu: Iterable[str]) -> dict[str,
         raise InvalidParameterError("menus must be non-empty")
     order = [a for a in weights if a in members]
     for a in order + sorted(members.difference(weights)):
-        if a not in weights or not weights[a] > 0:
+        if a not in weights or not 0 < weights[a] < math.inf:  # also rejects NaN
             raise InvalidParameterError(
-                f"utility for {a!r} must be positive to form a Luce rule"
+                f"utility for {a!r} must be positive and finite to form a Luce rule"
             )
     total = sum(weights[a] for a in order)
     if all(is_exact_scalar(weights[a]) for a in order):

@@ -11,6 +11,7 @@ degenerate, non-generic, failed axioms), 1 on input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,7 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``lam`` parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="lam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -87,6 +90,12 @@ def _load_choice(path: str, exact: bool) -> tuple[StochasticChoice, bool]:
     return data, False
 
 
+def _header(command: str, exact: bool, tol: Scalar, *rows: str) -> list[str]:
+    """A report's first rows: the command, the scalar mode and the tolerance."""
+    return [f"report,{command}", f"mode,{'exact' if exact else 'float'}",
+            f"tolerance,{format_scalar(tol)}", *rows]
+
+
 def _params_rows(lines: list[str], params) -> None:
     lines.append(f"anchor,{params.anchor}")
     for name, vec in (("u", params.u), ("v", params.v)):
@@ -123,12 +132,7 @@ def _cmd_identify_lab(args) -> tuple[list[str], int]:
     rho_h, conv_h = _load_choice(args.human, args.exact)
     result = identify_lab(rho_ai, rho_h, args.anchor, tol=args.tol)
     exact = rho_ai.is_exact and rho_h.is_exact
-    lines = [
-        "report,identify-lab",
-        f"mode,{'exact' if exact else 'float'}",
-        f"tolerance,{format_scalar(result.tol)}",
-        f"status,{result.status}",
-    ]
+    lines = _header("identify-lab", exact, result.tol, f"status,{result.status}")
     if conv_ai or conv_h:
         lines.append("input,converted-counts-to-frequencies")
     if result.status == "point-identified":
@@ -160,12 +164,7 @@ def _cmd_identify_field(args) -> tuple[list[str], int]:
     rho_ai, converted = _load_choice(args.ai, args.exact)
     result = identify_field(rho_ai, args.anchor, tol=args.tol)
     universe = rho_ai.universe
-    lines = [
-        "report,identify-field",
-        f"mode,{'exact' if rho_ai.is_exact else 'float'}",
-        f"tolerance,{format_scalar(result.tol)}",
-        f"status,{result.status}",
-    ]
+    lines = _header("identify-field", rho_ai.is_exact, result.tol, f"status,{result.status}")
     if converted:
         lines.append("input,converted-counts-to-frequencies")
     for y in sorted(result.candidates, key=universe.index):
@@ -205,12 +204,7 @@ def _cmd_check_axioms(args) -> tuple[list[str], int]:
     rho_ai, _ = _load_choice(args.ai, args.exact)
     rho_h, _ = _load_choice(args.human, args.exact)
     report = check_axioms(rho_ai, rho_h, tol=args.tol)
-    exact = rho_ai.is_exact and rho_h.is_exact
-    lines = [
-        "report,check-axioms",
-        f"mode,{'exact' if exact else 'float'}",
-        f"tolerance,{format_scalar(report.tol)}",
-    ]
+    lines = _header("check-axioms", rho_ai.is_exact and rho_h.is_exact, report.tol)
     for name, verdict in report.verdicts().items():
         lines.append(f"axiom,{name},{'pass' if verdict.passed else 'fail'}")
         if not verdict.passed:

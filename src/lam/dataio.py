@@ -44,7 +44,6 @@ from .types import (
     Scalar,
     StochasticChoice,
     Universe,
-    is_exact_scalar,
 )
 
 __all__ = [
@@ -139,16 +138,20 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
         raise DatasetFormatError("third row must be 'menu,alternative,value'", l3)
 
     table: dict[Menu, dict[str, Scalar]] = {}
+    menus: dict[str, Menu] = {}  # each menu token is parsed once per file
+    clamped = False  # a float value below 0, which StochasticChoice clamps to 0
     for line, fields in data_rows:
         if len(fields) != 3:
             raise DatasetFormatError(
                 f"expected 'menu,alternative,value', got {len(fields)} fields", line
             )
         menu_tok, alt, value_tok = fields
-        menu = _parse_menu_token(universe, menu_tok, line)
-        if alt not in universe.alternatives:
-            raise DatasetFormatError(f"unknown alternative {alt!r}", line)
+        menu = menus.get(menu_tok)
+        if menu is None:
+            menu = menus[menu_tok] = _parse_menu_token(universe, menu_tok, line)
         if alt not in menu:
+            if alt not in universe.alternatives:
+                raise DatasetFormatError(f"unknown alternative {alt!r}", line)
             raise DatasetFormatError(f"alternative {alt!r} is not in menu {menu_tok!r}", line)
         if mode == "counts":
             try:
@@ -161,8 +164,10 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
                 raise DatasetFormatError(f"counts must be non-negative, got {value_tok!r}", line)
         else:
             value = parse_scalar(value_tok, exact, line)
-            if not exact and not math.isfinite(value):
-                raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
+            if not exact:
+                if not math.isfinite(value):
+                    raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
+                clamped = clamped or value < 0
         row = table.setdefault(menu, {})
         if alt in row:
             raise DatasetFormatError(
@@ -175,19 +180,25 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
             return ChoiceCounts(universe, table)
         except LamError as e:
             raise DatasetFormatError(str(e)) from None
+    try:
+        rho = StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
+    except LamError as e:
+        _check_row_sums(universe, table, exact)  # a file's row sum is named first
+        raise DatasetFormatError(str(e)) from None
+    if clamped:  # the table summed its rows after the clamp, the file sums them before
+        _check_row_sums(universe, table, exact)
+    return rho
 
+
+def _check_row_sums(universe: Universe, table: dict[Menu, dict[str, Scalar]], exact: bool) -> None:
+    """The file's own row-sum test on its values as written, in file order."""
     for menu, row in table.items():
         total = sum(row.values())
-        eff = 0 if all(is_exact_scalar(v) for v in row.values()) else FILE_ROW_SUM_TOL
-        if abs(total - 1) > eff:
+        if abs(total - 1) > (0 if exact else FILE_ROW_SUM_TOL):
             raise DatasetFormatError(
                 f"probabilities for menu {_menu_token(universe, menu)!r} sum to "
                 f"{format_scalar(total)}, not 1"
             )
-    try:
-        return StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
-    except LamError as e:
-        raise DatasetFormatError(str(e)) from None
 
 
 def serialize_dataset(data: Dataset) -> str:

@@ -118,6 +118,13 @@ class ChoiceCounts:
         return StochasticChoice(self.universe, table)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator, seeded by a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def simulate_counts(
     params: LamParams,
     menus: Iterable[Iterable[str]],
@@ -134,7 +141,7 @@ def simulate_counts(
         raise InvalidParameterError("n_per_menu must be at least 1")
     universe = params.universe
     u, v, a = params.u, params.v, params.alpha
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     counts: dict[Menu, dict[str, int]] = {}
     for raw in sorted((universe.menu(m) for m in menus), key=universe.menu_key):
         members = universe.sorted_members(raw)
@@ -454,7 +461,7 @@ def fit_mle(
     alts = universe.alternatives
     anchor = alts[0]
     lay = _layout(data)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     best = None  # (degenerate, -ll) minimizing tuple, then _em_start's results
     monotone = True

@@ -266,24 +266,30 @@ class StochasticChoice:
                     )
                 if isinstance(p, int) and not isinstance(p, bool):
                     p = Fraction(p)
-                exact = exact and is_exact_scalar(p)
                 row[alt] = p
-            eff = 0 if all(is_exact_scalar(p) for p in row.values()) else self.eps_sum
+            # an exact row is tested in integers, over its lcm of denominators
+            row_exact = all(isinstance(p, Fraction) for p in row.values())
+            eff = 0 if row_exact else self.eps_sum
             for alt, p in row.items():
-                if not -eff <= p <= 1 + eff:  # also rejects NaN
-                    raise InvalidParameterError(
+                if not (0 <= p.numerator <= p.denominator if row_exact else -eff <= p <= 1 + eff):
+                    raise InvalidParameterError(  # the float test also rejects NaN
                         f"probability {p!r} for {alt!r} in menu "
                         f"{self.universe.sorted_members(menu)} outside [0, 1]"
                     )
                 if p < 0:
                     row[alt] = 0.0
-            total = sum(row.values())
-            if abs(total - 1) > eff:
+            if row_exact:
+                scale = math.lcm(*(p.denominator for p in row.values()))
+                off = sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale
+            else:
+                off = abs(sum(row.values()) - 1) > eff
+            if off:
                 raise InvalidParameterError(
                     f"row for menu {self.universe.sorted_members(menu)} sums to "
-                    f"{total!r}, not 1"
+                    f"{sum(row.values())!r}, not 1"
                 )
             positive = positive and all(row.get(a, 0) > 0 for a in menu)
+            exact = exact and row_exact
             norm[menu] = row
         if not norm:
             raise InvalidParameterError("a stochastic choice function needs data")

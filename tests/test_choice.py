@@ -1,5 +1,6 @@
 """Forward models, instability measures, IIA testing, recovery, regimes."""
 
+import math
 import os
 import random
 import subprocess
@@ -97,6 +98,16 @@ def test_luce_choice_rejects_nonpositive_utility():
         luce_choice({"x": F(0), "y": F(1)}, XY)
     with pytest.raises(InvalidParameterError):
         luce_choice({"x": -1.0, "y": 1.0}, XY)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_luce_choice_rejects_non_finite_utility(uni3, bad):
+    weights = {"x": 1.0, "y": bad, "z": 1.0}
+    message = r"^utility for 'y' must be positive and finite to form a Luce rule$"
+    with pytest.raises(InvalidParameterError, match=message):
+        luce_choice(weights, XY)
+    with pytest.raises(InvalidParameterError, match=message):
+        luce_table(uni3, weights, [XY])
 
 
 def test_lam_choice_field_pair(ex_b_params):

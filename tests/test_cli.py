@@ -166,6 +166,19 @@ def test_simulate_then_fit(capsys, tmp_path):
     assert float(rows[converged + 1].removeprefix("grad_max,")) >= 0
 
 
+def test_negative_seed_is_an_input_error(capsys, tmp_path):
+    sim = tmp_path / "sim.csv"
+    simulate = ["simulate", "--params", str(DATA / "field_params.csv"), "--menus", "all",
+                "--n", "50", "--out", str(sim)]
+    code, out, err = run(capsys, *simulate, "--seed", "-2")
+    assert (code, out, err) == (1, "", "error: seed must be a non-negative integer, got -2\n")
+    assert not sim.exists()
+
+    assert run(capsys, *simulate, "--seed", "2")[0] == 0
+    code, out, err = run(capsys, "fit", "--data", str(sim), "--starts", "2", "--seed", "-2")
+    assert (code, out, err) == (1, "", "error: seed must be a non-negative integer, got -2\n")
+
+
 def test_simulate_deterministic_bytes(capsys, tmp_path):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     outs = []
@@ -470,3 +483,40 @@ def test_float_reports_independent_of_hash_seed():
         outputs.add(proc.stdout)
     (out,) = outputs
     assert out.count(b"report,") == 5 and b"mode,float" in out
+
+
+def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+    # main() reuses one parser per process: a usage error, --help and every
+    # subcommand in one process give what a fresh process gives
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    lab, field, sim = (str(tmp_path / name) for name in ("lab.txt", "field.txt", "sim.csv"))
+    lab_pair = ["--ai", str(DATA / "lab_ai.csv"), "--human", str(DATA / "lab_human.csv")]
+    runs = [
+        (["identify-lab", "--ai"], None),
+        (["--help"], None),
+        (["identify-lab", *lab_pair, "--anchor", "x", "--exact"], lab),
+        (["identify-field", "--ai", str(DATA / "field_ai.csv"), "--anchor", "x", "--exact"], field),
+        (["check-axioms", *lab_pair, "--exact"], None),
+        (["simulate", "--params", str(DATA / "field_params.csv"), "--menus", "all",
+          "--n", "200", "--seed", "3", "--out", sim], None),
+        (["fit", "--data", sim, "--starts", "2", "--seed", "1", "--max-iter", "20"], None),
+        (["deception-gap", "--lab", lab, "--field", field], None),
+    ]
+    codes = []
+    for argv, report in runs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        if report is not None:
+            Path(report).write_text(out)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lam.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [1, 0, 0, 0, 0, 0, 0, 0]

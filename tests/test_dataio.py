@@ -218,3 +218,87 @@ def test_dataset_round_trip_property(rho):
     again = parse_dataset(text, exact=True)
     assert again.table == rho.table
     assert serialize_dataset(again) == text
+
+
+_PROBS = "mode,probabilities\nuniverse,x;y;z\nmenu,alternative,value\n"
+_COUNTS = "mode,counts\nuniverse,x;y;z\nmenu,alternative,value\n"
+
+
+@pytest.mark.parametrize(
+    "text, exact, message",
+    [
+        # row sums: the menu in universe order, the total as a file value
+        (_PROBS + "y;x,x,1/2\ny;x,y,1/3\n", True, "probabilities for menu 'x;y' sum to 5/6, not 1"),
+        (_PROBS + "y;x,x,0.5\ny;x,y,0.4\n", False, "probabilities for menu 'x;y' sum to 0.9, not 1"),
+        # ranges: the first entry out of range, in row order
+        (
+            _PROBS + "x;y,x,3/2\nx;y,y,-1/2\n",
+            True,
+            "probability Fraction(3, 2) for 'x' in menu ('x', 'y') outside [0, 1]",
+        ),
+        (
+            _PROBS + "x;y,x,0.5\nx;y,y,0.5\nx;z,x,1.5\nx;z,z,-0.5\n",
+            False,
+            "probability 1.5 for 'x' in menu ('x', 'z') outside [0, 1]",
+        ),
+        # negatives within the tolerance: the given values sum to 1, but the
+        # row is summed again once they are clamped to 0
+        (
+            "mode,probabilities\nuniverse,w;x;y;z\nmenu,alternative,value\n"
+            "w;x;y;z,w,-0.000001\nw;x;y;z,x,-0.000001\nw;x;y;z,y,0.500001\nw;x;y;z,z,0.500001\n",
+            False,
+            "row for menu ('w', 'x', 'y', 'z') sums to 1.000002, not 1",
+        ),
+        # ... and the given values are summed before the clamp lifts the row
+        # back into the tolerance: dyadic values, so that every sum is exact
+        # whether or not sum() compensates (1 - 3 * 2**-21 as written,
+        # 1 - 2**-20 once clamped)
+        (
+            _PROBS + "x;y;z,x,0.5\nx;y;z,y,0.49999904632568359375\nx;y;z,z,-0.000000476837158203125\n",
+            False,
+            "probabilities for menu 'x;y;z' sum to 0.9999985694885254, not 1",
+        ),
+        # a broken sum wins over a broken range, in either row order and in one row
+        (
+            _PROBS + "x;z,x,1.5\nx;z,z,-0.5\nx;y,x,0.5\nx;y,y,0.4\n",
+            False,
+            "probabilities for menu 'x;y' sum to 0.9, not 1",
+        ),
+        (
+            _PROBS + "x;y,x,0.5\nx;y,y,0.4\nx;z,x,1.5\nx;z,z,-0.5\n",
+            False,
+            "probabilities for menu 'x;y' sum to 0.9, not 1",
+        ),
+        (
+            _PROBS + "x;z,x,3/2\nx;z,z,-1/2\nx;y,x,1/2\nx;y,y,1/3\n",
+            True,
+            "probabilities for menu 'x;y' sum to 5/6, not 1",
+        ),
+        (_PROBS + "x;y,x,1.5\nx;y,y,0.4\n", False, "probabilities for menu 'x;y' sum to 1.9, not 1"),
+        # counts: a menu without observations, a negative count, and the
+        # negative count's line wins in either row order
+        (_COUNTS + "y;x,x,0\ny;x,y,0\n", False, "menu ('x', 'y') has no observations"),
+        (_COUNTS + "x;y,x,3\nx;y,y,-1\n", False, "line 5: counts must be non-negative, got '-1'"),
+        (
+            _COUNTS + "x;y,x,0\nx;y,y,0\nx;z,x,2\nx;z,z,-1\n",
+            False,
+            "line 7: counts must be non-negative, got '-1'",
+        ),
+        (
+            _COUNTS + "x;z,x,2\nx;z,z,-1\nx;y,x,0\nx;y,y,0\n",
+            False,
+            "line 5: counts must be non-negative, got '-1'",
+        ),
+    ],
+)
+def test_file_validation_messages(text, exact, message):
+    with pytest.raises(DatasetFormatError) as err:
+        parse_dataset(text, exact=exact)
+    assert str(err.value) == message
+
+
+def test_repeated_menu_tokens_share_one_row():
+    text = _PROBS + "x;y,x,1/4\ny;x,y,3/4\nx;y;z,z,1\n"
+    rho = parse_dataset(text, exact=True)
+    assert rho.table == {frozenset("xy"): {"x": F(1, 4), "y": F(3, 4)}, frozenset("xyz"): {"z": F(1)}}
+    assert rho.is_exact and not rho.is_positive

@@ -288,6 +288,16 @@ def test_fit_rejects_negative_max_iter(uni3, ex_a_params):
     assert fit_mle(counts, inits=2, seed=1, max_iter=0).iterations == 0
 
 
+@pytest.mark.parametrize("seed", [-2, 1.5, True])
+def test_seed_must_be_a_non_negative_integer(uni3, ex_a_params, seed):
+    message = rf"^seed must be a non-negative integer, got {seed!r}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        simulate_counts(ex_a_params, uni3.all_menus(2), 10, seed=seed)
+    counts = simulate_counts(ex_a_params, uni3.all_menus(2), 10, seed=0)
+    with pytest.raises(InvalidParameterError, match=message):
+        fit_mle(counts, inits=2, seed=seed, max_iter=5)
+
+
 def test_fit_converged_means_stationary(uni4, ex_b_params):
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 3000, seed=19)
     fit = fit_mle(counts, inits=3, seed=5, tol_ll=1e-12, max_iter=20000)

@@ -59,6 +59,30 @@ def test_choice_table_rejects_non_finite_entries(uni3):
             StochasticChoice(uni3, {("y", "x"): {"y": bad, "x": 0.5}})
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"x": F(1, 2), "y": F(1, 3)}, "row for menu ('x', 'y') sums to Fraction(5, 6), not 1"),
+        ({}, "row for menu ('x', 'y') sums to 0, not 1"),
+        ({"y": F(-1, 2), "x": F(3, 2)}, "probability Fraction(-1, 2) for 'y' in menu ('x', 'y') outside [0, 1]"),
+        ({"x": 1.5, "y": 0.4}, "probability 1.5 for 'x' in menu ('x', 'y') outside [0, 1]"),
+        ({"x": 0.5, "y": 0.4}, "row for menu ('x', 'y') sums to 0.9, not 1"),
+        ({"x": F(1, 2), "z": F(1, 2)}, "alternative 'z' recorded outside its menu"),
+    ],
+)
+def test_choice_table_validation_messages(uni3, row, message):
+    with pytest.raises(InvalidParameterError) as err:
+        StochasticChoice(uni3, {("y", "x"): row})
+    assert str(err.value) == message
+
+
+def test_choice_table_range_before_later_rows(uni3):
+    # the first failing row wins, and within a row the range before the sum
+    table = {("x", "z"): {"x": 2.0, "z": 0.5}, ("x", "y"): {"x": 0.5, "y": 0.4}}
+    with pytest.raises(InvalidParameterError, match=r"^probability 2.0 for 'x'"):
+        StochasticChoice(uni3, table)
+
+
 def test_choice_table_implicit_zero_clears_positivity(uni3):
     rho = StochasticChoice(uni3, {("x", "y"): {"x": F(1)}})
     assert not rho.is_positive
