@@ -271,23 +271,22 @@ class _Kernel:
                 p = (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
             yield ends, held, d, p
 
-    def arrays(self, composite: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(d, p) over all canonical tuples, one run per array pass.
 
-        p is None without ``other`` or when not asked.  Sets ``k``, the
-        tuples' scale, which is None in float mode.
+        p is None without ``other``.  Sets ``k``, the tuples' scale, which
+        is None in float mode.
         """
-        theirs = self.theirs if composite else None
         empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
         ds, ps, ks = [empty], [empty], [empty]
-        for ends, held, d, p in self._passes(self.mine, theirs):
+        for ends, held, d, p in self._passes(self.mine, self.theirs):
             ds.append(d)
             ps.append(p)
             if self.exact:
                 cs, ct = ends(self.c[held])
                 ks.append(cs * ct)
         self.k = np.concatenate(ks) if self.exact else None
-        return np.concatenate(ds), None if theirs is None else np.concatenate(ps)
+        return np.concatenate(ds), None if self.theirs is None else np.concatenate(ps)
 
     def parallel(self) -> Iterator[bool]:
         """Per pair, in order, whether all its own instabilities vanish (exact mode).
@@ -401,7 +400,7 @@ def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.nda
     kernel = _Kernel(rho, rho.domain)
     if kernel.exact and eff == 0 and all(kernel.parallel()):
         return kernel, None
-    d, _ = kernel.arrays(composite=False)
+    d, _ = kernel.arrays()
     bad = np.abs(d) > kernel.scaled(eff)
     return kernel, bad if bad.any() else None
 

@@ -145,6 +145,8 @@ def simulate_counts(
     counts: dict[Menu, dict[str, int]] = {}
     for raw in sorted((universe.menu(m) for m in menus), key=universe.menu_key):
         members = universe.sorted_members(raw)
+        if raw in counts:
+            raise InvalidParameterError(f"duplicate menu {members}")
         su = sum(u[x] for x in members)
         sv = sum(v[x] for x in members)
         p = np.array([float(a * (u[x] / su) + (1 - a) * (v[x] / sv)) for x in members])

@@ -24,7 +24,12 @@ by a constructive procedure:
    or more alternatives intersecting the admissible sets isolates the
    true pair.  With exactly four alternatives every unordered pair of
    surviving roots implies a compliance value up to reflection about
-   1/2; only the true pairs agree on it across alternatives.
+   1/2; only the true pairs agree on it across alternatives.  An aligned
+   alternative (u(y) = v(y)) is a pool of one candidate: its cubic
+   vanishes identically and leaves the binary odds as the lone root, or
+   its true root sits on a pole.  When no root survives the intersection,
+   the menu-independent odds against the anchor, if constant, are that
+   one candidate.
 
 3. Fixing the branch with compliance >= 1/2 and assigning each
    alternative's pair member by consistency with that branch assembles u
@@ -116,7 +121,7 @@ class CubicPoly:
         return max(abs(c) for c in self.coefficients()) <= eff * self.scale
 
     def evaluate(self, k: Scalar) -> Scalar:
-        return ((self.c3 * k + self.c2) * k + self.c1) * k + self.c0
+        return _poly_eval([self.c0, self.c1, self.c2, self.c3], k)
 
     def pole_values(self) -> tuple[Scalar, ...]:
         """Zeros of the four linear denominators, where the equation is undefined."""
@@ -321,13 +326,14 @@ def _exact_roots(
             roots.extend([(-c1 - s) / (2 * c2), (-c1 + s) / (2 * c2)])
             work = [work[2]]
         else:
+            seeds = _float_real_roots([float(c) for c in work])
             snapped = None
-            for seed in _float_real_roots([float(c) for c in work]):
+            for seed in seeds:
                 snapped = _snap_rational_root(work, seed)
                 if snapped is not None:
                     break
             if snapped is None:
-                return roots, _float_real_roots([float(c) for c in work])
+                return roots, seeds
             roots.append(snapped)
             work = _deflate(work, snapped)
     return roots, []
@@ -408,7 +414,7 @@ def candidate_utilities(
         polished = [_polish_on_equation(poly, r) for r in raw]
         merged: list[float] = []
         for r in sorted(polished):
-            if merged and abs(r - merged[-1]) <= ROOT_MERGE_RTOL * max(1.0, abs(r)):
+            if merged and _same_root(r, merged[-1]):
                 continue
             merged.append(r)
         for r in merged:
@@ -435,11 +441,16 @@ def candidate_utilities(
     )
 
 
-def _polish_on_equation(poly: CubicPoly, r: float, steps: int = 12) -> float:
+def _same_root(r: float, s: float) -> bool:
+    """Whether two float roots merge, at relative tolerance ``ROOT_MERGE_RTOL``."""
+    return abs(r - s) <= ROOT_MERGE_RTOL * max(1.0, abs(r))
+
+
+def _polish_on_equation(poly: CubicPoly, r: float) -> float:
     """Damped Newton refinement of a root against the original equation."""
     x = r
     fx = poly.equation_residual(x)
-    for _ in range(steps):
+    for _ in range(12):
         if fx == 0:
             break
         slope = poly.equation_slope(x)
@@ -628,9 +639,10 @@ def identify_field(
 
     targets = [a for a in universe.alternatives if a != anchor]
 
-    # Step 1: candidate utility values per alternative.
+    # Step 1: candidate utility values per alternative.  An aligned
+    # alternative ends up with one candidate: the binary odds of its case-2
+    # cubics, or its constant odds when no root survives the screen.
     pools: dict[str, list[Scalar]] = {}
-    wildcard: dict[str, Scalar] = {}
     for y in targets:
         others = [a for a in targets if a != y]
         sets: list[CandidateSet] = []
@@ -646,53 +658,36 @@ def identify_field(
                 f"(quadruple, its two embedded triples, and the anchor pair) observed"
             )
         candidates[y] = tuple(sets)
-        if all(cs.case2 for cs in sets):
-            wildcard[y] = sets[0].admissible[0]
-            continue
         surviving = list(sets[0].admissible)
         for cs in sets[1:]:
             if exact:
                 surviving = [r for r in surviving if r in cs.admissible]
             else:
-                surviving = [
-                    r
-                    for r in surviving
-                    if any(
-                        abs(r - s) <= ROOT_MERGE_RTOL * max(1.0, abs(r))
-                        for s in cs.admissible
-                    )
-                ]
+                surviving = [r for r in surviving if any(_same_root(r, s) for s in cs.admissible)]
         if surviving:
             pools[y] = sorted(surviving)
             continue
         k0 = _constant_odds(rho_ai, anchor, y, eff)
-        if k0 is not None:
-            wildcard[y] = k0
-        else:
+        if k0 is None:
             return fail(
                 f"no admissible candidate utility for {y!r} survives screening "
                 "across reference pairs"
             )
+        pools[y] = [k0]
 
     # Step 2: implied compliance per candidate pair, and the shared value.
     for y in targets:
         rows: list[ConsistencyRow] = []
-        if y in wildcard:
-            k0 = wildcard[y]
+        cands = pools[y]
+        pairs = (
+            [(cands[0], cands[0])]
+            if len(cands) == 1
+            else list(combinations(cands, 2))
+        )
+        for pair in pairs:
             rows.append(
-                ConsistencyRow(y, (k0, k0), implied_alpha(rho_ai, anchor, y, (k0, k0), tol=eff))
+                ConsistencyRow(y, pair, implied_alpha(rho_ai, anchor, y, pair, tol=eff))
             )
-        else:
-            cands = pools[y]
-            pairs = (
-                [(cands[0], cands[0])]
-                if len(cands) == 1
-                else list(combinations(cands, 2))
-            )
-            for pair in pairs:
-                rows.append(
-                    ConsistencyRow(y, pair, implied_alpha(rho_ai, anchor, y, pair, tol=eff))
-                )
         consistency[y] = tuple(rows)
 
     distinct: list[tuple[Scalar, Scalar]] = []
@@ -756,13 +751,11 @@ def identify_field(
     u_map: dict[str, Scalar] = {anchor: one}
     v_map: dict[str, Scalar] = {anchor: one}
     for y in targets:
-        if y in wildcard:
-            u_map[y] = v_map[y] = wildcard[y]
-            continue
         rows = supports(consistency[y], supported[0])
         regular = [r for r in rows if not r.implied.full_interval]
         if not regular:
-            # a lone equal-value pair constrains nothing; assign it directly
+            # a lone equal-value pair (an aligned alternative) constrains
+            # nothing; assign it directly
             flat = [r for r in rows if r.implied.full_interval and r.pair[0] == r.pair[1]]
             if len(flat) == 1:
                 u_map[y] = v_map[y] = flat[0].pair[0]

@@ -161,12 +161,16 @@ class Universe:
             raise MissingDataError(f"unknown alternative {alt!r}") from None
 
     def menu(self, members: Iterable[str]) -> Menu:
-        """Validate and normalize a menu: non-empty subset of the universe."""
+        """Validate and normalize a menu: non-empty subset of the universe.
+
+        An unknown member is named by sort order, not by the hash order of
+        the menu, so the message does not depend on ``PYTHONHASHSEED``.
+        """
         m = frozenset(members)
         if not m:
             raise InvalidParameterError("menus must be non-empty")
-        for a in m:
-            self.index(a)
+        if not m <= self._index.keys():
+            self.index(min((a for a in m if a not in self._index), key=str))  # raises
         return m
 
     def menu_key(self, menu: Iterable[str]) -> tuple[int, ...]:

@@ -1,15 +1,17 @@
 """End-to-end CLI runs over the bundled golden files."""
 
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from lam.cli import main
 from lam.dataio import parse_dataset, serialize_dataset
-from lam import luce_table, Universe
+from lam import LamParams, lam_table, luce_table, Universe
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,6 +78,89 @@ def test_identify_field_degenerate_iia(capsys, tmp_path):
     code, out, _ = run(capsys, "identify-field", "--ai", str(path), "--anchor", "x", "--exact")
     assert code == 2
     assert "status,degenerate-iia" in out
+
+
+ALIGNED_EXACT = """\
+report,identify-field
+mode,exact
+tolerance,0
+status,identified-up-to-swap
+candidates,b,c;d,admissible,
+candidates,b,c;d,rejected,1/2:denominator-vanishing
+candidates,c,b;d,admissible,2;64299/29773;5/2
+candidates,d,b;c,admissible,4/9;21795359/47868645;10/21
+alpha_table,b,1/2;1/2,any,feasible
+alpha_table,c,2;64299/29773,247/23765;23518/23765,feasible
+alpha_table,c,2;5/2,7/20;13/20,feasible
+alpha_table,c,64299/29773;5/2,-133/23385;23518/23385,infeasible
+alpha_table,d,4/9;21795359/47868645,-262197/34569805;34832002/34569805,infeasible
+alpha_table,d,4/9;10/21,7/20;13/20,feasible
+alpha_table,d,21795359/47868645;10/21,141183/34973185;34832002/34973185,feasible
+alpha_pair,13/20;7/20
+alpha,13/20
+anchor,a
+u,a,1
+u,b,1/2
+u,c,2
+u,d,4/9
+v,a,1
+v,b,1/2
+v,c,5/2
+v,d,10/21
+class,swap-equivalent member is (v,u,1-alpha)
+"""
+
+# the float roots of c and d end in LAPACK-dependent digits: pinned to 9 places
+ALIGNED_FLOAT = """\
+report,identify-field
+mode,float
+tolerance,1e-06
+status,identified-up-to-swap
+candidates,b,c;d,admissible,0.5
+candidates,b,c;d,case2,constant-odds
+candidates,c,b;d,admissible,2;2.15964129;2.5
+candidates,d,b;c,admissible,0.444444444;0.45531598;0.476190476
+alpha_table,b,0.5;0.5,any,feasible
+alpha_table,c,2;2.15964129,0.0103934357;0.989606564,feasible
+alpha_table,c,2;2.5,0.35;0.65,feasible
+alpha_table,c,2.15964129;2.5,-0.00568740646;1.00568741,infeasible
+alpha_table,d,0.444444444;0.45531598,-0.00758456694;1.00758457,infeasible
+alpha_table,d,0.444444444;0.476190476,0.35;0.65,feasible
+alpha_table,d,0.45531598;0.476190476,0.00403689284;0.995963107,feasible
+alpha_pair,0.65;0.35
+alpha,0.65
+anchor,a
+u,a,1
+u,b,0.5
+u,c,2
+u,d,0.444444444
+v,a,1
+v,b,0.5
+v,c,2.5
+v,d,0.476190476
+class,swap-equivalent member is (v,u,1-alpha)
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [(["--exact"], ALIGNED_EXACT), (["--tol", "1e-6"], ALIGNED_FLOAT)],
+    ids=["exact-constant-odds", "float-case2"],
+)
+def test_identify_field_aligned_target_report(capsys, tmp_path, flags, expected):
+    # b is aligned (u = v = 1/2): in exact mode every cubic root for b sits on
+    # a pole, so b falls back to its constant odds; at tol 1e-6 its cubic
+    # vanishes (case 2).  Either way b is one candidate, assigned to u and v.
+    uni = Universe(("a", "b", "c", "d"))
+    u = {"a": 1, "b": F(1, 2), "c": 2, "d": F(4, 9)}
+    v = {"a": 1, "b": F(1, 2), "c": F(5, 2), "d": F(10, 21)}
+    rho = lam_table(LamParams(uni, u, v, F(13, 20), "a"), uni.all_menus(2))
+    path = tmp_path / "aligned.csv"
+    path.write_text(serialize_dataset(rho))
+    code, out, _ = run(capsys, "identify-field", "--ai", str(path), "--anchor", "a", *flags)
+    assert code == 0
+    rounded = re.sub(r"-?\d+\.\d+", lambda m: f"{float(m.group()):.9g}", out)
+    assert (out if "--exact" in flags else rounded) == expected
 
 
 def test_check_axioms_pass_and_fail(capsys):
@@ -431,6 +516,31 @@ def test_simulate_rejects_infinite_utility(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == "error: u('y') = inf; utilities must be positive and finite\n"
     assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_rejects_a_repeated_menu(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "simulate", "--params", str(DATA / "field_params.csv"), "--menus", "x;y,y;x",
+        "--n", "10", "--seed", "1", "--out", str(tmp_path / "sim.csv"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: duplicate menu ('x', 'y')\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_unknown_menu_member_message_independent_of_hash_seed(tmp_path):
+    src = str(Path(__file__).parent.parent / "src")
+    argv = ["simulate", "--params", str(DATA / "field_params.csv"), "--menus", "x;q;r",
+            "--n", "10", "--seed", "1", "--out", str(tmp_path / "sim.csv")]
+    for seed in (0, 1):  # the frozenset order of {x, q, r} differs between these
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lam.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: unknown alternative 'q'\n"
 
 
 @pytest.mark.parametrize("alpha_pair", ["3;-2", "nan;0.25"])

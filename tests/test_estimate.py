@@ -58,6 +58,12 @@ def test_simulate_deterministic(ex_b_params, uni4):
     assert first != third
 
 
+def test_simulate_rejects_a_repeated_menu(ex_b_params):
+    menus = [("x", "y"), ("x", "z"), ("y", "x")]
+    with pytest.raises(InvalidParameterError, match=r"^duplicate menu \('x', 'y'\)$"):
+        simulate_counts(ex_b_params, menus, 10, seed=1)
+
+
 def test_simulate_uniform_band(uni3):
     params = LamParams(uni3, {a: F(1) for a in "xyz"}, {a: F(1) for a in "xyz"}, F(1), "x")
     counts = simulate_counts(params, [frozenset("xyz")], 300, seed=0)

@@ -41,6 +41,14 @@ def test_universe_menus_and_order(uni3):
         uni3.menu([])
 
 
+def test_unknown_menu_member_is_named_in_sort_order(uni3):
+    # frozenset order depends on the hash seed; the named member does not
+    for members in (["x", "r", "q"], ["q", "x", "r"], {"r", "q", "x"}):
+        with pytest.raises(MissingDataError) as err:
+            uni3.menu(members)
+        assert str(err.value) == "unknown alternative 'q'"
+
+
 def test_choice_table_validation(uni3):
     with pytest.raises(InvalidParameterError, match="sums"):
         StochasticChoice(uni3, {("x", "y"): {"x": F(1, 2), "y": F(1, 3)}})
