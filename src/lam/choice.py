@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, permutations
+from itertools import combinations, compress, groupby, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,12 +37,14 @@ from .types import (
     LamParams,
     Menu,
     NotLuceError,
+    ROW_SUM_TOL,
     RegimeReport,
     Scalar,
     StochasticChoice,
     Universe,
     is_exact_scalar,
     resolve_tol,
+    sup_distance,
 )
 
 __all__ = [
@@ -108,6 +110,61 @@ def lam_table(params: LamParams, menus: Iterable[Iterable[str]]) -> StochasticCh
     """Tabulate the mixture model over the given menus."""
     u = params.universe
     return StochasticChoice(u, {u.menu(m): lam_choice(params, m) for m in menus})
+
+
+def _luce_cells(weights: Mapping[str, Scalar], rows: list[list[bool]], r, x):
+    """A Luce rule at the cells (r, x) of a membership mask given as ``rows``.
+
+    Fraction weights give the int numerators and row totals over their lcm;
+    float weights give float64 probabilities, each row totalled by ``sum``
+    in universe order as :func:`luce_choice` does.
+    """
+    w = list(weights.values())  # universe order
+    if type(w[0]) is Fraction:
+        lcm = math.lcm(*(p.denominator for p in w))
+        w = [p.numerator * (lcm // p.denominator) for p in w]
+        totals = np.array([sum(compress(w, m)) for m in rows], dtype=object)
+        return np.array(w, dtype=object)[x], totals[r]
+    return np.array(w)[x] / np.array([sum(compress(w, m)) for m in rows])[r]
+
+
+def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
+    """``sup_distance(lam_table(params, rho.domain), rho)``, from rho's dense view.
+
+    Fraction parameters with exact data give each cell's difference N/D in
+    ints; float parameters give float64 cells with the operands and the
+    rounding of :func:`lam_choice`, and a predicted row that the validating
+    :class:`StochasticChoice` would reject raises its error.  Any other
+    mix of scalar types takes the table path itself.
+    """
+    view, a = rho._dense, params.alpha
+    kinds = {type(s) for s in (a, *params.u.values(), *params.v.values())}
+    exact = kinds == {Fraction} and rho.is_exact
+    if not exact and kinds != {float}:
+        return sup_distance(lam_table(params, rho.domain), rho)
+    r, x = np.nonzero(view.mask)
+    rows = view.mask.tolist()
+    pu, pv = (_luce_cells(w, rows, r, x) for w in (params.u, params.v))
+    if exact:
+        (u, us), (v, vs) = pu, pv
+        num = a.numerator * u * vs + (a.denominator - a.numerator) * v * us
+        den = a.denominator * us * vs
+        ints, c = view.scaled_rows
+        diff = c[r] * num - ints[r, x] * den
+        miss = diff != 0
+        if not miss.any():
+            return 0
+        return max(map(Fraction, np.abs(diff[miss]).tolist(), (c[r] * den)[miss].tolist()))
+    pred = a * pu + (1 - a) * pv
+    # screen for rows with a cell off [0, 1] or a sum off 1, with a margin
+    # that covers the summation order; the table path validates the
+    # flagged rows in domain order, raising on the first bad one
+    inside = (pred >= -ROW_SUM_TOL) & (pred <= 1 + ROW_SUM_TOL)
+    sums = np.bincount(r, np.where(inside, pred, np.nan))
+    for i in np.flatnonzero(~(np.abs(sums - 1) <= ROW_SUM_TOL / 2)).tolist():
+        lam_table(params, [rho.domain[i]])
+    worst = max(np.abs(pred - view.entries[view.mask].astype(float, copy=False)).tolist())
+    return worst if worst > 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Literal, Mapping
 
-from .choice import lam_table, satisfies_iia
+from .choice import _residual, satisfies_iia
 from .types import (
     GapUndefinedError,
     InsufficientDataError,
@@ -61,7 +61,6 @@ from .types import (
     StochasticChoice,
     is_exact_scalar,
     resolve_tol,
-    sup_distance,
 )
 
 __all__ = [
@@ -786,7 +785,7 @@ def identify_field(
             )
 
     primary = LamParams(universe, u_map, v_map, a_hi, anchor)
-    residual = sup_distance(lam_table(primary, rho_ai.domain), rho_ai)
+    residual = _residual(primary, rho_ai)
     if residual > eff:
         return fail(
             f"assembled swap class misses the data by {residual!r}",

@@ -30,8 +30,8 @@ from .choice import (
     _first_true,
     _Kernel,
     _own_violations,
+    _residual,
     _running_max,
-    lam_table,
     recover_luce_utility,
     satisfies_iia,
 )
@@ -49,7 +49,6 @@ from .types import (
     StochasticChoice,
     _join,
     resolve_tol,
-    sup_distance,
 )
 
 __all__ = [
@@ -310,7 +309,7 @@ def identify_lab(
         return result("inconsistent", f"autonomous component is not a Luce rule: {e}")
 
     params = LamParams(rho_ai.universe, u, v, est.alpha, anchor)
-    residual = sup_distance(lam_table(params, rho_ai.domain), rho_ai)
+    residual = _residual(params, rho_ai)
     if residual > eff:
         return result("inconsistent", f"recovered parameters miss the AI data by {residual!r}")
     return result("point-identified", u=u, params=params, est=est, auto=rho_a)

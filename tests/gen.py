@@ -65,3 +65,26 @@ def perturb_entry(
     total = sum(row.values())
     table[menu] = {a: p / total for a, p in row.items()}
     return StochasticChoice(universe, table, eps_sum=1e-6)
+
+
+def residual_miss_pair():
+    """(AI, human) tables whose assembled mixture misses the AI data.
+
+    The AI table is the mixture of u = (1, 2, 3, 5, 7), v = (4, 1, 6, 2, 3),
+    alpha = 3/10 over every menu of a-e, except that the full menu's row is
+    uniform; the human table is Luce(u) on the menus of at most 4 members.
+    Both pipelines recover parameters from the intact menus, and the
+    residual check then sees the altered row.
+    """
+    uni = Universe(tuple("abcde"))
+    params = LamParams.normalized(
+        uni,
+        dict(zip(uni.alternatives, map(F, (1, 2, 3, 5, 7)))),
+        dict(zip(uni.alternatives, map(F, (4, 1, 6, 2, 3)))),
+        F(3, 10),
+    )
+    menus = uni.all_menus()
+    table = dict(lam_table(params, menus).table)
+    table[frozenset(uni.alternatives)] = {a: F(1, 5) for a in uni.alternatives}
+    human = luce_table(uni, params.u, [m for m in menus if len(m) <= 4])
+    return StochasticChoice(uni, table), human

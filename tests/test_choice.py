@@ -34,7 +34,10 @@ from lam import (
     own_instability,
     recover_luce_utility,
     satisfies_iia,
+    sup_distance,
 )
+from lam import choice as choice_module
+from lam.choice import _residual
 
 XYZ = frozenset({"x", "y", "z"})
 XY = frozenset({"x", "y"})
@@ -438,6 +441,74 @@ def test_luce_choice_sums_in_weights_order():
     total = ((0.1 + 0.2) + 0.3) + 0.4
     assert list(got) == ["a", "b", "c", "d"]
     assert got == {a: w / total for a, w in weights.items()}
+
+
+def _floats(vec):
+    return {a: float(x) for a, x in vec.items()}
+
+
+RESIDUAL_PARAMS = {
+    "exact": lambda p: p,
+    "float": lambda p: p.as_float(),
+    "exact u, float v and alpha": lambda p: LamParams(
+        p.universe, p.u, _floats(p.v), float(p.alpha), p.anchor
+    ),
+    "float u, exact v and alpha": lambda p: LamParams(
+        p.universe, _floats(p.u), p.v, p.alpha, p.anchor
+    ),
+    "float alpha": lambda p: LamParams(p.universe, p.u, p.v, float(p.alpha), p.anchor),
+}
+
+
+def test_residual_matches_table_oracle(monkeypatch):
+    # _residual computes exact params on exact data and float params on any
+    # data itself; every other pairing, the mixed kinds above and exact
+    # params on float data, must take the table path, which the count of
+    # lam_table calls checks
+    calls = []
+    monkeypatch.setattr(
+        choice_module, "lam_table", lambda *args: calls.append(args) or lam_table(*args)
+    )
+    rng = random.Random(2024)
+    kinds, nonzero = set(), 0
+    for _ in range(1000):
+        n = rng.randint(3, 6)
+        truth = gen.random_params(rng, n)
+        menus = truth.universe.all_menus(rng.choice([1, 2]))
+        if rng.random() < 0.4:  # a partial domain
+            menus = [m for m in menus if rng.random() < 0.6] or menus[-1:]
+        rho = lam_table(truth, menus)
+        data = rng.choice(["exact", "float", "perturbed"])
+        if data == "float":
+            rho = rho.as_float()
+        elif data == "perturbed" and any(len(m) > 1 for m in menus):
+            rho = gen.perturb_entry(rho.as_float(), rng)
+        near = truth if rng.random() < 0.2 else gen.random_params(rng, n)
+        kind = rng.choice(sorted(RESIDUAL_PARAMS))
+        params = RESIDUAL_PARAMS[kind](near)
+        want = sup_distance(lam_table(params, rho.domain), rho)
+        calls.clear()
+        got = _residual(params, rho)
+        assert (type(got), repr(got)) == (type(want), repr(want)), (kind, data, params)
+        computed = kind == "float" or (kind == "exact" and rho.is_exact)
+        assert len(calls) == (0 if computed else 1), (kind, data)
+        kinds.add((kind, rho.is_exact))
+        nonzero += want != 0
+    assert len(kinds) == 2 * len(RESIDUAL_PARAMS)
+    assert nonzero > 800
+
+
+def test_residual_keeps_the_predicted_row_check():
+    # u(S) overflows to inf on {a,b,c} and {b,c}, so Luce(u) there is all 0
+    uni = Universe(("a", "b", "c"))
+    v = {"a": 1.0, "b": 2.0, "c": 3.0}
+    rho = lam_table(LamParams(uni, v, v, 0.3, "a"), uni.all_menus())
+    params = LamParams(uni, {"a": 1.0, "b": 1e308, "c": 1e308}, v, 0.3, "a")
+    message = r"^row for menu \('a', 'b', 'c'\) sums to 0.7, not 1$"
+    with pytest.raises(InvalidParameterError, match=message):
+        lam_table(params, rho.domain)
+    with pytest.raises(InvalidParameterError, match=message):
+        _residual(params, rho)
 
 
 def test_recover_disconnected_graph():

@@ -305,6 +305,17 @@ def test_identify_field_minimal_menu_domain():
     assert params in (result.primary, result.swapped)
 
 
+@pytest.mark.parametrize(
+    "to_float, miss",
+    [(False, "Fraction(59, 480)"), (True, "0.12291666666666719")],
+)
+def test_identify_field_residual_failure_message(to_float, miss):
+    ai, _ = gen.residual_miss_pair()
+    result = identify_field(ai.as_float() if to_float else ai, "a")
+    assert result.status == "non-generic-failure"
+    assert result.reason == f"assembled swap class misses the data by {miss}"
+
+
 def test_identify_field_missing_menu_raises():
     rng = random.Random(5)
     params = gen.random_params(rng, 4, alpha=F(7, 10))

@@ -214,6 +214,19 @@ def test_identify_lab_float_round_trip_batch():
         assert err < 1e-8
 
 
+@pytest.mark.parametrize(
+    "to_float, miss",
+    [(False, "Fraction(59, 480)"), (True, "0.12291666666666667")],
+)
+def test_identify_lab_residual_failure_message(to_float, miss):
+    ai, human = gen.residual_miss_pair()
+    if to_float:
+        ai, human = ai.as_float(), human.as_float()
+    result = identify_lab(ai, human, "a")
+    assert result.status == "inconsistent"
+    assert result.reason == f"recovered parameters miss the AI data by {miss}"
+
+
 def test_identify_lab_reproduces_data(ex_a_ai, ex_a_human):
     result = identify_lab(ex_a_ai, ex_a_human, "x")
     assert sup_distance(lam_table(result.params, ex_a_ai.domain), ex_a_ai) == 0
