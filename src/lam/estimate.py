@@ -69,6 +69,10 @@ class ChoiceCounts:
         norm: dict[Menu, dict[str, int]] = {}
         for raw_menu, row in self.counts.items():
             menu = self.universe.menu(raw_menu)
+            if menu in norm:
+                raise InvalidParameterError(
+                    f"duplicate menu {self.universe.sorted_members(menu)}"
+                )
             clean: dict[str, int] = {}
             for alt, n in row.items():
                 if alt not in menu:

@@ -45,6 +45,7 @@ with full diagnostics instead of guessing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -368,74 +369,57 @@ def candidate_utilities(
 
     An identically-zero polynomial means the target's choice odds against
     the anchor are menu-independent, so both utility values equal that
-    constant odds ratio (returned as a single candidate flagged ``case2``).
-    Otherwise roots are kept only when real, strictly positive, farther
-    than ``tol`` from every denominator zero, and exact (to within ``tol``)
-    solutions of the original rational equation.
+    constant odds ratio: the cubic has no roots to screen, and the binary
+    odds are the lone admissible candidate (flagged ``case2``).  Otherwise
+    roots are kept only when real, strictly positive, farther than ``tol``
+    from every denominator zero, and exact (to within ``tol``) solutions of
+    the original rational equation.  Both scalar modes run one screen.
     """
     exact = poly.is_exact and rho_ai.is_exact
     eff = resolve_tol(tol, exact)
-
-    if poly.is_zero(eff):
+    case2 = poly.is_zero(eff)
+    if case2 or exact:  # the binary odds: case 2's candidate, an exact root hint
         menu_xy = poly.menus[1]
         k0 = rho_ai.prob(poly.target, menu_xy) / rho_ai.prob(poly.anchor, menu_xy)
-        return CandidateSet(
-            alternative=poly.target,
-            reference=poly.reference,
-            admissible=(k0,),
-            rejected=(),
-            case2=True,
-            poly=poly,
-        )
-
+    coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
     poles = poly.pole_values()
     admissible: list[Scalar] = []
     rejected: list[RejectedRoot] = []
-
-    if exact:
-        coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
-        menu_xy = poly.menus[1]
-        hints = list(poles) + [
-            rho_ai.prob(poly.target, menu_xy) / rho_ai.prob(poly.anchor, menu_xy)
-        ]
-        roots, irrational = _exact_roots(coeffs, [Fraction(h) for h in hints])
-        for r in sorted(set(roots)):
-            if not r > 0:
-                rejected.append(RejectedRoot(r, "non-positive"))
-            elif any(r == p for p in poles):
-                rejected.append(RejectedRoot(r, "denominator-vanishing"))
-            else:
-                admissible.append(r)
-        for r in sorted(set(irrational)):
-            rejected.append(RejectedRoot(r, "irrational (exact mode)"))
+    roots: list[Scalar] = []
+    irrational: list[float] = []
+    if case2:
+        admissible.append(k0)
+    elif exact:
+        found, irrational = _exact_roots(coeffs, [Fraction(h) for h in (*poles, k0)])
+        roots = sorted(set(found))
     else:
-        raw = _float_real_roots([float(c) for c in (poly.c0, poly.c1, poly.c2, poly.c3)])
-        polished = [_polish_on_equation(poly, r) for r in raw]
-        merged: list[float] = []
-        for r in sorted(polished):
-            if merged and _same_root(r, merged[-1]):
-                continue
-            merged.append(r)
-        for r in merged:
-            if not r > 0:
-                rejected.append(RejectedRoot(r, "non-positive"))
-                continue
-            if any(abs(r - float(p)) <= max(eff, ROOT_MERGE_RTOL * (1 + abs(float(p)))) for p in poles):
-                rejected.append(RejectedRoot(r, "denominator-vanishing"))
-                continue
-            res = poly.equation_residual(r)
-            res_scale = 1 + sum(abs(1 / (a * r - b)) for a, b in poly.ab)
-            if abs(res) > max(eff, 1e-10) * res_scale:
-                rejected.append(RejectedRoot(r, "fails original equation"))
-                continue
+        raw = _float_real_roots([float(c) for c in coeffs])
+        for r in sorted(_polish_on_equation(poly, r) for r in raw):
+            if not (roots and _same_root(r, roots[-1])):
+                roots.append(r)
+    for r in roots:
+        if not r > 0:
+            reason = "non-positive"
+        elif any(
+            r == p if exact else abs(r - float(p)) <= max(eff, ROOT_MERGE_RTOL * (1 + abs(float(p))))
+            for p in poles
+        ):
+            reason = "denominator-vanishing"
+        elif not exact and abs(poly.equation_residual(r)) > max(eff, 1e-10) * (
+            1 + sum(abs(1 / (a * r - b)) for a, b in poly.ab)
+        ):
+            reason = "fails original equation"
+        else:
             admissible.append(r)
-
+            continue
+        rejected.append(RejectedRoot(r, reason))
+    rejected.extend(RejectedRoot(r, "irrational (exact mode)") for r in sorted(set(irrational)))
     return CandidateSet(
         alternative=poly.target,
         reference=poly.reference,
         admissible=tuple(sorted(admissible)),
         rejected=tuple(rejected),
-        case2=False,
+        case2=case2,
         poly=poly,
     )
 
@@ -637,6 +621,7 @@ def identify_field(
         )
 
     targets = [a for a in universe.alternatives if a != anchor]
+    same = operator.eq if exact else _same_root
 
     # Step 1: candidate utility values per alternative.  An aligned
     # alternative ends up with one candidate: the binary odds of its case-2
@@ -659,10 +644,7 @@ def identify_field(
         candidates[y] = tuple(sets)
         surviving = list(sets[0].admissible)
         for cs in sets[1:]:
-            if exact:
-                surviving = [r for r in surviving if r in cs.admissible]
-            else:
-                surviving = [r for r in surviving if any(_same_root(r, s) for s in cs.admissible)]
+            surviving = [r for r in surviving if any(same(r, s) for s in cs.admissible)]
         if surviving:
             pools[y] = sorted(surviving)
             continue
@@ -689,37 +671,29 @@ def identify_field(
             )
         consistency[y] = tuple(rows)
 
+    def fits(row: ConsistencyRow, value: tuple[Scalar, Scalar]) -> bool:
+        """Whether a row supports the compliance pair ``value``: it must be
+        feasible, and a full-interval row supports every value."""
+        imp = row.implied
+        return imp.feasible and (
+            imp.full_interval
+            or (_match(imp.values[0], value[0], eff) and _match(imp.values[1], value[1], eff))
+        )
+
     distinct: list[tuple[Scalar, Scalar]] = []
     for rows in consistency.values():
         for row in rows:
-            imp = row.implied
-            if imp.full_interval or not imp.feasible or imp.values is None:
-                continue
-            if not any(
-                _match(imp.values[0], seen[0], eff) and _match(imp.values[1], seen[1], eff)
-                for seen in distinct
+            if (
+                row.implied.feasible
+                and not row.implied.full_interval
+                and not any(fits(row, seen) for seen in distinct)
             ):
-                distinct.append(imp.values)
-
-    def supports(rows: tuple[ConsistencyRow, ...], value: tuple[Scalar, Scalar]) -> list[ConsistencyRow]:
-        hits = []
-        for row in rows:
-            imp = row.implied
-            if imp.full_interval and imp.feasible:
-                hits.append(row)
-            elif (
-                imp.feasible
-                and imp.values is not None
-                and _match(imp.values[0], value[0], eff)
-                and _match(imp.values[1], value[1], eff)
-            ):
-                hits.append(row)
-        return hits
+                distinct.append(row.implied.values)
 
     supported = [
         value
         for value in distinct
-        if all(supports(consistency[y], value) for y in targets)
+        if all(any(fits(row, value) for row in consistency[y]) for y in targets)
     ]
     if not supported:
         return fail(
@@ -750,12 +724,12 @@ def identify_field(
     u_map: dict[str, Scalar] = {anchor: one}
     v_map: dict[str, Scalar] = {anchor: one}
     for y in targets:
-        rows = supports(consistency[y], supported[0])
+        rows = [row for row in consistency[y] if fits(row, supported[0])]
         regular = [r for r in rows if not r.implied.full_interval]
         if not regular:
             # a lone equal-value pair (an aligned alternative) constrains
             # nothing; assign it directly
-            flat = [r for r in rows if r.implied.full_interval and r.pair[0] == r.pair[1]]
+            flat = [r for r in rows if r.pair[0] == r.pair[1]]
             if len(flat) == 1:
                 u_map[y] = v_map[y] = flat[0].pair[0]
                 continue

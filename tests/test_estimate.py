@@ -101,6 +101,12 @@ def test_counts_validation(uni3):
         ChoiceCounts(uni3, {("x", "y"): {"x": 0, "y": 0}})
 
 
+def test_counts_reject_a_repeated_menu(uni3):
+    rows = {("x", "y"): {"x": 3, "y": 1}, ("y", "x"): {"x": 1, "y": 9}}
+    with pytest.raises(InvalidParameterError, match=r"^duplicate menu \('x', 'y'\)$"):
+        ChoiceCounts(uni3, rows)
+
+
 def test_counts_to_frequencies(uni3):
     counts = ChoiceCounts(uni3, {("x", "y"): {"x": 30, "y": 10}})
     rho = counts.to_frequencies()

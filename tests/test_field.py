@@ -16,6 +16,7 @@ from lam import (
     InvalidParameterError,
     LamParams,
     StochasticChoice,
+    Universe,
     candidate_utilities,
     cross_instability,
     deception_gap,
@@ -61,6 +62,42 @@ def test_cubic_roots_for_t_with_pole_rejection(ex_b_ai):
     # 2 really is a root of the cubic, and really is a denominator zero
     assert poly.evaluate(F(2)) == 0
     assert F(2) in poly.pole_values()
+
+
+def _abcd_table(u, v, alpha):
+    uni = Universe(tuple("abcd"))
+    params = LamParams.normalized(
+        uni, dict(zip("abcd", map(F, u))), dict(zip("abcd", map(F, v))), F(alpha)
+    )
+    return lam_table(params, uni.all_menus(2))
+
+
+def test_cubic_rejects_non_positive_root():
+    rho = _abcd_table((9, 3, 7, 6), (1, 9, 4, 5), F(1, 2))
+    cs = candidate_utilities(identification_polynomial(rho, "a", "d", "b", "c"), rho)
+    assert cs.admissible == (F(2, 3), F(5))
+    assert [(r.reason, r.value) for r in cs.rejected] == [("non-positive", F(-415, 112))]
+
+
+def test_cubic_float_rejects_root_failing_original_equation():
+    rho = _abcd_table((8, 8, 6, 8), (5, 5, 8, 7), F(1, 4)).as_float()
+    cs = candidate_utilities(identification_polynomial(rho, "a", "b", "c", "d"), rho)
+    assert cs.admissible == ()
+    assert [r.reason for r in cs.rejected] == ["fails original equation"]
+    assert abs(cs.rejected[0].value - 1.02547311548732) < 1e-9
+
+
+def test_cubic_exact_rejects_irrational_root():
+    rho = _abcd_table((1, F(9, 4), F(3, 4), F(3, 2)), (1, F(1, 4), F(1, 8), 1), F(9, 20))
+    table = {m: dict(rho.table[m]) for m in rho.domain}
+    full = frozenset("abcd")
+    table[full]["a"] += F(1, 50)
+    table[full]["b"] -= F(1, 50)
+    moved = StochasticChoice(rho.universe, table)
+    cs = candidate_utilities(identification_polynomial(moved, "a", "b", "c", "d"), moved)
+    assert cs.admissible == ()
+    assert [r.reason for r in cs.rejected] == ["irrational (exact mode)"]
+    assert abs(cs.rejected[0].value - (-1.26867102597)) < 1e-9
 
 
 def test_cubic_float_mode_matches_exact(ex_b_ai):
