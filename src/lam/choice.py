@@ -216,6 +216,37 @@ def instability_tuples(
             yield InstabilityTuple(x, y, s, t)
 
 
+def _floor_scaled(eff: Scalar, scale):
+    """floor(eff * scale) for ``eff`` >= 0 and ints ``scale`` >= 0, an int or
+    an object array of them.
+
+    For an int x and real E >= 0, x > E iff x > floor(E) and x < -E iff
+    x < -floor(E), so an exact value x / scale is tested against ``eff``
+    in ints, a float ``eff`` taken at its exact binary value.
+    """
+    r = Fraction(eff)
+    return scale * r.numerator // r.denominator
+
+
+def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Float64 values as object ints m and one exponent b <= 0 with
+    x = m 2**b exactly: a float64 is f 2**e with 2**53 f an int."""
+    frac, exp = np.frexp(x)
+    b = int(exp.min(initial=53)) - 53
+    return np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - 53 - b).astype(object), b
+
+
+def _joint_rows(
+    tables: Sequence[StochasticChoice], menus: Sequence[Menu]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Exact tables' rows of ``menus`` as ints over each menu's joint lcm c_S
+    of the tables' denominators: c_S per menu, and each table's rows."""
+    views = [t._dense for t in tables]
+    parts = [[a[[v.rows[m] for m in menus]] for a in v.scaled_rows] for v in views]
+    c = np.array([math.lcm(*cs) for cs in zip(*(s for _, s in parts))], dtype=object)
+    return c, [ints * (c // s)[:, None] for ints, s in parts]
+
+
 @lru_cache(maxsize=64)
 def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the S < T triangle of ``m`` menus, row by row."""
@@ -277,16 +308,12 @@ class _Kernel:
         self.universe = rho.universe
         self.menus = tuple(menus)
         self.exact = rho.is_exact and (other is None or other.is_exact)
-        views = [t._dense for t in ([rho] if other is None else [rho, other])]
+        tables = [rho] if other is None else [rho, other]
         self.c = None
         if self.exact:
-            picks = [[v.rows[m] for m in self.menus] for v in views]
-            parts = [[a[i] for a in v.scaled_rows] for v, i in zip(views, picks)]
-            # each table's rows are over their own lcm: rescale them to the joint one
-            self.c = np.array([math.lcm(*cs) for cs in zip(*(s for _, s in parts))], dtype=object)
-            mats = [ints * (self.c // s)[:, None] for ints, s in parts]
+            self.c, mats = _joint_rows(tables, self.menus)
         else:
-            mats = [v.pick(self.menus, False)[1] for v in views]
+            mats = [t._dense.pick(self.menus, False)[1] for t in tables]
         self.mine, *theirs = mats
         self.theirs = theirs[0] if theirs else None
         self.runs, self.starts = _layout(self.universe.alternatives, self.menus)
@@ -365,9 +392,7 @@ class _Kernel:
         rows = np.concatenate([self.mine, self.theirs], axis=1)
         if self.exact:
             return rows, (math.lcm(*self.c) // self.c) ** 2
-        frac, exp = np.frexp(rows)
-        ints = np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - exp.min()).astype(object)
-        return ints, np.ones(len(rows), dtype=object)
+        return _dyadic(rows)[0], np.ones(len(rows), dtype=object)
 
     def sums(self) -> tuple[int, int, int]:
         """Exact sums of d*d, d*p and p*p over every canonical tuple, times
@@ -399,19 +424,15 @@ class _Kernel:
 
     def scaled(self, eff: Scalar, power: int = 1, ref: int | None = None):
         """``eff`` on the scale of each tuple's values to ``power``, or of
-        their products with tuple ``ref``'s values.
-
-        For an int x and real E, x > E iff x > floor(E), x <= E iff
-        x <= floor(E), and likewise against -E, so integer tests against
-        the floor agree with the tests of the true values against ``eff``.
+        their products with tuple ``ref``'s values, floored as
+        :func:`_floor_scaled` does, so that integer tests against it agree
+        with the tests of the true values against ``eff``.
         """
         if not self.exact:
             return eff
         if eff == 0:
             return 0
-        r = Fraction(eff)
-        scale = self.k**power if ref is None else self.k * self.k[ref]
-        return scale * r.numerator // r.denominator
+        return _floor_scaled(eff, self.k**power if ref is None else self.k * self.k[ref])
 
 
 def _first_true(mask: np.ndarray) -> int | None:
@@ -463,9 +484,15 @@ def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.nda
 
 
 def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] | None:
-    """The first (menu, alternative), in canonical order, with probability <= ``eff``."""
+    """The first (menu, alternative), in canonical order, with probability <= ``eff``;
+    exact rows are tested in ints, over their lcm c_S, against floor(eff c_S)."""
     view = rho._dense
-    i = _first_true(view.mask & ~(view.entries > eff))
+    if rho.is_exact:
+        ints, c = view.scaled_rows
+        above = ints > _floor_scaled(eff, c)[:, None]
+    else:
+        above = view.entries > eff
+    i = _first_true(view.mask & ~above)
     if i is None:
         return None
     row, col = divmod(i, rho.universe.size)
@@ -505,9 +532,10 @@ def recover_luce_utility(
 
     For any menu S containing both a and b, IIA makes rho(b,S)/rho(a,S)
     menu-independent, so utilities follow by chaining these ratios from the
-    anchor.  Ratio estimates are aggregated across menus by geometric mean
-    and, in float mode, reconciled across paths by a log-space least-squares
-    fit over the whole ratio graph.
+    anchor.  Exact mode reads each ratio off the first menu holding both, in
+    ints; float mode aggregates the ratios across menus by geometric mean
+    and reconciles them across paths by a log-space least-squares fit over
+    the whole ratio graph.
 
     Raises :class:`NotLuceError` if positivity fails or IIA is violated
     beyond ``tol``, and :class:`InsufficientDataError` if some alternative
@@ -533,21 +561,25 @@ def recover_luce_utility(
         )
 
     # one edge per pair of alternatives sharing menus: the ratio of their
-    # probabilities, a geometric mean over the menus in float mode
+    # probabilities, in the first shared menu in exact mode and a geometric
+    # mean over the menus in float mode
     view, alts, exact = rho._dense, universe.alternatives, rho.is_exact
+    ints = view.scaled_rows[0] if exact else None
     edges: dict[tuple[str, str], Scalar] = {}
     steps: dict[str, list[tuple[str, Scalar]]] = {}  # both directions of every edge
     for x, y in combinations(range(universe.size), 2):
         held = view.mask[:, x] & view.mask[:, y]
         if held.any():
-            ratios = (view.entries[held, y] / view.entries[held, x]).tolist()
             if exact:
-                r = ratios[0]  # IIA held exactly, so all samples agree
+                i = _first_true(held)
+                r, back = Fraction(ints[i, y], ints[i, x]), Fraction(ints[i, x], ints[i, y])
             else:
+                ratios = (view.entries[held, y] / view.entries[held, x]).tolist()
                 r = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
+                back = 1 / r
             edges[alts[x], alts[y]] = r
             steps.setdefault(alts[x], []).append((alts[y], r))
-            steps.setdefault(alts[y], []).append((alts[x], 1 / r))
+            steps.setdefault(alts[y], []).append((alts[x], back))
 
     util: dict[str, Scalar] = {anchor: Fraction(1) if exact else 1.0}
     frontier = [anchor]

@@ -378,9 +378,12 @@ def candidate_utilities(
     exact = poly.is_exact and rho_ai.is_exact
     eff = resolve_tol(tol, exact)
     case2 = poly.is_zero(eff)
-    if case2 or exact:  # the binary odds: case 2's candidate, an exact root hint
+    odds: tuple[Scalar, ...] = ()  # the binary odds: case 2's candidate, an exact root hint
+    if case2 or exact:
         menu_xy = poly.menus[1]
-        k0 = rho_ai.prob(poly.target, menu_xy) / rho_ai.prob(poly.anchor, menu_xy)
+        base = rho_ai.prob(poly.anchor, menu_xy)
+        if base > 0:  # an anchor never chosen from {x, y} gives no odds
+            odds = (rho_ai.prob(poly.target, menu_xy) / base,)
     coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
     poles = poly.pole_values()
     admissible: list[Scalar] = []
@@ -388,9 +391,9 @@ def candidate_utilities(
     roots: list[Scalar] = []
     irrational: list[float] = []
     if case2:
-        admissible.append(k0)
+        admissible.extend(odds)
     elif exact:
-        found, irrational = _exact_roots(coeffs, [Fraction(h) for h in (*poles, k0)])
+        found, irrational = _exact_roots(coeffs, [Fraction(h) for h in (*poles, *odds)])
         roots = sorted(set(found))
     else:
         raw = _float_real_roots([float(c) for c in coeffs])

@@ -26,8 +26,11 @@ from typing import Literal, Mapping, get_args
 import numpy as np
 
 from .choice import (
+    _dyadic,
     _first_nonpositive,
     _first_true,
+    _floor_scaled,
+    _joint_rows,
     _Kernel,
     _own_violations,
     _residual,
@@ -48,6 +51,7 @@ from .types import (
     Scalar,
     StochasticChoice,
     _join,
+    is_exact_scalar,
     resolve_tol,
 )
 
@@ -133,13 +137,17 @@ def estimate_alpha(
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
+    kernel = _Kernel(rho_ai, menus, rho_h)
 
-    if not (np.abs(ai[mask] - human[mask]) > eff).any():  # sup distance <= eff
+    if kernel.exact:  # both rows over c_S: |A - H| > eff c_S, in ints
+        apart = np.abs(kernel.mine - kernel.theirs) > _floor_scaled(eff, kernel.c)[:, None]
+    else:
+        apart = np.abs(ai[mask] - human[mask]) > eff
+    if not apart.any():  # sup distance <= eff
         raise PartiallyIdentifiedError(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
 
-    kernel = _Kernel(rho_ai, menus, rho_h)
     d, p = kernel.arrays()
     k, e = kernel.k, kernel.scaled(eff)
     usable = np.abs(p) > e
@@ -194,7 +202,12 @@ def recover_autonomous(
     Returns the table (rho_ai - alpha * rho_h) / (1 - alpha) over the
     common menus.  Entries below -tol mean the pair admits no mixture with
     this alpha and raise :class:`InconsistentInputsError`; entries in
-    [-tol, 0) are clamped to zero.
+    [-tol, 0) are clamped to zero, and a row that the clamping leaves
+    invalid (off [0, 1], or its sum off 1) raises it too.
+
+    Exact tables and a rational alpha = an/ad peel in ints: with A and H
+    the rows over their joint lcm c_S, each entry is (ad A - an H) /
+    ((ad - an) c_S), tested against -tol as :func:`_floor_scaled` does.
     """
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
@@ -202,21 +215,35 @@ def recover_autonomous(
         raise DegenerateDivisionError("alpha = 1 leaves no autonomous component to recover")
     universe = rho_ai.universe
     menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
-    auto = (ai[mask] - alpha * human[mask]) / (1 - alpha)  # the members, in canonical order
-    low = _first_true(auto < -eff)
-    cells = auto.tolist()
-    rows, cols = (i.tolist() for i in np.nonzero(mask))
+    rows, cols = np.nonzero(mask)  # the members, in canonical order
+    if exact and is_exact_scalar(alpha):
+        an, ad = alpha.numerator, alpha.denominator
+        c, (a, h) = _joint_rows([rho_ai, rho_h], menus)
+        num, den = (ad * a - an * h)[mask], ((ad - an) * c)[rows]
+        low = _first_true(num < -_floor_scaled(eff, den))
+        value = None if low is None else Fraction(num[low], den[low])
+        num[num < 0] = 0  # within tol (when low is None): clamped to 0, as an int
+        cells = map(Fraction, num.tolist(), den.tolist())
+    else:
+        auto = (ai[mask] - alpha * human[mask]) / (1 - alpha)
+        low, cells = _first_true(auto < -eff), auto.tolist()
+        value = None if low is None else cells[low]
+        zero = 0 if exact else 0.0
+        cells = [max(p, zero) for p in cells]
+    rows, cols = rows.tolist(), cols.tolist()
     if low is not None:
         raise InconsistentInputsError(
             f"autonomous probability of {universe.alternatives[cols[low]]!r} in "
-            f"{universe.sorted_members(menus[rows[low]])} is {cells[low]!r}; the pair "
+            f"{universe.sorted_members(menus[rows[low]])} is {value!r}; the pair "
             f"admits no mixture with alpha = {alpha!r}"
         )
     table: dict[Menu, dict[str, Scalar]] = {}
-    zero = 0 if exact else 0.0
     for i, j, p in zip(rows, cols, cells):
-        table.setdefault(menus[i], {})[universe.alternatives[j]] = max(p, zero)
-    return StochasticChoice(universe, table, eps_sum=max(rho_ai.eps_sum, 1e-9))
+        table.setdefault(menus[i], {})[universe.alternatives[j]] = p
+    try:
+        return StochasticChoice(universe, table, eps_sum=max(rho_ai.eps_sum, 1e-9))
+    except InvalidParameterError as e:
+        raise InconsistentInputsError(str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -375,7 +402,7 @@ def check_axioms(
     """
     eff = resolve_tol(tol, rho_ai.is_exact and rho_h.is_exact)
     universe = rho_ai.universe
-    menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
+    menus, mask, _, _ = _join(rho_ai, rho_h, _DISJOINT)
 
     # positivity, over each function's own recorded domain
     positivity = AxiomVerdict(True)
@@ -410,11 +437,9 @@ def check_axioms(
     sign_ok = (dp >= -e2) & (~big | (dp > 0))
     del dp
     if kernel.exact and isinstance(eff, float):
-        # adding a float tol to an exact |p| rounds the sum to a float f 2**e:
-        # test |d| k <= f 2**e k in ints, both sides times 2**-b
-        frac, exp = np.frexp((ap / k).astype(float) + eff)
-        b = int(exp.min(initial=53)) - 53
-        bound = np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - 53 - b).astype(object)
+        # adding a float tol to an exact |p| rounds the sum to a float m 2**b:
+        # test |d| <= m 2**b k in ints, both sides times 2**-b
+        bound, b = _dyadic((ap / k).astype(float) + eff)
         size_ok = np.asarray((ad << -b) <= bound * k, bool)
     else:
         size_ok = ad <= ap + e1
@@ -466,9 +491,7 @@ def check_axioms(
     elif binding is None:
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
-        bounded_divergence = _bounded_divergence(
-            universe, menus, mask, ai, human, *row(binding), eff
-        )
+        bounded_divergence = _bounded_divergence(kernel, mask, binding, d[binding], p[binding], eff)
 
     return AxiomReport(
         positivity=positivity,
@@ -480,13 +503,35 @@ def check_axioms(
     )
 
 
-def _bounded_divergence(universe, menus, mask, ai, human, t, d, p, eff) -> AxiomVerdict:
-    """Bounded divergence at the binding tuple ``t``; the witness is the first failing cell."""
-    strict = eff == 0 and abs(d) > eff
-    lhs, rhs = ai[mask] * abs(p), human[mask] * abs(d)  # the members, in canonical order
-    bad = _first_true((lhs <= rhs) if strict else (lhs < rhs - eff))
+def _bounded_divergence(kernel: _Kernel, mask, binding: int, d, p, eff) -> AxiomVerdict:
+    """Bounded divergence at the binding tuple, whose kernel values are d and
+    p; the witness is the first failing cell.
+
+    Each member's test is lhs < rhs - eff, or lhs <= rhs when eff = 0 and
+    d != 0, for lhs = rho_ai |p| and rhs = rho_h |d| in true values.  In
+    exact mode the cells are kernel ints A and H over c_S, and d, p are
+    ints D, P over k: lhs and rhs are A |P| and H |D| over c_S k, tested
+    against floor(eff c_S k); a float tol keeps the float rounding of
+    rhs - tol, fl(fl(rhs) - tol), tested in ints from its mantissa and
+    exponent.
+    """
+    lhs, rhs = kernel.mine[mask] * abs(p), kernel.theirs[mask] * abs(d)  # canonical order
+    if eff == 0 and d != 0:
+        fails = lhs <= rhs
+    elif not kernel.exact:
+        fails = lhs < rhs - eff
+    else:
+        scale = kernel.c[np.nonzero(mask)[0]] * kernel.k[binding]  # c_S k per member
+        if isinstance(eff, float):
+            bound, b = _dyadic((rhs / scale).astype(float) - eff)
+            fails = lhs << -b < bound * scale
+        else:
+            fails = lhs - rhs < -_floor_scaled(eff, scale)
+    bad = _first_true(fails)
     if bad is None:
         return AxiomVerdict(True)
+    t = kernel.tuple_at(binding)
+    universe, menus = kernel.universe, kernel.menus
     i, j = (k[bad] for k in np.nonzero(mask))
     members, z = universe.sorted_members(menus[i]), universe.alternatives[j]
     return AxiomVerdict(

@@ -271,7 +271,8 @@ class StochasticChoice:
                 if isinstance(p, int) and not isinstance(p, bool):
                     p = Fraction(p)
                 row[alt] = p
-            # an exact row is tested in integers, over its lcm of denominators
+            # an exact row is tested in integers, over its lcm of denominators:
+            # no entry is below 0, and it is positive iff its numerator is
             row_exact = all(isinstance(p, Fraction) for p in row.values())
             eff = 0 if row_exact else self.eps_sum
             for alt, p in row.items():
@@ -280,7 +281,7 @@ class StochasticChoice:
                         f"probability {p!r} for {alt!r} in menu "
                         f"{self.universe.sorted_members(menu)} outside [0, 1]"
                     )
-                if p < 0:
+                if not row_exact and p < 0:
                     row[alt] = 0.0
             if row_exact:
                 scale = math.lcm(*(p.denominator for p in row.values()))
@@ -292,7 +293,9 @@ class StochasticChoice:
                     f"row for menu {self.universe.sorted_members(menu)} sums to "
                     f"{sum(row.values())!r}, not 1"
                 )
-            positive = positive and all(row.get(a, 0) > 0 for a in menu)
+            positive = positive and len(row) == len(menu) and all(
+                (p.numerator if row_exact else p) > 0 for p in row.values()
+            )
             exact = exact and row_exact
             norm[menu] = row
         if not norm:

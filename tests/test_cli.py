@@ -201,6 +201,40 @@ def test_identify_lab_violations_only_off_shared_menus_exit_code(capsys, tmp_pat
         assert "shared menus ({x,y} {x,z} {y,z})" in out
 
 
+def test_identify_lab_loose_tol_reports_a_clamped_peel(capsys, tmp_path):
+    # three-decimal AI frequencies at --tol 0.01: the peel clamps an entry
+    # within tol of 0, and the clamped row is reported, not raised
+    head = "mode,probabilities\nuniverse,a;b;c\nmenu,alternative,value\n"
+    (tmp_path / "ai.csv").write_text(head + (
+        "a;b,a,0.232\na;b,b,0.768\na;b;c,a,0.138\na;b;c,b,0.316\na;b;c,c,0.546\n"
+        "a;c,a,0.265\na;c,c,0.735\nb;c,b,0.402\nb;c,c,0.598\n"
+    ))
+    (tmp_path / "human.csv").write_text(head + (
+        "a;b,a,9/25\na;b,b,16/25\na;b;c,a,9/35\na;b;c,b,16/35\na;b;c,c,10/35\n"
+        "a;c,a,9/19\na;c,c,10/19\nb;c,b,16/26\nb;c,c,10/26\n"
+    ))
+    code, out, err = run(
+        capsys, "identify-lab", "--ai", str(tmp_path / "ai.csv"),
+        "--human", str(tmp_path / "human.csv"), "--anchor", "a", "--tol", "0.01",
+    )
+    assert (code, err) == (2, "")
+    assert "status,inconsistent" in out
+    assert "reason,autonomous component is not a Luce rule: row for menu ('a', 'b', 'c') sums to" in out
+
+
+def test_identify_field_exact_with_an_anchor_never_chosen(capsys, tmp_path):
+    # rho(x, {x,y}) = 0 leaves no binary odds to hint an exact root: the run
+    # reports, as the float run of the same file does, instead of dividing by 0
+    text = (DATA / "field_ai.csv").read_text()
+    text = text.replace("x;y,x,7/18\n", "x;y,x,0\n").replace("x;y,y,11/18\n", "x;y,y,1\n")
+    (tmp_path / "ai.csv").write_text(text)
+    for flags in ([], ["--exact"]):
+        code, out, err = run(capsys, "identify-field", "--ai", str(tmp_path / "ai.csv"),
+                             "--anchor", "x", *flags)
+        assert (code, err) == (2, "")
+        assert "status,non-generic-failure" in out
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize(
     "argv",

@@ -17,6 +17,7 @@ from lam import (
     NotLuceError,
     PartiallyIdentifiedError,
     StochasticChoice,
+    Universe,
     check_axioms,
     composite_instability,
     estimate_alpha,
@@ -127,6 +128,43 @@ def test_recover_autonomous_negative_entry_inconsistent(ex_a_ai, ex_a_human):
     # compliance far above its true value drives some entry negative
     with pytest.raises(InconsistentInputsError):
         recover_autonomous(ex_a_ai, ex_a_human, F(9, 10))
+
+
+@pytest.mark.parametrize(
+    "scalar, alpha, tol, value",
+    [(float, 0.4, 0.01, "1.0008333333333335"), (F, F(2, 5), F(1, 100), "Fraction(1201, 1200)")],
+)
+def test_recover_autonomous_clamped_row_is_inconsistent(uni3, scalar, alpha, tol, value):
+    # x's entry, -1/1200, is within tol and clamped to 0, which leaves y above 1
+    ai = StochasticChoice(uni3, {("x", "y"): {"x": scalar("0.1995"), "y": scalar("0.8005")}})
+    human = StochasticChoice(uni3, {("x", "y"): {"x": scalar("0.5"), "y": scalar("0.5")}})
+    with pytest.raises(InconsistentInputsError) as err:
+        recover_autonomous(ai, human, alpha, tol=tol)
+    assert str(err.value) == f"probability {value} for 'y' in menu ('x', 'y') outside [0, 1]"
+
+
+def noisy_lab_pair():
+    """A float AI table of three-decimal frequencies near a mixture with
+    u = (9, 16, 10) and compliance 11/20, and the human's Luce(u) table."""
+    uni = Universe(("a", "b", "c"))
+    ai = StochasticChoice(uni, {
+        ("a", "b"): {"a": 0.232, "b": 0.768},
+        ("a", "b", "c"): {"a": 0.138, "b": 0.316, "c": 0.546},
+        ("a", "c"): {"a": 0.265, "c": 0.735},
+        ("b", "c"): {"b": 0.402, "c": 0.598},
+    })
+    return ai, luce_table(uni, {"a": 9.0, "b": 16.0, "c": 10.0}, ai.domain)
+
+
+def test_identify_lab_loose_tol_reports_a_clamped_peel_inconsistent():
+    # the peel clamps entries within tol of 0, and the clamped row sums off 1
+    ai, human = noisy_lab_pair()
+    result = identify_lab(ai, human, "a", tol=0.01)
+    assert result.status == "inconsistent"
+    assert result.reason == (
+        "autonomous component is not a Luce rule: row for menu ('a', 'b', 'c') "
+        "sums to 1.0069187516666054, not 1"
+    )
 
 
 def test_recover_autonomous_round_trip_satisfies_iia():
@@ -598,3 +636,194 @@ def test_shared_scan_matches_brute_force():
                         assert type(e) is want
                         continue
                     assert (est.raw, est.r_squared, est.n_tuples, est.best) == want
+
+
+# ---------------------------------------------------------------------------
+# Exact per-cell outcomes against Fraction oracles
+# ---------------------------------------------------------------------------
+
+PINNED_TOLS = (None, 0, 1e-9, 1e-3, F(1, 100))
+
+
+def exact_pairs():
+    """Exact (AI, human, params) triples, n = 3-5, compliance 0, 1/2, 1 or
+    random: mixture pairs, the same with one AI or human row moved by
+    1/1000, 1/200 or 1/20, and pairs on partial domains.  Every other
+    pair cubes its utilities, which spreads them and brings small
+    probabilities, near the tolerances, into the tables."""
+    rng = random.Random(77)
+    out = []
+    for i in range(36):
+        params = gen.random_params(rng, 3 + i % 3, alpha=(F(0), F(1, 2), F(1), None)[i % 4])
+        uni = params.universe
+        if i % 2:
+            u, v = ({a: x**3 for a, x in w.items()} for w in (params.u, params.v))
+            params = LamParams(uni, u, v, params.alpha, params.anchor)
+        ai_menus = human_menus = uni.all_menus()
+        if i % 3 == 2:
+            ai_menus = sorted(rng.sample(ai_menus, rng.randint(2, len(ai_menus))), key=uni.menu_key)
+            human_menus = rng.sample(ai_menus, rng.randint(1, len(ai_menus))) + [
+                m for m in uni.all_menus() if m not in ai_menus and rng.random() < 0.5
+            ]
+        ai, human = lam_table(params, ai_menus), luce_table(uni, params.u, human_menus)
+        if i % 3 == 1:
+            shift = rng.choice([F(1, 1000), F(1, 200), F(1, 20)])
+            if rng.random() < 0.5:
+                ai = perturb_exact(ai, rng, shift)
+            else:
+                human = perturb_exact(human, rng, shift)
+        assert ai.is_exact and human.is_exact
+        out.append((ai, human, params))
+    return out
+
+
+def shared_cells(ai, human):
+    """(menu, members, z) over the shared menus, in canonical order."""
+    members = ai.universe.sorted_members
+    return [(m, members(m), z) for m in ai.domain if human.has_menu(m) for z in members(m)]
+
+
+def oracle_nonpositive(rho, eff):
+    return next(
+        ((m, a) for m in rho.domain for a in rho.universe.sorted_members(m)
+         if not rho.prob(a, m) > eff),
+        None,
+    )
+
+
+def oracle_peel(ai, human, alpha, eff):
+    """What ``recover_autonomous`` returns or says: the table, or a message."""
+    if not alpha < 1 - eff:
+        return DegenerateDivisionError
+    table = {}
+    for m, members, z in shared_cells(ai, human):
+        p = (ai.prob(z, m) - alpha * human.prob(z, m)) / (1 - alpha)
+        if p < -eff:
+            return (
+                f"autonomous probability of {z!r} in {members} is {p!r}; the pair "
+                f"admits no mixture with alpha = {alpha!r}"
+            )
+        table.setdefault(m, {})[z] = max(p, F(0))
+    for m, row in table.items():
+        members = ai.universe.sorted_members(m)
+        for z, p in row.items():
+            if not 0 <= p <= 1:
+                return f"probability {p!r} for {z!r} in menu {members} outside [0, 1]"
+        if sum(row.values()) != 1:
+            return f"row for menu {members} sums to {sum(row.values())!r}, not 1"
+    return table
+
+
+def oracle_binding(ai, human, eff):
+    """The first tuple whose composite term vanishes under a non-vanishing
+    own term, flagged True, or else the first usable tuple with the largest
+    own-to-composite ratio, flagged False, as (flag, t, d, p); or None."""
+    rows = instability_rows(ai, human, [m for m in ai.domain if human.has_menu(m)])
+    for t, d, p in rows:
+        if abs(p) <= eff and abs(d) > eff:
+            return True, t, d, p
+    binding = None
+    for t, d, p in rows:
+        if abs(p) > eff and (binding is None or abs(d) * abs(binding[3]) > abs(binding[2]) * abs(p)):
+            binding = (False, t, d, p)
+    return binding
+
+
+def oracle_divergence(ai, human, eff, exact_difference=False):
+    """The bounded-divergence (passed, witness), per tuple and per cell.
+
+    A float ``eff`` makes rhs - eff a float, and the test keeps that
+    rounding unless ``exact_difference`` asks for the exact rhs - eff."""
+    binding = oracle_binding(ai, human, eff)
+    if binding is None:
+        return True, None
+    vanishing, t, d, p = binding
+    if vanishing:
+        return False, (t, d, p)
+    strict = eff == 0 and abs(d) > eff
+    for m, members, z in shared_cells(ai, human):
+        lhs, rhs = ai.prob(z, m) * abs(p), human.prob(z, m) * abs(d)
+        if (lhs <= rhs) if strict else (lhs < rhs - (F(eff) if exact_difference else eff)):
+            return False, (t, members, z)
+    return True, None
+
+
+@pytest.mark.parametrize("tol", PINNED_TOLS, ids=repr)
+def test_exact_positivity_and_coincidence_match_fraction_oracles(tol):
+    for ai, human, params in exact_pairs():
+        eff = resolve_tol(tol, True)
+        want = None
+        for name, rho in (("ai", ai), ("human", human)):
+            zero = oracle_nonpositive(rho, eff)
+            if zero is not None and want is None:
+                want = (name, rho.universe.sorted_members(zero[0]), zero[1])
+        assert check_axioms(ai, human, tol=tol).positivity.witness == want
+        zero = oracle_nonpositive(human, eff)
+        if zero is not None:
+            with pytest.raises(NotLuceError, match="positivity fails") as err:
+                recover_luce_utility(human, params.anchor, tol=tol)
+            assert str(err.value) == (
+                f"positivity fails: probability of {zero[1]!r} in "
+                f"{human.universe.sorted_members(zero[0])} is not above {eff!r}"
+            )
+        cells = shared_cells(ai, human)
+        if not cells:
+            continue
+        coincide = all(abs(ai.prob(z, m) - human.prob(z, m)) <= eff for m, _, z in cells)
+        try:
+            estimate_alpha(ai, human, tol=tol)
+            got = False
+        except LamError as e:
+            got = isinstance(e, PartiallyIdentifiedError)
+        assert got == coincide
+
+
+@pytest.mark.parametrize("tol", PINNED_TOLS, ids=repr)
+def test_exact_peel_matches_fraction_oracle(tol):
+    for ai, human, params in exact_pairs():
+        if not shared_cells(ai, human):
+            continue
+        eff = resolve_tol(tol, True)
+        # just above the true compliance, the peel leaves entries just below 0
+        for alpha in sorted({F(0), F(1, 2), F(1), params.alpha, params.alpha + F(1, 1000)}):
+            want = oracle_peel(ai, human, alpha, eff)
+            try:
+                got = recover_autonomous(ai, human, alpha, tol=tol).table
+            except DegenerateDivisionError:
+                got = DegenerateDivisionError
+            except LamError as e:
+                got = str(e)
+            assert got == want
+            if isinstance(got, dict):
+                assert all(type(p) is F for row in got.values() for p in row.values())
+
+
+@pytest.mark.parametrize("tol", PINNED_TOLS, ids=repr)
+def test_exact_bounded_divergence_matches_fraction_oracle(tol):
+    for ai, human, _ in exact_pairs():
+        if not shared_cells(ai, human):
+            continue
+        verdict = check_axioms(ai, human, tol=tol).bounded_divergence
+        assert (verdict.passed, verdict.witness) == oracle_divergence(ai, human, resolve_tol(tol, True))
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_exact_bounded_divergence_keeps_the_float_tol_rounding(seed):
+    # With exact tables and a float tol, the test is lhs < fl(fl(rhs) - tol).
+    # At a tol that rounds the largest gap rhs - lhs of the binding tuple,
+    # it differs from the exact lhs < rhs - tol: seed 0 fails a cell that
+    # the exact difference passes, seed 6 passes a cell that it fails.
+    rng = random.Random(seed)
+    params = gen.random_params(rng, 3)
+    menus = params.universe.all_menus()
+    ai = perturb_exact(lam_table(params, menus), rng)
+    human = luce_table(params.universe, params.u, menus)
+    _, _, d, p = oracle_binding(ai, human, 0)
+    tol = float(max(
+        human.prob(z, m) * abs(d) - ai.prob(z, m) * abs(p) for m, _, z in shared_cells(ai, human)
+    ))
+    verdict = check_axioms(ai, human, tol=tol).bounded_divergence
+    want = oracle_divergence(ai, human, tol)
+    assert (verdict.passed, verdict.witness) == want
+    assert want != oracle_divergence(ai, human, tol, exact_difference=True)
+    assert want[0] is (seed == 6)
