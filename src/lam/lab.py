@@ -18,6 +18,7 @@ failure.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -30,10 +31,10 @@ from .choice import (
     _first_nonpositive,
     _first_true,
     _floor_scaled,
-    _joint_rows,
     _Kernel,
     _own_violations,
     _residual,
+    _row_bound,
     _running_max,
     recover_luce_utility,
     satisfies_iia,
@@ -50,8 +51,9 @@ from .types import (
     PartiallyIdentifiedError,
     Scalar,
     StochasticChoice,
+    _floats,
     _join,
-    is_exact_scalar,
+    _shared,
     resolve_tol,
 )
 
@@ -136,14 +138,9 @@ def estimate_alpha(
     _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
-    menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
-    kernel = _Kernel(rho_ai, menus, rho_h)
-
-    if kernel.exact:  # both rows over c_S: |A - H| > eff c_S, in ints
-        apart = np.abs(kernel.mine - kernel.theirs) > _floor_scaled(eff, kernel.c)[:, None]
-    else:
-        apart = np.abs(ai[mask] - human[mask]) > eff
-    if not apart.any():  # sup distance <= eff
+    kernel = _Kernel(rho_ai, _shared(rho_ai, rho_h, _DISJOINT), rho_h)
+    # sup distance <= eff; off the menus both rows read 0
+    if not (np.abs(kernel.mine - kernel.theirs) > _row_bound(eff, kernel.c)).any():
         raise PartiallyIdentifiedError(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
@@ -208,28 +205,29 @@ def recover_autonomous(
     Exact tables and a rational alpha = an/ad peel in ints: with A and H
     the rows over their joint lcm c_S, each entry is (ad A - an H) /
     ((ad - an) c_S), tested against -tol as :func:`_floor_scaled` does.
+    Any other alpha peels the float64 rows, whose values are the entries'
+    ``float(entry)``, as arithmetic on the Fractions with a float does.
     """
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
     if not alpha < 1 - eff:
         raise DegenerateDivisionError("alpha = 1 leaves no autonomous component to recover")
     universe = rho_ai.universe
-    menus, mask, ai, human = _join(rho_ai, rho_h, _DISJOINT)
+    menus, mask, c, (a, h) = _join(rho_ai, rho_h, _DISJOINT)
     rows, cols = np.nonzero(mask)  # the members, in canonical order
-    if exact and is_exact_scalar(alpha):
-        an, ad = alpha.numerator, alpha.denominator
-        c, (a, h) = _joint_rows([rho_ai, rho_h], menus)
+    if c is not None and isinstance(alpha, numbers.Rational):
+        an, ad = int(alpha.numerator), int(alpha.denominator)
         num, den = (ad * a - an * h)[mask], ((ad - an) * c)[rows]
         low = _first_true(num < -_floor_scaled(eff, den))
         value = None if low is None else Fraction(num[low], den[low])
         num[num < 0] = 0  # within tol (when low is None): clamped to 0, as an int
         cells = map(Fraction, num.tolist(), den.tolist())
     else:
-        auto = (ai[mask] - alpha * human[mask]) / (1 - alpha)
+        a, h = _floats(a, c), _floats(h, c)
+        auto = (a[mask] - alpha * h[mask]) / (1 - alpha)
         low, cells = _first_true(auto < -eff), auto.tolist()
         value = None if low is None else cells[low]
-        zero = 0 if exact else 0.0
-        cells = [max(p, zero) for p in cells]
+        cells = [max(p, 0 if exact else 0.0) for p in cells]
     rows, cols = rows.tolist(), cols.tolist()
     if low is not None:
         raise InconsistentInputsError(
@@ -310,7 +308,7 @@ def identify_lab(
         return result("inconsistent", str(e))
     except NotIdentifiedError:
         if not satisfies_iia(rho_ai, eff):
-            menus = map(rho_ai.universe.sorted_members, _join(rho_ai, rho_h, _DISJOINT)[0])
+            menus = map(rho_ai.universe.sorted_members, _shared(rho_ai, rho_h, _DISJOINT))
             shared = " ".join("{" + ",".join(m) + "}" for m in menus)
             return result(
                 "partially-identified",
@@ -402,7 +400,7 @@ def check_axioms(
     """
     eff = resolve_tol(tol, rho_ai.is_exact and rho_h.is_exact)
     universe = rho_ai.universe
-    menus, mask, _, _ = _join(rho_ai, rho_h, _DISJOINT)
+    kernel = _Kernel(rho_ai, _shared(rho_ai, rho_h, _DISJOINT), rho_h)
 
     # positivity, over each function's own recorded domain
     positivity = AxiomVerdict(True)
@@ -428,7 +426,6 @@ def check_axioms(
     # (proportionality reference), the first own term not dominated by its
     # composite, the first vanishing composite under a non-vanishing own
     # term, and the largest own-to-composite ratio.
-    kernel = _Kernel(rho_ai, menus, rho_h)
     d, p = kernel.arrays()
     k = kernel.k
     e1, e2 = kernel.scaled(eff), kernel.scaled(eff, 2)
@@ -491,7 +488,7 @@ def check_axioms(
     elif binding is None:
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
-        bounded_divergence = _bounded_divergence(kernel, mask, binding, d[binding], p[binding], eff)
+        bounded_divergence = _bounded_divergence(kernel, binding, d[binding], p[binding], eff)
 
     return AxiomReport(
         positivity=positivity,
@@ -503,7 +500,7 @@ def check_axioms(
     )
 
 
-def _bounded_divergence(kernel: _Kernel, mask, binding: int, d, p, eff) -> AxiomVerdict:
+def _bounded_divergence(kernel: _Kernel, binding: int, d, p, eff) -> AxiomVerdict:
     """Bounded divergence at the binding tuple, whose kernel values are d and
     p; the witness is the first failing cell.
 
@@ -515,6 +512,7 @@ def _bounded_divergence(kernel: _Kernel, mask, binding: int, d, p, eff) -> Axiom
     rhs - tol, fl(fl(rhs) - tol), tested in ints from its mantissa and
     exponent.
     """
+    mask = kernel.mask
     lhs, rhs = kernel.mine[mask] * abs(p), kernel.theirs[mask] * abs(d)  # canonical order
     if eff == 0 and d != 0:
         fails = lhs <= rhs

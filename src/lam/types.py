@@ -201,12 +201,14 @@ class _Dense:
 
     ``rows`` maps each menu to its row, ``mask`` marks each menu's members,
     and ``entries`` holds the recorded values, 0 where a row records
-    nothing: float64, or the exact scalars themselves (object dtype).
+    nothing: float64, or for an exact table ints over each row's lcm of
+    denominators, with the lcms in ``scale`` (None for a float table).
     """
 
     rows: Mapping[Menu, int]
     mask: np.ndarray
     entries: np.ndarray
+    scale: np.ndarray | None
 
     @classmethod
     def build(cls, universe: Universe, domain: Sequence[Menu], table, exact: bool) -> "_Dense":
@@ -215,24 +217,36 @@ class _Dense:
         entries = np.zeros((len(domain), n), dtype=object if exact else float)
         mask.ravel()[[i * n + index[a] for i, m in enumerate(domain) for a in m]] = True
         cells = [i * n + index[a] for i, m in enumerate(domain) for a in table[m]]
-        entries.ravel()[cells] = [p for m in domain for p in table[m].values()]
+        rows, scale = [table[m].values() for m in domain], None
+        if exact:  # ints over each row's lcm
+            lcms = [math.lcm(*(p.denominator for p in row)) for row in rows]
+            rows = [[p.numerator * (c // p.denominator) for p in row] for row, c in zip(rows, lcms)]
+            scale = np.array(lcms, dtype=object)
+            scale.flags.writeable = False
+        entries.ravel()[cells] = [p for row in rows for p in row]
         mask.flags.writeable = entries.flags.writeable = False
-        return cls({m: i for i, m in enumerate(domain)}, mask, entries)
+        return cls({m: i for i, m in enumerate(domain)}, mask, entries, scale)
 
-    @cached_property
-    def scaled_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact entries as ints over each row's lcm of denominators, and the lcms."""
-        rows = self.entries.tolist()
-        scale = [math.lcm(*(p.denominator for p in row)) for row in rows]
-        ints = [[p.numerator * (c // p.denominator) for p in row] for row, c in zip(rows, scale)]
-        return np.array(ints, dtype=object), np.array(scale, dtype=object)
 
-    def pick(self, menus: Sequence[Menu], exact: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The mask and entries of the rows of ``menus``, a subsequence of the
-        domain; the entries as float64 (``float(entry)``) unless ``exact``."""
-        i = slice(None) if len(menus) == len(self.rows) else [self.rows[m] for m in menus]
-        mask, entries = self.mask[i], self.entries[i]
-        return mask, entries if exact else entries.astype(float, copy=False)
+def _floats(rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """Rows of ints over a per-row ``scale`` as float64, float rows as they
+    are: int / int is correctly rounded, so each value is ``float(entry)``."""
+    return rows if scale is None else (rows / scale[:, None]).astype(float)
+
+
+def _rows(tables: Sequence["StochasticChoice"], menus: Sequence[Menu]):
+    """The first table's mask at ``menus``, a subsequence of every table's
+    domain, and the tables' rows there: ints over each menu's joint lcm c_S
+    of the tables' denominators, and c_S, when every table is exact;
+    float64 rows (:func:`_floats`) and None otherwise."""
+    views = [t._dense for t in tables]
+    at = [slice(None) if len(menus) == len(v.rows) else [v.rows[m] for m in menus] for v in views]
+    mask = views[0].mask[at[0]]
+    if any(v.scale is None for v in views):
+        return mask, None, [_floats(v.entries, v.scale)[i] for v, i in zip(views, at)]
+    scales = [v.scale[i] for v, i in zip(views, at)]
+    c = np.array([math.lcm(*cs) for cs in zip(*scales)], dtype=object)
+    return mask, c, [v.entries[i] * (c // s)[:, None] for v, i, s in zip(views, at, scales)]
 
 
 @dataclass(frozen=True)
@@ -342,22 +356,26 @@ class StochasticChoice:
         )
 
 
-def _join(a: StochasticChoice, b: StochasticChoice, message: str):
-    """The menus ``a`` and ``b`` share, in ``a``'s domain order, their members'
-    mask and both tables' rows there, float64 unless both are exact; or
+def _shared(a: StochasticChoice, b: StochasticChoice, message: str) -> list[Menu]:
+    """The menus ``a`` and ``b`` share, in ``a``'s domain order, or
     :class:`InsufficientDataError` with ``message`` when they share none."""
     menus = [m for m in a.domain if m in b.table]
     if not menus:
         raise InsufficientDataError(message)
-    exact = a.is_exact and b.is_exact
-    (mask, rows_a), (_, rows_b) = (t._dense.pick(menus, exact) for t in (a, b))
-    return menus, mask, rows_a, rows_b
+    return menus
+
+
+def _join(a: StochasticChoice, b: StochasticChoice, message: str):
+    """The :func:`_shared` menus, then the mask, c_S or None, and rows of :func:`_rows`."""
+    menus = _shared(a, b, message)
+    return (menus, *_rows((a, b), menus))
 
 
 def sup_distance(a: StochasticChoice, b: StochasticChoice) -> Scalar:
     """Sup-norm distance between two choice functions on their common menus."""
-    _, mask, rows_a, rows_b = _join(a, b, "the two choice functions share no menus")
-    worst = max(np.abs(rows_a[mask] - rows_b[mask]).tolist())
+    _, mask, c, (rows_a, rows_b) = _join(a, b, "the two choice functions share no menus")
+    gaps = np.abs(rows_a - rows_b)[mask].tolist()
+    worst = max(gaps if c is None else map(Fraction, gaps, c[np.nonzero(mask)[0]].tolist()))
     return worst if worst > 0 else 0
 
 

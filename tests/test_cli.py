@@ -664,3 +664,71 @@ def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def simulated_counts(capsys, tmp_path) -> str:
+    path = str(tmp_path / "counts.csv")
+    code, _, _ = run(capsys, "simulate", "--params", str(DATA / "field_params.csv"),
+                     "--menus", "all", "--n", "1000", "--seed", "1", "--out", path)
+    assert code == 0
+    return path
+
+
+def test_exact_flag_reads_counts_as_exact_frequencies(capsys, tmp_path):
+    counts = simulated_counts(capsys, tmp_path)
+    code, out, _ = run(capsys, "identify-field", "--ai", counts, "--anchor", "x", "--exact")
+    # noisy counts do not identify; the rows are count / menu total as Fractions
+    assert code == 2
+    assert out.splitlines()[1:3] == ["mode,exact", "tolerance,0"]
+    assert "input,converted-counts-to-frequencies" in out.splitlines()
+    assert "candidates,y,z;t,rejected,0.8018644616587768:irrational (exact mode);" in out
+    for argv in (["identify-lab", "--anchor", "x"], ["check-axioms"]):
+        code, out, _ = run(capsys, *argv, "--ai", counts, "--human", counts, "--exact")
+        assert code == 2 and out.splitlines()[1] == "mode,exact"
+
+
+def test_float_counts_are_reported_as_converted(capsys, tmp_path):
+    counts = simulated_counts(capsys, tmp_path)
+    code, out, _ = run(capsys, "identify-field", "--ai", counts, "--anchor", "x")
+    assert code == 2
+    assert out.splitlines()[1:6] == [
+        "mode,float", "tolerance,1e-09", "status,non-generic-failure",
+        "input,converted-counts-to-frequencies",
+        "candidates,y,z;t,admissible,0.8018644616587778;1.4434161264869698;1.6765376435782906",
+    ]
+    code, out, _ = run(capsys, "identify-lab", "--ai", counts, "--human", counts, "--anchor", "x")
+    assert code == 2
+    assert out.splitlines()[1:5] == [
+        "mode,float", "tolerance,1e-09", "status,inconsistent",
+        "input,converted-counts-to-frequencies",
+    ]
+
+
+def test_fit_on_a_probabilities_file_is_an_input_error(capsys):
+    code, out, err = run(capsys, "fit", "--data", str(DATA / "lab_ai.csv"), "--starts", "1",
+                         "--seed", "1")
+    assert (code, out, err) == (1, "", "error: fit needs a counts dataset (mode,counts)\n")
+
+
+def test_deception_gap_needs_a_point_identified_lab_report(capsys, tmp_path):
+    _, lab_out, _ = run(capsys, "identify-lab", "--ai", str(DATA / "lab_human.csv"),
+                        "--human", str(DATA / "lab_human.csv"), "--anchor", "x", "--exact")
+    lab_path, field_path = tmp_path / "lab.txt", tmp_path / "field.txt"
+    lab_path.write_text(lab_out)
+    field_path.write_text("report,identify-field\nmode,exact\nstatus,identified-up-to-swap\n"
+                          "alpha_pair,3/4;1/4\n")
+    code, out, _ = run(capsys, "deception-gap", "--lab", str(lab_path), "--field", str(field_path))
+    assert (code, out) == (
+        2, "report,deception-gap\nreason,lab report status is partially-identified; "
+        "no compliance estimate\n",
+    )
+
+
+@pytest.mark.parametrize("alpha_pair", ["3/4", "3/4;1/4;0"])
+def test_deception_gap_alpha_pair_arity_is_an_input_error(capsys, tmp_path, alpha_pair):
+    lab_path, field_path = tmp_path / "lab.txt", tmp_path / "field.txt"
+    lab_path.write_text("report,identify-lab\nmode,exact\nstatus,point-identified\nalpha,1/2\n")
+    field_path.write_text("report,identify-field\nmode,exact\nstatus,identified-up-to-swap\n"
+                          f"alpha_pair,{alpha_pair}\n")
+    code, out, err = run(capsys, "deception-gap", "--lab", str(lab_path), "--field", str(field_path))
+    assert (code, out, err) == (1, "", "error: field report alpha_pair row needs 2 value(s)\n")

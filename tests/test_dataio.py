@@ -302,3 +302,40 @@ def test_repeated_menu_tokens_share_one_row():
     rho = parse_dataset(text, exact=True)
     assert rho.table == {frozenset("xy"): {"x": F(1, 4), "y": F(3, 4)}, frozenset("xyz"): {"z": F(1)}}
     assert rho.is_exact and not rho.is_positive
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_PROBS, "dataset needs a header and at least one row"),
+        ("mode,odds\nuniverse,x;y;z\nmenu,alternative,value\nx;y,x,1\n",
+         "line 1: first row must be 'mode,probabilities' or 'mode,counts'"),
+        ("mode,probabilities\nalts,x;y;z\nmenu,alternative,value\nx;y,x,1\n",
+         "line 2: second row must be 'universe,<id;id;...>'"),
+        ("mode,probabilities\nuniverse,x;x;z\nmenu,alternative,value\nx;y,x,1\n",
+         "line 2: alternative identifiers must be unique"),
+        ("mode,probabilities\nuniverse,x;y;z\nmenu,alt,value\nx;y,x,1\n",
+         "line 3: third row must be 'menu,alternative,value'"),
+        (_PROBS + ";,x,1\n", "line 4: empty menu"),
+        (_PROBS + "x;y;x,x,1\n", "line 4: menu 'x;y;x' repeats an alternative"),
+        (_PROBS + "x;y,w,1\n", "line 4: unknown alternative 'w'"),
+    ],
+)
+def test_dataset_header_and_menu_messages(text, message):
+    with pytest.raises(DatasetFormatError) as err:
+        parse_dataset(text, exact=True)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("universe,x;y;z\nanchor,x\nbeta,1/2\n", "line 3: unrecognized row ['beta', '1/2']"),
+        ("universe,x;y;z\nu,x\n", "line 2: unrecognized row ['u', 'x']"),
+        ("universe,x;y\nanchor,x\n", "line 1: a universe needs at least 3 alternatives"),
+    ],
+)
+def test_params_row_and_universe_messages(text, message):
+    with pytest.raises(DatasetFormatError) as err:
+        parse_params(text, exact=True)
+    assert str(err.value) == message

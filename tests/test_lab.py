@@ -827,3 +827,70 @@ def test_exact_bounded_divergence_keeps_the_float_tol_rounding(seed):
     assert (verdict.passed, verdict.witness) == want
     assert want != oracle_divergence(ai, human, tol, exact_difference=True)
     assert want[0] is (seed == 6)
+
+
+# ---------------------------------------------------------------------------
+# Exact tables read as floats: a float alpha, and mixed exact/float pairs
+# ---------------------------------------------------------------------------
+
+
+def test_recover_autonomous_float_alpha_on_exact_tables(ex_a_ai, ex_a_human):
+    # a float alpha peels float(entry) values: the float tables' result
+    got = recover_autonomous(ex_a_ai, ex_a_human, 0.5)
+    want = recover_autonomous(ex_a_ai.as_float(), ex_a_human.as_float(), 0.5)
+    assert repr(got.table) == repr(want.table)
+    assert got.prob("x", frozenset("xy")) == 0.33333333333333337
+    assert not got.is_exact
+
+
+def test_recover_autonomous_float_alpha_on_exact_tables_clamps_and_fails(uni3):
+    # x's peeled entry is (1/4 - 10**-10 - 1/4) / (1/2), about -2e-10
+    ai = StochasticChoice(uni3, {("x", "y"): {"x": F(1, 4) - F(1, 10**10), "y": F(3, 4) + F(1, 10**10)}})
+    human = StochasticChoice(uni3, {("x", "y"): {"x": F(1, 2), "y": F(1, 2)}})
+    for tol in (1e-9, F(1, 10**9)):  # within tol: clamped to an exact 0
+        got = recover_autonomous(ai, human, 0.5, tol=tol)
+        assert repr(got.table[frozenset("xy")]) == "{'x': Fraction(0, 1), 'y': 1.0000000002}"
+        assert not got.is_exact and not got.is_positive
+    for tol in (1e-11, F(1, 10**11)):  # below -tol
+        with pytest.raises(InconsistentInputsError) as err:
+            recover_autonomous(ai, human, 0.5, tol=tol)
+        assert str(err.value) == (
+            "autonomous probability of 'x' in ('x', 'y') is -2.000000165480742e-10; "
+            "the pair admits no mixture with alpha = 0.5"
+        )
+
+
+@pytest.mark.parametrize("exact_side", ["ai", "human"])
+def test_mixed_pair_reads_the_exact_table_as_floats(ex_a_ai, ex_a_human, exact_side):
+    ai, human = ex_a_ai.as_float(), ex_a_human.as_float()
+    mixed = (ex_a_ai, human) if exact_side == "ai" else (ai, ex_a_human)
+    got, want = identify_lab(*mixed, "x"), identify_lab(ai, human, "x")
+    assert got.status == "point-identified" and got.tol == 1e-9
+    assert repr(got.alpha_diagnostics) == repr(want.alpha_diagnostics)
+    assert repr(got.params.alpha) == "0.49999999999999983"
+    assert repr(got.params.v) == repr(want.params.v)
+    assert repr(got.recovered_autonomous.table) == repr(want.recovered_autonomous.table)
+    # u comes from the human table alone, in its own mode
+    if exact_side == "human":
+        assert got.params.u == {"x": 1, "y": F(2, 3), "z": F(1, 3)}
+    else:
+        assert repr(got.params.u) == repr(want.params.u)
+    assert repr(check_axioms(*mixed)) == repr(check_axioms(ai, human))
+    assert check_axioms(*mixed).overall
+
+
+def test_each_lab_entry_point_reads_the_pair_rows_once(monkeypatch, ex_a_ai, ex_a_human):
+    from lam import choice, types
+
+    calls, rows = [], types._rows
+
+    def counted(tables, menus):
+        calls.append(len(tables))
+        return rows(tables, menus)
+
+    for module in (types, choice):
+        monkeypatch.setattr(module, "_rows", counted)
+    for call in (estimate_alpha, check_axioms, lambda a, h: recover_autonomous(a, h, F(1, 2))):
+        calls.clear()
+        call(ex_a_ai, ex_a_human)
+        assert calls.count(2) == 1

@@ -158,3 +158,18 @@ def test_sup_distance(ex_a_ai, ex_a_human):
     assert repr(sup_distance(ex_a_ai.as_float(), ex_a_ai.as_float())) == "0"
     d = sup_distance(ex_a_ai, ex_a_human)
     assert d == F(1, 4)  # attained at (x, {x, z}): 1/2 vs 3/4
+
+
+def test_sup_distance_repr_by_scalar_mode(ex_a_ai, uni3):
+    # 7/15 - 1/3 = 2/15: exact as a Fraction, and the difference of the two
+    # float(entry) values, not float(2/15), as soon as one table is float
+    other = StochasticChoice(uni3, {
+        ("x", "y"): {"x": F(1, 3), "y": F(2, 3)},
+        ("x", "z"): {"x": F(1, 2), "z": F(1, 2)},
+    })
+    assert repr(sup_distance(ex_a_ai, other)) == "Fraction(2, 15)"
+    assert repr(float(F(2, 15))) == "0.13333333333333333"
+    for a, b in ((ex_a_ai.as_float(), other.as_float()), (ex_a_ai, other.as_float()),
+                 (ex_a_ai.as_float(), other)):
+        assert repr(sup_distance(a, b)) == "0.13333333333333336"
+    assert repr(sup_distance(ex_a_ai, ex_a_ai.as_float())) == "0"
