@@ -15,8 +15,12 @@ weighted Luce likelihood (Hunter 2004), so this is a generalised EM
 accelerates that map with SQUAREM (Varadhan & Roland 2008) in
 (log u, log v, logit alpha), keeps an extrapolated point only if it does
 not lower the likelihood (else it backtracks, then takes the plain double
-EM step), and stops a start on the gradient, not on the likelihood
-change, or where even the plain step reads lower: EM's gain is then
+EM step), and finishes with Newton steps (Louis 1982; Jamshidian &
+Jennrich 1997) once the negated analytic Hessian (the observed
+information) factors by a pure-Python Cholesky.  A Newton step is
+kept on its gain summed cell by cell, which resolves changes below one
+ulp of the likelihood.  A start stops on the gradient, not on the
+likelihood change, or where a step can no longer gain: EM's gain is then
 below the rounding of the likelihood.  Estimation is double-precision
 throughout; exact inputs are converted on entry.
 It runs as array operations on one dense layout of the counts (menus in
@@ -310,6 +314,12 @@ _LOG_MAX = 709.0
 _ST_NEAR_EM = -1.01
 # The largest decrease of ll that ``monotone`` tolerates in an accepted step.
 _LL_DROP = 1e-10
+# Newton finish: the EM maps before the first try (the wait doubles after
+# each refused try), the smallest Cholesky pivot relative to its diagonal
+# entry, and the most halvings of a step before the try is refused.
+_NEWTON_WAIT = 20
+_PIVOT_MIN = 1e-12
+_NEWTON_HALVINGS = 8
 
 
 def _coords(u: np.ndarray, v: np.ndarray, a) -> np.ndarray:
@@ -329,8 +339,128 @@ def _point(x: np.ndarray) -> tuple | None:
     return w[: len(w) // 2], w[len(w) // 2 :], a
 
 
+def _cholesky_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """The solution of ``a x = b`` for symmetric positive definite ``a``.
+
+    A plain Cholesky factorisation a = L L^T and two triangular solves,
+    every sum taken by ``math.fsum`` in pure Python: no BLAS or LAPACK,
+    so the result is the same on every CPU.  ``a`` and ``b`` must be
+    finite.  Returns None when a pivot is not positive beyond
+    ``_PIVOT_MIN`` of its diagonal entry, that is when ``a`` is indefinite
+    or (numerically) singular.
+    """
+    m = len(b)
+    low = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        d = math.fsum([a[j][j]] + [-low[j][k] ** 2 for k in range(j)])
+        if not d > _PIVOT_MIN * abs(a[j][j]):
+            return None
+        low[j][j] = math.sqrt(d)
+        for i in range(j + 1, m):
+            s = math.fsum([a[i][j]] + [-low[i][k] * low[j][k] for k in range(j)])
+            low[i][j] = s / low[j][j]
+    y = [0.0] * m
+    for i in range(m):
+        y[i] = math.fsum([b[i]] + [-low[i][k] * y[k] for k in range(i)]) / low[i][i]
+    x = [0.0] * m
+    for i in reversed(range(m)):
+        x[i] = math.fsum([y[i]] + [-low[k][i] * x[k] for k in range(i + 1, m)]) / low[i][i]
+    return x
+
+
+def _gain(lay: _Layout, mix_p: np.ndarray, mix_q: np.ndarray) -> float:
+    """ll(q) - ll(p) from the two mixtures, as sum N log1p((mix_q - mix_p)/mix_p).
+
+    Each cell's term is small where q is near p, so the sum keeps the
+    gain's digits where the difference of two ll readings, each rounded
+    at the scale of |ll|, would lose them.
+    """
+    return float((lay.counts * np.log1p((mix_q - mix_p) / mix_p)).sum())
+
+
+def _hessian(lay: _Layout, e: tuple, a: float) -> np.ndarray:
+    """The log-likelihood Hessian in (log u, log v, logit alpha), anchor
+    entries included, at the E-step ``e`` of a point with weight ``a``.
+
+    The Hessian of sum N log mix is sum N (mix'' / mix - mix' mix'^T / mix^2)
+    with mix = a pu + (1 - a) pv.  With Luce's pu' = pu (e_k - pu) in
+    log u, and with r = N / mix, c = r / mix and wu = a r pu, each block
+    is a sum over menus of rank-one terms; the mixed (log u, log v)
+    block has no mix'' part.  The alpha row reuses the gradient's
+    pieces: sum wu (e_k - pu) is d/d log u.
+    """
+    pu, _, pv, _, mix = e
+    r = lay.counts / mix
+    c = r / mix
+    b = a * (1 - a)
+    wu, wv = a * r * pu, (1 - a) * r * pv
+    d = c * (pu - pv)
+
+    def outer(y, p, q):  # sum over cells of y_k (e_k - p)(e_k - q)^T
+        return (
+            np.diag(y.sum(axis=0))
+            - np.einsum("sk,sl->kl", y, q)
+            - np.einsum("sk,sl->kl", p, y)
+            + np.einsum("s,sk,sl->kl", y.sum(axis=1), p, q)
+        )
+
+    def curv(w, p):  # sum over menus of W (diag p - p p^T), W the menu's total w
+        ws = w.sum(axis=1)
+        return np.diag((ws[:, None] * p).sum(axis=0)) - np.einsum("s,sk,sl->kl", ws, p, p)
+
+    def tilt(y, p):  # sum over cells of y_k (e_k - p)
+        return y.sum(axis=0) - (y.sum(axis=1)[:, None] * p).sum(axis=0)
+
+    uu = outer(wu - a * a * c * pu * pu, pu, pu) - curv(wu, pu)
+    vv = outer(wv - (1 - a) ** 2 * c * pv * pv, pv, pv) - curv(wv, pv)
+    uv = -outer(b * c * pu * pv, pu, pv)
+    ua = (1 - a) * tilt(wu, pu) - a * b * tilt(d * pu, pu)
+    va = -a * tilt(wv, pv) - (1 - a) * b * tilt(d * pv, pv)
+    aa = (1 - 2 * a) * b * (r * (pu - pv)).sum() - b * b * (d * (pu - pv)).sum()
+    return np.block(
+        [[uu, uv, ua[:, None]], [uv.T, vv, va[:, None]], [ua[None], va[None], np.array([[aa]])]]
+    )
+
+
+def _newton_step(lay: _Layout, point: tuple, e: tuple, grad: np.ndarray) -> tuple | None:
+    """A safeguarded Newton step from ``point`` in the free coordinates.
+
+    The step (-H)^-1 grad, with H the analytic Hessian (``_hessian``) in
+    the m = 2n - 1 free coordinates, is taken only when -H factors
+    (``_cholesky_solve``); it is then an ascent direction, halved up to
+    ``_NEWTON_HALVINGS`` times until the new point passes ``_point``'s
+    guards and its gain (``_gain``) is at least ``-_LL_DROP``.  Returns
+    the new point, its E-step and the gain, or None.
+    """
+    n = len(point[0])
+    free = [*range(1, n), *range(n + 1, 2 * n + 1)]
+    x = _coords(*point)
+    # a step may overflow anywhere; what that leaves non-finite fails the
+    # guards below
+    with np.errstate(all="ignore"):
+        neg = -_hessian(lay, e, point[2])[np.ix_(free, free)]
+        if not np.isfinite(neg).all():
+            return None
+        step = _cholesky_solve(neg.tolist(), grad.tolist())
+        if step is None:
+            return None
+        step = np.array(step)
+        for _ in range(_NEWTON_HALVINGS + 1):
+            y = x.copy()
+            y[free] += step
+            q = _point(y)
+            if q is not None:
+                eq = _e_step(lay, *q)
+                gain = _gain(lay, e[-1], eq[-1])
+                if gain >= -_LL_DROP:  # false for a NaN gain
+                    return q, eq, gain
+            step /= 2
+    return None
+
+
 def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple:
-    """One start of SQUAREM-accelerated EM from ``point`` = (u, v, alpha).
+    """One start of SQUAREM-accelerated EM from ``point`` = (u, v, alpha),
+    finished by Newton steps.
 
     Each cycle takes two EM maps x1 = F(x0), x2 = F(x1), extrapolates to
     x0 - 2 st r + st^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and the S3
@@ -339,16 +469,30 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
     log-likelihood is finite and at least the last accepted one; otherwise
     st backtracks to (st - 1)/2, and the plain double step x2 is taken once
     st is near -1, or at once when the point fails a guard (an overflowing
-    exp, alpha rounding to 0 or 1).  The start stops when max |gradient| in
-    the unconstrained coordinates is at most ``tol_ll * max(1, |ll|)``,
-    after ``max_iter`` EM maps, backtracking maps included, or when the
-    plain EM step it falls back to lowers ll by more than ``_LL_DROP``; it
-    then keeps its last accepted point, so no accepted step fails
-    ``monotone``.
+    exp, alpha rounding to 0 or 1).
+
+    Once ``_NEWTON_WAIT`` maps are spent the start tries a Newton step
+    (``_newton_step``; Louis 1982, Jamshidian & Jennrich 1997) in place of
+    a cycle.  A try counts as one map.  Each refused try doubles the maps
+    before the next (tries from 20, 40, 80 ... maps on); after an accepted
+    step the next try comes at once.  A Newton step is accepted on its
+    gain, the sum of per-cell log-ratio terms, not on the difference of two
+    ll readings: at |ll| near 1e6 one ulp of ll exceeds ``_LL_DROP``, so a
+    step that takes max |gradient| from 1e-3 to 1e-9 can read one ulp
+    lower.
+
+    The start stops when max |gradient| in the free coordinates is at most
+    ``tol_ll * max(1, |ll|)``, after ``max_iter`` maps (backtracking maps
+    and Newton tries included), when an accepted Newton step gained at
+    most ``_LL_DROP`` and did not lower max |gradient| (the rounding
+    floor), or when the plain EM step that a cycle falls back to lowers ll
+    by more than ``_LL_DROP``; in the last case it keeps its last accepted
+    point, so no accepted step fails ``monotone``.
 
     Returns the final point, the log-likelihood of every accepted point,
-    the EM maps spent, whether the gradient test passed, and the final
-    max |gradient|.
+    every accepted step's gain (the difference of readings for a cycle,
+    ``_gain`` for a Newton step), the maps spent, whether the gradient
+    test passed, and the final max |gradient|.
     """
 
     def em_map(p, e):
@@ -358,13 +502,32 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
 
     e = _e_step(lay, *point)
     trace = [_loglik(lay, e[-1])]
+    gains = []
     maps = 0
+    wait = _NEWTON_WAIT
+    newton_from = math.inf  # max |gradient| before an accepted Newton step
     while True:
         d_u, d_v, d_logit = _gradient(lay, e, point[2])
-        grad = float(np.abs(np.concatenate((d_u[1:], d_v[1:], [d_logit]))).max())
+        g = np.concatenate((d_u[1:], d_v[1:], [d_logit]))  # the free coordinates
+        grad = float(np.abs(g).max())
         converged = grad <= tol_ll * max(1.0, abs(trace[-1]))
-        if converged or maps == max_iter:
-            return point, trace, maps, converged, grad
+        # a Newton step that neither lowered max |gradient| nor gained more
+        # than ll's rounding: the start is at the rounding floor
+        floor = grad >= newton_from and gains[-1] <= _LL_DROP
+        if converged or maps == max_iter or floor:
+            return point, trace, gains, maps, converged, grad
+        if maps >= wait or newton_from < math.inf:
+            maps += 1
+            step = _newton_step(lay, point, e, g)
+            if step is None:
+                wait *= 2
+                newton_from = math.inf
+            else:
+                point, e, gain = step
+                trace.append(_loglik(lay, e[-1]))
+                gains.append(gain)
+                newton_from = grad
+            continue
         new = first = em_map(point, e)
         maps += 1
         if maps < max_iter:
@@ -395,8 +558,9 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
         # gain falls below ll's rounding (one ulp is 1.2e-10 at |ll| = 1e6),
         # so even the plain step can read lower: the start ends there
         if new[2] - trace[-1] < -_LL_DROP:
-            return point, trace, maps, False, grad
+            return point, trace, gains, maps, False, grad
         point, e = new[0], new[1]
+        gains.append(new[2] - trace[-1])
         trace.append(new[2])
 
 
@@ -404,21 +568,22 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
 class FitResult:
     """Best fit over the EM starts.
 
-    ``iterations`` is the winning start's number of EM maps and
-    ``start_iterations`` that number for every start.  ``ll_trace`` is the
-    log-likelihood of the winning start at its first point and after each
-    accepted SQUAREM cycle (one entry per cycle, not per map).
-    ``converged`` means that the winning start stopped on the gradient
-    test: ``grad_max``, its final max |gradient| in the unconstrained
-    coordinates (log u, log v, logit alpha), is at most
-    ``tol_ll * max(1, |log_likelihood|)``.  That certifies a stationary
-    point, which need not be a maximum.  ``monotone`` certifies that no
-    accepted step of any start decreased the likelihood beyond 1e-10.  A
-    start ends unconverged when its next step would break that: from
-    |ll| = 2**19 one ulp of ll exceeds 1e-10, so on large data a start can
-    end where EM's gain is below ll's rounding, before the gradient test.
-    ``status`` is ``degenerate-fit`` when every start collapsed to a
-    boundary mixture weight.
+    ``iterations`` is the winning start's number of EM maps, each Newton
+    try counted as one, and ``start_iterations`` that number for every
+    start.  ``ll_trace`` is the log-likelihood of the winning start at its
+    first point and after each accepted SQUAREM cycle or Newton step (one
+    entry per step, not per map).  ``converged`` means that the winning
+    start stopped on the gradient test: ``grad_max``, its final max
+    |gradient| in the unconstrained coordinates (log u, log v, logit
+    alpha), is at most ``tol_ll * max(1, |log_likelihood|)``.  That
+    certifies a stationary point, which need not be a maximum.
+    ``monotone`` certifies that no accepted step of any start decreased
+    the likelihood beyond 1e-10: a SQUAREM cycle by the difference of the
+    two ll readings, a Newton step by its gain summed cell by cell, which
+    resolves changes well below one ulp of ll (1.2e-10 at |ll| = 1e6).
+    So ``ll_trace`` can read one ulp lower after a Newton step.  ``status``
+    is ``degenerate-fit`` when every start collapsed to a boundary mixture
+    weight.
     """
 
     params: LamParams
@@ -449,11 +614,13 @@ def fit_mle(
     u = v, which is the optimum on effectively single-rule data and may be
     a saddle otherwise.  Remaining starts draw log-utilities from a
     standard normal (anchor pinned) and a uniform interior mixture weight.
-    Each start runs SQUAREM-accelerated EM (see ``_em_start``) until max
-    |gradient| is at most ``tol_ll * max(1, |ll|)``, it has spent
-    ``max_iter`` EM maps, or its next step would lower the likelihood by
-    more than 1e-10, and the best final likelihood wins (ties keep the
-    earlier start).  Starts whose mixture weight collapses to a boundary
+    Each start runs SQUAREM-accelerated EM with a Newton finish (see
+    ``_em_start``) until max |gradient| is at most
+    ``tol_ll * max(1, |ll|)``, it has spent ``max_iter`` EM maps (a Newton
+    try counts as one), an accepted Newton step gained at most 1e-10 and
+    did not lower max |gradient|, or its next EM step would lower the
+    likelihood by more than 1e-10, and the best final likelihood wins
+    (ties keep the earlier start).  Starts whose mixture weight collapses to a boundary
     are marked degenerate and only win if every start degenerates.
     """
     if inits < 1:
@@ -479,11 +646,11 @@ def fit_mle(
                 v[i] = math.exp(rng.normal())
             alpha = float(rng.uniform(0.1, 0.9))
 
-        point, trace, maps, converged, grad = _em_start(lay, (u, v, alpha), tol_ll, max_iter)
-        start_iterations.append(maps)
-        monotone = monotone and all(
-            b - a >= -_LL_DROP for a, b in zip(trace, trace[1:])
+        point, trace, gains, maps, converged, grad = _em_start(
+            lay, (u, v, alpha), tol_ll, max_iter
         )
+        start_iterations.append(maps)
+        monotone = monotone and all(g >= -_LL_DROP for g in gains)
         alpha = point[2]
         degenerate = not (1e-12 < alpha < 1 - 1e-12)
         key = (degenerate, -trace[-1])

@@ -27,6 +27,7 @@ from lam import (
     luce_choice,
     simulate_counts,
 )
+from lam import estimate
 from lam.cli import main
 from lam.dataio import serialize_dataset
 
@@ -331,6 +332,93 @@ def test_fit_ends_a_start_where_em_reads_lower(uni4, ex_b_params):
     assert fit.grad_max > 1e-13 * abs(fit.log_likelihood)
     assert fit.monotone
     assert all(b >= a for a, b in zip(fit.ll_trace, fit.ll_trace[1:]))
+
+
+def test_criterion_7_fit_converges(uni4, ex_b_params):
+    # the Newton finish certifies the fit that EM alone leaves at |grad| ~ 1e-4
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
+    assert fit.converged
+    assert fit.grad_max <= 1e-13 * abs(fit.log_likelihood)
+    assert fit.monotone
+
+
+def test_default_fit_converges_on_small_data():
+    # an n=4 truth at 1000 draws per menu; EM alone spends max_iter here
+    truth = gen.random_params(random.Random(2), 4)
+    counts = simulate_counts(truth, truth.universe.all_menus(2), 1000, seed=2)
+    fit = fit_mle(counts, inits=4)
+    assert fit.status == "ok"
+    assert fit.converged
+
+
+def test_fit_ends_every_start_at_zero_tolerance(uni4, ex_b_params):
+    # no point passes a gradient test of 0; each start must still end, on a
+    # Newton step that gains nothing or on the plain EM step reading lower
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    fit = fit_mle(counts, inits=4, seed=7, tol_ll=0.0, max_iter=60000)
+    assert max(fit.start_iterations) < 60000
+    assert fit.monotone
+
+
+def test_cholesky_solve_matches_a_known_system():
+    # a = L L^T with L = [[2, 0, 0], [1, 3, 0], [-1, 2, 1]] and x = (1, -2, 3)
+    a = [[4.0, 2.0, -2.0], [2.0, 10.0, 5.0], [-2.0, 5.0, 6.0]]
+    x = [1.0, -2.0, 3.0]
+    b = [math.fsum(r * c for r, c in zip(row, x)) for row in a]
+    got = estimate._cholesky_solve(a, b)
+    assert got == pytest.approx(x, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1
+        [[-1.0, 0.0], [0.0, 2.0]],
+        [[1.0, 1.0], [1.0, 1.0]],  # singular
+        [[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [3.0, 3.0, 6.0]],  # row 3 = row 1 + row 2
+        [[0.0, 0.0], [0.0, 0.0]],
+    ],
+)
+def test_cholesky_solve_refuses_indefinite_and_singular(a):
+    assert estimate._cholesky_solve(a, [1.0] * len(a)) is None
+
+
+def test_gain_equals_the_likelihood_difference():
+    rng = random.Random(45)
+    for _ in range(10):
+        counts = random_counts(rng, rng.randint(3, 5), partial=rng.random() < 0.5)
+        lay = estimate._layout(counts)
+        p, q = (gen.random_params(rng, counts.universe.size).as_float() for _ in range(2))
+        mix_p, mix_q = (estimate._e_step(lay, *estimate._vectors(x))[-1] for x in (p, q))
+        want = log_likelihood(q, counts) - log_likelihood(p, counts)
+        assert abs(estimate._gain(lay, mix_p, mix_q) - want) <= 1e-9
+
+
+def test_hessian_matches_finite_differences():
+    # the analytic Hessian against central differences of the analytic gradient
+    rng = random.Random(46)
+    for _ in range(8):
+        counts = random_counts(rng, rng.randint(3, 5), partial=rng.random() < 0.5)
+        lay = estimate._layout(counts)
+        point = estimate._vectors(gen.random_params(rng, counts.universe.size).as_float())
+        hess = estimate._hessian(lay, estimate._e_step(lay, *point), point[2])
+        x, h = estimate._coords(*point), 1e-5
+        for i in range(len(x)):
+            ends = []
+            for dx in (h, -h):
+                y = x.copy()
+                y[i] += dx
+                p = estimate._point(y)
+                d_u, d_v, d_logit = estimate._gradient(lay, estimate._e_step(lay, *p), p[2])
+                ends.append(np.concatenate((d_u, d_v, [d_logit])))
+            fd = (ends[0] - ends[1]) / (2 * h)
+            assert np.abs(fd - hess[:, i]).max() <= 1e-6 * np.abs(hess).max()
+
+
+def test_estimate_calls_no_lapack():
+    # the Newton solve is pure Python, so fits do not depend on a LAPACK build
+    assert "linalg" not in Path(estimate.__file__).read_text()
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 7])
