@@ -512,6 +512,40 @@ def satisfies_iia(rho: StochasticChoice, tol: Scalar | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: The smallest Cholesky pivot :func:`_cholesky_solve` accepts, relative to
+#: its diagonal entry.
+_PIVOT_MIN = 1e-12
+
+
+def _cholesky_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """The solution of ``a x = b`` for symmetric positive definite ``a``.
+
+    A plain Cholesky factorisation a = L L^T and two triangular solves,
+    every sum taken by ``math.fsum`` in pure Python: no BLAS or LAPACK,
+    so the result is the same on every CPU.  ``a`` and ``b`` must be
+    finite.  Returns None when a pivot is not positive beyond
+    ``_PIVOT_MIN`` of its diagonal entry, that is when ``a`` is indefinite
+    or (numerically) singular.
+    """
+    m = len(b)
+    low = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        d = math.fsum([a[j][j]] + [-low[j][k] ** 2 for k in range(j)])
+        if not d > _PIVOT_MIN * abs(a[j][j]):
+            return None
+        low[j][j] = math.sqrt(d)
+        for i in range(j + 1, m):
+            s = math.fsum([a[i][j]] + [-low[i][k] * low[j][k] for k in range(j)])
+            low[i][j] = s / low[j][j]
+    y = [0.0] * m
+    for i in range(m):
+        y[i] = math.fsum([b[i]] + [-low[i][k] * y[k] for k in range(i)]) / low[i][i]
+    x = [0.0] * m
+    for i in reversed(range(m)):
+        x[i] = math.fsum([y[i]] + [-low[k][i] * x[k] for k in range(i + 1, m)]) / low[i][i]
+    return x
+
+
 def recover_luce_utility(
     rho: StochasticChoice, anchor: str, tol: Scalar | None = None
 ) -> dict[str, Scalar]:
@@ -520,16 +554,19 @@ def recover_luce_utility(
     For any menu S containing both a and b, IIA makes rho(b,S)/rho(a,S)
     menu-independent, so utilities follow by chaining these ratios from the
     anchor.  Exact mode reads each ratio off the first menu holding both, in
-    ints; float mode aggregates the ratios across menus by geometric mean
-    and reconciles them across paths by a log-space least-squares fit over
-    the whole ratio graph.
+    ints, and chains them.  Float mode gives each linked pair (a, b) the
+    mean of log rho(b,S)/rho(a,S) over its shared menus and fits log u to
+    all of them at once by least squares with log u(anchor) = 0: the
+    normal equations are the ratio graph's Laplacian without the anchor's
+    row and column, solved by :func:`_cholesky_solve` (HodgeRank; Jiang,
+    Lim, Yao & Ye 2011), with every sum taken by ``math.fsum``.
 
     Raises :class:`NotLuceError` if positivity fails or IIA is violated
     beyond ``tol``, and :class:`InsufficientDataError` if some alternative
     cannot be chained back to the anchor through shared menus.
     """
     universe = rho.universe
-    universe.index(anchor)
+    root = universe.index(anchor)
     eff = resolve_tol(tol, rho.is_exact)
 
     zero = _first_nonpositive(rho, eff)
@@ -547,37 +584,34 @@ def recover_luce_utility(
             + kernel.tuple_at(_first_true(bad)).describe(universe)
         )
 
-    # one edge per pair of alternatives sharing menus: the ratio of their
-    # probabilities, in the first shared menu in exact mode and a geometric
-    # mean over the menus in float mode
-    view, alts, exact = rho._dense, universe.alternatives, rho.is_exact
+    # one edge per pair of alternatives sharing menus, both ways: step[x, y]
+    # is u(y)/u(x) from the first shared menu in exact mode, and the mean of
+    # log u(y)/u(x) over the shared menus in float mode
+    view, n, exact = rho._dense, universe.size, rho.is_exact
     e = view.entries  # ints over each row's lcm when exact
-    edges: dict[tuple[str, str], Scalar] = {}
-    steps: dict[str, list[tuple[str, Scalar]]] = {}  # both directions of every edge
-    for x, y in combinations(range(universe.size), 2):
+    step: dict[tuple[int, int], Scalar] = {}
+    for x, y in combinations(range(n), 2):
         held = view.mask[:, x] & view.mask[:, y]
         if held.any():
             if exact:
                 i = _first_true(held)
-                r, back = Fraction(e[i, y], e[i, x]), Fraction(e[i, x], e[i, y])
+                step[x, y], step[y, x] = Fraction(e[i, y], e[i, x]), Fraction(e[i, x], e[i, y])
             else:
-                ratios = (e[held, y] / e[held, x]).tolist()
-                r = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
-                back = 1 / r
-            edges[alts[x], alts[y]] = r
-            steps.setdefault(alts[x], []).append((alts[y], r))
-            steps.setdefault(alts[y], []).append((alts[x], back))
+                logs = list(map(math.log, (e[held, y] / e[held, x]).tolist()))
+                step[x, y] = math.fsum(logs) / len(logs)
+                step[y, x] = -step[x, y]
 
-    util: dict[str, Scalar] = {anchor: Fraction(1) if exact else 1.0}
-    frontier = [anchor]
+    # float mode reads only which alternatives the walk reaches
+    util: dict[int, Scalar] = {root: Fraction(1)}
+    frontier = [root]
     while frontier:
         here = frontier.pop()
-        for nxt, ratio in sorted(steps.get(here, []), key=lambda step: universe.index(step[0])):
-            if nxt not in util:
-                util[nxt] = util[here] * ratio
+        for nxt in range(n):
+            if (here, nxt) in step and nxt not in util:
+                util[nxt] = util[here] * step[here, nxt] if exact else None
                 frontier.append(nxt)
 
-    missing = [a for a in universe.alternatives if a not in util]
+    missing = [a for k, a in enumerate(universe.alternatives) if k not in util]
     if missing:
         raise InsufficientDataError(
             "ratio graph is disconnected: no menu chain links "
@@ -585,36 +619,17 @@ def recover_luce_utility(
         )
 
     if not exact:
-        util = _log_least_squares(universe, anchor, edges)
-    return {a: util[a] for a in universe.alternatives}
-
-
-def _log_least_squares(
-    universe: Universe, anchor: str, edges: Mapping[tuple[str, str], float]
-) -> dict[str, float]:
-    """Reconcile log-utility differences over all edges at once.
-
-    Solves min sum over edges (a,b) of (log u(b) - log u(a) - log r_ab)^2
-    with log u(anchor) fixed at 0, which averages every ratio path instead
-    of committing to a single spanning tree.
-    """
-    free = [a for a in universe.alternatives if a != anchor]
-    col = {a: i for i, a in enumerate(free)}
-    rows = []
-    rhs = []
-    for (a, b), r in sorted(edges.items()):
-        row = [0.0] * len(free)
-        if b != anchor:
-            row[col[b]] = 1.0
-        if a != anchor:
-            row[col[a]] = -1.0
-        rows.append(row)
-        rhs.append(math.log(r))
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    out = {anchor: 1.0}
-    for a in free:
-        out[a] = math.exp(sol[col[a]])
-    return out
+        # minimise the sum over edges of (l_y - l_x - step[x, y])^2 in
+        # l = log u: the Laplacian's diagonal holds the degrees, with -1
+        # per edge, and row k's right-hand side sums step[j, k] over k's
+        # neighbours j
+        free = [k for k in range(n) if k != root]
+        degree = [sum((i, j) in step for j in range(n)) for i in range(n)]
+        lap = [[float(degree[i]) if i == k else -float((i, k) in step) for k in free] for i in free]
+        rhs = [math.fsum(step[j, k] for j in range(n) if (j, k) in step) for k in free]
+        logs = _cholesky_solve(lap, rhs)
+        util = {root: 1.0, **{k: math.exp(x) for k, x in zip(free, logs)}}
+    return {a: util[k] for k, a in enumerate(universe.alternatives)}
 
 
 # ---------------------------------------------------------------------------

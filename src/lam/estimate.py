@@ -41,7 +41,7 @@ from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .choice import lam_choice
+from .choice import _cholesky_solve, lam_choice
 from .types import (
     InvalidParameterError,
     LamParams,
@@ -315,10 +315,9 @@ _ST_NEAR_EM = -1.01
 # The largest decrease of ll that ``monotone`` tolerates in an accepted step.
 _LL_DROP = 1e-10
 # Newton finish: the EM maps before the first try (the wait doubles after
-# each refused try), the smallest Cholesky pivot relative to its diagonal
-# entry, and the most halvings of a step before the try is refused.
+# each refused try) and the most halvings of a step before the try is
+# refused.
 _NEWTON_WAIT = 20
-_PIVOT_MIN = 1e-12
 _NEWTON_HALVINGS = 8
 
 
@@ -337,35 +336,6 @@ def _point(x: np.ndarray) -> tuple | None:
         return None
     w = np.exp(x[:-1])
     return w[: len(w) // 2], w[len(w) // 2 :], a
-
-
-def _cholesky_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
-    """The solution of ``a x = b`` for symmetric positive definite ``a``.
-
-    A plain Cholesky factorisation a = L L^T and two triangular solves,
-    every sum taken by ``math.fsum`` in pure Python: no BLAS or LAPACK,
-    so the result is the same on every CPU.  ``a`` and ``b`` must be
-    finite.  Returns None when a pivot is not positive beyond
-    ``_PIVOT_MIN`` of its diagonal entry, that is when ``a`` is indefinite
-    or (numerically) singular.
-    """
-    m = len(b)
-    low = [[0.0] * m for _ in range(m)]
-    for j in range(m):
-        d = math.fsum([a[j][j]] + [-low[j][k] ** 2 for k in range(j)])
-        if not d > _PIVOT_MIN * abs(a[j][j]):
-            return None
-        low[j][j] = math.sqrt(d)
-        for i in range(j + 1, m):
-            s = math.fsum([a[i][j]] + [-low[i][k] * low[j][k] for k in range(j)])
-            low[i][j] = s / low[j][j]
-    y = [0.0] * m
-    for i in range(m):
-        y[i] = math.fsum([b[i]] + [-low[i][k] * y[k] for k in range(i)]) / low[i][i]
-    x = [0.0] * m
-    for i in reversed(range(m)):
-        x[i] = math.fsum([y[i]] + [-low[k][i] * x[k] for k in range(i + 1, m)]) / low[i][i]
-    return x
 
 
 def _gain(lay: _Layout, mix_p: np.ndarray, mix_q: np.ndarray) -> float:

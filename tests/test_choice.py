@@ -524,10 +524,35 @@ def test_recover_disconnected_graph():
         recover_luce_utility(rho, "a")
 
 
-def test_recover_float_least_squares_consistency(ex_a_human):
-    util = recover_luce_utility(ex_a_human.as_float(), "x")
-    assert abs(util["y"] - 2 / 3) <= 1e-12
-    assert abs(util["z"] - 1 / 3) <= 1e-12
+def test_recover_float_least_squares_accuracy():
+    # float Luce tables on every menu and on partial designs: the ratio
+    # graph's least-squares fit stays within a few ulps of the truth
+    rng = random.Random(17)
+    checked = {False: 0, True: 0}
+    for k in range(80):
+        params = gen.random_params(rng, 4 + k % 5, require_misaligned=False)
+        menus, partial = params.universe.all_menus(2), k % 2 == 1
+        if partial:
+            menus = [m for m in menus if rng.random() < 0.3]
+        rho = luce_table(params.universe, params.u, menus).as_float()
+        try:
+            util = recover_luce_utility(rho, params.anchor)
+        except InsufficientDataError:
+            continue
+        for a, want in params.u.items():
+            assert abs(F(util[a]) - want) <= 1e-14 * want, (params, a)
+        checked[partial] += 1
+    assert min(checked.values()) >= 35
+    # on a path the fit leaves every edge exact: it chains the ratios
+    uni = Universe(tuple("abcd"))
+    rho = luce_table(uni, {"a": 1, "b": 7, "c": 3, "d": 5}, [("a", "b"), ("b", "c"), ("c", "d")])
+    rho = rho.as_float()
+    chained = [1.0]
+    for x, y in zip("abc", "bcd"):
+        menu = frozenset({x, y})
+        chained.append(chained[-1] * rho.prob(y, menu) / rho.prob(x, menu))
+    util = recover_luce_utility(rho, "a")
+    assert [util[a] for a in "abcd"] == pytest.approx(chained, rel=1e-15)
 
 
 @given(rational_params())

@@ -1,6 +1,7 @@
 """End-to-end CLI runs over the bundled golden files."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import gen
 from lam.cli import main
 from lam.dataio import parse_dataset, serialize_dataset
 from lam import LamParams, lam_table, luce_table, Universe
@@ -436,11 +438,11 @@ r_squared,1.0
 tuples_used,2
 anchor,x
 u,x,1.0
-u,y,0.6666666666666667
+u,y,0.6666666666666666
 u,z,0.3333333333333332
 v,x,1.0
 v,y,1.9999999999999987
-v,z,2.9999999999999982
+v,z,2.999999999999998
 autonomous,x;y,x,0.3333333333333334
 autonomous,x;y,y,0.6666666666666664
 autonomous,x;y;z,x,0.1666666666666667
@@ -627,6 +629,52 @@ def test_float_reports_independent_of_hash_seed():
         outputs.add(proc.stdout)
     (out,) = outputs
     assert out.count(b"report,") == 5 and b"mode,float" in out
+
+
+LAB_REPORTS = """
+import sys
+from lam.cli import main
+for ai, human, anchor in zip(*[iter(sys.argv[1:])] * 3):
+    print("exit", main(["identify-lab", "--ai", ai, "--human", human, "--anchor", anchor]))
+    print("exit", main(["check-axioms", "--ai", ai, "--human", human]))
+"""
+
+#: Settings that change which OpenBLAS kernels and numpy SIMD loops run;
+#: numpy accepts the AVX-512 targets on any CPU, and skips those it lacks.
+CPU_SETTINGS = (
+    {},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+)
+
+
+def test_float_lab_reports_independent_of_cpu(tmp_path):
+    # the float lab reports call no LAPACK routine and no SIMD-dispatched
+    # numpy transcendental, so their bytes do not depend on the kernels the
+    # CPU selects.  Not covered yet: identify-field (np.roots calls LAPACK)
+    # and fit (numpy's dispatched log and exp in the EM)
+    rng = random.Random(6)
+    params = gen.random_params(rng, 6)
+    menus = [m for m in params.universe.all_menus(2) if rng.random() < 0.5]
+    for name, table in (("ai", lam_table(params, menus)),
+                        ("human", luce_table(params.universe, params.u, menus))):
+        (tmp_path / f"{name}.csv").write_text(serialize_dataset(table.as_float()))
+    argv = [str(DATA / "lab_ai.csv"), str(DATA / "lab_human.csv"), "x",
+            str(DATA / "lab_ai.csv"), str(DATA / "lab_human_perturbed.csv"), "x",
+            str(tmp_path / "ai.csv"), str(tmp_path / "human.csv"), params.anchor]
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = set()
+    for setting in CPU_SETTINGS:
+        env = dict(os.environ, **setting)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", LAB_REPORTS, *argv], capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, "float lab reports differ across CPU settings"
+    (out,) = outputs
+    assert out.count(b"status,point-identified") == 2 and b"mode,float" in out
 
 
 def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
