@@ -72,6 +72,7 @@ from .types import (
     RegimeReport,
     StochasticChoice,
     Universe,
+    UtilityRangeError,
     sup_distance,
 )
 

@@ -42,6 +42,7 @@ from .types import (
     Scalar,
     StochasticChoice,
     Universe,
+    UtilityRangeError,
     _floats,
     _rows,
     is_exact_scalar,
@@ -562,8 +563,10 @@ def recover_luce_utility(
     Lim, Yao & Ye 2011), with every sum taken by ``math.fsum``.
 
     Raises :class:`NotLuceError` if positivity fails or IIA is violated
-    beyond ``tol``, and :class:`InsufficientDataError` if some alternative
-    cannot be chained back to the anchor through shared menus.
+    beyond ``tol``, :class:`InsufficientDataError` if some alternative
+    cannot be chained back to the anchor through shared menus, and in
+    float mode :class:`UtilityRangeError` if a utility relative to the
+    anchor's overflows float64 or underflows to 0.
     """
     universe = rho.universe
     root = universe.index(anchor)
@@ -590,16 +593,26 @@ def recover_luce_utility(
     view, n, exact = rho._dense, universe.size, rho.is_exact
     e = view.entries  # ints over each row's lcm when exact
     step: dict[tuple[int, int], Scalar] = {}
-    for x, y in combinations(range(n), 2):
-        held = view.mask[:, x] & view.mask[:, y]
-        if held.any():
+    # a ratio over a subnormal entry may overflow; its log is then taken as
+    # log e_y - log e_x, which stays in range
+    with np.errstate(over="ignore"):
+        for x, y in combinations(range(n), 2):
+            held = view.mask[:, x] & view.mask[:, y]
+            if not held.any():
+                continue
             if exact:
                 i = _first_true(held)
                 step[x, y], step[y, x] = Fraction(e[i, y], e[i, x]), Fraction(e[i, x], e[i, y])
-            else:
-                logs = list(map(math.log, (e[held, y] / e[held, x]).tolist()))
-                step[x, y] = math.fsum(logs) / len(logs)
-                step[y, x] = -step[x, y]
+                continue
+            ex, ey = e[held, x], e[held, y]
+            logs = list(map(math.log, (ey / ex).tolist()))
+            if math.inf in logs:
+                logs = [
+                    r if r < math.inf else math.log(b) - math.log(a)
+                    for r, a, b in zip(logs, ex.tolist(), ey.tolist())
+                ]
+            step[x, y] = math.fsum(logs) / len(logs)
+            step[y, x] = -step[x, y]
 
     # float mode reads only which alternatives the walk reaches
     util: dict[int, Scalar] = {root: Fraction(1)}
@@ -628,7 +641,17 @@ def recover_luce_utility(
         lap = [[float(degree[i]) if i == k else -float((i, k) in step) for k in free] for i in free]
         rhs = [math.fsum(step[j, k] for j in range(n) if (j, k) in step) for k in free]
         logs = _cholesky_solve(lap, rhs)
-        util = {root: 1.0, **{k: math.exp(x) for k, x in zip(free, logs)}}
+        util = {root: 1.0}
+        for k, x in zip(free, logs):
+            try:
+                util[k] = math.exp(x)
+            except OverflowError:
+                util[k] = math.inf
+            if not 0.0 < util[k] < math.inf:
+                raise UtilityRangeError(
+                    f"utility of {universe.alternatives[k]!r} against the anchor "
+                    f"{anchor!r} is exp({x!r}), outside float64's range"
+                )
     return {a: util[k] for k, a in enumerate(universe.alternatives)}
 
 

@@ -16,10 +16,12 @@ accelerates that map with SQUAREM (Varadhan & Roland 2008) in
 (log u, log v, logit alpha), keeps an extrapolated point only if it does
 not lower the likelihood (else it backtracks, then takes the plain double
 EM step), and finishes with Newton steps (Louis 1982; Jamshidian &
-Jennrich 1997) once the negated analytic Hessian (the observed
-information) factors by a pure-Python Cholesky.  A Newton step is
-kept on its gain summed cell by cell, which resolves changes below one
-ulp of the likelihood.  A start stops on the gradient, not on the
+Jennrich 1997) on the negated analytic Hessian (the observed
+information), factored by a pure-Python Cholesky; where it is
+indefinite its diagonal is shifted until it factors (Levenberg 1944,
+Marquardt 1963).  A Newton step is kept on its gain summed cell by cell,
+which resolves changes below one ulp of the likelihood, and the gradient
+is summed cell by cell too.  A start stops on the gradient, not on the
 likelihood change, or where a step can no longer gain: EM's gain is then
 below the rounding of the likelihood.  Estimation is double-precision
 throughout; exact inputs are converted on entry.
@@ -257,14 +259,18 @@ def _gradient(lay: _Layout, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray,
     Returns d/d log u and d/d log v for every alternative (the anchor's
     entries included) and d/d logit alpha.  The last is a(1 - a) times
     sum N (pu - pv) / mix, which the responsibilities reduce to
-    sum wu - a * total.
+    sum wu - a * total.  Each entry sums one residual per cell, wu - pu W
+    for d/d log u with W the menu's total wu (likewise for v), and
+    wu - a N for alpha: the residuals vanish together at a stationary
+    point, where the difference of two sums of the counts' size would
+    read one ulp of those sums instead of the gradient.
     """
     pu, _, pv, _, mix = e
     wu = lay.counts * a * pu / mix
     wv = lay.counts - wu
-    d_u = wu.sum(axis=0) - (pu * wu.sum(axis=1)[:, None]).sum(axis=0)
-    d_v = wv.sum(axis=0) - (pv * wv.sum(axis=1)[:, None]).sum(axis=0)
-    return d_u, d_v, float(wu.sum()) - a * lay.total
+    d_u = (wu - pu * wu.sum(axis=1)[:, None]).sum(axis=0)
+    d_v = (wv - pv * wv.sum(axis=1)[:, None]).sum(axis=0)
+    return d_u, d_v, float((wu - a * lay.counts).sum())
 
 
 def log_likelihood_gradient(
@@ -319,6 +325,9 @@ _LL_DROP = 1e-10
 # refused.
 _NEWTON_WAIT = 20
 _NEWTON_HALVINGS = 8
+# The Levenberg-Marquardt ladder: -H, then -H + mu * max|diag(-H)| * I for
+# each mu in turn, until one factors.
+_NEWTON_SHIFTS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def _coords(u: np.ndarray, v: np.ndarray, a) -> np.ndarray:
@@ -395,12 +404,17 @@ def _hessian(lay: _Layout, e: tuple, a: float) -> np.ndarray:
 def _newton_step(lay: _Layout, point: tuple, e: tuple, grad: np.ndarray) -> tuple | None:
     """A safeguarded Newton step from ``point`` in the free coordinates.
 
-    The step (-H)^-1 grad, with H the analytic Hessian (``_hessian``) in
-    the m = 2n - 1 free coordinates, is taken only when -H factors
-    (``_cholesky_solve``); it is then an ascent direction, halved up to
+    The step is (-H + mu s I)^-1 grad, with H the analytic Hessian
+    (``_hessian``) in the m = 2n - 1 free coordinates and s = max |diag H|.
+    mu climbs ``_NEWTON_SHIFTS`` (0, then 1e-4 up to 1) until the shifted
+    matrix factors (``_cholesky_solve``): the plain Newton step where -H
+    is positive definite, a Levenberg-Marquardt step, between Newton and
+    scaled gradient ascent, where it is not (Levenberg 1944, Marquardt
+    1963).  Either is an ascent direction, halved up to
     ``_NEWTON_HALVINGS`` times until the new point passes ``_point``'s
     guards and its gain (``_gain``) is at least ``-_LL_DROP``.  Returns
-    the new point, its E-step and the gain, or None.
+    the new point, its E-step and the gain, or None when no shift factors
+    or no halving is accepted.
     """
     n = len(point[0])
     free = [*range(1, n), *range(n + 1, 2 * n + 1)]
@@ -411,8 +425,12 @@ def _newton_step(lay: _Layout, point: tuple, e: tuple, grad: np.ndarray) -> tupl
         neg = -_hessian(lay, e, point[2])[np.ix_(free, free)]
         if not np.isfinite(neg).all():
             return None
-        step = _cholesky_solve(neg.tolist(), grad.tolist())
-        if step is None:
+        shift = np.abs(np.diag(neg)).max() * np.eye(len(free))
+        for mu in _NEWTON_SHIFTS:
+            step = _cholesky_solve((neg + mu * shift).tolist(), grad.tolist())
+            if step is not None:
+                break
+        else:
             return None
         step = np.array(step)
         for _ in range(_NEWTON_HALVINGS + 1):
@@ -443,13 +461,15 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
 
     Once ``_NEWTON_WAIT`` maps are spent the start tries a Newton step
     (``_newton_step``; Louis 1982, Jamshidian & Jennrich 1997) in place of
-    a cycle.  A try counts as one map.  Each refused try doubles the maps
-    before the next (tries from 20, 40, 80 ... maps on); after an accepted
-    step the next try comes at once.  A Newton step is accepted on its
-    gain, the sum of per-cell log-ratio terms, not on the difference of two
-    ll readings: at |ll| near 1e6 one ulp of ll exceeds ``_LL_DROP``, so a
-    step that takes max |gradient| from 1e-3 to 1e-9 can read one ulp
-    lower.
+    a cycle, with -H's diagonal shifted up a fixed ladder where it does
+    not factor, so an indefinite Hessian still gives a step.  A try counts
+    as one map.  Each refused try (no shift factors, or no halving is
+    accepted) doubles the maps before the next (tries from 20, 40, 80 ...
+    maps on); after an accepted step the next try comes at once.  A Newton
+    step is accepted on its gain, the sum of per-cell log-ratio terms, not
+    on the difference of two ll readings: at |ll| near 1e6 one ulp of ll
+    exceeds ``_LL_DROP``, so a step that takes max |gradient| from 1e-3 to
+    1e-9 can read one ulp lower.
 
     The start stops when max |gradient| in the free coordinates is at most
     ``tol_ll * max(1, |ll|)``, after ``max_iter`` maps (backtracking maps
@@ -549,11 +569,14 @@ class FitResult:
     certifies a stationary point, which need not be a maximum.
     ``monotone`` certifies that no accepted step of any start decreased
     the likelihood beyond 1e-10: a SQUAREM cycle by the difference of the
-    two ll readings, a Newton step by its gain summed cell by cell, which
-    resolves changes well below one ulp of ll (1.2e-10 at |ll| = 1e6).
-    So ``ll_trace`` can read one ulp lower after a Newton step.  ``status``
-    is ``degenerate-fit`` when every start collapsed to a boundary mixture
-    weight.
+    two ll readings, a Newton step (shifted Levenberg-Marquardt style
+    where the Hessian is indefinite) by its gain summed cell by cell,
+    which resolves changes well below one ulp of ll (1.2e-10 at
+    |ll| = 1e6).  So ``ll_trace`` can read one ulp lower after a Newton
+    step.  The gradient behind ``grad_max`` is summed cell by cell as well,
+    so at the optimum it reads the gradient rather than one ulp of sums of
+    the counts' size.  ``status`` is ``degenerate-fit`` when every start
+    collapsed to a boundary mixture weight.
     """
 
     params: LamParams
@@ -584,14 +607,16 @@ def fit_mle(
     u = v, which is the optimum on effectively single-rule data and may be
     a saddle otherwise.  Remaining starts draw log-utilities from a
     standard normal (anchor pinned) and a uniform interior mixture weight.
-    Each start runs SQUAREM-accelerated EM with a Newton finish (see
-    ``_em_start``) until max |gradient| is at most
-    ``tol_ll * max(1, |ll|)``, it has spent ``max_iter`` EM maps (a Newton
-    try counts as one), an accepted Newton step gained at most 1e-10 and
-    did not lower max |gradient|, or its next EM step would lower the
-    likelihood by more than 1e-10, and the best final likelihood wins
-    (ties keep the earlier start).  Starts whose mixture weight collapses to a boundary
-    are marked degenerate and only win if every start degenerates.
+    Each start runs SQUAREM-accelerated EM with a Newton finish, whose
+    Hessian is shifted up a fixed Levenberg-Marquardt ladder where it is
+    indefinite (see ``_em_start``), until max |gradient|, summed cell by
+    cell, is at most ``tol_ll * max(1, |ll|)``, it has spent ``max_iter``
+    EM maps (a Newton try counts as one), an accepted Newton step gained at
+    most 1e-10 and did not lower max |gradient|, or its next EM step would
+    lower the likelihood by more than 1e-10, and the best final likelihood
+    wins (ties keep the earlier start).  Starts whose mixture weight
+    collapses to a boundary are marked degenerate and only win if every
+    start degenerates.
     """
     if inits < 1:
         raise InvalidParameterError("need at least one start")

@@ -61,6 +61,10 @@ class NotLuceError(LamError):
     """Data that must be a Luce rule (positive + IIA) is not one."""
 
 
+class UtilityRangeError(LamError):
+    """A recovered utility, relative to the anchor's, lies outside float64's range."""
+
+
 class NotIdentifiedError(LamError):
     """Compliance cannot be identified from the data.
 

@@ -22,6 +22,7 @@ from lam import (
     NotLuceError,
     StochasticChoice,
     Universe,
+    UtilityRangeError,
     classify_regime,
     composite_instability,
     cross_instability,
@@ -522,6 +523,24 @@ def test_recover_disconnected_graph():
     )
     with pytest.raises(InsufficientDataError):
         recover_luce_utility(rho, "a")
+
+
+def test_recover_names_a_utility_past_float_range():
+    # u(b)/u(a) = 1/5e-324 is past float64's largest value, and so is the
+    # ratio of the two probabilities, which must not warn
+    rows = {("a", "b"): {"a": 5e-324, "b": 1.0}, ("b", "c"): {"b": 0.5, "c": 0.5}}
+    rho = StochasticChoice(Universe(("a", "b", "c")), rows)
+    with pytest.raises(UtilityRangeError, match=r"utility of 'b' against the anchor 'a'"):
+        recover_luce_utility(rho, "a", tol=0)
+    # against b, the same rows put u(a) at the smallest subnormal, in range
+    assert recover_luce_utility(rho, "b", tol=0) == {"a": 5e-324, "b": 1.0, "c": 1.0}
+
+
+def test_recover_names_a_utility_that_underflows():
+    rows = {("a", "b"): {"a": 1.0, "b": 5e-324}, ("b", "c"): {"b": 1.0, "c": 5e-324}}
+    rho = StochasticChoice(Universe(("a", "b", "c")), rows)
+    with pytest.raises(UtilityRangeError, match=r"utility of 'c' against the anchor 'a'"):
+        recover_luce_utility(rho, "a", tol=0)
 
 
 def test_recover_float_least_squares_accuracy():

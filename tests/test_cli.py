@@ -539,6 +539,21 @@ def test_non_finite_probability_is_an_input_error(capsys, tmp_path):
         assert err == "error: line 6: probability 'nan' is not finite\n"
 
 
+def test_lab_utility_past_float_range_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "subnormal.csv"
+    path.write_text(
+        "mode,probabilities\nuniverse,a;b;c\nmenu,alternative,value\n"
+        "a;b,a,5e-324\na;b,b,1.0\nb;c,b,0.5\nb;c,c,0.5\n"
+    )
+    code, out, err = run(
+        capsys, "identify-lab", "--ai", str(path), "--human", str(path), "--anchor", "a",
+        "--tol", "0",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: utility of 'b' against the anchor 'a' is exp(")
+    assert err.endswith("outside float64's range\n")
+
+
 def test_simulate_rejects_infinite_utility(capsys, tmp_path):
     params = tmp_path / "params.csv"
     params.write_text(

@@ -335,12 +335,36 @@ def test_fit_ends_a_start_where_em_reads_lower(uni4, ex_b_params):
 
 
 def test_criterion_7_fit_converges(uni4, ex_b_params):
-    # the Newton finish certifies the fit that EM alone leaves at |grad| ~ 1e-4
+    # the Newton finish certifies the fit that EM alone leaves at |grad| ~ 1e-4;
+    # with -H unshifted, refused tries on an indefinite Hessian cost one
+    # start 324 maps and the fit 440
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
     fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
     assert fit.converged
     assert fit.grad_max <= 1e-13 * abs(fit.log_likelihood)
     assert fit.monotone
+    assert sum(fit.start_iterations) <= 150
+
+
+def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
+    # criterion 7's first random start after 20 EM maps, where -H has an
+    # eigenvalue near -746: the Cholesky of -H fails, a shifted one does not
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    lay = estimate._layout(counts)
+    rng = estimate._rng(7)  # fit_mle's draw for its second start, seed 7
+    u, v = np.ones(4), np.ones(4)
+    for i in range(1, 4):
+        u[i], v[i] = math.exp(rng.normal()), math.exp(rng.normal())
+    point = estimate._em_start(lay, (u, v, float(rng.uniform(0.1, 0.9))), 1e-13, 20)[0]
+    e = estimate._e_step(lay, *point)
+    d_u, d_v, d_logit = estimate._gradient(lay, e, point[2])
+    grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
+    free = [1, 2, 3, 5, 6, 7, 8]  # the anchor x is pinned in u (0) and v (4)
+    neg = -estimate._hessian(lay, e, point[2])[np.ix_(free, free)]
+    assert estimate._cholesky_solve(neg.tolist(), grad.tolist()) is None
+    step = estimate._newton_step(lay, point, e, grad)
+    assert step is not None
+    assert step[2] >= -1e-10
 
 
 def test_default_fit_converges_on_small_data():
@@ -350,6 +374,40 @@ def test_default_fit_converges_on_small_data():
     fit = fit_mle(counts, inits=4)
     assert fit.status == "ok"
     assert fit.converged
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_default_fit_stops_below_max_iter(seed):
+    # n=4 truths at 1000 draws per menu: without the shifted Newton step some
+    # starts here spend all of max_iter
+    truth = gen.random_params(random.Random(seed), 4)
+    counts = simulate_counts(truth, truth.universe.all_menus(2), 1000, seed=seed)
+    fit = fit_mle(counts, inits=4)
+    assert max(fit.start_iterations) < 2000
+    assert fit.monotone
+
+
+def test_gradient_matches_a_per_cell_fsum_oracle(uni4, ex_b_params):
+    # at the fitted criterion-7 point the gradient is near 4e-11, below one
+    # ulp of the count sums (about 1e5) that a difference of sums would read
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
+    lay = estimate._layout(counts)
+    u, v, a = estimate._vectors(fit.params)
+    e = estimate._e_step(lay, u, v, a)
+    pu, _, pv, _, mix = e
+    wu = lay.counts * a * pu / mix
+    wv = lay.counts - wu
+    menus = range(len(lay.counts))
+
+    def oracle(w, p):  # the same float64 cells, summed exactly
+        total = w.sum(axis=1)
+        return [math.fsum(w[s, k] - p[s, k] * total[s] for s in menus) for k in range(4)]
+
+    d_alpha = math.fsum((wu - a * lay.counts).ravel().tolist())
+    want = np.array(oracle(wu, pu) + oracle(wv, pv) + [d_alpha])
+    d_u, d_v, d_logit = estimate._gradient(lay, e, a)
+    assert np.abs(np.concatenate((d_u, d_v, [d_logit])) - want).max() <= 1e-11
 
 
 def test_fit_ends_every_start_at_zero_tolerance(uni4, ex_b_params):
