@@ -116,49 +116,52 @@ def lam_table(params: LamParams, menus: Iterable[Iterable[str]]) -> StochasticCh
     return StochasticChoice(u, {u.menu(m): lam_choice(params, m) for m in menus})
 
 
-def _luce_cells(weights: Mapping[str, Scalar], rows: list[list[bool]], r, x):
-    """A Luce rule at the cells (r, x) of a membership mask given as ``rows``.
-
-    Fraction weights give the int numerators and row totals over their lcm;
-    float weights give float64 probabilities, each row totalled by ``sum``
-    in universe order as :func:`luce_choice` does.
+def _mixture(params: LamParams, mask: np.ndarray):
+    """:func:`lam_choice` at the cells (r, x) of a menus x universe ``mask``,
+    row by row, as (r, x, num, den), or None unless the parameters are all
+    Fractions or all floats.  Fraction parameters give int arrays, a cell
+    being num/den; float parameters give float64 cells as ``num`` (den
+    None) with the operands and rounding of ``lam_choice``, each rule's
+    row totalled by ``sum`` in universe order.
     """
-    w = list(weights.values())  # universe order
-    if type(w[0]) is Fraction:
-        lcm = math.lcm(*(p.denominator for p in w))
-        w = [p.numerator * (lcm // p.denominator) for p in w]
-        totals = np.array([sum(compress(w, m)) for m in rows], dtype=object)
-        return np.array(w, dtype=object)[x], totals[r]
-    return np.array(w)[x] / np.array([sum(compress(w, m)) for m in rows])[r]
+    a = params.alpha
+    kinds = {type(s) for s in (a, *params.u.values(), *params.v.values())}
+    if kinds != {Fraction} and kinds != {float}:
+        return None
+    exact, rows = kinds == {Fraction}, mask.tolist()
+    r, x = np.nonzero(mask)
+    cells = []
+    for w in (list(params.u.values()), list(params.v.values())):  # universe order
+        if exact:  # ints over the rule's lcm
+            lcm = math.lcm(*(p.denominator for p in w))
+            w = [p.numerator * (lcm // p.denominator) for p in w]
+        totals = np.array([sum(compress(w, m)) for m in rows], dtype=object if exact else float)
+        cells.append((np.array(w, dtype=object)[x], totals[r]) if exact else np.array(w)[x] / totals[r])
+    if not exact:
+        return r, x, a * cells[0] + (1 - a) * cells[1], None
+    (u, us), (v, vs) = cells
+    return r, x, a.numerator * u * vs + (a.denominator - a.numerator) * v * us, a.denominator * us * vs
 
 
 def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
     """``sup_distance(lam_table(params, rho.domain), rho)``, from rho's dense view.
 
-    Fraction parameters with exact data give each cell's difference N/D in
-    ints; float parameters give float64 cells with the operands and the
-    rounding of :func:`lam_choice`, and a predicted row that the validating
-    :class:`StochasticChoice` would reject raises its error.  Any other
-    mix of scalar types takes the table path itself.
+    With :func:`_mixture`'s cells, Fraction parameters with exact data give
+    each cell's difference N/D in ints; with float parameters a predicted
+    row that the validating :class:`StochasticChoice` would reject raises
+    its error.  Any other mix of scalar types takes the table path itself.
     """
-    view, a = rho._dense, params.alpha
-    kinds = {type(s) for s in (a, *params.u.values(), *params.v.values())}
-    exact = kinds == {Fraction} and rho.is_exact
-    if not exact and kinds != {float}:
+    view = rho._dense
+    cells = _mixture(params, view.mask)
+    if cells is None or cells[3] is not None and not rho.is_exact:
         return sup_distance(lam_table(params, rho.domain), rho)
-    r, x = np.nonzero(view.mask)
-    rows = view.mask.tolist()
-    pu, pv = (_luce_cells(w, rows, r, x) for w in (params.u, params.v))
-    if exact:
-        (u, us), (v, vs) = pu, pv
-        num = a.numerator * u * vs + (a.denominator - a.numerator) * v * us
-        den = a.denominator * us * vs
-        diff = view.scale[r] * num - view.entries[r, x] * den
+    r, x, pred, den = cells
+    if den is not None:
+        diff = view.scale[r] * pred - view.entries[r, x] * den
         miss = diff != 0
         if not miss.any():
             return 0
         return max(map(Fraction, np.abs(diff[miss]).tolist(), (view.scale[r] * den)[miss].tolist()))
-    pred = a * pu + (1 - a) * pv
     # screen for rows with a cell off [0, 1] or a sum off 1, with a margin
     # that covers the summation order; the table path validates the
     # flagged rows in domain order, raising on the first bad one
@@ -225,10 +228,12 @@ def _floor_scaled(eff: Scalar, scale):
 
     For an int x and real E >= 0, x > E iff x > floor(E) and x < -E iff
     x < -floor(E), so an exact value x / scale is tested against ``eff``
-    in ints, a float ``eff`` taken at its exact binary value.
+    in ints, a float ``eff`` taken at its exact binary value, whose
+    denominator 2**k a right shift by k divides by as ``//`` does.
     """
     r = Fraction(eff)
-    return scale * r.numerator // r.denominator
+    k = r.denominator.bit_length() - 1
+    return scale * r.numerator >> k if r.denominator == 1 << k else scale * r.numerator // r.denominator
 
 
 def _row_bound(eff: Scalar, scale: np.ndarray | None):

@@ -43,7 +43,7 @@ from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .choice import _cholesky_solve, lam_choice
+from .choice import _cholesky_solve, _mixture, lam_choice
 from .types import (
     InvalidParameterError,
     LamParams,
@@ -146,20 +146,27 @@ def simulate_counts(
 
     Sampling is multinomial per menu with PCG64 randomness; the same seed
     reproduces the same counts exactly.  Each menu's probabilities are
-    :func:`lam_choice`'s, rounded to float.
+    :func:`lam_choice`'s, rounded to float, and for Fraction parameters
+    computed in ints: int / int division rounds as ``float`` of a Fraction.
     """
     if n_per_menu < 1:
         raise InvalidParameterError("n_per_menu must be at least 1")
     universe = params.universe
     rng = _rng(seed)
+    menus = sorted((universe.menu(m) for m in menus), key=universe.menu_key)
+    mask = np.array([[a in m for a in universe.alternatives] for m in menus], bool).reshape(-1, universe.size)
+    cells = _mixture(params, mask)
+    if cells is None:  # mixed scalar types
+        probs = [np.array([float(q) for q in lam_choice(params, m).values()]) for m in menus]
+    else:
+        _, _, num, den = cells
+        probs = np.split(num if den is None else (num / den).astype(float), np.cumsum(mask.sum(1))[:-1])
     counts: dict[Menu, dict[str, int]] = {}
-    for raw in sorted((universe.menu(m) for m in menus), key=universe.menu_key):
-        if raw in counts:
-            raise InvalidParameterError(f"duplicate menu {universe.sorted_members(raw)}")
-        probs = lam_choice(params, raw)  # the members in universe order
-        p = np.array([float(q) for q in probs.values()])
+    for m, p in zip(menus, probs):
+        if m in counts:
+            raise InvalidParameterError(f"duplicate menu {universe.sorted_members(m)}")
         draw = rng.multinomial(n_per_menu, p / p.sum())
-        counts[raw] = {x: int(c) for x, c in zip(probs, draw)}
+        counts[m] = dict(zip(universe.sorted_members(m), draw.tolist()))
     return ChoiceCounts(universe, counts)
 
 

@@ -149,10 +149,11 @@ def identification_polynomial(
 ) -> CubicPoly:
     """Build the cubic for target y with anchor x and reference pair (z, t).
 
-    The expansion is done symbolically in the scalar type of the data, so
-    exact inputs give exact coefficients.  Raises
-    :class:`InsufficientDataError` if any of the four required menus is
-    unobserved.
+    Menu M gives a_M = A_M / c_M, b_M = B_M / c_M from the dense view: ints
+    over the row's lcm c_M on exact data, floats with c_M = 1 otherwise.
+    The cubic, over the product of the c_M, sums +-c_M times the product of
+    (A k - B) over the other three menus.  Raises
+    :class:`InsufficientDataError` if any of the four menus is unobserved.
     """
     universe = rho_ai.universe
     if len({x, y, z, t}) != 4:
@@ -172,8 +173,11 @@ def identification_polynomial(
             f"identification for {y!r} with reference ({z!r}, {t!r}) needs "
             f"unobserved menus {names}"
         )
-    ab = tuple((rho_ai.prob(x, m), rho_ai.prob(y, m)) for m in menus)
-    lin = [(-b, a) for a, b in ab]  # ascending coefficients of a k - b
+    view = rho_ai._dense
+    at = [view.rows[m] for m in menus]
+    pairs = view.entries[at][:, [universe.index(x), universe.index(y)]].tolist()
+    c_s, c_t, c_1, c_2 = cs = [1] * 4 if view.scale is None else view.scale[at].tolist()
+    lin = [(-b, a) for a, b in pairs]  # ascending coefficients of A k - B
 
     def mul(p, q):
         out = [0] * (len(p) + len(q) - 1)
@@ -185,13 +189,16 @@ def identification_polynomial(
     d_s, d_t, d_1, d_2 = lin
     coeffs = [0, 0, 0, 0]
     for sign, term in (
-        (1, mul(mul(d_t, d_1), d_2)),
-        (1, mul(mul(d_s, d_1), d_2)),
-        (-1, mul(mul(d_s, d_t), d_2)),
-        (-1, mul(mul(d_s, d_t), d_1)),
+        (c_s, mul(mul(d_t, d_1), d_2)),
+        (c_t, mul(mul(d_s, d_1), d_2)),
+        (-c_1, mul(mul(d_s, d_t), d_2)),
+        (-c_2, mul(mul(d_s, d_t), d_1)),
     ):
         for i, c in enumerate(term):
             coeffs[i] += sign * c
+    div = operator.truediv if view.scale is None else Fraction  # x / 1 is x for a float x
+    coeffs = [div(c, c_s * c_t * c_1 * c_2) for c in coeffs]
+    ab = tuple((div(a, c), div(b, c)) for (a, b), c in zip(pairs, cs))
     scale = max(max(a, b) for a, b in ab) ** 3
     return CubicPoly(
         c3=coeffs[3],
@@ -212,14 +219,6 @@ def identification_polynomial(
 # ---------------------------------------------------------------------------
 
 
-def _trim(coeffs: list[Scalar]) -> list[Scalar]:
-    """Drop zero leading coefficients (ascending order: last entries)."""
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _poly_eval(coeffs: list[Scalar], x: Scalar) -> Scalar:
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
@@ -227,24 +226,25 @@ def _poly_eval(coeffs: list[Scalar], x: Scalar) -> Scalar:
     return acc
 
 
-def _deflate(coeffs: list[Scalar], root: Scalar) -> list[Scalar]:
-    """Exact synthetic division by (k - root); assumes root is exact."""
+def _hom_eval(coeffs: list[int], p: int, q: int) -> int:
+    """q**d P(p/q) for the ascending int coefficients of a degree-d P, by
+    Horner's rule in ints; zero iff p/q is a root (q > 0)."""
+    acc, qk = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
+    """Exact division of an int polynomial by (q k - p) for a root p/q in
+    lowest terms; by Gauss's lemma the quotient has int coefficients."""
     out = [0] * (len(coeffs) - 1)
     carry = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * root
+        out[i] = carry // q
+        carry = coeffs[i] + out[i] * p
     return out
-
-
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def _float_real_roots(coeffs: list[float]) -> list[float]:
@@ -265,12 +265,13 @@ def _float_real_roots(coeffs: list[float]) -> list[float]:
     )
 
 
-def _snap_rational_root(coeffs: list[Scalar], seed: float) -> Fraction | None:
-    """Reconstruct an exact rational root from a float approximation.
+def _snap_rational_root(coeffs: list[int], seed: float) -> Fraction | None:
+    """Reconstruct an exact rational root of an int polynomial from a float
+    approximation.
 
     Runs exact Newton steps from the seed (rounding iterates to keep
     denominators bounded) and tries snapping to small-denominator
-    rationals after each step, verifying candidates exactly.
+    rationals after each step, verifying candidates in ints.
     """
     ladder = (10**4, 10**6, 10**9, 10**12, 10**15)
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
@@ -278,55 +279,64 @@ def _snap_rational_root(coeffs: list[Scalar], seed: float) -> Fraction | None:
     for _ in range(6):
         for cap in ladder:
             cand = x.limit_denominator(cap)
-            if _poly_eval(coeffs, cand) == 0:
+            if _hom_eval(coeffs, cand.numerator, cand.denominator) == 0:
                 return cand
-        fx = _poly_eval(coeffs, x)
+        n, d = x.numerator, x.denominator
+        fx = _hom_eval(coeffs, n, d)  # d**3 P(x)
         if fx == 0:
             return x
-        dfx = _poly_eval(deriv, x)
+        dfx = _hom_eval(deriv, n, d)  # d**2 P'(x)
         if dfx == 0:
             return None
-        x = (x - fx / dfx).limit_denominator(10**40)
+        x = Fraction(n * dfx - fx, d * dfx).limit_denominator(10**40)
     return None
 
 
 def _exact_roots(
     coeffs: list[Scalar], hints: list[Fraction]
 ) -> tuple[list[Fraction], list[float]]:
-    """All rational roots of a degree <= 3 polynomial, plus float stand-ins
-    for any remaining irrational real roots.
+    """All rational roots of a degree <= 3 rational polynomial, plus float
+    stand-ins for any remaining irrational real roots.
 
-    ``hints`` are cheap-to-test candidates (denominator zeros, the paired
-    binary-menu ratio); they matter for multiple roots, where float seeds
-    are too smeared for reliable reconstruction.
+    The work is in ints, the coefficients over their lcm and gcd; floats
+    are those of the rational polynomial, as int / int true division
+    rounds as ``float(Fraction)`` does.  ``hints`` are cheap-to-test
+    candidates (denominator zeros, the paired binary-menu ratio); they
+    matter for multiple roots, where float seeds are too smeared for
+    reliable reconstruction.
     """
-    work = _trim([Fraction(c) for c in coeffs])
+    den = math.lcm(*(c.denominator for c in coeffs))
+    work = [c.numerator * (den // c.denominator) for c in coeffs]
+    while len(work) > 1 and work[-1] == 0:  # a zero leading coefficient
+        work.pop()
+    num = math.gcd(*work) or 1  # the rational polynomial is work * num / den
+    work = [c // num for c in work]
     roots: list[Fraction] = []
     for h in hints:
-        while len(work) > 1 and _poly_eval(work, h) == 0:
+        p, q = h.numerator, h.denominator
+        while len(work) > 1 and _hom_eval(work, p, q) == 0:
             roots.append(h)
-            work = _deflate(work, h)
+            work = _deflate(work, p, q)
+            num *= q
     while len(work) > 1:
         degree = len(work) - 1
         if degree == 1:
-            roots.append(-work[0] / work[1])
+            roots.append(Fraction(-work[0], work[1]))
             work = [work[1]]
         elif degree == 2:
             c0, c1, c2 = work
             disc = c1 * c1 - 4 * c2 * c0
             if disc < 0:
                 return roots, []  # conjugate complex pair
-            s = _exact_sqrt(disc)
-            if s is None:
-                fs = math.sqrt(float(disc))
-                return roots, [
-                    float((-c1 - fs) / (2 * c2)),
-                    float((-c1 + fs) / (2 * c2)),
-                ]
-            roots.extend([(-c1 - s) / (2 * c2), (-c1 + s) / (2 * c2)])
+            s = math.isqrt(disc)
+            if s * s != disc:
+                fs = math.sqrt(disc * num * num / (den * den))
+                lead = 2 * c2 * num / den
+                return roots, [(-c1 * num / den - fs) / lead, (-c1 * num / den + fs) / lead]
+            roots.extend([Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)])
             work = [work[2]]
         else:
-            seeds = _float_real_roots([float(c) for c in work])
+            seeds = _float_real_roots([c * num / den for c in work])
             snapped = None
             for seed in seeds:
                 snapped = _snap_rational_root(work, seed)
@@ -335,7 +345,8 @@ def _exact_roots(
             if snapped is None:
                 return roots, seeds
             roots.append(snapped)
-            work = _deflate(work, snapped)
+            work = _deflate(work, snapped.numerator, snapped.denominator)
+            num *= snapped.denominator
     return roots, []
 
 
@@ -385,7 +396,9 @@ def candidate_utilities(
         if base > 0:  # an anchor never chosen from {x, y} gives no odds
             odds = (rho_ai.prob(poly.target, menu_xy) / base,)
     coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
-    poles = poly.pole_values()
+    # the denominator zeros b/a as (b, a), exact ones as ints: p/q is one iff p a == q b
+    poles = [(b.numerator * a.denominator, a.numerator * b.denominator) if exact else (b, a)
+             for a, b in poly.ab if a != 0]
     admissible: list[Scalar] = []
     rejected: list[RejectedRoot] = []
     roots: list[Scalar] = []
@@ -393,7 +406,7 @@ def candidate_utilities(
     if case2:
         admissible.extend(odds)
     elif exact:
-        found, irrational = _exact_roots(coeffs, [Fraction(h) for h in (*poles, *odds)])
+        found, irrational = _exact_roots(coeffs, [*(Fraction(b, a) for b, a in poles), *odds])
         roots = sorted(set(found))
     else:
         raw = _float_real_roots([float(c) for c in coeffs])
@@ -404,8 +417,10 @@ def candidate_utilities(
         if not r > 0:
             reason = "non-positive"
         elif any(
-            r == p if exact else abs(r - float(p)) <= max(eff, ROOT_MERGE_RTOL * (1 + abs(float(p))))
-            for p in poles
+            r.numerator * a == r.denominator * b
+            if exact
+            else abs(r - b / a) <= max(eff, ROOT_MERGE_RTOL * (1 + abs(b / a)))
+            for b, a in poles
         ):
             reason = "denominator-vanishing"
         elif not exact and abs(poly.equation_residual(r)) > max(eff, 1e-10) * (

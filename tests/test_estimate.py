@@ -27,7 +27,7 @@ from lam import (
     luce_choice,
     simulate_counts,
 )
-from lam import estimate
+from lam import choice, estimate
 from lam.cli import main
 from lam.dataio import serialize_dataset
 
@@ -63,6 +63,47 @@ def test_simulate_rejects_a_repeated_menu(ex_b_params):
     menus = [("x", "y"), ("x", "z"), ("y", "x")]
     with pytest.raises(InvalidParameterError, match=r"^duplicate menu \('x', 'y'\)$"):
         simulate_counts(ex_b_params, menus, 10, seed=1)
+
+
+def draw_through_lam_choice(params, menus, n_per_menu, seed):
+    """simulate_counts' draws, each menu's probabilities taken as
+    ``float`` of :func:`lam_choice`'s values."""
+    universe, rng = params.universe, np.random.default_rng(seed)
+    out = {}
+    for menu in sorted(map(frozenset, menus), key=universe.menu_key):
+        probs = lam_choice(params, menu)
+        p = np.array([float(q) for q in probs.values()])
+        out[menu] = dict(zip(probs, rng.multinomial(n_per_menu, p / p.sum()).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_simulate_counts_equal_a_draw_through_lam_choice(kind):
+    # utilities from 1e-8 to 1e8 with large denominators, where the
+    # float of each int probability must be correctly rounded
+    rng = random.Random(43)
+    for trial in range(12):
+        universe = gen.random_params(rng, 3 + trial % 4).universe
+        u, v = (
+            {a: F(rng.randint(1, 10**12), rng.randint(1, 10**12)) * F(10) ** rng.randint(-8, 8)
+             for a in universe.alternatives}
+            for _ in range(2)
+        )
+        alpha = F(rng.randint(0, 10**9), 10**9)
+        params = LamParams.normalized(universe, u, v, alpha)
+        if kind == "float":
+            params = params.as_float()
+        elif kind == "mixed":
+            params = LamParams(universe, params.u, params.as_float().v, alpha, params.anchor)
+        menus = universe.all_menus(1 + trial % 2)
+        counts = simulate_counts(params, menus, 10**6, seed=trial)
+        assert counts.counts == draw_through_lam_choice(params, menus, 10**6, trial)
+        if kind != "mixed":  # the probabilities themselves, bit for bit
+            mask = np.array([[a in m for a in universe.alternatives] for m in menus])
+            _, _, num, den = choice._mixture(params, mask)
+            got = (num / den).astype(float) if kind == "exact" else num
+            want = [float(q) for m in menus for q in lam_choice(params, m).values()]
+            assert [float(g).hex() for g in got] == [w.hex() for w in want]
 
 
 def test_simulate_uniform_band(uni3):

@@ -1,5 +1,6 @@
 """Field identification: cubic construction, root screening, the swap class."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 
 import gen
 from lam import (
+    CubicPoly,
     FieldResult,
     GapUndefinedError,
     InstabilityTuple,
@@ -165,6 +167,80 @@ def test_root_containment_exact():
                         assert w in cs.admissible
                         checked += 1
     assert checked > 20
+
+
+def expanded_cubic(rho, x, y, z, t):
+    """The cubic as the library formerly expanded it, the reference for the
+    int builder: four triple products of the 2-term lists a k - b, in the
+    table's own scalars, summed with signs."""
+    menus = (frozenset({x, y, z, t}), frozenset({x, y}), frozenset({x, y, z}), frozenset({x, y, t}))
+    ab = tuple((rho.prob(x, m), rho.prob(y, m)) for m in menus)
+    lin = [(-b, a) for a, b in ab]
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+        return out
+
+    d_s, d_t, d_1, d_2 = lin
+    coeffs = [0, 0, 0, 0]
+    for sign, term in (
+        (1, mul(mul(d_t, d_1), d_2)),
+        (1, mul(mul(d_s, d_1), d_2)),
+        (-1, mul(mul(d_s, d_t), d_2)),
+        (-1, mul(mul(d_s, d_t), d_1)),
+    ):
+        for i, c in enumerate(term):
+            coeffs[i] += sign * c
+    scale = max(max(a, b) for a, b in ab) ** 3
+    return CubicPoly(*reversed(coeffs), y, x, (z, t), menus, ab, scale)
+
+
+def _anchor_never_chosen(rho, menu, recorded):
+    """``rho`` with the anchor's mass in ``menu`` moved to another member;
+    the anchor is kept as a recorded 0 or left out of the row."""
+    table = {m: dict(rho.table[m]) for m in rho.domain}
+    row = table[menu]
+    anchor = rho.universe.alternatives[0]
+    other = next(a for a in rho.universe.sorted_members(menu) if a != anchor)
+    row[other] += row[anchor]
+    if recorded:
+        row[anchor] = 0 * row[anchor]
+    else:
+        del row[anchor]
+    return StochasticChoice(rho.universe, table)
+
+
+def test_cubic_builder_matches_the_expansion():
+    rng = random.Random(41)
+    built = 0
+    for n in (4, 5, 6):
+        for k in range(3):
+            params = gen.random_params(rng, n)
+            rho = lam_table(params, params.universe.all_menus(2))
+            anchor, *targets = params.universe.alternatives
+            if k:  # rho(x, M) = 0 for one triple: no pole from that menu
+                y, z = targets[:2]
+                rho = _anchor_never_chosen(rho, frozenset({anchor, y, z}), recorded=k == 1)
+            for table in (rho, rho.as_float()):
+                for y in targets:
+                    for z, t in combinations([a for a in targets if a != y], 2):
+                        poly = identification_polynomial(table, anchor, y, z, t)
+                        want = expanded_cubic(table, anchor, y, z, t)
+                        assert poly == want
+                        assert [type(c) for c in poly.coefficients()] == [
+                            F if table.is_exact else float
+                        ] * 4
+                        if not table.is_exact:  # bit for bit
+                            assert [float(c).hex() for c in poly.coefficients()] == [
+                                float(c).hex() for c in want.coefficients()
+                            ]
+                        zero = [b for a, b in poly.ab if a == 0]
+                        assert len(poly.pole_values()) == len({b / a for a, b in poly.ab if a != 0})
+                        built += bool(zero)
+    assert built >= 12  # cubics that read a menu with rho(x, M) = 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +494,35 @@ def test_exact_cubic_solver_stress():
     # one rational root plus a complex pair: (k - 1)(k^2 + 1)
     got, leftovers = _exact_roots([F(-1), F(1), F(-1), F(1)], hints=[])
     assert set(got) == {F(1)} and not leftovers
+
+
+def test_exact_roots_hint_at_a_double_root():
+    from lam.field import _exact_roots, _poly_eval
+
+    # -7/2 (k - 3/7)^2 (k + 5/2): the hint deflates twice, a line is left
+    coeffs = [F(-45, 28), F(48, 7), F(-23, 4), F(-7, 2)]
+    got, leftovers = _exact_roots(coeffs, hints=[F(3, 7)])
+    assert got == [F(3, 7), F(3, 7), F(-5, 2)] and not leftovers
+    assert all(_poly_eval(coeffs, g) == 0 for g in got)
+
+
+def test_exact_roots_quadratic_with_a_huge_square_discriminant():
+    from lam.field import _exact_roots, _poly_eval
+
+    # (k - 2/3) times a quadratic with rational roots of 40-digit terms:
+    # once the hint deflates, the discriminant is a perfect square far
+    # beyond float precision
+    r1 = F(10**40 + 1, 10**20 + 7)
+    r2 = F(-(3 * 10**35 + 11), 10**25 + 3)
+    lead = F(10**30 + 9, 17)
+    quad = [lead * r1 * r2, -lead * (r1 + r2), lead]
+    h = F(2, 3)
+    coeffs = [-h * quad[0], quad[0] - h * quad[1], quad[1] - h * quad[2], quad[2]]
+    got, leftovers = _exact_roots(coeffs, hints=[h])
+    assert sorted(got) == sorted([h, r1, r2]) and not leftovers
+    assert all(_poly_eval(coeffs, g) == 0 for g in got)
+    c0, c1, c2 = (c * (r1.denominator * r2.denominator * 17) for c in quad)
+    assert math.isqrt((c1 * c1 - 4 * c2 * c0).numerator) > 2**200
 
 
 def test_identify_field_float_example_b(ex_b_ai, ex_b_params):

@@ -9,6 +9,7 @@ exactly, in both scalar modes, down to the witness values, the
 tie-breaks and the error messages.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -583,3 +584,20 @@ def test_kernel_values_agree_with_public_measures():
             assert kernel.value(d, i) == own_instability(a, t)
             assert kernel.value(p, i) == composite_instability(a, h, t)
             assert type(kernel.value(d, i)) is type(own_instability(a, t))
+
+
+@pytest.mark.parametrize("eff", [0, 0.0, 5e-324, 1e-9, 0.01, 1e-6, F(7, 3), F(1, 1024), 3])
+def test_floor_scaled_equals_the_floor_of_the_exact_product(eff):
+    # a float's denominator is a power of two, taken by a right shift;
+    # other denominators keep the floor division
+    from lam.choice import _floor_scaled
+
+    rng = random.Random(37)
+    scales = [0, 1, 7, 2**64 + 3, 10**30] + [rng.randrange(1, 10**rng.randint(1, 60)) for _ in range(40)]
+    for s in scales:
+        got = _floor_scaled(eff, s)
+        assert type(got) is int and got == math.floor(F(eff) * s), s
+    arr = np.array(scales, dtype=object)
+    got = _floor_scaled(eff, arr)
+    assert got.dtype == object
+    assert got.tolist() == [math.floor(F(eff) * s) for s in scales]
