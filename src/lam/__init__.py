@@ -24,7 +24,6 @@ from .choice import (
     satisfies_iia,
 )
 from .estimate import (
-    ChoiceCounts,
     FitResult,
     em_step,
     fit_mle,
@@ -56,6 +55,7 @@ from .lab import (
     recover_autonomous,
 )
 from .types import (
+    ChoiceCounts,
     DatasetFormatError,
     DegenerateDivisionError,
     GapUndefinedError,

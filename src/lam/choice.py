@@ -44,6 +44,7 @@ from .types import (
     Universe,
     UtilityRangeError,
     _floats,
+    _incidence,
     _rows,
     is_exact_scalar,
     resolve_tol,
@@ -262,16 +263,16 @@ _PASS_TUPLES = 1 << 12
 
 
 @lru_cache(maxsize=8)
-def _layout(alternatives: tuple[str, ...], menus: tuple[Menu, ...]):
+def _layout(universe: Universe, menus: tuple[Menu, ...]):
     """Runs of the pairs sharing menus, and the runs' offsets in the tuple order.
 
     A run ``(xs, ys, held)`` is consecutive pairs x before y holding equally
     many menus, at least two, with those menus' rows in ``held``, a row per
     pair, and at most ``_PASS_TUPLES`` tuples unless one pair has more.
     """
-    inc = np.array([[a in m for a in alternatives] for m in menus], dtype=bool)
+    inc = _incidence(universe, menus)
     pairs = []
-    for x, y in combinations(range(len(alternatives)), 2):
+    for x, y in combinations(range(universe.size), 2):
         held = np.flatnonzero(inc[:, x] & inc[:, y])
         if len(held) > 1:
             pairs.append((x, y, held))
@@ -314,7 +315,7 @@ class _Kernel:
         self.mask, self.c, (self.mine, *theirs) = _rows(tables, self.menus)
         self.exact = self.c is not None
         self.theirs = theirs[0] if theirs else None
-        self.runs, self.starts = _layout(self.universe.alternatives, self.menus)
+        self.runs, self.starts = _layout(self.universe, self.menus)
 
     def tuple_at(self, i: int) -> InstabilityTuple:
         """The i-th canonical tuple."""

@@ -24,10 +24,10 @@ from .dataio import (
     parse_scalar,
     serialize_dataset,
 )
-from .estimate import ChoiceCounts, fit_mle, simulate_counts
+from .estimate import fit_mle, simulate_counts
 from .field import _gap, identify_field
 from .lab import check_axioms, identify_lab
-from .types import LamError, Scalar, StochasticChoice
+from .types import ChoiceCounts, LamError, Scalar, StochasticChoice
 
 
 class _UsageError(Exception):

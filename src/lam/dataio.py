@@ -35,8 +35,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .estimate import ChoiceCounts
 from .types import (
+    ChoiceCounts,
     DatasetFormatError,
     LamError,
     LamParams,
@@ -175,15 +175,13 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
             )
         row[alt] = value
 
-    if mode == "counts":
-        try:
-            return ChoiceCounts(universe, table)
-        except LamError as e:
-            raise DatasetFormatError(str(e)) from None
     try:
+        if mode == "counts":
+            return ChoiceCounts(universe, table)
         rho = StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
     except LamError as e:
-        _check_row_sums(universe, table, exact)  # a file's row sum is named first
+        if mode != "counts":  # a file's row sum is named first
+            _check_row_sums(universe, table, exact)
         raise DatasetFormatError(str(e)) from None
     if clamped:  # the table summed its rows after the clamp, the file sums them before
         _check_row_sums(universe, table, exact)
@@ -224,31 +222,36 @@ def serialize_dataset(data: Dataset) -> str:
 
 def parse_params(text: str, exact: bool = False) -> LamParams:
     """Parse a parameter file (universe, anchor, alpha, u and v rows)."""
-    rows = _content_rows(text)
-    universe: Universe | None = None
-    anchor: str | None = None
-    alpha: Scalar | None = None
-    vectors: dict[str, dict[str, Scalar]] = {"u": {}, "v": {}}
-    for line, fields in rows:
+    values: dict = {}  # each row's value by its key: 'alpha', or ('u', 'y') for u(y)
+    lines: dict = {}
+    for line, fields in _content_rows(text):
         key = fields[0]
         if key == "universe" and len(fields) == 2:
             try:
-                universe = Universe(tuple(a for a in fields[1].split(";") if a))
+                value = Universe(tuple(a for a in fields[1].split(";") if a))
             except LamError as e:
                 raise DatasetFormatError(str(e), line) from None
         elif key == "anchor" and len(fields) == 2:
-            anchor = fields[1]
-        elif key == "alpha" and len(fields) == 2:
-            alpha = parse_scalar(fields[1], exact, line)
-        elif key in vectors and len(fields) == 3:
-            vectors[key][fields[1]] = parse_scalar(fields[2], exact, line)
+            value = fields[1]
+        elif key == "alpha" and len(fields) == 2 or key in ("u", "v") and len(fields) == 3:
+            value = parse_scalar(fields[-1], exact, line)
         else:
             raise DatasetFormatError(f"unrecognized row {fields!r}", line)
-    for name, value in (("universe", universe), ("anchor", anchor), ("alpha", alpha)):
-        if value is None:
+        name = key if len(fields) == 2 else (key, fields[1])
+        if name in values:
+            raise DatasetFormatError(f"duplicate row for {name!r}", line)
+        values[name], lines[name] = value, line
+    for name in ("universe", "anchor", "alpha"):
+        if name not in values:
             raise DatasetFormatError(f"params file is missing {name!r}")
+    universe, vectors = values["universe"], {"u": {}, "v": {}}
+    for name, value in values.items():
+        if isinstance(name, tuple):
+            if name[1] not in universe.alternatives:
+                raise DatasetFormatError(f"unknown alternative {name[1]!r}", lines[name])
+            vectors[name[0]][name[1]] = value
     try:
-        return LamParams(universe, vectors["u"], vectors["v"], alpha, anchor)
+        return LamParams(universe, vectors["u"], vectors["v"], values["alpha"], values["anchor"])
     except LamError as e:
         raise DatasetFormatError(str(e)) from None
 

@@ -38,20 +38,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal
 
 import numpy as np
 
 from .choice import _cholesky_solve, _mixture, lam_choice
 from .types import (
+    ChoiceCounts,
     InvalidParameterError,
     LamParams,
     Menu,
-    MissingDataError,
     StochasticChoice,
-    Universe,
-    _Dense,
+    _incidence,
+    _integer,
 )
 
 __all__ = [
@@ -65,75 +64,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChoiceCounts:
-    """Observed choice counts per (menu, alternative)."""
-
-    universe: Universe
-    counts: Mapping[Menu, Mapping[str, int]]
-
-    def __post_init__(self):
-        norm: dict[Menu, dict[str, int]] = {}
-        for raw_menu, row in self.counts.items():
-            menu = self.universe.menu(raw_menu)
-            if menu in norm:
-                raise InvalidParameterError(
-                    f"duplicate menu {self.universe.sorted_members(menu)}"
-                )
-            clean: dict[str, int] = {}
-            for alt, n in row.items():
-                if alt not in menu:
-                    raise InvalidParameterError(
-                        f"count recorded for {alt!r} outside its menu"
-                    )
-                if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-                    raise InvalidParameterError(
-                        f"count for {alt!r} must be a non-negative integer, got {n!r}"
-                    )
-                clean[alt] = int(n)
-            if sum(clean.values()) <= 0:
-                raise InvalidParameterError(
-                    f"menu {self.universe.sorted_members(menu)} has no observations"
-                )
-            norm[menu] = clean
-        if not norm:
-            raise InvalidParameterError("choice counts need at least one menu")
-        object.__setattr__(self, "counts", norm)
-
-    @cached_property
-    def domain(self) -> tuple[Menu, ...]:
-        return tuple(sorted(self.counts, key=self.universe.menu_key))
-
-    @cached_property
-    def _dense(self) -> _Dense:
-        """The counts as one dense float64 view, built once on first use."""
-        return _Dense.build(self.universe, self.domain, self.counts, exact=False)
-
-    def trials(self, menu: Iterable[str]) -> int:
-        m = self.universe.menu(menu)
-        if m not in self.counts:
-            raise MissingDataError(
-                f"menu {self.universe.sorted_members(m)} has no counts in the data"
-            )
-        return sum(self.counts[m].values())
-
-    def total(self) -> int:
-        return sum(self.trials(m) for m in self.counts)
-
-    def to_frequencies(self) -> StochasticChoice:
-        """Empirical choice frequencies, suitable for the identification routines."""
-        table = {}
-        for menu, row in self.counts.items():
-            n = sum(row.values())
-            table[menu] = {alt: c / n for alt, c in row.items()}
-        return StochasticChoice(self.universe, table)
-
-
 def _rng(seed: int) -> np.random.Generator:
     """numpy's PCG64 generator, seeded by a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer("seed", seed, "a non-negative integer", 0))
 
 
 def simulate_counts(
@@ -149,12 +82,12 @@ def simulate_counts(
     :func:`lam_choice`'s, rounded to float, and for Fraction parameters
     computed in ints: int / int division rounds as ``float`` of a Fraction.
     """
-    if n_per_menu < 1:
-        raise InvalidParameterError("n_per_menu must be at least 1")
+    # numpy's multinomial draws take an int64 count
+    n_per_menu = _integer("n_per_menu", n_per_menu, "an integer from 1 to 2**63 - 1", 1, 2**63)
     universe = params.universe
     rng = _rng(seed)
     menus = sorted((universe.menu(m) for m in menus), key=universe.menu_key)
-    mask = np.array([[a in m for a in universe.alternatives] for m in menus], bool).reshape(-1, universe.size)
+    mask = _incidence(universe, menus)
     cells = _mixture(params, mask)
     if cells is None:  # mixed scalar types
         probs = [np.array([float(q) for q in lam_choice(params, m).values()]) for m in menus]
@@ -625,10 +558,8 @@ def fit_mle(
     collapses to a boundary are marked degenerate and only win if every
     start degenerates.
     """
-    if inits < 1:
-        raise InvalidParameterError("need at least one start")
-    if max_iter < 0:
-        raise InvalidParameterError(f"max_iter must be non-negative, got {max_iter}")
+    inits = _integer("inits", inits, "a positive integer", 1)
+    max_iter = _integer("max_iter", max_iter, "a non-negative integer", 0)
     universe = data.universe
     alts = universe.alternatives
     anchor = alts[0]

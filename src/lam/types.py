@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -114,6 +114,14 @@ def is_exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _integer(name: str, x, what: str, low: int, high: float = math.inf) -> int:
+    """``x`` as an int if it is an int or numpy integer (not a bool) in
+    [low, high); else :class:`InvalidParameterError`: ``name`` must be ``what``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not low <= x < high:
+        raise InvalidParameterError(f"{name} must be {what}, got {x!r}")
+    return int(x)
+
+
 def resolve_tol(tol: Scalar | None, exact: bool) -> Scalar:
     """Pick the effective tolerance: explicit (finite, >= 0) > exact-zero > float default."""
     if tol is None:
@@ -198,6 +206,14 @@ class Universe:
 # ---------------------------------------------------------------------------
 
 
+def _incidence(universe: Universe, menus: Sequence[Menu]) -> np.ndarray:
+    """The menus x universe matrix marking each menu's members, set member by member."""
+    n, index = universe.size, universe._index
+    inc = np.zeros((len(menus), n), dtype=bool)
+    inc.ravel()[[i * n + index[a] for i, m in enumerate(menus) for a in m]] = True
+    return inc
+
+
 @dataclass(frozen=True, eq=False)
 class _Dense:
     """A table's rows as read-only arrays, menus in ``domain`` order x
@@ -213,23 +229,6 @@ class _Dense:
     mask: np.ndarray
     entries: np.ndarray
     scale: np.ndarray | None
-
-    @classmethod
-    def build(cls, universe: Universe, domain: Sequence[Menu], table, exact: bool) -> "_Dense":
-        n, index = universe.size, universe._index
-        mask = np.zeros((len(domain), n), dtype=bool)
-        entries = np.zeros((len(domain), n), dtype=object if exact else float)
-        mask.ravel()[[i * n + index[a] for i, m in enumerate(domain) for a in m]] = True
-        cells = [i * n + index[a] for i, m in enumerate(domain) for a in table[m]]
-        rows, scale = [table[m].values() for m in domain], None
-        if exact:  # ints over each row's lcm
-            lcms = [math.lcm(*(p.denominator for p in row)) for row in rows]
-            rows = [[p.numerator * (c // p.denominator) for p in row] for row, c in zip(rows, lcms)]
-            scale = np.array(lcms, dtype=object)
-            scale.flags.writeable = False
-        entries.ravel()[cells] = [p for row in rows for p in row]
-        mask.flags.writeable = entries.flags.writeable = False
-        return cls({m: i for i, m in enumerate(domain)}, mask, entries, scale)
 
 
 def _floats(rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
@@ -253,8 +252,58 @@ def _rows(tables: Sequence["StochasticChoice"], menus: Sequence[Menu]):
     return mask, c, [v.entries[i] * (c // s)[:, None] for v, i, s in zip(views, at, scales)]
 
 
+def _normalised_rows(table: "_MenuRows", outside: str, empty: str, cell: Callable):
+    """Each row of ``table`` as (menu, {member: cell(member, value)}), in input
+    order, once its menu is valid and new and its members lie in it (else
+    ``outside``, formatted with the member).  The caller checks each row as it
+    comes; then the normalised rows replace the raw ones.  None raise ``empty``."""
+    universe, norm = table.universe, {}
+    for raw_menu, raw_row in getattr(table, table._field).items():
+        menu = universe.menu(raw_menu)
+        if menu in norm:
+            raise InvalidParameterError(f"duplicate menu {universe.sorted_members(menu)}")
+        row = norm[menu] = {}
+        for alt, value in raw_row.items():
+            if alt not in menu:
+                raise InvalidParameterError(outside.format(alt))
+            row[alt] = cell(alt, value)
+        yield menu, row
+    if not norm:
+        raise InvalidParameterError(empty)
+    object.__setattr__(table, table._field, norm)
+
+
+class _MenuRows:
+    """What a choice table and its counts share: rows keyed by menu in the
+    field named ``_field``, their canonical order and their dense view."""
+
+    @cached_property
+    def domain(self) -> tuple[Menu, ...]:
+        """Observed menus in canonical order, sorted once per table."""
+        return tuple(sorted(getattr(self, self._field), key=self.universe.menu_key))
+
+    @cached_property
+    def _dense(self) -> _Dense:
+        """The rows as one dense view, built once per table on first use."""
+        universe, domain, table = self.universe, self.domain, getattr(self, self._field)
+        # exact entries for an exact table; counts have no is_exact and are float64
+        n, index, exact = universe.size, universe._index, getattr(self, "is_exact", False)
+        mask = _incidence(universe, domain)
+        entries = np.zeros((len(domain), n), dtype=object if exact else float)
+        cells = [i * n + index[a] for i, m in enumerate(domain) for a in table[m]]
+        rows, scale = [table[m].values() for m in domain], None
+        if exact:  # ints over each row's lcm
+            lcms = [math.lcm(*(p.denominator for p in row)) for row in rows]
+            rows = [[p.numerator * (c // p.denominator) for p in row] for row, c in zip(rows, lcms)]
+            scale = np.array(lcms, dtype=object)
+            scale.flags.writeable = False
+        entries.ravel()[cells] = [p for row in rows for p in row]
+        mask.flags.writeable = entries.flags.writeable = False
+        return _Dense({m: i for i, m in enumerate(domain)}, mask, entries, scale)
+
+
 @dataclass(frozen=True)
-class StochasticChoice:
+class StochasticChoice(_MenuRows):
     """A stochastic choice function over an observed set of menus.
 
     ``table`` maps each observed menu to a row of choice probabilities for
@@ -270,25 +319,16 @@ class StochasticChoice:
     is_exact: bool = field(init=False, compare=False)
     is_positive: bool = field(init=False, compare=False)
 
+    _field = "table"
+
     def __post_init__(self):
-        norm: dict[Menu, dict[str, Scalar]] = {}
-        exact = True
-        positive = True
-        for raw_menu, raw_row in self.table.items():
-            menu = self.universe.menu(raw_menu)
-            if menu in norm:
-                raise InvalidParameterError(
-                    f"duplicate menu {self.universe.sorted_members(menu)}"
-                )
-            row: dict[str, Scalar] = {}
-            for alt, p in raw_row.items():
-                if alt not in menu:
-                    raise InvalidParameterError(
-                        f"alternative {alt!r} recorded outside its menu"
-                    )
-                if isinstance(p, int) and not isinstance(p, bool):
-                    p = Fraction(p)
-                row[alt] = p
+        exact = positive = True
+        rows = _normalised_rows(  # an int probability joins the exact path as a Fraction
+            self, "alternative {!r} recorded outside its menu",
+            "a stochastic choice function needs data",
+            lambda alt, p: Fraction(p) if isinstance(p, int) and not isinstance(p, bool) else p,
+        )
+        for menu, row in rows:
             # an exact row is tested in integers, over its lcm of denominators:
             # no entry is below 0, and it is positive iff its numerator is
             row_exact = all(isinstance(p, Fraction) for p in row.values())
@@ -315,22 +355,8 @@ class StochasticChoice:
                 (p.numerator if row_exact else p) > 0 for p in row.values()
             )
             exact = exact and row_exact
-            norm[menu] = row
-        if not norm:
-            raise InvalidParameterError("a stochastic choice function needs data")
-        object.__setattr__(self, "table", norm)
         object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "is_positive", positive)
-
-    @cached_property
-    def domain(self) -> tuple[Menu, ...]:
-        """Observed menus in canonical order, sorted once per table."""
-        return tuple(sorted(self.table, key=self.universe.menu_key))
-
-    @cached_property
-    def _dense(self) -> _Dense:
-        """The rows as one dense view, built once per table on first use."""
-        return _Dense.build(self.universe, self.domain, self.table, self.is_exact)
 
     def has_menu(self, menu: Iterable[str]) -> bool:
         return frozenset(menu) in self.table
@@ -358,6 +384,44 @@ class StochasticChoice:
             {m: {a: float(p) for a, p in row.items()} for m, row in self.table.items()},
             eps_sum=max(self.eps_sum, ROW_SUM_TOL),
         )
+
+
+@dataclass(frozen=True)
+class ChoiceCounts(_MenuRows):
+    """Observed choice counts per (menu, alternative)."""
+
+    universe: Universe
+    counts: Mapping[Menu, Mapping[str, int]]
+
+    _field = "counts"
+
+    def __post_init__(self):
+        rows = _normalised_rows(
+            self, "count recorded for {!r} outside its menu",
+            "choice counts need at least one menu",
+            lambda alt, n: _integer(f"count for {alt!r}", n, "a non-negative integer", 0),
+        )
+        for menu, row in rows:
+            if sum(row.values()) <= 0:
+                raise InvalidParameterError(
+                    f"menu {self.universe.sorted_members(menu)} has no observations"
+                )
+
+    def trials(self, menu: Iterable[str]) -> int:
+        m = self.universe.menu(menu)
+        if m not in self.counts:
+            members = self.universe.sorted_members(m)
+            raise MissingDataError(f"menu {members} has no counts in the data")
+        return sum(self.counts[m].values())
+
+    def total(self) -> int:
+        return sum(self.trials(m) for m in self.counts)
+
+    def to_frequencies(self) -> StochasticChoice:
+        """Empirical choice frequencies, suitable for the identification routines."""
+        totals = {m: sum(row.values()) for m, row in self.counts.items()}
+        table = {m: {a: c / totals[m] for a, c in row.items()} for m, row in self.counts.items()}
+        return StochasticChoice(self.universe, table)
 
 
 def _shared(a: StochasticChoice, b: StochasticChoice, message: str) -> list[Menu]:

@@ -795,3 +795,19 @@ def test_deception_gap_alpha_pair_arity_is_an_input_error(capsys, tmp_path, alph
                           f"alpha_pair,{alpha_pair}\n")
     code, out, err = run(capsys, "deception-gap", "--lab", str(lab_path), "--field", str(field_path))
     assert (code, out, err) == (1, "", "error: field report alpha_pair row needs 2 value(s)\n")
+
+
+def test_identify_field_reports_an_undefined_compliance_row(capsys, tmp_path):
+    # z's one surviving candidate k pairs with itself, and the AI's binary
+    # choice between x and z is not 1/(1 + k): no compliance solves it
+    uni = Universe(("x", "y", "z", "t"))
+    params = LamParams.normalized(
+        uni, {"x": 1, "y": 5000, "z": F(1, 100), "t": 1},
+        {"x": 1, "y": F(1, 100), "z": F(1, 1000), "t": 1}, F(3, 100)
+    )
+    path = tmp_path / "ai.csv"
+    path.write_text(serialize_dataset(lam_table(params, uni.all_menus(2)).as_float()))
+    code, out, _ = run(capsys, "identify-field", "--ai", str(path), "--anchor", "x", "--tol", "0.001")
+    assert code == 2
+    assert "status,non-generic-failure" in out.splitlines()
+    assert "alpha_table,z,0.010000000000000009;0.010000000000000009,undefined,infeasible" in out.splitlines()

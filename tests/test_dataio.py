@@ -339,3 +339,25 @@ def test_params_row_and_universe_messages(text, message):
     with pytest.raises(DatasetFormatError) as err:
         parse_params(text, exact=True)
     assert str(err.value) == message
+
+
+_PARAMS = "universe,x;y;z\nanchor,x\nalpha,1/2\nu,x,1\nu,y,2\nu,z,3\nv,x,1\nv,y,1\nv,z,1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_PARAMS + "alpha,3/4\n", "line 10: duplicate row for 'alpha'"),
+        (_PARAMS + "u,y,5\n", "line 10: duplicate row for ('u', 'y')"),
+        (_PARAMS + "universe,x;y;z\n", "line 10: duplicate row for 'universe'"),
+        (_PARAMS + "anchor,y\n", "line 10: duplicate row for 'anchor'"),
+        (_PARAMS + "u,q,7\n", "line 10: unknown alternative 'q'"),
+        # the universe may come after the rows that name its alternatives
+        ("v,w,2\n" + _PARAMS, "line 1: unknown alternative 'w'"),
+    ],
+)
+def test_params_reject_repeated_rows_and_unknown_alternatives(text, message):
+    with pytest.raises(DatasetFormatError) as err:
+        parse_params(text, exact=True)
+    assert str(err.value) == message
+    assert parse_params(_PARAMS, exact=True).u["y"] == 2

@@ -745,3 +745,33 @@ def test_criterion_7_cut_independent_of_hash_seed():
     root = Path(__file__).parent.parent
     first, second = (run_hashed(s, ["-c", CRITERION_7_CUT], cwd=root) for s in (0, 5))
     assert first == second
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, 2**63, "10"])
+def test_simulate_counts_rejects_a_non_integer_count(uni4, ex_b_params, n):
+    with pytest.raises(InvalidParameterError, match=r"^n_per_menu must be an integer from 1"):
+        simulate_counts(ex_b_params, uni4.all_menus(2), n, seed=1)
+    draws = simulate_counts(ex_b_params, uni4.all_menus(2), np.int64(3), seed=1)
+    assert draws == simulate_counts(ex_b_params, uni4.all_menus(2), 3, seed=1)
+    assert draws.total() == 3 * 11
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"inits": 2.5}, "inits must be a positive integer, got 2.5"),
+        ({"inits": True}, "inits must be a positive integer, got True"),
+        ({"inits": 0}, "inits must be a positive integer, got 0"),
+        ({"max_iter": 2.5}, "max_iter must be a non-negative integer, got 2.5"),
+        ({"max_iter": False}, "max_iter must be a non-negative integer, got False"),
+        ({"max_iter": -3}, "max_iter must be a non-negative integer, got -3"),
+    ],
+)
+def test_fit_rejects_non_integer_starts_and_caps(uni4, ex_b_params, kwargs, message):
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 200, seed=1)
+    with pytest.raises(InvalidParameterError) as err:
+        fit_mle(counts, **{"inits": 2, "seed": 1, "max_iter": 5, **kwargs})
+    assert str(err.value) == message
+    fit = fit_mle(counts, inits=np.int64(2), seed=1, max_iter=np.int64(2))
+    assert fit.n_starts == 2 and type(fit.n_starts) is int
+    assert max(fit.start_iterations) <= 2

@@ -663,3 +663,51 @@ def test_deception_gap_rejects_compliance_outside_unit_interval():
                            (1.5, (0.75, 0.25), "lab compliance 1.5")):
         with pytest.raises(InvalidParameterError, match=re.escape(bad)):
             deception_gap(lab, field(pair))
+
+
+def _mixture(u, v, alpha, to_float=False):
+    """The mixture table on every menu of x, y, z, t, anchored at x."""
+    uni = Universe(("x", "y", "z", "t"))
+    params = LamParams(uni, dict(zip("xyzt", map(F, u))), dict(zip("xyzt", map(F, v))), alpha, "x")
+    rho = lam_table(params, uni.all_menus(2))
+    return rho.as_float() if to_float else rho
+
+
+# Each configuration below is non-generic in one way; z and t are aligned
+# (u = v) in the first, and the last two need a tolerance of their own.
+@pytest.mark.parametrize(
+    "u, v, alpha, tol, reason, pairs",
+    [
+        (
+            (1, 4, F(1, 3), F(3, 2)), (1, F(1, 3), F(1, 3), F(3, 2)), F(17, 20), None,
+            "multiple compliance pairs are consistent across all alternatives; "
+            "the configuration is not generic",
+            ((F(121, 2700), F(2579, 2700)), (F(3, 20), F(17, 20))),
+        ),
+        (
+            (1, 5, 5, 1), (1, F(1, 3), 5, 1), F(7, 20), None,
+            "2 candidate pairs for 'y' match the shared compliance value; "
+            "the configuration is not generic",
+            ((F(7, 20), F(13, 20)),),
+        ),
+        (
+            (1, F(1, 100), 3, 3), (1, 1000, 100, 3), F(49, 50), 0.01,
+            "compliance indistinguishable from a boundary value despite IIA violations",
+            None,
+        ),
+        (
+            (1, 5000, 5000, 20000), (1, 100, 2, 5000), F(1, 25), 0.001,
+            "no candidate pair for 't' matches the shared compliance value; "
+            "the configuration is not generic",
+            None,
+        ),
+    ],
+)
+def test_identify_field_non_generic_assembly(u, v, alpha, tol, reason, pairs):
+    result = identify_field(_mixture(u, v, alpha, to_float=tol is not None), "x", tol=tol)
+    assert (result.status, result.reason) == ("non-generic-failure", reason)
+    assert result.primary is None
+    if pairs is not None:
+        assert result.alpha_pair_candidates == pairs
+    else:  # one float pair survives; the failure is in its assignment
+        assert len(result.alpha_pair_candidates) == 1

@@ -894,3 +894,40 @@ def test_each_lab_entry_point_reads_the_pair_rows_once(monkeypatch, ex_a_ai, ex_
         calls.clear()
         call(ex_a_ai, ex_a_human)
         assert calls.count(2) == 1
+
+
+def _rows(uni, rows):
+    """A table from rows given as {'xy': (p_x, p_y), ...}, members in universe order."""
+    return StochasticChoice(uni, {frozenset(m): dict(zip(m, ps)) for m, ps in rows.items()})
+
+
+def test_identify_lab_reports_vanishing_composite_instability(uni3):
+    # against a uniform human rule every composite term is
+    # |S| (a_S - b_S) - |T| (a_T - b_T) over |S| |T|, and this AI table keeps
+    # |S| (a_S - b_S) fixed per pair while violating IIA
+    human = _rows(uni3, {"xy": (F(1, 2),) * 2, "xz": (F(1, 2),) * 2, "yz": (F(1, 2),) * 2,
+                         "xyz": (F(1, 3),) * 3})
+    ai = _rows(uni3, {"xy": (F(5, 8), F(3, 8)), "xz": (F(3, 4), F(1, 4)),
+                      "yz": (F(5, 8), F(3, 8)), "xyz": (F(1, 2), F(1, 3), F(1, 6))})
+    result = identify_lab(ai, human, "x")
+    assert (result.status, result.reason) == (
+        "inconsistent",
+        "AI data violates IIA while every composite instability vanishes; "
+        "no mixture representation exists",
+    )
+
+
+@pytest.mark.parametrize("to_float, eff", [(False, "0"), (True, "1e-09")])
+def test_identify_lab_reports_an_ai_rule_that_is_not_positive(uni3, to_float, eff):
+    # z is never chosen: every instability vanishes, but no Luce rule has a zero
+    human = luce_table(uni3, {"x": F(1), "y": F(1), "z": F(1)}, uni3.all_menus(2))
+    ai = _rows(uni3, {"xy": (F(1, 3), F(2, 3)), "xz": (F(1), F(0)), "yz": (F(1), F(0)),
+                      "xyz": (F(1, 3), F(2, 3), F(0))})
+    if to_float:
+        human, ai = human.as_float(), ai.as_float()
+    result = identify_lab(ai, human, "x")
+    assert (result.status, result.reason) == (
+        "inconsistent",
+        "AI data satisfies IIA but is not a Luce rule: positivity fails: "
+        f"probability of 'z' in ('x', 'y', 'z') is not above {eff}",
+    )

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from lam import (
+    ChoiceCounts,
     InstabilityTuple,
     InvalidParameterError,
     LamParams,
@@ -140,6 +141,59 @@ def test_unobserved_menu_is_named_in_universe_order():
         with pytest.raises(MissingDataError) as err:
             lookup()
         assert str(err.value) == "menu ('z', 'x') not in the observed domain"
+
+
+def test_row_lists_every_member_in_universe_order():
+    uni = Universe(("z", "y", "x"))
+    rho = StochasticChoice(uni, {("x", "z", "y"): {"x": F(1, 4), "z": F(3, 4)}})
+    row = rho.row(iter("xyz"))
+    assert row == {"z": F(3, 4), "y": 0, "x": F(1, 4)}
+    assert list(row) == ["z", "y", "x"]
+
+
+XY = ("x", "y")
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # every member of a row is checked before any probability's range
+        ({XY: {"x": F(3, 2), "z": F(0)}}, "alternative 'z' recorded outside its menu"),
+        ({XY: {"x": 1.5, "z": 0.0}}, "alternative 'z' recorded outside its menu"),
+        # the range before the row sum, and rows in input order
+        (
+            {XY: {"x": F(3, 2), "y": F(1, 4)}},
+            "probability Fraction(3, 2) for 'x' in menu ('x', 'y') outside [0, 1]",
+        ),
+        ({XY: {"x": F(1, 4)}, ("y", "x"): {"q": 1}}, "row for menu ('x', 'y') sums to Fraction(1, 4), not 1"),
+        ({XY: {"x": 1}, ("y", "x"): {"q": 1}}, "duplicate menu ('x', 'y')"),
+        ({("x", "q"): {"z": 1}}, "unknown alternative 'q'"),
+        ({}, "a stochastic choice function needs data"),
+    ],
+)
+def test_choice_table_checks_a_row_in_order(uni3, table, message):
+    with pytest.raises((InvalidParameterError, MissingDataError)) as err:
+        StochasticChoice(uni3, table)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # member, then count, cell by cell
+        ({XY: {"x": -1, "z": 1}}, "count for 'x' must be a non-negative integer, got -1"),
+        ({XY: {"x": 1, "z": -1}}, "count recorded for 'z' outside its menu"),
+        ({XY: {"x": 1.0, "y": 2}}, "count for 'x' must be a non-negative integer, got 1.0"),
+        # the row's total once its cells pass, and rows in input order
+        ({XY: {"x": 0, "y": 0}, ("y", "x"): {"q": 1}}, "menu ('x', 'y') has no observations"),
+        ({XY: {"x": 1}, ("y", "x"): {"q": 1}}, "duplicate menu ('x', 'y')"),
+        ({}, "choice counts need at least one menu"),
+    ],
+)
+def test_choice_counts_check_a_row_in_order(uni3, counts, message):
+    with pytest.raises(InvalidParameterError) as err:
+        ChoiceCounts(uni3, counts)
+    assert str(err.value) == message
 
 
 def test_instability_tuple_validation():
