@@ -5,30 +5,21 @@ Draws random rational mixture parameters with compliance bounded away
 from 0, 1/2, and 1, forward-simulates the AI choice table alone, and
 checks that the swap class comes back exactly.  Failures are printed
 with their diagnostics; with generic draws they should be rare and
-traceable to a non-generic coincidence.
+traceable to a non-generic coincidence.  Instances come from the test
+suite's generators (tests/gen.py).
 """
 
 import argparse
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
-from lam import LamParams, Universe, identify_field, lam_table
+from lam import identify_field
 
-ALTS = "abcdefgh"
-
-
-def random_params(rng, n, margin):
-    uni = Universe(tuple(ALTS[:n]))
-    while True:
-        alpha = F(rng.randint(1, 39), 40)
-        if min(alpha, 1 - alpha, abs(alpha - F(1, 2))) < margin:
-            continue
-        u = {a: F(rng.randint(1, 20), rng.randint(1, 20)) for a in uni.alternatives}
-        v = {a: F(rng.randint(1, 20), rng.randint(1, 20)) for a in uni.alternatives}
-        params = LamParams.normalized(uni, u, v, alpha)
-        if len(set(params.ratio().values())) > 1:
-            return params
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import gen  # noqa: E402
 
 
 def main():
@@ -46,8 +37,9 @@ def main():
     failures = []
     started = time.perf_counter()
     for i in range(args.instances):
-        params = random_params(rng, rng.choice(args.sizes), margin)
-        rho = lam_table(params, params.universe.all_menus(2))
+        alpha = gen.random_alpha_generic(rng, margin)
+        params = gen.random_params(rng, rng.choice(args.sizes), alpha)
+        rho, _ = gen.forward_pair(params)
         result = identify_field(rho, params.anchor)
         if result.status == "identified-up-to-swap" and params in (
             result.primary,

@@ -4,26 +4,19 @@
 Draws random rational mixture parameters, forward-simulates the (AI,
 human) pair of choice tables over every menu, runs the identification
 pipeline in exact and float modes, and reports recovery statistics.
+Instances come from the test suite's generators (tests/gen.py).
 """
 
 import argparse
 import random
+import sys
 import time
-from fractions import Fraction as F
+from pathlib import Path
 
-from lam import LamParams, Universe, identify_lab, lam_table, luce_table
+from lam import identify_lab
 
-ALTS = "abcdefgh"
-
-
-def random_params(rng, n):
-    uni = Universe(tuple(ALTS[:n]))
-    while True:
-        u = {a: F(rng.randint(1, 20), rng.randint(1, 20)) for a in uni.alternatives}
-        v = {a: F(rng.randint(1, 20), rng.randint(1, 20)) for a in uni.alternatives}
-        params = LamParams.normalized(uni, u, v, F(rng.randint(1, 19), 20))
-        if len(set(params.ratio().values())) > 1:
-            return params
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import gen  # noqa: E402
 
 
 def main():
@@ -39,18 +32,15 @@ def main():
     statuses = {}
     started = time.perf_counter()
     for _ in range(args.instances):
-        params = random_params(rng, rng.choice(args.sizes))
-        menus = params.universe.all_menus(2)
-        ai = lam_table(params, menus)
-        human = luce_table(params.universe, params.u, menus)
+        params = gen.random_params(rng, rng.choice(args.sizes))
+        ai, human = gen.forward_pair(params)
 
         result = identify_lab(ai, human, params.anchor)
         statuses[result.status] = statuses.get(result.status, 0) + 1
         exact_ok += result.status == "point-identified" and result.params == params
 
         fl = params.as_float()
-        ai_f = lam_table(fl, menus)
-        human_f = luce_table(fl.universe, fl.u, menus)
+        ai_f, human_f = gen.forward_pair(fl)
         res_f = identify_lab(ai_f, human_f, fl.anchor)
         if res_f.status == "point-identified":
             got = res_f.params

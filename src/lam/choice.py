@@ -147,22 +147,24 @@ def _mixture(params: LamParams, mask: np.ndarray):
 def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
     """``sup_distance(lam_table(params, rho.domain), rho)``, from rho's dense view.
 
-    With :func:`_mixture`'s cells, Fraction parameters with exact data give
-    each cell's difference N/D in ints; with float parameters a predicted
-    row that the validating :class:`StochasticChoice` would reject raises
-    its error.  Any other mix of scalar types takes the table path itself.
+    With :func:`_mixture`'s cells, Fraction parameters give each predicted
+    cell as N/D in ints, differenced in ints from exact data and taken as
+    float(N/D) against float data; with float parameters a predicted row that
+    the validating :class:`StochasticChoice` would reject raises its error.
+    Parameters that mix Fractions and floats take the table path itself.
     """
     view = rho._dense
     cells = _mixture(params, view.mask)
-    if cells is None or cells[3] is not None and not rho.is_exact:
+    if cells is None:
         return sup_distance(lam_table(params, rho.domain), rho)
     r, x, pred, den = cells
-    if den is not None:
+    if den is not None and rho.is_exact:
         diff = view.scale[r] * pred - view.entries[r, x] * den
         miss = diff != 0
         if not miss.any():
             return 0
         return max(map(Fraction, np.abs(diff[miss]).tolist(), (view.scale[r] * den)[miss].tolist()))
+    pred = pred if den is None else (pred / den).astype(float)  # int / int rounds correctly
     # screen for rows with a cell off [0, 1] or a sum off 1, with a margin
     # that covers the summation order; the table path validates the
     # flagged rows in domain order, raising on the first bad one

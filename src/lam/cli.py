@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dataio import (
+    _parse_menu_token,
     format_scalar,
     parse_dataset,
     parse_params,
@@ -118,7 +119,7 @@ def _cmd_simulate(args) -> tuple[list[str], int]:
     if args.menus == "all":
         menus = params.universe.all_menus(min_size=2)
     else:
-        menus = [params.universe.menu(m.split(";")) for m in args.menus.split(",")]
+        menus = [_parse_menu_token(params.universe, m, None) for m in args.menus.split(",")]
     counts = simulate_counts(params, menus, args.n, args.seed)
     Path(args.out).write_text(serialize_dataset(counts))
     lines = [
@@ -154,9 +155,10 @@ def _cmd_identify_lab(args) -> tuple[list[str], int]:
         rho_a = result.recovered_autonomous
         if rho_a is not None:
             for menu in rho_a.domain:
-                tok = ";".join(rho_a.universe.sorted_members(menu))
-                for alt in rho_a.universe.sorted_members(menu):
-                    lines.append(f"autonomous,{tok},{alt},{format_scalar(rho_a.prob(alt, menu))}")
+                row = rho_a.row(menu)
+                tok = ";".join(row)
+                for alt, p in row.items():
+                    lines.append(f"autonomous,{tok},{alt},{format_scalar(p)}")
         return lines, 0
     if result.status == "partially-identified":
         lines.append(f"anchor,{args.anchor}")

@@ -102,7 +102,7 @@ def _content_rows(text: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def _parse_menu_token(universe: Universe, token: str, line: int) -> Menu:
+def _parse_menu_token(universe: Universe, token: str, line: int | None) -> Menu:
     members = [m for m in token.split(";") if m]
     if not members:
         raise DatasetFormatError("empty menu", line)

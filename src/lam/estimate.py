@@ -25,9 +25,10 @@ is summed cell by cell too.  A start stops on the gradient, not on the
 likelihood change, or where a step can no longer gain: EM's gain is then
 below the rounding of the likelihood.  Estimation is double-precision
 throughout; exact inputs are converted on entry.
-It runs as array operations on one dense layout of the counts (menus in
-``data.domain`` order x alternatives in universe order), so every float
-reduction has a fixed order and no result depends on ``PYTHONHASHSEED``.
+It runs as array operations on the counts' dense view, ``data._dense``
+(menus in ``data.domain`` order x alternatives in universe order), so
+every float reduction has a fixed order and no result depends on
+``PYTHONHASHSEED``.
 
 Randomness comes from numpy's default generator (PCG64), seeded
 explicitly: identical seeds give identical draws on any platform.
@@ -49,6 +50,7 @@ from .types import (
     LamParams,
     Menu,
     StochasticChoice,
+    _Dense,
     _incidence,
     _integer,
 )
@@ -104,54 +106,37 @@ def simulate_counts(
 
 
 # ---------------------------------------------------------------------------
-# Dense layout: likelihood, gradient and EM as array operations
+# Likelihood, gradient and EM as array operations on the dense view
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Counts as menus (``data.domain`` order) x alternatives (universe order).
-
-    ``off`` is 1 off the menus, where it pads the mixture so that logs and
-    quotients there stay finite (and vanish against the zero counts).
-    """
-
-    inc: np.ndarray
-    off: np.ndarray
-    counts: np.ndarray
-    total: float
-
-
-def _layout(data: ChoiceCounts) -> _Layout:
-    view = data._dense
-    inc = view.mask.astype(float)
-    return _Layout(inc, 1.0 - inc, view.entries, float(view.entries.sum()))
-
-
 def _vectors(params: LamParams) -> tuple[np.ndarray, np.ndarray, float]:
-    p = params.as_float()
-    return np.array(p.u_vector()), np.array(p.v_vector()), p.alpha
+    """u and v in universe order and alpha, each value as ``float`` of it."""
+    return (np.array(params.u_vector(), dtype=float), np.array(params.v_vector(), dtype=float),
+            float(params.alpha))
 
 
-def _luce(lay: _Layout, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _luce(view: _Dense, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Luce probabilities of utilities ``w`` on every menu, and the menu totals."""
-    cells = lay.inc * w
+    cells = view.mask * w
     totals = cells.sum(axis=1)
     return cells / totals[:, None], totals
 
 
-def _e_step(lay: _Layout, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
-    """Both components' probabilities and menu totals, and the mixture."""
-    pu, su = _luce(lay, u)
-    pv, sv = _luce(lay, v)
-    return pu, su, pv, sv, a * pu + (1 - a) * pv + lay.off
+def _e_step(view: _Dense, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
+    """Both components' probabilities and menu totals, and the mixture,
+    padded with 1 off the menus so that logs and quotients there stay
+    finite (and vanish against the zero counts)."""
+    pu, su = _luce(view, u)
+    pv, sv = _luce(view, v)
+    return pu, su, pv, sv, a * pu + (1 - a) * pv + ~view.mask
 
 
-def _loglik(lay: _Layout, mix: np.ndarray) -> float:
-    return float((lay.counts * np.log(mix)).sum())
+def _loglik(view: _Dense, mix: np.ndarray) -> float:
+    return float((view.entries * np.log(mix)).sum())
 
 
-def _mm_step(lay: _Layout, w, weights, totals, anchor: int) -> np.ndarray:
+def _mm_step(view: _Dense, w, weights, totals, anchor: int) -> np.ndarray:
     """One MM update of Luce utilities ``w`` on weighted counts.
 
     Sets w(k) <- W(k) / sum over menus S containing k of N(S)/w(S), where
@@ -161,12 +146,12 @@ def _mm_step(lay: _Layout, w, weights, totals, anchor: int) -> np.ndarray:
     flat at zero weight).
     """
     wins = weights.sum(axis=0)
-    denom = (lay.inc * (weights.sum(axis=1) / totals)[:, None]).sum(axis=0)
+    denom = (view.mask * (weights.sum(axis=1) / totals)[:, None]).sum(axis=0)
     new = np.divide(wins, denom, out=w.copy(), where=wins > 0)
     return new / new[anchor]
 
 
-def _m_step(lay: _Layout, u, v, a: float, anchor: int, e: tuple) -> tuple:
+def _m_step(view: _Dense, u, v, a: float, anchor: int, e: tuple) -> tuple:
     """The EM update of (u, v, alpha) from the E-step ``e`` at that point."""
     pu, su, pv, sv, mix = e
     if a <= 0.0 or a >= 1.0:
@@ -177,23 +162,23 @@ def _m_step(lay: _Layout, u, v, a: float, anchor: int, e: tuple) -> tuple:
             stacklevel=3,
         )
         if a >= 1.0:
-            return _mm_step(lay, u, lay.counts, su, anchor), v, a
-        return u, _mm_step(lay, v, lay.counts, sv, anchor), a
-    wu = lay.counts * a * pu / mix
+            return _mm_step(view, u, view.entries, su, anchor), v, a
+        return u, _mm_step(view, v, view.entries, sv, anchor), a
+    wu = view.entries * a * pu / mix
     return (
-        _mm_step(lay, u, wu, su, anchor),
-        _mm_step(lay, v, lay.counts - wu, sv, anchor),
-        float(wu.sum() / lay.total),
+        _mm_step(view, u, wu, su, anchor),
+        _mm_step(view, v, view.entries - wu, sv, anchor),
+        float(wu.sum() / view.entries.sum()),
     )
 
 
 def log_likelihood(params: LamParams, data: ChoiceCounts) -> float:
     """Multinomial log-likelihood of the counts under the mixture model."""
-    lay = _layout(data)
-    return _loglik(lay, _e_step(lay, *_vectors(params))[-1])
+    view = data._dense
+    return _loglik(view, _e_step(view, *_vectors(params))[-1])
 
 
-def _gradient(lay: _Layout, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _gradient(view: _Dense, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The log-likelihood gradient at the E-step ``e`` of a point with weight ``a``.
 
     Returns d/d log u and d/d log v for every alternative (the anchor's
@@ -206,11 +191,11 @@ def _gradient(lay: _Layout, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray,
     read one ulp of those sums instead of the gradient.
     """
     pu, _, pv, _, mix = e
-    wu = lay.counts * a * pu / mix
-    wv = lay.counts - wu
+    wu = view.entries * a * pu / mix
+    wv = view.entries - wu
     d_u = (wu - pu * wu.sum(axis=1)[:, None]).sum(axis=0)
     d_v = (wv - pv * wv.sum(axis=1)[:, None]).sum(axis=0)
-    return d_u, d_v, float((wu - a * lay.counts).sum())
+    return d_u, d_v, float((wu - a * view.entries).sum())
 
 
 def log_likelihood_gradient(
@@ -225,8 +210,8 @@ def log_likelihood_gradient(
     u, v, a = _vectors(params)
     if not 0 < a < 1:
         raise InvalidParameterError("gradient needs interior alpha")
-    lay = _layout(data)
-    d_u, d_v, d_logit = _gradient(lay, _e_step(lay, u, v, a), a)
+    view = data._dense
+    d_u, d_v, d_logit = _gradient(view, _e_step(view, u, v, a), a)
     grad: dict[tuple[str, str], float] = {}
     for i, alt in enumerate(params.universe.alternatives):
         if alt != params.anchor:
@@ -244,9 +229,9 @@ def em_step(params: LamParams, data: ChoiceCounts) -> LamParams:
     warning is emitted.
     """
     universe = params.universe
-    lay = _layout(data)
+    view = data._dense
     u, v, a = _vectors(params)
-    u, v, a = _m_step(lay, u, v, a, universe.index(params.anchor), _e_step(lay, u, v, a))
+    u, v, a = _m_step(view, u, v, a, universe.index(params.anchor), _e_step(view, u, v, a))
     alts = universe.alternatives
     return LamParams(
         universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), a, params.anchor
@@ -287,17 +272,17 @@ def _point(x: np.ndarray) -> tuple | None:
     return w[: len(w) // 2], w[len(w) // 2 :], a
 
 
-def _gain(lay: _Layout, mix_p: np.ndarray, mix_q: np.ndarray) -> float:
+def _gain(view: _Dense, mix_p: np.ndarray, mix_q: np.ndarray) -> float:
     """ll(q) - ll(p) from the two mixtures, as sum N log1p((mix_q - mix_p)/mix_p).
 
     Each cell's term is small where q is near p, so the sum keeps the
     gain's digits where the difference of two ll readings, each rounded
     at the scale of |ll|, would lose them.
     """
-    return float((lay.counts * np.log1p((mix_q - mix_p) / mix_p)).sum())
+    return float((view.entries * np.log1p((mix_q - mix_p) / mix_p)).sum())
 
 
-def _hessian(lay: _Layout, e: tuple, a: float) -> np.ndarray:
+def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
     """The log-likelihood Hessian in (log u, log v, logit alpha), anchor
     entries included, at the E-step ``e`` of a point with weight ``a``.
 
@@ -309,7 +294,7 @@ def _hessian(lay: _Layout, e: tuple, a: float) -> np.ndarray:
     pieces: sum wu (e_k - pu) is d/d log u.
     """
     pu, _, pv, _, mix = e
-    r = lay.counts / mix
+    r = view.entries / mix
     c = r / mix
     b = a * (1 - a)
     wu, wv = a * r * pu, (1 - a) * r * pv
@@ -341,7 +326,7 @@ def _hessian(lay: _Layout, e: tuple, a: float) -> np.ndarray:
     )
 
 
-def _newton_step(lay: _Layout, point: tuple, e: tuple, grad: np.ndarray) -> tuple | None:
+def _newton_step(view: _Dense, point: tuple, e: tuple, grad: np.ndarray) -> tuple | None:
     """A safeguarded Newton step from ``point`` in the free coordinates.
 
     The step is (-H + mu s I)^-1 grad, with H the analytic Hessian
@@ -362,7 +347,7 @@ def _newton_step(lay: _Layout, point: tuple, e: tuple, grad: np.ndarray) -> tupl
     # a step may overflow anywhere; what that leaves non-finite fails the
     # guards below
     with np.errstate(all="ignore"):
-        neg = -_hessian(lay, e, point[2])[np.ix_(free, free)]
+        neg = -_hessian(view, e, point[2])[np.ix_(free, free)]
         if not np.isfinite(neg).all():
             return None
         shift = np.abs(np.diag(neg)).max() * np.eye(len(free))
@@ -378,15 +363,15 @@ def _newton_step(lay: _Layout, point: tuple, e: tuple, grad: np.ndarray) -> tupl
             y[free] += step
             q = _point(y)
             if q is not None:
-                eq = _e_step(lay, *q)
-                gain = _gain(lay, e[-1], eq[-1])
+                eq = _e_step(view, *q)
+                gain = _gain(view, e[-1], eq[-1])
                 if gain >= -_LL_DROP:  # false for a NaN gain
                     return q, eq, gain
             step /= 2
     return None
 
 
-def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple:
+def _em_start(view: _Dense, point: tuple, tol_ll: float, max_iter: int) -> tuple:
     """One start of SQUAREM-accelerated EM from ``point`` = (u, v, alpha),
     finished by Newton steps.
 
@@ -426,18 +411,18 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
     """
 
     def em_map(p, e):
-        q = _m_step(lay, *p, 0, e)
-        eq = _e_step(lay, *q)
-        return q, eq, _loglik(lay, eq[-1])
+        q = _m_step(view, *p, 0, e)
+        eq = _e_step(view, *q)
+        return q, eq, _loglik(view, eq[-1])
 
-    e = _e_step(lay, *point)
-    trace = [_loglik(lay, e[-1])]
+    e = _e_step(view, *point)
+    trace = [_loglik(view, e[-1])]
     gains = []
     maps = 0
     wait = _NEWTON_WAIT
     newton_from = math.inf  # max |gradient| before an accepted Newton step
     while True:
-        d_u, d_v, d_logit = _gradient(lay, e, point[2])
+        d_u, d_v, d_logit = _gradient(view, e, point[2])
         g = np.concatenate((d_u[1:], d_v[1:], [d_logit]))  # the free coordinates
         grad = float(np.abs(g).max())
         converged = grad <= tol_ll * max(1.0, abs(trace[-1]))
@@ -448,13 +433,13 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
             return point, trace, gains, maps, converged, grad
         if maps >= wait or newton_from < math.inf:
             maps += 1
-            step = _newton_step(lay, point, e, g)
+            step = _newton_step(view, point, e, g)
             if step is None:
                 wait *= 2
                 newton_from = math.inf
             else:
                 point, e, gain = step
-                trace.append(_loglik(lay, e[-1]))
+                trace.append(_loglik(view, e[-1]))
                 gains.append(gain)
                 newton_from = grad
             continue
@@ -476,7 +461,7 @@ def _em_start(lay: _Layout, point: tuple, tol_ll: float, max_iter: int) -> tuple
                     q = _point(x0 - 2 * st * r + st * st * v)
                     if q is None:
                         break
-                    q, eq, llq = em_map(q, _e_step(lay, *q))
+                    q, eq, llq = em_map(q, _e_step(view, *q))
                     maps += 1
                     if not (0.0 < q[2] < 1.0 and math.isfinite(llq)):
                         break
@@ -563,7 +548,7 @@ def fit_mle(
     universe = data.universe
     alts = universe.alternatives
     anchor = alts[0]
-    lay = _layout(data)
+    view = data._dense
     rng = _rng(seed)
 
     best = None  # (degenerate, -ll) minimizing tuple, then _em_start's results
@@ -580,7 +565,7 @@ def fit_mle(
             alpha = float(rng.uniform(0.1, 0.9))
 
         point, trace, gains, maps, converged, grad = _em_start(
-            lay, (u, v, alpha), tol_ll, max_iter
+            view, (u, v, alpha), tol_ll, max_iter
         )
         start_iterations.append(maps)
         monotone = monotone and all(g >= -_LL_DROP for g in gains)

@@ -390,11 +390,9 @@ def candidate_utilities(
     eff = resolve_tol(tol, exact)
     case2 = poly.is_zero(eff)
     odds: tuple[Scalar, ...] = ()  # the binary odds: case 2's candidate, an exact root hint
-    if case2 or exact:
-        menu_xy = poly.menus[1]
-        base = rho_ai.prob(poly.anchor, menu_xy)
-        if base > 0:  # an anchor never chosen from {x, y} gives no odds
-            odds = (rho_ai.prob(poly.target, menu_xy) / base,)
+    base, target = poly.ab[1]  # rho(x, {x, y}) and rho(y, {x, y})
+    if (case2 or exact) and base > 0:  # an anchor never chosen from {x, y} gives no odds
+        odds = (target / base,)
     coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
     # the denominator zeros b/a as (b, a), exact ones as ints: p/q is one iff p a == q b
     poles = [(b.numerator * a.denominator, a.numerator * b.denominator) if exact else (b, a)
@@ -421,7 +419,7 @@ def candidate_utilities(
             if exact
             else abs(r - b / a) <= max(eff, ROOT_MERGE_RTOL * (1 + abs(b / a)))
             for b, a in poles
-        ):
+        ) or not exact and any(a * r == b for a, b in poly.ab):  # also a = b = 0, at any r
             reason = "denominator-vanishing"
         elif not exact and abs(poly.equation_residual(r)) > max(eff, 1e-10) * (
             1 + sum(abs(1 / (a * r - b)) for a, b in poly.ab)
@@ -448,9 +446,13 @@ def _same_root(r: float, s: float) -> bool:
 
 
 def _polish_on_equation(poly: CubicPoly, r: float) -> float:
-    """Damped Newton refinement of a root against the original equation."""
+    """Damped Newton refinement of a root against the original equation; a
+    root on a denominator zero is left for the screen, a step onto one halved."""
     x = r
-    fx = poly.equation_residual(x)
+    try:
+        fx = poly.equation_residual(x)
+    except ZeroDivisionError:  # some a x - b is 0
+        return x
     for _ in range(12):
         if fx == 0:
             break
@@ -461,7 +463,10 @@ def _polish_on_equation(poly: CubicPoly, r: float) -> float:
         accepted = False
         for _ in range(5):
             cand = x - step
-            fc = poly.equation_residual(cand)
+            try:
+                fc = poly.equation_residual(cand)
+            except ZeroDivisionError:
+                fc = math.nan
             if math.isfinite(fc) and abs(fc) < abs(fx):
                 x, fx = cand, fc
                 accepted = True
@@ -570,17 +575,16 @@ class FieldResult:
         return (self.primary, self.swapped)
 
 
-def _constant_odds(
-    rho_ai: StochasticChoice, anchor: str, y: str, eff: Scalar
-) -> Scalar | None:
-    """The menu-independent odds of y against the anchor, if they are constant."""
-    ratios = []
-    for menu in rho_ai.domain:
-        if anchor in menu and y in menu:
-            px = rho_ai.prob(anchor, menu)
-            if not px > 0:
-                return None
-            ratios.append(rho_ai.prob(y, menu) / px)
+def _constant_odds(rho_ai: StochasticChoice, anchor: str, y: str, eff: Scalar) -> Scalar | None:
+    """The menu-independent odds of y against the anchor, if they are constant,
+    from the dense view's rows holding both, in canonical order."""
+    view, index = rho_ai._dense, rho_ai.universe.index
+    x, j = index(anchor), index(y)
+    held = view.mask[:, x] & view.mask[:, j]
+    px, py = view.entries[held, x].tolist(), view.entries[held, j].tolist()
+    if not all(p > 0 for p in px):
+        return None
+    ratios = [b / a if view.scale is None else Fraction(b, a) for a, b in zip(px, py)]
     spread = max(ratios) - min(ratios)
     if spread <= eff * (1 + max(abs(r) for r in ratios)):
         return ratios[0]

@@ -102,6 +102,8 @@ def test_luce_choice_rejects_nonpositive_utility():
         luce_choice({"x": F(0), "y": F(1)}, XY)
     with pytest.raises(InvalidParameterError):
         luce_choice({"x": -1.0, "y": 1.0}, XY)
+    with pytest.raises(InvalidParameterError, match="^menus must be non-empty$"):
+        luce_choice({"x": F(1), "y": F(1)}, [])
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -462,9 +464,8 @@ RESIDUAL_PARAMS = {
 
 
 def test_residual_matches_table_oracle(monkeypatch):
-    # _residual computes exact params on exact data and float params on any
-    # data itself; every other pairing, the mixed kinds above and exact
-    # params on float data, must take the table path, which the count of
+    # _residual computes exact params and float params on any data itself;
+    # the mixed kinds above must take the table path, which the count of
     # lam_table calls checks
     calls = []
     monkeypatch.setattr(
@@ -491,7 +492,7 @@ def test_residual_matches_table_oracle(monkeypatch):
         calls.clear()
         got = _residual(params, rho)
         assert (type(got), repr(got)) == (type(want), repr(want)), (kind, data, params)
-        computed = kind == "float" or (kind == "exact" and rho.is_exact)
+        computed = kind in ("float", "exact")
         assert len(calls) == (0 if computed else 1), (kind, data)
         kinds.add((kind, rho.is_exact))
         nonzero += want != 0

@@ -579,6 +579,41 @@ def test_simulate_rejects_a_repeated_menu(capsys, tmp_path):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_simulate_menu_tokens_parse_as_dataset_menus(capsys, tmp_path):
+    # --menus tokens follow dataset files: an empty member is skipped, a
+    # repeated one is an error
+    simulate = ["simulate", "--params", str(DATA / "field_params.csv"), "--n", "10",
+                "--seed", "1"]
+    outs = []
+    for menus in ("x;y,x;y;z", "x;;y,;x;y;z;"):
+        out_path = tmp_path / f"{len(outs)}.csv"
+        code, out, err = run(capsys, *simulate, "--menus", menus, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        outs.append((out.replace(str(out_path), "OUT"), out_path.read_bytes()))
+    assert outs[0] == outs[1]
+    code, out, err = run(capsys, *simulate, "--menus", "x;y,x;x;y",
+                         "--out", str(tmp_path / "sim.csv"))
+    assert (code, out) == (1, "")
+    assert err == "error: menu 'x;x;y' repeats an alternative\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_identify_field_root_on_a_denominator_zero_exits_cleanly(tmp_path):
+    # a raw root of the float cubics lies on a denominator zero; run as a
+    # program, the command reports the class and prints no traceback
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lam.cli", "identify-field",
+         "--ai", str(DATA / "field_pole_float.csv"), "--anchor", "x"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "status,identified-up-to-swap" in proc.stdout.splitlines()
+    assert "alpha_pair,0.9700000000000001;0.029999999999999874" in proc.stdout.splitlines()
+
+
 def test_unknown_menu_member_message_independent_of_hash_seed(tmp_path):
     src = str(Path(__file__).parent.parent / "src")
     argv = ["simulate", "--params", str(DATA / "field_params.csv"), "--menus", "x;q;r",

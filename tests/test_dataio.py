@@ -319,6 +319,8 @@ def test_repeated_menu_tokens_share_one_row():
         (_PROBS + ";,x,1\n", "line 4: empty menu"),
         (_PROBS + "x;y;x,x,1\n", "line 4: menu 'x;y;x' repeats an alternative"),
         (_PROBS + "x;y,w,1\n", "line 4: unknown alternative 'w'"),
+        (_PROBS + "x;y,x\n", "line 4: expected 'menu,alternative,value', got 2 fields"),
+        (_PROBS + "x;y,x,1/2,1/2\n", "line 4: expected 'menu,alternative,value', got 4 fields"),
     ],
 )
 def test_dataset_header_and_menu_messages(text, message):

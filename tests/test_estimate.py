@@ -391,21 +391,79 @@ def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
     # criterion 7's first random start after 20 EM maps, where -H has an
     # eigenvalue near -746: the Cholesky of -H fails, a shifted one does not
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
-    lay = estimate._layout(counts)
+    view = counts._dense
     rng = estimate._rng(7)  # fit_mle's draw for its second start, seed 7
     u, v = np.ones(4), np.ones(4)
     for i in range(1, 4):
         u[i], v[i] = math.exp(rng.normal()), math.exp(rng.normal())
-    point = estimate._em_start(lay, (u, v, float(rng.uniform(0.1, 0.9))), 1e-13, 20)[0]
-    e = estimate._e_step(lay, *point)
-    d_u, d_v, d_logit = estimate._gradient(lay, e, point[2])
+    point = estimate._em_start(view, (u, v, float(rng.uniform(0.1, 0.9))), 1e-13, 20)[0]
+    e = estimate._e_step(view, *point)
+    d_u, d_v, d_logit = estimate._gradient(view, e, point[2])
     grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
     free = [1, 2, 3, 5, 6, 7, 8]  # the anchor x is pinned in u (0) and v (4)
-    neg = -estimate._hessian(lay, e, point[2])[np.ix_(free, free)]
+    neg = -estimate._hessian(view, e, point[2])[np.ix_(free, free)]
     assert estimate._cholesky_solve(neg.tolist(), grad.tolist()) is None
-    step = estimate._newton_step(lay, point, e, grad)
+    step = estimate._newton_step(view, point, e, grad)
     assert step is not None
     assert step[2] >= -1e-10
+
+
+def test_newton_step_refuses_a_non_finite_hessian(uni4, ex_b_params):
+    # y's utility is 1e-600 of z's, which rounds y's probability on {y, z}
+    # to 0 in both rules: its count over the mixture there is infinite
+    view = simulate_counts(ex_b_params, uni4.all_menus(2), 100, seed=1)._dense
+    w = np.array([1.0, 1e-300, 1e300, 1.0])
+    point = (w, w.copy(), 0.5)
+    e = estimate._e_step(view, *point)
+    assert (e[-1][view.mask] == 0).any()
+    assert estimate._newton_step(view, point, e, np.ones(7)) is None
+
+
+def test_newton_step_refuses_a_step_that_no_halving_makes_ascend(uni4, ex_b_params):
+    # given the negated gradient, the step descends however far it is halved
+    view = simulate_counts(ex_b_params, uni4.all_menus(2), 1000, seed=1)._dense
+    point = (np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
+    e = estimate._e_step(view, *point)
+    d_u, d_v, d_logit = estimate._gradient(view, e, point[2])
+    grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
+    assert np.abs(grad).max() > 1.0
+    assert estimate._newton_step(view, point, e, grad) is not None
+    assert estimate._newton_step(view, point, e, -grad) is None
+
+
+def test_refused_newton_tries_double_the_wait(monkeypatch, uni4, ex_b_params):
+    # with no shift to try, no Newton step factors: every try is refused,
+    # a start's k-th try comes once 20 * 2**k maps are spent, and SQUAREM
+    # cycles carry the fit in between
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    starts = []  # per start: its EM maps and the maps spent before each try
+    em_start, m_step, newton_step = estimate._em_start, estimate._m_step, estimate._newton_step
+
+    def counted_em_start(*args):
+        starts.append({"em": 0, "tries": []})
+        return em_start(*args)
+
+    def counted_m_step(*args):  # one per EM map
+        starts[-1]["em"] += 1
+        return m_step(*args)
+
+    def counted_newton_step(*args):  # a try is one map too
+        starts[-1]["tries"].append(starts[-1]["em"] + len(starts[-1]["tries"]))
+        step = newton_step(*args)
+        assert step is None
+        return step
+
+    monkeypatch.setattr(estimate, "_NEWTON_SHIFTS", ())
+    monkeypatch.setattr(estimate, "_em_start", counted_em_start)
+    monkeypatch.setattr(estimate, "_m_step", counted_m_step)
+    monkeypatch.setattr(estimate, "_newton_step", counted_newton_step)
+    fit = fit_mle(counts, inits=3, seed=7, tol_ll=1e-13, max_iter=700)
+    assert fit.start_iterations == tuple(s["em"] + len(s["tries"]) for s in starts)
+    assert max(len(s["tries"]) for s in starts) >= 4
+    for s in starts:
+        assert all(20 * 2**k <= at < 20 * 2 ** (k + 1) for k, at in enumerate(s["tries"]))
+    assert fit.monotone and fit.status == "ok"
+    assert len(fit.ll_trace) > 10
 
 
 def test_default_fit_converges_on_small_data():
@@ -433,21 +491,21 @@ def test_gradient_matches_a_per_cell_fsum_oracle(uni4, ex_b_params):
     # ulp of the count sums (about 1e5) that a difference of sums would read
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
     fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
-    lay = estimate._layout(counts)
+    view = counts._dense
     u, v, a = estimate._vectors(fit.params)
-    e = estimate._e_step(lay, u, v, a)
+    e = estimate._e_step(view, u, v, a)
     pu, _, pv, _, mix = e
-    wu = lay.counts * a * pu / mix
-    wv = lay.counts - wu
-    menus = range(len(lay.counts))
+    wu = view.entries * a * pu / mix
+    wv = view.entries - wu
+    menus = range(len(view.entries))
 
     def oracle(w, p):  # the same float64 cells, summed exactly
         total = w.sum(axis=1)
         return [math.fsum(w[s, k] - p[s, k] * total[s] for s in menus) for k in range(4)]
 
-    d_alpha = math.fsum((wu - a * lay.counts).ravel().tolist())
+    d_alpha = math.fsum((wu - a * view.entries).ravel().tolist())
     want = np.array(oracle(wu, pu) + oracle(wv, pv) + [d_alpha])
-    d_u, d_v, d_logit = estimate._gradient(lay, e, a)
+    d_u, d_v, d_logit = estimate._gradient(view, e, a)
     assert np.abs(np.concatenate((d_u, d_v, [d_logit])) - want).max() <= 1e-11
 
 
@@ -487,11 +545,11 @@ def test_gain_equals_the_likelihood_difference():
     rng = random.Random(45)
     for _ in range(10):
         counts = random_counts(rng, rng.randint(3, 5), partial=rng.random() < 0.5)
-        lay = estimate._layout(counts)
+        view = counts._dense
         p, q = (gen.random_params(rng, counts.universe.size).as_float() for _ in range(2))
-        mix_p, mix_q = (estimate._e_step(lay, *estimate._vectors(x))[-1] for x in (p, q))
+        mix_p, mix_q = (estimate._e_step(view, *estimate._vectors(x))[-1] for x in (p, q))
         want = log_likelihood(q, counts) - log_likelihood(p, counts)
-        assert abs(estimate._gain(lay, mix_p, mix_q) - want) <= 1e-9
+        assert abs(estimate._gain(view, mix_p, mix_q) - want) <= 1e-9
 
 
 def test_hessian_matches_finite_differences():
@@ -499,9 +557,9 @@ def test_hessian_matches_finite_differences():
     rng = random.Random(46)
     for _ in range(8):
         counts = random_counts(rng, rng.randint(3, 5), partial=rng.random() < 0.5)
-        lay = estimate._layout(counts)
+        view = counts._dense
         point = estimate._vectors(gen.random_params(rng, counts.universe.size).as_float())
-        hess = estimate._hessian(lay, estimate._e_step(lay, *point), point[2])
+        hess = estimate._hessian(view, estimate._e_step(view, *point), point[2])
         x, h = estimate._coords(*point), 1e-5
         for i in range(len(x)):
             ends = []
@@ -509,7 +567,7 @@ def test_hessian_matches_finite_differences():
                 y = x.copy()
                 y[i] += dx
                 p = estimate._point(y)
-                d_u, d_v, d_logit = estimate._gradient(lay, estimate._e_step(lay, *p), p[2])
+                d_u, d_v, d_logit = estimate._gradient(view, estimate._e_step(view, *p), p[2])
                 ends.append(np.concatenate((d_u, d_v, [d_logit])))
             fd = (ends[0] - ends[1]) / (2 * h)
             assert np.abs(fd - hess[:, i]).max() <= 1e-6 * np.abs(hess).max()

@@ -140,6 +140,8 @@ def test_polynomial_needs_menus(ex_b_ai, uni4):
     partial = StochasticChoice(uni4, table)
     with pytest.raises(InsufficientDataError):
         identification_polynomial(partial, "x", "y", "z", "t")
+    with pytest.raises(InvalidParameterError, match="must be distinct"):
+        identification_polynomial(ex_b_ai, "x", "y", "z", "y")
 
 
 def test_root_containment_exact():
@@ -281,6 +283,12 @@ def test_implied_alpha_equal_pair_unsatisfied(uni3):
     rho = luce_table(uni3, {"x": F(1), "y": F(3), "z": F(1)}, uni3.all_menus(2))
     got = implied_alpha(rho, "x", "y", (F(5), F(5)))
     assert not got.feasible and not got.full_interval
+
+
+@pytest.mark.parametrize("pair", [(F(0), F(2)), (F(2), F(-1)), (0.0, 2.0)])
+def test_implied_alpha_rejects_non_positive_candidates(ex_b_ai, pair):
+    with pytest.raises(InvalidParameterError, match="^candidate utilities must be positive$"):
+        implied_alpha(ex_b_ai, "x", "y", pair)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +542,57 @@ def test_identify_field_float_example_b(ex_b_ai, ex_b_params):
         abs(result.primary.u[a] - target.u[a]) for a in target.universe.alternatives
     )
     assert err < 1e-8
+
+
+def test_identify_field_float_root_on_a_denominator_zero():
+    # as floats, the raw root 55.435... of y's cubic is a denominator zero
+    # of y's equation, where the equation divides by zero: it is rejected
+    # unevaluated, and the float table identifies the class as the exact one
+    uni = Universe(("x", "y", "z", "t"))
+    params = LamParams(
+        uni,
+        dict(zip(uni.alternatives, (F(1), F(1, 1000), F(3), F(3)))),
+        dict(zip(uni.alternatives, (F(1), F(100), F(3), F(3)))),
+        F(3, 100),
+        "x",
+    )
+    rho = lam_table(params, uni.all_menus(2))
+    for data in (rho, rho.as_float()):
+        result = identify_field(data, "x")
+        assert result.status == "identified-up-to-swap"
+        assert result.alpha_pair == pytest.approx((0.97, 0.03), abs=1e-9)
+        (y_set,) = result.candidates["y"]
+        assert [r.reason for r in y_set.rejected] == ["denominator-vanishing"]
+        assert y_set.rejected[0].value == pytest.approx(F(38810012, 700097), rel=1e-12)
+
+
+def test_identify_field_mixed_table_reads_float_odds(uni4):
+    # y is aligned and its candidate is its constant odds, read off the
+    # dense view: floats on a table whose rows mix Fractions and floats
+    params = LamParams(
+        uni4, {"x": F(1), "y": F(2), "z": F(4), "t": F(5)},
+        {"x": F(1), "y": F(2), "z": F(2, 5), "t": F(1, 5)}, F(3, 4), "x",
+    )
+    rho = lam_table(params, uni4.all_menus(2))
+    table = {m: {a: float(p) for a, p in row.items()} if len(m) == 4 else row
+             for m, row in rho.table.items()}
+    result = identify_field(StochasticChoice(uni4, table), "x")
+    assert result.status == "identified-up-to-swap"
+    (row,) = result.consistency["y"]
+    assert row.pair == (2.0, 2.0) and type(row.pair[0]) is float
+
+
+def test_identify_field_float_menu_that_never_picks_anchor_or_target(ex_b_ai):
+    # rho(x, S) = rho(y, S) = 0 on S = {x, y, z, t}: S's denominator a k - b
+    # vanishes at every k, so no root of y's cubic can be evaluated
+    table = {m: {a: float(p) for a, p in row.items()} for m, row in ex_b_ai.table.items()}
+    table[frozenset("xyzt")] = {"x": 0.0, "y": 0.0, "z": 0.5, "t": 0.5}
+    result = identify_field(StochasticChoice(ex_b_ai.universe, table), "x")
+    assert result.status == "non-generic-failure"
+    (y_set,) = result.candidates["y"]
+    assert y_set.rejected and {r.reason for r in y_set.rejected} <= {
+        "non-positive", "denominator-vanishing"
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,13 @@ def test_params_validation(uni3):
         LamParams(uni3, {"x": 2, "y": 1, "z": 1}, {"x": 1, "y": 1, "z": 1}, F(1, 2), "x")
     with pytest.raises(InvalidParameterError, match="missing"):
         LamParams(uni3, {"x": 1, "y": 1}, {"x": 1, "y": 1, "z": 1}, F(1, 2), "x")
+    for name, u, v in (
+        ("u", {"x": 0, "y": 1, "z": 1}, {"x": 1, "y": 1, "z": 1}),
+        ("v", {"x": 1, "y": 1, "z": 1}, {"x": -1.0, "y": 1.0, "z": 1.0}),
+        ("u", {"y": 1, "z": 1}, {"x": 1, "y": 1, "z": 1}),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{name} needs a positive anchor value$"):
+            LamParams.normalized(uni3, u, v, F(1, 2))
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
