@@ -263,6 +263,31 @@ def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
 #: Tuples one array pass covers at most, which bounds the memory of a pass.
 _PASS_TUPLES = 1 << 12
 
+#: The 10 distinct entries (i, j), i <= j, of a 4 x 4 Gram matrix.
+_GRAM = np.triu_indices(4)
+
+#: float64's unit roundoff u = 2**-53, and the error radius per unit of a
+#: float d or p's sum of absolute products, 8u.
+_U = 2.0**-53
+_RADIUS = 8 * _U
+
+#: A tuple with a nonzero factor below this is left to the integer
+#: evaluation: products of two such factors could leave float64's normal range.
+_TINY = 2.0**-500
+
+
+def _products(f: list) -> tuple[tuple, tuple | None]:
+    """The products that d and p of tuples with factors ``f`` (from
+    :meth:`_Kernel._passes`) difference: d = a - b and p = (c0 - c1) + (c2 -
+    c3), the operands of :func:`own_instability` and
+    :func:`composite_instability`; c is None without the second table."""
+    sx, tx, sy, ty, *theirs = f
+    own = sx * ty, sy * tx
+    if not theirs:
+        return own, None
+    sx2, tx2, sy2, ty2 = theirs
+    return own, (sx * ty2, sy * tx2, sx2 * ty, sy2 * tx)
+
 
 @lru_cache(maxsize=8)
 def _layout(universe: Universe, menus: tuple[Menu, ...]):
@@ -296,16 +321,18 @@ class _Kernel:
     the menus holding both, in canonical order, with primes for ``other``.
     The pair's tuples are the triangle S < T, where own instability is
     a_S b_T - b_S a_T = det(a, b) and composite instability is
-    det(a, b') + det(a', b).  :meth:`arrays` evaluates them a run of pairs
-    per array pass, in the order of ``instability_tuples(canonical=True)``;
-    :meth:`sums` gets their exact sums from inner products.
+    det(a, b') + det(a', b).  :meth:`evaluate` and :meth:`arrays` evaluate
+    them a run of pairs per array pass, in the order of
+    ``instability_tuples(canonical=True)``; :meth:`estimates` gives exact
+    mode's float64 estimates with error radii, and :meth:`sums` their
+    exact sums from inner products.
 
     The rows and their ``mask`` come from :func:`types._rows`.  Float rows
     keep the operand order of :func:`own_instability` and
     :func:`composite_instability`, so they agree bit for bit.  Exact rows
     are ints over each menu's joint lcm c_S, and the tuple (S, T) carries d
     and p times ``k`` = c_S c_T.  Sign and ratio tests do not see the
-    scale, and :meth:`scaled` puts a tolerance on it.
+    scale, and :func:`_tol_at` puts a tolerance on it.
     """
 
     def __init__(
@@ -332,10 +359,12 @@ class _Kernel:
         """The true value of tuple i's entry of a d or p array from :meth:`arrays`."""
         return Fraction(v[i], self.k[i]) if self.exact else float(v[i])
 
-    def _passes(self, mine: np.ndarray, theirs: np.ndarray | None, among=None):
-        """Per run: ``ends``, ``held``, d and p (None without ``theirs``) of its
-        tuples, or of those ``among`` flags; ``ends`` maps per-menu values
-        shaped as ``held`` to their values at S and at T of those tuples."""
+    def _passes(self, mine: np.ndarray, theirs: np.ndarray | None = None, among=None):
+        """Per run: ``ends``, ``held`` and the factors of its tuples, or of
+        those ``among`` flags: the entries (sx, tx, sy, ty) of x and y at S
+        and T in ``mine``, then in ``theirs`` when given.  ``ends`` maps
+        per-menu values shaped as ``held`` to their values at S and at T of
+        those tuples."""
         for (xs, ys, held), lo in zip(self.runs, self.starts):
             s, t = _triangle(held.shape[1])
             if among is None:
@@ -348,13 +377,28 @@ class _Kernel:
 
                 def ends(v):
                     return v[q, s[j]], v[q, t[j]]
-            sx, tx = ends(mine[held, xs[:, None]])
-            sy, ty = ends(mine[held, ys[:, None]])
-            d, p = sx * ty - sy * tx, None
-            if theirs is not None:
-                (sx2, tx2), (sy2, ty2) = (ends(theirs[held, zs[:, None]]) for zs in (xs, ys))
-                p = (sx * ty2 - sy * tx2) + (sx2 * ty - sy2 * tx)
-            yield ends, held, d, p
+            tables = (mine,) if theirs is None else (mine, theirs)
+            yield ends, held, [e for r in tables for zs in (xs, ys) for e in ends(r[held, zs[:, None]])]
+
+    def evaluate(self, among: np.ndarray | None = None):
+        """d, p (None without ``other``) and k (None in float mode) of every
+        canonical tuple, or of those ``among`` flags, in canonical order, in
+        the tables' arithmetic: the integer fallback of :class:`_Screen`."""
+        empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
+        ds, ps, ks = [empty], [empty], [empty]
+        for ends, held, f in self._passes(self.mine, self.theirs, among):
+            (a, b), c = _products(f)
+            ds.append(a - b)
+            if c:
+                ps.append((c[0] - c[1]) + (c[2] - c[3]))
+            if self.exact:
+                cs, ct = ends(self.c[held])
+                ks.append(cs * ct)
+        return (
+            np.concatenate(ds),
+            None if self.theirs is None else np.concatenate(ps),
+            np.concatenate(ks) if self.exact else None,
+        )
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(d, p) over all canonical tuples, one run per array pass.
@@ -362,16 +406,48 @@ class _Kernel:
         p is None without ``other``.  Sets ``k``, the tuples' scale, which
         is None in float mode.
         """
-        empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
-        ds, ps, ks = [empty], [empty], [empty]
-        for ends, held, d, p in self._passes(self.mine, self.theirs):
-            ds.append(d)
-            ps.append(p)
-            if self.exact:
-                cs, ct = ends(self.c[held])
-                ks.append(cs * ct)
-        self.k = np.concatenate(ks) if self.exact else None
-        return np.concatenate(ds), None if self.theirs is None else np.concatenate(ps)
+        d, p, self.k = self.evaluate()
+        return d, p
+
+    def estimates(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+        """d, p and their error radii over all canonical tuples, in float64
+        (exact mode).
+
+        d and p are formed as in float mode from the correctly rounded rows
+        (:func:`types._floats`): each product term of d or p carries at most
+        five roundings, two factors, the product and two sums, so |d~ - d|
+        is at most about 5u times the sum of its absolute products, for
+        u = 2**-53.  The radius is 8u times that sum as computed, which
+        leaves room for the rounding of the tests built on it.  A tuple with
+        a nonzero factor below ``_TINY`` gets radius inf, as a product of
+        its factors could underflow.
+        """
+        tables = [t for t in (self.mine, self.theirs) if t is not None]
+        rows = [_floats(t, self.c) for t in tables]
+        tiny = None
+        for f, t in zip(rows, tables):
+            low = f < _TINY
+            if low.any():
+                low &= t != 0  # an exact zero is a float zero
+                tiny = low if tiny is None else tiny | low
+        empty = np.zeros(0)
+        ds, ps, rds, rps = [empty], [empty], [empty], [empty]
+        for _, _, f in self._passes(*rows):
+            (a, b), c = _products(f)
+            ds.append(a - b)
+            rds.append(_RADIUS * (a + b))
+            if c:
+                ps.append((c[0] - c[1]) + (c[2] - c[3]))
+                rps.append(_RADIUS * ((c[0] + c[1]) + (c[2] + c[3])))
+        d, rd = np.concatenate(ds), np.concatenate(rds)
+        p, rp = (np.concatenate(ps), np.concatenate(rps)) if len(rows) == 2 else (None, None)
+        if tiny is not None:
+            low = np.concatenate([empty.astype(bool)] + [
+                f[0] | f[1] | f[2] | f[3] for _, _, f in self._passes(tiny)])
+            rd[low] = np.inf
+            if rp is not None:
+                rp[low] = np.inf
+        return d, p, rd, rp
 
     def parallel(self) -> Iterator[bool]:
         """Per pair, in order, whether all its own instabilities vanish (exact mode).
@@ -384,56 +460,68 @@ class _Kernel:
             yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
 
     @cached_property
-    def ints(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of ``rho`` and ``other`` side by side as ints, and per menu
-        the weight that puts a product of two of its entries on a scale B**2:
-        exact rows weighted (B / c_S)**2 for B the lcm of the c_S, and float
-        rows as ints over B = 2**(53 - min e), a float64 being f 2**e with
-        2**53 f an int, weighted 1."""
+    def ints(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The rows of ``rho`` and ``other`` side by side as ints over a
+        per-menu scale, and that scale: exact rows over their c_S, and float
+        rows over one B = 2**(53 - min e), a float64 being f 2**e with 2**53
+        f an int, with scale None."""
         rows = np.concatenate([self.mine, self.theirs], axis=1)
         if self.exact:
-            return rows, (math.lcm(*self.c) // self.c) ** 2
-        return _dyadic(rows)[0], np.ones(len(rows), dtype=object)
+            return rows, self.c
+        return _dyadic(rows)[0], None
 
     def sums(self) -> tuple[int, int, int]:
         """Exact sums of d*d, d*p and p*p over every canonical tuple, times
-        B**4 for the scale B of :attr:`ints`.  By Binet-Cauchy the sum over
-        S < T of det(u, v) det(w, z) is (u.w)(v.z) - (u.z)(v.w): a pair
-        costs the Gram matrix of a, b, a', b', a run one stacked product.
+        B**4 for B the common scale of :attr:`ints`: the lcm of the c_S, or
+        the float rows' power of two.  By Binet-Cauchy
+        the sum over S < T of det(u, v) det(w, z) is (u.w)(v.z) - (u.z)(v.w):
+        a pair costs the 10 distinct entries of the Gram matrix of a, b, a',
+        b'.  Exact pairs take their inner products on their own scale, the
+        lcm B_xy of the c_S of the menus holding both, a menu's products
+        weighted (B_xy / c_S)**2, and their sums times (B / B_xy)**4.
         """
-        n, (rows, weight) = self.universe.size, self.ints
+        n, (rows, scale) = self.universe.size, self.ints
+        if scale is not None:
+            top, square = math.lcm(*scale.tolist()), scale**2
         dd = dp = pp = 0
         for xs, ys, held in self.runs:
             g = rows[held[:, :, None], np.stack([xs, ys, n + xs, n + ys], axis=1)[:, None, :]]
-            gram = np.matmul((g * weight[held][:, :, None]).transpose(0, 2, 1), g)
-            for (aa, ab, aa2, ab2), (_, bb, ba2, bb2), (*_, a2a2, a2b2), (*_, b2b2) in gram.tolist():
-                dd += aa * bb - ab * ab
-                dp += aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2
-                pp += aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2
+            wg, lift = g, [1] * len(xs)
+            if scale is not None:
+                pair = np.array([math.lcm(*row) for row in scale[held].tolist()], dtype=object)
+                wg = g * ((pair**2)[:, None] // square[held])[:, :, None]
+                lift = ((top // pair) ** 4).tolist()
+            gram = (wg[:, :, _GRAM[0]] * g[:, :, _GRAM[1]]).sum(axis=1)
+            for (aa, ab, aa2, ab2, bb, ba2, bb2, a2a2, a2b2, b2b2), up in zip(gram.tolist(), lift):
+                dd += (aa * bb - ab * ab) * up
+                dp += (aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2) * up
+                pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
         return dd, dp, pp
 
+    def proportional(self) -> bool:
+        """Whether d and p are parallel over all canonical tuples: by the
+        Cauchy-Schwarz inequality dp**2 <= dd pp, iff equality holds."""
+        dd, dp, pp = self.sums()
+        return dp * dp == dd * pp
+
     def terms(self, among: np.ndarray) -> tuple[int, int]:
-        """Exact sums of d*p and p*p over the tuples ``among`` flags, as :meth:`sums`."""
-        n, (rows, weight) = self.universe.size, self.ints
+        """Exact sums of d*p and p*p over the tuples ``among`` flags, as
+        :meth:`sums`: a tuple (S, T) weighted (B / c_S)**2 (B / c_T)**2."""
+        if not among.any():
+            return 0, 0
+        n, (rows, scale) = self.universe.size, self.ints
+        weight = None if scale is None else (math.lcm(*scale.tolist()) // scale) ** 2
         dp = pp = 0
-        for ends, held, d, p in self._passes(rows[:, :n], rows[:, n:], among):
-            ws, wt = ends(weight[held])
-            wp = ws * wt * p
+        for ends, held, f in self._passes(rows[:, :n], rows[:, n:], among):
+            (a, b), c = _products(f)
+            d, p = a - b, (c[0] - c[1]) + (c[2] - c[3])
+            wp = p
+            if weight is not None:
+                ws, wt = ends(weight[held])
+                wp = ws * wt * p
             dp += d.dot(wp)
             pp += p.dot(wp)
         return dp, pp
-
-    def scaled(self, eff: Scalar, power: int = 1, ref: int | None = None):
-        """``eff`` on the scale of each tuple's values to ``power``, or of
-        their products with tuple ``ref``'s values, floored as
-        :func:`_floor_scaled` does, so that integer tests against it agree
-        with the tests of the true values against ``eff``.
-        """
-        if not self.exact:
-            return eff
-        if eff == 0:
-            return 0
-        return _floor_scaled(eff, self.k**power if ref is None else self.k * self.k[ref])
 
 
 def _first_true(mask: np.ndarray) -> int | None:
@@ -471,16 +559,213 @@ def _running_max(
     return b
 
 
+def _tol_at(eff: Scalar, k):
+    """``eff`` against values held as ints over ``k``, floored as
+    :func:`_floor_scaled` does, or ``eff`` itself against floats (k None)."""
+    if k is None:
+        return eff
+    return 0 if eff == 0 else _floor_scaled(eff, k)
+
+
+def _tests(d: np.ndarray, p: np.ndarray | None, k, eff: Scalar, names: Sequence[str]) -> list:
+    """The per-tuple tests ``names`` on own and composite instabilities d
+    and p, float arrays or (exact mode) ints over ``k``:
+
+        big        |d| > eff
+        usable     |p| > eff
+        dominated  bounded instability: d p >= -eff and |d| <= |p| + eff,
+                   with d p > 0 when |d| > eff, and then |d| < |p| at eff 0
+
+    Against an exact |p|, a float ``eff`` keeps the float rounding of
+    |p| + eff, fl(fl(|p|) + eff): |d| is tested against it in ints, from
+    the float's mantissa and exponent.
+    """
+    e1, ad = _tol_at(eff, k), np.abs(d)
+    big = ad > e1
+    out = {"big": big}
+    if "usable" in names or "dominated" in names:
+        ap = np.abs(p)
+        out["usable"] = ap > e1
+    if "dominated" in names:
+        dp = d * p
+        sign_ok = (dp >= -_tol_at(eff, None if k is None else k * k)) & (~big | (dp > 0))
+        if k is not None and isinstance(eff, float):
+            bound, b = _dyadic((ap / k).astype(float) + eff)
+            size_ok = np.asarray((ad << -b) <= bound * k, bool)
+        else:
+            size_ok = ad <= ap + e1
+        if eff == 0:
+            size_ok &= ~big | (ad < ap)
+        out["dominated"] = sign_ok & size_ok
+    return [out[name] for name in names]
+
+
+# A test as a float filter leaves it: masks (yes, no) of the tuples where
+# it surely holds and where it surely fails; elsewhere it is undecided.
+
+
+def _sure(x: np.ndarray, r: np.ndarray):
+    """Whether x > 0, for x computed within ``r`` of its true value; a NaN decides nothing."""
+    return x > r, x < -r
+
+
+def _not(a):
+    return a[1], a[0]
+
+
+def _and(a, b):
+    return a[0] & b[0], a[1] | b[1]
+
+
+def _or(a, b):
+    return _not(_and(_not(a), _not(b)))
+
+
+#: Exact kernels with fewer tuples are evaluated in ints outright, where
+#: the float filter's fixed cost exceeds that of the integer pass.
+_SCREEN_MIN = 1 << 10
+
+
+class _Screen:
+    """The per-tuple tests of a :class:`_Kernel` at tolerance ``eff``, and
+    the tuples they single out.
+
+    Float mode evaluates them on :meth:`_Kernel.arrays`, rounded as the
+    tables' arithmetic rounds, and so does exact mode, in ints over ``k``,
+    for a kernel of fewer than ``_SCREEN_MIN`` tuples.  A larger exact
+    kernel is ``filtered`` in floats with an integer fallback (Shewchuk
+    1997; Fortune & Van Wyk 1993): each test is decided on
+    :meth:`_Kernel.estimates` wherever their error radii decide it, and only
+    the undecided tuples, the band, and the candidates of a maximum, those
+    within the radii of the float maximum, are evaluated in ints by
+    :meth:`_Kernel.evaluate`, in canonical order.  Every outcome, ties and
+    first-maximum rule included, is that of the integer tests on every
+    tuple.
+    """
+
+    def __init__(self, kernel: _Kernel, eff: Scalar):
+        self.kernel, self.eff = kernel, eff
+        self.filtered = kernel.exact and kernel.starts[-1] >= _SCREEN_MIN
+        if self.filtered:
+            self.d, self.p, self.rd, self.rp = kernel.estimates()
+            # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
+            # tolerance decides every test as 8 does, and has no float
+            self.e, self._known = float(min(eff, 8)), {}
+        else:
+            self.d, self.p = kernel.arrays()
+            self.k = kernel.k
+
+    def _filter(self, name: str):
+        """The float filter of test ``name`` of :func:`_tests`; each margin
+        adds 4u or 8u of the operands to the radii for the rounding of the
+        test's own arithmetic and of ``eff``."""
+        d, p, rd, rp, e = self.d, self.p, self.rd, self.rp, self.e
+        ad = np.abs(d)
+        big = _sure(ad - e, rd + 4 * _U * (ad + e))
+        if name == "big":
+            return big
+        ap = np.abs(p)
+        if name == "usable":
+            return _sure(ap - e, rp + 4 * _U * (ap + e))
+        q = d * p
+        aq, rq = np.abs(q), rd * ap + rp * ad + rd * rp
+        sign = _and(_sure(q + e, rq + 4 * _U * (aq + e)), _or(_not(big), _sure(q, rq + 4 * _U * aq)))
+        # where decided, |d| < |p| and |d| <= |p| agree: eff 0's strict test is the same filter
+        size = _not(_sure(ad - ap - e, rd + rp + 8 * _U * (ad + ap + e)))
+        return _and(sign, size)
+
+    def masks(self, *names: str) -> list[np.ndarray]:
+        """The masks of the tests ``names`` of :func:`_tests` over every tuple."""
+        if not self.filtered:
+            return _tests(self.d, self.p, self.k, self.eff, names)
+        with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
+            tris = [self._filter(name) for name in names]
+        out = [yes.copy() for yes, _ in tris]
+        band = ~np.logical_and.reduce([yes | no for yes, no in tris])
+        if band.any():
+            d, p, k = self.kernel.evaluate(band)
+            for mask, exact in zip(out, _tests(d, p, k, self.eff, names)):
+                mask[band] = exact
+        return out
+
+    def _top(self, lo, hi, among, key) -> int | None:
+        """The first tuple among those flagged with the largest key(d, p, k),
+        from bounds lo <= key <= hi of each tuple's key; None if none is."""
+        flagged = np.ones(len(lo), bool) if among is None else among
+        if not flagged.any():
+            return None
+        cand = flagged & ~(hi < lo[flagged].max())
+        d, p, k = self.kernel.evaluate(cand)
+        j = _running_max(*key(d, p, k))
+        i = int(np.flatnonzero(cand)[j])
+        self._known[i] = d[j], p[j], k[j]
+        return i
+
+    def top_p(self, among: np.ndarray | None = None) -> int | None:
+        """The first tuple with the largest |p| among the flagged ones (all by default)."""
+        ap = np.abs(self.p)
+        if not self.filtered:
+            return _running_max(ap, self.k, among)
+        return self._top(ap - self.rp, ap + self.rp, among, lambda d, p, k: (np.abs(p), k))
+
+    def top_ratio(self, among: np.ndarray) -> int | None:
+        """The first tuple with the largest |d|/|p| among the flagged ones."""
+        ad, ap = np.abs(self.d), np.abs(self.p)
+        if not self.filtered:
+            return _running_max(ad, ap, among)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            under = ap - self.rp
+            hi = np.where(under > 0, (ad + self.rd) / under, np.inf) * (1 + 8 * _U)
+            lo = np.maximum(ad - self.rd, 0) / (ap + self.rp) * (1 - 8 * _U)
+        return self._top(lo, hi, among, lambda d, p, k: (np.abs(d), np.abs(p)))
+
+    def first_gap(self, ref: int) -> int | None:
+        """The first tuple whose proportionality gap with tuple ``ref``,
+        d p_ref - d_ref p, exceeds ``eff`` in magnitude."""
+        d_ref, p_ref, k_ref = self.raw(ref)
+        if not self.filtered:
+            gap = self.d * p_ref
+            gap -= d_ref * self.p
+            return _first_true(np.abs(gap) > _tol_at(self.eff, None if k_ref is None else self.k * k_ref))
+        dr, pr = d_ref / k_ref, p_ref / k_ref  # int / int rounds correctly
+        left, right = self.d * pr, dr * self.p
+        with np.errstate(invalid="ignore"):
+            r = self.rd * abs(pr) + self.rp * abs(dr) + 8 * _U * (np.abs(left) + np.abs(right) + self.e)
+            yes, no = _sure(np.abs(left - right) - self.e, r)
+        band = ~(yes | no)
+        first = _first_true(yes)
+        if first is not None:  # only the band before the first sure gap can move it
+            band[first:] = False
+        if band.any():
+            d, p, k = self.kernel.evaluate(band)
+            yes[band] = np.abs(d * p_ref - d_ref * p) > _tol_at(self.eff, k * k_ref)
+        return _first_true(yes)
+
+    def raw(self, i: int):
+        """d, p and k of tuple i as evaluated: ints over k, or floats and None."""
+        if not self.filtered:
+            return self.d[i], self.p[i], None if self.k is None else self.k[i]
+        if i not in self._known:
+            one = np.zeros(len(self.d), bool)
+            one[i] = True
+            d, p, k = self.kernel.evaluate(one)
+            self._known[i] = d[0], p[0], k[0]
+        return self._known[i]
+
+    def value(self, i: int) -> tuple[Scalar, Scalar]:
+        """The true d and p of tuple i, as :meth:`_Kernel.value` gives them."""
+        d, p, k = self.raw(i)
+        return (float(d), float(p)) if k is None else (Fraction(d, k), Fraction(p, k))
+
+
 def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.ndarray | None]:
     """The kernel of ``rho``, and the mask of canonical tuples whose own
-    instability exceeds ``eff`` in magnitude, or None when none does; at
-    tol 0 on exact data the tuples are evaluated only when some pair is not
-    parallel."""
+    instability exceeds ``eff`` in magnitude, or None when none does; on
+    exact data the tuples are screened only when some pair is not parallel."""
     kernel = _Kernel(rho, rho.domain)
-    if kernel.exact and eff == 0 and all(kernel.parallel()):
+    if kernel.exact and all(kernel.parallel()):
         return kernel, None
-    d, _ = kernel.arrays()
-    bad = np.abs(d) > kernel.scaled(eff)
+    (bad,) = _Screen(kernel, eff).masks("big")
     return kernel, bad if bad.any() else None
 
 

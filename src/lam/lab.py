@@ -35,7 +35,7 @@ from .choice import (
     _own_violations,
     _residual,
     _row_bound,
-    _running_max,
+    _Screen,
     recover_luce_utility,
     satisfies_iia,
 )
@@ -145,16 +145,15 @@ def estimate_alpha(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
 
-    d, p = kernel.arrays()
-    k, e = kernel.k, kernel.scaled(eff)
-    usable = np.abs(p) > e
-    if not (np.abs(d) > e).any():
+    screen = _Screen(kernel, eff)
+    big, usable = screen.masks("big", "usable")
+    if not big.any():
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
             "are aligned; it cannot be point-identified",
             possible_regimes=("autonomous", "compliant", "aligned"),
         )
-    best = _running_max(np.abs(p), k, usable)  # first usable tuple with the largest |p|
+    best = screen.top_p(usable)  # first usable tuple with the largest |p|
     if best is None:
         raise InconsistentInputsError(
             "AI data violates IIA while every composite instability vanishes; "
@@ -164,7 +163,8 @@ def estimate_alpha(
     dd, dp, pp = kernel.sums()
     div = Fraction if exact else operator.truediv  # int / int rounds correctly
     if strategy == "single-tuple":
-        raw = kernel.value(d, best) / kernel.value(p, best)
+        d_best, p_best = screen.value(best)
+        raw = d_best / p_best
     else:  # the sums cover every tuple: take the unusable ones out again
         out_dp, out_pp = kernel.terms(~usable)
         raw = div(dp - out_dp, pp - out_pp)
@@ -392,11 +392,12 @@ def check_axioms(
     """Test the five behavioral conditions, producing witnesses for failures.
 
     Human IIA reports the first canonical violation.  The other conditions
-    come from one array pass over the canonical tuples of the common menus,
-    with proportionality and bounded divergence in slope form: against the
-    tuples with the largest composite instability and the largest
-    own-to-composite ratio, which is equivalent to comparing every pair of
-    tuples and testing every tuple's ratio.
+    come from the canonical tuples of the common menus, tested as
+    :class:`choice._Screen` tests them (in floats with an integer fallback
+    on large exact data), with proportionality and bounded divergence in
+    slope form: against the tuples with the largest composite instability
+    and the largest own-to-composite ratio, which is equivalent to comparing
+    every pair of tuples and testing every tuple's ratio.
     """
     eff = resolve_tol(tol, rho_ai.is_exact and rho_h.is_exact)
     universe = rho_ai.universe
@@ -422,47 +423,36 @@ def check_axioms(
             False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
         )
 
-    # The tuples the checks refer to: the largest composite term
-    # (proportionality reference), the first own term not dominated by its
-    # composite, the first vanishing composite under a non-vanishing own
-    # term, and the largest own-to-composite ratio.
-    d, p = kernel.arrays()
-    k = kernel.k
-    e1, e2 = kernel.scaled(eff), kernel.scaled(eff, 2)
-    ad, ap, dp = np.abs(d), np.abs(p), d * p
-    big = ad > e1
-    sign_ok = (dp >= -e2) & (~big | (dp > 0))
-    del dp
-    if kernel.exact and isinstance(eff, float):
-        # adding a float tol to an exact |p| rounds the sum to a float m 2**b:
-        # test |d| <= m 2**b k in ints, both sides times 2**-b
-        bound, b = _dyadic((ap / k).astype(float) + eff)
-        size_ok = np.asarray((ad << -b) <= bound * k, bool)
+    # The tuples the checks refer to: the first own term not dominated by
+    # its composite, the first vanishing composite under a non-vanishing own
+    # term, the largest composite term (proportionality reference) and the
+    # largest own-to-composite ratio.  Exact d and p are parallel over all
+    # tuples iff dd pp = dp**2 (Cauchy-Schwarz); then every gap vanishes and
+    # every usable tuple has the same ratio, so the first is the binding one.
+    # A filtered screen tests this first: on mixture data every gap is 0
+    # and every ratio tied, which no float filter can decide.
+    screen = _Screen(kernel, eff)
+    big, usable, dominated = screen.masks("big", "usable", "dominated")
+    undominated = _first_true(~dominated)
+    vanishing = _first_true(~usable & big)
+    if screen.filtered and kernel.proportional():
+        bad, binding = None, _first_true(usable)
     else:
-        size_ok = ad <= ap + e1
-    if eff == 0:
-        size_ok &= ~big | (ad < ap)
-    undominated = _first_true(~(sign_ok & size_ok))
-    vanishing = _first_true((ap <= e1) & big)
-    ref = _running_max(ap, k)
-    binding = _running_max(ad, ap, ap > e1)
+        ref, binding = screen.top_p(), screen.top_ratio(usable)
+        bad = None if ref is None else screen.first_gap(ref)
 
     def row(i: int):
-        return kernel.tuple_at(i), kernel.value(d, i), kernel.value(p, i)
+        return kernel.tuple_at(i), *screen.value(i)
 
-    proportionality = AxiomVerdict(True, note="no tuples to compare" if ref is None else "")
-    if ref is not None:
-        gap = d * p[ref]
-        gap -= d[ref] * p
-        bad = _first_true(np.abs(gap) > kernel.scaled(eff, ref=ref))
-        if bad is not None:
-            t, t_ref = kernel.tuple_at(bad), kernel.tuple_at(ref)
-            proportionality = AxiomVerdict(
-                False,
-                witness=(t, t_ref),
-                note=f"instability ratios differ between {t.describe(universe)} "
-                f"and {t_ref.describe(universe)}",
-            )
+    proportionality = AxiomVerdict(True, note="" if len(usable) else "no tuples to compare")
+    if bad is not None:
+        t, t_ref = kernel.tuple_at(bad), kernel.tuple_at(ref)
+        proportionality = AxiomVerdict(
+            False,
+            witness=(t, t_ref),
+            note=f"instability ratios differ between {t.describe(universe)} "
+            f"and {t_ref.describe(universe)}",
+        )
 
     bounded_instability = AxiomVerdict(True)
     if undominated is not None:
@@ -488,7 +478,7 @@ def check_axioms(
     elif binding is None:
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
-        bounded_divergence = _bounded_divergence(kernel, binding, d[binding], p[binding], eff)
+        bounded_divergence = _bounded_divergence(kernel, binding, *screen.raw(binding), eff)
 
     return AxiomReport(
         positivity=positivity,
@@ -500,9 +490,9 @@ def check_axioms(
     )
 
 
-def _bounded_divergence(kernel: _Kernel, binding: int, d, p, eff) -> AxiomVerdict:
+def _bounded_divergence(kernel: _Kernel, binding: int, d, p, k, eff) -> AxiomVerdict:
     """Bounded divergence at the binding tuple, whose kernel values are d and
-    p; the witness is the first failing cell.
+    p, over k in exact mode; the witness is the first failing cell.
 
     Each member's test is lhs < rhs - eff, or lhs <= rhs when eff = 0 and
     d != 0, for lhs = rho_ai |p| and rhs = rho_h |d| in true values.  In
@@ -519,7 +509,7 @@ def _bounded_divergence(kernel: _Kernel, binding: int, d, p, eff) -> AxiomVerdic
     elif not kernel.exact:
         fails = lhs < rhs - eff
     else:
-        scale = kernel.c[np.nonzero(mask)[0]] * kernel.k[binding]  # c_S k per member
+        scale = kernel.c[np.nonzero(mask)[0]] * k  # c_S k per member
         if isinstance(eff, float):
             bound, b = _dyadic((rhs / scale).astype(float) - eff)
             fails = lhs << -b < bound * scale

@@ -416,6 +416,89 @@ def test_kernel_matches_oracle_across_passes(monkeypatch):
         choice._layout.cache_clear()
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_kernel_matches_oracle_at_seven_alternatives(perturbed):
+    # n = 7, the size of the benchmark's exact pairs, on a random half of
+    # the menus (the oracle takes 3-5 s on all of them): a mixture pair and
+    # one with a perturbed AI cell, both screened in floats by default
+    rng = random.Random(f"7-{perturbed}")
+    params = gen.random_params(rng, 7)
+    menus = [m for m in params.universe.all_menus(2) if rng.random() < 0.5]
+    ai, human = lam_table(params, menus), luce_table(params.universe, params.u, menus)
+    if perturbed:
+        ai = perturb_exact(ai, rng)
+    assert _Kernel(ai, common_menus(ai, human), human).starts[-1] >= choice._SCREEN_MIN
+    assert_matches_oracle(ai, human, params.anchor, None)
+
+
+@pytest.mark.parametrize("n, variant", [(n, v) for n in (4, 5) for v in VARIANTS])
+def test_filtered_screen_matches_oracle(monkeypatch, n, variant):
+    # small exact kernels through the float filter too; from n = 6 on,
+    # CASES take it by default
+    monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
+    assert_matches_oracle(*random_case(random.Random(f"filtered-{n}-{variant}"), n, True, variant))
+
+
+def band_case(name, rng):
+    """An exact (AI, human, anchor, tol) on n = 4 whose float evaluation
+    leaves tuples undecided: tied maxima of |p|, a pair of aligned
+    alternatives (d and p vanish on its tuples) under a rational tol far
+    below float resolution, one cell moved by 2**-60, or two aligned
+    alternatives with entries below 2**-500."""
+    params, tol = tied_params(rng, 4) if name == "ties" else gen.random_params(rng, 4), None
+    u, v = dict(params.u), dict(params.v)
+    if name == "aligned":
+        x, y = params.universe.alternatives[1:3]
+        v[y] = v[x] * u[y] / u[x]
+        tol = F(1, 10**20)
+    elif name == "tiny":
+        # d vanishes on (y, z), whose float products are subnormal
+        y, z = params.universe.alternatives[-2:]
+        u[y], u[z], v[y] = u[y] / 2**530, u[z] / 2**530, v[y] / 2**530
+        v[z] = v[y] * u[z] / u[y]
+    params = LamParams.normalized(params.universe, u, v, params.alpha)
+    ai, human = gen.forward_pair(params)
+    if name == "hair":
+        ai = perturb_exact(ai, rng, F(1, 2**60))
+    return ai, human, params.anchor, tol
+
+
+@pytest.mark.parametrize("name", ["ties", "aligned", "hair", "tiny"])
+def test_band_tuples_take_the_integer_fallback(monkeypatch, name):
+    # the outputs match the oracle, and the integer fallback evaluated more
+    # than the single tuple of a decided maximum: trusting the float filter
+    # on these tuples would skip it
+    monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
+    flagged, evaluate = [], _Kernel.evaluate
+
+    def spy(self, among=None):
+        if among is not None:
+            flagged.append(int(among.sum()))
+        return evaluate(self, among)
+
+    monkeypatch.setattr(_Kernel, "evaluate", spy)
+    assert_matches_oracle(*band_case(name, random.Random(name)))
+    assert max(flagged, default=0) > 1
+
+
+def test_estimates_are_within_their_radii():
+    # |d~ - d| <= rd and |p~ - p| <= rp on every tuple, in exact arithmetic;
+    # a tuple with an entry below 2**-500 has infinite radii
+    rng = random.Random(83)
+    cases = [random_case(rng, n, True, v) for n in (4, 5) for v in VARIANTS]
+    cases.append(band_case("tiny", rng))
+    for ai, human, _, _ in cases:
+        kernel = _Kernel(ai, common_menus(ai, human), human)
+        d, p, k = kernel.evaluate()
+        estimates = kernel.estimates()
+        low = ai.universe.alternatives[-2:] if ai is cases[-1][0] else ()
+        tiny = [t.x in low or t.y in low for t in map(kernel.tuple_at, range(len(d)))]
+        for est, radius, exact in ((estimates[0], estimates[2], d), (estimates[1], estimates[3], p)):
+            assert np.isinf(radius).tolist() == tiny
+            for e, r, v, s in zip(est.tolist(), radius.tolist(), exact.tolist(), k.tolist()):
+                assert r == math.inf or abs(F(e) - F(v, s)) <= F(r)
+
+
 def test_mixed_pair_is_evaluated_as_the_float_pair():
     # An exact table against a float one takes every product on
     # float(entry): witnesses and notes show floats, as for two float tables.
