@@ -226,24 +226,20 @@ def instability_tuples(
 
 
 def _floor_scaled(eff: Scalar, scale):
-    """floor(eff * scale) for ``eff`` >= 0 and ints ``scale`` >= 0, an int or
-    an object array of them.
+    """``eff`` >= 0 against values held as ints over ``scale``: floor(eff *
+    scale) for ints ``scale`` >= 0, an int or an object array of them, and
+    ``eff`` itself against floats (``scale`` None).
 
     For an int x and real E >= 0, x > E iff x > floor(E) and x < -E iff
     x < -floor(E), so an exact value x / scale is tested against ``eff``
     in ints, a float ``eff`` taken at its exact binary value, whose
     denominator 2**k a right shift by k divides by as ``//`` does.
     """
+    if scale is None:
+        return eff
     r = Fraction(eff)
     k = r.denominator.bit_length() - 1
     return scale * r.numerator >> k if r.denominator == 1 << k else scale * r.numerator // r.denominator
-
-
-def _row_bound(eff: Scalar, scale: np.ndarray | None):
-    """``eff`` against rows from :func:`types._rows`: as it is for float
-    rows (``scale`` None), and floor(eff c_S) as a column for rows of ints
-    over ``scale`` = c_S."""
-    return eff if scale is None else _floor_scaled(eff, scale)[:, None]
 
 
 def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -252,6 +248,23 @@ def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
     frac, exp = np.frexp(x)
     b = int(exp.min(initial=53)) - 53
     return np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - 53 - b).astype(object), b
+
+
+def _compare_tol(x, y, eff: Scalar, scale, below: bool = False) -> np.ndarray:
+    """x <= y + eff, or x < y - eff when ``below``, for arrays x and y of
+    values held as ints over ``scale``, or floats (``scale`` None).
+
+    A float ``eff`` against exact values keeps the float rounding of the
+    sum, fl(fl(y) +- eff), and x is tested against it in ints, from its
+    mantissa and exponent; any other ``eff`` enters by :func:`_floor_scaled`.
+    """
+    if scale is not None and isinstance(eff, float):
+        bound, b = _dyadic((y / scale).astype(float) + (-eff if below else eff))
+        x, y = x << -b, bound * scale
+    else:
+        t = _floor_scaled(eff, scale)
+        y = y - t if below else y + t
+    return x < y if below else x <= y
 
 
 @lru_cache(maxsize=64)
@@ -274,6 +287,10 @@ _RADIUS = 8 * _U
 #: A tuple with a nonzero factor below this is left to the integer
 #: evaluation: products of two such factors could leave float64's normal range.
 _TINY = 2.0**-500
+
+#: Exact kernels with fewer tuples are evaluated in ints outright, where
+#: the float filter's fixed cost exceeds that of the integer pass.
+_SCREEN_MIN = 1 << 10
 
 
 def _products(f: list) -> tuple[tuple, tuple | None]:
@@ -315,14 +332,15 @@ def _layout(universe: Universe, menus: tuple[Menu, ...]):
 
 
 class _Kernel:
-    """Own and composite instability of every canonical tuple, run by run.
+    """Own and composite instability of every canonical tuple, run by run,
+    and the per-tuple tests on them at tolerance ``eff``.
 
     Fix alternatives x before y and let a, b be rho(x, .), rho(y, .) over
     the menus holding both, in canonical order, with primes for ``other``.
     The pair's tuples are the triangle S < T, where own instability is
     a_S b_T - b_S a_T = det(a, b) and composite instability is
-    det(a, b') + det(a', b).  :meth:`evaluate` and :meth:`arrays` evaluate
-    them a run of pairs per array pass, in the order of
+    det(a, b') + det(a', b).  :meth:`evaluate` evaluates them a run of
+    pairs per array pass, in the order of
     ``instability_tuples(canonical=True)``; :meth:`estimates` gives exact
     mode's float64 estimates with error radii, and :meth:`sums` their
     exact sums from inner products.
@@ -332,11 +350,23 @@ class _Kernel:
     :func:`composite_instability`, so they agree bit for bit.  Exact rows
     are ints over each menu's joint lcm c_S, and the tuple (S, T) carries d
     and p times ``k`` = c_S c_T.  Sign and ratio tests do not see the
-    scale, and :func:`_tol_at` puts a tolerance on it.
+    scale, and :func:`_floor_scaled` puts a tolerance on it.
+
+    The tests (:meth:`masks`, :meth:`top_p`, :meth:`top_ratio`,
+    :meth:`first_gap`) read every tuple's d and p once, on first use, in
+    the tables' arithmetic for float kernels and exact ones of fewer than
+    ``_SCREEN_MIN`` tuples.  A larger exact kernel is ``filtered`` in
+    floats with an integer fallback (Shewchuk 1997; Fortune & Van Wyk
+    1993): each test is decided on :meth:`estimates` wherever their error
+    radii decide it, and only the undecided tuples, the band, and the
+    candidates of a maximum are evaluated in ints by :meth:`evaluate`, in
+    canonical order.  Every outcome, ties and first-maximum rule
+    included, is that of the integer tests on every tuple.
     """
 
     def __init__(
-        self, rho: StochasticChoice, menus: Sequence[Menu], other: StochasticChoice | None = None
+        self, rho: StochasticChoice, menus: Sequence[Menu], other: StochasticChoice | None = None,
+        eff: Scalar = 0,
     ):
         self.universe = rho.universe
         self.menus = tuple(menus)
@@ -345,6 +375,11 @@ class _Kernel:
         self.exact = self.c is not None
         self.theirs = theirs[0] if theirs else None
         self.runs, self.starts = _layout(self.universe, self.menus)
+        self.eff = eff
+        self.filtered = self.exact and self.starts[-1] >= _SCREEN_MIN
+        # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
+        # tolerance decides every test as 8 does, and has no float
+        self.e, self._known = float(min(eff, 8)), {}
 
     def tuple_at(self, i: int) -> InstabilityTuple:
         """The i-th canonical tuple."""
@@ -355,9 +390,11 @@ class _Kernel:
         alts, menus = self.universe.alternatives, self.menus
         return InstabilityTuple(alts[xs[q]], alts[ys[q]], menus[held[q, s[j]]], menus[held[q, t[j]]])
 
-    def value(self, v: np.ndarray, i: int) -> Scalar:
-        """The true value of tuple i's entry of a d or p array from :meth:`arrays`."""
-        return Fraction(v[i], self.k[i]) if self.exact else float(v[i])
+    def coincide(self) -> bool:
+        """Whether ``rho`` and ``other`` are within ``eff`` of each other on
+        every menu; off a menu both rows read 0."""
+        c = None if self.c is None else self.c[:, None]
+        return not (np.abs(self.mine - self.theirs) > _floor_scaled(self.eff, c)).any()
 
     def _passes(self, mine: np.ndarray, theirs: np.ndarray | None = None, among=None):
         """Per run: ``ends``, ``held`` and the factors of its tuples, or of
@@ -383,7 +420,7 @@ class _Kernel:
     def evaluate(self, among: np.ndarray | None = None):
         """d, p (None without ``other``) and k (None in float mode) of every
         canonical tuple, or of those ``among`` flags, in canonical order, in
-        the tables' arithmetic: the integer fallback of :class:`_Screen`."""
+        the tables' arithmetic: the integer fallback of the filtered tests."""
         empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
         ds, ps, ks = [empty], [empty], [empty]
         for ends, held, f in self._passes(self.mine, self.theirs, among):
@@ -399,15 +436,6 @@ class _Kernel:
             None if self.theirs is None else np.concatenate(ps),
             np.concatenate(ks) if self.exact else None,
         )
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(d, p) over all canonical tuples, one run per array pass.
-
-        p is None without ``other``.  Sets ``k``, the tuples' scale, which
-        is None in float mode.
-        """
-        d, p, self.k = self.evaluate()
-        return d, p
 
     def estimates(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
         """d, p and their error radii over all canonical tuples, in float64
@@ -523,6 +551,124 @@ class _Kernel:
             pp += p.dot(wp)
         return dp, pp
 
+    @cached_property
+    def _scan(self) -> tuple:
+        """(d, p, k, rd, rp) of every tuple as the tests read them: in the
+        tables' arithmetic, radii None, or a filtered kernel's float
+        estimates and their radii, k None."""
+        if not self.filtered:
+            return (*self.evaluate(), None, None)
+        d, p, rd, rp = self.estimates()
+        return d, p, None, rd, rp
+
+    def _filter(self, name: str):
+        """The float filter of test ``name`` of :func:`_tests`; each margin
+        adds 4u or 8u of the operands to the radii for the rounding of the
+        test's own arithmetic and of ``eff``."""
+        (d, p, _, rd, rp), e = self._scan, self.e
+        ad = np.abs(d)
+        big = _sure(ad - e, rd + 4 * _U * (ad + e))
+        if name == "big":
+            return big
+        ap = np.abs(p)
+        if name == "usable":
+            return _sure(ap - e, rp + 4 * _U * (ap + e))
+        q = d * p
+        aq, rq = np.abs(q), rd * ap + rp * ad + rd * rp
+        sign = _and(_sure(q + e, rq + 4 * _U * (aq + e)), _or(_not(big), _sure(q, rq + 4 * _U * aq)))
+        # where decided, |d| < |p| and |d| <= |p| agree: eff 0's strict test is the same filter
+        size = _not(_sure(ad - ap - e, rd + rp + 8 * _U * (ad + ap + e)))
+        return _and(sign, size)
+
+    def masks(self, *names: str) -> list[np.ndarray]:
+        """The masks of the tests ``names`` of :func:`_tests` over every tuple."""
+        if not self.filtered:
+            d, p, k, _, _ = self._scan
+            return _tests(d, p, k, self.eff, names)
+        with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
+            tris = [self._filter(name) for name in names]
+        out = [yes.copy() for yes, _ in tris]
+        band = ~np.logical_and.reduce([yes | no for yes, no in tris])
+        if band.any():
+            d, p, k = self.evaluate(band)
+            for mask, exact in zip(out, _tests(d, p, k, self.eff, names)):
+                mask[band] = exact
+        return out
+
+    def _top(self, lo, hi, among, key) -> int | None:
+        """The first tuple among those flagged with the largest key(d, p, k),
+        from bounds lo <= key <= hi of each tuple's key; None if none is."""
+        flagged = np.ones(len(lo), bool) if among is None else among
+        if not flagged.any():
+            return None
+        cand = flagged & ~(hi < lo[flagged].max())
+        d, p, k = self.evaluate(cand)
+        j = _running_max(*key(d, p, k))
+        i = int(np.flatnonzero(cand)[j])
+        self._known[i] = d[j], p[j], k[j]
+        return i
+
+    def top_p(self, among: np.ndarray | None = None) -> int | None:
+        """The first tuple with the largest |p| among the flagged ones (all by default)."""
+        _, p, k, _, rp = self._scan
+        ap = np.abs(p)
+        if not self.filtered:
+            return _running_max(ap, k, among)
+        return self._top(ap - rp, ap + rp, among, lambda d, p, k: (np.abs(p), k))
+
+    def top_ratio(self, among: np.ndarray) -> int | None:
+        """The first tuple with the largest |d|/|p| among the flagged ones."""
+        d, p, _, rd, rp = self._scan
+        ad, ap = np.abs(d), np.abs(p)
+        if not self.filtered:
+            return _running_max(ad, ap, among)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            under = ap - rp
+            hi = np.where(under > 0, (ad + rd) / under, np.inf) * (1 + 8 * _U)
+            lo = np.maximum(ad - rd, 0) / (ap + rp) * (1 - 8 * _U)
+        return self._top(lo, hi, among, lambda d, p, k: (np.abs(d), np.abs(p)))
+
+    def first_gap(self, ref: int) -> int | None:
+        """The first tuple whose proportionality gap with tuple ``ref``,
+        d p_ref - d_ref p, exceeds ``eff`` in magnitude."""
+        d_ref, p_ref, k_ref = self.raw(ref)
+        d, p, k, rd, rp = self._scan
+        if not self.filtered:
+            gap = d * p_ref
+            gap -= d_ref * p
+            bound = _floor_scaled(self.eff, None if k_ref is None else k * k_ref)
+            return _first_true(np.abs(gap) > bound)
+        dr, pr = d_ref / k_ref, p_ref / k_ref  # int / int rounds correctly
+        left, right = d * pr, dr * p
+        with np.errstate(invalid="ignore"):
+            r = rd * abs(pr) + rp * abs(dr) + 8 * _U * (np.abs(left) + np.abs(right) + self.e)
+            yes, no = _sure(np.abs(left - right) - self.e, r)
+        band = ~(yes | no)
+        first = _first_true(yes)
+        if first is not None:  # only the band before the first sure gap can move it
+            band[first:] = False
+        if band.any():
+            d, p, k = self.evaluate(band)
+            yes[band] = np.abs(d * p_ref - d_ref * p) > _floor_scaled(self.eff, k * k_ref)
+        return _first_true(yes)
+
+    def raw(self, i: int):
+        """d, p and k of tuple i as evaluated: ints over k, or floats and None."""
+        d, p, k, _, _ = self._scan
+        if not self.filtered:
+            return d[i], p[i], None if k is None else k[i]
+        if i not in self._known:
+            one = np.zeros(len(d), bool)
+            one[i] = True
+            d, p, k = self.evaluate(one)
+            self._known[i] = d[0], p[0], k[0]
+        return self._known[i]
+
+    def value(self, i: int) -> tuple[Scalar, Scalar]:
+        """The true d and p of tuple i: Fractions in exact mode, floats otherwise."""
+        d, p, k = self.raw(i)
+        return (float(d), float(p)) if k is None else (Fraction(d, k), Fraction(p, k))
+
 
 def _first_true(mask: np.ndarray) -> int | None:
     return int(np.argmax(mask)) if mask.any() else None
@@ -559,14 +705,6 @@ def _running_max(
     return b
 
 
-def _tol_at(eff: Scalar, k):
-    """``eff`` against values held as ints over ``k``, floored as
-    :func:`_floor_scaled` does, or ``eff`` itself against floats (k None)."""
-    if k is None:
-        return eff
-    return 0 if eff == 0 else _floor_scaled(eff, k)
-
-
 def _tests(d: np.ndarray, p: np.ndarray | None, k, eff: Scalar, names: Sequence[str]) -> list:
     """The per-tuple tests ``names`` on own and composite instabilities d
     and p, float arrays or (exact mode) ints over ``k``:
@@ -576,11 +714,10 @@ def _tests(d: np.ndarray, p: np.ndarray | None, k, eff: Scalar, names: Sequence[
         dominated  bounded instability: d p >= -eff and |d| <= |p| + eff,
                    with d p > 0 when |d| > eff, and then |d| < |p| at eff 0
 
-    Against an exact |p|, a float ``eff`` keeps the float rounding of
-    |p| + eff, fl(fl(|p|) + eff): |d| is tested against it in ints, from
-    the float's mantissa and exponent.
+    ``eff`` meets exact values as :func:`_floor_scaled` floors it, and the
+    size test is :func:`_compare_tol`'s, rounded as float |p| + eff would be.
     """
-    e1, ad = _tol_at(eff, k), np.abs(d)
+    e1, ad = _floor_scaled(eff, k), np.abs(d)
     big = ad > e1
     out = {"big": big}
     if "usable" in names or "dominated" in names:
@@ -588,12 +725,8 @@ def _tests(d: np.ndarray, p: np.ndarray | None, k, eff: Scalar, names: Sequence[
         out["usable"] = ap > e1
     if "dominated" in names:
         dp = d * p
-        sign_ok = (dp >= -_tol_at(eff, None if k is None else k * k)) & (~big | (dp > 0))
-        if k is not None and isinstance(eff, float):
-            bound, b = _dyadic((ap / k).astype(float) + eff)
-            size_ok = np.asarray((ad << -b) <= bound * k, bool)
-        else:
-            size_ok = ad <= ap + e1
+        sign_ok = (dp >= -_floor_scaled(eff, None if k is None else k * k)) & (~big | (dp > 0))
+        size_ok = _compare_tol(ad, ap, eff, k)
         if eff == 0:
             size_ok &= ~big | (ad < ap)
         out["dominated"] = sign_ok & size_ok
@@ -621,151 +754,14 @@ def _or(a, b):
     return _not(_and(_not(a), _not(b)))
 
 
-#: Exact kernels with fewer tuples are evaluated in ints outright, where
-#: the float filter's fixed cost exceeds that of the integer pass.
-_SCREEN_MIN = 1 << 10
-
-
-class _Screen:
-    """The per-tuple tests of a :class:`_Kernel` at tolerance ``eff``, and
-    the tuples they single out.
-
-    Float mode evaluates them on :meth:`_Kernel.arrays`, rounded as the
-    tables' arithmetic rounds, and so does exact mode, in ints over ``k``,
-    for a kernel of fewer than ``_SCREEN_MIN`` tuples.  A larger exact
-    kernel is ``filtered`` in floats with an integer fallback (Shewchuk
-    1997; Fortune & Van Wyk 1993): each test is decided on
-    :meth:`_Kernel.estimates` wherever their error radii decide it, and only
-    the undecided tuples, the band, and the candidates of a maximum, those
-    within the radii of the float maximum, are evaluated in ints by
-    :meth:`_Kernel.evaluate`, in canonical order.  Every outcome, ties and
-    first-maximum rule included, is that of the integer tests on every
-    tuple.
-    """
-
-    def __init__(self, kernel: _Kernel, eff: Scalar):
-        self.kernel, self.eff = kernel, eff
-        self.filtered = kernel.exact and kernel.starts[-1] >= _SCREEN_MIN
-        if self.filtered:
-            self.d, self.p, self.rd, self.rp = kernel.estimates()
-            # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
-            # tolerance decides every test as 8 does, and has no float
-            self.e, self._known = float(min(eff, 8)), {}
-        else:
-            self.d, self.p = kernel.arrays()
-            self.k = kernel.k
-
-    def _filter(self, name: str):
-        """The float filter of test ``name`` of :func:`_tests`; each margin
-        adds 4u or 8u of the operands to the radii for the rounding of the
-        test's own arithmetic and of ``eff``."""
-        d, p, rd, rp, e = self.d, self.p, self.rd, self.rp, self.e
-        ad = np.abs(d)
-        big = _sure(ad - e, rd + 4 * _U * (ad + e))
-        if name == "big":
-            return big
-        ap = np.abs(p)
-        if name == "usable":
-            return _sure(ap - e, rp + 4 * _U * (ap + e))
-        q = d * p
-        aq, rq = np.abs(q), rd * ap + rp * ad + rd * rp
-        sign = _and(_sure(q + e, rq + 4 * _U * (aq + e)), _or(_not(big), _sure(q, rq + 4 * _U * aq)))
-        # where decided, |d| < |p| and |d| <= |p| agree: eff 0's strict test is the same filter
-        size = _not(_sure(ad - ap - e, rd + rp + 8 * _U * (ad + ap + e)))
-        return _and(sign, size)
-
-    def masks(self, *names: str) -> list[np.ndarray]:
-        """The masks of the tests ``names`` of :func:`_tests` over every tuple."""
-        if not self.filtered:
-            return _tests(self.d, self.p, self.k, self.eff, names)
-        with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
-            tris = [self._filter(name) for name in names]
-        out = [yes.copy() for yes, _ in tris]
-        band = ~np.logical_and.reduce([yes | no for yes, no in tris])
-        if band.any():
-            d, p, k = self.kernel.evaluate(band)
-            for mask, exact in zip(out, _tests(d, p, k, self.eff, names)):
-                mask[band] = exact
-        return out
-
-    def _top(self, lo, hi, among, key) -> int | None:
-        """The first tuple among those flagged with the largest key(d, p, k),
-        from bounds lo <= key <= hi of each tuple's key; None if none is."""
-        flagged = np.ones(len(lo), bool) if among is None else among
-        if not flagged.any():
-            return None
-        cand = flagged & ~(hi < lo[flagged].max())
-        d, p, k = self.kernel.evaluate(cand)
-        j = _running_max(*key(d, p, k))
-        i = int(np.flatnonzero(cand)[j])
-        self._known[i] = d[j], p[j], k[j]
-        return i
-
-    def top_p(self, among: np.ndarray | None = None) -> int | None:
-        """The first tuple with the largest |p| among the flagged ones (all by default)."""
-        ap = np.abs(self.p)
-        if not self.filtered:
-            return _running_max(ap, self.k, among)
-        return self._top(ap - self.rp, ap + self.rp, among, lambda d, p, k: (np.abs(p), k))
-
-    def top_ratio(self, among: np.ndarray) -> int | None:
-        """The first tuple with the largest |d|/|p| among the flagged ones."""
-        ad, ap = np.abs(self.d), np.abs(self.p)
-        if not self.filtered:
-            return _running_max(ad, ap, among)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            under = ap - self.rp
-            hi = np.where(under > 0, (ad + self.rd) / under, np.inf) * (1 + 8 * _U)
-            lo = np.maximum(ad - self.rd, 0) / (ap + self.rp) * (1 - 8 * _U)
-        return self._top(lo, hi, among, lambda d, p, k: (np.abs(d), np.abs(p)))
-
-    def first_gap(self, ref: int) -> int | None:
-        """The first tuple whose proportionality gap with tuple ``ref``,
-        d p_ref - d_ref p, exceeds ``eff`` in magnitude."""
-        d_ref, p_ref, k_ref = self.raw(ref)
-        if not self.filtered:
-            gap = self.d * p_ref
-            gap -= d_ref * self.p
-            return _first_true(np.abs(gap) > _tol_at(self.eff, None if k_ref is None else self.k * k_ref))
-        dr, pr = d_ref / k_ref, p_ref / k_ref  # int / int rounds correctly
-        left, right = self.d * pr, dr * self.p
-        with np.errstate(invalid="ignore"):
-            r = self.rd * abs(pr) + self.rp * abs(dr) + 8 * _U * (np.abs(left) + np.abs(right) + self.e)
-            yes, no = _sure(np.abs(left - right) - self.e, r)
-        band = ~(yes | no)
-        first = _first_true(yes)
-        if first is not None:  # only the band before the first sure gap can move it
-            band[first:] = False
-        if band.any():
-            d, p, k = self.kernel.evaluate(band)
-            yes[band] = np.abs(d * p_ref - d_ref * p) > _tol_at(self.eff, k * k_ref)
-        return _first_true(yes)
-
-    def raw(self, i: int):
-        """d, p and k of tuple i as evaluated: ints over k, or floats and None."""
-        if not self.filtered:
-            return self.d[i], self.p[i], None if self.k is None else self.k[i]
-        if i not in self._known:
-            one = np.zeros(len(self.d), bool)
-            one[i] = True
-            d, p, k = self.kernel.evaluate(one)
-            self._known[i] = d[0], p[0], k[0]
-        return self._known[i]
-
-    def value(self, i: int) -> tuple[Scalar, Scalar]:
-        """The true d and p of tuple i, as :meth:`_Kernel.value` gives them."""
-        d, p, k = self.raw(i)
-        return (float(d), float(p)) if k is None else (Fraction(d, k), Fraction(p, k))
-
-
 def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.ndarray | None]:
     """The kernel of ``rho``, and the mask of canonical tuples whose own
     instability exceeds ``eff`` in magnitude, or None when none does; on
     exact data the tuples are screened only when some pair is not parallel."""
-    kernel = _Kernel(rho, rho.domain)
+    kernel = _Kernel(rho, rho.domain, eff=eff)
     if kernel.exact and all(kernel.parallel()):
         return kernel, None
-    (bad,) = _Screen(kernel, eff).masks("big")
+    (bad,) = kernel.masks("big")
     return kernel, bad if bad.any() else None
 
 
@@ -773,7 +769,8 @@ def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] |
     """The first (menu, alternative), in canonical order, with probability <= ``eff``;
     exact rows are tested in ints, over their lcm c_S, against floor(eff c_S)."""
     view = rho._dense
-    i = _first_true(view.mask & ~(view.entries > _row_bound(eff, view.scale)))
+    c = None if view.scale is None else view.scale[:, None]
+    i = _first_true(view.mask & ~(view.entries > _floor_scaled(eff, c)))
     if i is None:
         return None
     row, col = divmod(i, rho.universe.size)

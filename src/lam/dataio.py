@@ -44,6 +44,7 @@ from .types import (
     Scalar,
     StochasticChoice,
     Universe,
+    _sum_off,
 )
 
 __all__ = [
@@ -139,7 +140,6 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
 
     table: dict[Menu, dict[str, Scalar]] = {}
     menus: dict[str, Menu] = {}  # each menu token is parsed once per file
-    clamped = False  # a float value below 0, which StochasticChoice clamps to 0
     for line, fields in data_rows:
         if len(fields) != 3:
             raise DatasetFormatError(
@@ -164,10 +164,8 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
                 raise DatasetFormatError(f"counts must be non-negative, got {value_tok!r}", line)
         else:
             value = parse_scalar(value_tok, exact, line)
-            if not exact:
-                if not math.isfinite(value):
-                    raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
-                clamped = clamped or value < 0
+            if not exact and not math.isfinite(value):
+                raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
         row = table.setdefault(menu, {})
         if alt in row:
             raise DatasetFormatError(
@@ -175,27 +173,25 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
             )
         row[alt] = value
 
+    if mode != "counts":
+        # the file's row sums are named first, and summed before the table
+        # clamps a float value below 0 to 0
+        _check_row_sums(universe, table, exact)
     try:
         if mode == "counts":
             return ChoiceCounts(universe, table)
-        rho = StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
+        return StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
     except LamError as e:
-        if mode != "counts":  # a file's row sum is named first
-            _check_row_sums(universe, table, exact)
         raise DatasetFormatError(str(e)) from None
-    if clamped:  # the table summed its rows after the clamp, the file sums them before
-        _check_row_sums(universe, table, exact)
-    return rho
 
 
 def _check_row_sums(universe: Universe, table: dict[Menu, dict[str, Scalar]], exact: bool) -> None:
     """The file's own row-sum test on its values as written, in file order."""
     for menu, row in table.items():
-        total = sum(row.values())
-        if abs(total - 1) > (0 if exact else FILE_ROW_SUM_TOL):
+        if _sum_off(row, exact, FILE_ROW_SUM_TOL):
             raise DatasetFormatError(
                 f"probabilities for menu {_menu_token(universe, menu)!r} sum to "
-                f"{format_scalar(total)}, not 1"
+                f"{format_scalar(sum(row.values()))}, not 1"
             )
 
 

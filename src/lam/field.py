@@ -44,6 +44,7 @@ with full diagnostics instead of guessing.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -330,9 +331,16 @@ def _exact_roots(
                 return roots, []  # conjugate complex pair
             s = math.isqrt(disc)
             if s * s != disc:
-                fs = math.sqrt(disc * num * num / (den * den))
-                lead = 2 * c2 * num / den
-                return roots, [(-c1 * num / den - fs) / lead, (-c1 * num / den + fs) / lead]
+                try:
+                    fs = math.sqrt(disc * num * num / (den * den))
+                    lead = 2 * c2 * num / den
+                    return roots, [(-c1 * num / den - fs) / lead, (-c1 * num / den + fs) / lead]
+                except (OverflowError, ZeroDivisionError):  # a term leaves float range
+                    # the roots from 40-digit decimals, as floats (0 or +-inf past float
+                    # range): q = -(c1 + sign(c1) sqrt(disc)) / 2 takes no cancellation
+                    ctx = decimal.Context(prec=40)
+                    q = ctx.divide(ctx.minus(ctx.add(c1, ctx.sqrt(disc).copy_sign(c1))), 2)
+                    return roots, [float(ctx.divide(q, c2)), float(ctx.divide(c0, q))]
             roots.extend([Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)])
             work = [work[2]]
         else:
@@ -456,7 +464,10 @@ def _polish_on_equation(poly: CubicPoly, r: float) -> float:
     for _ in range(12):
         if fx == 0:
             break
-        slope = poly.equation_slope(x)
+        try:
+            slope = poly.equation_slope(x)
+        except ZeroDivisionError:  # some (a x - b)**2 underflows to 0
+            break
         if slope == 0 or not math.isfinite(slope):
             break
         step = fx / slope
@@ -585,8 +596,9 @@ def _constant_odds(rho_ai: StochasticChoice, anchor: str, y: str, eff: Scalar) -
     if not all(p > 0 for p in px):
         return None
     ratios = [b / a if view.scale is None else Fraction(b, a) for a, b in zip(px, py)]
-    spread = max(ratios) - min(ratios)
-    if spread <= eff * (1 + max(abs(r) for r in ratios)):
+    spread, top = max(ratios) - min(ratios), 1 + max(abs(r) for r in ratios)
+    # exact odds meet a float tol at its exact value, past float range too
+    if spread <= (eff if view.scale is None else Fraction(eff)) * top:
         return ratios[0]
     return None
 

@@ -27,15 +27,12 @@ from typing import Literal, Mapping, get_args
 import numpy as np
 
 from .choice import (
-    _dyadic,
+    _compare_tol,
     _first_nonpositive,
     _first_true,
-    _floor_scaled,
     _Kernel,
     _own_violations,
     _residual,
-    _row_bound,
-    _Screen,
     recover_luce_utility,
     satisfies_iia,
 )
@@ -138,22 +135,20 @@ def estimate_alpha(
     _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
-    kernel = _Kernel(rho_ai, _shared(rho_ai, rho_h, _DISJOINT), rho_h)
-    # sup distance <= eff; off the menus both rows read 0
-    if not (np.abs(kernel.mine - kernel.theirs) > _row_bound(eff, kernel.c)).any():
+    kernel = _Kernel(rho_ai, _shared(rho_ai, rho_h, _DISJOINT), rho_h, eff)
+    if kernel.coincide():
         raise PartiallyIdentifiedError(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
 
-    screen = _Screen(kernel, eff)
-    big, usable = screen.masks("big", "usable")
+    big, usable = kernel.masks("big", "usable")
     if not big.any():
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
             "are aligned; it cannot be point-identified",
             possible_regimes=("autonomous", "compliant", "aligned"),
         )
-    best = screen.top_p(usable)  # first usable tuple with the largest |p|
+    best = kernel.top_p(usable)  # first usable tuple with the largest |p|
     if best is None:
         raise InconsistentInputsError(
             "AI data violates IIA while every composite instability vanishes; "
@@ -163,7 +158,7 @@ def estimate_alpha(
     dd, dp, pp = kernel.sums()
     div = Fraction if exact else operator.truediv  # int / int rounds correctly
     if strategy == "single-tuple":
-        d_best, p_best = screen.value(best)
+        d_best, p_best = kernel.value(best)
         raw = d_best / p_best
     else:  # the sums cover every tuple: take the unusable ones out again
         out_dp, out_pp = kernel.terms(~usable)
@@ -204,7 +199,8 @@ def recover_autonomous(
 
     Exact tables and a rational alpha = an/ad peel in ints: with A and H
     the rows over their joint lcm c_S, each entry is (ad A - an H) /
-    ((ad - an) c_S), tested against -tol as :func:`_floor_scaled` does.
+    ((ad - an) c_S), tested in ints by :func:`choice._compare_tol` as
+    entry < 0 - tol, where a float tol is exact: fl(0 - tol) = -tol.
     Any other alpha peels the float64 rows, whose values are the entries'
     ``float(entry)``, as arithmetic on the Fractions with a float does.
     """
@@ -218,7 +214,7 @@ def recover_autonomous(
     if c is not None and isinstance(alpha, numbers.Rational):
         an, ad = int(alpha.numerator), int(alpha.denominator)
         num, den = (ad * a - an * h)[mask], ((ad - an) * c)[rows]
-        low = _first_true(num < -_floor_scaled(eff, den))
+        low = _first_true(_compare_tol(num, 0, eff, den, below=True))
         value = None if low is None else Fraction(num[low], den[low])
         num[num < 0] = 0  # within tol (when low is None): clamped to 0, as an int
         cells = map(Fraction, num.tolist(), den.tolist())
@@ -393,7 +389,7 @@ def check_axioms(
 
     Human IIA reports the first canonical violation.  The other conditions
     come from the canonical tuples of the common menus, tested as
-    :class:`choice._Screen` tests them (in floats with an integer fallback
+    :class:`choice._Kernel` tests them (in floats with an integer fallback
     on large exact data), with proportionality and bounded divergence in
     slope form: against the tuples with the largest composite instability
     and the largest own-to-composite ratio, which is equivalent to comparing
@@ -401,7 +397,7 @@ def check_axioms(
     """
     eff = resolve_tol(tol, rho_ai.is_exact and rho_h.is_exact)
     universe = rho_ai.universe
-    kernel = _Kernel(rho_ai, _shared(rho_ai, rho_h, _DISJOINT), rho_h)
+    kernel = _Kernel(rho_ai, _shared(rho_ai, rho_h, _DISJOINT), rho_h, eff)
 
     # positivity, over each function's own recorded domain
     positivity = AxiomVerdict(True)
@@ -429,20 +425,19 @@ def check_axioms(
     # largest own-to-composite ratio.  Exact d and p are parallel over all
     # tuples iff dd pp = dp**2 (Cauchy-Schwarz); then every gap vanishes and
     # every usable tuple has the same ratio, so the first is the binding one.
-    # A filtered screen tests this first: on mixture data every gap is 0
+    # A filtered kernel tests this first: on mixture data every gap is 0
     # and every ratio tied, which no float filter can decide.
-    screen = _Screen(kernel, eff)
-    big, usable, dominated = screen.masks("big", "usable", "dominated")
+    big, usable, dominated = kernel.masks("big", "usable", "dominated")
     undominated = _first_true(~dominated)
     vanishing = _first_true(~usable & big)
-    if screen.filtered and kernel.proportional():
+    if kernel.filtered and kernel.proportional():
         bad, binding = None, _first_true(usable)
     else:
-        ref, binding = screen.top_p(), screen.top_ratio(usable)
-        bad = None if ref is None else screen.first_gap(ref)
+        ref, binding = kernel.top_p(), kernel.top_ratio(usable)
+        bad = None if ref is None else kernel.first_gap(ref)
 
     def row(i: int):
-        return kernel.tuple_at(i), *screen.value(i)
+        return kernel.tuple_at(i), *kernel.value(i)
 
     proportionality = AxiomVerdict(True, note="" if len(usable) else "no tuples to compare")
     if bad is not None:
@@ -478,7 +473,7 @@ def check_axioms(
     elif binding is None:
         bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
-        bounded_divergence = _bounded_divergence(kernel, binding, *screen.raw(binding), eff)
+        bounded_divergence = _bounded_divergence(kernel, binding)
 
     return AxiomReport(
         positivity=positivity,
@@ -490,31 +485,24 @@ def check_axioms(
     )
 
 
-def _bounded_divergence(kernel: _Kernel, binding: int, d, p, k, eff) -> AxiomVerdict:
-    """Bounded divergence at the binding tuple, whose kernel values are d and
-    p, over k in exact mode; the witness is the first failing cell.
+def _bounded_divergence(kernel: _Kernel, binding: int) -> AxiomVerdict:
+    """Bounded divergence at the binding tuple; the witness is the first
+    failing cell.
 
     Each member's test is lhs < rhs - eff, or lhs <= rhs when eff = 0 and
     d != 0, for lhs = rho_ai |p| and rhs = rho_h |d| in true values.  In
     exact mode the cells are kernel ints A and H over c_S, and d, p are
     ints D, P over k: lhs and rhs are A |P| and H |D| over c_S k, tested
-    against floor(eff c_S k); a float tol keeps the float rounding of
-    rhs - tol, fl(fl(rhs) - tol), tested in ints from its mantissa and
-    exponent.
+    against eff by :func:`choice._compare_tol`.
     """
-    mask = kernel.mask
+    mask, eff = kernel.mask, kernel.eff
+    d, p, k = kernel.raw(binding)
     lhs, rhs = kernel.mine[mask] * abs(p), kernel.theirs[mask] * abs(d)  # canonical order
     if eff == 0 and d != 0:
         fails = lhs <= rhs
-    elif not kernel.exact:
-        fails = lhs < rhs - eff
     else:
-        scale = kernel.c[np.nonzero(mask)[0]] * k  # c_S k per member
-        if isinstance(eff, float):
-            bound, b = _dyadic((rhs / scale).astype(float) - eff)
-            fails = lhs << -b < bound * scale
-        else:
-            fails = lhs - rhs < -_floor_scaled(eff, scale)
+        scale = None if k is None else kernel.c[np.nonzero(mask)[0]] * k  # c_S k per member
+        fails = _compare_tol(lhs, rhs, eff, scale, below=True)
     bad = _first_true(fails)
     if bad is None:
         return AxiomVerdict(True)

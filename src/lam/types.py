@@ -252,6 +252,15 @@ def _rows(tables: Sequence["StochasticChoice"], menus: Sequence[Menu]):
     return mask, c, [v.entries[i] * (c // s)[:, None] for v, i, s in zip(views, at, scales)]
 
 
+def _sum_off(row: Mapping[str, Scalar], exact: bool, eff: float) -> bool:
+    """Whether a row of probabilities sums to other than 1: exact rows in
+    ints, over their lcm of denominators, float rows by more than ``eff``."""
+    if exact:
+        scale = math.lcm(*(p.denominator for p in row.values()))
+        return sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale
+    return abs(sum(row.values()) - 1) > eff
+
+
 def _normalised_rows(table: "_MenuRows", outside: str, empty: str, cell: Callable):
     """Each row of ``table`` as (menu, {member: cell(member, value)}), in input
     order, once its menu is valid and new and its members lie in it (else
@@ -341,12 +350,7 @@ class StochasticChoice(_MenuRows):
                     )
                 if not row_exact and p < 0:
                     row[alt] = 0.0
-            if row_exact:
-                scale = math.lcm(*(p.denominator for p in row.values()))
-                off = sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale
-            else:
-                off = abs(sum(row.values()) - 1) > eff
-            if off:
+            if _sum_off(row, row_exact, eff):
                 raise InvalidParameterError(
                     f"row for menu {self.universe.sorted_members(menu)} sums to "
                     f"{sum(row.values())!r}, not 1"

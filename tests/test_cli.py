@@ -614,6 +614,21 @@ def test_identify_field_root_on_a_denominator_zero_exits_cleanly(tmp_path):
     assert "alpha_pair,0.9700000000000001;0.029999999999999874" in proc.stdout.splitlines()
 
 
+def test_identify_field_subnormal_slope_exits_cleanly():
+    # the square of a denominator underflows in the polish of a root: run as
+    # a program, the command reports a failure and prints no traceback
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lam.cli", "identify-field",
+         "--ai", str(DATA / "field_subnormal_float.csv"), "--anchor", "a"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert "status,non-generic-failure" in proc.stdout.splitlines()
+
+
 def test_unknown_menu_member_message_independent_of_hash_seed(tmp_path):
     src = str(Path(__file__).parent.parent / "src")
     argv = ["simulate", "--params", str(DATA / "field_params.csv"), "--menus", "x;q;r",

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,9 @@ from lam import (
     luce_table,
     sup_distance,
 )
+from lam.dataio import parse_dataset
+
+DATA = Path(__file__).parent / "data"
 
 Y_ROOTS = (F(4, 5), F(263, 196), F(2))
 Z_ROOTS = (F(2, 5), F(481, 244), F(4))
@@ -344,6 +348,8 @@ def test_identify_field_luce_input_degenerate(uni4):
     rho = luce_table(uni4, {"x": F(1), "y": F(2), "z": F(3), "t": F(4)}, uni4.all_menus(2))
     result = identify_field(rho, "x")
     assert result.status == "degenerate-iia"
+    with pytest.raises(GapUndefinedError, match="field result is degenerate-iia; no class recovered"):
+        result.class_members
 
 
 def test_identify_field_needs_four_alternatives(uni3):
@@ -593,6 +599,92 @@ def test_identify_field_float_menu_that_never_picks_anchor_or_target(ex_b_ai):
     assert y_set.rejected and {r.reason for r in y_set.rejected} <= {
         "non-positive", "denominator-vanishing"
     }
+
+
+#: Cells of extreme exact tables: 10**-300 and 7 * 10**-300 near the bottom
+#: of float's normal range, 2**-1060 below its subnormal range.
+EXTREME = {"1": F(1), "2": F(2), "3": F(3), "E": F(1, 10**300), "7E": F(7, 10**300),
+           "B": F(1, 2**1060)}
+
+
+def extreme_table(spec):
+    """An exact table on a-d from rows like "abc:B,3,1", normalised per row."""
+    table = {}
+    for item in spec.split():
+        menu, cells = item.split(":")
+        row = dict(zip(menu, (EXTREME[c] for c in cells.split(","))))
+        table[tuple(menu)] = {a: p / sum(row.values()) for a, p in row.items()}
+    return StochasticChoice(Universe(tuple("abcd")), table)
+
+
+# b's quadratic after deflating its pole: the float stand-ins of its
+# irrational roots, scaled as the rational polynomial, lead with 0.0
+IRRATIONAL_PAST_FLOAT_RANGE = (
+    "ab:B,2 abc:B,2,E abcd:7E,7E,1,2 abd:E,1,B ac:B,7E acd:7E,2,B ad:E,2 bc:B,E bcd:B,2,B bd:1,B cd:2,2"
+)
+# b's odds against a reach about 10**319: a float tol times 1 + max odds
+# left float range
+ODDS_PAST_FLOAT_RANGE = (
+    "ab:7E,3 abc:B,3,B abcd:B,B,7E,1 abd:E,2,B ac:1,2 acd:1,3,E ad:2,E bc:7E,1 bcd:7E,2,1 bd:B,2 cd:E,3"
+)
+# every float coefficient of b's cubic underflows to 0
+CUBIC_UNDER_FLOAT_RANGE = (
+    "ab:3,1 abc:B,7E,2 abcd:7E,E,1,7E abd:E,E,2 ac:1,1 acd:B,7E,7E ad:B,3 bc:B,3 bcd:B,3,1 bd:1,1 cd:3,2"
+)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+@pytest.mark.parametrize(
+    "spec", [IRRATIONAL_PAST_FLOAT_RANGE, ODDS_PAST_FLOAT_RANGE, CUBIC_UNDER_FLOAT_RANGE]
+)
+def test_identify_field_exact_cells_past_float_range(spec, tol):
+    # each raised ZeroDivisionError or OverflowError before: no float
+    # conversion may leave float range
+    result = identify_field(extreme_table(spec), "a", tol)
+    assert result.status == "non-generic-failure"
+    assert result.reason.startswith("no admissible candidate utility for ")
+
+
+def test_irrational_stand_ins_past_float_range():
+    (b_set,) = identify_field(extreme_table(IRRATIONAL_PAST_FLOAT_RANGE), "a").candidates["b"]
+    stand_ins = [r.value for r in b_set.rejected if r.reason == "irrational (exact mode)"]
+    low, high = stand_ins
+    assert high == math.inf and -1e300 < low < -1e299
+    # a root of the cubic lies within a relative 1e-12 of the finite stand-in
+    signs = {b_set.poly.evaluate(F(low) * (1 + s * F(1, 10**12))) > 0 for s in (-1, 1)}
+    assert signs == {True, False}
+
+
+def test_float_real_roots_of_vanishing_coefficients():
+    from lam.field import _float_real_roots
+
+    assert _float_real_roots([0.0, 0.0, 0.0, 0.0]) == []
+    assert _float_real_roots([1.0, 1e-300, 0.0, 1e-320]) == []  # a constant after trimming
+
+
+def test_polish_stops_on_a_flat_slope_and_steps_around_a_pole():
+    from lam.field import _polish_on_equation
+
+    def poly(ab):
+        return CubicPoly(0, 0, 0, 0, "y", "x", ("z", "t"), (frozenset(),) * 4, ab, 1)
+
+    # the equation's slope is 0 at k = 1: the root is left where it is
+    assert _polish_on_equation(poly(((3.0, 2.0), (1.5, 2.0), (1.0, 2.0), (2.0, 1.5))), 1.0) == 1.0
+    # from k = 3/4 a full Newton step lands on the pole 1/4 of the second
+    # term; the step is halved, not evaluated there
+    polished = _polish_on_equation(poly(((0.25, 0.75), (1.0, 0.25), (1.0, 1.0), (0.25, 0.75))), 0.75)
+    assert math.isfinite(polished) and polished != 0.25
+
+
+def test_identify_field_float_subnormal_slope():
+    # (a k - b)**2 underflows to 0 in the slope of b's equation: the polish
+    # stops there, and the report is a failure, not a ZeroDivisionError
+    rho = parse_dataset((DATA / "field_subnormal_float.csv").read_text())
+    result = identify_field(rho, "a")
+    assert result.status == "non-generic-failure"
+    assert result.reason == (
+        "no admissible candidate utility for 'c' survives screening across reference pairs"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,17 @@ def test_band_tuples_take_the_integer_fallback(monkeypatch, name):
     assert max(flagged, default=0) > 1
 
 
+def test_filtered_kernel_with_no_usable_tuple(monkeypatch):
+    # a tolerance of 1 is above every |p| of this perturbed pair, whose d and
+    # p are not parallel: the filtered ratio maximum has no tuple to pick
+    monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
+    ai, human, _, _ = random_case(random.Random("no-usable"), 4, True, "ai")
+    assert not _Kernel(ai, common_menus(ai, human), human).proportional()
+    report = check_axioms(ai, human, F(1))
+    assert report.bounded_divergence == AxiomVerdict(True, note="no tuples to compare")
+    assert canon(report) == canon(oracle_check_axioms(ai, human, F(1)))
+
+
 def test_estimates_are_within_their_radii():
     # |d~ - d| <= rd and |p~ - p| <= rp on every tuple, in exact arithmetic;
     # a tuple with an entry below 2**-500 has infinite radii
@@ -627,10 +638,10 @@ def test_kernel_sums_equal_brute_force(variant):
                 scale * sum(r[4] * r[5] for r in kept),
                 scale * sum(r[5] * r[5] for r in kept),
             )
-            d, p = kernel.arrays()
-            assert [kernel.value(d, i) for i in range(len(d))] == [r[4] for r in rows]
-            assert [kernel.value(p, i) for i in range(len(p))] == [r[5] for r in rows]
-            assert [kernel.tuple_at(i) for i in range(len(d))] == [
+            values = [kernel.value(i) for i in range(kernel.starts[-1])]
+            assert [d for d, _ in values] == [r[4] for r in rows]
+            assert [p for _, p in values] == [r[5] for r in rows]
+            assert [kernel.tuple_at(i) for i in range(len(values))] == [
                 InstabilityTuple(*r[:4]) for r in rows
             ]
 
@@ -661,12 +672,12 @@ def test_kernel_values_agree_with_public_measures():
     bad = gen.perturb_entry(ai.as_float(), rng)
     for a, h in ((ai, human), (bad, human.as_float())):
         kernel = _Kernel(a, a.domain, h)
-        d, p = kernel.arrays()
         for i, t in enumerate(instability_tuples(a.universe, a.domain, canonical=True)):
             assert kernel.tuple_at(i) == t
-            assert kernel.value(d, i) == own_instability(a, t)
-            assert kernel.value(p, i) == composite_instability(a, h, t)
-            assert type(kernel.value(d, i)) is type(own_instability(a, t))
+            d, p = kernel.value(i)
+            assert d == own_instability(a, t)
+            assert p == composite_instability(a, h, t)
+            assert type(d) is type(own_instability(a, t))
 
 
 @pytest.mark.parametrize("eff", [0, 0.0, 5e-324, 1e-9, 0.01, 1e-6, F(7, 3), F(1, 1024), 3])

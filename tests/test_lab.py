@@ -331,13 +331,13 @@ def test_identify_lab_evaluates_each_table_once(monkeypatch):
     # one instability pass each: the human's IIA test, the pair for
     # compliance (which also tests the AI's IIA), the autonomous rule's IIA
     calls = []
-    arrays = _Kernel.arrays
+    evaluate = _Kernel.evaluate
 
-    def counted(self, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(kwargs)
-        return arrays(self, **kwargs)
+        return evaluate(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Kernel, "arrays", counted)
+    monkeypatch.setattr(_Kernel, "evaluate", counted)
     ai, human = (t.as_float() for t in gen.forward_pair(gen.random_params(random.Random(3), 5)))
     assert identify_lab(ai, human, "a").status == "point-identified"
     assert len(calls) == 3

@@ -10,6 +10,7 @@ from lam import (
     InvalidParameterError,
     LamParams,
     MissingDataError,
+    RegimeReport,
     StochasticChoice,
     Universe,
     sup_distance,
@@ -234,3 +235,8 @@ def test_sup_distance_repr_by_scalar_mode(ex_a_ai, uni3):
                  (ex_a_ai.as_float(), other)):
         assert repr(sup_distance(a, b)) == "0.13333333333333336"
     assert repr(sup_distance(ex_a_ai, ex_a_ai.as_float())) == "0"
+
+
+def test_regime_report_rejects_an_unknown_regime():
+    with pytest.raises(InvalidParameterError, match="unknown regime 'reckless'"):
+        RegimeReport("reckless", {}, 0)
