@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, groupby, permutations
+from itertools import combinations, compress, groupby, permutations, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -498,7 +498,7 @@ class _Kernel:
             return rows, self.c
         return _dyadic(rows)[0], None
 
-    def sums(self) -> tuple[int, int, int]:
+    def sums(self, lifted: bool = True) -> tuple[int, int, int]:
         """Exact sums of d*d, d*p and p*p over every canonical tuple, times
         B**4 for B the common scale of :attr:`ints`: the lcm of the c_S, or
         the float rows' power of two.  By Binet-Cauchy
@@ -507,17 +507,22 @@ class _Kernel:
         b'.  Exact pairs take their inner products on their own scale, the
         lcm B_xy of the c_S of the menus holding both, a menu's products
         weighted (B_xy / c_S)**2, and their sums times (B / B_xy)**4.
+
+        Exact rows not ``lifted`` take no weights: the sums are those of the
+        ints D = k d and P = k p, each tuple on its own scale k = c_S c_T.
         """
         n, (rows, scale) = self.universe.size, self.ints
-        if scale is not None:
-            top, square = math.lcm(*scale.tolist()), scale**2
+        lifted = lifted and scale is not None
+        if lifted:
+            top = math.lcm(*scale.tolist())
         dd = dp = pp = 0
         for xs, ys, held in self.runs:
             g = rows[held[:, :, None], np.stack([xs, ys, n + xs, n + ys], axis=1)[:, None, :]]
-            wg, lift = g, [1] * len(xs)
-            if scale is not None:
+            wg, lift = g, repeat(1)
+            if lifted:
                 pair = np.array([math.lcm(*row) for row in scale[held].tolist()], dtype=object)
-                wg = g * ((pair**2)[:, None] // square[held])[:, :, None]
+                q = (pair[:, None] // scale[held])[:, :, None]
+                wg = g * (q * q)
                 lift = ((top // pair) ** 4).tolist()
             gram = (wg[:, :, _GRAM[0]] * g[:, :, _GRAM[1]]).sum(axis=1)
             for (aa, ab, aa2, ab2, bb, ba2, bb2, a2a2, a2b2, b2b2), up in zip(gram.tolist(), lift):
@@ -526,10 +531,32 @@ class _Kernel:
                 pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
         return dd, dp, pp
 
+    def _skew(self) -> bool:
+        """Whether a filtered kernel's float estimates prove d and p not
+        parallel: with r the tuple of largest |p~|, the largest computed gap
+        |d~ p~_r - d~_r p~| exceeds its error bound, which covers both
+        tuples' radii, 8u of the products for the rounding of the gap and
+        of the bound, and _TINY**2 for any underflow."""
+        d, p, _, rd, rp = self._scan
+        if not len(p):
+            return False
+        r = int(np.argmax(np.abs(p)))
+        i = int(np.argmax(np.abs(d * p[r] - d[r] * p)))
+        left, right = d[i] * p[r], d[r] * p[i]
+        with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
+            bound = (rd[i] * abs(p[r]) + rp[i] * abs(d[r]) + (rd[i] + abs(d[i])) * rp[r]
+                     + (rp[i] + abs(p[i])) * rd[r] + 8 * _U * (abs(left) + abs(right)))
+            return bool(abs(left - right) > bound + _TINY * _TINY)
+
     def proportional(self) -> bool:
-        """Whether d and p are parallel over all canonical tuples: by the
-        Cauchy-Schwarz inequality dp**2 <= dd pp, iff equality holds."""
-        dd, dp, pp = self.sums()
+        """Whether d and p are parallel over all canonical tuples.  A
+        tuple's d and p share its scale k, so they are iff D = k d and P =
+        k p are, which by the Cauchy-Schwarz inequality (DP)**2 <= DD PP
+        holds iff equality does, in the unlifted :meth:`sums`.  A filtered
+        kernel first looks for a gap its float estimates decide."""
+        if self.filtered and self._skew():
+            return False
+        dd, dp, pp = self.sums(lifted=False)
         return dp * dp == dd * pp
 
     def terms(self, among: np.ndarray) -> tuple[int, int]:

@@ -129,7 +129,7 @@ def _e_step(view: _Dense, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
     finite (and vanish against the zero counts)."""
     pu, su = _luce(view, u)
     pv, sv = _luce(view, v)
-    return pu, su, pv, sv, a * pu + (1 - a) * pv + ~view.mask
+    return pu, su, pv, sv, a * pu + (1 - a) * pv + view.pad
 
 
 def _loglik(view: _Dense, mix: np.ndarray) -> float:

@@ -42,7 +42,6 @@ from .types import (
     InstabilityTuple,
     InvalidParameterError,
     LamParams,
-    Menu,
     NotIdentifiedError,
     NotLuceError,
     PartiallyIdentifiedError,
@@ -121,9 +120,12 @@ def estimate_alpha(
     rows (see :class:`_Kernel`), over every tuple, of the entries' true
     values, a float64 being a dyadic rational.  The slope subtracts the
     tuples with |p| <= tol again, exactly; ``r_squared`` uses the reported
-    ``raw``, and float mode rounds each of the two once.  The tests against
-    tol, ``best`` and the single-tuple ratio use d and p as evaluated in
-    the tables' arithmetic.
+    ``raw``, and float mode rounds each of the two once.  An exact pair
+    whose d and p are parallel (:meth:`_Kernel.proportional`, from the
+    unweighted sums) skips them: d = raw p on every tuple, so the slope of
+    every usable subset is the ratio at ``best``, and ``r_squared`` is 1.
+    The tests against tol, ``best`` and the single-tuple ratio use d and p
+    as evaluated in the tables' arithmetic.
 
     Raises, in this order, :class:`InvalidParameterError` for an unknown
     strategy, :class:`InsufficientDataError` when the data share no menus,
@@ -155,17 +157,21 @@ def estimate_alpha(
             "no mixture representation exists"
         )
 
-    dd, dp, pp = kernel.sums()
     div = Fraction if exact else operator.truediv  # int / int rounds correctly
-    if strategy == "single-tuple":
+    if exact and kernel.proportional():  # every usable subset's slope, and ss_res = 0
         d_best, p_best = kernel.value(best)
-        raw = d_best / p_best
-    else:  # the sums cover every tuple: take the unusable ones out again
-        out_dp, out_pp = kernel.terms(~usable)
-        raw = div(dp - out_dp, pp - out_pp)
-    # 1 - ss_res / ss_tot, with ss_tot = dd and ss_res = dd - 2 raw dp + raw^2 pp
-    num, den = raw.as_integer_ratio()
-    r_squared = div(num * (2 * den * dp - num * pp), den * den * dd)
+        raw, r_squared = d_best / p_best, Fraction(1)
+    else:
+        dd, dp, pp = kernel.sums()
+        if strategy == "single-tuple":
+            d_best, p_best = kernel.value(best)
+            raw = d_best / p_best
+        else:  # the sums cover every tuple: take the unusable ones out again
+            out_dp, out_pp = kernel.terms(~usable)
+            raw = div(dp - out_dp, pp - out_pp)
+        # 1 - ss_res / ss_tot, with ss_tot = dd and ss_res = dd - 2 raw dp + raw^2 pp
+        num, den = raw.as_integer_ratio()
+        r_squared = div(num * (2 * den * dp - num * pp), den * den * dd)
 
     alpha = raw if exact else min(max(raw, 0.0), 1.0)
     return AlphaEstimate(
@@ -202,7 +208,10 @@ def recover_autonomous(
     ((ad - an) c_S), tested in ints by :func:`choice._compare_tol` as
     entry < 0 - tol, where a float tol is exact: fl(0 - tol) = -tol.
     Any other alpha peels the float64 rows, whose values are the entries'
-    ``float(entry)``, as arithmetic on the Fractions with a float does.
+    ``float(entry)``, as arithmetic on the Fractions with a float does;
+    a clamped entry of exact tables is ``Fraction(0)``.  The peeled arrays
+    become the table's dense view as they are (see
+    :meth:`StochasticChoice._from_rows`).
     """
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
@@ -213,29 +222,28 @@ def recover_autonomous(
     rows, cols = np.nonzero(mask)  # the members, in canonical order
     if c is not None and isinstance(alpha, numbers.Rational):
         an, ad = int(alpha.numerator), int(alpha.denominator)
-        num, den = (ad * a - an * h)[mask], ((ad - an) * c)[rows]
+        entries, scale = ad * a - an * h, (ad - an) * c
+        num, den = entries[mask], scale[rows]
         low = _first_true(_compare_tol(num, 0, eff, den, below=True))
         value = None if low is None else Fraction(num[low], den[low])
-        num[num < 0] = 0  # within tol (when low is None): clamped to 0, as an int
-        cells = map(Fraction, num.tolist(), den.tolist())
     else:
         a, h = _floats(a, c), _floats(h, c)
         auto = (a[mask] - alpha * h[mask]) / (1 - alpha)
-        low, cells = _first_true(auto < -eff), auto.tolist()
-        value = None if low is None else cells[low]
-        cells = [max(p, 0 if exact else 0.0) for p in cells]
-    rows, cols = rows.tolist(), cols.tolist()
+        low, scale = _first_true(auto < -eff), None
+        value = None if low is None else float(auto[low])
+        entries = np.zeros(mask.shape)
+        entries[mask] = auto
     if low is not None:
         raise InconsistentInputsError(
             f"autonomous probability of {universe.alternatives[cols[low]]!r} in "
             f"{universe.sorted_members(menus[rows[low]])} is {value!r}; the pair "
             f"admits no mixture with alpha = {alpha!r}"
         )
-    table: dict[Menu, dict[str, Scalar]] = {}
-    for i, j, p in zip(rows, cols, cells):
-        table.setdefault(menus[i], {})[universe.alternatives[j]] = p
-    try:
-        return StochasticChoice(universe, table, eps_sum=max(rho_ai.eps_sum, 1e-9))
+    try:  # entries within tol below 0 read as 0
+        return StochasticChoice._from_rows(
+            universe, menus, mask, entries, scale, max(rho_ai.eps_sum, 1e-9),
+            Fraction(0) if exact else 0.0,
+        )
     except InvalidParameterError as e:
         raise InconsistentInputsError(str(e)) from None
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -230,6 +230,13 @@ class _Dense:
     entries: np.ndarray
     scale: np.ndarray | None
 
+    @cached_property
+    def pad(self) -> np.ndarray:
+        """1.0 off the menus and 0.0 on them, read-only, built once per view."""
+        pad = (~self.mask).astype(float)
+        pad.flags.writeable = False
+        return pad
+
 
 def _floats(rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
     """Rows of ints over a per-row ``scale`` as float64, float rows as they
@@ -338,29 +345,87 @@ class StochasticChoice(_MenuRows):
             lambda alt, p: Fraction(p) if isinstance(p, int) and not isinstance(p, bool) else p,
         )
         for menu, row in rows:
-            # an exact row is tested in integers, over its lcm of denominators:
-            # no entry is below 0, and it is positive iff its numerator is
+            # an exact row is positive iff its numerators are
             row_exact = all(isinstance(p, Fraction) for p in row.values())
-            eff = 0 if row_exact else self.eps_sum
-            for alt, p in row.items():
-                if not (0 <= p.numerator <= p.denominator if row_exact else -eff <= p <= 1 + eff):
-                    raise InvalidParameterError(  # the float test also rejects NaN
-                        f"probability {p!r} for {alt!r} in menu "
-                        f"{self.universe.sorted_members(menu)} outside [0, 1]"
-                    )
-                if not row_exact and p < 0:
-                    row[alt] = 0.0
-            if _sum_off(row, row_exact, eff):
-                raise InvalidParameterError(
-                    f"row for menu {self.universe.sorted_members(menu)} sums to "
-                    f"{sum(row.values())!r}, not 1"
-                )
+            self._check_row(menu, row, row_exact)
             positive = positive and len(row) == len(menu) and all(
                 (p.numerator if row_exact else p) > 0 for p in row.values()
             )
             exact = exact and row_exact
         object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "is_positive", positive)
+
+    def _check_row(self, menu: Menu, row: dict, row_exact: bool) -> None:
+        """Raise :class:`InvalidParameterError` at the first entry of ``row``
+        off [0, 1], else when the row sums to other than 1.  An exact row is
+        tested in integers, over its lcm of denominators, where no entry is
+        below 0; a float entry below 0 within ``eps_sum`` becomes 0.0."""
+        eff = 0 if row_exact else self.eps_sum
+        for alt, p in row.items():
+            if not (0 <= p.numerator <= p.denominator if row_exact else -eff <= p <= 1 + eff):
+                raise InvalidParameterError(  # the float test also rejects NaN
+                    f"probability {p!r} for {alt!r} in menu "
+                    f"{self.universe.sorted_members(menu)} outside [0, 1]"
+                )
+            if not row_exact and p < 0:
+                row[alt] = 0.0
+        if _sum_off(row, row_exact, eff):
+            raise InvalidParameterError(
+                f"row for menu {self.universe.sorted_members(menu)} sums to "
+                f"{sum(row.values())!r}, not 1"
+            )
+
+    @classmethod
+    def _from_rows(
+        cls, universe: Universe, menus: Sequence[Menu], mask: np.ndarray, entries: np.ndarray,
+        scale: np.ndarray | None, eps_sum: float, zero: Scalar,
+    ) -> StochasticChoice:
+        """The table of ``entries`` at the members ``mask`` marks, over
+        ``menus``, distinct and in canonical order: ints over each menu's
+        ``scale``, or float64 (``scale`` None), 0 off the menus.  An entry
+        below 0, which the caller has held to its tolerance, reads as 0: in
+        float rows as ``zero``, 0.0 or ``Fraction(0)``.
+
+        Each row gets the verdicts of :meth:`_check_row`, taken on the
+        arrays, and the first failing row raises through it.  ``table`` is
+        built once, and the dense view is the arrays themselves, an exact
+        row divided by its gcd with its scale: the lcm of its entries'
+        reduced denominators.
+        """
+        members, low, exact = np.nonzero(mask), entries < 0, scale is not None
+        if exact:
+            entries = np.where(low, 0, entries)
+            off = (entries > scale[:, None]).any(axis=1) | (entries.sum(axis=1) != scale)
+            g = np.gcd(np.gcd.reduce(entries, axis=1), scale)
+            entries, scale = entries // g[:, None], scale // g
+            cells = map(Fraction, entries[mask].tolist(), scale[members[0]].tolist())
+        else:
+            entries = np.where(low, 0.0, entries)
+            with np.errstate(invalid="ignore"):  # NaN is off [0, 1] as well
+                off = (mask & ~((entries >= -eps_sum) & (entries <= 1 + eps_sum))).any(axis=1)
+            cells = entries[mask].astype(object)
+            cells[low[mask]] = zero
+            cells = cells.tolist()
+        names, cells = universe.alternatives, zip(members[1].tolist(), cells)
+        table = {
+            m: {names[j]: p for j, p in islice(cells, k)}
+            for m, k in zip(menus, np.count_nonzero(mask, axis=1).tolist())
+        }
+        self = object.__new__(cls)
+        for name, value in (("universe", universe), ("table", table), ("eps_sum", eps_sum)):
+            object.__setattr__(self, name, value)
+        if not exact:  # summed as __post_init__ sums; a row summing to about 1 is never all clamped
+            off |= [_sum_off(row, False, eps_sum) for row in table.values()]
+        for i in np.flatnonzero(off)[:1]:
+            self._check_row(menus[i], table[menus[i]], exact)  # raises
+        object.__setattr__(self, "is_exact", exact)
+        object.__setattr__(self, "is_positive", bool((entries[mask] > 0).all()))
+        mask.flags.writeable = entries.flags.writeable = False
+        if exact:
+            scale.flags.writeable = False
+        self.__dict__["domain"] = tuple(menus)
+        self.__dict__["_dense"] = _Dense({m: i for i, m in enumerate(menus)}, mask, entries, scale)
+        return self
 
     def has_menu(self, menu: Iterable[str]) -> bool:
         return frozenset(menu) in self.table

@@ -646,6 +646,69 @@ def test_kernel_sums_equal_brute_force(variant):
             ]
 
 
+def wide_scale_pairs():
+    """Exact n = 4 pairs whose menus' scales c_S span more than 40 orders of
+    magnitude: d's utilities have denominators near 10**40, so every menu
+    holding d has a huge c_S and the others small ones.  The mixture, and
+    the same with one AI cell moved by 1/1000."""
+    uni = Universe(tuple("abcd"))
+    u = {"a": F(1), "b": F(2), "c": F(3), "d": F(5) + F(1, 10**40)}
+    v = {"a": F(4), "b": F(1), "c": F(6), "d": F(2) - F(1, 10**41)}
+    ai, human = gen.forward_pair(LamParams.normalized(uni, u, v, F(3, 10)))
+    return [(ai, human), (perturb_exact(ai, random.Random(61), F(1, 1000)), human)]
+
+
+def brute_parallel(rows) -> bool:
+    """Whether d_i p_j = d_j p_i for every two tuples i, j."""
+    return all(d * q == e * p for (*_, d, p), (*_, e, q) in combinations(rows, 2))
+
+
+@pytest.mark.parametrize("screen", ["default", 0])
+@pytest.mark.parametrize("variant", ["clean", "human", "ai", "partial", "zeros", "wide", "tiny"])
+def test_proportional_equals_brute_force(monkeypatch, variant, screen):
+    # d and p are parallel iff the unweighted ints D = k d and P = k p are,
+    # whatever the spread of the tuples' scales k = c_S c_T; float pairs are
+    # judged on the true values of their entries.  A filtered kernel first
+    # looks for a gap its float estimates decide, also on entries below 2**-500
+    if screen == 0:
+        monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
+    rng = random.Random(variant)
+    if variant == "wide":
+        cases = wide_scale_pairs()
+    elif variant == "tiny":
+        cases = [band_case("tiny", rng)[:2] for _ in range(3)]
+        cases.append((perturb_exact(cases[0][0], rng, F(1, 2**600)), cases[0][1]))
+    else:
+        cases = [random_case(rng, n, exact, variant)[:2] for n in (3, 4, 5) for exact in (True, False)]
+    verdicts = []
+    for ai, human in cases:
+        menus = common_menus(ai, human)
+        true = list(scan_rows(ai, menus, human, None if ai.is_exact else exact_value))
+        kernel = _Kernel(ai, menus, human)
+        verdicts.append(kernel.proportional())
+        assert verdicts[-1] == brute_parallel(true)
+        if kernel.exact:  # the unlifted sums are those of D and P
+            k = kernel.evaluate()[2]
+            ints = [(r[4] * c, r[5] * c) for r, c in zip(true, k.tolist())]
+            assert all(d.denominator == p.denominator == 1 for d, p in ints)
+            assert kernel.sums(lifted=False) == tuple(
+                sum(x * y for x, y in pairs) for pairs in (
+                    [(d, d) for d, _ in ints], [(d, p) for d, p in ints], [(p, p) for _, p in ints]
+                )
+            )
+    if variant == "wide":
+        ai, human = cases[0]
+        scales = _Kernel(ai, common_menus(ai, human), human).c
+        assert max(scales) > 10**40 * min(scales)
+        assert verdicts == [True, False]
+    elif variant == "clean":
+        assert verdicts == [True, False] * 3  # float mixtures are not parallel in true values
+    elif variant == "ai":
+        assert not any(verdicts)
+    elif variant == "tiny":
+        assert verdicts == [True, True, True, False]
+
+
 def test_exact_iia_test_agrees_with_scan():
     rng = random.Random(29)
     for n in (3, 4, 5, 6):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import gen
@@ -33,6 +34,7 @@ from lam import (
     sup_distance,
 )
 from lam.choice import _Kernel
+from lam.lab import AlphaEstimate
 from lam.types import resolve_tol
 
 
@@ -827,6 +829,117 @@ def test_exact_bounded_divergence_keeps_the_float_tol_rounding(seed):
     assert (verdict.passed, verdict.witness) == want
     assert want != oracle_divergence(ai, human, tol, exact_difference=True)
     assert want[0] is (seed == 6)
+
+
+def lifted_alpha(ai, human, strategy, tol):
+    """``estimate_alpha`` on an exact pair from the lifted sums and terms,
+    each tuple weighted to the common scale, as every exact pair took it
+    before parallel pairs used their unlifted sums."""
+    kernel = _Kernel(ai, [m for m in ai.domain if human.has_menu(m)], human, resolve_tol(tol, True))
+    [usable] = kernel.masks("usable")
+    best = kernel.top_p(usable)
+    dd, dp, pp = kernel.sums()
+    if strategy == "single-tuple":
+        d_best, p_best = kernel.value(best)
+        raw = d_best / p_best
+    else:
+        out_dp, out_pp = kernel.terms(~usable)
+        raw = F(dp - out_dp, pp - out_pp)
+    num, den = raw.as_integer_ratio()
+    r_squared = F(num * (2 * den * dp - num * pp), den * den * dd)
+    return AlphaEstimate(raw, raw, strategy, kernel.tuple_at(best), r_squared, int(usable.sum()))
+
+
+@pytest.mark.parametrize("strategy", ["least-squares", "single-tuple"])
+@pytest.mark.parametrize("tol", [0, F(1, 1000), 1e-9], ids=repr)
+def test_parallel_exact_pairs_match_the_lifted_sums(strategy, tol):
+    # mixture pairs at n = 3-7 (n >= 6 through the float filter), two each
+    rng = random.Random(97)
+    filtered = 0
+    for n in (3, 4, 5, 6, 7):
+        for _ in range(2):
+            params = gen.random_params(rng, n)
+            ai, human = gen.forward_pair(params)
+            kernel = _Kernel(ai, ai.domain, human)
+            assert kernel.proportional()
+            filtered += kernel.filtered
+            got = estimate_alpha(ai, human, strategy, tol)
+            assert repr(got) == repr(lifted_alpha(ai, human, strategy, tol))
+            assert got.raw == params.alpha and got.r_squared == 1
+    assert filtered == 4
+
+
+def assert_rebuilds(got):
+    """``got`` holds what ``StochasticChoice`` builds from its own table."""
+    want = StochasticChoice(got.universe, got.table, got.eps_sum)
+    assert repr(got.table) == repr(want.table)
+    assert (got.is_exact, got.is_positive, got.domain) == (want.is_exact, want.is_positive, want.domain)
+    g, w = got._dense, want._dense
+    assert g.rows == w.rows and np.array_equal(g.mask, w.mask)
+    assert g.entries.dtype == w.entries.dtype and repr(g.entries.tolist()) == repr(w.entries.tolist())
+    assert repr(None if g.scale is None else g.scale.tolist()) == repr(
+        None if w.scale is None else w.scale.tolist()
+    )
+    assert not (g.mask.flags.writeable or g.entries.flags.writeable)
+
+
+def clamped_peel(ai, human, alpha, zero):
+    """The peeled cells over the shared menus, cell by cell, those below 0
+    set to ``zero``: in Fractions for exact tables and a rational alpha,
+    else on the entries as floats."""
+    exact = ai.is_exact and human.is_exact and not isinstance(alpha, float)
+    table, low = {}, 0
+    for m, _, z in shared_cells(ai, human):
+        a, h = ai.prob(z, m), human.prob(z, m)
+        p = (a - alpha * h) / (1 - alpha) if exact else (float(a) - alpha * float(h)) / (1 - alpha)
+        low += p < 0
+        table.setdefault(m, {})[z] = zero if p < 0 else p
+    return table, low
+
+
+def test_recover_autonomous_equals_its_table_rebuilt(uni3):
+    # exact and float pairs, exact pairs with a float alpha, and tolerances
+    # loose enough that cells just below 0 are clamped: to an exact 0 in
+    # exact tables, also under a float alpha, and to 0.0 in float tables.
+    # A clamped exact row sums above 1 and fails, as does a float row
+    # clamped by more than eps_sum: with the message the rebuilt table gives
+    pairs = [(ai, human, params.alpha) for ai, human, params in exact_pairs()]
+    pairs.append((
+        StochasticChoice(uni3, {("x", "y"): {"x": F(1, 4) - F(1, 10**10), "y": F(3, 4) + F(1, 10**10)}}),
+        StochasticChoice(uni3, {("x", "y"): {"x": F(1, 2), "y": F(1, 2)}}),
+        F(1, 2),
+    ))
+    kept, failed = {"exact": 0, "float alpha": 0, "float": 0}, {"exact": 0, "float alpha": 0, "float": 0}
+    for ai, human, alpha in pairs:
+        if not any(human.has_menu(m) for m in ai.domain):
+            continue
+        runs = [(ai, human, a, kind) for a, kind in (
+            (alpha, "exact"), (alpha + F(1, 1000), "exact"), (F(1, 3), "exact"),
+            (float(alpha), "float alpha"), (float(alpha) + 1e-3, "float alpha"),
+        )]
+        runs += [(ai.as_float(), human.as_float(), a, "float") for a in (float(alpha), float(alpha) + 1e-3)]
+        for a_tab, h_tab, a, kind in runs:
+            eps = max(a_tab.eps_sum, 1e-9)
+            for tol in (None, F(1, 100), 0.05):
+                try:
+                    got = recover_autonomous(a_tab, h_tab, a, tol)
+                except DegenerateDivisionError:
+                    continue
+                except InconsistentInputsError as e:
+                    if str(e).startswith("autonomous probability"):
+                        continue  # below -tol: no table to build
+                    table, low = clamped_peel(a_tab, h_tab, a, 0.0 if kind == "float" else F(0))
+                    with pytest.raises(InvalidParameterError) as want:
+                        StochasticChoice(a_tab.universe, table, eps)
+                    assert str(e) == str(want.value)
+                    failed[kind] += low
+                    continue
+                assert_rebuilds(got)
+                table, low = clamped_peel(a_tab, h_tab, a, 0.0 if kind == "float" else F(0))
+                assert repr(got.table) == repr(table) and got.eps_sum == eps
+                kept[kind] += low
+    assert failed["exact"] and failed["float alpha"] and failed["float"], failed
+    assert kept["float alpha"] and kept["float"] and not kept["exact"], kept
 
 
 # ---------------------------------------------------------------------------
