@@ -288,10 +288,6 @@ _RADIUS = 8 * _U
 #: evaluation: products of two such factors could leave float64's normal range.
 _TINY = 2.0**-500
 
-#: Exact kernels with fewer tuples are evaluated in ints outright, where
-#: the float filter's fixed cost exceeds that of the integer pass.
-_SCREEN_MIN = 1 << 10
-
 
 def _products(f: list) -> tuple[tuple, tuple | None]:
     """The products that d and p of tuples with factors ``f`` (from
@@ -353,15 +349,15 @@ class _Kernel:
     scale, and :func:`_floor_scaled` puts a tolerance on it.
 
     The tests (:meth:`masks`, :meth:`top_p`, :meth:`top_ratio`,
-    :meth:`first_gap`) read every tuple's d and p once, on first use, in
-    the tables' arithmetic for float kernels and exact ones of fewer than
-    ``_SCREEN_MIN`` tuples.  A larger exact kernel is ``filtered`` in
-    floats with an integer fallback (Shewchuk 1997; Fortune & Van Wyk
-    1993): each test is decided on :meth:`estimates` wherever their error
-    radii decide it, and only the undecided tuples, the band, and the
-    candidates of a maximum are evaluated in ints by :meth:`evaluate`, in
-    canonical order.  Every outcome, ties and first-maximum rule
-    included, is that of the integer tests on every tuple.
+    :meth:`first_gap`) read every tuple's d and p once, on first use: a
+    float kernel's in float64, the tables' arithmetic.  An exact kernel
+    is filtered in floats with an integer fallback (Shewchuk 1997;
+    Fortune & Van Wyk 1993): each test is decided on :meth:`estimates`
+    wherever their error radii decide it, and only the undecided tuples,
+    the band, and the candidates of a maximum are evaluated in ints by
+    :meth:`evaluate`, in canonical order.  Every outcome, ties and
+    first-maximum rule included, is that of the integer tests on every
+    tuple.
     """
 
     def __init__(
@@ -376,7 +372,6 @@ class _Kernel:
         self.theirs = theirs[0] if theirs else None
         self.runs, self.starts = _layout(self.universe, self.menus)
         self.eff = eff
-        self.filtered = self.exact and self.starts[-1] >= _SCREEN_MIN
         # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
         # tolerance decides every test as 8 does, and has no float
         self.e, self._known = float(min(eff, 8)), {}
@@ -420,7 +415,8 @@ class _Kernel:
     def evaluate(self, among: np.ndarray | None = None):
         """d, p (None without ``other``) and k (None in float mode) of every
         canonical tuple, or of those ``among`` flags, in canonical order, in
-        the tables' arithmetic: the integer fallback of the filtered tests."""
+        the tables' arithmetic: a float kernel's tests, and the integer
+        fallback of an exact kernel's."""
         empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
         ds, ps, ks = [empty], [empty], [empty]
         for ends, held, f in self._passes(self.mine, self.theirs, among):
@@ -532,12 +528,13 @@ class _Kernel:
         return dd, dp, pp
 
     def _skew(self) -> bool:
-        """Whether a filtered kernel's float estimates prove d and p not
+        """Whether an exact kernel's float estimates prove d and p not
         parallel: with r the tuple of largest |p~|, the largest computed gap
         |d~ p~_r - d~_r p~| exceeds its error bound, which covers both
         tuples' radii, 8u of the products for the rounding of the gap and
-        of the bound, and _TINY**2 for any underflow."""
-        d, p, _, rd, rp = self._scan
+        of the bound, and _TINY**2 for any underflow.  It spares a pair
+        that is not parallel the unlifted sums."""
+        d, p, rd, rp = self._scan
         if not len(p):
             return False
         r = int(np.argmax(np.abs(p)))
@@ -552,9 +549,9 @@ class _Kernel:
         """Whether d and p are parallel over all canonical tuples.  A
         tuple's d and p share its scale k, so they are iff D = k d and P =
         k p are, which by the Cauchy-Schwarz inequality (DP)**2 <= DD PP
-        holds iff equality does, in the unlifted :meth:`sums`.  A filtered
+        holds iff equality does, in the unlifted :meth:`sums`.  An exact
         kernel first looks for a gap its float estimates decide."""
-        if self.filtered and self._skew():
+        if self.exact and self._skew():
             return False
         dd, dp, pp = self.sums(lifted=False)
         return dp * dp == dd * pp
@@ -580,19 +577,18 @@ class _Kernel:
 
     @cached_property
     def _scan(self) -> tuple:
-        """(d, p, k, rd, rp) of every tuple as the tests read them: in the
-        tables' arithmetic, radii None, or a filtered kernel's float
-        estimates and their radii, k None."""
-        if not self.filtered:
-            return (*self.evaluate(), None, None)
-        d, p, rd, rp = self.estimates()
-        return d, p, None, rd, rp
+        """(d, p, rd, rp) of every tuple as the tests read them: an exact
+        kernel's float estimates and their radii, or a float kernel's d
+        and p, radii None."""
+        if self.exact:
+            return self.estimates()
+        return (*self.evaluate()[:2], None, None)
 
     def _filter(self, name: str):
         """The float filter of test ``name`` of :func:`_tests`; each margin
         adds 4u or 8u of the operands to the radii for the rounding of the
         test's own arithmetic and of ``eff``."""
-        (d, p, _, rd, rp), e = self._scan, self.e
+        (d, p, rd, rp), e = self._scan, self.e
         ad = np.abs(d)
         big = _sure(ad - e, rd + 4 * _U * (ad + e))
         if name == "big":
@@ -609,9 +605,9 @@ class _Kernel:
 
     def masks(self, *names: str) -> list[np.ndarray]:
         """The masks of the tests ``names`` of :func:`_tests` over every tuple."""
-        if not self.filtered:
-            d, p, k, _, _ = self._scan
-            return _tests(d, p, k, self.eff, names)
+        if not self.exact:
+            d, p, _, _ = self._scan
+            return _tests(d, p, None, self.eff, names)
         with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
             tris = [self._filter(name) for name in names]
         out = [yes.copy() for yes, _ in tris]
@@ -637,17 +633,17 @@ class _Kernel:
 
     def top_p(self, among: np.ndarray | None = None) -> int | None:
         """The first tuple with the largest |p| among the flagged ones (all by default)."""
-        _, p, k, _, rp = self._scan
+        _, p, _, rp = self._scan
         ap = np.abs(p)
-        if not self.filtered:
-            return _running_max(ap, k, among)
+        if not self.exact:
+            return _running_max(ap, among=among)
         return self._top(ap - rp, ap + rp, among, lambda d, p, k: (np.abs(p), k))
 
     def top_ratio(self, among: np.ndarray) -> int | None:
         """The first tuple with the largest |d|/|p| among the flagged ones."""
-        d, p, _, rd, rp = self._scan
+        d, p, rd, rp = self._scan
         ad, ap = np.abs(d), np.abs(p)
-        if not self.filtered:
+        if not self.exact:
             return _running_max(ad, ap, among)
         with np.errstate(divide="ignore", invalid="ignore"):
             under = ap - rp
@@ -659,12 +655,11 @@ class _Kernel:
         """The first tuple whose proportionality gap with tuple ``ref``,
         d p_ref - d_ref p, exceeds ``eff`` in magnitude."""
         d_ref, p_ref, k_ref = self.raw(ref)
-        d, p, k, rd, rp = self._scan
-        if not self.filtered:
+        d, p, rd, rp = self._scan
+        if not self.exact:
             gap = d * p_ref
             gap -= d_ref * p
-            bound = _floor_scaled(self.eff, None if k_ref is None else k * k_ref)
-            return _first_true(np.abs(gap) > bound)
+            return _first_true(np.abs(gap) > self.eff)
         dr, pr = d_ref / k_ref, p_ref / k_ref  # int / int rounds correctly
         left, right = d * pr, dr * p
         with np.errstate(invalid="ignore"):
@@ -681,9 +676,9 @@ class _Kernel:
 
     def raw(self, i: int):
         """d, p and k of tuple i as evaluated: ints over k, or floats and None."""
-        d, p, k, _, _ = self._scan
-        if not self.filtered:
-            return d[i], p[i], None if k is None else k[i]
+        d, p, _, _ = self._scan
+        if not self.exact:
+            return d[i], p[i], None
         if i not in self._known:
             one = np.zeros(len(d), bool)
             one[i] = True

@@ -52,6 +52,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Literal, Mapping
 
+import numpy as np
+
 from .choice import _residual, satisfies_iia
 from .types import (
     GapUndefinedError,
@@ -248,22 +250,60 @@ def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
     return out
 
 
+#: A leading float coefficient at most this far below the largest is dropped.
+_TRIM = 1e-14
+
+
 def _float_real_roots(coeffs: list[float]) -> list[float]:
     """Real roots of an ascending-coefficient polynomial via the companion matrix."""
-    import numpy as np
-
     biggest = max(abs(c) for c in coeffs)
     if biggest == 0:
         return []
     work = [c for c in coeffs]
-    while len(work) > 1 and abs(work[-1]) <= 1e-14 * biggest:
+    while len(work) > 1 and abs(work[-1]) <= _TRIM * biggest:
         work.pop()
     if len(work) <= 1:
         return []
-    roots = np.roots(list(reversed(work)))
-    return sorted(
-        float(z.real) for z in roots if abs(z.imag) <= 1e-8 * (1 + abs(z))
-    )
+    return _real(np.roots(list(reversed(work))))
+
+
+def _real(roots) -> list[float]:
+    """The real parts of the roots within 1e-8 of the real axis, sorted."""
+    return sorted(float(z.real) for z in roots if abs(z.imag) <= 1e-8 * (1 + abs(z)))
+
+
+def _cubic_seeds(work: list[int], num: int, den: int) -> list[float]:
+    """Float seeds for the real roots of the int cubic ``work``: those of
+    the rational cubic, ``work`` times num / den, in floats.
+
+    Where those float coefficients lose the degree, the leading one
+    dropped as negligible beside the others or 0 past float range, the
+    seeds come from the cubic in m = k / 2**s instead, s just large
+    enough that the leading coefficient bounds every other: each
+    coefficient over the leading one is then at most 1 in magnitude, and
+    every root m at most 2.  The smallest root is taken from Vieta's
+    product of the roots, which keeps its relative accuracy however far
+    below the others it lies.  A seed k = m 2**s past float range reads
+    +-inf.
+    """
+    floats = [c * num / den for c in work]
+    if abs(floats[3]) > _TRIM * max(map(abs, floats)):
+        return _float_real_roots(floats)
+    lead = work[3]
+    # |c_i| / |c_3| < 2**(bits(c_i) - bits(c_3) + 1) <= 2**(s (3 - i))
+    s = max((-((lead.bit_length() - c.bit_length() - 1) // (3 - i))
+             for i, c in enumerate(work[:3]) if c), default=0)
+    q = [(c << max(0, -s * (3 - i))) / (lead << max(0, s * (3 - i))) for i, c in enumerate(work)]
+    roots = sorted(np.roots(q[::-1]), key=abs)
+    if roots[1] * roots[2]:  # -q0 = r1 r2 r3
+        roots[0] = -q[0] / (roots[1] * roots[2])
+    seeds = []
+    for m in _real(roots):
+        try:
+            seeds.append(math.ldexp(m, s))
+        except OverflowError:
+            seeds.append(math.copysign(math.inf, m))
+    return seeds
 
 
 def _snap_rational_root(coeffs: list[int], seed: float) -> Fraction | None:
@@ -344,9 +384,9 @@ def _exact_roots(
             roots.extend([Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)])
             work = [work[2]]
         else:
-            seeds = _float_real_roots([c * num / den for c in work])
+            seeds = _cubic_seeds(work, num, den)
             snapped = None
-            for seed in seeds:
+            for seed in filter(math.isfinite, seeds):
                 snapped = _snap_rational_root(work, seed)
                 if snapped is not None:
                     break

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, fields
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Literal, Mapping, get_args
 
@@ -66,6 +67,17 @@ __all__ = [
 
 AlphaStrategy = Literal["single-tuple", "least-squares"]
 _DISJOINT = "the AI and human data share no menus"
+
+
+def _show(x: Scalar) -> str:
+    """repr(x) for a message, or 17 significant digits of a Fraction whose
+    numerator or denominator is past Python's int-to-str digit limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        with localcontext() as ctx:
+            ctx.prec = 17
+            return f"~{Decimal(x.numerator) / Decimal(x.denominator)}"
 
 
 def _check_strategy(strategy: str) -> None:
@@ -236,8 +248,8 @@ def recover_autonomous(
     if low is not None:
         raise InconsistentInputsError(
             f"autonomous probability of {universe.alternatives[cols[low]]!r} in "
-            f"{universe.sorted_members(menus[rows[low]])} is {value!r}; the pair "
-            f"admits no mixture with alpha = {alpha!r}"
+            f"{universe.sorted_members(menus[rows[low]])} is {_show(value)}; the pair "
+            f"admits no mixture with alpha = {_show(alpha)}"
         )
     try:  # entries within tol below 0 read as 0
         return StochasticChoice._from_rows(
@@ -329,7 +341,7 @@ def identify_lab(
         return result("point-identified", u=u, params=params, auto=rho_ai)
 
     if est.raw < -eff or est.raw > 1 + eff:
-        return result("inconsistent", f"estimated compliance {est.raw!r} falls outside [0, 1]")
+        return result("inconsistent", f"estimated compliance {_show(est.raw)} falls outside [0, 1]")
 
     try:
         rho_a = recover_autonomous(rho_ai, rho_h, est.alpha, tol=eff)
@@ -340,7 +352,7 @@ def identify_lab(
     params = LamParams(rho_ai.universe, u, v, est.alpha, anchor)
     residual = _residual(params, rho_ai)
     if residual > eff:
-        return result("inconsistent", f"recovered parameters miss the AI data by {residual!r}")
+        return result("inconsistent", f"recovered parameters miss the AI data by {_show(residual)}")
     return result("point-identified", u=u, params=params, est=est, auto=rho_a)
 
 
@@ -398,7 +410,7 @@ def check_axioms(
     Human IIA reports the first canonical violation.  The other conditions
     come from the canonical tuples of the common menus, tested as
     :class:`choice._Kernel` tests them (in floats with an integer fallback
-    on large exact data), with proportionality and bounded divergence in
+    on exact data), with proportionality and bounded divergence in
     slope form: against the tuples with the largest composite instability
     and the largest own-to-composite ratio, which is equivalent to comparing
     every pair of tuples and testing every tuple's ratio.
@@ -433,12 +445,12 @@ def check_axioms(
     # largest own-to-composite ratio.  Exact d and p are parallel over all
     # tuples iff dd pp = dp**2 (Cauchy-Schwarz); then every gap vanishes and
     # every usable tuple has the same ratio, so the first is the binding one.
-    # A filtered kernel tests this first: on mixture data every gap is 0
-    # and every ratio tied, which no float filter can decide.
+    # An exact kernel tests this first: on mixture data every gap is 0 and
+    # every ratio tied, which no float filter can decide.
     big, usable, dominated = kernel.masks("big", "usable", "dominated")
     undominated = _first_true(~dominated)
     vanishing = _first_true(~usable & big)
-    if kernel.filtered and kernel.proportional():
+    if kernel.exact and kernel.proportional():
         bad, binding = None, _first_true(usable)
     else:
         ref, binding = kernel.top_p(), kernel.top_ratio(usable)

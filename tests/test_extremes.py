@@ -4,27 +4,37 @@ Tables on three or four alternatives draw their cells from zeros,
 subnormals, values near 1e-300 and 2**-1060, and entries that round to
 within an ulp of 1, over full and partial menu designs.  Each pair goes
 through the lab, axiom, IIA and field entry points in both scalar modes,
-at several tolerances, and with the exact lab kernel both evaluated
-outright and filtered in floats.
+at several tolerances.
+
+Mixture pairs on three or four alternatives draw their parameters from
+the edges of the model: utilities from 1e-300 to 1e300, compliance
+within 1e-12 of 0, 1/2 and 1, aligned and near-aligned alternatives, and
+rows that omit a member.  Each pair goes through the lab, axiom and field
+entry points in both scalar modes, and its parameters through simulation
+and a short EM fit.  In exact mode every identification cubic of odd
+degree that is not identically zero names a root.
 """
 
-from contextlib import nullcontext
+import warnings
 from fractions import Fraction as F
-from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lam import (
     LamError,
+    LamParams,
     StochasticChoice,
     Universe,
     check_axioms,
+    fit_mle,
     identify_field,
     identify_lab,
     iia_violations,
+    lam_table,
+    luce_table,
+    simulate_counts,
 )
-from lam import choice
 
 #: Row weights before normalisation: 0, the smallest subnormal, a value
 #: below float's subnormal range, values near 1e-300, a weight that leaves
@@ -70,13 +80,114 @@ def calls(ai, human, tol):
 @given(pairs())
 def test_extreme_tables_return_or_raise_a_lam_error(pair):
     ai, human = pair
-    runs = [(ai, human, nullcontext()), (ai, human, mock.patch.object(choice, "_SCREEN_MIN", 0)),
-            (ai.as_float(), human.as_float(), nullcontext())]
-    for a, h, screen in runs:
-        with screen:
-            for tol in TOLS:
-                for call in calls(a, h, tol):
-                    try:
-                        call()
-                    except LamError:
-                        pass
+    for a, h in ((ai, human), (ai.as_float(), human.as_float())):
+        for tol in TOLS:
+            for call in calls(a, h, tol):
+                try:
+                    call()
+                except LamError:
+                    pass
+
+
+#: Utility mantissas and powers of ten: 1e-300 to 1e300.
+MANTISSAS = (1, 2, 3, 7)
+EXPONENTS = (-300, -150, -20, -1, 0, 1, 20, 150, 300)
+
+#: Offsets of compliance from 0, 1/2 and 1: 1e-12 and far below it.
+OFFSETS = (F(0), F(1, 10**12), F(1, 10**15), F(1, 10**40))
+
+
+@st.composite
+def mixtures(draw):
+    """Mixture parameters and the (AI, human) pair they give over every menu,
+    as ``gen.forward_pair`` builds it, with some rows then omitting a member."""
+    n = draw(st.sampled_from((3, 4)))
+    universe = Universe(tuple("abcd"[:n]))
+
+    def utility():
+        return draw(st.sampled_from(MANTISSAS)) * F(10) ** draw(st.sampled_from(EXPONENTS))
+
+    u, v = {"a": F(1)}, {"a": F(1)}
+    for alt in universe.alternatives[1:]:
+        u[alt] = utility()
+        kind = draw(st.sampled_from(("free", "aligned", "near")))
+        v[alt] = utility() if kind == "free" else u[alt] * (1 + (kind == "near") * F(1, 10**12))
+    center = draw(st.sampled_from((F(0), F(1, 2), F(1))))
+    offset = draw(st.sampled_from(OFFSETS))
+    alpha = center + offset if center < 1 else center - offset
+    if center == F(1, 2) and draw(st.booleans()):
+        alpha = center - offset
+    params = LamParams(universe, u, v, alpha, "a")
+    menus = universe.all_menus(2)
+    ai, human = lam_table(params, menus), luce_table(universe, u, menus)
+
+    def omit(rho):
+        """Leave one member out of some rows of three or more, renormalised."""
+        table = {m: dict(row) for m, row in rho.table.items()}
+        for menu in menus:
+            if len(menu) >= 3 and draw(st.integers(0, 3)) == 0:
+                del table[menu][draw(st.sampled_from(universe.sorted_members(menu)))]
+                total = sum(table[menu].values())
+                table[menu] = {a: p / total for a, p in table[menu].items()}
+        return StochasticChoice(universe, table)
+
+    return params, omit(ai), omit(human)
+
+
+def named_roots(result) -> None:
+    """Every candidate set of an exact field result whose cubic is not
+    identically zero at tol and has odd degree names a root."""
+    for sets in result.candidates.values():
+        for cs in sets:
+            degree = max((i for i, c in enumerate(cs.poly.coefficients()[::-1]) if c), default=0)
+            if not cs.case2 and degree % 2:
+                assert cs.admissible or cs.rejected, cs
+
+
+def returns_or_raises(call, exact: bool) -> None:
+    """``call`` returns or raises a LamError; the only warning it may issue
+    is the EM step's at a boundary compliance."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except LamError:
+            result = None
+    for w in caught:
+        assert w.category is RuntimeWarning and str(w.message).startswith(
+            "alpha is at a boundary"), w
+    if exact and hasattr(result, "candidates"):
+        named_roots(result)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mixtures())
+def test_extreme_mixtures_return_or_raise_a_lam_error(case):
+    params, ai, human = case
+    for a, h, exact in ((ai, human, True), (ai.as_float(), human.as_float(), False)):
+        returns_or_raises(lambda: identify_lab(a, h, "a"), exact)
+        returns_or_raises(lambda: check_axioms(a, h), exact)
+        returns_or_raises(lambda: identify_field(a, "a"), exact)
+    counts = simulate_counts(params, params.universe.all_menus(2), 50, 0)
+    returns_or_raises(lambda: fit_mle(counts, inits=2, max_iter=5), False)
+
+
+def test_lab_message_past_the_int_digit_limit():
+    # compliance 1e-12 on utilities near 1e-300 with one near-aligned
+    # alternative, and an AI row that omits b: the peeled cell the
+    # least-squares alpha rejects has over 4300 digits, so the reason shows
+    # it to 17 significant digits
+    universe, tiny = Universe(tuple("abcd")), F(1, 10**300)
+    u = {"a": F(1), "b": tiny, "c": tiny, "d": tiny}
+    v = {**u, "d": tiny * (1 + F(1, 10**12))}
+    params = LamParams(universe, u, v, F(1, 10**12), "a")
+    menus = universe.all_menus(2)
+    ai, human = lam_table(params, menus), luce_table(universe, u, menus)
+    table = {m: dict(row) for m, row in ai.table.items()}
+    row = table[frozenset("abc")]
+    del row["b"]
+    table[frozenset("abc")] = {a: p / (row["a"] + row["c"]) for a, p in row.items()}
+    result = identify_lab(StochasticChoice(universe, table), human, "a")
+    assert result.status == "inconsistent"
+    assert "('a', 'b', 'c') is ~-1.0000000000010000E-312;" in result.reason

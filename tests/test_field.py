@@ -655,6 +655,21 @@ def test_irrational_stand_ins_past_float_range():
     assert signs == {True, False}
 
 
+@pytest.mark.parametrize("spec", [ODDS_PAST_FLOAT_RANGE, CUBIC_UNDER_FLOAT_RANGE])
+def test_cubic_whose_float_coefficients_lose_its_degree_names_its_roots(spec):
+    # b's exact cubic has degree 3, but its float coefficients underflow:
+    # the seeds come from the cubic in k / 2**s, and each finite stand-in
+    # lies within a relative 1e-10 of a root
+    (b_set,) = identify_field(extreme_table(spec), "a").candidates["b"]
+    assert not b_set.case2 and b_set.poly.c3 != 0
+    assert [float(c) for c in b_set.poly.coefficients()][0] == 0
+    assert b_set.admissible or b_set.rejected
+    for r in b_set.rejected:
+        if math.isfinite(r.value) and r.value:
+            signs = {b_set.poly.evaluate(F(r.value) * (1 + s * F(1, 10**10))) > 0 for s in (-1, 1)}
+            assert signs == {True, False}
+
+
 def test_float_real_roots_of_vanishing_coefficients():
     from lam.field import _float_real_roots
 

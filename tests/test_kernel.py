@@ -31,6 +31,8 @@ from lam import (
     check_axioms,
     composite_instability,
     estimate_alpha,
+    identify_field,
+    identify_lab,
     iia_violations,
     instability_tuples,
     lam_table,
@@ -420,22 +422,18 @@ def test_kernel_matches_oracle_across_passes(monkeypatch):
 def test_kernel_matches_oracle_at_seven_alternatives(perturbed):
     # n = 7, the size of the benchmark's exact pairs, on a random half of
     # the menus (the oracle takes 3-5 s on all of them): a mixture pair and
-    # one with a perturbed AI cell, both screened in floats by default
+    # one with a perturbed AI cell
     rng = random.Random(f"7-{perturbed}")
     params = gen.random_params(rng, 7)
     menus = [m for m in params.universe.all_menus(2) if rng.random() < 0.5]
     ai, human = lam_table(params, menus), luce_table(params.universe, params.u, menus)
     if perturbed:
         ai = perturb_exact(ai, rng)
-    assert _Kernel(ai, common_menus(ai, human), human).starts[-1] >= choice._SCREEN_MIN
     assert_matches_oracle(ai, human, params.anchor, None)
 
 
 @pytest.mark.parametrize("n, variant", [(n, v) for n in (4, 5) for v in VARIANTS])
-def test_filtered_screen_matches_oracle(monkeypatch, n, variant):
-    # small exact kernels through the float filter too; from n = 6 on,
-    # CASES take it by default
-    monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
+def test_filtered_screen_matches_oracle(n, variant):
     assert_matches_oracle(*random_case(random.Random(f"filtered-{n}-{variant}"), n, True, variant))
 
 
@@ -468,7 +466,6 @@ def test_band_tuples_take_the_integer_fallback(monkeypatch, name):
     # the outputs match the oracle, and the integer fallback evaluated more
     # than the single tuple of a decided maximum: trusting the float filter
     # on these tuples would skip it
-    monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
     flagged, evaluate = [], _Kernel.evaluate
 
     def spy(self, among=None):
@@ -481,10 +478,34 @@ def test_band_tuples_take_the_integer_fallback(monkeypatch, name):
     assert max(flagged, default=0) > 1
 
 
-def test_filtered_kernel_with_no_usable_tuple(monkeypatch):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_kernels_evaluate_only_flagged_tuples(monkeypatch, n):
+    # an exact kernel decides its tests on the float estimates: the integer
+    # evaluation sees the band and the candidates of a maximum, never a
+    # full pass over every tuple
+    flags, evaluate = [], _Kernel.evaluate
+
+    def spy(self, among=None):
+        if self.exact:
+            flags.append(among)
+        return evaluate(self, among)
+
+    monkeypatch.setattr(_Kernel, "evaluate", spy)
+    rng = random.Random(f"flagged-{n}")
+    params = gen.random_params(rng, n)
+    ai, human = gen.forward_pair(params)
+    for a, h in ((ai, human), (perturb_exact(ai, rng), human), (ai, perturb_exact(human, rng))):
+        identify_lab(a, h, params.anchor)
+        check_axioms(a, h)
+        iia_violations(a)
+        if n > 3:
+            identify_field(a, params.anchor)
+    assert flags and all(among is not None for among in flags)
+
+
+def test_filtered_kernel_with_no_usable_tuple():
     # a tolerance of 1 is above every |p| of this perturbed pair, whose d and
     # p are not parallel: the filtered ratio maximum has no tuple to pick
-    monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
     ai, human, _, _ = random_case(random.Random("no-usable"), 4, True, "ai")
     assert not _Kernel(ai, common_menus(ai, human), human).proportional()
     report = check_axioms(ai, human, F(1))
@@ -663,15 +684,12 @@ def brute_parallel(rows) -> bool:
     return all(d * q == e * p for (*_, d, p), (*_, e, q) in combinations(rows, 2))
 
 
-@pytest.mark.parametrize("screen", ["default", 0])
 @pytest.mark.parametrize("variant", ["clean", "human", "ai", "partial", "zeros", "wide", "tiny"])
-def test_proportional_equals_brute_force(monkeypatch, variant, screen):
+def test_proportional_equals_brute_force(variant):
     # d and p are parallel iff the unweighted ints D = k d and P = k p are,
     # whatever the spread of the tuples' scales k = c_S c_T; float pairs are
-    # judged on the true values of their entries.  A filtered kernel first
+    # judged on the true values of their entries.  An exact kernel first
     # looks for a gap its float estimates decide, also on entries below 2**-500
-    if screen == 0:
-        monkeypatch.setattr(choice, "_SCREEN_MIN", 0)
     rng = random.Random(variant)
     if variant == "wide":
         cases = wide_scale_pairs()
