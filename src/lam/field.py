@@ -44,7 +44,6 @@ with full diagnostics instead of guessing.
 
 from __future__ import annotations
 
-import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -250,12 +249,13 @@ def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
     return out
 
 
-#: A leading float coefficient at most this far below the largest is dropped.
+#: Float mode: a leading coefficient at most this far below the largest is dropped.
 _TRIM = 1e-14
 
 
 def _float_real_roots(coeffs: list[float]) -> list[float]:
-    """Real roots of an ascending-coefficient polynomial via the companion matrix."""
+    """Float mode: real roots of an ascending-coefficient polynomial via the
+    companion matrix."""
     biggest = max(abs(c) for c in coeffs)
     if biggest == 0:
         return []
@@ -268,133 +268,190 @@ def _float_real_roots(coeffs: list[float]) -> list[float]:
 
 
 def _real(roots) -> list[float]:
-    """The real parts of the roots within 1e-8 of the real axis, sorted."""
+    """Float mode: the real parts of the roots within 1e-8 of the real axis, sorted."""
     return sorted(float(z.real) for z in roots if abs(z.imag) <= 1e-8 * (1 + abs(z)))
 
 
-def _cubic_seeds(work: list[int], num: int, den: int) -> list[float]:
-    """Float seeds for the real roots of the int cubic ``work``: those of
-    the rational cubic, ``work`` times num / den, in floats.
+def _ratio(p: int, q: int) -> float:
+    """p / q correctly rounded, as int true division is; +-inf past float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if (p < 0) == (q < 0) else -math.inf
 
-    Where those float coefficients lose the degree, the leading one
-    dropped as negligible beside the others or 0 past float range, the
-    seeds come from the cubic in m = k / 2**s instead, s just large
-    enough that the leading coefficient bounds every other: each
-    coefficient over the leading one is then at most 1 in magnitude, and
-    every root m at most 2.  The smallest root is taken from Vieta's
-    product of the roots, which keeps its relative accuracy however far
-    below the others it lies.  A seed k = m 2**s past float range reads
-    +-inf.
+
+def _bound(coeffs: list[int]) -> int:
+    """An e with every root of the int polynomial ``coeffs`` (ascending, both
+    ends nonzero) below 2**e in modulus: Fujiwara's bound, as each
+    |c_i / c_n| < 2**((e - 1)(n - i))."""
+    n, top = len(coeffs) - 1, abs(coeffs[-1]).bit_length()
+    return 1 + max(-((top - c.bit_length() - 1) // (n - i)) for i, c in enumerate(coeffs[:-1]) if c)
+
+
+def _quadratic_stand_ins(c0: int, c1: int, c2: int, disc: int) -> list[float]:
+    """The correctly rounded irrational roots q / c2 and c0 / q of an int
+    quadratic, with q = -(c1 + sgn(c1) sqrt(disc)) / 2 free of cancellation.
+    sqrt(disc) 2**m lies strictly between s = isqrt(disc 4**m) and s + 1;
+    m doubles from 64 until both ends of each root's bracket round alike."""
+    m, sign = 64, 1 if c1 >= 0 else -1
+    while True:
+        s = math.isqrt(disc << 2 * m)
+        ends = {(_ratio(q, c2 << m + 1), _ratio(c0 << m + 1, q))  # q 2**(m + 1) for q
+                for q in (-(c1 << m) - sign * s, -(c1 << m) - sign * (s + 1))}
+        if len(ends) == 1:
+            return list(ends.pop())
+        m *= 2
+
+
+def _cubic_root(work: list[int]) -> tuple[Fraction | None, list[float]]:
+    """A rational root of the int cubic ``work`` (ascending, c0 nonzero), or
+    None and the correctly rounded floats of its real roots, all irrational.
+
+    Sturm's chain P, P', a k + b, s3 is built in closed form.  A repeated
+    root is rational: -c2 / (3 c3), or -b / a where s3 = 0.  Otherwise the
+    chain's sign changes V count the roots, all between 2**-e0 and 2**e in
+    modulus (Fujiwara's bound on P and on its reversal), from V at -inf, 0
+    and inf.  Those bounds and dyadic roundings of the roots of P' isolate
+    the roots, the grid refined until they do, and ``_refine_root`` refines
+    them: the middle one of three last, as on mixture data it is mostly the
+    spurious root, with the largest denominator.
     """
-    floats = [c * num / den for c in work]
-    if abs(floats[3]) > _TRIM * max(map(abs, floats)):
-        return _float_real_roots(floats)
-    lead = work[3]
-    # |c_i| / |c_3| < 2**(bits(c_i) - bits(c_3) + 1) <= 2**(s (3 - i))
-    s = max((-((lead.bit_length() - c.bit_length() - 1) // (3 - i))
-             for i, c in enumerate(work[:3]) if c), default=0)
-    q = [(c << max(0, -s * (3 - i))) / (lead << max(0, s * (3 - i))) for i, c in enumerate(work)]
-    roots = sorted(np.roots(q[::-1]), key=abs)
-    if roots[1] * roots[2]:  # -q0 = r1 r2 r3
-        roots[0] = -q[0] / (roots[1] * roots[2])
-    seeds = []
-    for m in _real(roots):
-        try:
-            seeds.append(math.ldexp(m, s))
-        except OverflowError:
-            seeds.append(math.copysign(math.inf, m))
-    return seeds
+    c0, c1, c2, c3 = work
+    deriv, sg = [c1, 2 * c2, 3 * c3], 1 if c3 > 0 else -1
+    a, b = sg * (2 * c2 * c2 - 6 * c1 * c3), sg * (c1 * c2 - 9 * c0 * c3)
+    s3 = -(3 * c3 * b * b - 2 * c2 * a * b + c1 * a * a)  # -P'(-b / a) a**2
+    if not s3:
+        return (Fraction(-b, a) if a else Fraction(-c2, 3 * c3)), []
+
+    def changes(*values: int) -> int:
+        values = [v for v in values if v]
+        return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
+
+    top, bottom = changes(sg, sg, a or b, s3), changes(-sg, sg, -a or b, s3)
+    zero = changes(c0, c1, b, s3)
+    e, e0, d = _bound(work), _bound(work[::-1]), c2 * c2 - 3 * c3 * c1  # d: P''s discriminant / 4
+    m = max(0, -e, e0, abs(c3).bit_length() - d.bit_length() // 2 + 4)
+    while True:
+        points = {-1 << e + m: bottom, -1 << m - e0: zero, 1 << m - e0: zero, 1 << e + m: top}
+        if bottom - top == 3:
+            r = math.isqrt(d << 2 * m)
+            for x in ((t - (c2 << m)) // (3 * c3) for t in (-r, r)):
+                p = _hom_eval(work, x, 1 << m)
+                if not p:
+                    return Fraction(x, 1 << m), []
+                points[x] = changes(p, _hom_eval(deriv, x, 1 << m), a * x + (b << m), s3)
+        ends = sorted(points.items())
+        isolated = [(lo, hi) for (lo, u), (hi, v) in zip(ends, ends[1:]) if u > v]
+        if len(isolated) == bottom - top:
+            break
+        m = 2 * m + 1
+    stand_ins = []
+    for lo, hi in isolated[::2] + isolated[1::2]:
+        root = _refine_root(work, lo, hi, m)
+        if isinstance(root, Fraction):
+            return root, []
+        stand_ins.append(root)
+    return None, stand_ins
 
 
-def _snap_rational_root(coeffs: list[int], seed: float) -> Fraction | None:
-    """Reconstruct an exact rational root of an int polynomial from a float
-    approximation.
+def _refine_root(work: list[int], lo: int, hi: int, m: int) -> Fraction | float:
+    """The root of the int cubic ``work`` isolated in (lo, hi) / 2**m: a
+    Fraction if it is rational, else its correctly rounded float.
 
-    Runs exact Newton steps from the seed (rounding iterates to keep
-    denominators bounded) and tries snapping to small-denominator
-    rationals after each step, verifying candidates in ints.
+    Bracketed Newton on a dyadic grid, one probe of P per step: Newton's
+    iterate from the last probe, or else from the other end, on a grid of
+    about 16 times its expected error |P''| P**2 / (2 |P'|**3), moved a
+    grid step past the root so that probes alternate sides.  Ends of one
+    sign a factor 4 apart split in bits, and a bracket that both iterates
+    would leave, or that the last two steps did not halve, splits in two.
+
+    A rational root p/q has q | c3, so two lie 1 / c3**2 apart or more: the
+    midpoint's closest fraction with denominator at most min(|c3|,
+    isqrt(1 / width)) is the root if its q is that small (Legendre).  It is
+    tested after a Newton step once that bound has squared, up to 2**64,
+    and once it is |c3|; then an irrational root is refined until both
+    ends of the bracket round to one float.
     """
-    ladder = (10**4, 10**6, 10**9, 10**12, 10**15)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    x = Fraction(seed).limit_denominator(10**15)
-    for _ in range(6):
-        for cap in ladder:
-            cand = x.limit_denominator(cap)
-            if _hom_eval(coeffs, cand.numerator, cand.denominator) == 0:
-                return cand
-        n, d = x.numerator, x.denominator
-        fx = _hom_eval(coeffs, n, d)  # d**3 P(x)
-        if fx == 0:
-            return x
-        dfx = _hom_eval(deriv, n, d)  # d**2 P'(x)
-        if dfx == 0:
+    c2, c3 = work[2:]
+    deriv = [work[1], 2 * c2, 3 * c3]
+    x, fx = lo, _hom_eval(work, lo, 1 << m)  # the last probe, P(x) 8**m
+    side, logs, tested = fx > 0, [], 0  # logs: the widths' bits before the last two steps
+
+    def newton(x: int, fx: int) -> tuple[int, int] | None:
+        if not (fd := _hom_eval(deriv, x, 1 << m)):  # P'(x) 4**m
             return None
-        x = Fraction(n * dfx - fx, d * dfx).limit_denominator(10**40)
-    return None
+        curv = 6 * c3 * x + (c2 << m + 1)  # P''(x) 2**m
+        n = max(m, m + 6 - (hi - lo).bit_length(),
+                m + 3 * fd.bit_length() - 2 * fx.bit_length() - curv.bit_length() - 3)
+        g = ((x * fd - fx) << n - m) // fd + (2 if x == lo else -1)
+        return (g, n) if lo << n - m < g < hi << n - m else None
+
+    while True:
+        step = None
+        if 0 < 4 * lo < hi or hi < 0 and lo < 4 * hi:
+            t = 1 << (abs(lo).bit_length() + abs(hi).bit_length() - 1) // 2
+            t, k = (t if lo > 0 else -t), m
+        else:
+            if len(logs) < 2 or (hi - lo).bit_length() - m < logs[0]:
+                y = lo + hi - x  # the other end
+                step = newton(x, fx) or newton(y, _hom_eval(work, y, 1 << m))
+            t, k = step or (lo + hi, m + 1)
+        logs = logs[-1:] + [(hi - lo).bit_length() - m]
+        lo, hi, m = lo << k - m, hi << k - m, k
+        x, fx = t, _hom_eval(work, t, 1 << m)
+        if not fx:
+            return Fraction(t, 1 << m)
+        lo, hi = (t, hi) if (fx > 0) == side else (lo, t)
+        if tested != abs(c3):
+            bound = min(abs(c3), math.isqrt(((1 << m) - 1) // (hi - lo)))
+            if bound == abs(c3) or step and max(256, tested * tested) <= bound < 1 << 64:
+                cand = Fraction(lo + hi, 1 << m + 1).limit_denominator(bound)
+                if not _hom_eval(work, cand.numerator, cand.denominator):
+                    return cand
+                tested = bound
+        elif (f := _ratio(lo, 1 << m)) == _ratio(hi, 1 << m):
+            return f
 
 
 def _exact_roots(
     coeffs: list[Scalar], hints: list[Fraction]
 ) -> tuple[list[Fraction], list[float]]:
-    """All rational roots of a degree <= 3 rational polynomial, plus float
-    stand-ins for any remaining irrational real roots.
-
-    The work is in ints, the coefficients over their lcm and gcd; floats
-    are those of the rational polynomial, as int / int true division
-    rounds as ``float(Fraction)`` does.  ``hints`` are cheap-to-test
-    candidates (denominator zeros, the paired binary-menu ratio); they
-    matter for multiple roots, where float seeds are too smeared for
-    reliable reconstruction.
+    """All rational roots of a degree <= 3 rational polynomial, plus the
+    correctly rounded floats of its irrational real roots, in ints alone:
+    the coefficients over their lcm and gcd.  ``hints`` are cheap-to-test
+    candidates (denominator zeros, the paired binary-menu ratio), divided
+    out first with 0; a cubic's rational root from ``_cubic_root`` next,
+    and a quadratic's roots are rational iff its discriminant is a square.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     work = [c.numerator * (den // c.denominator) for c in coeffs]
     while len(work) > 1 and work[-1] == 0:  # a zero leading coefficient
         work.pop()
-    num = math.gcd(*work) or 1  # the rational polynomial is work * num / den
-    work = [c // num for c in work]
+    g = math.gcd(*work) or 1
+    work = [c // g for c in work]
     roots: list[Fraction] = []
-    for h in hints:
+    for h in (*hints, Fraction(0)):
         p, q = h.numerator, h.denominator
         while len(work) > 1 and _hom_eval(work, p, q) == 0:
             roots.append(h)
             work = _deflate(work, p, q)
-            num *= q
-    while len(work) > 1:
-        degree = len(work) - 1
-        if degree == 1:
-            roots.append(Fraction(-work[0], work[1]))
-            work = [work[1]]
-        elif degree == 2:
-            c0, c1, c2 = work
-            disc = c1 * c1 - 4 * c2 * c0
-            if disc < 0:
-                return roots, []  # conjugate complex pair
-            s = math.isqrt(disc)
-            if s * s != disc:
-                try:
-                    fs = math.sqrt(disc * num * num / (den * den))
-                    lead = 2 * c2 * num / den
-                    return roots, [(-c1 * num / den - fs) / lead, (-c1 * num / den + fs) / lead]
-                except (OverflowError, ZeroDivisionError):  # a term leaves float range
-                    # the roots from 40-digit decimals, as floats (0 or +-inf past float
-                    # range): q = -(c1 + sign(c1) sqrt(disc)) / 2 takes no cancellation
-                    ctx = decimal.Context(prec=40)
-                    q = ctx.divide(ctx.minus(ctx.add(c1, ctx.sqrt(disc).copy_sign(c1))), 2)
-                    return roots, [float(ctx.divide(q, c2)), float(ctx.divide(c0, q))]
-            roots.extend([Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)])
-            work = [work[2]]
-        else:
-            seeds = _cubic_seeds(work, num, den)
-            snapped = None
-            for seed in filter(math.isfinite, seeds):
-                snapped = _snap_rational_root(work, seed)
-                if snapped is not None:
-                    break
-            if snapped is None:
-                return roots, seeds
-            roots.append(snapped)
-            work = _deflate(work, snapped.numerator, snapped.denominator)
-            num *= snapped.denominator
+    if len(work) == 4:
+        root, stand_ins = _cubic_root(work)
+        if root is None:
+            return roots, stand_ins
+        roots.append(root)
+        work = _deflate(work, root.numerator, root.denominator)
+    if len(work) == 3:
+        c0, c1, c2 = work
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0:
+            return roots, []  # conjugate complex pair
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return roots, _quadratic_stand_ins(c0, c1, c2, disc)
+        roots.extend([Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)])
+    elif len(work) == 2:
+        roots.append(Fraction(-work[0], work[1]))
     return roots, []
 
 
@@ -495,8 +552,11 @@ def _same_root(r: float, s: float) -> bool:
 
 def _polish_on_equation(poly: CubicPoly, r: float) -> float:
     """Damped Newton refinement of a root against the original equation; a
-    root on a denominator zero is left for the screen, a step onto one halved."""
-    x = r
+    root on a denominator zero is left for the screen, and a step that
+    would reach or cross one of the zeros next to the root is halved."""
+    x, zeros = r, poly.pole_values()
+    low = max((z for z in zeros if z < r), default=-math.inf)
+    high = min((z for z in zeros if z > r), default=math.inf)
     try:
         fx = poly.equation_residual(x)
     except ZeroDivisionError:  # some a x - b is 0
@@ -515,7 +575,7 @@ def _polish_on_equation(poly: CubicPoly, r: float) -> float:
         for _ in range(5):
             cand = x - step
             try:
-                fc = poly.equation_residual(cand)
+                fc = poly.equation_residual(cand) if low < cand < high else math.nan
             except ZeroDivisionError:
                 fc = math.nan
             if math.isfinite(fc) and abs(fc) < abs(fx):

@@ -716,8 +716,9 @@ CPU_SETTINGS = (
 def test_float_lab_reports_independent_of_cpu(tmp_path):
     # the float lab reports call no LAPACK routine and no SIMD-dispatched
     # numpy transcendental, so their bytes do not depend on the kernels the
-    # CPU selects.  Not covered yet: identify-field (np.roots calls LAPACK)
-    # and fit (numpy's dispatched log and exp in the EM)
+    # CPU selects.  Not covered yet: float identify-field (np.roots calls
+    # LAPACK in float field mode) and fit (numpy's dispatched log and exp in
+    # the EM)
     rng = random.Random(6)
     params = gen.random_params(rng, 6)
     menus = [m for m in params.universe.all_menus(2) if rng.random() < 0.5]
@@ -740,6 +741,35 @@ def test_float_lab_reports_independent_of_cpu(tmp_path):
     assert len(outputs) == 1, "float lab reports differ across CPU settings"
     (out,) = outputs
     assert out.count(b"status,point-identified") == 2 and b"mode,float" in out
+
+
+EXACT_FIELD_REPORTS = """
+import sys
+from lam.cli import main
+for ai, anchor in zip(*[iter(sys.argv[1:])] * 2):
+    print("exit", main(["identify-field", "--ai", ai, "--anchor", anchor, "--exact"]))
+"""
+
+
+def test_exact_field_reports_independent_of_cpu(capsys, tmp_path):
+    # exact field roots come from integer root isolation, their irrational
+    # stand-ins from int / int division: no LAPACK call and no float
+    # arithmetic on the cubics, so the bytes do not depend on the CPU
+    argv = [simulated_counts(capsys, tmp_path), "x", str(DATA / "field_fifty_digit_exact.csv"), "a"]
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = set()
+    for setting in CPU_SETTINGS:
+        env = dict(os.environ, **setting)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", EXACT_FIELD_REPORTS, *argv], capture_output=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, "exact field reports differ across CPU settings"
+    (out,) = outputs
+    assert out.count(b"mode,exact") == 2 and b"irrational (exact mode)" in out
 
 
 def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
@@ -794,7 +824,7 @@ def test_exact_flag_reads_counts_as_exact_frequencies(capsys, tmp_path):
     assert code == 2
     assert out.splitlines()[1:3] == ["mode,exact", "tolerance,0"]
     assert "input,converted-counts-to-frequencies" in out.splitlines()
-    assert "candidates,y,z;t,rejected,0.8018644616587768:irrational (exact mode);" in out
+    assert "candidates,y,z;t,rejected,0.8018644616587776:irrational (exact mode);" in out
     for argv in (["identify-lab", "--anchor", "x"], ["check-axioms"]):
         code, out, _ = run(capsys, *argv, "--ai", counts, "--human", counts, "--exact")
         assert code == 2 and out.splitlines()[1] == "mode,exact"

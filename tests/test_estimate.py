@@ -576,8 +576,8 @@ def test_hessian_matches_finite_differences():
 def test_library_calls_no_lapack():
     # the one linear solver, behind the EM Newton step and the float Luce
     # utilities, is pure Python, so neither depends on a LAPACK build.  The
-    # one LAPACK call left is np.roots in field.py, which takes the
-    # eigenvalues of each cubic's companion matrix
+    # one LAPACK call left is np.roots in float field mode (field.py), which
+    # takes the eigenvalues of each cubic's companion matrix
     modules = sorted(Path(estimate.__file__).parent.glob("*.py"))
     assert len(modules) > 5
     assert [m.name for m in modules if "linalg" in m.read_text()] == []

@@ -28,9 +28,10 @@ from lam import (
     implied_alpha,
     lam_table,
     luce_table,
+    simulate_counts,
     sup_distance,
 )
-from lam.dataio import parse_dataset
+from lam.dataio import parse_dataset, parse_params
 
 DATA = Path(__file__).parent / "data"
 
@@ -689,6 +690,95 @@ def test_polish_stops_on_a_flat_slope_and_steps_around_a_pole():
     # term; the step is halved, not evaluated there
     polished = _polish_on_equation(poly(((0.25, 0.75), (1.0, 0.25), (1.0, 1.0), (0.25, 0.75))), 0.75)
     assert math.isfinite(polished) and polished != 0.25
+
+
+def test_polish_stays_between_the_poles_next_to_the_root():
+    from lam.field import _polish_on_equation
+
+    # the equation has no finite root and its residual tends to 0 as k
+    # grows: from 3/4, between the poles 1/4 and 1, the polish stays there
+    ab = ((0.25, 0.75), (1.0, 0.25), (1.0, 1.0), (0.25, 0.75))
+    poly = CubicPoly(0, 0, 0, 0, "y", "x", ("z", "t"), (frozenset(),) * 4, ab, 1)
+    assert 0.25 < _polish_on_equation(poly, 0.75) < 1
+
+
+FIFTY = 10**50
+
+
+def test_identify_field_fifty_digit_utilities():
+    # the rational roots of b's cubic have 50-digit denominators
+    uni = Universe(tuple("abcd"))
+    u = (F(1), F(FIFTY + 151, FIFTY + 7), F(3), F(1, 2))
+    v = (F(1), F(2 * FIFTY + 3, FIFTY + 11), F(1, 5), F(7))
+    params = LamParams(uni, dict(zip(uni.alternatives, u)), dict(zip(uni.alternatives, v)),
+                       F(3, 10), "a")
+    ai, _ = gen.forward_pair(params)
+    result = identify_field(ai, "a")
+    assert result.status == "identified-up-to-swap"
+    assert params in (result.primary, result.swapped)
+    # the committed input of the console-script check in CI
+    assert parse_dataset((DATA / "field_fifty_digit_exact.csv").read_text(), exact=True).table == ai.table
+
+
+def test_exact_roots_rational_root_with_a_fifty_digit_denominator():
+    from lam.field import _exact_roots
+
+    r = F(FIFTY + 151, FIFTY + 7)  # (k - r)(k**2 + 2)
+    assert _exact_roots([-2 * r, F(2), -r, F(1)], hints=[]) == ([r], [])
+
+
+def cubic_from_roots(roots, lead):
+    """Ascending coefficients of lead times the product of (k - r)."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [-r * coeffs[0], *(c - r * d for c, d in zip(coeffs, coeffs[1:])), coeffs[-1]]
+    return coeffs
+
+
+def test_exact_roots_without_hints_find_every_root():
+    from lam.field import _exact_roots
+
+    rng = random.Random(26)
+
+    def huge():  # in (-3, 3), with a denominator of 40 to 60 digits
+        q = rng.randint(10**40, 10**60)
+        return F(rng.randint(-3 * q, 3 * q), q)
+
+    for trial in range(60):
+        r = huge() if trial % 2 else F(rng.randint(-30, 30), rng.randint(1, 30))
+        roots = ([huge(), huge(), huge()], [r, r, huge()], [r, r, r])[trial % 3]
+        lead = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * rng.choice([1, -1])
+        got, stand_ins = _exact_roots(cubic_from_roots(roots, lead), hints=[])
+        assert sorted(got) == sorted(roots) and not stand_ins, trial
+
+
+def irrational_stand_ins(rho, anchor):
+    """(cubic, stand-in) for every finite irrational stand-in of the table's cubics."""
+    targets = [a for a in rho.universe.alternatives if a != anchor]
+    for y in targets:
+        for z, t in combinations([a for a in targets if a != y], 2):
+            cs = candidate_utilities(identification_polynomial(rho, anchor, y, z, t), rho)
+            for r in cs.rejected:
+                if r.reason == "irrational (exact mode)" and math.isfinite(r.value):
+                    yield cs.poly, r.value
+
+
+def test_irrational_stand_ins_are_correctly_rounded():
+    # the counts of `lam simulate --params field_params.csv --menus all
+    # --n 1000 --seed 1`, read as exact frequencies
+    params = parse_params((DATA / "field_params.csv").read_text(), exact=True)
+    counts = simulate_counts(params, params.universe.all_menus(2), 1000, 1).counts
+    table = {m: {a: F(n, sum(row.values())) for a, n in row.items()} for m, row in counts.items()}
+    checked = 0
+    for rho, anchor in ((StochasticChoice(params.universe, table), "x"),
+                        (extreme_table(ODDS_PAST_FLOAT_RANGE), "a"),
+                        (extreme_table(CUBIC_UNDER_FLOAT_RANGE), "a")):
+        for poly, x in irrational_stand_ins(rho, anchor):
+            # the exact cubic changes sign between the points half an ulp either side
+            below, above = (F(x) + (F(math.nextafter(x, to)) - F(x)) / 2 for to in (-math.inf, math.inf))
+            assert (poly.evaluate(below) > 0) != (poly.evaluate(above) > 0), (poly.target, x)
+            checked += 1
+    assert checked > 20
 
 
 def test_identify_field_float_subnormal_slope():
