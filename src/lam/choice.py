@@ -357,7 +357,7 @@ class _Kernel:
     the band, and the candidates of a maximum are evaluated in ints by
     :meth:`evaluate`, in canonical order.  Every outcome, ties and
     first-maximum rule included, is that of the integer tests on every
-    tuple.
+    tuple.  A witness's d and p (:meth:`raw`) are read from its cells.
     """
 
     def __init__(
@@ -374,16 +374,21 @@ class _Kernel:
         self.eff = eff
         # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
         # tolerance decides every test as 8 does, and has no float
-        self.e, self._known = float(min(eff, 8)), {}
+        self.e = float(min(eff, 8))
 
-    def tuple_at(self, i: int) -> InstabilityTuple:
-        """The i-th canonical tuple."""
+    def _cells(self, i: int) -> tuple[int, int, int, int]:
+        """The columns x, y and the rows S, T of the i-th canonical tuple."""
         r = int(np.searchsorted(self.starts, i, side="right")) - 1
         xs, ys, held = self.runs[r]
         s, t = _triangle(held.shape[1])
         q, j = divmod(int(i - self.starts[r]), len(s))
+        return int(xs[q]), int(ys[q]), int(held[q, s[j]]), int(held[q, t[j]])
+
+    def tuple_at(self, i: int) -> InstabilityTuple:
+        """The i-th canonical tuple."""
+        x, y, s, t = self._cells(i)
         alts, menus = self.universe.alternatives, self.menus
-        return InstabilityTuple(alts[xs[q]], alts[ys[q]], menus[held[q, s[j]]], menus[held[q, t[j]]])
+        return InstabilityTuple(alts[x], alts[y], menus[s], menus[t])
 
     def coincide(self) -> bool:
         """Whether ``rho`` and ``other`` are within ``eff`` of each other on
@@ -527,32 +532,11 @@ class _Kernel:
                 pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
         return dd, dp, pp
 
-    def _skew(self) -> bool:
-        """Whether an exact kernel's float estimates prove d and p not
-        parallel: with r the tuple of largest |p~|, the largest computed gap
-        |d~ p~_r - d~_r p~| exceeds its error bound, which covers both
-        tuples' radii, 8u of the products for the rounding of the gap and
-        of the bound, and _TINY**2 for any underflow.  It spares a pair
-        that is not parallel the unlifted sums."""
-        d, p, rd, rp = self._scan
-        if not len(p):
-            return False
-        r = int(np.argmax(np.abs(p)))
-        i = int(np.argmax(np.abs(d * p[r] - d[r] * p)))
-        left, right = d[i] * p[r], d[r] * p[i]
-        with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
-            bound = (rd[i] * abs(p[r]) + rp[i] * abs(d[r]) + (rd[i] + abs(d[i])) * rp[r]
-                     + (rp[i] + abs(p[i])) * rd[r] + 8 * _U * (abs(left) + abs(right)))
-            return bool(abs(left - right) > bound + _TINY * _TINY)
-
     def proportional(self) -> bool:
         """Whether d and p are parallel over all canonical tuples.  A
         tuple's d and p share its scale k, so they are iff D = k d and P =
         k p are, which by the Cauchy-Schwarz inequality (DP)**2 <= DD PP
-        holds iff equality does, in the unlifted :meth:`sums`.  An exact
-        kernel first looks for a gap its float estimates decide."""
-        if self.exact and self._skew():
-            return False
+        holds iff equality does, in the unlifted :meth:`sums`."""
         dd, dp, pp = self.sums(lifted=False)
         return dp * dp == dd * pp
 
@@ -625,19 +609,19 @@ class _Kernel:
         if not flagged.any():
             return None
         cand = flagged & ~(hi < lo[flagged].max())
-        d, p, k = self.evaluate(cand)
-        j = _running_max(*key(d, p, k))
-        i = int(np.flatnonzero(cand)[j])
-        self._known[i] = d[j], p[j], k[j]
-        return i
+        j = _running_max(*key(*self.evaluate(cand)))
+        return int(np.flatnonzero(cand)[j])
 
     def top_p(self, among: np.ndarray | None = None) -> int | None:
         """The first tuple with the largest |p| among the flagged ones (all by default)."""
         _, p, _, rp = self._scan
         ap = np.abs(p)
-        if not self.exact:
-            return _running_max(ap, among=among)
-        return self._top(ap - rp, ap + rp, among, lambda d, p, k: (np.abs(p), k))
+        if self.exact:
+            return self._top(ap - rp, ap + rp, among, lambda d, p, k: (np.abs(p), k))
+        if among is None:  # float > is transitive, so the first maximum is the argmax
+            return int(np.argmax(ap)) if len(ap) else None
+        ap[~among] = -1.0  # below every |p|; in place, as a new whole-tuple array costs page faults
+        return int(np.argmax(ap)) if among.any() else None
 
     def top_ratio(self, among: np.ndarray) -> int | None:
         """The first tuple with the largest |d|/|p| among the flagged ones."""
@@ -675,16 +659,13 @@ class _Kernel:
         return _first_true(yes)
 
     def raw(self, i: int):
-        """d, p and k of tuple i as evaluated: ints over k, or floats and None."""
-        d, p, _, _ = self._scan
-        if not self.exact:
-            return d[i], p[i], None
-        if i not in self._known:
-            one = np.zeros(len(d), bool)
-            one[i] = True
-            d, p, k = self.evaluate(one)
-            self._known[i] = d[0], p[0], k[0]
-        return self._known[i]
+        """d, p and k of tuple i as :meth:`evaluate` gives them, from its
+        cells: ints over k = c_S c_T, or floats and None."""
+        x, y, s, t = self._cells(i)
+        tables = (self.mine,) if self.theirs is None else (self.mine, self.theirs)
+        (a, b), c = _products([r[m, z] for r in tables for z in (x, y) for m in (s, t)])
+        p = None if c is None else (c[0] - c[1]) + (c[2] - c[3])
+        return a - b, p, None if self.c is None else self.c[s] * self.c[t]
 
     def value(self, i: int) -> tuple[Scalar, Scalar]:
         """The true d and p of tuple i: Fractions in exact mode, floats otherwise."""
@@ -696,18 +677,15 @@ def _first_true(mask: np.ndarray) -> int | None:
     return int(np.argmax(mask)) if mask.any() else None
 
 
-def _running_max(
-    num: np.ndarray, den: np.ndarray | None = None, among: np.ndarray | None = None
-) -> int | None:
+def _running_max(num: np.ndarray, den: np.ndarray, among: np.ndarray | None = None) -> int | None:
     """Where a scan's running maximum of num/den ends among the flagged tuples.
 
     The scan keeps the first flagged tuple (all are flagged by default)
     and moves from the kept b to a later flagged k only when
-    num[k] * den[b] > num[b] * den[k], or num[k] > num[b] without ``den``,
-    evaluated as the per-tuple checks do: rounded in float mode, where the
-    test need not be transitive.  Each step tests a growing window after b
-    at once, so the cost is one pass over the arrays plus a few calls per
-    move.
+    num[k] * den[b] > num[b] * den[k], evaluated as the per-tuple checks
+    do: rounded in float mode, where the test need not be transitive.
+    Each step tests a growing window after b at once, so the cost is one
+    pass over the arrays plus a few calls per move.
     """
     b = _first_true(among) if among is not None else 0 if len(num) else None
     if b is None:
@@ -715,10 +693,7 @@ def _running_max(
     lo, width = b + 1, 256
     while lo < len(num):
         hi = min(lo + width, len(num))
-        if den is None:
-            beats = num[lo:hi] > num[b]
-        else:
-            beats = num[lo:hi] * den[b] > num[b] * den[lo:hi]
+        beats = num[lo:hi] * den[b] > num[b] * den[lo:hi]
         j = _first_true(beats if among is None else beats & among[lo:hi])
         if j is None:
             lo, width = hi, 2 * width

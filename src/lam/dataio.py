@@ -31,7 +31,9 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 from __future__ import annotations
 
+import decimal
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -62,14 +64,36 @@ FILE_ROW_SUM_TOL = 1e-6
 
 Dataset = Union[StochasticChoice, ChoiceCounts]
 
+#: The tokens read past the interpreter's limit on int-string digits
+#: (sys.get_int_max_str_digits): plain signed digit strings.
+_DIGITS = re.compile(r"[+-]?[0-9]+")
+
+
+def _str(n: int) -> str:
+    """str(n), by an exact Decimal conversion past the digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
+def _int(tok: str) -> int:
+    """int(tok), by an exact Decimal conversion past the digit limit."""
+    try:
+        return int(tok)
+    except ValueError:
+        if not _DIGITS.fullmatch(tok.strip()):
+            raise
+        return int(decimal.Decimal(tok))
+
 
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _str(x.numerator)
+        return f"{_str(x.numerator)}/{_str(x.denominator)}"
     if isinstance(x, int):
-        return str(x)
+        return _str(x)
     return repr(float(x))
 
 
@@ -79,11 +103,11 @@ def parse_scalar(token: str, exact: bool, line: int | None = None) -> Scalar:
     try:
         if "/" in tok:
             num, den = tok.split("/")
-            value = Fraction(int(num), int(den))
+            value = Fraction(_int(num), _int(den))
             return value if exact else float(value)
         if exact:
             try:
-                return Fraction(int(tok))
+                return Fraction(_int(tok))
             except ValueError:
                 raise DatasetFormatError(
                     f"exact mode requires rational literals, got {tok!r}", line

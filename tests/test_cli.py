@@ -12,7 +12,7 @@ import pytest
 
 import gen
 from lam.cli import main
-from lam.dataio import parse_dataset, serialize_dataset
+from lam.dataio import parse_dataset, parse_report, parse_scalar, serialize_dataset
 from lam import LamParams, lam_table, luce_table, Universe
 
 DATA = Path(__file__).parent / "data"
@@ -357,6 +357,21 @@ def test_deception_gap_pipeline(capsys, tmp_path):
     assert code == 0
     # lab alpha 1/2 against field pair {3/4, 1/4}
     assert "gap,1/4" in out
+
+
+def test_deception_gap_past_the_int_digit_limit(capsys):
+    # hand-written exact reports: the lab alpha has a 5,000-digit numerator,
+    # past the interpreter's default limit on int-string conversion, and the
+    # field pair is that alpha plus and minus 1/4 about 1/2
+    lab, field = DATA / "gap_lab_5000_digits.txt", DATA / "gap_field_5000_digits.txt"
+    alpha = F(10**4999 + 1, 2 * 10**4999)
+    code, out, err = run(capsys, "deception-gap", "--lab", str(lab), "--field", str(field))
+    assert (code, err) == (0, "")
+    rows = dict(line.split(",", 1) for line in out.splitlines())
+    assert rows["lab_alpha"] == dict(parse_report(lab.read_text()))["alpha"]
+    assert [parse_scalar(t, True) for t in rows["field_alpha_pair"].split(";")] == [
+        alpha + F(1, 4), F(3, 4) - alpha]
+    assert rows["gap"] == "1/4"
 
 
 def test_deception_gap_undefined_for_degenerate_field(capsys, tmp_path):

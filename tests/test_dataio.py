@@ -36,6 +36,25 @@ def test_exact_mode_rejects_decimals():
         parse_scalar("0.5", exact=True)
 
 
+def test_scalars_past_the_int_digit_limit():
+    # the interpreter's default limit on int-string conversion is 4,300
+    # digits; exact values past it still format and parse, in plain digits
+    x = F(10**5000 + 1, 3)
+    text = format_scalar(x)
+    assert text.endswith("/3") and len(text) == 5003 and set(text[1:5000]) == {"0"}
+    assert parse_scalar(text, True) == x
+    assert parse_scalar(format_scalar(-x), True) == -x
+    assert parse_scalar(format_scalar(F(-(10**5000) - 1)), True) == -(10**5000) - 1
+    assert parse_scalar("+" + format_scalar(F(10**4999 + 1, 2 * 10**4999)), False) == 0.5
+    # a long token that is not a plain signed digit string is still rejected
+    digits = "9" * 5000
+    for tok in (digits + ".5", "1e" + digits, digits + "e5", "NaN", "1.5", "1e5"):
+        with pytest.raises(DatasetFormatError):
+            parse_scalar(tok, exact=True)
+    with pytest.raises(DatasetFormatError, match="bad numeric value"):
+        parse_scalar(f"{digits}.5/3", exact=True)
+
+
 def test_parse_golden_lab_dataset(ex_a_ai):
     rho = parse_dataset((DATA / "lab_ai.csv").read_text(), exact=True)
     assert isinstance(rho, StochasticChoice)

@@ -503,6 +503,49 @@ def test_exact_kernels_evaluate_only_flagged_tuples(monkeypatch, n):
     assert flags and all(among is not None for among in flags)
 
 
+@pytest.mark.parametrize("variant", ["clean", "ai", "zeros", "partial"])
+def test_witness_reads_make_no_evaluate_call(monkeypatch, variant):
+    # raw and value read a tuple's own cells: a fresh exact kernel answers
+    # every tuple with no pass, and with the values and scale the pass gives
+    rng = random.Random(f"witness-{variant}")
+    for n in (3, 4, 5):
+        ai, human, _, _ = random_case(rng, n, True, variant)
+        menus = common_menus(ai, human)
+        want = _Kernel(ai, menus, human).evaluate()
+        calls, evaluate = [], _Kernel.evaluate
+
+        def spy(self, among=None):
+            calls.append(among)
+            return evaluate(self, among)
+
+        monkeypatch.setattr(_Kernel, "evaluate", spy)
+        kernel = _Kernel(ai, menus, human)
+        raws = [kernel.raw(i) for i in range(kernel.starts[-1])]
+        values = [kernel.value(i) for i in range(kernel.starts[-1])]
+        monkeypatch.undo()
+        assert calls == []
+        assert raws == list(zip(*(a.tolist() for a in want)))
+        assert values == [(F(d, k), F(p, k)) for d, p, k in raws]
+
+
+def test_proportional_makes_no_estimates_call(monkeypatch):
+    # the Cauchy-Schwarz certificate of the unlifted sums decides alone:
+    # no float estimates are formed for it, parallel or not
+    calls, estimates = [], _Kernel.estimates
+
+    def spy(self):
+        calls.append(self)
+        return estimates(self)
+
+    monkeypatch.setattr(_Kernel, "estimates", spy)
+    rng = random.Random("certificate")
+    verdicts = []
+    for variant in ("clean", "human", "ai"):
+        ai, human, _, _ = random_case(rng, 4, True, variant)
+        verdicts.append(_Kernel(ai, common_menus(ai, human), human).proportional())
+    assert calls == [] and verdicts == [True, False, False]
+
+
 def test_filtered_kernel_with_no_usable_tuple():
     # a tolerance of 1 is above every |p| of this perturbed pair, whose d and
     # p are not parallel: the filtered ratio maximum has no tuple to pick
