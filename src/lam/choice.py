@@ -163,7 +163,14 @@ def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
         miss = diff != 0
         if not miss.any():
             return 0
-        return max(map(Fraction, np.abs(diff[miss]).tolist(), (view.scale[r] * den)[miss].tolist()))
+        # the largest num / den: its float (int / int rounds correctly, never lower for a
+        # larger ratio), then the cells tied there by cross-multiplication; one Fraction
+        num, den = np.abs(diff[miss]), (view.scale[r] * den)[miss]
+        est, best = (num / den).astype(float), None
+        for j in np.flatnonzero(est == est.max()).tolist():
+            if best is None or num[j] * den[best] > num[best] * den[j]:
+                best = j
+        return Fraction(num[best], den[best])
     pred = pred if den is None else (pred / den).astype(float)  # int / int rounds correctly
     # screen for rows with a cell off [0, 1] or a sum off 1, with a margin
     # that covers the summation order; the table path validates the
@@ -478,15 +485,35 @@ class _Kernel:
                 rp[low] = np.inf
         return d, p, rd, rp
 
-    def parallel(self) -> Iterator[bool]:
-        """Per pair, in order, whether all its own instabilities vanish (exact mode).
+    def quiet(self) -> Iterator[bool]:
+        """Per pair, in order, whether a certificate shows that none of its
+        own instabilities exceeds ``eff``, as the tests compute them.
 
-        By Lagrange's identity they do iff |a|^2 |b|^2 = (a.b)^2, that is,
-        iff a and b are parallel, which the menu scales do not change.
+        Exact pairs: by Lagrange's identity all vanish iff |a|^2 |b|^2 =
+        (a.b)^2, that is, iff a and b are parallel, which the menu scales
+        do not change.  Float pairs (Shewchuk 1997): for any real r, d_ST =
+        a_S c_T - c_S a_T with c = b - r a.  Take r = fl(b_k / a_k) at k =
+        argmax a, t = fl(r a) and c~ = fl(b - t); then |c| <= C = max(|c~| +
+        2u (|t| + |c~|)), and with A = max a, B = max b (rows are >= 0)
+        every float d satisfies |fl d| <= (2 A C + 2u A B)(1 + 16u) +
+        2**-1000, which covers the roundings, the bound's own and underflow.
+        A NaN or inf bound is not quiet, nor is any pair at ``eff`` 0.
         """
-        for xs, ys, held in self.runs:
+        runs = self.runs
+        if not self.exact:  # one gather per held count; exact runs keep their early exit
+            runs = [[np.concatenate(z) for z in zip(*g)] for _, g in groupby(runs, lambda r: r[2].shape[1])]
+        for xs, ys, held in runs:
             a, b = self.mine[held, xs[:, None]], self.mine[held, ys[:, None]]
-            yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
+            if self.exact:
+                yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
+                continue
+            with np.errstate(all="ignore"):  # a row of zeros gives r NaN: not quiet
+                k = a.argmax(1)[:, None]
+                t = np.take_along_axis(b, k, 1) / np.take_along_axis(a, k, 1) * a
+                c, top = np.abs(b - t), a.max(1)
+                bound = 2 * top * (c + 2 * _U * (np.abs(t) + c)).max(1) + 2 * _U * top * b.max(1)
+                quiet = bound * (1 + 16 * _U) + 2.0**-1000 <= self.eff
+            yield from quiet
 
     @cached_property
     def ints(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -753,10 +780,10 @@ def _or(a, b):
 
 def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.ndarray | None]:
     """The kernel of ``rho``, and the mask of canonical tuples whose own
-    instability exceeds ``eff`` in magnitude, or None when none does; on
-    exact data the tuples are screened only when some pair is not parallel."""
+    instability exceeds ``eff`` in magnitude, or None when none does; the
+    tuples are tested only when some pair is not :meth:`_Kernel.quiet`."""
     kernel = _Kernel(rho, rho.domain, eff=eff)
-    if kernel.exact and all(kernel.parallel()):
+    if all(kernel.quiet()):
         return kernel, None
     (bad,) = kernel.masks("big")
     return kernel, bad if bad.any() else None
@@ -880,25 +907,25 @@ def recover_luce_utility(
     view, n, exact = rho._dense, universe.size, rho.is_exact
     e = view.entries  # ints over each row's lcm when exact
     step: dict[tuple[int, int], Scalar] = {}
-    # a ratio over a subnormal entry may overflow; its log is then taken as
-    # log e_y - log e_x, which stays in range
-    with np.errstate(over="ignore"):
-        for x, y in combinations(range(n), 2):
-            held = view.mask[:, x] & view.mask[:, y]
-            if not held.any():
-                continue
-            if exact:
-                i = _first_true(held)
-                step[x, y], step[y, x] = Fraction(e[i, y], e[i, x]), Fraction(e[i, x], e[i, y])
-                continue
-            ex, ey = e[held, x], e[held, y]
+    xs, ys = _triangle(n)  # the pairs x before y, in order
+    pair, menu = np.nonzero((view.mask[:, xs] & view.mask[:, ys]).T)  # each pair's menus in order
+    linked, first, count = np.unique(pair, return_index=True, return_counts=True)
+    if exact:
+        menu = menu[first]
+        xs, ys = xs[linked], ys[linked]
+        for x, y, ex, ey in zip(xs.tolist(), ys.tolist(), e[menu, xs].tolist(), e[menu, ys].tolist()):
+            step[x, y], step[y, x] = Fraction(ey, ex), Fraction(ex, ey)
+    else:
+        ex, ey = e[menu, xs[pair]], e[menu, ys[pair]]
+        # a ratio over a subnormal entry may overflow; its log is then taken
+        # as log e_y - log e_x, which stays in range
+        with np.errstate(over="ignore"):
             logs = list(map(math.log, (ey / ex).tolist()))
-            if math.inf in logs:
-                logs = [
-                    r if r < math.inf else math.log(b) - math.log(a)
-                    for r, a, b in zip(logs, ex.tolist(), ey.tolist())
-                ]
-            step[x, y] = math.fsum(logs) / len(logs)
+        if math.inf in logs:
+            logs = [r if r < math.inf else math.log(b) - math.log(a)
+                    for r, a, b in zip(logs, ex.tolist(), ey.tolist())]
+        for x, y, lo, m in zip(xs[linked].tolist(), ys[linked].tolist(), first.tolist(), count.tolist()):
+            step[x, y] = math.fsum(logs[lo : lo + m]) / m
             step[y, x] = -step[x, y]
 
     # float mode reads only which alternatives the walk reaches

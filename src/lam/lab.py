@@ -222,8 +222,8 @@ def recover_autonomous(
     Any other alpha peels the float64 rows, whose values are the entries'
     ``float(entry)``, as arithmetic on the Fractions with a float does;
     a clamped entry of exact tables is ``Fraction(0)``.  The peeled arrays
-    become the table's dense view as they are (see
-    :meth:`StochasticChoice._from_rows`).
+    become the table's dense view as they are, and its ``table`` dict is
+    built on first read (see :meth:`StochasticChoice._from_rows`).
     """
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)

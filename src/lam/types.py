@@ -387,45 +387,57 @@ class StochasticChoice(_MenuRows):
         float rows as ``zero``, 0.0 or ``Fraction(0)``.
 
         Each row gets the verdicts of :meth:`_check_row`, taken on the
-        arrays, and the first failing row raises through it.  ``table`` is
-        built once, and the dense view is the arrays themselves, an exact
-        row divided by its gcd with its scale: the lcm of its entries'
-        reduced denominators.
+        arrays, and the first failing row raises through it.  The dense view
+        is the arrays themselves, an exact row divided by its gcd with its
+        scale: the lcm of its entries' reduced denominators.  ``table`` is
+        built from it on first read (:meth:`__getattr__`) and then kept.
         """
-        members, low, exact = np.nonzero(mask), entries < 0, scale is not None
+        low, exact = entries < 0, scale is not None
         if exact:
             entries = np.where(low, 0, entries)
             off = (entries > scale[:, None]).any(axis=1) | (entries.sum(axis=1) != scale)
             g = np.gcd(np.gcd.reduce(entries, axis=1), scale)
             entries, scale = entries // g[:, None], scale // g
-            cells = map(Fraction, entries[mask].tolist(), scale[members[0]].tolist())
         else:
             entries = np.where(low, 0.0, entries)
             with np.errstate(invalid="ignore"):  # NaN is off [0, 1] as well
                 off = (mask & ~((entries >= -eps_sum) & (entries <= 1 + eps_sum))).any(axis=1)
-            cells = entries[mask].astype(object)
-            cells[low[mask]] = zero
-            cells = cells.tolist()
-        names, cells = universe.alternatives, zip(members[1].tolist(), cells)
-        table = {
-            m: {names[j]: p for j, p in islice(cells, k)}
-            for m, k in zip(menus, np.count_nonzero(mask, axis=1).tolist())
-        }
+            # each row summed as __post_init__ sums it, in member order; a
+            # clamped cell adds 0 as ``zero`` would
+            cells, ends = entries[mask].tolist(), np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            off |= [abs(sum(cells[i:j]) - 1) > eps_sum for i, j in zip([0] + ends, ends)]
         self = object.__new__(cls)
-        for name, value in (("universe", universe), ("table", table), ("eps_sum", eps_sum)):
+        for name, value in (("universe", universe), ("eps_sum", eps_sum), ("is_exact", exact)):
             object.__setattr__(self, name, value)
-        if not exact:  # summed as __post_init__ sums; a row summing to about 1 is never all clamped
-            off |= [_sum_off(row, False, eps_sum) for row in table.values()]
-        for i in np.flatnonzero(off)[:1]:
-            self._check_row(menus[i], table[menus[i]], exact)  # raises
-        object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "is_positive", bool((entries[mask] > 0).all()))
         mask.flags.writeable = entries.flags.writeable = False
         if exact:
             scale.flags.writeable = False
         self.__dict__["domain"] = tuple(menus)
         self.__dict__["_dense"] = _Dense({m: i for i, m in enumerate(menus)}, mask, entries, scale)
+        self.__dict__["_clamped"] = None if exact else (low[mask], zero)
+        for i in np.flatnonzero(off)[:1]:
+            self._check_row(menus[i], self.table[menus[i]], exact)  # raises
         return self
+
+    def __getattr__(self, name: str):
+        """``table`` of a table made by :meth:`_from_rows`, built from its
+        dense view on first read and kept; no other attribute is found here."""
+        if name != "table" or "_clamped" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view, clamped, (rows, cols) = self._dense, self._clamped, np.nonzero(self._dense.mask)
+        if clamped is None:
+            cells = map(Fraction, view.entries[view.mask].tolist(), view.scale[rows].tolist())
+        else:
+            cells = view.entries[view.mask].astype(object)
+            cells[clamped[0]] = clamped[1]
+            cells = cells.tolist()
+        names, cells = self.universe.alternatives, zip(cols.tolist(), cells)
+        table = self.__dict__["table"] = {
+            m: {names[j]: p for j, p in islice(cells, k)}
+            for m, k in zip(self.domain, np.count_nonzero(view.mask, axis=1).tolist())
+        }
+        return table
 
     def has_menu(self, menu: Iterable[str]) -> bool:
         return frozenset(menu) in self.table
@@ -496,7 +508,7 @@ class ChoiceCounts(_MenuRows):
 def _shared(a: StochasticChoice, b: StochasticChoice, message: str) -> list[Menu]:
     """The menus ``a`` and ``b`` share, in ``a``'s domain order, or
     :class:`InsufficientDataError` with ``message`` when they share none."""
-    menus = [m for m in a.domain if m in b.table]
+    menus = [m for m in a.domain if m in b._dense.rows]
     if not menus:
         raise InsufficientDataError(message)
     return menus

@@ -500,6 +500,46 @@ def test_residual_matches_table_oracle(monkeypatch):
     assert nonzero > 800
 
 
+def test_residual_on_exact_pairs_matches_the_fraction_oracle():
+    # exact params on exact data: the largest miss is picked by a float
+    # filter and cross-multiplication in ints; the oracle is the maximum of
+    # one Fraction per cell.  Two-member menus miss equally in both cells,
+    # so the top often ties
+    rng = random.Random(4242)
+    ties = moved = 0
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        truth = gen.random_params(rng, n)
+        rho = lam_table(truth, truth.universe.all_menus())
+        if rng.random() < 0.5:  # one cell moved, its row renormalized
+            table = {m: dict(row) for m, row in rho.table.items()}
+            menu = rng.choice(rho.domain)
+            table[menu][rng.choice(sorted(menu))] += rng.choice([F(1, 1000), F(1, 7)])
+            table[menu] = {a: p / sum(table[menu].values()) for a, p in table[menu].items()}
+            rho, moved = StochasticChoice(rho.universe, table), moved + 1
+        params = rng.choice([
+            truth,
+            LamParams(truth.universe, truth.u, truth.v, truth.alpha + F(1, 1000), truth.anchor),
+            gen.random_params(rng, n),
+        ])
+        pred = lam_table(params, rho.domain)
+        cells = [abs(pred.prob(a, m) - rho.prob(a, m)) for m in rho.domain for a in sorted(m)]
+        want = max(cells)
+        want = want if want > 0 else 0
+        got = _residual(params, rho)
+        assert (type(got), repr(got)) == (type(want), repr(want)), params
+        ties += want != 0 and cells.count(want) > 1
+    assert ties > 20 and moved > 50, (ties, moved)
+    # misses 1/10 and 1/10 + 10**-40 round to one float: the ints pick the second
+    uni, e = Universe(("x", "y", "z")), F(1, 10)
+    rho = StochasticChoice(uni, {
+        ("x", "y"): {"x": F(1, 2) + e, "y": F(1, 2) - e},
+        ("x", "z"): {"x": F(1, 2) + e + F(1, 10**40), "z": F(1, 2) - e - F(1, 10**40)},
+    })
+    ones = dict.fromkeys(uni.alternatives, F(1))
+    assert _residual(LamParams(uni, ones, ones, F(1, 3), "x"), rho) == e + F(1, 10**40)
+
+
 def test_residual_keeps_the_predicted_row_check():
     # u(S) overflows to inf on {a,b,c} and {b,c}, so Luce(u) there is all 0
     uni = Universe(("a", "b", "c"))

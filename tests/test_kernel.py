@@ -819,3 +819,120 @@ def test_floor_scaled_equals_the_floor_of_the_exact_product(eff):
     got = _floor_scaled(eff, arr)
     assert got.dtype == object
     assert got.tolist() == [math.floor(F(eff) * s) for s in scales]
+
+
+# ---------------------------------------------------------------------------
+# The per-pair IIA certificate (_Kernel.quiet) against a direct pass
+# ---------------------------------------------------------------------------
+
+
+def masks_oracle(rho, eff):
+    """``satisfies_iia``, ``iia_violations`` and the IIA text of the
+    NotLuceError of ``recover_luce_utility`` (None without one), from the
+    masks of a pass over every tuple, with no certificate."""
+    kernel = _Kernel(rho, rho.domain, eff=eff)
+    (bad,) = kernel.masks("big")
+    found = [kernel.tuple_at(i) for i in np.flatnonzero(bad).tolist()]
+    uni = rho.universe
+    full = sorted(
+        (InstabilityTuple(x, y, s, t) for c in found for x, y in ((c.x, c.y), (c.y, c.x))
+         for s, t in ((c.menu_s, c.menu_t), (c.menu_t, c.menu_s))),
+        key=lambda t: (uni.index(t.x), uni.index(t.y), uni.menu_key(t.menu_s), uni.menu_key(t.menu_t)),
+    )
+    message = None
+    if found and _first_nonpositive(rho, eff) is None:
+        message = f"IIA violated at tolerance {eff!r} for {4 * len(found)} tuples, e.g. "
+        message += found[0].describe(uni)
+    return not found, full, message
+
+
+def screened(rho, eff):
+    """What the public calls report, through the certificate."""
+    try:
+        recover_luce_utility(rho, rho.universe.alternatives[0], eff)
+        message = None
+    except NotLuceError as e:
+        message = None if str(e).startswith("positivity") else str(e)
+    except LamError:  # a utility out of float range: after the IIA test
+        message = None
+    return satisfies_iia(rho, eff), iia_violations(rho, eff), message
+
+
+def noisy_luce(uni, w, rng, noise):
+    """A float Luce table of weights ``w`` over every menu, each cell
+    scaled by 1 + U(-noise, noise), floored at 0, and its row renormalized."""
+    table = {}
+    for m in uni.all_menus():
+        members = uni.sorted_members(m)
+        total = sum(w[a] for a in members)
+        row = [max(w[a] / total * (1 + noise * rng.uniform(-1, 1)), 0.0) for a in members]
+        total = sum(row)
+        table[m] = {a: p / total for a, p in zip(members, row)}
+    return StochasticChoice(uni, table)
+
+
+def test_iia_screen_matches_a_direct_pass():
+    # Luce tables with noise of 0.1-10x tol, cells near 2**-500 and
+    # subnormal cells, at tolerances from 0 to 0.1 and a Fraction: every
+    # verdict, violation list and message equals the direct pass's
+    rng = random.Random(83)
+    uni = Universe(("a", "b", "c", "d"))
+    weights = [
+        (1.0, 3.0, 5.0, 7.0),
+        (1.0, 2.0**-500, 3.0, 5.0),
+        (1.0, 2.0**-500, 3 * 2.0**-500, 5.0),
+        (1.0, 2.0**-1060, 3.0, 5.0),
+        (1.0, 2.0**-540, 2.0**-541, 5.0),
+    ]
+    certified = fell_through = 0
+    for w in weights:
+        w = dict(zip(uni.alternatives, w))
+        for eff in (0, 1e-300, 1e-9, 0.1, F(1, 10**9)):
+            for scale in (0.1, 1.0, 10.0):
+                rho = noisy_luce(uni, w, rng, min(scale * float(eff), 1.0))
+                assert screened(rho, eff) == masks_oracle(rho, eff), (w, eff, scale)
+                quiet = all(_Kernel(rho, rho.domain, eff=eff).quiet())
+                certified += quiet
+                fell_through += not quiet and not satisfies_iia(rho, eff)
+    assert certified >= 10 and fell_through >= 10, (certified, fell_through)
+
+
+def near_tol_tables():
+    uni = Universe(("a", "b", "c", "d"))
+    # one menu's row moved: only the pair (a, b) falls through to the pass
+    w = dict(zip(uni.alternatives, (1.0, 3.0, 5.0, 7.0)))
+    table = {m: dict(row) for m, row in noisy_luce(uni, w, random.Random(0), 0.0).table.items()}
+    ab = frozenset("ab")
+    table[ab] = {"a": table[ab]["a"] + 1e-7, "b": table[ab]["b"] - 1e-7}
+    yield StochasticChoice(uni, table)
+    # a pair at its bound: a = 0.4 wherever both are held and c = b - a is 0
+    # at argmax a, then +-1e-7, so the largest |d| is 2 A max|c|
+    yield StochasticChoice(uni, {
+        ("a", "b", "c"): {"a": 0.4, "b": 0.4, "c": 0.2},
+        ("a", "b", "c", "d"): {"a": 0.4, "b": 0.4 + 1e-7, "c": 0.1 - 1e-7, "d": 0.1},
+        ("a", "b", "d"): {"a": 0.4, "b": 0.4 - 1e-7, "d": 0.2 + 1e-7},
+    })
+
+
+@pytest.mark.parametrize("table", [0, 1], ids=["moved-row", "tight-bound"])
+def test_iia_screen_at_a_violation_within_two_ulps_of_tol(table):
+    # tol steps over a violating tuple's |fl d| ulp by ulp, for the largest
+    # |d| and a middle one; the pair (a, b) falls through each time, and on
+    # the moved row it is the only one
+    rho = list(near_tol_tables())[table]
+    kernel = _Kernel(rho, rho.domain)
+    d = kernel.evaluate()[0]
+    ab = [i for i in range(len(d)) if (kernel.tuple_at(i).x, kernel.tuple_at(i).y) == ("a", "b")]
+    sizes = np.unique(np.abs(d[ab]))
+    sizes = sizes[sizes > 1e-9]  # the pair's violations, above rounding noise
+    for top in (sizes[-1], sizes[len(sizes) // 2]):
+        for k in range(-2, 3):
+            eff = float(top)
+            for _ in range(abs(k)):
+                eff = float(np.nextafter(eff, math.inf if k > 0 else 0.0))
+            quiet = list(_Kernel(rho, rho.domain, eff=eff).quiet())
+            assert not quiet[0] and (table == 1 or all(quiet[1:]))
+            got = screened(rho, eff)
+            assert got == masks_oracle(rho, eff), (top, k)
+            if top == sizes[-1] and table == 0:
+                assert got[0] == (k >= 0)

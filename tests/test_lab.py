@@ -329,20 +329,35 @@ def test_disjoint_menus_are_insufficient_data(uni3):
         assert str(err.value) == message
 
 
-def test_identify_lab_evaluates_each_table_once(monkeypatch):
-    # one instability pass each: the human's IIA test, the pair for
-    # compliance (which also tests the AI's IIA), the autonomous rule's IIA
+def _pair_passes(monkeypatch, exact: bool) -> list[bool]:
+    """Per evaluate call of identify_lab on a mixture pair, whether it was
+    the pair's kernel (not a one-table IIA kernel)."""
     calls = []
     evaluate = _Kernel.evaluate
 
     def counted(self, *args, **kwargs):
-        calls.append(kwargs)
+        calls.append(self.theirs is not None)
         return evaluate(self, *args, **kwargs)
 
     monkeypatch.setattr(_Kernel, "evaluate", counted)
-    ai, human = (t.as_float() for t in gen.forward_pair(gen.random_params(random.Random(3), 5)))
+    ai, human = gen.forward_pair(gen.random_params(random.Random(3), 5))
+    if not exact:
+        ai, human = ai.as_float(), human.as_float()
     assert identify_lab(ai, human, "a").status == "point-identified"
-    assert len(calls) == 3
+    return calls
+
+
+def test_identify_lab_evaluates_each_table_once(monkeypatch):
+    # the human's and the autonomous rule's IIA tests are certified per
+    # pair without a pass (Kernel.quiet): only the pair for compliance,
+    # which also tests the AI's IIA, evaluates its tuples, in one pass
+    assert _pair_passes(monkeypatch, exact=False) == [True]
+
+
+def test_identify_lab_evaluates_each_table_once_exact(monkeypatch):
+    # exact: the IIA tests take Lagrange's identity, and the pair's one
+    # integer evaluation is of the candidates for the largest |p|
+    assert _pair_passes(monkeypatch, exact=True) == [True]
 
 
 def test_identify_lab_partial_domain():

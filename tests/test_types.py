@@ -240,3 +240,52 @@ def test_sup_distance_repr_by_scalar_mode(ex_a_ai, uni3):
 def test_regime_report_rejects_an_unknown_regime():
     with pytest.raises(InvalidParameterError, match="unknown regime 'reckless'"):
         RegimeReport("reckless", {}, 0)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_peeled_table_builds_its_dict_on_first_read(exact):
+    # a peeled table keeps its dense view and builds ``table`` when first
+    # read; until then and after, it equals, hashes, pickles, copies,
+    # prints and reads rows as the table built from the same dict does
+    import copy
+    import pickle
+
+    from lam import lam_table, luce_table, recover_autonomous
+
+    uni = Universe(("x", "y", "z", "w"))
+    u = {"x": F(1), "y": F(3, 2), "z": F(1, 5), "w": F(7)}
+    v = {"x": F(1), "y": F(1, 9), "z": F(4), "w": F(2, 3)}
+    params = LamParams(uni, u, v, F(2, 7), "x")
+    menus = uni.all_menus()
+    ai, human = lam_table(params, menus), luce_table(uni, u, menus)
+    alpha = params.alpha
+    if not exact:
+        ai, human, alpha = ai.as_float(), human.as_float(), float(alpha)
+
+    def fresh():
+        got = recover_autonomous(ai, human, alpha)
+        assert "table" not in vars(got)
+        return got
+
+    # the dict a caller would build: the peeled cells in universe order
+    want = StochasticChoice(uni, {
+        m: {a: (ai.prob(a, m) - alpha * human.prob(a, m)) / (1 - alpha) for a in uni.sorted_members(m)}
+        for m in ai.domain
+    }, max(ai.eps_sum, 1e-9))
+    assert fresh() == want and want == fresh()
+    for got in (fresh(), pickle.loads(pickle.dumps(fresh()))):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(got)
+    # pickling and deep copies rebuild the menus, whose iteration order may
+    # change with the hash seed: compare with the same copy of ``want``
+    for make in (lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy):
+        got = make(fresh())
+        assert "table" not in vars(got)
+        assert got == want and repr(got) == repr(make(want))
+    got = fresh()
+    assert [got.row(m) for m in menus] == [want.row(m) for m in menus]
+    assert repr(got) == repr(want) and "table" in vars(got)
+    assert repr(got.table) == repr(want.table) and got.table is got.table
+    assert (got.is_exact, got.is_positive) == (want.is_exact, want.is_positive) == (exact, True)
+    with pytest.raises(AttributeError, match="no attribute 'tables'"):
+        got.tables
