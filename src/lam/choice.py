@@ -515,49 +515,59 @@ class _Kernel:
                 quiet = bound * (1 + 16 * _U) + 2.0**-1000 <= self.eff
             yield from quiet
 
-    @cached_property
-    def ints(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The rows of ``rho`` and ``other`` side by side as ints over a
-        per-menu scale, and that scale: exact rows over their c_S, and float
-        rows over one B = 2**(53 - min e), a float64 being f 2**e with 2**53
-        f an int, with scale None."""
-        rows = np.concatenate([self.mine, self.theirs], axis=1)
-        if self.exact:
-            return rows, self.c
-        return _dyadic(rows)[0], None
-
-    def sums(self, lifted: bool = True) -> tuple[int, int, int]:
-        """Exact sums of d*d, d*p and p*p over every canonical tuple, times
-        B**4 for B the common scale of :attr:`ints`: the lcm of the c_S, or
-        the float rows' power of two.  By Binet-Cauchy
-        the sum over S < T of det(u, v) det(w, z) is (u.w)(v.z) - (u.z)(v.w):
-        a pair costs the 10 distinct entries of the Gram matrix of a, b, a',
-        b'.  Exact pairs take their inner products on their own scale, the
-        lcm B_xy of the c_S of the menus holding both, a menu's products
-        weighted (B_xy / c_S)**2, and their sums times (B / B_xy)**4.
+    def sums(self, lifted: bool = True, out: np.ndarray | None = None) -> tuple[int, ...]:
+        """Exact sums of d*d, d*p and p*p over every canonical tuple, and
+        given ``out`` of d*p and p*p over the tuples it flags, times B**4
+        for B the common scale of the rows of ``rho`` and ``other`` as ints:
+        the lcm of the c_S, or the float rows' power of two (:func:`_dyadic`).
+        By Binet-Cauchy the sum over S < T of det(u, v) det(w, z) is
+        (u.w)(v.z) - (u.z)(v.w): a pair costs the 10 distinct entries of the
+        Gram matrix of a, b, a', b', and its flagged tuples their own d and
+        p.  Exact pairs take both on their own scale, the lcm B_xy of the
+        c_S of the menus holding both: a menu's products weighted (B_xy /
+        c_S)**2, a flagged tuple's (B_xy / c_S)**2 (B_xy / c_T)**2, and the
+        pair's sums are lifted once, times (B / B_xy)**4.
 
         Exact rows not ``lifted`` take no weights: the sums are those of the
         ints D = k d and P = k p, each tuple on its own scale k = c_S c_T.
         """
-        n, (rows, scale) = self.universe.size, self.ints
+        n, scale = self.universe.size, self.c
+        rows = np.concatenate([self.mine, self.theirs], axis=1)
+        if scale is None:
+            rows = _dyadic(rows)[0]
         lifted = lifted and scale is not None
         if lifted:
             top = math.lcm(*scale.tolist())
-        dd = dp = pp = 0
-        for xs, ys, held in self.runs:
+        dd = dp = pp = out_dp = out_pp = 0
+        for (xs, ys, held), lo in zip(self.runs, self.starts):
             g = rows[held[:, :, None], np.stack([xs, ys, n + xs, n + ys], axis=1)[:, None, :]]
             wg, lift = g, repeat(1)
             if lifted:
                 pair = np.array([math.lcm(*row) for row in scale[held].tolist()], dtype=object)
-                q = (pair[:, None] // scale[held])[:, :, None]
-                wg = g * (q * q)
-                lift = ((top // pair) ** 4).tolist()
+                w = (pair[:, None] // scale[held]) ** 2
+                wg = g * w[:, :, None]
+                lift = (top // pair) ** 4
             gram = (wg[:, :, _GRAM[0]] * g[:, :, _GRAM[1]]).sum(axis=1)
             for (aa, ab, aa2, ab2, bb, ba2, bb2, a2a2, a2b2, b2b2), up in zip(gram.tolist(), lift):
                 dd += (aa * bb - ab * ab) * up
                 dp += (aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2) * up
                 pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
-        return dd, dp, pp
+            if out is None:
+                continue
+            s, t = _triangle(held.shape[1])
+            q, j = np.divmod(np.flatnonzero(out[lo : lo + len(xs) * len(s)]), len(s))
+            if not len(q):
+                continue
+            (a, b), c = _products([g[q, m[j], z] for z in range(4) for m in (s, t)])
+            p = (c[0] - c[1]) + (c[2] - c[3])
+            tdp, tpp = (a - b) * p, p * p
+            if lifted:  # (B_xy / c_T)**2 per tuple, summed per row S, then (B_xy / c_S)**2 and the lift
+                heads = np.flatnonzero(np.diff(q * held.shape[1] + s[j], prepend=-1))
+                up = w[q[heads], s[j[heads]]] * lift[q[heads]]
+                tdp, tpp = (np.add.reduceat(v * w[q, t[j]], heads) * up for v in (tdp, tpp))
+            out_dp += tdp.sum()
+            out_pp += tpp.sum()
+        return (dd, dp, pp) if out is None else (dd, dp, pp, out_dp, out_pp)
 
     def proportional(self) -> bool:
         """Whether d and p are parallel over all canonical tuples.  A
@@ -566,25 +576,6 @@ class _Kernel:
         holds iff equality does, in the unlifted :meth:`sums`."""
         dd, dp, pp = self.sums(lifted=False)
         return dp * dp == dd * pp
-
-    def terms(self, among: np.ndarray) -> tuple[int, int]:
-        """Exact sums of d*p and p*p over the tuples ``among`` flags, as
-        :meth:`sums`: a tuple (S, T) weighted (B / c_S)**2 (B / c_T)**2."""
-        if not among.any():
-            return 0, 0
-        n, (rows, scale) = self.universe.size, self.ints
-        weight = None if scale is None else (math.lcm(*scale.tolist()) // scale) ** 2
-        dp = pp = 0
-        for ends, held, f in self._passes(rows[:, :n], rows[:, n:], among):
-            (a, b), c = _products(f)
-            d, p = a - b, (c[0] - c[1]) + (c[2] - c[3])
-            wp = p
-            if weight is not None:
-                ws, wt = ends(weight[held])
-                wp = ws * wt * p
-            dp += d.dot(wp)
-            pp += p.dot(wp)
-        return dp, pp
 
     @cached_property
     def _scan(self) -> tuple:

@@ -413,15 +413,12 @@ def _refine_root(work: list[int], lo: int, hi: int, m: int) -> Fraction | float:
             return f
 
 
-def _exact_roots(
-    coeffs: list[Scalar], hints: list[Fraction]
-) -> tuple[list[Fraction], list[float]]:
+def _exact_roots(coeffs: list[Scalar]) -> tuple[list[Fraction], list[float]]:
     """All rational roots of a degree <= 3 rational polynomial, plus the
     correctly rounded floats of its irrational real roots, in ints alone:
-    the coefficients over their lcm and gcd.  ``hints`` are cheap-to-test
-    candidates (denominator zeros, the paired binary-menu ratio), divided
-    out first with 0; a cubic's rational root from ``_cubic_root`` next,
-    and a quadratic's roots are rational iff its discriminant is a square.
+    the coefficients over their lcm and gcd.  A root at 0 is divided out
+    first, a cubic's rational root from ``_cubic_root`` next, and a
+    quadratic's roots are rational iff its discriminant is a square.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     work = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -430,11 +427,9 @@ def _exact_roots(
     g = math.gcd(*work) or 1
     work = [c // g for c in work]
     roots: list[Fraction] = []
-    for h in (*hints, Fraction(0)):
-        p, q = h.numerator, h.denominator
-        while len(work) > 1 and _hom_eval(work, p, q) == 0:
-            roots.append(h)
-            work = _deflate(work, p, q)
+    while len(work) > 1 and work[0] == 0:
+        roots.append(Fraction(0))
+        work = work[1:]
     if len(work) == 4:
         root, stand_ins = _cubic_root(work)
         if root is None:
@@ -494,10 +489,6 @@ def candidate_utilities(
     exact = poly.is_exact and rho_ai.is_exact
     eff = resolve_tol(tol, exact)
     case2 = poly.is_zero(eff)
-    odds: tuple[Scalar, ...] = ()  # the binary odds: case 2's candidate, an exact root hint
-    base, target = poly.ab[1]  # rho(x, {x, y}) and rho(y, {x, y})
-    if (case2 or exact) and base > 0:  # an anchor never chosen from {x, y} gives no odds
-        odds = (target / base,)
     coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
     # the denominator zeros b/a as (b, a), exact ones as ints: p/q is one iff p a == q b
     poles = [(b.numerator * a.denominator, a.numerator * b.denominator) if exact else (b, a)
@@ -506,10 +497,12 @@ def candidate_utilities(
     rejected: list[RejectedRoot] = []
     roots: list[Scalar] = []
     irrational: list[float] = []
-    if case2:
-        admissible.extend(odds)
+    if case2:  # the binary odds, unless the anchor is never chosen from {x, y}
+        base, target = poly.ab[1]  # rho(x, {x, y}) and rho(y, {x, y})
+        if base > 0:
+            admissible.append(target / base)
     elif exact:
-        found, irrational = _exact_roots(coeffs, [*(Fraction(b, a) for b, a in poles), *odds])
+        found, irrational = _exact_roots(coeffs)
         roots = sorted(set(found))
     else:
         raw = _float_real_roots([float(c) for c in coeffs])

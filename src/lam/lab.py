@@ -50,6 +50,7 @@ from .types import (
     StochasticChoice,
     _floats,
     _join,
+    _same_universe,
     _shared,
     resolve_tol,
 )
@@ -131,7 +132,8 @@ def estimate_alpha(
     The sums are exact in both modes: per-pair inner products of integer
     rows (see :class:`_Kernel`), over every tuple, of the entries' true
     values, a float64 being a dyadic rational.  The slope subtracts the
-    tuples with |p| <= tol again, exactly; ``r_squared`` uses the reported
+    tuples with |p| <= tol again, exactly, in the same call, each pair's on
+    its own scale before its one lift.  ``r_squared`` uses the reported
     ``raw``, and float mode rounds each of the two once.  An exact pair
     whose d and p are parallel (:meth:`_Kernel.proportional`, from the
     unweighted sums) skips them: d = raw p on every tuple, so the slope of
@@ -140,7 +142,8 @@ def estimate_alpha(
     as evaluated in the tables' arithmetic.
 
     Raises, in this order, :class:`InvalidParameterError` for an unknown
-    strategy, :class:`InsufficientDataError` when the data share no menus,
+    strategy or tables over different universes,
+    :class:`InsufficientDataError` when the data share no menus,
     :class:`PartiallyIdentifiedError` when they coincide there,
     :class:`NotIdentifiedError` when the AI data has no IIA violation there
     (compliance could be 0 or 1, or the utilities aligned), and
@@ -174,12 +177,12 @@ def estimate_alpha(
         d_best, p_best = kernel.value(best)
         raw, r_squared = d_best / p_best, Fraction(1)
     else:
-        dd, dp, pp = kernel.sums()
         if strategy == "single-tuple":
+            dd, dp, pp = kernel.sums()
             d_best, p_best = kernel.value(best)
             raw = d_best / p_best
         else:  # the sums cover every tuple: take the unusable ones out again
-            out_dp, out_pp = kernel.terms(~usable)
+            dd, dp, pp, out_dp, out_pp = kernel.sums(out=~usable)
             raw = div(dp - out_dp, pp - out_pp)
         # 1 - ss_res / ss_tot, with ss_tot = dd and ss_res = dd - 2 raw dp + raw^2 pp
         num, den = raw.as_integer_ratio()
@@ -295,13 +298,15 @@ def identify_lab(
     :func:`estimate_alpha`'s errors: identical data, or no AI IIA violation
     on the shared menus, where IIA on the AI's whole domain forces alpha = 0
     and otherwise leaves compliance and v unidentified.  Any step that fails
-    marks the pair inconsistent rather than raising; an unknown strategy or
-    an invalid tolerance raises :class:`InvalidParameterError`, and data
-    sharing no menus :class:`InsufficientDataError`.
+    marks the pair inconsistent rather than raising; an unknown strategy,
+    an invalid tolerance or tables over different universes raise
+    :class:`InvalidParameterError`, and data sharing no menus
+    :class:`InsufficientDataError`.
     """
     _check_strategy(strategy)
     exact = rho_ai.is_exact and rho_h.is_exact
     eff = resolve_tol(tol, exact)
+    _same_universe(rho_ai, rho_h)
 
     def result(status, reason="", u=None, params=None, est=None, auto=None) -> LabResult:
         return LabResult(status, u, params, est, auto, eff, reason)

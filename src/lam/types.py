@@ -505,9 +505,18 @@ class ChoiceCounts(_MenuRows):
         return StochasticChoice(self.universe, table)
 
 
+def _same_universe(a: StochasticChoice, b: StochasticChoice) -> None:
+    """:class:`InvalidParameterError` unless ``a`` and ``b`` are over one
+    universe, its alternatives in one order: the kernels index rows by it."""
+    if a.universe != b.universe:
+        u, v = a.universe.alternatives, b.universe.alternatives
+        raise InvalidParameterError(f"the tables are over different universes, {u!r} and {v!r}")
+
+
 def _shared(a: StochasticChoice, b: StochasticChoice, message: str) -> list[Menu]:
-    """The menus ``a`` and ``b`` share, in ``a``'s domain order, or
-    :class:`InsufficientDataError` with ``message`` when they share none."""
+    """:func:`_same_universe`, then the menus ``a`` and ``b`` share, in ``a``'s
+    domain order, or :class:`InsufficientDataError` with ``message``."""
+    _same_universe(a, b)
     menus = [m for m in a.domain if m in b._dense.rows]
     if not menus:
         raise InsufficientDataError(message)

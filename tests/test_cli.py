@@ -225,8 +225,8 @@ def test_identify_lab_loose_tol_reports_a_clamped_peel(capsys, tmp_path):
 
 
 def test_identify_field_exact_with_an_anchor_never_chosen(capsys, tmp_path):
-    # rho(x, {x,y}) = 0 leaves no binary odds to hint an exact root: the run
-    # reports, as the float run of the same file does, instead of dividing by 0
+    # rho(x, {x,y}) = 0 leaves no binary odds: the exact run reports, as
+    # the float run of the same file does, instead of dividing by 0
     text = (DATA / "field_ai.csv").read_text()
     text = text.replace("x;y,x,7/18\n", "x;y,x,0\n").replace("x;y,y,11/18\n", "x;y,y,1\n")
     (tmp_path / "ai.csv").write_text(text)
@@ -906,3 +906,22 @@ def test_identify_field_reports_an_undefined_compliance_row(capsys, tmp_path):
     assert code == 2
     assert "status,non-generic-failure" in out.splitlines()
     assert "alpha_table,z,0.010000000000000009;0.010000000000000009,undefined,infeasible" in out.splitlines()
+
+
+def _universe(path):
+    return parse_dataset(path.read_text()).universe.alternatives
+
+
+_TABLES = sorted(p for p in DATA.glob("*.csv") if p.name != "field_params.csv")
+
+
+@pytest.mark.parametrize("ai, human", [
+    (a.name, h.name) for a in _TABLES for h in _TABLES if _universe(a) != _universe(h)
+])
+def test_tables_over_different_universes_are_input_errors(capsys, ai, human):
+    # an error line naming both universes, never a traceback
+    want = (f"error: the tables are over different universes, {_universe(DATA / ai)!r} "
+            f"and {_universe(DATA / human)!r}\n")
+    for cmd in (["check-axioms"], ["identify-lab", "--anchor", "x"]):
+        code, out, err = run(capsys, cmd[0], "--ai", str(DATA / ai), "--human", str(DATA / human), *cmd[1:])
+        assert (code, out, err) == (1, "", want), cmd

@@ -495,28 +495,48 @@ def test_exact_cubic_solver_stress():
         else:
             roots = [F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(3)]
         coeffs = poly_from_roots(roots, lead)
-        hints = [roots[0]] if kind == 2 else []  # triple roots need their hint
-        got, leftovers = _exact_roots(list(coeffs), hints=hints)
+        got, leftovers = _exact_roots(list(coeffs))
         assert sorted(set(got)) == sorted(set(roots)), (trial, kind)
         assert not leftovers
         assert all(_poly_eval(coeffs, g) == 0 for g in got)
 
     # one rational root plus an irrational pair: k(k^2 - 2)
-    got, leftovers = _exact_roots([F(0), F(-2), F(0), F(1)], hints=[])
+    got, leftovers = _exact_roots([F(0), F(-2), F(0), F(1)])
     assert got == [F(0)] or set(got) == {F(0)}
     assert len(leftovers) == 2  # the +-sqrt(2) pair, reported approximately
 
     # one rational root plus a complex pair: (k - 1)(k^2 + 1)
-    got, leftovers = _exact_roots([F(-1), F(1), F(-1), F(1)], hints=[])
+    got, leftovers = _exact_roots([F(-1), F(1), F(-1), F(1)])
     assert set(got) == {F(1)} and not leftovers
+
+    # irrational roots only, each stand-in correctly rounded: the exact
+    # polynomial changes sign between the points half an ulp either side.
+    # k^3 - 3k + 1: the critical points +-1 are dyadic split points, where
+    # a Newton step meets P'(x) = 0.  (k - M)^2 - 3 2^-200, M = 1 + 2^-53:
+    # both roots lie within 2^-99 of the rounding midpoint M.  k^2 - (t^2 +
+    # 1), t = 2^70 + 2^17: sqrt(t^2 + 1) lies within 2^-71 of the midpoint
+    # t, so the quadratic's stand-ins take m past 64
+    M, t = 1 + F(1, 2**53), 2**70 + 2**17
+    for coeffs, want in (
+        ([F(1), F(-3), F(0), F(1)], None),
+        ([M * M - 3 * F(1, 2**200), -2 * M, F(1)], [1.0, 1.0000000000000002]),
+        ([F(-t * t - 1), F(0), F(1)], [-float(2**70 + 2**18), float(2**70 + 2**18)]),
+    ):
+        got, leftovers = _exact_roots(coeffs)
+        assert not got and len(leftovers) == len(coeffs) - 1
+        assert want is None or sorted(leftovers) == want
+        for x in leftovers:
+            below, above = (F(x) + (F(math.nextafter(x, to)) - F(x)) / 2 for to in (-math.inf, math.inf))
+            assert (_poly_eval(coeffs, below) > 0) != (_poly_eval(coeffs, above) > 0), x
 
 
 def test_exact_roots_hint_at_a_double_root():
     from lam.field import _exact_roots, _poly_eval
 
-    # -7/2 (k - 3/7)^2 (k + 5/2): the hint deflates twice, a line is left
+    # -7/2 (k - 3/7)^2 (k + 5/2): Sturm's chain gives the double root in
+    # closed form, and the quadratic left has a square discriminant
     coeffs = [F(-45, 28), F(48, 7), F(-23, 4), F(-7, 2)]
-    got, leftovers = _exact_roots(coeffs, hints=[F(3, 7)])
+    got, leftovers = _exact_roots(coeffs)
     assert got == [F(3, 7), F(3, 7), F(-5, 2)] and not leftovers
     assert all(_poly_eval(coeffs, g) == 0 for g in got)
 
@@ -525,15 +545,15 @@ def test_exact_roots_quadratic_with_a_huge_square_discriminant():
     from lam.field import _exact_roots, _poly_eval
 
     # (k - 2/3) times a quadratic with rational roots of 40-digit terms:
-    # once the hint deflates, the discriminant is a perfect square far
-    # beyond float precision
+    # once a rational root deflates, the discriminant is a perfect square
+    # far beyond float precision
     r1 = F(10**40 + 1, 10**20 + 7)
     r2 = F(-(3 * 10**35 + 11), 10**25 + 3)
     lead = F(10**30 + 9, 17)
     quad = [lead * r1 * r2, -lead * (r1 + r2), lead]
     h = F(2, 3)
     coeffs = [-h * quad[0], quad[0] - h * quad[1], quad[1] - h * quad[2], quad[2]]
-    got, leftovers = _exact_roots(coeffs, hints=[h])
+    got, leftovers = _exact_roots(coeffs)
     assert sorted(got) == sorted([h, r1, r2]) and not leftovers
     assert all(_poly_eval(coeffs, g) == 0 for g in got)
     c0, c1, c2 = (c * (r1.denominator * r2.denominator * 17) for c in quad)
@@ -724,7 +744,7 @@ def test_exact_roots_rational_root_with_a_fifty_digit_denominator():
     from lam.field import _exact_roots
 
     r = F(FIFTY + 151, FIFTY + 7)  # (k - r)(k**2 + 2)
-    assert _exact_roots([-2 * r, F(2), -r, F(1)], hints=[]) == ([r], [])
+    assert _exact_roots([-2 * r, F(2), -r, F(1)]) == ([r], [])
 
 
 def cubic_from_roots(roots, lead):
@@ -748,7 +768,7 @@ def test_exact_roots_without_hints_find_every_root():
         r = huge() if trial % 2 else F(rng.randint(-30, 30), rng.randint(1, 30))
         roots = ([huge(), huge(), huge()], [r, r, huge()], [r, r, r])[trial % 3]
         lead = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * rng.choice([1, -1])
-        got, stand_ins = _exact_roots(cubic_from_roots(roots, lead), hints=[])
+        got, stand_ins = _exact_roots(cubic_from_roots(roots, lead))
         assert sorted(got) == sorted(roots) and not stand_ins, trial
 
 

@@ -691,14 +691,14 @@ def test_kernel_sums_equal_brute_force(variant):
             rows = list(scan_rows(ai, menus, human))
             true = rows if exact else list(scan_rows(ai, menus, human, exact_value))
             kernel = _Kernel(ai, menus, human)
-            # sums and terms share one unstated positive scale
+            # the sums and the flagged tuples' sums share one unstated positive scale
             got = kernel.sums()
             want = [sum(r[i] * r[j] for r in true) for i, j in ((4, 4), (4, 5), (5, 5))]
             scale = F(got[0] + got[2]) / (want[0] + want[2]) if want[0] + want[2] else 1
             assert scale > 0 and list(got) == [scale * w for w in want]
             flags = np.array([rng.random() < 0.5 for _ in rows], dtype=bool)
             kept = [r for r, flag in zip(true, flags) if flag]
-            assert kernel.terms(flags) == (
+            assert kernel.sums(out=flags)[3:] == (
                 scale * sum(r[4] * r[5] for r in kept),
                 scale * sum(r[5] * r[5] for r in kept),
             )

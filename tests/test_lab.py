@@ -858,7 +858,7 @@ def lifted_alpha(ai, human, strategy, tol):
         d_best, p_best = kernel.value(best)
         raw = d_best / p_best
     else:
-        out_dp, out_pp = kernel.terms(~usable)
+        out_dp, out_pp = kernel.sums(out=~usable)[3:]
         raw = F(dp - out_dp, pp - out_pp)
     num, den = raw.as_integer_ratio()
     r_squared = F(num * (2 * den * dp - num * pp), den * den * dd)
@@ -1056,3 +1056,25 @@ def test_identify_lab_reports_an_ai_rule_that_is_not_positive(uni3, to_float, ef
         "AI data satisfies IIA but is not a Luce rule: positivity fails: "
         f"probability of 'z' in ('x', 'y', 'z') is not above {eff}",
     )
+
+
+def test_tables_over_reordered_universes_raise():
+    # one Luce table over ("x", "y", "z") and over ("y", "x", "z"): the
+    # kernels index rows by universe order, so the second must not pass as
+    # the first (it read sup distance 1/3, and the mixture against it was
+    # inconsistent and failed the axioms)
+    uni, turned = Universe(("x", "y", "z")), Universe(("y", "x", "z"))
+    params = LamParams.normalized(uni, {"x": 1, "y": 2, "z": 3}, {"x": 1, "y": 5, "z": F(1, 2)}, F(1, 3))
+    menus = uni.all_menus(2)
+    ai, human = lam_table(params, menus), luce_table(uni, params.u, menus)
+    other = StochasticChoice(turned, human.table)
+    assert identify_lab(ai, human, "x").status == "point-identified"
+    assert check_axioms(ai, human).overall
+    assert sup_distance(human, human) == 0
+    message = "the tables are over different universes, ('x', 'y', 'z') and ('y', 'x', 'z')"
+    for call in (lambda: sup_distance(human, other), lambda: identify_lab(ai, other, "x"),
+                 lambda: check_axioms(ai, other), lambda: estimate_alpha(ai, other),
+                 lambda: recover_autonomous(ai, other, F(1, 3))):
+        with pytest.raises(InvalidParameterError) as err:
+            call()
+        assert str(err.value) == message
