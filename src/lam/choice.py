@@ -46,6 +46,7 @@ from .types import (
     _floats,
     _incidence,
     _rows,
+    _show,
     is_exact_scalar,
     resolve_tol,
     sup_distance,
@@ -881,14 +882,14 @@ def recover_luce_utility(
     if zero is not None:
         raise NotLuceError(
             f"positivity fails: probability of {zero[1]!r} in "
-            f"{universe.sorted_members(zero[0])} is not above {eff!r}"
+            f"{universe.sorted_members(zero[0])} is not above {_show(eff)}"
         )
     kernel, bad = _own_violations(rho, eff)
     if bad is not None:
         # each canonical violation stands for four sign-equivalent tuples,
         # and the first in lexicographic order is the canonical one
         raise NotLuceError(
-            f"IIA violated at tolerance {eff!r} for {4 * int(bad.sum())} tuples, e.g. "
+            f"IIA violated at tolerance {_show(eff)} for {4 * int(bad.sum())} tuples, e.g. "
             + kernel.tuple_at(_first_true(bad)).describe(universe)
         )
 
@@ -955,7 +956,7 @@ def recover_luce_utility(
             if not 0.0 < util[k] < math.inf:
                 raise UtilityRangeError(
                     f"utility of {universe.alternatives[k]!r} against the anchor "
-                    f"{anchor!r} is exp({x!r}), outside float64's range"
+                    f"{anchor!r} is exp({_show(x)}), outside float64's range"
                 )
     return {a: util[k] for k, a in enumerate(universe.alternatives)}
 

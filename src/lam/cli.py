@@ -28,7 +28,7 @@ from .dataio import (
 from .estimate import fit_mle, simulate_counts
 from .field import _gap, identify_field
 from .lab import check_axioms, identify_lab
-from .types import ChoiceCounts, LamError, Scalar, StochasticChoice
+from .types import ChoiceCounts, DatasetFormatError, LamError, Scalar, StochasticChoice
 
 
 class _UsageError(Exception):
@@ -114,8 +114,10 @@ def _cmd_simulate(args) -> tuple[list[str], int]:
     text = Path(args.params).read_text()
     try:
         params = parse_params(text, exact=True)
-    except LamError:
-        params = parse_params(text, exact=False)  # decimal-valued files
+    except DatasetFormatError as e:  # decimal-valued files; an invalid value stays an error
+        if "requires rational literals" not in str(e):
+            raise
+        params = parse_params(text, exact=False)
     if args.menus == "all":
         menus = params.universe.all_menus(min_size=2)
     else:

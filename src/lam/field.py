@@ -16,9 +16,10 @@ by a constructive procedure:
 
    with a_M = rho(x, M) and b_M = rho(y, M).  Cross-multiplying gives a
    cubic whose roots include both u(y) and v(y); the third root is
-   spurious.  Roots are screened for positivity, for distance from the
-   denominator zeros b_M / a_M (where the original equation is
-   undefined), and for residual of the original equation.
+   spurious.  The cubic is formed and solved in integers in both scalar
+   modes, so every real root off the denominator zeros b_M / a_M solves
+   the equation; roots are screened for positivity and for distance from
+   those zeros (where the original equation is undefined).
 
 2. Spurious roots typically differ across reference pairs, so with five
    or more alternatives intersecting the admissible sets isolates the
@@ -46,14 +47,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Literal, Mapping
 
-import numpy as np
-
-from .choice import _residual, satisfies_iia
+from .choice import _dyadic, _residual, satisfies_iia
 from .types import (
     GapUndefinedError,
     InsufficientDataError,
@@ -62,6 +61,7 @@ from .types import (
     Menu,
     Scalar,
     StochasticChoice,
+    _show,
     is_exact_scalar,
     resolve_tol,
 )
@@ -97,7 +97,8 @@ class CubicPoly:
     (a_M, b_M) probability pairs.  ``scale`` is the largest absolute
     product of three input probabilities, the natural magnitude against
     which coefficients are compared when testing for the identically-zero
-    polynomial.
+    polynomial.  ``ints``, ascending, is a positive multiple of the exact
+    cubic that float coefficients round; None means c0..c3 themselves.
     """
 
     c3: Scalar
@@ -110,6 +111,7 @@ class CubicPoly:
     menus: tuple[Menu, Menu, Menu, Menu]
     ab: tuple[tuple[Scalar, Scalar], ...]
     scale: Scalar
+    ints: tuple[int, int, int, int] | None = field(default=None, compare=False, repr=False)
 
     def coefficients(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.c3, self.c2, self.c1, self.c0)
@@ -133,18 +135,6 @@ class CubicPoly:
                 zeros.append(b / a)
         return tuple(sorted(set(zeros)))
 
-    def equation_residual(self, k: Scalar) -> Scalar:
-        """Value of the original rational equation (left minus right) at k."""
-        d_s, d_t, d_1, d_2 = (a * k - b for a, b in self.ab)
-        return 1 / d_s + 1 / d_t - 1 / d_1 - 1 / d_2
-
-    def equation_slope(self, k: Scalar) -> Scalar:
-        terms = []
-        for sign, (a, b) in zip((-1, -1, 1, 1), self.ab):
-            d = a * k - b
-            terms.append(sign * a / (d * d))
-        return sum(terms)
-
 
 def identification_polynomial(
     rho_ai: StochasticChoice, x: str, y: str, z: str, t: str
@@ -152,9 +142,11 @@ def identification_polynomial(
     """Build the cubic for target y with anchor x and reference pair (z, t).
 
     Menu M gives a_M = A_M / c_M, b_M = B_M / c_M from the dense view: ints
-    over the row's lcm c_M on exact data, floats with c_M = 1 otherwise.
-    The cubic, over the product of the c_M, sums +-c_M times the product of
-    (A k - B) over the other three menus.  Raises
+    over the row's lcm c_M on exact data, and on float data the cells'
+    mantissas over one power of two c_M (:func:`~lam.choice._dyadic`).
+    With D_M = A_M k - B_M, the cubic is (c_S D_T + c_T D_S) D_1 D_2 -
+    (c_1 D_2 + c_2 D_1) D_S D_T over the product of the c_M, formed in ints
+    (``ints``); float coefficients are its correctly rounded values.  Raises
     :class:`InsufficientDataError` if any of the four menus is unobserved.
     """
     universe = rho_ai.universe
@@ -162,12 +154,7 @@ def identification_polynomial(
         raise InvalidParameterError("anchor, target, and reference alternatives must be distinct")
     for alt in (x, y, z, t):
         universe.index(alt)
-    menus = (
-        frozenset({x, y, z, t}),
-        frozenset({x, y}),
-        frozenset({x, y, z}),
-        frozenset({x, y, t}),
-    )
+    menus = (frozenset({x, y, z, t}), frozenset({x, y}), frozenset({x, y, z}), frozenset({x, y, t}))
     missing = [m for m in menus if not rho_ai.has_menu(m)]
     if missing:
         names = [universe.sorted_members(m) for m in missing]
@@ -177,43 +164,32 @@ def identification_polynomial(
         )
     view = rho_ai._dense
     at = [view.rows[m] for m in menus]
-    pairs = view.entries[at][:, [universe.index(x), universe.index(y)]].tolist()
-    c_s, c_t, c_1, c_2 = cs = [1] * 4 if view.scale is None else view.scale[at].tolist()
-    lin = [(-b, a) for a, b in pairs]  # ascending coefficients of A k - B
-
-    def mul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-        return out
-
-    d_s, d_t, d_1, d_2 = lin
-    coeffs = [0, 0, 0, 0]
-    for sign, term in (
-        (c_s, mul(mul(d_t, d_1), d_2)),
-        (c_t, mul(mul(d_s, d_1), d_2)),
-        (-c_1, mul(mul(d_s, d_t), d_2)),
-        (-c_2, mul(mul(d_s, d_t), d_1)),
-    ):
-        for i, c in enumerate(term):
-            coeffs[i] += sign * c
-    div = operator.truediv if view.scale is None else Fraction  # x / 1 is x for a float x
-    coeffs = [div(c, c_s * c_t * c_1 * c_2) for c in coeffs]
-    ab = tuple((div(a, c), div(b, c)) for (a, b), c in zip(pairs, cs))
+    cells = view.entries[at][:, [universe.index(x), universe.index(y)]]
+    if view.scale is None:  # float rows: ints over one power of two, exactly
+        pairs, e = _dyadic(cells)
+        cs = [1 << -e] * 4
+        ab = tuple(map(tuple, cells.tolist()))
+    else:
+        pairs, cs = cells, view.scale[at].tolist()
+        ab = tuple((Fraction(a, c), Fraction(b, c)) for (a, b), c in zip(cells.tolist(), cs))
+    d_s, d_t, d_1, d_2 = ([-b, a] for a, b in pairs.tolist())  # ascending coefficients of A k - B
+    c_s, c_t, c_1, c_2 = cs
+    left = _mul([c_s * q + c_t * p for p, q in zip(d_s, d_t)], _mul(d_1, d_2))
+    right = _mul([c_1 * q + c_2 * p for p, q in zip(d_1, d_2)], _mul(d_s, d_t))
+    ints = tuple(p - q for p, q in zip(left, right))
+    den = c_s * c_t * c_1 * c_2  # int true division rounds correctly
+    coeffs = [c / den if view.scale is None else Fraction(c, den) for c in ints]
     scale = max(max(a, b) for a, b in ab) ** 3
-    return CubicPoly(
-        c3=coeffs[3],
-        c2=coeffs[2],
-        c1=coeffs[1],
-        c0=coeffs[0],
-        target=y,
-        anchor=x,
-        reference=(z, t),
-        menus=menus,
-        ab=ab,
-        scale=scale,
-    )
+    return CubicPoly(*reversed(coeffs), y, x, (z, t), menus, ab, scale, ints)
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    """The product of two polynomials, ascending coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,29 +225,6 @@ def _deflate(coeffs: list[int], p: int, q: int) -> list[int]:
     return out
 
 
-#: Float mode: a leading coefficient at most this far below the largest is dropped.
-_TRIM = 1e-14
-
-
-def _float_real_roots(coeffs: list[float]) -> list[float]:
-    """Float mode: real roots of an ascending-coefficient polynomial via the
-    companion matrix."""
-    biggest = max(abs(c) for c in coeffs)
-    if biggest == 0:
-        return []
-    work = [c for c in coeffs]
-    while len(work) > 1 and abs(work[-1]) <= _TRIM * biggest:
-        work.pop()
-    if len(work) <= 1:
-        return []
-    return _real(np.roots(list(reversed(work))))
-
-
-def _real(roots) -> list[float]:
-    """Float mode: the real parts of the roots within 1e-8 of the real axis, sorted."""
-    return sorted(float(z.real) for z in roots if abs(z.imag) <= 1e-8 * (1 + abs(z)))
-
-
 def _ratio(p: int, q: int) -> float:
     """p / q correctly rounded, as int true division is; +-inf past float range."""
     try:
@@ -303,9 +256,10 @@ def _quadratic_stand_ins(c0: int, c1: int, c2: int, disc: int) -> list[float]:
         m *= 2
 
 
-def _cubic_root(work: list[int]) -> tuple[Fraction | None, list[float]]:
+def _cubic_root(work: list[int], rational: bool = True) -> tuple[Fraction | None, list[float]]:
     """A rational root of the int cubic ``work`` (ascending, c0 nonzero), or
-    None and the correctly rounded floats of its real roots, all irrational.
+    None and the correctly rounded floats of its real roots, all irrational
+    unless ``rational`` is False: then :func:`_rounded_root` tries first.
 
     Sturm's chain P, P', a k + b, s3 is built in closed form.  A repeated
     root is rational: -c2 / (3 c3), or -b / a where s3 = 0.  Otherwise the
@@ -347,11 +301,53 @@ def _cubic_root(work: list[int]) -> tuple[Fraction | None, list[float]]:
         m = 2 * m + 1
     stand_ins = []
     for lo, hi in isolated[::2] + isolated[1::2]:
-        root = _refine_root(work, lo, hi, m)
+        root = None if rational else _rounded_root(work, lo, hi, m)
+        root = _refine_root(work, lo, hi, m) if root is None else root
         if isinstance(root, Fraction):
             return root, []
         stand_ins.append(root)
     return None, stand_ins
+
+
+def _rounded_root(work: list[int], lo: int, hi: int, m: int) -> Fraction | float | None:
+    """The correctly rounded float of the root of the int cubic ``work``
+    isolated in (lo, hi) / 2**m, or the root if it lies midway between two
+    floats; None if three guesses miss.  The first guess is bracketed
+    Newton in floats, to about 40 bits.  A float x rounds the root iff P
+    changes sign between the midpoints of x and its two neighbours, both
+    inside (lo, hi); otherwise the secant through those exact values,
+    correctly rounded, is the next guess.
+    """
+    side = _hom_eval(work, lo, 1 << m) > 0
+    a, b = _ratio(lo, 1 << m), _ratio(hi, 1 << m)
+    shift = max(0, max(c.bit_length() for c in work) - 64)
+    f0, f1, f2, f3 = (_ratio(c, 1 << shift) for c in work)
+    x = a + (b - a) / 2
+    for _ in range(64):
+        px = ((f3 * x + f2) * x + f1) * x + f0
+        dp = (3 * f3 * x + 2 * f2) * x + f1
+        y = x - px / dp if dp else math.nan
+        if abs(y - x) <= 2.0**-40 * abs(x):
+            x = y
+            break
+        a, b = (x, b) if (px > 0) == side else (a, x)
+        x = y if a < y < b else a + (b - a) / 2
+    for _ in range(3):
+        near = (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+        if not all(map(math.isfinite, near)):
+            return None
+        (p, q), (r, t), (s, w) = (z.as_integer_ratio() for z in near)
+        k = max(q, t, w)  # the midpoints are u / 2k and v / 2k
+        u, v = p * (k // q) + r * (k // t), r * (k // t) + s * (k // w)
+        if not (lo * 2 * k < u << m and v << m < hi * 2 * k):
+            return None
+        pu, pv = _hom_eval(work, u, 2 * k), _hom_eval(work, v, 2 * k)
+        if not pu or not pv:
+            return Fraction(v if pu else u, 2 * k)
+        if (pu > 0) == side != (pv > 0):
+            return x
+        x = _ratio(u * pv - v * pu, 2 * k * (pv - pu)) if pv != pu else math.nan
+    return None
 
 
 def _refine_root(work: list[int], lo: int, hi: int, m: int) -> Fraction | float:
@@ -413,12 +409,13 @@ def _refine_root(work: list[int], lo: int, hi: int, m: int) -> Fraction | float:
             return f
 
 
-def _exact_roots(coeffs: list[Scalar]) -> tuple[list[Fraction], list[float]]:
+def _exact_roots(coeffs: list[Scalar], rational: bool = True) -> tuple[list[Fraction], list[float]]:
     """All rational roots of a degree <= 3 rational polynomial, plus the
     correctly rounded floats of its irrational real roots, in ints alone:
     the coefficients over their lcm and gcd.  A root at 0 is divided out
     first, a cubic's rational root from ``_cubic_root`` next, and a
     quadratic's roots are rational iff its discriminant is a square.
+    Unless ``rational``, a cubic's rational roots may come as floats too.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     work = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -431,7 +428,7 @@ def _exact_roots(coeffs: list[Scalar]) -> tuple[list[Fraction], list[float]]:
         roots.append(Fraction(0))
         work = work[1:]
     if len(work) == 4:
-        root, stand_ins = _cubic_root(work)
+        root, stand_ins = _cubic_root(work, rational)
         if root is None:
             return roots, stand_ins
         roots.append(root)
@@ -482,14 +479,15 @@ def candidate_utilities(
     the anchor are menu-independent, so both utility values equal that
     constant odds ratio: the cubic has no roots to screen, and the binary
     odds are the lone admissible candidate (flagged ``case2``).  Otherwise
-    roots are kept only when real, strictly positive, farther than ``tol``
-    from every denominator zero, and exact (to within ``tol``) solutions of
-    the original rational equation.  Both scalar modes run one screen.
+    roots are kept only when real, strictly positive and farther than
+    ``tol`` from every denominator zero, off which they solve the original
+    equation.  Both scalar modes solve the exact cubic (``poly.ints``):
+    exact mode keeps its rational roots, float mode the correctly rounded
+    floats of all its real roots, nearly equal ones merged.
     """
     exact = poly.is_exact and rho_ai.is_exact
     eff = resolve_tol(tol, exact)
     case2 = poly.is_zero(eff)
-    coeffs = [poly.c0, poly.c1, poly.c2, poly.c3]
     # the denominator zeros b/a as (b, a), exact ones as ints: p/q is one iff p a == q b
     poles = [(b.numerator * a.denominator, a.numerator * b.denominator) if exact else (b, a)
              for a, b in poly.ab if a != 0]
@@ -501,13 +499,13 @@ def candidate_utilities(
         base, target = poly.ab[1]  # rho(x, {x, y}) and rho(y, {x, y})
         if base > 0:
             admissible.append(target / base)
-    elif exact:
-        found, irrational = _exact_roots(coeffs)
-        roots = sorted(set(found))
     else:
-        raw = _float_real_roots([float(c) for c in coeffs])
-        for r in sorted(_polish_on_equation(poly, r) for r in raw):
-            if not (roots and _same_root(r, roots[-1])):
+        found, irrational = _exact_roots(list(poly.ints or map(Fraction, poly.coefficients()[::-1])), exact)
+        if not exact:  # every real root, correctly rounded
+            found, irrational = [_ratio(r.numerator, r.denominator) for r in found] + irrational, []
+        same = operator.eq if exact else _same_root
+        for r in sorted(found):
+            if not (roots and same(r, roots[-1])):
                 roots.append(r)
     for r in roots:
         if not r > 0:
@@ -519,10 +517,6 @@ def candidate_utilities(
             for b, a in poles
         ) or not exact and any(a * r == b for a, b in poly.ab):  # also a = b = 0, at any r
             reason = "denominator-vanishing"
-        elif not exact and abs(poly.equation_residual(r)) > max(eff, 1e-10) * (
-            1 + sum(abs(1 / (a * r - b)) for a, b in poly.ab)
-        ):
-            reason = "fails original equation"
         else:
             admissible.append(r)
             continue
@@ -541,44 +535,6 @@ def candidate_utilities(
 def _same_root(r: float, s: float) -> bool:
     """Whether two float roots merge, at relative tolerance ``ROOT_MERGE_RTOL``."""
     return abs(r - s) <= ROOT_MERGE_RTOL * max(1.0, abs(r))
-
-
-def _polish_on_equation(poly: CubicPoly, r: float) -> float:
-    """Damped Newton refinement of a root against the original equation; a
-    root on a denominator zero is left for the screen, and a step that
-    would reach or cross one of the zeros next to the root is halved."""
-    x, zeros = r, poly.pole_values()
-    low = max((z for z in zeros if z < r), default=-math.inf)
-    high = min((z for z in zeros if z > r), default=math.inf)
-    try:
-        fx = poly.equation_residual(x)
-    except ZeroDivisionError:  # some a x - b is 0
-        return x
-    for _ in range(12):
-        if fx == 0:
-            break
-        try:
-            slope = poly.equation_slope(x)
-        except ZeroDivisionError:  # some (a x - b)**2 underflows to 0
-            break
-        if slope == 0 or not math.isfinite(slope):
-            break
-        step = fx / slope
-        accepted = False
-        for _ in range(5):
-            cand = x - step
-            try:
-                fc = poly.equation_residual(cand) if low < cand < high else math.nan
-            except ZeroDivisionError:
-                fc = math.nan
-            if math.isfinite(fc) and abs(fc) < abs(fx):
-                x, fx = cand, fc
-                accepted = True
-                break
-            step /= 2
-        if not accepted or abs(step) <= 1e-16 * (1 + abs(x)):
-            break
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +838,7 @@ def identify_field(
     residual = _residual(primary, rho_ai)
     if residual > eff:
         return fail(
-            f"assembled swap class misses the data by {residual!r}",
+            f"assembled swap class misses the data by {_show(residual)}",
             tuple(supported),
         )
     return FieldResult(
@@ -915,5 +871,5 @@ def _gap(lab_alpha: Scalar, alpha_pair: tuple[Scalar, Scalar]) -> Scalar:
     """The deception gap of a lab compliance and a field pair, each in [0, 1]."""
     for name, a in zip(("lab", "field", "field"), (lab_alpha, *alpha_pair)):
         if not 0 <= a <= 1:
-            raise InvalidParameterError(f"{name} compliance {a!r} outside [0, 1]")
+            raise InvalidParameterError(f"{name} compliance {_show(a)} outside [0, 1]")
     return min(abs(lab_alpha - a) for a in alpha_pair)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, fields
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Literal, Mapping, get_args
 
@@ -52,6 +51,7 @@ from .types import (
     _join,
     _same_universe,
     _shared,
+    _show,
     resolve_tol,
 )
 
@@ -68,17 +68,6 @@ __all__ = [
 
 AlphaStrategy = Literal["single-tuple", "least-squares"]
 _DISJOINT = "the AI and human data share no menus"
-
-
-def _show(x: Scalar) -> str:
-    """repr(x) for a message, or 17 significant digits of a Fraction whose
-    numerator or denominator is past Python's int-to-str digit limit."""
-    try:
-        return repr(x)
-    except ValueError:
-        with localcontext() as ctx:
-            ctx.prec = 17
-            return f"~{Decimal(x.numerator) / Decimal(x.denominator)}"
 
 
 def _check_strategy(strategy: str) -> None:
@@ -480,7 +469,7 @@ def check_axioms(
         bounded_instability = AxiomVerdict(
             False,
             witness=(t, d_t, p_t),
-            note=f"own instability {d_t!r} is not dominated by composite {p_t!r} at "
+            note=f"own instability {_show(d_t)} is not dominated by composite {_show(p_t)} at "
             + t.describe(universe),
         )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
@@ -114,11 +115,22 @@ def is_exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _show(x: Scalar) -> str:
+    """repr(x) for a message, or 17 significant digits of a rational whose
+    numerator or denominator is past Python's int-to-str digit limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        with localcontext() as ctx:
+            ctx.prec = 17
+            return f"~{Decimal(x.numerator) / Decimal(x.denominator)}"
+
+
 def _integer(name: str, x, what: str, low: int, high: float = math.inf) -> int:
     """``x`` as an int if it is an int or numpy integer (not a bool) in
     [low, high); else :class:`InvalidParameterError`: ``name`` must be ``what``."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not low <= x < high:
-        raise InvalidParameterError(f"{name} must be {what}, got {x!r}")
+        raise InvalidParameterError(f"{name} must be {what}, got {_show(x)}")
     return int(x)
 
 
@@ -127,7 +139,7 @@ def resolve_tol(tol: Scalar | None, exact: bool) -> Scalar:
     if tol is None:
         return 0 if exact else FLOAT_TOL
     if not 0 <= tol < math.inf:
-        raise InvalidParameterError(f"tolerance {tol!r} must be finite and non-negative")
+        raise InvalidParameterError(f"tolerance {_show(tol)} must be finite and non-negative")
     return tol
 
 
@@ -364,7 +376,7 @@ class StochasticChoice(_MenuRows):
         for alt, p in row.items():
             if not (0 <= p.numerator <= p.denominator if row_exact else -eff <= p <= 1 + eff):
                 raise InvalidParameterError(  # the float test also rejects NaN
-                    f"probability {p!r} for {alt!r} in menu "
+                    f"probability {_show(p)} for {alt!r} in menu "
                     f"{self.universe.sorted_members(menu)} outside [0, 1]"
                 )
             if not row_exact and p < 0:
@@ -372,7 +384,7 @@ class StochasticChoice(_MenuRows):
         if _sum_off(row, row_exact, eff):
             raise InvalidParameterError(
                 f"row for menu {self.universe.sorted_members(menu)} sums to "
-                f"{sum(row.values())!r}, not 1"
+                f"{_show(sum(row.values()))}, not 1"
             )
 
     @classmethod
@@ -573,7 +585,7 @@ class LamParams:
                     val = Fraction(val)  # ints join the exact path
                 if not 0 < val < math.inf:
                     raise InvalidParameterError(
-                        f"{name}({alt!r}) = {val!r}; utilities must be positive and finite"
+                        f"{name}({alt!r}) = {_show(val)}; utilities must be positive and finite"
                     )
                 exact = exact and is_exact_scalar(val)
                 clean[alt] = val
@@ -586,7 +598,7 @@ class LamParams:
                 )
             object.__setattr__(self, name, clean)
         if not (0 <= self.alpha <= 1):
-            raise InvalidParameterError(f"alpha = {self.alpha!r} outside [0, 1]")
+            raise InvalidParameterError(f"alpha = {_show(self.alpha)} outside [0, 1]")
         object.__setattr__(self, "is_exact", exact)
 
     @classmethod

@@ -112,7 +112,7 @@ v,d,10/21
 class,swap-equivalent member is (v,u,1-alpha)
 """
 
-# the float roots of c and d end in LAPACK-dependent digits: pinned to 9 places
+# the float report with its numbers rounded to 9 places
 ALIGNED_FLOAT = """\
 report,identify-field
 mode,float
@@ -374,6 +374,41 @@ def test_deception_gap_past_the_int_digit_limit(capsys):
     assert rows["gap"] == "1/4"
 
 
+#: 10**5000 in digits, past the interpreter's 4,300-digit limit on int-string conversion
+BIG = "1" + "0" * 5000
+#: (2 * 10**5000 + 1) / (2 * 10**5000), a compliance just above 1
+BIG_ALPHA = f"2{BIG[1:-1]}1/2{BIG[1:]}"
+
+
+def test_probability_past_the_int_digit_limit_is_named_in_the_error(capsys, tmp_path):
+    # x;y reads -1/10**5000 and (10**5000 + 1)/10**5000: the message names
+    # the negative entry by its leading digits
+    ai = tmp_path / "ai.csv"
+    ai.write_text((DATA / "lab_ai.csv").read_text()
+                  .replace("x;y,x,7/15", f"x;y,x,-1/{BIG}").replace("x;y,y,8/15", f"x;y,y,{BIG[:-1]}1/{BIG}"))
+    code, out, err = run(capsys, "check-axioms", "--ai", str(ai), "--human", str(DATA / "lab_human.csv"),
+                         "--exact")
+    assert (code, out, err) == (1, "", "error: probability ~-1E-5000 for 'x' in menu ('x', 'y') outside [0, 1]\n")
+
+
+def test_compliance_past_the_int_digit_limit_in_params_is_named_in_the_error(capsys, tmp_path):
+    params = tmp_path / "params.csv"
+    params.write_text((DATA / "field_params.csv").read_text().replace("alpha,3/4", f"alpha,{BIG_ALPHA}"))
+    code, out, err = run(capsys, "simulate", "--params", str(params), "--menus", "all", "--n", "10",
+                         "--seed", "1", "--out", str(tmp_path / "sim.csv"))
+    assert (code, out, err) == (1, "", "error: alpha = ~1.0000000000000000 outside [0, 1]\n")
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_lab_compliance_past_the_int_digit_limit_is_named_in_the_error(capsys, tmp_path):
+    lab, field = tmp_path / "lab.txt", tmp_path / "field.txt"
+    lab.write_text(f"report,identify-lab\nmode,exact\nstatus,point-identified\nalpha,{BIG_ALPHA}\n")
+    field.write_text("report,identify-field\nmode,exact\nstatus,identified-up-to-swap\n"
+                     "alpha_pair,3/4;1/4\n")
+    code, out, err = run(capsys, "deception-gap", "--lab", str(lab), "--field", str(field))
+    assert (code, out, err) == (1, "", "error: lab compliance ~1.0000000000000000 outside [0, 1]\n")
+
+
 def test_deception_gap_undefined_for_degenerate_field(capsys, tmp_path):
     lab_path = tmp_path / "lab.txt"
     lab_path.write_text("report,identify-lab\nstatus,point-identified\nalpha,1/2\n")
@@ -626,12 +661,12 @@ def test_identify_field_root_on_a_denominator_zero_exits_cleanly(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "status,identified-up-to-swap" in proc.stdout.splitlines()
-    assert "alpha_pair,0.9700000000000001;0.029999999999999874" in proc.stdout.splitlines()
+    assert "alpha_pair,0.9700000000000001;0.0299999999999999" in proc.stdout.splitlines()
 
 
 def test_identify_field_subnormal_slope_exits_cleanly():
-    # the square of a denominator underflows in the polish of a root: run as
-    # a program, the command reports a failure and prints no traceback
+    # float cells near the bottom of the subnormal range: run as a program,
+    # the command reports a failure and prints no traceback
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -731,8 +766,7 @@ CPU_SETTINGS = (
 def test_float_lab_reports_independent_of_cpu(tmp_path):
     # the float lab reports call no LAPACK routine and no SIMD-dispatched
     # numpy transcendental, so their bytes do not depend on the kernels the
-    # CPU selects.  Not covered yet: float identify-field (np.roots calls
-    # LAPACK in float field mode) and fit (numpy's dispatched log and exp in
+    # CPU selects.  Not covered yet: fit (numpy's dispatched log and exp in
     # the EM)
     rng = random.Random(6)
     params = gen.random_params(rng, 6)
@@ -785,6 +819,37 @@ def test_exact_field_reports_independent_of_cpu(capsys, tmp_path):
     assert len(outputs) == 1, "exact field reports differ across CPU settings"
     (out,) = outputs
     assert out.count(b"mode,exact") == 2 and b"irrational (exact mode)" in out
+
+
+FLOAT_FIELD_REPORTS = """
+import sys
+from lam.cli import main
+for ai, anchor in zip(*[iter(sys.argv[1:])] * 2):
+    print("exit", main(["identify-field", "--ai", ai, "--anchor", anchor]))
+"""
+
+
+def test_float_field_reports_independent_of_cpu(capsys, tmp_path):
+    # float field roots are the correctly rounded roots of the exact cubic
+    # of the float cells, found by integer root isolation: the bytes do not
+    # depend on the CPU.  The simulated counts give irrational roots, and on
+    # field_pole_float.csv a root is a denominator zero
+    argv = [simulated_counts(capsys, tmp_path), "x", str(DATA / "field_pole_float.csv"), "x"]
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = set()
+    for setting in CPU_SETTINGS:
+        env = dict(os.environ, **setting)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FLOAT_FIELD_REPORTS, *argv], capture_output=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, "float field reports differ across CPU settings"
+    (out,) = outputs
+    assert out.count(b"mode,float") == 2 and b"status,identified-up-to-swap" in out
+    assert b"candidates,y,z;t,admissible,0.8018644616587782;1.44341612648697;1.6765376435782906" in out
 
 
 def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
@@ -852,7 +917,7 @@ def test_float_counts_are_reported_as_converted(capsys, tmp_path):
     assert out.splitlines()[1:6] == [
         "mode,float", "tolerance,1e-09", "status,non-generic-failure",
         "input,converted-counts-to-frequencies",
-        "candidates,y,z;t,admissible,0.8018644616587778;1.4434161264869698;1.6765376435782906",
+        "candidates,y,z;t,admissible,0.8018644616587782;1.44341612648697;1.6765376435782906",
     ]
     code, out, _ = run(capsys, "identify-lab", "--ai", counts, "--human", counts, "--anchor", "x")
     assert code == 2
@@ -905,7 +970,7 @@ def test_identify_field_reports_an_undefined_compliance_row(capsys, tmp_path):
     code, out, _ = run(capsys, "identify-field", "--ai", str(path), "--anchor", "x", "--tol", "0.001")
     assert code == 2
     assert "status,non-generic-failure" in out.splitlines()
-    assert "alpha_table,z,0.010000000000000009;0.010000000000000009,undefined,infeasible" in out.splitlines()
+    assert "alpha_table,z,0.01;0.01,undefined,infeasible" in out.splitlines()
 
 
 def _universe(path):

@@ -575,12 +575,11 @@ def test_hessian_matches_finite_differences():
 
 def test_library_calls_no_lapack():
     # the one linear solver, behind the EM Newton step and the float Luce
-    # utilities, is pure Python, so neither depends on a LAPACK build.  The
-    # one LAPACK call left is np.roots in float field mode (field.py), which
-    # takes the eigenvalues of each cubic's companion matrix
+    # utilities, is pure Python, and the field cubics are solved in ints in
+    # both modes, so nothing depends on a LAPACK build
     modules = sorted(Path(estimate.__file__).parent.glob("*.py"))
     assert len(modules) > 5
-    assert [m.name for m in modules if "linalg" in m.read_text()] == []
+    assert [m.name for m in modules if "linalg" in m.read_text() or "np.roots" in m.read_text()] == []
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 7])
