@@ -297,6 +297,21 @@ _RADIUS = 8 * _U
 _TINY = 2.0**-500
 
 
+def _det_bound(a: np.ndarray, b: np.ndarray, e: float = 0.0) -> np.ndarray:
+    """Per row, 2 (max |a| + e)(C + (1 + |r|) e), a bound on every |u_S v_T - v_S u_T|
+    for real rows u, v within ``e`` of the float rows ``a``, ``b`` (Shewchuk 1997):
+    det(u, v) = det(u, v - r u) for r = fl(b_k / a_k) at k = argmax |a|, and with
+    t = fl(r a), c~ = fl(b - t), |b - r a| <= C = (1 + 2u) max |c~| + 2u max |t|.
+    Callers add margins for its own rounding.  Zero rows give NaN."""
+    with np.errstate(all="ignore"):
+        i, k = np.arange(len(a)), np.abs(a).argmax(1)
+        ak = a[i, k]
+        r = b[i, k] / ak
+        t = r[:, None] * a
+        c = np.abs(b - t).max(1) * (1 + 2 * _U) + 2 * _U * np.abs(t).max(1)
+        return 2 * (np.abs(ak) + e) * (c + (1 + np.abs(r)) * e)
+
+
 def _products(f: list) -> tuple[tuple, tuple | None]:
     """The products that d and p of tuples with factors ``f`` (from
     :meth:`_Kernel._passes`) difference: d = a - b and p = (c0 - c1) + (c2 -
@@ -312,27 +327,30 @@ def _products(f: list) -> tuple[tuple, tuple | None]:
 
 @lru_cache(maxsize=8)
 def _layout(universe: Universe, menus: tuple[Menu, ...]):
-    """Runs of the pairs sharing menus, and the runs' offsets in the tuple order.
+    """Runs of the pairs sharing menus, the runs' offsets in the tuple order,
+    and per held count the flat indices of x's and of y's cells in a menus x
+    universe array, a row per pair.
 
     A run ``(xs, ys, held)`` is consecutive pairs x before y holding equally
     many menus, at least two, with those menus' rows in ``held``, a row per
     pair, and at most ``_PASS_TUPLES`` tuples unless one pair has more.
     """
-    inc = _incidence(universe, menus)
+    inc, n = _incidence(universe, menus), universe.size
     pairs = []
-    for x, y in combinations(range(universe.size), 2):
+    for x, y in combinations(range(n), 2):
         held = np.flatnonzero(inc[:, x] & inc[:, y])
         if len(held) > 1:
             pairs.append((x, y, held))
-    runs, sizes = [], [0]
+    runs, sizes, cells = [], [0], []
     for h, group in groupby(pairs, key=lambda pair: len(pair[2])):
-        group, tuples = list(group), h * (h - 1) // 2
+        xs, ys, held = map(np.array, zip(*group))
+        cells.append((held * n + xs[:, None], held * n + ys[:, None]))
+        tuples = h * (h - 1) // 2
         step = max(1, _PASS_TUPLES // tuples)
-        for i in range(0, len(group), step):
-            xs, ys, held = zip(*group[i : i + step])
-            runs.append((np.array(xs), np.array(ys), np.stack(held)))
-            sizes.append(len(xs) * tuples)
-    return runs, np.cumsum(sizes)
+        for i in range(0, len(xs), step):
+            runs.append((xs[i : i + step], ys[i : i + step], held[i : i + step]))
+            sizes.append(len(runs[-1][0]) * tuples)
+    return runs, np.cumsum(sizes), cells
 
 
 class _Kernel:
@@ -378,7 +396,7 @@ class _Kernel:
         self.mask, self.c, (self.mine, *theirs) = _rows(tables, self.menus)
         self.exact = self.c is not None
         self.theirs = theirs[0] if theirs else None
-        self.runs, self.starts = _layout(self.universe, self.menus)
+        self.runs, self.starts, self.cells = _layout(self.universe, self.menus)
         self.eff = eff
         # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
         # tolerance decides every test as 8 does, and has no float
@@ -406,12 +424,14 @@ class _Kernel:
 
     def _passes(self, mine: np.ndarray, theirs: np.ndarray | None = None, among=None):
         """Per run: ``ends``, ``held`` and the factors of its tuples, or of
-        those ``among`` flags: the entries (sx, tx, sy, ty) of x and y at S
-        and T in ``mine``, then in ``theirs`` when given.  ``ends`` maps
-        per-menu values shaped as ``held`` to their values at S and at T of
-        those tuples."""
+        those ``among`` flags (a mask of the first len(among)): the entries
+        (sx, tx, sy, ty) of x and y at S and T in ``mine``, then in ``theirs``
+        when given.  ``ends`` maps per-menu values shaped as ``held`` to
+        their values at S and at T of those tuples."""
         for (xs, ys, held), lo in zip(self.runs, self.starts):
             s, t = _triangle(held.shape[1])
+            if among is not None and lo >= len(among):
+                return
             if among is None:
                 def ends(v):
                     return v.take(s, axis=1).ravel(), v.take(t, axis=1).ravel()
@@ -446,9 +466,9 @@ class _Kernel:
             np.concatenate(ks) if self.exact else None,
         )
 
-    def estimates(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
-        """d, p and their error radii over all canonical tuples, in float64
-        (exact mode).
+    def estimates(self, among: np.ndarray | None = None):
+        """d, p and their error radii over all canonical tuples, or those
+        ``among`` flags, in float64 (exact mode).
 
         d and p are formed as in float mode from the correctly rounded rows
         (:func:`types._floats`): each product term of d or p carries at most
@@ -469,7 +489,7 @@ class _Kernel:
                 tiny = low if tiny is None else tiny | low
         empty = np.zeros(0)
         ds, ps, rds, rps = [empty], [empty], [empty], [empty]
-        for _, _, f in self._passes(*rows):
+        for _, _, f in self._passes(*rows, among=among):
             (a, b), c = _products(f)
             ds.append(a - b)
             rds.append(_RADIUS * (a + b))
@@ -480,7 +500,7 @@ class _Kernel:
         p, rp = (np.concatenate(ps), np.concatenate(rps)) if len(rows) == 2 else (None, None)
         if tiny is not None:
             low = np.concatenate([empty.astype(bool)] + [
-                f[0] | f[1] | f[2] | f[3] for _, _, f in self._passes(tiny)])
+                f[0] | f[1] | f[2] | f[3] for _, _, f in self._passes(tiny, among=among)])
             rd[low] = np.inf
             if rp is not None:
                 rp[low] = np.inf
@@ -492,29 +512,23 @@ class _Kernel:
 
         Exact pairs: by Lagrange's identity all vanish iff |a|^2 |b|^2 =
         (a.b)^2, that is, iff a and b are parallel, which the menu scales
-        do not change.  Float pairs (Shewchuk 1997): for any real r, d_ST =
-        a_S c_T - c_S a_T with c = b - r a.  Take r = fl(b_k / a_k) at k =
-        argmax a, t = fl(r a) and c~ = fl(b - t); then |c| <= C = max(|c~| +
-        2u (|t| + |c~|)), and with A = max a, B = max b (rows are >= 0)
-        every float d satisfies |fl d| <= (2 A C + 2u A B)(1 + 16u) +
-        2**-1000, which covers the roundings, the bound's own and underflow.
-        A NaN or inf bound is not quiet, nor is any pair at ``eff`` 0.
+        do not change.  Float pairs: with D the :func:`_det_bound` of a and
+        b, A = max a and B = max b (rows are >= 0), every float d satisfies
+        |fl d| <= (D + 2u A B)(1 + 16u) + 2**-1000, which covers the
+        roundings, the bound's own and underflow.  A NaN or inf bound is
+        not quiet, nor is any pair at ``eff`` 0.
         """
-        runs = self.runs
-        if not self.exact:  # one gather per held count; exact runs keep their early exit
-            runs = [[np.concatenate(z) for z in zip(*g)] for _, g in groupby(runs, lambda r: r[2].shape[1])]
-        for xs, ys, held in runs:
-            a, b = self.mine[held, xs[:, None]], self.mine[held, ys[:, None]]
-            if self.exact:
+        if self.exact:  # run by run: the first failing run stops the caller
+            for xs, ys, held in self.runs:
+                a, b = self.mine[held, xs[:, None]], self.mine[held, ys[:, None]]
                 yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
-                continue
-            with np.errstate(all="ignore"):  # a row of zeros gives r NaN: not quiet
-                k = a.argmax(1)[:, None]
-                t = np.take_along_axis(b, k, 1) / np.take_along_axis(a, k, 1) * a
-                c, top = np.abs(b - t), a.max(1)
-                bound = 2 * top * (c + 2 * _U * (np.abs(t) + c)).max(1) + 2 * _U * top * b.max(1)
-                quiet = bound * (1 + 16 * _U) + 2.0**-1000 <= self.eff
-            yield from quiet
+            return
+        mine = self.mine.ravel()
+        for x, y in self.cells:  # one gather per held count
+            a, b = mine[x], mine[y]
+            bound = _det_bound(a, b) + 2 * _U * a.max(1) * b.max(1)
+            with np.errstate(invalid="ignore"):  # a NaN bound is not quiet
+                yield from bound * (1 + 16 * _U) + 2.0**-1000 <= self.eff
 
     def sums(self, lifted: bool = True, out: np.ndarray | None = None) -> tuple[int, ...]:
         """Exact sums of d*d, d*p and p*p over every canonical tuple, and
@@ -570,13 +584,60 @@ class _Kernel:
             out_pp += tpp.sum()
         return (dd, dp, pp) if out is None else (dd, dp, pp, out_dp, out_pp)
 
-    def proportional(self) -> bool:
-        """Whether d and p are parallel over all canonical tuples.  A
-        tuple's d and p share its scale k, so they are iff D = k d and P =
-        k p are, which by the Cauchy-Schwarz inequality (DP)**2 <= DD PP
-        holds iff equality does, in the unlifted :meth:`sums`."""
+    @cached_property
+    def slope(self) -> Fraction | float | None:
+        """lambda with d = lambda p on every tuple, or None (exact mode): D = k d
+        and P = k p share each tuple's k, and are parallel iff (DP)**2 = DD PP in
+        the unlifted :meth:`sums` (Cauchy-Schwarz); DP/PP, or 0 or inf when PP = 0."""
         dd, dp, pp = self.sums(lifted=False)
-        return dp * dp == dd * pp
+        if dp * dp != dd * pp:
+            return None
+        return Fraction(dp, pp) if pp else math.inf if dd else Fraction(0)
+
+    @cached_property
+    def first_usable(self) -> int | None:
+        """The first tuple with |p| > eff: tuple 0 from its cells, then windows of
+        tuples that double from 64."""
+        lo, width, total = 0, 64, int(self.starts[-1])
+        if total:
+            _, p, k = self.raw(0)
+            if abs(p) > _floor_scaled(self.eff, k):
+                return 0
+        while lo < total:
+            among = np.zeros(min(lo + width, total), bool)
+            among[lo:] = True
+            scan = self.estimates(among) if self.exact else (*self.evaluate(among)[:2], 0.0, 0.0)
+            with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
+                yes, no = self._filter("usable", scan)
+            first = self._first_sure(yes, no, lambda d, p, k: _tests(d, p, k, self.eff, ["usable"])[0], lo)
+            if first is not None:
+                return first
+            lo, width = len(among), 2 * width
+        return None
+
+    def certified(self) -> bool:
+        """Whether per-pair certificates show with no tuple pass that every tuple
+        passes proportionality and bounded instability, with no vanishing p under
+        a big d, and in float mode bounded divergence too (README: the margins)."""
+        if self.exact:
+            lam, top = self.slope, max(self.c.tolist())
+            return lam is not None and (lam == 0 or 0 < lam <= 1 - Fraction(2**1022 + top * top, 2**1075))
+        e, mine, theirs = self.eff, self.mine.ravel(), self.theirs.ravel()
+        if not (e <= 1 and max(mine.max(), theirs.max()) <= 1) or self.first_usable is None:
+            return False
+        lam, bounds = max(0.0, float(np.divide(*self.raw(self.first_usable)[:2]))), []  # any lambda bounds
+        for x, y in self.cells:  # fl(a - lambda a') is within 3u of it: cells, lambda <= 1
+            with np.errstate(invalid="ignore"):  # 0 * inf: NaN, not certified
+                bound = _det_bound(mine[x] - lam * theirs[x], mine[y] - lam * theirs[y], 3 * _U)
+                if not 5 * bound.max() < 1.000001 * e:  # surely too large, or NaN from a row of zeros
+                    return False
+                bounds.append(bound + lam * lam * _det_bound(theirs[x], theirs[y], 3 * _U))
+        delta = np.concatenate(bounds).max() * (1 + 64 * _U) + 16 * _U + 2.0**-1000
+        if not 5 * delta < 1.000001 * e:
+            return False
+        low = (self.mine - lam * self.theirs).min()  # cells off a menu read 0 - 0, within the margin
+        lam, delta, e, low, u = map(Fraction, (lam, delta, e, low, _U))
+        return 5 * delta <= e and lam <= 1 - u - delta / e and 2 * (low - 3 * u) >= 2 * delta - e
 
     @cached_property
     def _scan(self) -> tuple:
@@ -587,11 +648,12 @@ class _Kernel:
             return self.estimates()
         return (*self.evaluate()[:2], None, None)
 
-    def _filter(self, name: str):
-        """The float filter of test ``name`` of :func:`_tests`; each margin
-        adds 4u or 8u of the operands to the radii for the rounding of the
-        test's own arithmetic and of ``eff``."""
-        (d, p, rd, rp), e = self._scan, self.e
+    def _filter(self, name: str, scan: tuple | None = None):
+        """The float filter of test ``name`` of :func:`_tests` on ``scan``
+        (:attr:`_scan` by default); each margin adds 4u or 8u of the
+        operands to the radii for the rounding of the test's own arithmetic
+        and of ``eff``."""
+        (d, p, rd, rp), e = scan or self._scan, self.e
         ad = np.abs(d)
         big = _sure(ad - e, rd + 4 * _U * (ad + e))
         if name == "big":
@@ -668,14 +730,21 @@ class _Kernel:
         with np.errstate(invalid="ignore"):
             r = rd * abs(pr) + rp * abs(dr) + 8 * _U * (np.abs(left) + np.abs(right) + self.e)
             yes, no = _sure(np.abs(left - right) - self.e, r)
-        band = ~(yes | no)
-        first = _first_true(yes)
-        if first is not None:  # only the band before the first sure gap can move it
+        return self._first_sure(
+            yes, no, lambda d, p, k: np.abs(d * p_ref - d_ref * p) > _floor_scaled(self.eff, k * k_ref))
+
+    def _first_sure(self, yes: np.ndarray, no: np.ndarray, test, lo: int = 0) -> int | None:
+        """The first tuple from ``lo`` on where a test holds: ``yes``, ``no`` its float
+        filter there, the band before the first sure hit decided by ``test(d, p, k)``."""
+        band, first = ~(yes | no), _first_true(yes)
+        if first is not None:  # only the band before the first sure hit can move it
             band[first:] = False
         if band.any():
-            d, p, k = self.evaluate(band)
-            yes[band] = np.abs(d * p_ref - d_ref * p) > _floor_scaled(self.eff, k * k_ref)
-        return _first_true(yes)
+            among = np.zeros(lo + len(band), bool)
+            among[lo:] = band
+            yes[band] = test(*self.evaluate(among))
+        first = _first_true(yes)
+        return None if first is None else lo + first
 
     def raw(self, i: int):
         """d, p and k of tuple i as :meth:`evaluate` gives them, from its

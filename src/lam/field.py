@@ -121,8 +121,13 @@ class CubicPoly:
         return all(is_exact_scalar(c) for c in self.coefficients())
 
     def is_zero(self, tol: Scalar | None = None) -> bool:
+        """Whether every coefficient is within tol * scale of 0 (case 2); float ones
+        exactly, as ``ints`` over :func:`identification_polynomial`'s c_S c_T c_1 c_2."""
         eff = resolve_tol(tol, self.is_exact)
-        return max(abs(c) for c in self.coefficients()) <= eff * self.scale
+        if self.ints is None or self.is_exact:
+            return max(abs(c) for c in self.coefficients()) <= eff * self.scale
+        den = 1 << -4 * _dyadic(self.ab)[1]
+        return Fraction(max(map(abs, self.ints)), den) <= Fraction(eff) * Fraction(self.scale)
 
     def evaluate(self, k: Scalar) -> Scalar:
         return _poly_eval([self.c0, self.c1, self.c2, self.c3], k)

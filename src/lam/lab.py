@@ -124,7 +124,7 @@ def estimate_alpha(
     tuples with |p| <= tol again, exactly, in the same call, each pair's on
     its own scale before its one lift.  ``r_squared`` uses the reported
     ``raw``, and float mode rounds each of the two once.  An exact pair
-    whose d and p are parallel (:meth:`_Kernel.proportional`, from the
+    whose d and p are parallel (:attr:`_Kernel.slope`, from the
     unweighted sums) skips them: d = raw p on every tuple, so the slope of
     every usable subset is the ratio at ``best``, and ``r_squared`` is 1.
     The tests against tol, ``best`` and the single-tuple ratio use d and p
@@ -162,9 +162,8 @@ def estimate_alpha(
         )
 
     div = Fraction if exact else operator.truediv  # int / int rounds correctly
-    if exact and kernel.proportional():  # every usable subset's slope, and ss_res = 0
-        d_best, p_best = kernel.value(best)
-        raw, r_squared = d_best / p_best, Fraction(1)
+    if exact and kernel.slope is not None:  # every usable subset's slope, and ss_res = 0
+        raw, r_squared = kernel.slope, Fraction(1)
     else:
         if strategy == "single-tuple":
             dd, dp, pp = kernel.sums()
@@ -408,6 +407,9 @@ def check_axioms(
     slope form: against the tuples with the largest composite instability
     and the largest own-to-composite ratio, which is equivalent to comparing
     every pair of tuples and testing every tuple's ratio.
+
+    Per-pair certificates (:meth:`choice._Kernel.certified`) decide those three
+    first, with no tuple pass, else the passes run.
     """
     eff = resolve_tol(tol, rho_ai.is_exact and rho_h.is_exact)
     universe = rho_ai.universe
@@ -433,18 +435,27 @@ def check_axioms(
             False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
         )
 
+    if kernel.certified():
+        note = "" if kernel.starts[-1] else "no tuples to compare"
+        verdicts = (AxiomVerdict(True, note=note), AxiomVerdict(True),
+                    _bounded_divergence(kernel, kernel.first_usable))
+    else:
+        verdicts = _pair_verdicts(kernel)
+    return AxiomReport(positivity, h_iia, *verdicts, tol=eff)
+
+
+def _pair_verdicts(kernel: _Kernel) -> tuple[AxiomVerdict, AxiomVerdict, AxiomVerdict]:
+    """Proportionality, bounded instability and bounded divergence from tuple passes."""
+    universe = kernel.universe
     # The tuples the checks refer to: the first own term not dominated by
     # its composite, the first vanishing composite under a non-vanishing own
     # term, the largest composite term (proportionality reference) and the
-    # largest own-to-composite ratio.  Exact d and p are parallel over all
-    # tuples iff dd pp = dp**2 (Cauchy-Schwarz); then every gap vanishes and
-    # every usable tuple has the same ratio, so the first is the binding one.
-    # An exact kernel tests this first: on mixture data every gap is 0 and
-    # every ratio tied, which no float filter can decide.
+    # largest own-to-composite ratio.  Where exact d and p are parallel
+    # (_Kernel.slope), every gap vanishes and the first usable tuple binds.
     big, usable, dominated = kernel.masks("big", "usable", "dominated")
     undominated = _first_true(~dominated)
     vanishing = _first_true(~usable & big)
-    if kernel.exact and kernel.proportional():
+    if kernel.exact and kernel.slope is not None:
         bad, binding = None, _first_true(usable)
     else:
         ref, binding = kernel.top_p(), kernel.top_ratio(usable)
@@ -484,24 +495,14 @@ def check_axioms(
             note="composite instability vanishes while own does not at "
             + t.describe(universe),
         )
-    elif binding is None:
-        bounded_divergence = AxiomVerdict(True, note="no tuples to compare")
     else:
         bounded_divergence = _bounded_divergence(kernel, binding)
-
-    return AxiomReport(
-        positivity=positivity,
-        h_iia=h_iia,
-        proportionality=proportionality,
-        bounded_instability=bounded_instability,
-        bounded_divergence=bounded_divergence,
-        tol=eff,
-    )
+    return proportionality, bounded_instability, bounded_divergence
 
 
-def _bounded_divergence(kernel: _Kernel, binding: int) -> AxiomVerdict:
-    """Bounded divergence at the binding tuple; the witness is the first
-    failing cell.
+def _bounded_divergence(kernel: _Kernel, binding: int | None) -> AxiomVerdict:
+    """Bounded divergence at the binding tuple, None when no tuple is
+    usable; the witness is the first failing cell.
 
     Each member's test is lhs < rhs - eff, or lhs <= rhs when eff = 0 and
     d != 0, for lhs = rho_ai |p| and rhs = rho_h |d| in true values.  In
@@ -509,6 +510,8 @@ def _bounded_divergence(kernel: _Kernel, binding: int) -> AxiomVerdict:
     ints D, P over k: lhs and rhs are A |P| and H |D| over c_S k, tested
     against eff by :func:`choice._compare_tol`.
     """
+    if binding is None:
+        return AxiomVerdict(True, note="no tuples to compare")
     mask, eff = kernel.mask, kernel.eff
     d, p, k = kernel.raw(binding)
     lhs, rhs = kernel.mine[mask] * abs(p), kernel.theirs[mask] * abs(d)  # canonical order

@@ -696,6 +696,17 @@ def test_cubic_whose_float_coefficients_lose_its_degree_names_its_roots(spec):
             assert signs == {True, False}
 
 
+def test_float_cubic_whose_coefficients_underflow_is_not_case_2_at_tol_0():
+    # b's float coefficients all underflow to 0.0, but its exact cubic is
+    # nonzero: case 2 is decided on the ints, so at tol 0 b is not aligned;
+    # at 1e-9 the exact coefficients, below 2**-1980, are within tol * scale
+    table = extreme_table(CUBIC_UNDER_FLOAT_RANGE).as_float()
+    (b_set,) = identify_field(table, "a", 0).candidates["b"]
+    assert b_set.poly.coefficients() == (0.0, 0.0, 0.0, 0.0)
+    assert not b_set.case2 and not b_set.poly.is_zero(0)
+    assert b_set.poly.is_zero(1e-9)
+
+
 def test_float_cubics_that_vanish_or_have_a_root_on_a_pole(ex_b_ai):
     def poly(coeffs, ab):
         return CubicPoly(*coeffs, "y", "x", ("z", "t"), (frozenset(),) * 4, ab, 1.0)

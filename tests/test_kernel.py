@@ -542,7 +542,7 @@ def test_proportional_makes_no_estimates_call(monkeypatch):
     verdicts = []
     for variant in ("clean", "human", "ai"):
         ai, human, _, _ = random_case(rng, 4, True, variant)
-        verdicts.append(_Kernel(ai, common_menus(ai, human), human).proportional())
+        verdicts.append(_Kernel(ai, common_menus(ai, human), human).slope is not None)
     assert calls == [] and verdicts == [True, False, False]
 
 
@@ -550,7 +550,7 @@ def test_filtered_kernel_with_no_usable_tuple():
     # a tolerance of 1 is above every |p| of this perturbed pair, whose d and
     # p are not parallel: the filtered ratio maximum has no tuple to pick
     ai, human, _, _ = random_case(random.Random("no-usable"), 4, True, "ai")
-    assert not _Kernel(ai, common_menus(ai, human), human).proportional()
+    assert _Kernel(ai, common_menus(ai, human), human).slope is None
     report = check_axioms(ai, human, F(1))
     assert report.bounded_divergence == AxiomVerdict(True, note="no tuples to compare")
     assert canon(report) == canon(oracle_check_axioms(ai, human, F(1)))
@@ -746,7 +746,7 @@ def test_proportional_equals_brute_force(variant):
         menus = common_menus(ai, human)
         true = list(scan_rows(ai, menus, human, None if ai.is_exact else exact_value))
         kernel = _Kernel(ai, menus, human)
-        verdicts.append(kernel.proportional())
+        verdicts.append(kernel.slope is not None)
         assert verdicts[-1] == brute_parallel(true)
         if kernel.exact:  # the unlifted sums are those of D and P
             k = kernel.evaluate()[2]

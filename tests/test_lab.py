@@ -1,10 +1,13 @@
 """Laboratory identification, compliance estimation, the axiom checker."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gen
 from lam import (
@@ -33,9 +36,10 @@ from lam import (
     satisfies_iia,
     sup_distance,
 )
-from lam.choice import _Kernel
-from lam.lab import AlphaEstimate
-from lam.types import resolve_tol
+from lam.choice import _Kernel, luce_choice
+from lam.lab import _DISJOINT, AlphaEstimate, _pair_verdicts
+from lam.types import _shared, resolve_tol
+from test_kernel import canon, oracle_check_axioms
 
 
 def instability_rows(ai, human, menus=None):
@@ -875,7 +879,7 @@ def test_parallel_exact_pairs_match_the_lifted_sums(strategy, tol):
             params = gen.random_params(rng, n)
             ai, human = gen.forward_pair(params)
             kernel = _Kernel(ai, ai.domain, human)
-            assert kernel.proportional()
+            assert kernel.slope is not None
             got = estimate_alpha(ai, human, strategy, tol)
             assert repr(got) == repr(lifted_alpha(ai, human, strategy, tol))
             assert got.raw == params.alpha and got.r_squared == 1
@@ -1078,3 +1082,157 @@ def test_tables_over_reordered_universes_raise():
         with pytest.raises(InvalidParameterError) as err:
             call()
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# check_axioms: per-pair certificates against the tuple passes
+# ---------------------------------------------------------------------------
+
+PAIR_VERDICTS = ("proportionality", "bounded_instability", "bounded_divergence")
+
+
+def pass_path(ai, human, tol=None):
+    """``check_axioms``'s report with its three pair verdicts from the tuple
+    passes, and whether the per-pair certificate holds."""
+    report = check_axioms(ai, human, tol)
+    kernel = _Kernel(ai, _shared(ai, human, _DISJOINT), human, report.tol)
+    return replace(report, **dict(zip(PAIR_VERDICTS, _pair_verdicts(kernel)))), kernel.certified()
+
+
+EXACT_TOLS = (None, 0, 1e-12, 1e-9, 1e-3, 0.1, F(1, 10**9), F(1, 1000), F(1, 10))
+FLOAT_TOLS = (None, 0, 1e-12, 1e-9, 1e-3, 0.1)
+
+
+@st.composite
+def lab_cases(draw):
+    """A mixture pair at n = 3-7, in either mode, at one tolerance, or the
+    same with one AI or human cell moved by k tol (k/1000 at tol 0) and
+    its row renormalized, exactly before any float conversion."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, exact = draw(st.integers(3, 7)), draw(st.booleans())
+    tol = draw(st.sampled_from(EXACT_TOLS if exact else FLOAT_TOLS))
+    alpha = draw(st.sampled_from((F(1, 40), F(39, 40), None)))
+    ai, human = gen.forward_pair(gen.random_params(rng, n, alpha=alpha))
+    moved = draw(st.sampled_from((None, "ai", "human")))
+    if moved:
+        k = draw(st.sampled_from((F(1, 10), F(1, 2), 1, 2, 10)))
+        shift = k * (F(resolve_tol(tol, exact)) or F(1, 1000))
+        if moved == "ai":
+            ai = perturb_exact(ai, rng, shift)
+        else:
+            human = perturb_exact(human, rng, shift)
+    if not exact:
+        ai, human = ai.as_float(), human.as_float()
+    return ai, human, tol
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lab_cases())
+def test_certified_check_axioms_matches_the_tuple_passes(case):
+    # verdicts, witnesses and notes, field by field and with their scalar types
+    ai, human, tol = case
+    assert repr(check_axioms(ai, human, tol)) == repr(pass_path(ai, human, tol)[0])
+
+
+def lambda_cases(uni):
+    """Exact pairs named by lambda, with d = lambda p on every tuple, or
+    p = 0 on every tuple while d is not (inf)."""
+    menus = uni.all_menus(2)
+    u = {"x": F(1), "y": F(2), "z": F(3)}
+    far, near = {"x": F(1), "y": F(5), "z": F(1, 2)}, {"x": F(1), "y": F(21, 10), "z": F(3)}
+    human = luce_table(uni, u, menus)
+
+    def mix(alpha, v):  # alpha Luce(u) + (1 - alpha) Luce(v); alpha off [0, 1] as well
+        return StochasticChoice(uni, {m: {a: alpha * pu + (1 - alpha) * luce_choice(v, m)[a]
+                                          for a, pu in luce_choice(u, m).items()} for m in menus})
+
+    # lambda = 1: the human rule plus cells that move x against y by f on
+    # {x,y} and {x,y,z}, whose columns are parallel: d = p
+    moved = {m: dict(row) for m, row in human.table.items()}
+    for m, f in ((frozenset("xy"), F(1, 20)), (frozenset("xyz"), F(1, 30))):
+        moved[m]["x"] += f
+        moved[m]["y"] -= f
+    # lambda = 4/5 against a rule w with a negative weight: A = (4 H + W)/5
+    # is a table, d = 4/5 p, and A falls below 4/5 H at z in {x,z}
+    w = {"x": F(1), "y": F(2), "z": F(-1, 2)}
+    signed = StochasticChoice(uni, {m: {a: (4 * h + w[a] / sum(w[b] for b in m)) / 5
+                                        for a, h in human.table[m].items()} for m in menus})
+    uniform = _rows(uni, {"xy": (F(1, 2),) * 2, "xz": (F(1, 2),) * 2, "yz": (F(1, 2),) * 2,
+                          "xyz": (F(1, 3),) * 3})
+    vanishing = _rows(uni, {"xy": (F(5, 8), F(3, 8)), "xz": (F(3, 4), F(1, 4)),
+                            "yz": (F(5, 8), F(3, 8)), "xyz": (F(1, 2), F(1, 3), F(1, 6))})
+    return {
+        0: (luce_table(uni, far, menus), human),
+        F(1, 3): (mix(F(1, 3), far), human),
+        F(4, 5): (signed, human),
+        1 - F(1, 2**60): (mix(1 - F(1, 2**60), far), human),
+        1: (StochasticChoice(uni, moved), human),
+        2: (mix(2, near), human),
+        -1: (mix(-1, near), human),
+        float("inf"): (vanishing, uniform),
+    }
+
+
+@pytest.mark.parametrize("tol", [None, 0, 0.0, 1e-9, F(1, 1000), 0.05, F(1, 5)], ids=repr)
+def test_lambda_cases_match_the_passes_and_the_fraction_oracle(uni3, tol):
+    # the exact certificate holds at lambda = 0 and 0 < lambda < 1 - u; at
+    # 1 - 2**-60 and tol 0.0 the rounded |p| + tol fails bounded
+    # instability.  The float one holds on the two mixtures (4/5 has cells
+    # A < 4/5 H) at tolerances in (0, 1/5), which leave a usable tuple.
+    # Every report is the passes' and, on exact tables, the oracle's
+    for lam, (ai, human) in lambda_cases(uni3).items():
+        kernel = _Kernel(ai, ai.domain, human, resolve_tol(tol, True))
+        assert kernel.slope == lam
+        report = check_axioms(ai, human, tol)
+        want, certified = pass_path(ai, human, tol)
+        assert certified == (0 <= lam < 1 - F(1, 2**53))
+        assert repr(report) == repr(want)
+        assert canon(report) == canon(oracle_check_axioms(ai, human, tol))
+        ai, human = ai.as_float(), human.as_float()
+        want, certified = pass_path(ai, human, tol)
+        assert certified == (lam in (0, F(1, 3)) and 0 < resolve_tol(tol, False) < F(1, 5))
+        assert repr(check_axioms(ai, human, tol)) == repr(want)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9, 1e-3], ids=repr)
+def test_mixture_over_a_human_table_that_violates_iia_takes_the_passes(uni4, tol):
+    # AI = H/3 + 2/3 Luce(v) over a human table H with one moved cell, off
+    # the menus of tuple 0, the probe: d - p/3 = -det(a', b')/9, which only
+    # the certificate's human term bounds
+    menus = uni4.all_menus(2)
+    u = {"x": F(1), "y": F(2), "z": F(3), "t": F(5)}
+    v = {"x": F(1), "y": F(5), "z": F(1, 2), "t": F(2)}
+    rows = {m: dict(row) for m, row in luce_table(uni4, u, menus).table.items()}
+    moved = rows[frozenset("yzt")]
+    moved["z"] += F(1, 50)
+    rows[frozenset("yzt")] = {a: q / sum(moved.values()) for a, q in moved.items()}
+    human = StochasticChoice(uni4, rows)
+    ai = StochasticChoice(uni4, {m: {a: h / 3 + 2 * luce_choice(v, m)[a] / 3 for a, h in human.table[m].items()}
+                                 for m in menus})
+    for a, h in ((ai, human), (ai.as_float(), human.as_float())):
+        want, certified = pass_path(a, h, tol)
+        assert not certified and want.proportionality.passed == (tol == 1e-3)
+        assert repr(check_axioms(a, h, tol)) == repr(want)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_check_axioms_on_mixture_pairs_makes_no_tuple_pass(monkeypatch, exact):
+    # the certificates decide: no evaluation or float estimate covers every tuple
+    rng = random.Random(f"no-pass-{exact}")
+    pairs = [gen.forward_pair(gen.random_params(rng, n)) for n in (6, 7, 8)]
+
+    def guard(name):
+        whole = getattr(_Kernel, name)
+
+        def guarded(self, among=None):
+            assert among is not None, f"{name} over every tuple"
+            return whole(self, among)
+        monkeypatch.setattr(_Kernel, name, guarded)
+
+    guard("evaluate")
+    guard("estimates")
+    for ai, human in pairs:
+        if not exact:
+            ai, human = ai.as_float(), human.as_float()
+        assert check_axioms(ai, human).overall
