@@ -271,9 +271,11 @@ def _cubic_root(work: list[int], rational: bool = True) -> tuple[Fraction | None
     chain's sign changes V count the roots, all between 2**-e0 and 2**e in
     modulus (Fujiwara's bound on P and on its reversal), from V at -inf, 0
     and inf.  Those bounds and dyadic roundings of the roots of P' isolate
-    the roots, the grid refined until they do, and ``_refine_root`` refines
-    them: the middle one of three last, as on mixture data it is mostly the
-    spurious root, with the largest denominator.
+    the roots, the grid refined until they do.  ``_refine_root`` refines
+    each by quadratic interval refinement, one integer test on c3 r in Z
+    deciding whether it is rational: the middle one of three last, as on
+    mixture data it is mostly the spurious root, with the largest
+    denominator.
     """
     c0, c1, c2, c3 = work
     deriv, sg = [c1, 2 * c2, 3 * c3], 1 if c3 > 0 else -1
@@ -359,59 +361,45 @@ def _refine_root(work: list[int], lo: int, hi: int, m: int) -> Fraction | float:
     """The root of the int cubic ``work`` isolated in (lo, hi) / 2**m: a
     Fraction if it is rational, else its correctly rounded float.
 
-    Bracketed Newton on a dyadic grid, one probe of P per step: Newton's
-    iterate from the last probe, or else from the other end, on a grid of
-    about 16 times its expected error |P''| P**2 / (2 |P'|**3), moved a
-    grid step past the root so that probes alternate sides.  Ends of one
-    sign a factor 4 apart split in bits, and a bracket that both iterates
-    would leave, or that the last two steps did not halve, splits in two.
+    Quadratic interval refinement (Abbott 2006) on a dyadic grid.  Ends of
+    one sign a factor 4 apart split in bits.  Otherwise the secant point,
+    snapped to a grid of 2**j subintervals, is probed with its neighbour
+    toward the root: a bracket left one grid step wide doubles j, any
+    other halves it (down to 1).  A step costs at most two evaluations.
 
-    A rational root p/q has q | c3, so two lie 1 / c3**2 apart or more: the
-    midpoint's closest fraction with denominator at most min(|c3|,
-    isqrt(1 / width)) is the root if its q is that small (Legendre).  It is
-    tested after a Newton step once that bound has squared, up to 2**64,
-    and once it is |c3|; then an irrational root is refined until both
-    ends of the bracket round to one float.
+    A rational root p/q has q | c3, so c3 p/q is an integer: once the
+    bracket is narrower than 1 / |c3| it holds at most one K / |c3|, and
+    one evaluation there decides.  Then an irrational root is refined
+    until both ends of the bracket round to one float.
     """
-    c2, c3 = work[2:]
-    deriv = [work[1], 2 * c2, 3 * c3]
-    x, fx = lo, _hom_eval(work, lo, 1 << m)  # the last probe, P(x) 8**m
-    side, logs, tested = fx > 0, [], 0  # logs: the widths' bits before the last two steps
-
-    def newton(x: int, fx: int) -> tuple[int, int] | None:
-        if not (fd := _hom_eval(deriv, x, 1 << m)):  # P'(x) 4**m
-            return None
-        curv = 6 * c3 * x + (c2 << m + 1)  # P''(x) 2**m
-        n = max(m, m + 6 - (hi - lo).bit_length(),
-                m + 3 * fd.bit_length() - 2 * fx.bit_length() - curv.bit_length() - 3)
-        g = ((x * fd - fx) << n - m) // fd + (2 if x == lo else -1)
-        return (g, n) if lo << n - m < g < hi << n - m else None
-
+    c3 = abs(work[3])
+    flo, fhi = _hom_eval(work, lo, 1 << m), _hom_eval(work, hi, 1 << m)  # P 8**m at the ends
+    j, rational = 1, True  # rational: a rational root not yet ruled out
     while True:
-        step = None
+        if rational and c3 * (hi - lo) < 1 << m:
+            rational, k = False, (lo * c3 >> m) + 1  # the first K / |c3| past lo
+            if k << m < hi * c3 and not _hom_eval(work, k, c3):
+                return Fraction(k, c3)
+        if not rational and (f := _ratio(lo, 1 << m)) == _ratio(hi, 1 << m):
+            return f
         if 0 < 4 * lo < hi or hi < 0 and lo < 4 * hi:
             t = 1 << (abs(lo).bit_length() + abs(hi).bit_length() - 1) // 2
-            t, k = (t if lo > 0 else -t), m
+            t, w = (t if lo > 0 else -t), hi - lo
         else:
-            if len(logs) < 2 or (hi - lo).bit_length() - m < logs[0]:
-                y = lo + hi - x  # the other end
-                step = newton(x, fx) or newton(y, _hom_eval(work, y, 1 << m))
-            t, k = step or (lo + hi, m + 1)
-        logs = logs[-1:] + [(hi - lo).bit_length() - m]
-        lo, hi, m = lo << k - m, hi << k - m, k
-        x, fx = t, _hom_eval(work, t, 1 << m)
-        if not fx:
-            return Fraction(t, 1 << m)
-        lo, hi = (t, hi) if (fx > 0) == side else (lo, t)
-        if tested != abs(c3):
-            bound = min(abs(c3), math.isqrt(((1 << m) - 1) // (hi - lo)))
-            if bound == abs(c3) or step and max(256, tested * tested) <= bound < 1 << 64:
-                cand = Fraction(lo + hi, 1 << m + 1).limit_denominator(bound)
-                if not _hom_eval(work, cand.numerator, cand.denominator):
-                    return cand
-                tested = bound
-        elif (f := _ratio(lo, 1 << m)) == _ratio(hi, 1 << m):
-            return f
+            s = max(0, j + 1 - ((hi - lo) & (lo - hi)).bit_length())  # so that 2**j | hi - lo
+            lo, hi, m, flo, fhi = lo << s, hi << s, m + s, flo << 3 * s, fhi << 3 * s
+            w, d = (hi - lo) >> j, flo - fhi
+            t = lo + w * min(max(((flo << j + 1) + d) // (2 * d), 1), (1 << j) - 1)
+        for _ in range(2):  # t, then its neighbour toward the root
+            if not lo < t < hi:
+                break
+            if not (ft := _hom_eval(work, t, 1 << m)):
+                return Fraction(t, 1 << m)
+            if (ft > 0) == (flo > 0):
+                lo, flo, t = t, ft, t + w
+            else:
+                hi, fhi, t = t, ft, t - w
+        j = 2 * j if hi - lo == w else max(1, j // 2)
 
 
 def _exact_roots(coeffs: list[Scalar], rational: bool = True) -> tuple[list[Fraction], list[float]]:

@@ -468,6 +468,21 @@ def test_identify_field_six_alternatives():
     assert params in (result.primary, result.swapped)
 
 
+def _assert_rounded(coeffs, stand_ins, splits=()):
+    """Each stand-in is the correctly rounded float of a root of
+    ``coeffs``, whose real roots they all stand in for: a float x taken k
+    times has k roots between the midpoints to its float neighbours, so
+    the sign changes k times along them and the ``splits`` between.
+    Summed over the stand-ins, the changes then account for every root."""
+    from lam.field import _poly_eval
+
+    for x in set(stand_ins):
+        below, above = (F(x) + (F(math.nextafter(x, to)) - F(x)) / 2 for to in (-math.inf, math.inf))
+        points = [below, *sorted(t for t in splits if below < t < above), above]
+        signs = [_poly_eval(coeffs, t) > 0 for t in points]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == stand_ins.count(x), x
+
+
 def test_exact_cubic_solver_stress():
     from lam.field import _exact_roots, _poly_eval
 
@@ -505,6 +520,34 @@ def test_exact_cubic_solver_stress():
         assert not leftovers
         assert all(_poly_eval(coeffs, g) == 0 for g in got)
 
+    # edges of the integer test c3 r in Z, all with a negative leading
+    # coefficient: a negative root -p/q whose q is |c3|, times (k - a)(k -
+    # b) or times k^2 - c with c no square; and a rational root r within
+    # 2^-200 of an irrational one, s - sqrt(2) 2^-205 with s = r + 2^-200,
+    # which the refinement must split off before its one test
+    for trial in range(120):
+        q = rng.randint(2, 10 ** rng.randint(1, 20))
+        p = rng.randint(1, 3 * q)
+        while math.gcd(p, q) != 1:
+            p += 1
+        if trial % 3 == 0:
+            a, b = rng.sample([x for x in range(-30, 31) if x], 2)
+            coeffs, quad, want = poly_from_roots([F(-p, q), F(a), F(b)], F(-q)), None, {F(-p, q), F(a), F(b)}
+        elif trial % 3 == 1:
+            c = rng.choice([x for x in range(2, 60) if math.isqrt(x) ** 2 != x])
+            coeffs, quad, want = [F(p * c), F(q * c), F(-p), F(-q)], [F(-c), F(0), F(1)], {F(-p, q)}
+        else:
+            r = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) * rng.choice([1, -1])
+            s = r + F(1, 2**200)
+            quad, want = [s * s - F(2, 4**205), -2 * s, F(1)], {r}
+            coeffs = [r * quad[0], r * quad[1] - quad[0], r * quad[2] - quad[1], -quad[2]]  # (r - k) quad
+        got, leftovers = _exact_roots(list(coeffs))
+        assert coeffs[-1] < 0 and set(got) == want, (trial, coeffs)
+        assert all(_poly_eval(coeffs, g) == 0 for g in got)
+        assert len(leftovers) == (2 if quad else 0)
+        if quad:
+            _assert_rounded(quad, leftovers, [-quad[1] / 2])
+
     # one rational root plus an irrational pair: k(k^2 - 2)
     got, leftovers = _exact_roots([F(0), F(-2), F(0), F(1)])
     assert got == [F(0)] or set(got) == {F(0)}
@@ -530,9 +573,39 @@ def test_exact_cubic_solver_stress():
         got, leftovers = _exact_roots(coeffs)
         assert not got and len(leftovers) == len(coeffs) - 1
         assert want is None or sorted(leftovers) == want
-        for x in leftovers:
-            below, above = (F(x) + (F(math.nextafter(x, to)) - F(x)) / 2 for to in (-math.inf, math.inf))
-            assert (_poly_eval(coeffs, below) > 0) != (_poly_eval(coeffs, above) > 0), x
+        _assert_rounded(coeffs, leftovers)
+
+
+def test_refined_root_is_the_brackets_own_root():
+    from lam.field import _refine_root
+
+    # 63 10^20 (k - 1/3)(k - 1/3 - 10^-20)(k + 4/7): the bracket (lo, hi) /
+    # 2^80 starts just past 1/3 and holds only 1/3 + 10^-20, a rational
+    # root whose denominator 3 10^20 is |c3| / 21
+    work = [400000000000000000012, -1700000000000000000015, -600000000000000000063, 6300000000000000000000]
+    root = _refine_root(work, (1 << 80) // 3 + 1, 1 << 79, 80)
+    assert root == F(1, 3) + F(1, 10**20)
+    # (70 k - 99)(k^2 - 2): the rational root 99/70 lies 7.2e-5 past sqrt(2),
+    # within 1/|c3|, and just past the bracket's upper end
+    root = _refine_root([198, -140, -99, 70], int(1.4142 * 2**20), int(1.41425 * 2**20), 20)
+    assert root == math.sqrt(2)
+
+
+@pytest.mark.parametrize("g", [400, 800])
+def test_close_root_pair_is_refined_in_few_evaluations(monkeypatch, g):
+    import lam.field as field
+
+    # (k + 1)((k - M)^2 - 3 4^-g) + 4^-3g: two irrational roots about
+    # sqrt(3) 2^-g either side of M = 2 10^300 + 10^288, far from the third
+    M = 2 * 10**300 + 10**288
+    coeffs = [M * M - 3 * F(1, 4**g) + F(1, 4 ** (3 * g)), M * M - 2 * M - 3 * F(1, 4**g), 1 - 2 * M, F(1)]
+    calls = []
+    hom_eval = field._hom_eval
+    monkeypatch.setattr(field, "_hom_eval", lambda *args: calls.append(1) or hom_eval(*args))
+    got, leftovers = field._exact_roots(coeffs)
+    assert not got and sorted(leftovers) == [-1.0, float(M), float(M)]
+    _assert_rounded(coeffs, leftovers, [M])
+    assert len(calls) <= 400
 
 
 def test_exact_roots_hint_at_a_double_root():
