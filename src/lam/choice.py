@@ -314,7 +314,7 @@ def _det_bound(a: np.ndarray, b: np.ndarray, e: float = 0.0) -> np.ndarray:
 
 def _products(f: list) -> tuple[tuple, tuple | None]:
     """The products that d and p of tuples with factors ``f`` (from
-    :meth:`_Kernel._passes`) difference: d = a - b and p = (c0 - c1) + (c2 -
+    :meth:`_Kernel._factors`) difference: d = a - b and p = (c0 - c1) + (c2 -
     c3), the operands of :func:`own_instability` and
     :func:`composite_instability`; c is None without the second table."""
     sx, tx, sy, ty, *theirs = f
@@ -361,11 +361,12 @@ class _Kernel:
     the menus holding both, in canonical order, with primes for ``other``.
     The pair's tuples are the triangle S < T, where own instability is
     a_S b_T - b_S a_T = det(a, b) and composite instability is
-    det(a, b') + det(a', b).  :meth:`evaluate` evaluates them a run of
-    pairs per array pass, in the order of
-    ``instability_tuples(canonical=True)``; :meth:`estimates` gives exact
-    mode's float64 estimates with error radii, and :meth:`sums` their
-    exact sums from inner products.
+    det(a, b') + det(a', b).  :meth:`tested` streams them a run of pairs
+    at a time (:func:`_layout`), in the order of
+    ``instability_tuples(canonical=True)``, so no array outlives its run;
+    callers fold each run into the counts, first indices, maxima
+    (:class:`_Top`) and sums they need.  :meth:`sums` gives exact sums
+    from inner products.
 
     The rows and their ``mask`` come from :func:`types._rows`.  Float rows
     keep the operand order of :func:`own_instability` and
@@ -374,16 +375,15 @@ class _Kernel:
     and p times ``k`` = c_S c_T.  Sign and ratio tests do not see the
     scale, and :func:`_floor_scaled` puts a tolerance on it.
 
-    The tests (:meth:`masks`, :meth:`top_p`, :meth:`top_ratio`,
-    :meth:`first_gap`) read every tuple's d and p once, on first use: a
-    float kernel's in float64, the tables' arithmetic.  An exact kernel
-    is filtered in floats with an integer fallback (Shewchuk 1997;
-    Fortune & Van Wyk 1993): each test is decided on :meth:`estimates`
-    wherever their error radii decide it, and only the undecided tuples,
-    the band, and the candidates of a maximum are evaluated in ints by
-    :meth:`evaluate`, in canonical order.  Every outcome, ties and
+    A float kernel's tests read d and p in float64, the tables' arithmetic.
+    An exact kernel is filtered in floats with an integer fallback
+    (Shewchuk 1997; Fortune & Van Wyk 1993): each run's tests are decided
+    on its float estimates wherever their error radii decide them, and
+    only the undecided tuples, the band, and the candidates of a maximum
+    are evaluated in ints, in canonical order.  Every outcome, ties and
     first-maximum rule included, is that of the integer tests on every
-    tuple.  A witness's d and p (:meth:`raw`) are read from its cells.
+    tuple.  A witness's d and p (:meth:`raw`) are read from its cells, and
+    :meth:`evaluate` and :meth:`estimates` give those of listed tuples.
     """
 
     def __init__(
@@ -422,89 +422,117 @@ class _Kernel:
         c = None if self.c is None else self.c[:, None]
         return not (np.abs(self.mine - self.theirs) > _floor_scaled(self.eff, c)).any()
 
-    def _passes(self, mine: np.ndarray, theirs: np.ndarray | None = None, among=None):
-        """Per run: ``ends``, ``held`` and the factors of its tuples, or of
-        those ``among`` flags (a mask of the first len(among)): the entries
-        (sx, tx, sy, ty) of x and y at S and T in ``mine``, then in ``theirs``
-        when given.  ``ends`` maps per-menu values shaped as ``held`` to
-        their values at S and at T of those tuples."""
-        for (xs, ys, held), lo in zip(self.runs, self.starts):
-            s, t = _triangle(held.shape[1])
-            if among is not None and lo >= len(among):
-                return
-            if among is None:
-                def ends(v):
-                    return v.take(s, axis=1).ravel(), v.take(t, axis=1).ravel()
-            else:
-                q, j = np.divmod(np.flatnonzero(among[lo : lo + len(xs) * len(s)]), len(s))
-                if not len(q):
-                    continue
+    @staticmethod
+    def _factors(run, tables, sel: np.ndarray | None = None):
+        """``ends`` and the factors of a run's tuples, or of those at the
+        positions ``sel`` in it: the entries (sx, tx, sy, ty) of x and y at S
+        and T in each of ``tables``.  ``ends`` maps per-menu values shaped as
+        the run's ``held`` to their values at S and at T of those tuples."""
+        xs, ys, held = run
+        s, t = _triangle(held.shape[1])
+        if sel is None:
+            def ends(v):
+                return v.take(s, axis=1).ravel(), v.take(t, axis=1).ravel()
+        else:
+            q, j = np.divmod(sel, len(s))
 
-                def ends(v):
-                    return v[q, s[j]], v[q, t[j]]
-            tables = (mine,) if theirs is None else (mine, theirs)
-            yield ends, held, [e for r in tables for zs in (xs, ys) for e in ends(r[held, zs[:, None]])]
+            def ends(v):
+                return v[q, s[j]], v[q, t[j]]
+        return ends, [e for r in tables for zs in (xs, ys) for e in ends(r[held, zs[:, None]])]
 
-    def evaluate(self, among: np.ndarray | None = None):
-        """d, p (None without ``other``) and k (None in float mode) of every
-        canonical tuple, or of those ``among`` flags, in canonical order, in
-        the tables' arithmetic: a float kernel's tests, and the integer
-        fallback of an exact kernel's."""
-        empty = np.zeros(0, self.mine.dtype)  # for a layout with no pairs
-        ds, ps, ks = [empty], [empty], [empty]
-        for ends, held, f in self._passes(self.mine, self.theirs, among):
-            (a, b), c = _products(f)
-            ds.append(a - b)
-            if c:
-                ps.append((c[0] - c[1]) + (c[2] - c[3]))
-            if self.exact:
-                cs, ct = ends(self.c[held])
-                ks.append(cs * ct)
-        return (
-            np.concatenate(ds),
-            None if self.theirs is None else np.concatenate(ps),
-            np.concatenate(ks) if self.exact else None,
-        )
+    def _values(self, run, sel: np.ndarray | None = None):
+        """d, p (None without ``other``) and k (None in float mode) of a run's
+        tuples, or of those at the positions ``sel``, in the tables'
+        arithmetic: a float kernel's tests, and an exact kernel's integer
+        fallback."""
+        ends, f = self._factors(run, (self.mine,) if self.theirs is None else (self.mine, self.theirs), sel)
+        (a, b), c = _products(f)
+        p = None if c is None else (c[0] - c[1]) + (c[2] - c[3])
+        return a - b, p, None if self.c is None else np.multiply(*ends(self.c[run[2]]))
 
-    def estimates(self, among: np.ndarray | None = None):
-        """d, p and their error radii over all canonical tuples, or those
-        ``among`` flags, in float64 (exact mode).
-
-        d and p are formed as in float mode from the correctly rounded rows
-        (:func:`types._floats`): each product term of d or p carries at most
-        five roundings, two factors, the product and two sums, so |d~ - d|
-        is at most about 5u times the sum of its absolute products, for
-        u = 2**-53.  The radius is 8u times that sum as computed, which
-        leaves room for the rounding of the tests built on it.  A tuple with
-        a nonzero factor below ``_TINY`` gets radius inf, as a product of
-        its factors could underflow.
-        """
+    @cached_property
+    def _approx(self):
+        """The correctly rounded float64 rows (:func:`types._floats`) of an
+        exact kernel's tables, and the mask of their nonzero cells below
+        ``_TINY``, or None if there is none."""
         tables = [t for t in (self.mine, self.theirs) if t is not None]
-        rows = [_floats(t, self.c) for t in tables]
-        tiny = None
+        rows, tiny = [_floats(t, self.c) for t in tables], None
         for f, t in zip(rows, tables):
             low = f < _TINY
             if low.any():
                 low &= t != 0  # an exact zero is a float zero
                 tiny = low if tiny is None else tiny | low
-        empty = np.zeros(0)
-        ds, ps, rds, rps = [empty], [empty], [empty], [empty]
-        for _, _, f in self._passes(*rows, among=among):
-            (a, b), c = _products(f)
-            ds.append(a - b)
-            rds.append(_RADIUS * (a + b))
-            if c:
-                ps.append((c[0] - c[1]) + (c[2] - c[3]))
-                rps.append(_RADIUS * ((c[0] + c[1]) + (c[2] + c[3])))
-        d, rd = np.concatenate(ds), np.concatenate(rds)
-        p, rp = (np.concatenate(ps), np.concatenate(rps)) if len(rows) == 2 else (None, None)
+        return rows, tiny
+
+    def _estimates(self, run, sel: np.ndarray | None = None):
+        """d, p and their error radii over a run's tuples, or those at the
+        positions ``sel``, in float64 (exact mode).
+
+        d and p are formed as in float mode from the correctly rounded rows:
+        each product term of d or p carries at most five roundings, two
+        factors, the product and two sums, so |d~ - d| is at most about 5u
+        times the sum of its absolute products, for u = 2**-53.  The radius
+        is 8u times that sum as computed, which leaves room for the rounding
+        of the tests built on it.  A tuple with a nonzero factor below
+        ``_TINY`` gets radius inf, as a product of its factors could underflow.
+        """
+        rows, tiny = self._approx
+        (a, b), c = _products(self._factors(run, rows, sel)[1])
+        d, p, rd, rp = a - b, None, _RADIUS * (a + b), None
+        if c:
+            p, rp = (c[0] - c[1]) + (c[2] - c[3]), _RADIUS * ((c[0] + c[1]) + (c[2] + c[3]))
         if tiny is not None:
-            low = np.concatenate([empty.astype(bool)] + [
-                f[0] | f[1] | f[2] | f[3] for _, _, f in self._passes(tiny, among=among)])
+            low = np.logical_or.reduce(self._factors(run, [tiny], sel)[1])
             rd[low] = np.inf
             if rp is not None:
                 rp[low] = np.inf
         return d, p, rd, rp
+
+    def _gather(self, part, among: np.ndarray):
+        """``part`` (:meth:`_values` or :meth:`_estimates`) of the tuples at
+        the sorted canonical indices ``among``, run by run, joined."""
+        cuts, none = np.searchsorted(among, self.starts), np.zeros(0, int)
+        got = [part(run, among[a:b] - lo) for run, lo, a, b in zip(self.runs, self.starts, cuts, cuts[1:]) if a < b]
+        got = got or [part((none, none, np.zeros((0, 2), int)), none)]  # typed empty arrays
+        return tuple(None if v[0] is None else np.concatenate(v) for v in zip(*got))
+
+    def evaluate(self, among: np.ndarray):
+        """:meth:`_values` of the tuples at the sorted canonical indices ``among``."""
+        return self._gather(self._values, among)
+
+    def estimates(self, among: np.ndarray):
+        """:meth:`_estimates` of the tuples at the sorted canonical indices ``among``."""
+        return self._gather(self._estimates, among)
+
+    def tested(self, names: Sequence[str], keep: np.ndarray | None = None):
+        """Per run, or per run's pairs that the per-pair mask ``keep`` flags
+        (a run with none is skipped), in order: the canonical indices of its
+        tuples, their scan (d, p, rd, rp) as the tests read them, the masks
+        of the tests ``names`` of :func:`_tests`, and the run restricted to
+        those pairs.  A float kernel's scan is its d and p, radii None; an
+        exact kernel's is its float estimates with their radii, and its masks
+        are decided on them, the band evaluated in ints."""
+        first = 0
+        for (xs, ys, held), lo in zip(self.runs, self.starts):
+            tuples = len(_triangle(held.shape[1])[0])
+            q = np.arange(len(xs)) if keep is None else np.flatnonzero(keep[first : first + len(xs)])
+            first += len(xs)
+            if not len(q):
+                continue
+            ids, run = (lo + q[:, None] * tuples + np.arange(tuples)).ravel(), (xs[q], ys[q], held[q])
+            if not self.exact:
+                d, p, _ = self._values(run)
+                yield ids, (d, p, None, None), _tests(d, p, None, self.eff, names), run
+                continue
+            scan = self._estimates(run)
+            with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
+                tris = [self._filter(name, scan) for name in names]
+            band = np.flatnonzero(np.logical_or.reduce([~(yes | no) for yes, no in tris])) if tris else ()
+            masks = [yes for yes, _ in tris]
+            if len(band):
+                for mask, exact in zip(masks, _tests(*self._values(run, band), self.eff, names)):
+                    mask[band] = exact
+            yield ids, scan, masks, run
 
     def quiet(self) -> Iterator[bool]:
         """Per pair, in order, whether a certificate shows that none of its
@@ -530,11 +558,13 @@ class _Kernel:
             with np.errstate(invalid="ignore"):  # a NaN bound is not quiet
                 yield from bound * (1 + 16 * _U) + 2.0**-1000 <= self.eff
 
-    def sums(self, lifted: bool = True, out: np.ndarray | None = None) -> tuple[int, ...]:
+    def sums(self, lifted: bool = True, out: Iterable[np.ndarray] | None = None) -> tuple[int, ...]:
         """Exact sums of d*d, d*p and p*p over every canonical tuple, and
-        given ``out`` of d*p and p*p over the tuples it flags, times B**4
-        for B the common scale of the rows of ``rho`` and ``other`` as ints:
-        the lcm of the c_S, or the float rows' power of two (:func:`_dyadic`).
+        given ``out``, a mask per run, of d*p and p*p over the tuples it flags,
+        times B**4 for B the common scale of the rows of ``rho`` and ``other``
+        as ints: the lcm of the c_S, or the float rows' power of two
+        (:func:`_dyadic`).  ``out`` is read a run at a time, in step with the
+        sums, so a caller can fold its own pass into this one.
         By Binet-Cauchy the sum over S < T of det(u, v) det(w, z) is
         (u.w)(v.z) - (u.z)(v.w): a pair costs the 10 distinct entries of the
         Gram matrix of a, b, a', b', and its flagged tuples their own d and
@@ -554,7 +584,7 @@ class _Kernel:
         if lifted:
             top = math.lcm(*scale.tolist())
         dd = dp = pp = out_dp = out_pp = 0
-        for (xs, ys, held), lo in zip(self.runs, self.starts):
+        for (xs, ys, held), flags in zip(self.runs, repeat(None) if out is None else out):
             g = rows[held[:, :, None], np.stack([xs, ys, n + xs, n + ys], axis=1)[:, None, :]]
             wg, lift = g, repeat(1)
             if lifted:
@@ -567,12 +597,10 @@ class _Kernel:
                 dd += (aa * bb - ab * ab) * up
                 dp += (aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2) * up
                 pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
-            if out is None:
+            if flags is None or not flags.any():
                 continue
             s, t = _triangle(held.shape[1])
-            q, j = np.divmod(np.flatnonzero(out[lo : lo + len(xs) * len(s)]), len(s))
-            if not len(q):
-                continue
+            q, j = np.divmod(np.flatnonzero(flags), len(s))
             (a, b), c = _products([g[q, m[j], z] for z in range(4) for m in (s, t)])
             p = (c[0] - c[1]) + (c[2] - c[3])
             tdp, tpp = (a - b) * p, p * p
@@ -596,24 +624,12 @@ class _Kernel:
 
     @cached_property
     def first_usable(self) -> int | None:
-        """The first tuple with |p| > eff: tuple 0 from its cells, then windows of
-        tuples that double from 64."""
-        lo, width, total = 0, 64, int(self.starts[-1])
-        if total:
+        """The first tuple with |p| > eff: tuple 0 from its cells, then run by run."""
+        if self.starts[-1]:
             _, p, k = self.raw(0)
             if abs(p) > _floor_scaled(self.eff, k):
                 return 0
-        while lo < total:
-            among = np.zeros(min(lo + width, total), bool)
-            among[lo:] = True
-            scan = self.estimates(among) if self.exact else (*self.evaluate(among)[:2], 0.0, 0.0)
-            with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
-                yes, no = self._filter("usable", scan)
-            first = self._first_sure(yes, no, lambda d, p, k: _tests(d, p, k, self.eff, ["usable"])[0], lo)
-            if first is not None:
-                return first
-            lo, width = len(among), 2 * width
-        return None
+        return next((int(ids[usable][0]) for ids, _, (usable,), _ in self.tested(["usable"]) if usable.any()), None)
 
     def certified(self) -> bool:
         """Whether per-pair certificates show with no tuple pass that every tuple
@@ -639,21 +655,11 @@ class _Kernel:
         lam, delta, e, low, u = map(Fraction, (lam, delta, e, low, _U))
         return 5 * delta <= e and lam <= 1 - u - delta / e and 2 * (low - 3 * u) >= 2 * delta - e
 
-    @cached_property
-    def _scan(self) -> tuple:
-        """(d, p, rd, rp) of every tuple as the tests read them: an exact
-        kernel's float estimates and their radii, or a float kernel's d
-        and p, radii None."""
-        if self.exact:
-            return self.estimates()
-        return (*self.evaluate()[:2], None, None)
-
-    def _filter(self, name: str, scan: tuple | None = None):
-        """The float filter of test ``name`` of :func:`_tests` on ``scan``
-        (:attr:`_scan` by default); each margin adds 4u or 8u of the
-        operands to the radii for the rounding of the test's own arithmetic
-        and of ``eff``."""
-        (d, p, rd, rp), e = scan or self._scan, self.e
+    def _filter(self, name: str, scan: tuple):
+        """The float filter of test ``name`` of :func:`_tests` on a run's
+        ``scan``; each margin adds 4u or 8u of the operands to the radii for
+        the rounding of the test's own arithmetic and of ``eff``."""
+        (d, p, rd, rp), e = scan, self.e
         ad = np.abs(d)
         big = _sure(ad - e, rd + 4 * _U * (ad + e))
         if name == "big":
@@ -668,83 +674,33 @@ class _Kernel:
         size = _not(_sure(ad - ap - e, rd + rp + 8 * _U * (ad + ap + e)))
         return _and(sign, size)
 
-    def masks(self, *names: str) -> list[np.ndarray]:
-        """The masks of the tests ``names`` of :func:`_tests` over every tuple."""
-        if not self.exact:
-            d, p, _, _ = self._scan
-            return _tests(d, p, None, self.eff, names)
-        with np.errstate(invalid="ignore"):  # inf * 0 in a radius: NaN, undecided
-            tris = [self._filter(name) for name in names]
-        out = [yes.copy() for yes, _ in tris]
-        band = ~np.logical_and.reduce([yes | no for yes, no in tris])
-        if band.any():
-            d, p, k = self.evaluate(band)
-            for mask, exact in zip(out, _tests(d, p, k, self.eff, names)):
-                mask[band] = exact
-        return out
-
-    def _top(self, lo, hi, among, key) -> int | None:
-        """The first tuple among those flagged with the largest key(d, p, k),
-        from bounds lo <= key <= hi of each tuple's key; None if none is."""
-        flagged = np.ones(len(lo), bool) if among is None else among
-        if not flagged.any():
-            return None
-        cand = flagged & ~(hi < lo[flagged].max())
-        j = _running_max(*key(*self.evaluate(cand)))
-        return int(np.flatnonzero(cand)[j])
-
-    def top_p(self, among: np.ndarray | None = None) -> int | None:
-        """The first tuple with the largest |p| among the flagged ones (all by default)."""
-        _, p, _, rp = self._scan
-        ap = np.abs(p)
-        if self.exact:
-            return self._top(ap - rp, ap + rp, among, lambda d, p, k: (np.abs(p), k))
-        if among is None:  # float > is transitive, so the first maximum is the argmax
-            return int(np.argmax(ap)) if len(ap) else None
-        ap[~among] = -1.0  # below every |p|; in place, as a new whole-tuple array costs page faults
-        return int(np.argmax(ap)) if among.any() else None
-
-    def top_ratio(self, among: np.ndarray) -> int | None:
-        """The first tuple with the largest |d|/|p| among the flagged ones."""
-        d, p, rd, rp = self._scan
-        ad, ap = np.abs(d), np.abs(p)
-        if not self.exact:
-            return _running_max(ad, ap, among)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            under = ap - rp
-            hi = np.where(under > 0, (ad + rd) / under, np.inf) * (1 + 8 * _U)
-            lo = np.maximum(ad - rd, 0) / (ap + rp) * (1 - 8 * _U)
-        return self._top(lo, hi, among, lambda d, p, k: (np.abs(d), np.abs(p)))
-
     def first_gap(self, ref: int) -> int | None:
         """The first tuple whose proportionality gap with tuple ``ref``,
-        d p_ref - d_ref p, exceeds ``eff`` in magnitude."""
+        d p_ref - d_ref p, exceeds ``eff`` in magnitude, run by run up to it."""
         d_ref, p_ref, k_ref = self.raw(ref)
-        d, p, rd, rp = self._scan
-        if not self.exact:
-            gap = d * p_ref
-            gap -= d_ref * p
-            return _first_true(np.abs(gap) > self.eff)
-        dr, pr = d_ref / k_ref, p_ref / k_ref  # int / int rounds correctly
-        left, right = d * pr, dr * p
-        with np.errstate(invalid="ignore"):
-            r = rd * abs(pr) + rp * abs(dr) + 8 * _U * (np.abs(left) + np.abs(right) + self.e)
-            yes, no = _sure(np.abs(left - right) - self.e, r)
-        return self._first_sure(
-            yes, no, lambda d, p, k: np.abs(d * p_ref - d_ref * p) > _floor_scaled(self.eff, k * k_ref))
-
-    def _first_sure(self, yes: np.ndarray, no: np.ndarray, test, lo: int = 0) -> int | None:
-        """The first tuple from ``lo`` on where a test holds: ``yes``, ``no`` its float
-        filter there, the band before the first sure hit decided by ``test(d, p, k)``."""
-        band, first = ~(yes | no), _first_true(yes)
-        if first is not None:  # only the band before the first sure hit can move it
-            band[first:] = False
-        if band.any():
-            among = np.zeros(lo + len(band), bool)
-            among[lo:] = band
-            yes[band] = test(*self.evaluate(among))
-        first = _first_true(yes)
-        return None if first is None else lo + first
+        if self.exact:
+            dr, pr = d_ref / k_ref, p_ref / k_ref  # int / int rounds correctly
+        for ids, (d, p, rd, rp), _, run in self.tested(()):
+            if not self.exact:
+                gap = d * p_ref
+                gap -= d_ref * p
+                i = _first_true(np.abs(gap) > self.eff)
+            else:
+                left, right = d * pr, dr * p
+                with np.errstate(invalid="ignore"):
+                    r = rd * abs(pr) + rp * abs(dr) + 8 * _U * (np.abs(left) + np.abs(right) + self.e)
+                    yes, no = _sure(np.abs(left - right) - self.e, r)
+                band, i = ~(yes | no), _first_true(yes)
+                if i is not None:  # only the band before the first sure hit can move it
+                    band[i:] = False
+                sel = np.flatnonzero(band)
+                if len(sel):
+                    d, p, k = self._values(run, sel)
+                    yes[sel] = np.abs(d * p_ref - d_ref * p) > _floor_scaled(self.eff, k * k_ref)
+                    i = _first_true(yes)
+            if i is not None:
+                return int(ids[i])
+        return None
 
     def raw(self, i: int):
         """d, p and k of tuple i as :meth:`evaluate` gives them, from its
@@ -761,12 +717,60 @@ class _Kernel:
         return (float(d), float(p)) if k is None else (Fraction(d, k), Fraction(p, k))
 
 
+class _Top:
+    """The first flagged tuple with the largest |p|, or with ``ratio`` the
+    largest |d|/|p|, folded run by run from the scans of :meth:`_Kernel.tested`.
+
+    A float kernel moves a running maximum as :func:`_running_max` does,
+    carried across runs.  An exact kernel keeps as candidates the flagged
+    tuples whose upper bound on the key reaches the largest lower bound so
+    far; at the end it drops those below the final one and compares the
+    rest in ints, in canonical order, as the integer tests on every tuple
+    would.
+    """
+
+    def __init__(self, kernel: _Kernel, ratio: bool = False):
+        self.kernel, self.ratio, self.best, self.kept, self.floor, self.cands = kernel, ratio, None, None, -math.inf, []
+
+    def add(self, ids: np.ndarray, scan: tuple, flag: np.ndarray) -> None:
+        (d, p, rd, rp), exact = scan, self.kernel.exact
+        if not flag.any():
+            return
+        ad, ap = np.abs(d), np.abs(p)
+        if self.ratio and not exact:
+            j = _running_max(ad, ap, flag, self.kept)
+            if j is not None:
+                self.best, self.kept = int(ids[j]), (ad[j], ap[j])
+        elif not exact:  # float > is transitive, so the first maximum is the argmax
+            ap[~flag] = -1.0  # below every |p|
+            j = int(np.argmax(ap))
+            if self.best is None or ap[j] > self.kept:
+                self.best, self.kept = int(ids[j]), ap[j]
+        else:
+            lo, hi = ap - rp, ap + rp
+            if self.ratio:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    hi = np.where(lo > 0, (ad + rd) / lo, np.inf) * (1 + 8 * _U)
+                    lo = np.maximum(ad - rd, 0) / (ap + rp) * (1 - 8 * _U)
+            self.floor = np.maximum(self.floor, lo[flag].max())
+            keep = flag & ~(hi < self.floor)
+            self.cands.append((ids[keep], hi[keep]))
+
+    def result(self) -> int | None:
+        if not self.cands:
+            return self.best
+        ids, hi = map(np.concatenate, zip(*self.cands))
+        d, p, k = self.kernel.evaluate(ids := ids[~(hi < self.floor)])
+        return int(ids[_running_max(*((np.abs(d), np.abs(p)) if self.ratio else (np.abs(p), k)))])
+
+
 def _first_true(mask: np.ndarray) -> int | None:
     return int(np.argmax(mask)) if mask.any() else None
 
 
-def _running_max(num: np.ndarray, den: np.ndarray, among: np.ndarray | None = None) -> int | None:
-    """Where a scan's running maximum of num/den ends among the flagged tuples.
+def _running_max(num: np.ndarray, den: np.ndarray, among: np.ndarray | None = None, kept=None) -> int | None:
+    """Where a scan's running maximum of num/den ends among the flagged tuples,
+    or None if it stays at ``kept``, the (num, den) it holds from earlier runs.
 
     The scan keeps the first flagged tuple (all are flagged by default)
     and moves from the kept b to a later flagged k only when
@@ -775,18 +779,21 @@ def _running_max(num: np.ndarray, den: np.ndarray, among: np.ndarray | None = No
     Each step tests a growing window after b at once, so the cost is one
     pass over the arrays plus a few calls per move.
     """
-    b = _first_true(among) if among is not None else 0 if len(num) else None
-    if b is None:
-        return None
-    lo, width = b + 1, 256
+    b, lo, width = None, 0, 256
+    if kept is None:
+        b = _first_true(among) if among is not None else 0 if len(num) else None
+        if b is None:
+            return None
+        kept, lo = (num[b], den[b]), b + 1
     while lo < len(num):
         hi = min(lo + width, len(num))
-        beats = num[lo:hi] * den[b] > num[b] * den[lo:hi]
+        beats = num[lo:hi] * kept[1] > kept[0] * den[lo:hi]
         j = _first_true(beats if among is None else beats & among[lo:hi])
         if j is None:
             lo, width = hi, 2 * width
         else:
-            b, lo, width = lo + j, lo + j + 1, 256
+            b = lo + j
+            kept, lo, width = (num[b], den[b]), b + 1, 256
     return b
 
 
@@ -839,15 +846,13 @@ def _or(a, b):
     return _not(_and(_not(a), _not(b)))
 
 
-def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, np.ndarray | None]:
-    """The kernel of ``rho``, and the mask of canonical tuples whose own
-    instability exceeds ``eff`` in magnitude, or None when none does; the
-    tuples are tested only when some pair is not :meth:`_Kernel.quiet`."""
+def _own_violations(rho: StochasticChoice, eff: Scalar) -> tuple[_Kernel, Iterator[np.ndarray]]:
+    """The kernel of ``rho``, and run by run over its open pairs, those not
+    :meth:`_Kernel.quiet`, the canonical indices of the tuples whose own
+    instability exceeds ``eff`` in magnitude: a certified pair has none."""
     kernel = _Kernel(rho, rho.domain, eff=eff)
-    if all(kernel.quiet()):
-        return kernel, None
-    (bad,) = kernel.masks("big")
-    return kernel, bad if bad.any() else None
+    keep = ~np.fromiter(kernel.quiet(), bool)
+    return kernel, (ids[big] for ids, _, (big,), _ in kernel.tested(["big"], keep))
 
 
 def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] | None:
@@ -871,7 +876,7 @@ def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[Ins
     its four sign-equivalent tuples, of equal |own instability| bit for bit.
     """
     kernel, bad = _own_violations(rho, resolve_tol(tol, rho.is_exact))
-    found = () if bad is None else map(kernel.tuple_at, np.flatnonzero(bad).tolist())
+    found = map(kernel.tuple_at, [i for ids in bad for i in ids.tolist()])
     full = [InstabilityTuple(x, y, s, t) for c in found for x, y in ((c.x, c.y), (c.y, c.x))
             for s, t in ((c.menu_s, c.menu_t), (c.menu_t, c.menu_s))]
     index, key = rho.universe.index, rho.universe.menu_key
@@ -879,8 +884,14 @@ def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[Ins
 
 
 def satisfies_iia(rho: StochasticChoice, tol: Scalar | None = None) -> bool:
-    """IIA test; ``not iia_violations(rho, tol)``, from the same canonical scan."""
-    return _own_violations(rho, resolve_tol(tol, rho.is_exact))[1] is None
+    """IIA test; ``not iia_violations(rho, tol)``, from the same canonical scan,
+    which stops at its first violating run.  An exact table at tol 0 needs no
+    scan: a pair that is not quiet has rows that are not parallel, so some own
+    instability is nonzero (Lagrange's identity)."""
+    eff = resolve_tol(tol, rho.is_exact)
+    if rho.is_exact and eff == 0:
+        return all(_Kernel(rho, rho.domain).quiet())
+    return not any(len(ids) for ids in _own_violations(rho, eff)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -954,12 +965,13 @@ def recover_luce_utility(
             f"{universe.sorted_members(zero[0])} is not above {_show(eff)}"
         )
     kernel, bad = _own_violations(rho, eff)
-    if bad is not None:
+    bad = [ids for ids in bad if len(ids)]
+    if bad:
         # each canonical violation stands for four sign-equivalent tuples,
         # and the first in lexicographic order is the canonical one
         raise NotLuceError(
-            f"IIA violated at tolerance {_show(eff)} for {4 * int(bad.sum())} tuples, e.g. "
-            + kernel.tuple_at(_first_true(bad)).describe(universe)
+            f"IIA violated at tolerance {_show(eff)} for {4 * sum(map(len, bad))} tuples, e.g. "
+            + kernel.tuple_at(int(bad[0][0])).describe(universe)
         )
 
     # one edge per pair of alternatives sharing menus, both ways: step[x, y]

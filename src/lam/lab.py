@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Literal, Mapping, get_args
@@ -32,6 +33,7 @@ from .choice import (
     _first_true,
     _Kernel,
     _own_violations,
+    _Top,
     _residual,
     recover_luce_utility,
     satisfies_iia,
@@ -147,14 +149,25 @@ def estimate_alpha(
             "AI and human choices coincide; alpha and v are not separately identified"
         )
 
-    big, usable = kernel.masks("big", "usable")
-    if not big.any():
+    top, tally = _Top(kernel), [0, 0]
+
+    def unusable():  # per run: the big and usable tuples, the largest usable |p|
+        for ids, scan, (big, usable), _ in kernel.tested(["big", "usable"]):
+            tally[0] += int(np.count_nonzero(big))
+            tally[1] += int(np.count_nonzero(usable))
+            top.add(ids, scan, usable)
+            yield ~usable
+
+    parallel = exact and kernel.slope is not None
+    # the sums cover every tuple: the pass takes the unusable ones out again
+    sums = deque(unusable(), maxlen=0) if parallel else kernel.sums(out=unusable())
+    if not tally[0]:
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
             "are aligned; it cannot be point-identified",
             possible_regimes=("autonomous", "compliant", "aligned"),
         )
-    best = kernel.top_p(usable)  # first usable tuple with the largest |p|
+    best = top.result()  # first usable tuple with the largest |p|
     if best is None:
         raise InconsistentInputsError(
             "AI data violates IIA while every composite instability vanishes; "
@@ -162,15 +175,14 @@ def estimate_alpha(
         )
 
     div = Fraction if exact else operator.truediv  # int / int rounds correctly
-    if exact and kernel.slope is not None:  # every usable subset's slope, and ss_res = 0
+    if parallel:  # every usable subset's slope, and ss_res = 0
         raw, r_squared = kernel.slope, Fraction(1)
     else:
+        dd, dp, pp, out_dp, out_pp = sums
         if strategy == "single-tuple":
-            dd, dp, pp = kernel.sums()
             d_best, p_best = kernel.value(best)
             raw = d_best / p_best
-        else:  # the sums cover every tuple: take the unusable ones out again
-            dd, dp, pp, out_dp, out_pp = kernel.sums(out=~usable)
+        else:
             raw = div(dp - out_dp, pp - out_pp)
         # 1 - ss_res / ss_tot, with ss_tot = dd and ss_res = dd - 2 raw dp + raw^2 pp
         num, den = raw.as_integer_ratio()
@@ -183,7 +195,7 @@ def estimate_alpha(
         strategy=strategy,
         best=kernel.tuple_at(best),
         r_squared=r_squared,
-        n_tuples=int(np.count_nonzero(usable)),
+        n_tuples=tally[1],
     )
 
 
@@ -428,9 +440,10 @@ def check_axioms(
             break
 
     h_kernel, violations = _own_violations(rho_h, eff)
+    first = next((int(ids[0]) for ids in violations if len(ids)), None)
     h_iia = AxiomVerdict(True)
-    if violations is not None:
-        t = h_kernel.tuple_at(_first_true(violations))
+    if first is not None:
+        t = h_kernel.tuple_at(first)
         h_iia = AxiomVerdict(
             False, witness=(t,), note="human data violates IIA at " + t.describe(universe)
         )
@@ -450,21 +463,33 @@ def _pair_verdicts(kernel: _Kernel) -> tuple[AxiomVerdict, AxiomVerdict, AxiomVe
     # The tuples the checks refer to: the first own term not dominated by
     # its composite, the first vanishing composite under a non-vanishing own
     # term, the largest composite term (proportionality reference) and the
-    # largest own-to-composite ratio.  Where exact d and p are parallel
-    # (_Kernel.slope), every gap vanishes and the first usable tuple binds.
-    big, usable, dominated = kernel.masks("big", "usable", "dominated")
-    undominated = _first_true(~dominated)
-    vanishing = _first_true(~usable & big)
-    if kernel.exact and kernel.slope is not None:
-        bad, binding = None, _first_true(usable)
+    # largest own-to-composite ratio, folded run by run, and then the first
+    # proportionality gap against the reference.  Where exact d and p are
+    # parallel (_Kernel.slope), every gap vanishes and the first usable tuple binds.
+    parallel = kernel.exact and kernel.slope is not None
+    undominated = vanishing = None
+    top, top_ratio = _Top(kernel), _Top(kernel, ratio=True)
+
+    def first(found, ids, mask):
+        i = None if found is not None else _first_true(mask)
+        return found if i is None else int(ids[i])
+
+    for ids, scan, (big, usable, dominated), _ in kernel.tested(["big", "usable", "dominated"]):
+        undominated = first(undominated, ids, ~dominated)
+        vanishing = first(vanishing, ids, big & ~usable)
+        if not parallel:
+            top.add(ids, scan, np.ones(len(ids), bool))
+            top_ratio.add(ids, scan, usable)
+    if parallel:
+        bad, binding = None, kernel.first_usable
     else:
-        ref, binding = kernel.top_p(), kernel.top_ratio(usable)
+        ref, binding = top.result(), top_ratio.result()
         bad = None if ref is None else kernel.first_gap(ref)
 
     def row(i: int):
         return kernel.tuple_at(i), *kernel.value(i)
 
-    proportionality = AxiomVerdict(True, note="" if len(usable) else "no tuples to compare")
+    proportionality = AxiomVerdict(True, note="" if kernel.starts[-1] else "no tuples to compare")
     if bad is not None:
         t, t_ref = kernel.tuple_at(bad), kernel.tuple_at(ref)
         proportionality = AxiomVerdict(

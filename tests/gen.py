@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 from lam import LamParams, StochasticChoice, Universe, lam_table, luce_table
 
-ALT_NAMES = tuple("abcdefgh")
+ALT_NAMES = tuple("abcdefghij")
 
 
 def random_utility(rng: random.Random, alts, max_int: int = 20):

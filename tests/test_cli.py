@@ -449,7 +449,7 @@ def test_float_mode_identify_lab(capsys, tmp_path):
 
 
 # Full reports over the lab example, exact and float, and with the human's
-# x;y;z row moved by 2e-4 so that IIA fails in float mode.
+# x;y;z row moved so that IIA fails: by 2e-4 in floats, and exactly.
 LAB_EXACT = """report,identify-lab
 mode,exact
 tolerance,0
@@ -505,10 +505,10 @@ autonomous,y;z,z,0.5999999999999999
 """
 
 LAB_PERTURBED = """report,identify-lab
-mode,float
-tolerance,1e-09
+mode,{mode}
+tolerance,{tol}
 status,inconsistent
-reason,human data is not a Luce rule: IIA violated at tolerance 1e-09 for 12 tuples, e.g. (x,y,{x,y},{x,y,z})
+reason,human data is not a Luce rule: IIA violated at tolerance {tol} for 12 tuples, e.g. (x,y,{{x,y}},{{x,y,z}})
 """
 
 AXIOMS_PASS = """report,check-axioms
@@ -523,13 +523,13 @@ overall,pass
 """
 
 AXIOMS_PERTURBED = """report,check-axioms
-mode,float
-tolerance,1e-09
+mode,{mode}
+tolerance,{tol}
 axiom,positivity,pass
 axiom,h_iia,fail
-witness,h_iia,human data violates IIA at (x,y,{x,y},{x,y,z})
+witness,h_iia,human data violates IIA at (x,y,{{x,y}},{{x,y,z}})
 axiom,proportionality,fail
-witness,proportionality,instability ratios differ between (x,z,{x,y,z},{x,z}) and (x,y,{x,y},{x,y,z})
+witness,proportionality,instability ratios differ between (x,z,{{x,y,z}},{{x,z}}) and (x,y,{{x,y}},{{x,y,z}})
 axiom,bounded_instability,pass
 axiom,bounded_divergence,pass
 overall,fail
@@ -543,7 +543,10 @@ overall,fail
          AXIOMS_PASS.format(mode="exact", tol="0"), 0),
         ("lab_human.csv", [], LAB_FLOAT, 0,
          AXIOMS_PASS.format(mode="float", tol="1e-09"), 0),
-        ("lab_human_perturbed.csv", [], LAB_PERTURBED, 2, AXIOMS_PERTURBED, 2),
+        ("lab_human_perturbed.csv", [], LAB_PERTURBED.format(mode="float", tol="1e-09"), 2,
+         AXIOMS_PERTURBED.format(mode="float", tol="1e-09"), 2),
+        ("lab_human_perturbed_exact.csv", ["--exact"], LAB_PERTURBED.format(mode="exact", tol="0"), 2,
+         AXIOMS_PERTURBED.format(mode="exact", tol="0"), 2),
     ],
 )
 def test_lab_reports_golden(capsys, human, flags, lab_report, lab_code, axioms_report, axioms_code):

@@ -56,6 +56,11 @@ def common_menus(ai, human):
     return _join(ai, human, "the AI and human data share no menus")[0]
 
 
+def every(kernel):
+    """The kernel's d, p and k over every canonical tuple."""
+    return kernel.evaluate(np.arange(kernel.starts[-1]))
+
+
 def scan_rows(rho, menus, other=None, scalar=None):
     """Plain ``(x, y, S, T, d, p)`` rows in canonical order, one tuple at a time,
     on the entries as recorded or as ``scalar`` maps them."""
@@ -88,6 +93,12 @@ def oracle_first_violation(rho, eff):
 
 def oracle_satisfies_iia(rho, tol=None):
     return oracle_first_violation(rho, resolve_tol(tol, rho.is_exact)) is None
+
+
+def oracle_iia_violations(rho, tol=None):
+    """Every tuple, in lexicographic order, whose own instability exceeds tol."""
+    eff = resolve_tol(tol, rho.is_exact)
+    return [t for t in instability_tuples(rho.universe, rho.domain) if abs(own_instability(rho, t)) > eff]
 
 
 def oracle_luce_error(rho, tol=None):
@@ -319,6 +330,18 @@ def perturb_exact(rho, rng, shift=F(1, 50)):
     return StochasticChoice(rho.universe, table)
 
 
+def move_largest(rho, rng, shift):
+    """Move one probability of the largest menu by ``shift`` and renormalize
+    its row: only the pairs holding the moved alternative violate IIA."""
+    table = {m: dict(row) for m, row in rho.table.items()}
+    menu = max(rho.domain, key=len)
+    alt = rho.universe.sorted_members(menu)[rng.randrange(len(menu))]
+    table[menu][alt] += shift
+    total = sum(table[menu].values())
+    table[menu] = {a: p / total for a, p in table[menu].items()}
+    return StochasticChoice(rho.universe, table)
+
+
 def drop_entry(rho, rng):
     """Leave one alternative out of a menu of three or more (a zero entry)."""
     menus = [m for m in rho.domain if len(m) >= 3]
@@ -342,7 +365,7 @@ def tied_params(rng, n):
             return params
 
 
-VARIANTS = ("clean", "human", "ai", "partial", "zeros", "tol", "ties")
+VARIANTS = ("clean", "human", "ai", "partial", "zeros", "tol", "ties", "open")
 
 
 def random_case(rng, n, exact, variant):
@@ -367,6 +390,8 @@ def random_case(rng, n, exact, variant):
     elif variant == "tol":
         ai = bump(ai, rng)
         tol = rng.choice([F(1, 300), F(1, 40), 0.004, 0.02]) if exact else rng.choice([1e-3, 0.02])
+    elif variant == "open":
+        human = move_largest(human, rng, F(1, 50) if exact else 0.05)
     return ai, human, params.anchor, tol
 
 
@@ -381,6 +406,7 @@ def assert_matches_oracle(ai, human, anchor, tol):
     assert canon(check_axioms(ai, human, tol)) == canon(oracle_check_axioms(ai, human, tol))
     for rho in (ai, human):
         assert satisfies_iia(rho, tol) == oracle_satisfies_iia(rho, tol)
+        assert iia_violations(rho, tol) == oracle_iia_violations(rho, tol)
         got = outcome(recover_luce_utility, rho, anchor, tol)
         want = oracle_luce_error(rho, tol)
         if want is None:
@@ -466,14 +492,14 @@ def test_band_tuples_take_the_integer_fallback(monkeypatch, name):
     # the outputs match the oracle, and the integer fallback evaluated more
     # than the single tuple of a decided maximum: trusting the float filter
     # on these tuples would skip it
-    flagged, evaluate = [], _Kernel.evaluate
+    flagged, values = [], _Kernel._values
 
-    def spy(self, among=None):
-        if among is not None:
-            flagged.append(int(among.sum()))
-        return evaluate(self, among)
+    def spy(self, run, sel=None):
+        if sel is not None:
+            flagged.append(len(sel))
+        return values(self, run, sel)
 
-    monkeypatch.setattr(_Kernel, "evaluate", spy)
+    monkeypatch.setattr(_Kernel, "_values", spy)
     assert_matches_oracle(*band_case(name, random.Random(name)))
     assert max(flagged, default=0) > 1
 
@@ -482,15 +508,15 @@ def test_band_tuples_take_the_integer_fallback(monkeypatch, name):
 def test_exact_kernels_evaluate_only_flagged_tuples(monkeypatch, n):
     # an exact kernel decides its tests on the float estimates: the integer
     # evaluation sees the band and the candidates of a maximum, never a
-    # full pass over every tuple
-    flags, evaluate = [], _Kernel.evaluate
+    # whole run
+    flags, values = [], _Kernel._values
 
-    def spy(self, among=None):
+    def spy(self, run, sel=None):
         if self.exact:
-            flags.append(among)
-        return evaluate(self, among)
+            flags.append(sel)
+        return values(self, run, sel)
 
-    monkeypatch.setattr(_Kernel, "evaluate", spy)
+    monkeypatch.setattr(_Kernel, "_values", spy)
     rng = random.Random(f"flagged-{n}")
     params = gen.random_params(rng, n)
     ai, human = gen.forward_pair(params)
@@ -511,14 +537,14 @@ def test_witness_reads_make_no_evaluate_call(monkeypatch, variant):
     for n in (3, 4, 5):
         ai, human, _, _ = random_case(rng, n, True, variant)
         menus = common_menus(ai, human)
-        want = _Kernel(ai, menus, human).evaluate()
-        calls, evaluate = [], _Kernel.evaluate
+        want = every(_Kernel(ai, menus, human))
+        calls, values = [], _Kernel._values
 
-        def spy(self, among=None):
-            calls.append(among)
-            return evaluate(self, among)
+        def spy(self, run, sel=None):
+            calls.append(sel)
+            return values(self, run, sel)
 
-        monkeypatch.setattr(_Kernel, "evaluate", spy)
+        monkeypatch.setattr(_Kernel, "_values", spy)
         kernel = _Kernel(ai, menus, human)
         raws = [kernel.raw(i) for i in range(kernel.starts[-1])]
         values = [kernel.value(i) for i in range(kernel.starts[-1])]
@@ -531,13 +557,13 @@ def test_witness_reads_make_no_evaluate_call(monkeypatch, variant):
 def test_proportional_makes_no_estimates_call(monkeypatch):
     # the Cauchy-Schwarz certificate of the unlifted sums decides alone:
     # no float estimates are formed for it, parallel or not
-    calls, estimates = [], _Kernel.estimates
+    calls, estimates = [], _Kernel._estimates
 
-    def spy(self):
+    def spy(self, run, sel=None):
         calls.append(self)
-        return estimates(self)
+        return estimates(self, run, sel)
 
-    monkeypatch.setattr(_Kernel, "estimates", spy)
+    monkeypatch.setattr(_Kernel, "_estimates", spy)
     rng = random.Random("certificate")
     verdicts = []
     for variant in ("clean", "human", "ai"):
@@ -564,8 +590,8 @@ def test_estimates_are_within_their_radii():
     cases.append(band_case("tiny", rng))
     for ai, human, _, _ in cases:
         kernel = _Kernel(ai, common_menus(ai, human), human)
-        d, p, k = kernel.evaluate()
-        estimates = kernel.estimates()
+        d, p, k = every(kernel)
+        estimates = kernel.estimates(np.arange(kernel.starts[-1]))
         low = ai.universe.alternatives[-2:] if ai is cases[-1][0] else ()
         tiny = [t.x in low or t.y in low for t in map(kernel.tuple_at, range(len(d)))]
         for est, radius, exact in ((estimates[0], estimates[2], d), (estimates[1], estimates[3], p)):
@@ -698,7 +724,7 @@ def test_kernel_sums_equal_brute_force(variant):
             assert scale > 0 and list(got) == [scale * w for w in want]
             flags = np.array([rng.random() < 0.5 for _ in rows], dtype=bool)
             kept = [r for r, flag in zip(true, flags) if flag]
-            assert kernel.sums(out=flags)[3:] == (
+            assert kernel.sums(out=np.split(flags, kernel.starts[1:-1]))[3:] == (
                 scale * sum(r[4] * r[5] for r in kept),
                 scale * sum(r[5] * r[5] for r in kept),
             )
@@ -749,7 +775,7 @@ def test_proportional_equals_brute_force(variant):
         verdicts.append(kernel.slope is not None)
         assert verdicts[-1] == brute_parallel(true)
         if kernel.exact:  # the unlifted sums are those of D and P
-            k = kernel.evaluate()[2]
+            k = every(kernel)[2]
             ints = [(r[4] * c, r[5] * c) for r, c in zip(true, k.tolist())]
             assert all(d.denominator == p.denominator == 1 for d, p in ints)
             assert kernel.sums(lifted=False) == tuple(
@@ -788,6 +814,40 @@ def test_exact_iia_test_agrees_with_scan():
             assert iia_violations(bad) == full
             with pytest.raises(NotLuceError, match=f"for {len(full)} tuples"):
                 recover_luce_utility(bad, params.anchor)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n", [5, 6])
+def test_one_table_passes_visit_only_open_pairs(monkeypatch, n, exact):
+    # a Luce table with one entry of its largest menu moved: the n - 1 pairs
+    # holding the moved alternative fail the certificate, and the one-table
+    # passes scan their tuples alone, with the oracle's violations, count
+    # and witness
+    rng = random.Random(f"open-{n}-{exact}")
+    params = gen.random_params(rng, n)
+    rho = luce_table(params.universe, params.u, params.universe.all_menus(2))
+    rho = move_largest(rho if exact else rho.as_float(), rng, F(1, 50) if exact else 0.05)
+    pairs = list(combinations(rho.universe.alternatives, 2))
+    opened = {pair for pair, quiet in zip(pairs, _Kernel(rho, rho.domain, eff=resolve_tol(None, exact)).quiet())
+              if not quiet}
+    assert len(opened) == n - 1
+    scanned, parts = [], {name: getattr(_Kernel, name) for name in ("_values", "_estimates")}
+
+    def spy(name):
+        def counted(self, run, sel=None):
+            if sel is None:
+                scanned.extend(zip(run[0].tolist(), run[1].tolist()))
+            return parts[name](self, run, sel)
+        return counted
+
+    for name in parts:
+        monkeypatch.setattr(_Kernel, name, spy(name))
+    assert iia_violations(rho) == oracle_iia_violations(rho)
+    names = rho.universe.alternatives
+    assert {(names[x], names[y]) for x, y in scanned} == opened and len(scanned) == len(opened)
+    assert outcome(recover_luce_utility, rho, params.anchor) == ("NotLuceError", oracle_luce_error(rho))
+    ai = lam_table(params, rho.domain)
+    assert check_axioms(ai if exact else ai.as_float(), rho).h_iia.witness == (oracle_first_violation(rho, resolve_tol(None, exact)),)
 
 
 def test_kernel_values_agree_with_public_measures():
@@ -831,7 +891,7 @@ def masks_oracle(rho, eff):
     NotLuceError of ``recover_luce_utility`` (None without one), from the
     masks of a pass over every tuple, with no certificate."""
     kernel = _Kernel(rho, rho.domain, eff=eff)
-    (bad,) = kernel.masks("big")
+    bad = np.concatenate([big for _, _, (big,), _ in kernel.tested(["big"])])
     found = [kernel.tuple_at(i) for i in np.flatnonzero(bad).tolist()]
     uni = rho.universe
     full = sorted(
@@ -921,7 +981,7 @@ def test_iia_screen_at_a_violation_within_two_ulps_of_tol(table):
     # the moved row it is the only one
     rho = list(near_tol_tables())[table]
     kernel = _Kernel(rho, rho.domain)
-    d = kernel.evaluate()[0]
+    d = every(kernel)[0]
     ab = [i for i in range(len(d)) if (kernel.tuple_at(i).x, kernel.tuple_at(i).y) == ("a", "b")]
     sizes = np.unique(np.abs(d[ab]))
     sizes = sizes[sizes > 1e-9]  # the pair's violations, above rounding noise

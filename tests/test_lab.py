@@ -1,6 +1,7 @@
 """Laboratory identification, compliance estimation, the axiom checker."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -36,7 +37,7 @@ from lam import (
     satisfies_iia,
     sup_distance,
 )
-from lam.choice import _Kernel, luce_choice
+from lam.choice import _Kernel, _Top, _triangle, luce_choice
 from lam.lab import _DISJOINT, AlphaEstimate, _pair_verdicts
 from lam.types import _shared, resolve_tol
 from test_kernel import canon, oracle_check_axioms
@@ -337,13 +338,13 @@ def _pair_passes(monkeypatch, exact: bool) -> list[bool]:
     """Per evaluate call of identify_lab on a mixture pair, whether it was
     the pair's kernel (not a one-table IIA kernel)."""
     calls = []
-    evaluate = _Kernel.evaluate
+    values = _Kernel._values
 
     def counted(self, *args, **kwargs):
         calls.append(self.theirs is not None)
-        return evaluate(self, *args, **kwargs)
+        return values(self, *args, **kwargs)
 
-    monkeypatch.setattr(_Kernel, "evaluate", counted)
+    monkeypatch.setattr(_Kernel, "_values", counted)
     ai, human = gen.forward_pair(gen.random_params(random.Random(3), 5))
     if not exact:
         ai, human = ai.as_float(), human.as_float()
@@ -362,6 +363,24 @@ def test_identify_lab_evaluates_each_table_once_exact(monkeypatch):
     # exact: the IIA tests take Lagrange's identity, and the pair's one
     # integer evaluation is of the candidates for the largest |p|
     assert _pair_passes(monkeypatch, exact=True) == [True]
+
+
+def test_lab_passes_stream_in_bounded_memory():
+    # n = 10 over every menu, 1.47 million canonical tuples, in floats: the
+    # passes fold run by run and hold no whole-tuple array, on a mixture
+    # pair and with one human entry moved (about 50 and 86 MB with them)
+    rng = random.Random(10)
+    params = gen.random_params(rng, 10)
+    ai, human = (t.as_float() for t in gen.forward_pair(params))
+    for h, status in ((human, "point-identified"), (gen.perturb_entry(human, rng), "inconsistent")):
+        tracemalloc.start()
+        try:
+            result, report = identify_lab(ai, h, params.anchor), check_axioms(ai, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.status, report.overall) == (status, status == "point-identified")
+        assert peak < 16 * 2**20, peak
 
 
 def test_identify_lab_partial_domain():
@@ -855,18 +874,22 @@ def lifted_alpha(ai, human, strategy, tol):
     each tuple weighted to the common scale, as every exact pair took it
     before parallel pairs used their unlifted sums."""
     kernel = _Kernel(ai, [m for m in ai.domain if human.has_menu(m)], human, resolve_tol(tol, True))
-    [usable] = kernel.masks("usable")
-    best = kernel.top_p(usable)
+    passes = list(kernel.tested(["usable"]))
+    usable = [mask for _, _, (mask,), _ in passes]
+    top = _Top(kernel)
+    for (ids, scan, _, _), mask in zip(passes, usable):
+        top.add(ids, scan, mask)
+    best = top.result()
     dd, dp, pp = kernel.sums()
     if strategy == "single-tuple":
         d_best, p_best = kernel.value(best)
         raw = d_best / p_best
     else:
-        out_dp, out_pp = kernel.sums(out=~usable)[3:]
+        out_dp, out_pp = kernel.sums(out=[~mask for mask in usable])[3:]
         raw = F(dp - out_dp, pp - out_pp)
     num, den = raw.as_integer_ratio()
     r_squared = F(num * (2 * den * dp - num * pp), den * den * dd)
-    return AlphaEstimate(raw, raw, strategy, kernel.tuple_at(best), r_squared, int(usable.sum()))
+    return AlphaEstimate(raw, raw, strategy, kernel.tuple_at(best), r_squared, int(sum(map(np.sum, usable))))
 
 
 @pytest.mark.parametrize("strategy", ["least-squares", "single-tuple"])
@@ -1218,20 +1241,24 @@ def test_mixture_over_a_human_table_that_violates_iia_takes_the_passes(uni4, tol
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_check_axioms_on_mixture_pairs_makes_no_tuple_pass(monkeypatch, exact):
-    # the certificates decide: no evaluation or float estimate covers every tuple
+    # the certificates decide: no kernel's evaluations, nor its float
+    # estimates, cover every tuple, in one run or over several
     rng = random.Random(f"no-pass-{exact}")
     pairs = [gen.forward_pair(gen.random_params(rng, n)) for n in (6, 7, 8)]
 
     def guard(name):
-        whole = getattr(_Kernel, name)
+        part = getattr(_Kernel, name)
 
-        def guarded(self, among=None):
-            assert among is not None, f"{name} over every tuple"
-            return whole(self, among)
+        def guarded(self, run, sel=None):
+            tuples = len(run[0]) * len(_triangle(run[2].shape[1])[0]) if sel is None else len(sel)
+            key = "covered" + name  # not ``name``: it would shadow the method
+            covered = self.__dict__[key] = self.__dict__.get(key, 0) + tuples
+            assert covered < self.starts[-1], f"{name} over every tuple"
+            return part(self, run, sel)
         monkeypatch.setattr(_Kernel, name, guarded)
 
-    guard("evaluate")
-    guard("estimates")
+    guard("_values")
+    guard("_estimates")
     for ai, human in pairs:
         if not exact:
             ai, human = ai.as_float(), human.as_float()
