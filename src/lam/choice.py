@@ -383,7 +383,7 @@ class _Kernel:
     are evaluated in ints, in canonical order.  Every outcome, ties and
     first-maximum rule included, is that of the integer tests on every
     tuple.  A witness's d and p (:meth:`raw`) are read from its cells, and
-    :meth:`evaluate` and :meth:`estimates` give those of listed tuples.
+    :meth:`evaluate` gives those of listed tuples.
     """
 
     def __init__(
@@ -499,10 +499,6 @@ class _Kernel:
     def evaluate(self, among: np.ndarray):
         """:meth:`_values` of the tuples at the sorted canonical indices ``among``."""
         return self._gather(self._values, among)
-
-    def estimates(self, among: np.ndarray):
-        """:meth:`_estimates` of the tuples at the sorted canonical indices ``among``."""
-        return self._gather(self._estimates, among)
 
     def tested(self, names: Sequence[str], keep: np.ndarray | None = None):
         """Per run, or per run's pairs that the per-pair mask ``keep`` flags

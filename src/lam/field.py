@@ -705,11 +705,10 @@ def identify_field(
         others = [a for a in targets if a != y]
         sets: list[CandidateSet] = []
         for z, t in combinations(others, 2):
-            try:
+            menus = ({anchor, y}, {anchor, y, z}, {anchor, y, t}, {anchor, y, z, t})
+            if all(map(rho_ai.has_menu, menus)):  # else a required menu is unobserved
                 poly = identification_polynomial(rho_ai, anchor, y, z, t)
-            except InsufficientDataError:  # a required menu is unobserved
-                continue
-            sets.append(candidate_utilities(poly, rho_ai, tol=eff))
+                sets.append(candidate_utilities(poly, rho_ai, tol=eff))
         if not sets:
             raise InsufficientDataError(
                 f"no reference pair for {y!r} has all four required menus "

@@ -8,7 +8,11 @@ compliance 3/4.  Both tables are written out literally so tests validate
 the forward model against them rather than trusting it.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,6 +25,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run ``python *args`` as its own program, with ``lam`` importable from
+    the source tree and ``env`` (a hash seed, CPU settings) added to the
+    environment; return the finished process, its output decoded as UTF-8
+    with no newline translation, so outputs compare byte for byte."""
+
+    def run(*args, env=(), cwd=None, timeout=120):
+        full = dict(os.environ, **dict(env))
+        full["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *args], capture_output=True,
+                              env=full, cwd=cwd, timeout=timeout)
+        proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
+        return proc
+
+    return run
 
 
 @pytest.fixture(scope="session")

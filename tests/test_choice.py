@@ -1,12 +1,8 @@
 """Forward models, instability measures, IIA testing, recovery, regimes."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -390,16 +386,10 @@ except NotLuceError as e:
 """
 
 
-def test_recover_positivity_message_independent_of_hash_seed():
-    src = str(Path(__file__).parent.parent / "src")
+def test_recover_positivity_message_independent_of_hash_seed(run_python):
     messages = set()
     for seed in range(6):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", POSITIVITY_CASE],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-c", POSITIVITY_CASE, env={"PYTHONHASHSEED": str(seed)})
         assert proc.returncode == 0, proc.stderr
         messages.add(proc.stdout)
     assert messages == {
@@ -423,16 +413,10 @@ print(digest.hexdigest())
 """
 
 
-def test_float_lam_table_independent_of_hash_seed():
-    src = str(Path(__file__).parent.parent / "src")
+def test_float_lam_table_independent_of_hash_seed(run_python):
     digests = set()
     for seed in (0, 1):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", FLOAT_LAM_TABLES],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-c", FLOAT_LAM_TABLES, env={"PYTHONHASHSEED": str(seed)})
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)
     assert len(digests) == 1

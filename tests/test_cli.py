@@ -1,10 +1,7 @@
 """End-to-end CLI runs over the bundled golden files."""
 
-import os
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -651,48 +648,30 @@ def test_simulate_menu_tokens_parse_as_dataset_menus(capsys, tmp_path):
     assert not (tmp_path / "sim.csv").exists()
 
 
-def test_identify_field_root_on_a_denominator_zero_exits_cleanly(tmp_path):
+def test_identify_field_root_on_a_denominator_zero_exits_cleanly(run_python):
     # a raw root of the float cubics lies on a denominator zero; run as a
     # program, the command reports the class and prints no traceback
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lam.cli", "identify-field",
-         "--ai", str(DATA / "field_pole_float.csv"), "--anchor", "x"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-m", "lam.cli", "identify-field",
+                      "--ai", str(DATA / "field_pole_float.csv"), "--anchor", "x")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "status,identified-up-to-swap" in proc.stdout.splitlines()
     assert "alpha_pair,0.9700000000000001;0.0299999999999999" in proc.stdout.splitlines()
 
 
-def test_identify_field_subnormal_slope_exits_cleanly():
+def test_identify_field_subnormal_slope_exits_cleanly(run_python):
     # float cells near the bottom of the subnormal range: run as a program,
     # the command reports a failure and prints no traceback
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lam.cli", "identify-field",
-         "--ai", str(DATA / "field_subnormal_float.csv"), "--anchor", "a"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-m", "lam.cli", "identify-field",
+                      "--ai", str(DATA / "field_subnormal_float.csv"), "--anchor", "a")
     assert (proc.returncode, proc.stderr) == (2, "")
     assert "status,non-generic-failure" in proc.stdout.splitlines()
 
 
-def test_unknown_menu_member_message_independent_of_hash_seed(tmp_path):
-    src = str(Path(__file__).parent.parent / "src")
+def test_unknown_menu_member_message_independent_of_hash_seed(run_python, tmp_path):
     argv = ["simulate", "--params", str(DATA / "field_params.csv"), "--menus", "x;q;r",
             "--n", "10", "--seed", "1", "--out", str(tmp_path / "sim.csv")]
     for seed in (0, 1):  # the frozenset order of {x, q, r} differs between these
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lam.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-m", "lam.cli", *argv, env={"PYTHONHASHSEED": str(seed)})
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: unknown alternative 'q'\n"
 
@@ -733,20 +712,14 @@ for argv in (
 """
 
 
-def test_float_reports_independent_of_hash_seed():
-    src = str(Path(__file__).parent.parent / "src")
+def test_float_reports_independent_of_hash_seed(run_python):
     outputs = set()
     for seed in (0, 1):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", FLOAT_REPORTS, str(DATA)],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+        proc = run_python("-c", FLOAT_REPORTS, str(DATA), env={"PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     (out,) = outputs
-    assert out.count(b"report,") == 5 and b"mode,float" in out
+    assert out.count("report,") == 5 and "mode,float" in out
 
 
 LAB_REPORTS = """
@@ -766,7 +739,7 @@ CPU_SETTINGS = (
 )
 
 
-def test_float_lab_reports_independent_of_cpu(tmp_path):
+def test_float_lab_reports_independent_of_cpu(run_python, tmp_path):
     # the float lab reports call no LAPACK routine and no SIMD-dispatched
     # numpy transcendental, so their bytes do not depend on the kernels the
     # CPU selects.  Not covered yet: fit (numpy's dispatched log and exp in
@@ -780,19 +753,14 @@ def test_float_lab_reports_independent_of_cpu(tmp_path):
     argv = [str(DATA / "lab_ai.csv"), str(DATA / "lab_human.csv"), "x",
             str(DATA / "lab_ai.csv"), str(DATA / "lab_human_perturbed.csv"), "x",
             str(tmp_path / "ai.csv"), str(tmp_path / "human.csv"), params.anchor]
-    src = str(Path(__file__).parent.parent / "src")
     outputs = set()
     for setting in CPU_SETTINGS:
-        env = dict(os.environ, **setting)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", LAB_REPORTS, *argv], capture_output=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+        proc = run_python("-c", LAB_REPORTS, *argv, env=setting)
+        assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1, "float lab reports differ across CPU settings"
     (out,) = outputs
-    assert out.count(b"status,point-identified") == 2 and b"mode,float" in out
+    assert out.count("status,point-identified") == 2 and "mode,float" in out
 
 
 EXACT_FIELD_REPORTS = """
@@ -803,25 +771,19 @@ for ai, anchor in zip(*[iter(sys.argv[1:])] * 2):
 """
 
 
-def test_exact_field_reports_independent_of_cpu(capsys, tmp_path):
+def test_exact_field_reports_independent_of_cpu(capsys, run_python, tmp_path):
     # exact field roots come from integer root isolation, their irrational
     # stand-ins from int / int division: no LAPACK call and no float
     # arithmetic on the cubics, so the bytes do not depend on the CPU
     argv = [simulated_counts(capsys, tmp_path), "x", str(DATA / "field_fifty_digit_exact.csv"), "a"]
-    src = str(Path(__file__).parent.parent / "src")
     outputs = set()
     for setting in CPU_SETTINGS:
-        env = dict(os.environ, **setting)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", EXACT_FIELD_REPORTS, *argv], capture_output=True, env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+        proc = run_python("-c", EXACT_FIELD_REPORTS, *argv, env=setting)
+        assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1, "exact field reports differ across CPU settings"
     (out,) = outputs
-    assert out.count(b"mode,exact") == 2 and b"irrational (exact mode)" in out
+    assert out.count("mode,exact") == 2 and "irrational (exact mode)" in out
 
 
 FLOAT_FIELD_REPORTS = """
@@ -832,35 +794,27 @@ for ai, anchor in zip(*[iter(sys.argv[1:])] * 2):
 """
 
 
-def test_float_field_reports_independent_of_cpu(capsys, tmp_path):
+def test_float_field_reports_independent_of_cpu(capsys, run_python, tmp_path):
     # float field roots are the correctly rounded roots of the exact cubic
     # of the float cells, found by integer root isolation: the bytes do not
     # depend on the CPU.  The simulated counts give irrational roots, and on
     # field_pole_float.csv a root is a denominator zero
     argv = [simulated_counts(capsys, tmp_path), "x", str(DATA / "field_pole_float.csv"), "x"]
-    src = str(Path(__file__).parent.parent / "src")
     outputs = set()
     for setting in CPU_SETTINGS:
-        env = dict(os.environ, **setting)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", FLOAT_FIELD_REPORTS, *argv], capture_output=True, env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+        proc = run_python("-c", FLOAT_FIELD_REPORTS, *argv, env=setting)
+        assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1, "float field reports differ across CPU settings"
     (out,) = outputs
-    assert out.count(b"mode,float") == 2 and b"status,identified-up-to-swap" in out
-    assert b"candidates,y,z;t,admissible,0.8018644616587782;1.44341612648697;1.6765376435782906" in out
+    assert out.count("mode,float") == 2 and "status,identified-up-to-swap" in out
+    assert "candidates,y,z;t,admissible,0.8018644616587782;1.44341612648697;1.6765376435782906" in out
 
 
-def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
+def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, run_python, tmp_path):
     # main() reuses one parser per process: a usage error, --help and every
     # subcommand in one process give what a fresh process gives
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     lab, field, sim = (str(tmp_path / name) for name in ("lab.txt", "field.txt", "sim.csv"))
     lab_pair = ["--ai", str(DATA / "lab_ai.csv"), "--human", str(DATA / "lab_human.csv")]
     runs = [
@@ -883,10 +837,7 @@ def test_shared_parser_matches_fresh_processes(capsys, monkeypatch, tmp_path):
         out, err = capsys.readouterr()
         if report is not None:
             Path(report).write_text(out)
-        fresh = subprocess.run(
-            [sys.executable, "-m", "lam.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        fresh = run_python("-m", "lam.cli", *argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [1, 0, 0, 0, 0, 0, 0, 0]
@@ -898,6 +849,62 @@ def simulated_counts(capsys, tmp_path) -> str:
                      "--menus", "all", "--n", "1000", "--seed", "1", "--out", path)
     assert code == 0
     return path
+
+
+#: Stands in an argv for the file :func:`simulated_counts` writes.
+COUNTS = "<counts>"
+
+#: One row per CLI case: argv, exit code, lines the report must hold, and a
+#: pattern one of its lines must match, or None.  Every case prints nothing
+#: to stderr.
+CLI_CASES = {
+    "field-float": (
+        ["identify-field", "--ai", str(DATA / "field_ai.csv"), "--anchor", "x"],
+        0, ["status,identified-up-to-swap"], None,
+    ),
+    # noiseless exact data with 50-digit utility terms: the rational roots of
+    # b's cubic have 50-digit denominators, found by integer root isolation
+    # and the rational root theorem's integer test c3 r in Z
+    "field-fifty-digit-exact": (
+        ["identify-field", "--ai", str(DATA / "field_fifty_digit_exact.csv"), "--exact",
+         "--anchor", "a"],
+        0, ["status,identified-up-to-swap"], None,
+    ),
+    # exact cells past float range: the float coefficients of b's cubic lose
+    # its degree, and its roots come from the integer cubic alone
+    "field-odds-past-float-exact": (
+        ["identify-field", "--ai", str(DATA / "field_odds_past_float_exact.csv"), "--exact",
+         "--anchor", "a"],
+        2, [], r"^candidates,b,c;d,(admissible,.+|rejected,)",
+    ),
+    # one tuple whose bounded instability turns on a float tol's rounding:
+    # |d| lies above |p| + 0.1 in exact sums, below fl(|p| + 0.1)
+    "boundary-exact": (
+        ["check-axioms", "--ai", str(DATA / "boundary_ai.csv"),
+         "--human", str(DATA / "boundary_human.csv"), "--exact"],
+        2, ["axiom,bounded_instability,fail"], None,
+    ),
+    "boundary-exact-tol": (
+        ["check-axioms", "--ai", str(DATA / "boundary_ai.csv"),
+         "--human", str(DATA / "boundary_human.csv"), "--exact", "--tol", "0.1"],
+        2, ["axiom,bounded_instability,pass"], None,
+    ),
+    "fit-counts": (
+        ["fit", "--data", COUNTS, "--starts", "2", "--seed", "1"],
+        0, ["converged,yes", "monotone,yes"], None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, lines, pattern", CLI_CASES.values(), ids=CLI_CASES)
+def test_cli_cases(capsys, tmp_path, argv, code, lines, pattern):
+    if COUNTS in argv:
+        argv = [simulated_counts(capsys, tmp_path) if a == COUNTS else a for a in argv]
+    got, out, err = run(capsys, *argv)
+    rows = out.splitlines()
+    assert (got, err) == (code, "")
+    assert [line for line in lines if line not in rows] == []
+    assert pattern is None or any(re.match(pattern, row) for row in rows)
 
 
 def test_exact_flag_reads_counts_as_exact_frequencies(capsys, tmp_path):

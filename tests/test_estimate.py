@@ -1,10 +1,7 @@
 """Simulation, likelihood, EM ascent, gradient checks, MLE fitting."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -735,18 +732,12 @@ def test_em_step_boundary_matches_dict_reference(alpha):
 # Independence from PYTHONHASHSEED
 # ---------------------------------------------------------------------------
 
-SRC = str(Path(__file__).parent.parent / "src")
-
-
-def run_hashed(hash_seed, args, cwd=None):
-    """Run ``python <args>`` with ``lam`` importable under a given PYTHONHASHSEED."""
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, *args], capture_output=True, env=env, cwd=cwd, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+def hashed_output(run_python, hash_seed, script, cwd):
+    """The output of ``python -c script`` under a given PYTHONHASHSEED; it must exit 0."""
+    proc = run_python("-c", script, env={"PYTHONHASHSEED": str(hash_seed)}, cwd=cwd, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
 
 FLOAT_PARAMS = """universe,a;b;c;d;e
 anchor,a
@@ -777,13 +768,13 @@ sys.stdout.write(open("sim.csv").read())
 """
 
 
-def test_float_simulate_and_fit_independent_of_hash_seed(tmp_path):
+def test_float_simulate_and_fit_independent_of_hash_seed(run_python, tmp_path):
     outputs = set()
     for hash_seed in (0, 1, 2):
         work = tmp_path / str(hash_seed)
         work.mkdir()
         (work / "params.csv").write_text(FLOAT_PARAMS)
-        outputs.add(run_hashed(hash_seed, ["-c", SIM_THEN_FIT], cwd=work))
+        outputs.add(hashed_output(run_python, hash_seed, SIM_THEN_FIT, work))
     assert len(outputs) == 1
 
 
@@ -798,9 +789,9 @@ print(repr((fit.converged, fit.grad_max, fit.start_iterations)))
 """
 
 
-def test_criterion_7_cut_independent_of_hash_seed():
+def test_criterion_7_cut_independent_of_hash_seed(run_python):
     root = Path(__file__).parent.parent
-    first, second = (run_hashed(s, ["-c", CRITERION_7_CUT], cwd=root) for s in (0, 5))
+    first, second = (hashed_output(run_python, s, CRITERION_7_CUT, root) for s in (0, 5))
     assert first == second
 
 

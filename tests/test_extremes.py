@@ -13,9 +13,14 @@ rows that omit a member.  Each pair goes through the lab, axiom and field
 entry points in both scalar modes, and its parameters through simulation
 and a short EM fit.  In exact mode every identification cubic of odd
 degree that is not identically zero names a root.
+
+The extreme tables also go through the CLI as written files: each
+command exits with 0, 1 or 2 and lets no exception escape.
 """
 
+import io
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +40,8 @@ from lam import (
     luce_table,
     simulate_counts,
 )
+from lam.cli import main
+from lam.dataio import serialize_dataset
 
 #: Row weights before normalisation: 0, the smallest subnormal, a value
 #: below float's subnormal range, values near 1e-300, a weight that leaves
@@ -87,6 +94,23 @@ def test_extreme_tables_return_or_raise_a_lam_error(pair):
                     call()
                 except LamError:
                     pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pairs())
+def test_cli_on_written_extreme_tables_exits_0_1_or_2(tmp_path_factory, pair):
+    work = tmp_path_factory.mktemp("tables")
+    ai, human = work / "ai.csv", work / "human.csv"
+    ai.write_text(serialize_dataset(pair[0]))
+    human.write_text(serialize_dataset(pair[1]))
+    tables = ["--ai", str(ai), "--human", str(human)]
+    for argv in (["identify-lab", *tables, "--anchor", "a"], ["check-axioms", *tables],
+                 ["identify-field", "--ai", str(ai), "--anchor", "a"]):
+        for flags in ([], ["--exact"], ["--tol", "0.01"], ["--exact", "--tol", "0.01"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv + flags)
+            assert code in (0, 1, 2), argv + flags
 
 
 #: Utility mantissas and powers of ten: 1e-300 to 1e300.

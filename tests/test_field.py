@@ -459,6 +459,25 @@ def test_identify_field_missing_menu_raises():
         identify_field(rho, x)
 
 
+def test_identify_field_builds_cubics_only_for_observed_reference_pairs(monkeypatch):
+    import lam.field as field
+
+    # the linear design on n = 10: for each alternative o_i after the anchor,
+    # indices mod 9, the menus {x, o_i}, {x, o_i, o_i+1}, {x, o_i, o_i+2} and
+    # {x, o_i, o_i+1, o_i+2}.  Each target has 3 reference pairs with all
+    # four menus observed, and only their cubics are built, not 9 C(8, 2)
+    params = gen.random_params(random.Random(7), 10, alpha=F(3, 10))
+    x, *o = params.universe.alternatives
+    menus = [{x, *(o[(i + j) % 9] for j in js)} for i in range(9)
+             for js in ((0,), (0, 1), (0, 2), (0, 1, 2))]
+    calls = []
+    cubic = field.identification_polynomial
+    monkeypatch.setattr(field, "identification_polynomial", lambda *args: calls.append(1) or cubic(*args))
+    result = identify_field(lam_table(params, menus).as_float(), x)
+    assert result.status == "identified-up-to-swap"
+    assert len(calls) == sum(map(len, result.candidates.values())) == 27
+
+
 def test_identify_field_six_alternatives():
     rng = random.Random(5)
     params = gen.random_params(rng, 6, alpha=F(7, 10))

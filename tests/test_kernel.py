@@ -591,7 +591,7 @@ def test_estimates_are_within_their_radii():
     for ai, human, _, _ in cases:
         kernel = _Kernel(ai, common_menus(ai, human), human)
         d, p, k = every(kernel)
-        estimates = kernel.estimates(np.arange(kernel.starts[-1]))
+        estimates = kernel._gather(kernel._estimates, np.arange(kernel.starts[-1]))
         low = ai.universe.alternatives[-2:] if ai is cases[-1][0] else ()
         tiny = [t.x in low or t.y in low for t in map(kernel.tuple_at, range(len(d)))]
         for est, radius, exact in ((estimates[0], estimates[2], d), (estimates[1], estimates[3], p)):
