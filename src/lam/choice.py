@@ -250,11 +250,11 @@ def _floor_scaled(eff: Scalar, scale):
     return scale * r.numerator >> k if r.denominator == 1 << k else scale * r.numerator // r.denominator
 
 
-def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Float64 values as object ints m and one exponent b <= 0 with
-    x = m 2**b exactly: a float64 is f 2**e with 2**53 f an int."""
+def _dyadic(x: np.ndarray, b: int | None = None) -> tuple[np.ndarray, int]:
+    """Float64 values as object ints m and one exponent b <= 0, or the given
+    one below it, with x = m 2**b exactly: a float64 is f 2**e with 2**53 f an int."""
     frac, exp = np.frexp(x)
-    b = int(exp.min(initial=53)) - 53
+    b = int(exp.min(initial=53)) - 53 if b is None else b
     return np.ldexp(frac, 53).astype(np.int64).astype(object) << (exp - 53 - b).astype(object), b
 
 
@@ -286,6 +286,27 @@ _PASS_TUPLES = 1 << 12
 
 #: The 10 distinct entries (i, j), i <= j, of a 4 x 4 Gram matrix.
 _GRAM = np.triu_indices(4)
+
+
+@lru_cache(maxsize=8)
+def _antidiagonals(limbs: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+    """The gaps between the distinct sums k + k' of two ``limbs`` (0 among
+    them), and the 0/1 matrix that sums a flattened block of (k, k') over each."""
+    sums = np.add.outer(limbs, limbs).ravel()
+    diag = sorted(set(sums.tolist()))  # not np.unique, which imports numpy.ma
+    return np.diff(diag).tolist(), (sums[:, None] == diag).astype(np.int64)
+
+
+def _binet_cauchy(grams: Iterable[Sequence[int]], lifts: Iterable[int]) -> tuple[int, int, int]:
+    """The sums of d*d, d*p and p*p over the pairs with the 10 Gram entries
+    ``grams`` (:data:`_GRAM`) of their a, b, a', b', each pair's times its lift."""
+    dd = dp = pp = 0
+    for (aa, ab, aa2, ab2, bb, ba2, bb2, a2a2, a2b2, b2b2), up in zip(grams, lifts):
+        dd += (aa * bb - ab * ab) * up
+        dp += (aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2) * up
+        pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
+    return dd, dp, pp
+
 
 #: float64's unit roundoff u = 2**-53, and the error radius per unit of a
 #: float d or p's sum of absolute products, 8u.
@@ -329,7 +350,8 @@ def _products(f: list) -> tuple[tuple, tuple | None]:
 def _layout(universe: Universe, menus: tuple[Menu, ...]):
     """Runs of the pairs sharing menus, the runs' offsets in the tuple order,
     and per held count the flat indices of x's and of y's cells in a menus x
-    universe array, a row per pair.
+    universe array, then in a second one after it, a row per pair: an array
+    shaped (4, pairs, menus held).
 
     A run ``(xs, ys, held)`` is consecutive pairs x before y holding equally
     many menus, at least two, with those menus' rows in ``held``, a row per
@@ -344,7 +366,8 @@ def _layout(universe: Universe, menus: tuple[Menu, ...]):
     runs, sizes, cells = [], [0], []
     for h, group in groupby(pairs, key=lambda pair: len(pair[2])):
         xs, ys, held = map(np.array, zip(*group))
-        cells.append((held * n + xs[:, None], held * n + ys[:, None]))
+        x, y = held * n + xs[:, None], held * n + ys[:, None]
+        cells.append(np.array([x, y, x + len(menus) * n, y + len(menus) * n]))
         tuples = h * (h - 1) // 2
         step = max(1, _PASS_TUPLES // tuples)
         for i in range(0, len(xs), step):
@@ -423,11 +446,12 @@ class _Kernel:
         return not (np.abs(self.mine - self.theirs) > _floor_scaled(self.eff, c)).any()
 
     @staticmethod
-    def _factors(run, tables, sel: np.ndarray | None = None):
+    def _factors(run, tables, sel: np.ndarray | None = None, cast=None):
         """``ends`` and the factors of a run's tuples, or of those at the
         positions ``sel`` in it: the entries (sx, tx, sy, ty) of x and y at S
-        and T in each of ``tables``.  ``ends`` maps per-menu values shaped as
-        the run's ``held`` to their values at S and at T of those tuples."""
+        and T in each of ``tables``, mapped by ``cast``.  ``ends`` maps
+        per-menu values shaped as the run's ``held`` to their values at S and
+        at T of those tuples."""
         xs, ys, held = run
         s, t = _triangle(held.shape[1])
         if sel is None:
@@ -438,14 +462,15 @@ class _Kernel:
 
             def ends(v):
                 return v[q, s[j]], v[q, t[j]]
-        return ends, [e for r in tables for zs in (xs, ys) for e in ends(r[held, zs[:, None]])]
+        cells = [r[held, zs[:, None]] for r in tables for zs in (xs, ys)]
+        return ends, [e for v in (cells if cast is None else map(cast, cells)) for e in ends(v)]
 
-    def _values(self, run, sel: np.ndarray | None = None):
+    def _values(self, run, sel: np.ndarray | None = None, cast=None):
         """d, p (None without ``other``) and k (None in float mode) of a run's
         tuples, or of those at the positions ``sel``, in the tables'
-        arithmetic: a float kernel's tests, and an exact kernel's integer
-        fallback."""
-        ends, f = self._factors(run, (self.mine,) if self.theirs is None else (self.mine, self.theirs), sel)
+        arithmetic, or in that of the run's cells mapped by ``cast``: a float
+        kernel's tests, and an exact kernel's integer fallback."""
+        ends, f = self._factors(run, (self.mine,) if self.theirs is None else (self.mine, self.theirs), sel, cast)
         (a, b), c = _products(f)
         p = None if c is None else (c[0] - c[1]) + (c[2] - c[3])
         return a - b, p, None if self.c is None else np.multiply(*ends(self.c[run[2]]))
@@ -548,7 +573,7 @@ class _Kernel:
                 yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
             return
         mine = self.mine.ravel()
-        for x, y in self.cells:  # one gather per held count
+        for x, y, _, _ in self.cells:  # one gather per held count
             a, b = mine[x], mine[y]
             bound = _det_bound(a, b) + 2 * _U * a.max(1) * b.max(1)
             with np.errstate(invalid="ignore"):  # a NaN bound is not quiet
@@ -571,12 +596,18 @@ class _Kernel:
 
         Exact rows not ``lifted`` take no weights: the sums are those of the
         ints D = k d and P = k p, each tuple on its own scale k = c_S c_T.
+
+        Float rows take their Gram entries from w-bit limbs of each cell's int
+        (:meth:`_float_grams`; Ozaki et al. 2012), w the largest width with
+        h (2**w - 1)**2 < 2**53 for h the most menus a pair holds: a limb Gram
+        entry sums at most h products of ints in [0, 2**w), so every partial
+        sum is an int below 2**53, exact on any BLAS kernel.  Flagged tuples
+        are taken by :meth:`left_out`.
         """
+        if not self.exact:
+            return _binet_cauchy(self._float_grams(), repeat(1)) + (() if out is None else self.left_out(out))
         n, scale = self.universe.size, self.c
         rows = np.concatenate([self.mine, self.theirs], axis=1)
-        if scale is None:
-            rows = _dyadic(rows)[0]
-        lifted = lifted and scale is not None
         if lifted:
             top = math.lcm(*scale.tolist())
         dd = dp = pp = out_dp = out_pp = 0
@@ -589,10 +620,7 @@ class _Kernel:
                 wg = g * w[:, :, None]
                 lift = (top // pair) ** 4
             gram = (wg[:, :, _GRAM[0]] * g[:, :, _GRAM[1]]).sum(axis=1)
-            for (aa, ab, aa2, ab2, bb, ba2, bb2, a2a2, a2b2, b2b2), up in zip(gram.tolist(), lift):
-                dd += (aa * bb - ab * ab) * up
-                dp += (aa * bb2 - ab2 * ab + aa2 * bb - ab * ba2) * up
-                pp += (aa * b2b2 - ab2 * ab2 + 2 * (aa2 * bb2 - ab * a2b2) + a2a2 * bb - ba2 * ba2) * up
+            dd, dp, pp = (x + y for x, y in zip((dd, dp, pp), _binet_cauchy(gram.tolist(), lift)))
             if flags is None or not flags.any():
                 continue
             s, t = _triangle(held.shape[1])
@@ -607,6 +635,48 @@ class _Kernel:
             out_dp += tdp.sum()
             out_pp += tpp.sum()
         return (dd, dp, pp) if out is None else (dd, dp, pp, out_dp, out_pp)
+
+    @cached_property
+    def _frexp(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """np.frexp of a float kernel's rows, flat, and their :func:`_dyadic` exponent."""
+        frac, exp = np.frexp(np.concatenate([self.mine, self.theirs], axis=None))
+        return frac, exp, int(exp.min(initial=53)) - 53
+
+    def _float_grams(self) -> Iterator[tuple[int, ...]]:
+        """Per pair, the 10 Gram entries (:data:`_GRAM`) of a float kernel's
+        a, b, a', b' as :func:`_dyadic` ints (:meth:`sums`): one matmul per
+        held count forms the limb Gram blocks, and each entry is their sum
+        over the anti-diagonals k + k', in int64, shifted by w (k + k')."""
+        frac, exp, b = self._frexp
+        h = max((cells.shape[2] for cells in self.cells), default=1)
+        w = (math.isqrt((2**53 - 1) // h) + 1).bit_length() - 1  # h (2**w - 1)**2 < 2**53
+        k = np.arange(-(-(int(exp.max()) - b) // w), dtype=np.int32)  # every int is below 2**(max exp - b)
+        # limb k of m = 2**(e - b) f is floor(2**(e - b - w k) f) mod 2**w, 0 once e - b - w k >= 53 + w
+        t = np.ldexp(frac, np.minimum(exp - (b + w * k)[:, None], 53 + w))
+        limbs = np.floor(t - np.floor(t * 2.0**-w) * 2.0**w)
+        k = np.flatnonzero(limbs.any(axis=1) | (k == 0))  # limbs 0 on every cell drop out
+        steps, fold = _antidiagonals(tuple(k.tolist()))
+        limbs = limbs[k]
+        for cells in self.cells:
+            pairs, held = cells.shape[1:]
+            g = np.take(limbs, cells, axis=1).transpose(2, 0, 1, 3).reshape(pairs, -1, held)  # (limb, column) rows
+            blocks = (g @ g.transpose(0, 2, 1)).reshape(pairs, len(k), 4, len(k), 4)[:, :, _GRAM[0], :, _GRAM[1]]
+            folds = (blocks.reshape(10, pairs, -1).astype(np.int64) @ fold).T.reshape(len(steps) + 1, -1).tolist()
+            acc = folds.pop()
+            for step, diag in zip(reversed(steps), reversed(folds)):
+                acc = [(v << step * w) + f for v, f in zip(acc, diag)]
+            yield from zip(*[iter(acc)] * 10)
+
+    def left_out(self, out: Iterable[np.ndarray]) -> tuple[int, int]:
+        """A float kernel's sums of d*p and p*p over the tuples that ``out``
+        flags, a mask per run read in step with the caller's pass, on the
+        scale of :meth:`sums`; only a run with flags turns its cells into ints."""
+        dp = pp = 0
+        for run, flags in zip(self.runs, out):
+            if flags.any():
+                d, p, _ = self._values(run, np.flatnonzero(flags), lambda v: _dyadic(v, self._frexp[2])[0])
+                dp, pp = dp + (d * p).sum(), pp + (p * p).sum()
+        return dp, pp
 
     @cached_property
     def slope(self) -> Fraction | float | None:
@@ -638,7 +708,7 @@ class _Kernel:
         if not (e <= 1 and max(mine.max(), theirs.max()) <= 1) or self.first_usable is None:
             return False
         lam, bounds = max(0.0, float(np.divide(*self.raw(self.first_usable)[:2]))), []  # any lambda bounds
-        for x, y in self.cells:  # fl(a - lambda a') is within 3u of it: cells, lambda <= 1
+        for x, y, _, _ in self.cells:  # fl(a - lambda a') is within 3u of it: cells, lambda <= 1
             with np.errstate(invalid="ignore"):  # 0 * inf: NaN, not certified
                 bound = _det_bound(mine[x] - lam * theirs[x], mine[y] - lam * theirs[y], 3 * _U)
                 if not 5 * bound.max() < 1.000001 * e:  # surely too large, or NaN from a row of zeros

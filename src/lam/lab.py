@@ -121,12 +121,14 @@ def estimate_alpha(
     squared own instabilities.
 
     The sums are exact in both modes: per-pair inner products of integer
-    rows (see :class:`_Kernel`), over every tuple, of the entries' true
-    values, a float64 being a dyadic rational.  The slope subtracts the
-    tuples with |p| <= tol again, exactly, in the same call, each pair's on
-    its own scale before its one lift.  ``r_squared`` uses the reported
-    ``raw``, and float mode rounds each of the two once.  An exact pair
-    whose d and p are parallel (:attr:`_Kernel.slope`, from the
+    rows (:meth:`_Kernel.sums`), over every tuple, of the entries' true
+    values, a float64 being a dyadic rational.  Float rows take them from
+    limbs whose every partial sum is an int below 2**53, once the pass has
+    found a big tuple and the best usable one.  The slope subtracts the
+    tuples with |p| <= tol again, exactly, read in step with the pass, an
+    exact pair's on its own scale before its one lift.  ``r_squared`` uses
+    the reported ``raw``, and float mode rounds each of the two once.  An
+    exact pair whose d and p are parallel (:attr:`_Kernel.slope`, from the
     unweighted sums) skips them: d = raw p on every tuple, so the slope of
     every usable subset is the ratio at ``best``, and ``r_squared`` is 1.
     The tests against tol, ``best`` and the single-tuple ratio use d and p
@@ -160,7 +162,10 @@ def estimate_alpha(
 
     parallel = exact and kernel.slope is not None
     # the sums cover every tuple: the pass takes the unusable ones out again
-    sums = deque(unusable(), maxlen=0) if parallel else kernel.sums(out=unusable())
+    if exact:
+        sums = deque(unusable(), maxlen=0) if parallel else kernel.sums(out=unusable())
+    else:  # the Gram entries wait for the checks below
+        left = kernel.left_out(unusable())
     if not tally[0]:
         raise NotIdentifiedError(
             "AI data satisfies IIA: compliance is 0 or 1, or the utilities "
@@ -178,7 +183,7 @@ def estimate_alpha(
     if parallel:  # every usable subset's slope, and ss_res = 0
         raw, r_squared = kernel.slope, Fraction(1)
     else:
-        dd, dp, pp, out_dp, out_pp = sums
+        dd, dp, pp, out_dp, out_pp = sums if exact else kernel.sums() + left
         if strategy == "single-tuple":
             d_best, p_best = kernel.value(best)
             raw = d_best / p_best

@@ -16,6 +16,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gen
 from lam import (
@@ -46,6 +48,7 @@ from lam import choice
 from lam.choice import _first_nonpositive, _Kernel
 from lam.lab import AlphaEstimate, AxiomReport, AxiomVerdict
 from lam.types import _join, resolve_tol
+from test_extremes import pairs as extreme_pairs
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-tuple computations
@@ -734,6 +737,87 @@ def test_kernel_sums_equal_brute_force(variant):
             assert [kernel.tuple_at(i) for i in range(len(values))] == [
                 InstabilityTuple(*r[:4]) for r in rows
             ]
+
+
+def dyadic_sums(kernel, flags):
+    """A float kernel's sums in object ints: its rows as one set of
+    ``_dyadic`` ints, each pair's sums from Python dot products by
+    Binet-Cauchy, and the tuples that the flat canonical mask ``flags``
+    marks one by one."""
+    rows = choice._dyadic(np.concatenate([kernel.mine, kernel.theirs], axis=1))[0].tolist()
+    n, alts = kernel.universe.size, kernel.universe.alternatives
+    sums, first = [0] * 5, 0
+
+    def bc(u, v, w, z):  # the sum over S < T of det(u, v) det(w, z)
+        return dot(u, w) * dot(v, z) - dot(u, z) * dot(v, w)
+
+    for x, y in combinations(range(n), 2):
+        held = [r for r, m in zip(rows, kernel.menus) if alts[x] in m and alts[y] in m]
+        if len(held) < 2:
+            continue
+        a, b, a2, b2 = ([r[c] for r in held] for c in (x, y, n + x, n + y))
+        sums[0] += bc(a, b, a, b)
+        sums[1] += bc(a, b, a, b2) + bc(a, b, a2, b)
+        sums[2] += bc(a, b2, a, b2) + 2 * bc(a, b2, a2, b) + bc(a2, b, a2, b)
+        s, t = np.triu_indices(len(held), 1)
+        for j in np.flatnonzero(flags[first : first + len(s)]).tolist():
+            d = det(a, b, s[j], t[j])
+            p = det(a, b2, s[j], t[j]) + det(a2, b, s[j], t[j])
+            sums[3] += d * p
+            sums[4] += p * p
+        first += len(s)
+    return tuple(sums)
+
+
+def assert_float_sums(ai, human, flags):
+    """The float kernel's sums, with ``flags`` as its per-run ``out`` masks,
+    are the object ints of :func:`dyadic_sums`, on the same scale."""
+    kernel = _Kernel(ai, common_menus(ai, human), human)
+    want = dyadic_sums(kernel, flags)
+    assert kernel.sums() == want[:3]
+    assert kernel.sums(out=np.split(flags, kernel.starts[1:-1])) == want
+    return kernel, want
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(extreme_pairs(), st.integers(0, 2**32 - 1))
+def test_float_sums_on_extreme_tables(pair, seed):
+    # zeros, subnormals, 2**-1060, 1e-300 and entries within an ulp of 1 in
+    # one table: limbs over more than 1,100 bits, most of them zero
+    ai, human = (table.as_float() for table in pair)
+    menus = common_menus(ai, human)
+    total = _Kernel(ai, menus, human).starts[-1]
+    flags = np.random.default_rng(seed).random(total) < 0.5
+    kernel, want = assert_float_sums(ai, human, flags)
+    # and the oracle is the tuples' true values times 2**(-4 b), for b the rows' exponent
+    true = list(scan_rows(ai, menus, human, exact_value))
+    scale = F(2) ** -(4 * choice._dyadic(np.concatenate([kernel.mine, kernel.theirs], axis=1))[1])
+    kept = [r for r, flag in zip(true, flags) if flag]
+    assert want == tuple(scale * sum(r[i] * r[j] for r in rows) for rows, (i, j) in zip(
+        (true, true, true, kept, kept), ((4, 4), (4, 5), (5, 5), (4, 5), (5, 5))
+    ))
+
+
+def test_float_sums_at_ten_alternatives(monkeypatch):
+    # every pair holds 256 menus, which narrows the limbs to 22 bits; one
+    # pair's 32,640 tuples fill a run, so flags in one late run must meet
+    # that run's tuples
+    ai, human = (table.as_float() for table in gen.forward_pair(gen.random_params(random.Random(101), 10)))
+    kernel, _ = assert_float_sums(ai, human, np.random.default_rng(5).random(1_468_800) < 0.001)
+    assert kernel.starts[-1] == 1_468_800 and max(cells.shape[2] for cells in kernel.cells) == 256
+    late = np.zeros(kernel.starts[-1], bool)
+    late[kernel.starts[40] : kernel.starts[41]] = np.random.default_rng(6).random(32_640) < 0.01
+    assert_float_sums(ai, human, late)
+
+    def no_objects(*args):
+        raise AssertionError("object ints built")
+
+    # without flagged tuples no cell becomes an object int
+    monkeypatch.setattr(choice, "_dyadic", no_objects)
+    kernel = _Kernel(ai, common_menus(ai, human), human)
+    unflagged = [np.zeros(hi - lo, bool) for lo, hi in zip(kernel.starts, kernel.starts[1:])]
+    assert kernel.sums(out=unflagged) == kernel.sums() + (0, 0)
 
 
 def wide_scale_pairs():

@@ -110,6 +110,27 @@ def test_alpha_no_violation_not_identified(uni3):
     assert set(err.value.possible_regimes) == {"autonomous", "compliant", "aligned"}
 
 
+def test_float_iia_ai_raises_before_any_gram(monkeypatch):
+    # the pass alone decides that a float AI table satisfying IIA is not
+    # identified: no compliance sum is formed, and the error reads as in exact mode
+    params = gen.random_params(random.Random(23), 6)
+    ai, human = (luce_table(params.universe, w, params.universe.all_menus(2)) for w in (params.u, params.v))
+    with pytest.raises(NotIdentifiedError) as exact:
+        estimate_alpha(ai, human)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a Gram entry was formed")
+
+    monkeypatch.setattr(_Kernel, "sums", spy)
+    monkeypatch.setattr(_Kernel, "_float_grams", spy)
+    with pytest.raises(NotIdentifiedError) as err:
+        estimate_alpha(ai.as_float(), human.as_float())
+    assert str(err.value) == str(exact.value) == (
+        "AI data satisfies IIA: compliance is 0 or 1, or the utilities are aligned; "
+        "it cannot be point-identified"
+    )
+
+
 # ---------------------------------------------------------------------------
 # recover_autonomous
 # ---------------------------------------------------------------------------
