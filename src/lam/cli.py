@@ -235,6 +235,7 @@ def _cmd_fit(args) -> tuple[list[str], int]:
         f"seed,{result.seed}",
         f"converged,{'yes' if result.converged else 'no'}",
         f"grad_max,{format_scalar(result.grad_max)}",
+        f"maximum,{'yes' if result.maximum else 'no'}",
         f"iterations,{result.iterations}",
         f"monotone,{'yes' if result.monotone else 'no'}",
         f"log_likelihood,{format_scalar(result.log_likelihood)}",

@@ -19,16 +19,17 @@ EM step), and finishes with Newton steps (Louis 1982; Jamshidian &
 Jennrich 1997) on the negated analytic Hessian (the observed
 information), factored by a pure-Python Cholesky; where it is
 indefinite its diagonal is shifted until it factors (Levenberg 1944,
-Marquardt 1963).  A Newton step is kept on its gain summed cell by cell,
+Marquardt 1963).  A Newton step is kept on its gain summed term by term,
 which resolves changes below one ulp of the likelihood, and the gradient
-is summed cell by cell too.  A start stops on the gradient, not on the
+is summed term by term too.  A start stops on the gradient, not on the
 likelihood change, or where a step can no longer gain: EM's gain is then
 below the rounding of the likelihood.  Estimation is double-precision
 throughout; exact inputs are converted on entry.
-It runs as array operations on the counts' dense view, ``data._dense``
-(menus in ``data.domain`` order x alternatives in universe order), so
-every float reduction has a fixed order and no result depends on
-``PYTHONHASHSEED``.
+It runs as array operations on the counts' membership list,
+``data._dense.members``, never reading a cell off a menu: menu totals by
+``np.add.reduceat``, per-alternative sums by ``np.bincount``, scalar
+totals by ``math.fsum``, so every float reduction has a fixed order and
+no result depends on ``PYTHONHASHSEED``.
 
 Randomness comes from numpy's default generator (PCG64), seeded
 explicitly: identical seeds give identical draws on any platform.
@@ -106,7 +107,7 @@ def simulate_counts(
 
 
 # ---------------------------------------------------------------------------
-# Likelihood, gradient and EM as array operations on the dense view
+# Likelihood, gradient and EM as array operations on the membership list
 # ---------------------------------------------------------------------------
 
 
@@ -116,24 +117,32 @@ def _vectors(params: LamParams) -> tuple[np.ndarray, np.ndarray, float]:
             float(params.alpha))
 
 
+def _totals(view: _Dense, x: np.ndarray) -> np.ndarray:
+    """The total of ``x`` over each membership's menu, summed in member order."""
+    return np.add.reduceat(x, view.members.start)[view.members.row]
+
+
+def _by_alt(view: _Dense, x: np.ndarray) -> np.ndarray:
+    """Each alternative's total of ``x``, one value per membership, in menu order."""
+    return np.bincount(view.members.col, x, view.mask.shape[1])
+
+
 def _luce(view: _Dense, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Luce probabilities of utilities ``w`` on every menu, and the menu totals."""
-    cells = view.mask * w
-    totals = cells.sum(axis=1)
-    return cells / totals[:, None], totals
+    """Luce probabilities of utilities ``w`` at every membership, and its menu's total."""
+    cells = w[view.members.col]
+    totals = _totals(view, cells)
+    return cells / totals, totals
 
 
 def _e_step(view: _Dense, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
-    """Both components' probabilities and menu totals, and the mixture,
-    padded with 1 off the menus so that logs and quotients there stay
-    finite (and vanish against the zero counts)."""
+    """Both components' probabilities and menu totals per membership, and the mixture."""
     pu, su = _luce(view, u)
     pv, sv = _luce(view, v)
-    return pu, su, pv, sv, a * pu + (1 - a) * pv + view.pad
+    return pu, su, pv, sv, a * pu + (1 - a) * pv
 
 
 def _loglik(view: _Dense, mix: np.ndarray) -> float:
-    return float((view.entries * np.log(mix)).sum())
+    return math.fsum((view.members.values * np.log(mix)).tolist())
 
 
 def _mm_step(view: _Dense, w, weights, totals, anchor: int) -> np.ndarray:
@@ -145,8 +154,8 @@ def _mm_step(view: _Dense, w, weights, totals, anchor: int) -> np.ndarray:
     weighted wins keep their current value (their likelihood term is
     flat at zero weight).
     """
-    wins = weights.sum(axis=0)
-    denom = (view.mask * (weights.sum(axis=1) / totals)[:, None]).sum(axis=0)
+    wins = _by_alt(view, weights)
+    denom = _by_alt(view, _totals(view, weights) / totals)
     new = np.divide(wins, denom, out=w.copy(), where=wins > 0)
     return new / new[anchor]
 
@@ -162,13 +171,13 @@ def _m_step(view: _Dense, u, v, a: float, anchor: int, e: tuple) -> tuple:
             stacklevel=3,
         )
         if a >= 1.0:
-            return _mm_step(view, u, view.entries, su, anchor), v, a
-        return u, _mm_step(view, v, view.entries, sv, anchor), a
-    wu = view.entries * a * pu / mix
+            return _mm_step(view, u, view.members.values, su, anchor), v, a
+        return u, _mm_step(view, v, view.members.values, sv, anchor), a
+    wu = view.members.values * a * pu / mix
     return (
         _mm_step(view, u, wu, su, anchor),
-        _mm_step(view, v, view.entries - wu, sv, anchor),
-        float(wu.sum() / view.entries.sum()),
+        _mm_step(view, v, view.members.values - wu, sv, anchor),
+        math.fsum(wu.tolist()) / float(view.members.values.sum()),
     )
 
 
@@ -184,18 +193,18 @@ def _gradient(view: _Dense, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray,
     Returns d/d log u and d/d log v for every alternative (the anchor's
     entries included) and d/d logit alpha.  The last is a(1 - a) times
     sum N (pu - pv) / mix, which the responsibilities reduce to
-    sum wu - a * total.  Each entry sums one residual per cell, wu - pu W
+    sum wu - a * total.  Each entry sums one residual per membership, wu - pu W
     for d/d log u with W the menu's total wu (likewise for v), and
     wu - a N for alpha: the residuals vanish together at a stationary
     point, where the difference of two sums of the counts' size would
     read one ulp of those sums instead of the gradient.
     """
     pu, _, pv, _, mix = e
-    wu = view.entries * a * pu / mix
-    wv = view.entries - wu
-    d_u = (wu - pu * wu.sum(axis=1)[:, None]).sum(axis=0)
-    d_v = (wv - pv * wv.sum(axis=1)[:, None]).sum(axis=0)
-    return d_u, d_v, float((wu - a * view.entries).sum())
+    wu = view.members.values * a * pu / mix
+    wv = view.members.values - wu
+    d_u = _by_alt(view, wu - pu * _totals(view, wu))
+    d_v = _by_alt(view, wv - pv * _totals(view, wv))
+    return d_u, d_v, math.fsum((wu - a * view.members.values).tolist())
 
 
 def log_likelihood_gradient(
@@ -275,55 +284,58 @@ def _point(x: np.ndarray) -> tuple | None:
 def _gain(view: _Dense, mix_p: np.ndarray, mix_q: np.ndarray) -> float:
     """ll(q) - ll(p) from the two mixtures, as sum N log1p((mix_q - mix_p)/mix_p).
 
-    Each cell's term is small where q is near p, so the sum keeps the
+    Each membership's term is small where q is near p, so the sum keeps the
     gain's digits where the difference of two ll readings, each rounded
     at the scale of |ll|, would lose them.
     """
-    return float((view.entries * np.log1p((mix_q - mix_p) / mix_p)).sum())
+    return math.fsum((view.members.values * np.log1p((mix_q - mix_p) / mix_p)).tolist())
 
 
 def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
-    """The log-likelihood Hessian in (log u, log v, logit alpha), anchor
-    entries included, at the E-step ``e`` of a point with weight ``a``.
+    """The log-likelihood Hessian in the free coordinates (log u and log v
+    of every alternative but the anchor, index 0, then logit alpha) at the
+    E-step ``e`` of a point with weight ``a``.
 
     The Hessian of sum N log mix is sum N (mix'' / mix - mix' mix'^T / mix^2)
     with mix = a pu + (1 - a) pv.  With Luce's pu' = pu (e_k - pu) in
     log u, and with r = N / mix, c = r / mix and wu = a r pu, each block
-    is a sum over menus of rank-one terms; the mixed (log u, log v)
-    block has no mix'' part.  The alpha row reuses the gradient's
-    pieces: sum wu (e_k - pu) is d/d log u.
+    is a sum over menus S of rank-one terms, taken as one term per member
+    pair (k, l) of S; the mixed (log u, log v) block has no mix'' part.
+    The alpha row reuses the gradient's pieces: sum wu (e_k - pu) is
+    d/d log u.
     """
     pu, _, pv, _, mix = e
-    r = view.entries / mix
+    col, (i, j) = view.members.col, view.members.pairs
+    n = view.mask.shape[1]
+    r = view.members.values / mix
     c = r / mix
     b = a * (1 - a)
     wu, wv = a * r * pu, (1 - a) * r * pv
     d = c * (pu - pv)
+    cell = col[i] * n + col[j]
 
-    def outer(y, p, q):  # sum over cells of y_k (e_k - p)(e_k - q)^T
-        return (
-            np.diag(y.sum(axis=0))
-            - np.einsum("sk,sl->kl", y, q)
-            - np.einsum("sk,sl->kl", p, y)
-            + np.einsum("s,sk,sl->kl", y.sum(axis=1), p, q)
-        )
+    def block(diag, y, t, p, q):
+        # diag(sum of diag) + sum over member pairs (k, l) of S of
+        # -y_k q_l - p_k y_l + t_S p_k q_l
+        h = np.bincount(cell, (t * p - y)[i] * q[j] - p[i] * y[j], n * n)
+        h[:: n + 1] += _by_alt(view, diag)
+        return h.reshape(n, n)[1:, 1:]
 
-    def curv(w, p):  # sum over menus of W (diag p - p p^T), W the menu's total w
-        ws = w.sum(axis=1)
-        return np.diag((ws[:, None] * p).sum(axis=0)) - np.einsum("s,sk,sl->kl", ws, p, p)
+    def tilt(y, p):  # sum over memberships of y_k (e_k - p)
+        return _by_alt(view, y - _totals(view, y) * p)[1:]
 
-    def tilt(y, p):  # sum over cells of y_k (e_k - p)
-        return y.sum(axis=0) - (y.sum(axis=1)[:, None] * p).sum(axis=0)
-
-    uu = outer(wu - a * a * c * pu * pu, pu, pu) - curv(wu, pu)
-    vv = outer(wv - (1 - a) ** 2 * c * pv * pv, pv, pv) - curv(wv, pv)
-    uv = -outer(b * c * pu * pv, pu, pv)
-    ua = (1 - a) * tilt(wu, pu) - a * b * tilt(d * pu, pu)
-    va = -a * tilt(wv, pv) - (1 - a) * b * tilt(d * pv, pv)
-    aa = (1 - 2 * a) * b * (r * (pu - pv)).sum() - b * b * (d * (pu - pv)).sum()
-    return np.block(
-        [[uu, uv, ua[:, None]], [uv.T, vv, va[:, None]], [ua[None], va[None], np.array([[aa]])]]
-    )
+    yu, yv, yuv = wu - a * a * c * pu * pu, wv - (1 - a) ** 2 * c * pv * pv, b * c * pu * pv
+    su, sv = _totals(view, wu), _totals(view, wv)
+    k = n - 1
+    h = np.empty((2 * k + 1, 2 * k + 1))
+    h[:k, :k] = block(yu - su * pu, yu, _totals(view, yu) + su, pu, pu)
+    h[k:-1, k:-1] = block(yv - sv * pv, yv, _totals(view, yv) + sv, pv, pv)
+    h[:k, k:-1] = block(-yuv, -yuv, -_totals(view, yuv), pu, pv)
+    h[k:-1, :k] = h[:k, k:-1].T
+    h[:k, -1] = h[-1, :k] = tilt((1 - a) * wu - a * b * d * pu, pu)
+    h[k:-1, -1] = h[-1, k:-1] = tilt(-a * wv - (1 - a) * b * d * pv, pv)
+    h[-1, -1] = (1 - 2 * a) * b * (r * (pu - pv)).sum() - b * b * (d * (pu - pv)).sum()
+    return h
 
 
 def _newton_step(view: _Dense, point: tuple, e: tuple, grad: np.ndarray) -> tuple | None:
@@ -347,12 +359,14 @@ def _newton_step(view: _Dense, point: tuple, e: tuple, grad: np.ndarray) -> tupl
     # a step may overflow anywhere; what that leaves non-finite fails the
     # guards below
     with np.errstate(all="ignore"):
-        neg = -_hessian(view, e, point[2])[np.ix_(free, free)]
+        neg = -_hessian(view, e, point[2])
         if not np.isfinite(neg).all():
             return None
-        shift = np.abs(np.diag(neg)).max() * np.eye(len(free))
+        diag = np.diag(neg).copy()
+        shift = np.abs(diag).max()
         for mu in _NEWTON_SHIFTS:
-            step = _cholesky_solve((neg + mu * shift).tolist(), grad.tolist())
+            np.fill_diagonal(neg, diag + mu * shift)
+            step = _cholesky_solve(neg.tolist(), grad.tolist())
             if step is not None:
                 break
         else:
@@ -391,7 +405,7 @@ def _em_start(view: _Dense, point: tuple, tol_ll: float, max_iter: int) -> tuple
     as one map.  Each refused try (no shift factors, or no halving is
     accepted) doubles the maps before the next (tries from 20, 40, 80 ...
     maps on); after an accepted step the next try comes at once.  A Newton
-    step is accepted on its gain, the sum of per-cell log-ratio terms, not
+    step is accepted on its gain, the sum of per-membership log-ratio terms, not
     on the difference of two ll readings: at |ll| near 1e6 one ulp of ll
     exceeds ``_LL_DROP``, so a step that takes max |gradient| from 1e-3 to
     1e-9 can read one ulp lower.
@@ -491,23 +505,26 @@ class FitResult:
     start stopped on the gradient test: ``grad_max``, its final max
     |gradient| in the unconstrained coordinates (log u, log v, logit
     alpha), is at most ``tol_ll * max(1, |log_likelihood|)``.  That
-    certifies a stationary point, which need not be a maximum.
-    ``monotone`` certifies that no accepted step of any start decreased
-    the likelihood beyond 1e-10: a SQUAREM cycle by the difference of the
-    two ll readings, a Newton step (shifted Levenberg-Marquardt style
-    where the Hessian is indefinite) by its gain summed cell by cell,
-    which resolves changes well below one ulp of ll (1.2e-10 at
-    |ll| = 1e6).  So ``ll_trace`` can read one ulp lower after a Newton
-    step.  The gradient behind ``grad_max`` is summed cell by cell as well,
-    so at the optimum it reads the gradient rather than one ulp of sums of
-    the counts' size.  ``status`` is ``degenerate-fit`` when every start
-    collapsed to a boundary mixture weight.
+    certifies a stationary point, which need not be a maximum; ``maximum``
+    certifies a strict local maximum: -H at the returned point factors by
+    an unshifted Cholesky.  ``monotone`` certifies that no accepted step of any start
+    decreased the likelihood beyond 1e-10: a SQUAREM cycle by the
+    difference of the two ll readings, a Newton step (shifted
+    Levenberg-Marquardt style where the Hessian is indefinite) by its gain
+    summed membership by membership, which resolves changes well below one
+    ulp of ll (1.2e-10 at |ll| = 1e6).  So ``ll_trace`` can read one ulp
+    lower after a Newton step.  The gradient behind ``grad_max`` is summed
+    membership by membership as well, so at the optimum it reads the
+    gradient rather than one ulp of sums of the counts' size.  ``status``
+    is ``degenerate-fit`` when every start collapsed to a boundary mixture
+    weight.
     """
 
     params: LamParams
     log_likelihood: float
     iterations: int
     converged: bool
+    maximum: bool
     grad_max: float
     start_iterations: tuple[int, ...]
     empirical_rho: StochasticChoice
@@ -534,8 +551,8 @@ def fit_mle(
     standard normal (anchor pinned) and a uniform interior mixture weight.
     Each start runs SQUAREM-accelerated EM with a Newton finish, whose
     Hessian is shifted up a fixed Levenberg-Marquardt ladder where it is
-    indefinite (see ``_em_start``), until max |gradient|, summed cell by
-    cell, is at most ``tol_ll * max(1, |ll|)``, it has spent ``max_iter``
+    indefinite (see ``_em_start``), until max |gradient|, summed membership
+    by membership, is at most ``tol_ll * max(1, |ll|)``, it has spent ``max_iter``
     EM maps (a Newton try counts as one), an accepted Newton step gained at
     most 1e-10 and did not lower max |gradient|, or its next EM step would
     lower the likelihood by more than 1e-10, and the best final likelihood
@@ -576,6 +593,9 @@ def fit_mle(
             best = (key, point, tuple(trace), maps, converged, grad)
 
     _, (u, v, alpha), trace, iters, converged, grad = best
+    with np.errstate(all="ignore"):
+        neg = -_hessian(view, _e_step(view, u, v, alpha), alpha)
+    maximum = bool(np.isfinite(neg).all()) and _cholesky_solve(neg.tolist(), [0.0] * len(neg)) is not None
     params = LamParams(
         universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), alpha, anchor
     )
@@ -584,6 +604,7 @@ def fit_mle(
         log_likelihood=trace[-1],
         iterations=iters,
         converged=converged,
+        maximum=maximum,
         grad_max=grad,
         start_iterations=tuple(start_iterations),
         empirical_rho=data.to_frequencies(),

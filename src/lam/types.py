@@ -19,6 +19,7 @@ Types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -243,11 +244,21 @@ class _Dense:
     scale: np.ndarray | None
 
     @cached_property
-    def pad(self) -> np.ndarray:
-        """1.0 off the menus and 0.0 on them, read-only, built once per view."""
-        pad = (~self.mask).astype(float)
-        pad.flags.writeable = False
-        return pad
+    def members(self) -> _Members:
+        """Each (menu, alternative) pair with the alternative in the menu, in
+        row-major order, as ``row``, ``col`` and the ``values`` there; each
+        menu's ``start`` in that list; and its ordered member ``pairs`` (k, l),
+        k = l included, as two rows of offsets.  Built once per view."""
+        row, col = np.nonzero(self.mask)
+        size = np.bincount(row, minlength=len(self.mask))
+        start, reps = np.cumsum(size) - size, size[row]
+        # membership k pairs with each of its menu's size[row[k]] members in turn
+        first = np.repeat(np.arange(len(row)), reps)
+        second = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps - start[row], reps)
+        return _Members(row, col, start, self.entries[row, col], np.stack((first, second)))
+
+
+_Members = namedtuple("_Members", "row col start values pairs")
 
 
 def _floats(rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:

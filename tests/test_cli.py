@@ -897,7 +897,12 @@ CLI_CASES = {
     ),
     "fit-counts": (
         ["fit", "--data", COUNTS, "--starts", "2", "--seed", "1"],
-        0, ["converged,yes", "monotone,yes"], None,
+        0, ["converged,yes", "maximum,yes", "monotone,yes"], None,
+    ),
+    # the symmetric start alone stops at the aligned saddle
+    "fit-counts-one-start": (
+        ["fit", "--data", COUNTS, "--starts", "1", "--seed", "1"],
+        0, ["converged,yes", "maximum,no", "monotone,yes"], None,
     ),
 }
 

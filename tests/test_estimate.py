@@ -360,10 +360,11 @@ def test_fit_converged_means_stationary(uni4, ex_b_params):
 
 
 def test_fit_ends_a_start_where_em_reads_lower(uni4, ex_b_params):
-    # at |ll| ~ 9.6e5 one ulp of ll exceeds 1e-10; near the aligned
-    # stationary point the plain EM step reads lower before the gradient
-    # test passes, and the start ends there instead of accepting it
-    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    # at |ll| ~ 9.6e5 one ulp of ll exceeds 1e-10; on these counts, near the
+    # aligned stationary point, the plain EM step reads lower after 20 maps,
+    # before the gradient test passes, and the start ends there instead of
+    # accepting it
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=18)
     fit = fit_mle(counts, inits=1, seed=7, tol_ll=1e-13, max_iter=1000)
     assert fit.iterations < 1000
     assert not fit.converged
@@ -381,7 +382,18 @@ def test_criterion_7_fit_converges(uni4, ex_b_params):
     assert fit.converged
     assert fit.grad_max <= 1e-13 * abs(fit.log_likelihood)
     assert fit.monotone
+    assert fit.maximum
     assert sum(fit.start_iterations) <= 150
+
+
+def test_fit_at_the_aligned_saddle_is_no_maximum(uni4, ex_b_params):
+    # the one symmetric start ends at the aligned stationary point u = v,
+    # where -H has a negative eigenvalue: stationary, but no maximum
+    counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
+    fit = fit_mle(counts, inits=1, seed=7, tol_ll=1e-13, max_iter=60000)
+    assert fit.converged
+    assert fit.params.u == fit.params.v
+    assert not fit.maximum
 
 
 def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
@@ -397,8 +409,7 @@ def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
     e = estimate._e_step(view, *point)
     d_u, d_v, d_logit = estimate._gradient(view, e, point[2])
     grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
-    free = [1, 2, 3, 5, 6, 7, 8]  # the anchor x is pinned in u (0) and v (4)
-    neg = -estimate._hessian(view, e, point[2])[np.ix_(free, free)]
+    neg = -estimate._hessian(view, e, point[2])
     assert estimate._cholesky_solve(neg.tolist(), grad.tolist()) is None
     step = estimate._newton_step(view, point, e, grad)
     assert step is not None
@@ -412,7 +423,7 @@ def test_newton_step_refuses_a_non_finite_hessian(uni4, ex_b_params):
     w = np.array([1.0, 1e-300, 1e300, 1.0])
     point = (w, w.copy(), 0.5)
     e = estimate._e_step(view, *point)
-    assert (e[-1][view.mask] == 0).any()
+    assert (e[-1] == 0).any()
     assert estimate._newton_step(view, point, e, np.ones(7)) is None
 
 
@@ -489,18 +500,19 @@ def test_gradient_matches_a_per_cell_fsum_oracle(uni4, ex_b_params):
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
     fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
     view = counts._dense
+    row, col, counted = view.members.row, view.members.col, view.members.values
     u, v, a = estimate._vectors(fit.params)
     e = estimate._e_step(view, u, v, a)
     pu, _, pv, _, mix = e
-    wu = view.entries * a * pu / mix
-    wv = view.entries - wu
-    menus = range(len(view.entries))
+    wu = counted * a * pu / mix
+    wv = counted - wu
 
-    def oracle(w, p):  # the same float64 cells, summed exactly
-        total = w.sum(axis=1)
-        return [math.fsum(w[s, k] - p[s, k] * total[s] for s in menus) for k in range(4)]
+    def oracle(w, p):  # the same float64 memberships, summed exactly
+        total = {s: w[row == s].sum() for s in set(row.tolist())}
+        return [math.fsum(w[i] - p[i] * total[row[i]] for i in np.flatnonzero(col == k))
+                for k in range(4)]
 
-    d_alpha = math.fsum((wu - a * view.entries).ravel().tolist())
+    d_alpha = math.fsum((wu - a * counted).tolist())
     want = np.array(oracle(wu, pu) + oracle(wv, pv) + [d_alpha])
     d_u, d_v, d_logit = estimate._gradient(view, e, a)
     assert np.abs(np.concatenate((d_u, d_v, [d_logit])) - want).max() <= 1e-11
@@ -550,24 +562,90 @@ def test_gain_equals_the_likelihood_difference():
 
 
 def test_hessian_matches_finite_differences():
-    # the analytic Hessian against central differences of the analytic gradient
+    # the analytic Hessian against central differences of the analytic
+    # gradient, both in the free coordinates (the anchor, index 0, pinned)
     rng = random.Random(46)
     for _ in range(8):
         counts = random_counts(rng, rng.randint(3, 5), partial=rng.random() < 0.5)
         view = counts._dense
-        point = estimate._vectors(gen.random_params(rng, counts.universe.size).as_float())
+        n = counts.universe.size
+        point = estimate._vectors(gen.random_params(rng, n).as_float())
         hess = estimate._hessian(view, estimate._e_step(view, *point), point[2])
         x, h = estimate._coords(*point), 1e-5
-        for i in range(len(x)):
+        free = [*range(1, n), *range(n + 1, 2 * n + 1)]
+        for col, i in enumerate(free):
             ends = []
             for dx in (h, -h):
                 y = x.copy()
                 y[i] += dx
                 p = estimate._point(y)
                 d_u, d_v, d_logit = estimate._gradient(view, estimate._e_step(view, *p), p[2])
-                ends.append(np.concatenate((d_u, d_v, [d_logit])))
+                ends.append(np.concatenate((d_u[1:], d_v[1:], [d_logit])))
             fd = (ends[0] - ends[1]) / (2 * h)
-            assert np.abs(fd - hess[:, i]).max() <= 1e-6 * np.abs(hess).max()
+            assert np.abs(fd - hess[:, col]).max() <= 1e-6 * np.abs(hess).max()
+
+
+def dense_hessian(counts, point):
+    """The log-likelihood Hessian in the free coordinates, from einsums over
+    the dense menus x alternatives view (every cell off a menu 0 in the
+    Luce probabilities and counts, 1 in the mixture), at ``point``."""
+    u, v, a = point
+    mask, entries = counts._dense.mask, counts._dense.entries
+
+    def luce(w):
+        cells = mask * w
+        return cells / cells.sum(axis=1)[:, None]
+
+    pu, pv = luce(u), luce(v)
+    mix = a * pu + (1 - a) * pv + ~mask
+    r = entries / mix
+    c = r / mix
+    b = a * (1 - a)
+    wu, wv = a * r * pu, (1 - a) * r * pv
+    d = c * (pu - pv)
+
+    def outer(y, p, q):  # sum over cells of y_k (e_k - p)(e_k - q)^T
+        return (
+            np.diag(y.sum(axis=0))
+            - np.einsum("sk,sl->kl", y, q)
+            - np.einsum("sk,sl->kl", p, y)
+            + np.einsum("s,sk,sl->kl", y.sum(axis=1), p, q)
+        )
+
+    def curv(w, p):  # sum over menus of W (diag p - p p^T), W the menu's total w
+        ws = w.sum(axis=1)
+        return np.diag((ws[:, None] * p).sum(axis=0)) - np.einsum("s,sk,sl->kl", ws, p, p)
+
+    def tilt(y, p):  # sum over cells of y_k (e_k - p)
+        return y.sum(axis=0) - (y.sum(axis=1)[:, None] * p).sum(axis=0)
+
+    uu = outer(wu - a * a * c * pu * pu, pu, pu) - curv(wu, pu)
+    vv = outer(wv - (1 - a) ** 2 * c * pv * pv, pv, pv) - curv(wv, pv)
+    uv = -outer(b * c * pu * pv, pu, pv)
+    ua = (1 - a) * tilt(wu, pu) - a * b * tilt(d * pu, pu)
+    va = -a * tilt(wv, pv) - (1 - a) * b * tilt(d * pv, pv)
+    aa = (1 - 2 * a) * b * (r * (pu - pv)).sum() - b * b * (d * (pu - pv)).sum()
+    full = np.block(
+        [[uu, uv, ua[:, None]], [uv.T, vv, va[:, None]], [ua[None], va[None], np.array([[aa]])]]
+    )
+    n = len(u)
+    free = [*range(1, n), *range(n + 1, 2 * n + 1)]
+    return full[np.ix_(free, free)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_hessian_matches_the_dense_einsum_oracle(n):
+    # on all menus and on thinned designs, zero counts included
+    rng = random.Random(47 + n)
+    for partial, zero_wins in ((False, None), (True, None), (False, gen.ALT_NAMES[1]),
+                               (True, gen.ALT_NAMES[n - 1])):
+        counts = random_counts(rng, n, partial, zero_wins)
+        for _ in range(3):
+            point = estimate._vectors(gen.random_params(rng, n).as_float())
+            got = estimate._hessian(counts._dense, estimate._e_step(counts._dense, *point), point[2])
+            want = dense_hessian(counts, point)
+            assert got.shape == want.shape == (2 * n - 1, 2 * n - 1)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_library_calls_no_lapack():

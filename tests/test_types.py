@@ -289,3 +289,22 @@ def test_peeled_table_builds_its_dict_on_first_read(exact):
     assert (got.is_exact, got.is_positive) == (want.is_exact, want.is_positive) == (exact, True)
     with pytest.raises(AttributeError, match="no attribute 'tables'"):
         got.tables
+
+
+def test_membership_list_of_a_thinned_design():
+    # rows in canonical menu order ({a, b}, {a, d}, {b, c, d}), members in
+    # universe order, and every ordered pair of each menu's members
+    uni = Universe(("a", "b", "c", "d"))
+    counts = ChoiceCounts(
+        uni, {("b", "c", "d"): {"b": 3, "c": 4, "d": 5}, ("d", "a"): {"a": 6, "d": 7},
+              ("a", "b"): {"a": 1, "b": 2}},
+    )
+    members = counts._dense.members
+    assert members.row.tolist() == [0, 0, 1, 1, 2, 2, 2]
+    assert members.col.tolist() == [0, 1, 0, 3, 1, 2, 3]
+    assert members.start.tolist() == [0, 2, 4]
+    assert members.values.tolist() == [1.0, 2.0, 6.0, 7.0, 3.0, 4.0, 5.0]
+    want = [(s + k, s + l) for s, size in ((0, 2), (2, 2), (4, 3))
+            for k in range(size) for l in range(size)]
+    assert list(zip(*members.pairs.tolist())) == want
+    assert counts._dense.members is members  # built once per view
