@@ -46,7 +46,6 @@ from .types import (
     Scalar,
     StochasticChoice,
     Universe,
-    _sum_off,
 )
 
 __all__ = [
@@ -118,13 +117,9 @@ def parse_scalar(token: str, exact: bool, line: int | None = None) -> Scalar:
 
 
 def _content_rows(text: str) -> list[tuple[int, list[str]]]:
-    rows = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((i, [f.strip() for f in line.split(",")]))
-    return rows
+    """Each line that is neither blank nor a comment, with its number, as stripped fields."""
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(i, [*map(str.strip, line.split(","))]) for i, line in lines if line and line[0] != "#"]
 
 
 def _parse_menu_token(universe: Universe, token: str, line: int | None) -> Menu:
@@ -132,7 +127,7 @@ def _parse_menu_token(universe: Universe, token: str, line: int | None) -> Menu:
     if not members:
         raise DatasetFormatError("empty menu", line)
     for m in members:
-        if m not in universe.alternatives:
+        if m not in universe._index:
             raise DatasetFormatError(f"unknown alternative {m!r}", line)
     if len(set(members)) != len(members):
         raise DatasetFormatError(f"menu {token!r} repeats an alternative", line)
@@ -144,14 +139,15 @@ def _menu_token(universe: Universe, menu: Menu) -> str:
 
 
 def parse_dataset(text: str, exact: bool = False) -> Dataset:
-    """Parse a dataset file into choice probabilities or counts."""
+    """Parse a dataset file into choice probabilities or counts: one pass
+    files each line's value under its menu's row, and the first failing line raises."""
     rows = _content_rows(text)
     if len(rows) < 4:
         raise DatasetFormatError("dataset needs a header and at least one row")
     (l1, r1), (l2, r2), (l3, r3), *data_rows = rows
     if len(r1) != 2 or r1[0] != "mode" or r1[1] not in ("probabilities", "counts"):
         raise DatasetFormatError("first row must be 'mode,probabilities' or 'mode,counts'", l1)
-    mode = r1[1]
+    counts = r1[1] == "counts"
     if len(r2) != 2 or r2[0] != "universe":
         raise DatasetFormatError("second row must be 'universe,<id;id;...>'", l2)
     alternatives = [a for a in r2[1].split(";") if a]
@@ -162,61 +158,85 @@ def parse_dataset(text: str, exact: bool = False) -> Dataset:
     if r3 != ["menu", "alternative", "value"]:
         raise DatasetFormatError("third row must be 'menu,alternative,value'", l3)
 
-    table: dict[Menu, dict[str, Scalar]] = {}
-    menus: dict[str, Menu] = {}  # each menu token is parsed once per file
+    table: dict[Menu, dict[str, Scalar | tuple[int, int]]] = {}  # (numerator, denominator) in exact mode
+    menus: dict[str, tuple[Menu, dict]] = {}  # each menu token's menu and row
     for line, fields in data_rows:
         if len(fields) != 3:
             raise DatasetFormatError(
                 f"expected 'menu,alternative,value', got {len(fields)} fields", line
             )
         menu_tok, alt, value_tok = fields
-        menu = menus.get(menu_tok)
-        if menu is None:
-            menu = menus[menu_tok] = _parse_menu_token(universe, menu_tok, line)
+        if menu_tok not in menus:
+            menu = _parse_menu_token(universe, menu_tok, line)
+            menus[menu_tok] = menu, table.setdefault(menu, {})
+        menu, row = menus[menu_tok]
         if alt not in menu:
             if alt not in universe.alternatives:
                 raise DatasetFormatError(f"unknown alternative {alt!r}", line)
             raise DatasetFormatError(f"alternative {alt!r} is not in menu {menu_tok!r}", line)
-        if mode == "counts":
+        if counts:
             try:
-                value: Scalar = int(value_tok)
+                value = int(value_tok)
             except ValueError:
                 raise DatasetFormatError(
                     f"counts must be integers, got {value_tok!r}", line
                 ) from None
             if value < 0:
                 raise DatasetFormatError(f"counts must be non-negative, got {value_tok!r}", line)
+        elif exact:
+            num, slash, den = value_tok.partition("/")
+            try:
+                value = int(num), int(den) if slash else 1
+                if value[1] <= 0:
+                    raise ValueError
+            except ValueError:  # past the digit limit, a signed denominator, or not a rational
+                value = parse_scalar(value_tok, True, line).as_integer_ratio()
         else:
-            value = parse_scalar(value_tok, exact, line)
-            if not exact and not math.isfinite(value):
+            value = parse_scalar(value_tok, False, line)
+            if not math.isfinite(value):
                 raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
-        row = table.setdefault(menu, {})
         if alt in row:
             raise DatasetFormatError(
                 f"duplicate row for ({menu_tok!r}, {alt!r})", line
             )
         row[alt] = value
-
-    if mode != "counts":
-        # the file's row sums are named first, and summed before the table
-        # clamps a float value below 0 to 0
-        _check_row_sums(universe, table, exact)
     try:
-        if mode == "counts":
-            return ChoiceCounts(universe, table)
-        return StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
+        return _dataset(universe, table, counts, exact)
     except LamError as e:
         raise DatasetFormatError(str(e)) from None
 
 
-def _check_row_sums(universe: Universe, table: dict[Menu, dict[str, Scalar]], exact: bool) -> None:
-    """The file's own row-sum test on its values as written, in file order."""
-    for menu, row in table.items():
-        if _sum_off(row, exact, FILE_ROW_SUM_TOL):
+def _dataset(universe: Universe, rows: dict, counts: bool, exact: bool) -> Dataset:
+    """The dataset of a file's ``rows``, tested in file order: the file's row
+    sums as written, then :meth:`StochasticChoice._check_row` on each row with
+    an entry below 0, the only rows it can fail once the sums hold."""
+    if counts:
+        for menu, row in rows.items():
+            if not any(row.values()):
+                ChoiceCounts(universe, {menu: row})  # raises: no observations
+        data = object.__new__(ChoiceCounts)
+        data.__dict__.update(universe=universe, counts=rows)
+        return data
+    scale = dict.fromkeys(rows, 1)
+    for menu, row in rows.items():
+        if exact:  # ints over the lcm of the row's reduced denominators
+            c = scale[menu] = math.lcm(*(q // math.gcd(p, q) for p, q in row.values()))
+            row = rows[menu] = {a: p * c // q for a, (p, q) in row.items()}
+        total = sum(row.values())
+        if total != scale[menu] if exact else abs(total - 1) > FILE_ROW_SUM_TOL:
             raise DatasetFormatError(
                 f"probabilities for menu {_menu_token(universe, menu)!r} sum to "
-                f"{format_scalar(sum(row.values()))}, not 1"
+                f"{format_scalar(Fraction(total, scale[menu]) if exact else total)}, not 1"
             )
+    data = object.__new__(StochasticChoice)
+    data.__dict__.update(universe=universe, eps_sum=FILE_ROW_SUM_TOL, is_exact=exact)
+    for menu, row in rows.items():
+        if min(row.values()) < 0:  # an exact row raises; a float one may be clamped
+            data._check_row(menu, {a: Fraction(p, scale[menu]) for a, p in row.items()} if exact else row, exact)
+    data.__dict__["is_positive"] = all(len(row) == len(m) and min(row.values()) > 0 for m, row in rows.items())
+    # an exact table's domain, dense view and dict are built from its ints when first read
+    data.__dict__.update({"_ints": (rows, scale)} if exact else {"table": rows})
+    return data
 
 
 def serialize_dataset(data: Dataset) -> str:

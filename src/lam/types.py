@@ -282,15 +282,6 @@ def _rows(tables: Sequence["StochasticChoice"], menus: Sequence[Menu]):
     return mask, c, [v.entries[i] * (c // s)[:, None] for v, i, s in zip(views, at, scales)]
 
 
-def _sum_off(row: Mapping[str, Scalar], exact: bool, eff: float) -> bool:
-    """Whether a row of probabilities sums to other than 1: exact rows in
-    ints, over their lcm of denominators, float rows by more than ``eff``."""
-    if exact:
-        scale = math.lcm(*(p.denominator for p in row.values()))
-        return sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale
-    return abs(sum(row.values()) - 1) > eff
-
-
 def _normalised_rows(table: "_MenuRows", outside: str, empty: str, cell: Callable):
     """Each row of ``table`` as (menu, {member: cell(member, value)}), in input
     order, once its menu is valid and new and its members lie in it (else
@@ -319,24 +310,31 @@ class _MenuRows:
     @cached_property
     def domain(self) -> tuple[Menu, ...]:
         """Observed menus in canonical order, sorted once per table."""
-        return tuple(sorted(getattr(self, self._field), key=self.universe.menu_key))
+        index = self.universe._index.__getitem__  # :meth:`Universe.menu_key` on validated menus
+        rows = self._ints[0] if "_ints" in self.__dict__ else getattr(self, self._field)
+        return tuple(sorted(rows, key=lambda menu: sorted(map(index, menu))))
 
     @cached_property
     def _dense(self) -> _Dense:
         """The rows as one dense view, built once per table on first use."""
-        universe, domain, table = self.universe, self.domain, getattr(self, self._field)
+        universe, domain = self.universe, self.domain
+        table, lcms = self.__dict__.get("_ints") or (getattr(self, self._field), None)
         # exact entries for an exact table; counts have no is_exact and are float64
         n, index, exact = universe.size, universe._index, getattr(self, "is_exact", False)
         mask = _incidence(universe, domain)
         entries = np.zeros((len(domain), n), dtype=object if exact else float)
         cells = [i * n + index[a] for i, m in enumerate(domain) for a in table[m]]
         rows, scale = [table[m].values() for m in domain], None
-        if exact:  # ints over each row's lcm
-            lcms = [math.lcm(*(p.denominator for p in row)) for row in rows]
-            rows = [[p.numerator * (c // p.denominator) for p in row] for row, c in zip(rows, lcms)]
-            scale = np.array(lcms, dtype=object)
+        if exact:  # ints over each row's lcm, which a parsed file's ``_ints`` hold already
+            if lcms is None:
+                lcms = {m: math.lcm(*(p.denominator for p in row)) for m, row in zip(domain, rows)}
+                rows = [[p.numerator * (lcms[m] // p.denominator) for p in row] for m, row in zip(domain, rows)]
+            scale = np.array([lcms[m] for m in domain], dtype=object)
             scale.flags.writeable = False
-        entries.ravel()[cells] = [p for row in rows for p in row]
+        try:
+            entries.ravel()[cells] = [p for row in rows for p in row]
+        except OverflowError:  # a count past float64's range
+            raise InvalidParameterError("counts past float64's range have no float view") from None
         mask.flags.writeable = entries.flags.writeable = False
         return _Dense({m: i for i, m in enumerate(domain)}, mask, entries, scale)
 
@@ -392,7 +390,12 @@ class StochasticChoice(_MenuRows):
                 )
             if not row_exact and p < 0:
                 row[alt] = 0.0
-        if _sum_off(row, row_exact, eff):
+        if row_exact:  # in ints, over the row's lcm of denominators
+            c = math.lcm(*(p.denominator for p in row.values()))
+            off = sum(p.numerator * (c // p.denominator) for p in row.values()) != c
+        else:
+            off = abs(sum(row.values()) - 1) > eff
+        if off:
             raise InvalidParameterError(
                 f"row for menu {self.universe.sorted_members(menu)} sums to "
                 f"{_show(sum(row.values()))}, not 1"
@@ -445,9 +448,14 @@ class StochasticChoice(_MenuRows):
 
     def __getattr__(self, name: str):
         """``table`` of a table made by :meth:`_from_rows`, built from its
-        dense view on first read and kept; no other attribute is found here."""
-        if name != "table" or "_clamped" not in self.__dict__:
+        dense view on first read and kept, or of a parsed exact file, from its
+        ``_ints`` in file order; no other attribute is found here."""
+        if name != "table" or "_clamped" not in self.__dict__ and "_ints" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if "_ints" in self.__dict__:
+            rows, scale = self._ints
+            self.__dict__["table"] = {m: {a: Fraction(p, scale[m]) for a, p in row.items()} for m, row in rows.items()}
+            return self.table
         view, clamped, (rows, cols) = self._dense, self._clamped, np.nonzero(self._dense.mask)
         if clamped is None:
             cells = map(Fraction, view.entries[view.mask].tolist(), view.scale[rows].tolist())
@@ -463,7 +471,7 @@ class StochasticChoice(_MenuRows):
         return table
 
     def has_menu(self, menu: Iterable[str]) -> bool:
-        return frozenset(menu) in self.table
+        return frozenset(menu) in self._dense.rows
 
     def _recorded(self, menu: Iterable[str]) -> tuple[Menu, Mapping[str, Scalar]]:
         m = frozenset(menu)

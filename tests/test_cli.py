@@ -604,6 +604,17 @@ def test_lab_utility_past_float_range_is_an_input_error(capsys, tmp_path):
     assert err.endswith("outside float64's range\n")
 
 
+def test_fit_on_counts_past_float_range_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "mode,counts\nuniverse,a;b;c\nmenu,alternative,value\n"
+        f"a;b,a,{'9' * 400}\na;b,b,1\na;c,a,3\na;c,c,1\nb;c,b,1\nb;c,c,1\n"
+    )
+    code, out, err = run(capsys, "fit", "--data", str(path), "--starts", "1", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: counts past float64's range have no float view\n"
+
+
 def test_simulate_rejects_infinite_utility(capsys, tmp_path):
     params = tmp_path / "params.csv"
     params.write_text(

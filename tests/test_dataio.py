@@ -1,14 +1,20 @@
 """Dataset and parameter file parsing, serialization, validation."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lam import ChoiceCounts, DatasetFormatError, StochasticChoice, Universe
+from lam import ChoiceCounts, DatasetFormatError, LamError, StochasticChoice, Universe
 from lam.dataio import (
+    FILE_ROW_SUM_TOL,
+    _menu_token,
+    _parse_menu_token,
     format_scalar,
     parse_dataset,
     parse_params,
@@ -17,6 +23,7 @@ from lam.dataio import (
     serialize_dataset,
     serialize_params,
 )
+from test_extremes import pairs as extreme_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -319,6 +326,11 @@ def test_file_validation_messages(text, exact, message):
 def test_repeated_menu_tokens_share_one_row():
     text = _PROBS + "x;y,x,1/4\ny;x,y,3/4\nx;y;z,z,1\n"
     rho = parse_dataset(text, exact=True)
+    # born as its dense view, which membership reads; copies and pickles
+    # build the dict on first read too
+    assert rho.has_menu("yx") and not rho.has_menu("xz") and "table" not in vars(rho)
+    for got in (pickle.loads(pickle.dumps(rho)), copy.deepcopy(rho)):
+        assert "table" not in vars(got) and got == rho
     assert rho.table == {frozenset("xy"): {"x": F(1, 4), "y": F(3, 4)}, frozenset("xyz"): {"z": F(1)}}
     assert rho.is_exact and not rho.is_positive
 
@@ -382,3 +394,215 @@ def test_params_reject_repeated_rows_and_unknown_alternatives(text, message):
         parse_params(text, exact=True)
     assert str(err.value) == message
     assert parse_params(_PARAMS, exact=True).u["y"] == 2
+
+
+def line_by_line_parse(text: str, exact: bool = False):
+    """The oracle: the dataset parser before the column-wise one, which
+    built the dict of each row line by line and then ran the dict
+    constructors' validation."""
+    rows = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rows.append((i, [f.strip() for f in line.split(",")]))
+    if len(rows) < 4:
+        raise DatasetFormatError("dataset needs a header and at least one row")
+    (l1, r1), (l2, r2), (l3, r3), *data_rows = rows
+    if len(r1) != 2 or r1[0] != "mode" or r1[1] not in ("probabilities", "counts"):
+        raise DatasetFormatError("first row must be 'mode,probabilities' or 'mode,counts'", l1)
+    mode = r1[1]
+    if len(r2) != 2 or r2[0] != "universe":
+        raise DatasetFormatError("second row must be 'universe,<id;id;...>'", l2)
+    alternatives = [a for a in r2[1].split(";") if a]
+    try:
+        universe = Universe(tuple(alternatives))
+    except LamError as e:
+        raise DatasetFormatError(str(e), l2) from None
+    if r3 != ["menu", "alternative", "value"]:
+        raise DatasetFormatError("third row must be 'menu,alternative,value'", l3)
+
+    table = {}
+    menus = {}  # each menu token is parsed once per file
+    for line, fields in data_rows:
+        if len(fields) != 3:
+            raise DatasetFormatError(
+                f"expected 'menu,alternative,value', got {len(fields)} fields", line
+            )
+        menu_tok, alt, value_tok = fields
+        menu = menus.get(menu_tok)
+        if menu is None:
+            menu = menus[menu_tok] = _parse_menu_token(universe, menu_tok, line)
+        if alt not in menu:
+            if alt not in universe.alternatives:
+                raise DatasetFormatError(f"unknown alternative {alt!r}", line)
+            raise DatasetFormatError(f"alternative {alt!r} is not in menu {menu_tok!r}", line)
+        if mode == "counts":
+            try:
+                value = int(value_tok)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"counts must be integers, got {value_tok!r}", line
+                ) from None
+            if value < 0:
+                raise DatasetFormatError(f"counts must be non-negative, got {value_tok!r}", line)
+        else:
+            value = parse_scalar(value_tok, exact, line)
+            if not exact and not math.isfinite(value):
+                raise DatasetFormatError(f"probability {value_tok!r} is not finite", line)
+        row = table.setdefault(menu, {})
+        if alt in row:
+            raise DatasetFormatError(
+                f"duplicate row for ({menu_tok!r}, {alt!r})", line
+            )
+        row[alt] = value
+
+    if mode != "counts":
+        for menu, row in table.items():
+            if exact:
+                scale = math.lcm(*(p.denominator for p in row.values()))
+                off = sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale
+            else:
+                off = abs(sum(row.values()) - 1) > FILE_ROW_SUM_TOL
+            if off:
+                raise DatasetFormatError(
+                    f"probabilities for menu {_menu_token(universe, menu)!r} sum to "
+                    f"{format_scalar(sum(row.values()))}, not 1"
+                )
+    try:
+        if mode == "counts":
+            return ChoiceCounts(universe, table)
+        return StochasticChoice(universe, table, eps_sum=FILE_ROW_SUM_TOL)
+    except LamError as e:
+        raise DatasetFormatError(str(e)) from None
+
+
+#: One mutation of a written file each, by name; "none" leaves it as written.
+MUTATIONS = (
+    "none", "drop-field", "unknown-alternative", "duplicate", "bad-number", "non-finite",
+    "denominator", "past-digit-limit", "off-range", "clamped-sum", "off-sum", "no-observations",
+)
+
+
+def written(x: F, form: str, k: int = 1) -> str:
+    """``x`` as a value of a file written in ``form``; an exact value as a
+    ratio of ints ``k`` times its reduced ones, when ``k`` is not 1."""
+    if form == "exact":
+        x = F(x)
+        return format_scalar(x) if k == 1 else f"{format_scalar(F(x.numerator * k))}/{format_scalar(F(x.denominator * k))}"
+    return repr(float(x)) if form == "float" else str(math.floor(x))
+
+
+@st.composite
+def dataset_files(draw):
+    """A written ``pairs()`` AI table, as exact or float probabilities or as
+    counts (its entries over each row's scale), with its lines shuffled,
+    menu tokens in other member orders, members omitted, spaces, comments
+    and blank lines mixed in, and one mutation; and the mode to parse it in."""
+    ai, _ = draw(extreme_pairs())
+    universe, view = ai.universe, ai._dense
+    form = draw(st.sampled_from(("exact", "float", "counts")))
+    k = draw(st.sampled_from((1, 1, 2, 6)))  # unreduced exact ratios
+    lines = []
+    for menu in ai.domain:
+        i = view.rows[menu]
+        for a in universe.sorted_members(menu):
+            p = ai.table[menu][a]
+            value = written(view.entries[i, universe.index(a)] if form == "counts" else p, form, k)
+            # a member omitted where the row still sums to 1 within the tolerance
+            omittable = form == "counts" or p == 0 or form == "float" and p < 1e-9
+            if not (omittable and draw(st.integers(0, 2)) == 0):
+                lines.append([list(universe.sorted_members(menu)), a, value])
+    lines = draw(st.permutations(lines))
+    for fields in lines:
+        fields[0] = ";".join(draw(st.permutations(fields[0])))
+    mutation = draw(st.sampled_from(MUTATIONS)) if lines else "none"  # no lines: no data rows
+    target = lines[draw(st.integers(0, len(lines) - 1))] if lines else None
+    if mutation == "drop-field":
+        del target[draw(st.integers(0, 2))]
+    elif mutation == "unknown-alternative":
+        target[draw(st.integers(0, 1))] += "q" if draw(st.booleans()) else ";q"
+    elif mutation == "duplicate":  # a bad value on the duplicate names the value
+        lines.insert(draw(st.integers(0, len(lines))), target[:2] + [draw(st.sampled_from((target[2], "abc")))])
+    elif mutation == "bad-number":
+        target[2] = draw(st.sampled_from(("abc", "1/2/3", "/3", "1/", "", "0.5/2", "1e5", "0x10")))
+    elif mutation == "non-finite":
+        target[2] = draw(st.sampled_from(("nan", "inf", "-inf", "1e400")))
+    elif mutation == "denominator":
+        target[2] = draw(st.sampled_from(("1/0", "0/0", "1/-2", "-1/-2", "-0/-3")))
+    elif mutation == "past-digit-limit":
+        pad = "0" * 4400
+        num, _, den = target[2].partition("/")
+        target[2] = f"{num}{pad}/{den or 1}{pad}" if draw(st.booleans()) else "7" * 4400
+    elif mutation == "off-range" and form == "counts":
+        target[2] = "-" + target[2]
+    elif mutation == "off-range":  # mass moved within the row: off [0, 1], or clamped off 1
+        shift = draw(st.sampled_from((F(1, 2), F(-1, 2), F(1, 10**5), F(9, 10**7))))
+        row = [f for f in lines if set(f[0].split(";")) == set(target[0].split(";"))]
+        values = [F(f[2]) - shift for f in row]
+        values[0] = values[0] + shift * len(row) if len(row) > 1 else -shift
+        for fields, value in zip(row, values):
+            fields[2] = written(value, form)
+    elif mutation == "clamped-sum":  # the longest row: two negatives within the tolerance
+        members = max((set(f[0].split(";")) for f in lines), key=len)
+        row = [f for f in lines if set(f[0].split(";")) == members]
+        s = F(9, 10**7)
+        for fields, value in zip(row, [F(1, 2) + s, F(1, 2) + s, -s, -s] + [F(0)] * len(row)):
+            fields[2] = written(value, form)
+    elif mutation == "off-sum":
+        target[2] = draw(st.sampled_from(("0", "1", "1/3", "0.999", "5")))
+    elif mutation == "no-observations":
+        for fields in lines:
+            if set(fields[0].split(";")) == set(target[0].split(";")):
+                fields[2] = "0"
+    text = [
+        "mode," + ("counts" if form == "counts" else "probabilities"),
+        "universe," + ";".join(universe.alternatives),
+        "menu,alternative,value",
+    ]
+    for fields in lines:
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        text.append(f"{pad},{pad}".join(fields) + pad)
+    for _ in range(draw(st.integers(0, 3))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(("", "# a comment", "  ", "#,x,1"))))
+    exact = (form == "exact") != (draw(st.integers(0, 3)) == 0)
+    return "\n".join(text) + "\n", exact
+
+
+def parsed(text: str, exact: bool, parse):
+    """What ``parse`` makes of a file: its error, or everything observable,
+    each value with its type and each float by its bits."""
+    try:
+        data = parse(text, exact)
+    except LamError as e:
+        return type(e), str(e)
+
+    def cell(v):
+        return type(v), v.hex() if isinstance(v, float) else v
+
+    rows = data.counts if isinstance(data, ChoiceCounts) else data.table
+    try:
+        view = data._dense
+        arrays = [(a.dtype, a.shape, a.tobytes() if a.dtype != object else list(map(cell, a.ravel())))
+                  for a in (view.mask, view.entries, view.scale) if a is not None]
+        arrays.append(list(view.rows.items()))
+    except LamError as e:
+        arrays = (type(e), str(e))
+    flags = (data.is_exact, data.is_positive, data.eps_sum) if hasattr(data, "is_exact") else ()
+    return (type(data), data.universe, data.domain,
+            [(m, [(a, *cell(v)) for a, v in row.items()]) for m, row in rows.items()], arrays, flags)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(dataset_files())
+# a float row sum as written, in file order: 0.3 + 0.2 + 0.1 is 0.6, and
+# 0.1 + 0.2 + 0.3 is 0.6000000000000001
+@example(("mode,probabilities\nuniverse,a;b;c\nmenu,alternative,value\n"
+          "a;b;c,c,0.3\na;b;c,b,0.2\na;b;c,a,0.1\n", False))
+# an exact row over the lcm of its reduced denominators, 2 here
+@example(("mode,probabilities\nuniverse,a;b;c\nmenu,alternative,value\n"
+          "a;b,a,2/4\na;b,b,3/6\nc;a,c,1\n", True))
+def test_parse_agrees_with_the_line_by_line_parser(case):
+    text, exact = case
+    assert parsed(text, exact, parse_dataset) == parsed(text, exact, line_by_line_parse)

@@ -14,8 +14,9 @@ entry points in both scalar modes, and its parameters through simulation
 and a short EM fit.  In exact mode every identification cubic of odd
 degree that is not identically zero names a root.
 
-The extreme tables also go through the CLI as written files: each
-command exits with 0, 1 or 2 and lets no exception escape.
+The extreme tables also go through the CLI as written files, the AI
+table also as counts (its entries over each row's scale): each command
+exits with 0, 1 or 2 and lets no exception escape.
 """
 
 import io
@@ -27,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lam import (
+    ChoiceCounts,
     LamError,
     LamParams,
     StochasticChoice,
@@ -105,12 +107,20 @@ def test_cli_on_written_extreme_tables_exits_0_1_or_2(tmp_path_factory, pair):
     ai.write_text(serialize_dataset(pair[0]))
     human.write_text(serialize_dataset(pair[1]))
     tables = ["--ai", str(ai), "--human", str(human)]
-    for argv in (["identify-lab", *tables, "--anchor", "a"], ["check-axioms", *tables],
-                 ["identify-field", "--ai", str(ai), "--anchor", "a"]):
-        for flags in ([], ["--exact"], ["--tol", "0.01"], ["--exact", "--tol", "0.01"]):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                code = main(argv + flags)
-            assert code in (0, 1, 2), argv + flags
+    runs = [(argv, flags) for argv in (["identify-lab", *tables, "--anchor", "a"], ["check-axioms", *tables],
+                                       ["identify-field", "--ai", str(ai), "--anchor", "a"])
+            for flags in ([], ["--exact"], ["--tol", "0.01"], ["--exact", "--tol", "0.01"])]
+    # the AI table as counts: its entries over each row's scale, as integers
+    counts, rho, view = work / "counts.csv", pair[0], pair[0]._dense
+    counts.write_text(serialize_dataset(ChoiceCounts(rho.universe, {
+        m: {a: view.entries[view.rows[m], rho.universe.index(a)] for a in row} for m, row in rho.table.items()
+    })))
+    runs += [(["fit", "--data", str(counts), "--starts", "1", "--seed", "1", "--max-iter", "20"], []),
+             (["identify-lab", "--ai", str(counts), "--human", str(human), "--anchor", "a", "--exact"], [])]
+    for argv, flags in runs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv + flags)
+        assert code in (0, 1, 2), argv + flags
 
 
 #: Utility mantissas and powers of ten: 1e-300 to 1e300.
