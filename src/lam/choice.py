@@ -45,6 +45,7 @@ from .types import (
     UtilityRangeError,
     _floats,
     _incidence,
+    _member_pairs,
     _rows,
     _show,
     is_exact_scalar,
@@ -349,23 +350,28 @@ def _products(f: list) -> tuple[tuple, tuple | None]:
 @lru_cache(maxsize=8)
 def _layout(universe: Universe, menus: tuple[Menu, ...]):
     """Runs of the pairs sharing menus, the runs' offsets in the tuple order,
-    and per held count the flat indices of x's and of y's cells in a menus x
+    per held count the flat indices of x's and of y's cells in a menus x
     universe array, then in a second one after it, a row per pair: an array
-    shaped (4, pairs, menus held).
+    shaped (4, pairs, menus held), and the ratio graph's ``edges``.
 
     A run ``(xs, ys, held)`` is consecutive pairs x before y holding equally
     many menus, at least two, with those menus' rows in ``held``, a row per
     pair, and at most ``_PASS_TUPLES`` tuples unless one pair has more.
+    ``edges`` is ``(xs, ys, lo, menu)``: each pair x before y sharing a menu
+    (:func:`types._member_pairs`), and its menus ``menu[lo[j] : lo[j + 1]]``.
     """
-    inc, n = _incidence(universe, menus), universe.size
-    pairs = []
-    for x, y in combinations(range(n), 2):
-        held = np.flatnonzero(inc[:, x] & inc[:, y])
-        if len(held) > 1:
-            pairs.append((x, y, held))
+    n = universe.size
+    row, col, _, (k, l) = _member_pairs(_incidence(universe, menus))
+    k, l = k[k < l], l[k < l]  # x before y, as each menu's members are in order
+    key = col[k] * n + col[l]
+    order = np.argsort(key, kind="stable")  # by (x, y), each pair's menus in order
+    key, menu = key[order], row[k[order]]
+    lo = np.append(np.flatnonzero(np.diff(key, prepend=-1)), len(key))
+    (px, py), count = np.divmod(key[lo[:-1]], n), np.diff(lo)
     runs, sizes, cells = [], [0], []
-    for h, group in groupby(pairs, key=lambda pair: len(pair[2])):
-        xs, ys, held = map(np.array, zip(*group))
+    for h, group in groupby(np.flatnonzero(count > 1).tolist(), key=count.tolist().__getitem__):
+        group = np.array(list(group))
+        xs, ys, held = px[group], py[group], menu[lo[group, None] + np.arange(h)]
         x, y = held * n + xs[:, None], held * n + ys[:, None]
         cells.append(np.array([x, y, x + len(menus) * n, y + len(menus) * n]))
         tuples = h * (h - 1) // 2
@@ -373,7 +379,7 @@ def _layout(universe: Universe, menus: tuple[Menu, ...]):
         for i in range(0, len(xs), step):
             runs.append((xs[i : i + step], ys[i : i + step], held[i : i + step]))
             sizes.append(len(runs[-1][0]) * tuples)
-    return runs, np.cumsum(sizes), cells
+    return runs, np.cumsum(sizes), cells, (px, py, lo, menu)
 
 
 class _Kernel:
@@ -419,7 +425,7 @@ class _Kernel:
         self.mask, self.c, (self.mine, *theirs) = _rows(tables, self.menus)
         self.exact = self.c is not None
         self.theirs = theirs[0] if theirs else None
-        self.runs, self.starts, self.cells = _layout(self.universe, self.menus)
+        self.runs, self.starts, self.cells, self.edges = _layout(self.universe, self.menus)
         self.eff = eff
         # |d| <= 1, |p| <= 2 and the gaps are at most 4: a larger
         # tolerance decides every test as 8 does, and has no float
@@ -973,29 +979,37 @@ _PIVOT_MIN = 1e-12
 def _cholesky_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
     """The solution of ``a x = b`` for symmetric positive definite ``a``.
 
-    A plain Cholesky factorisation a = L L^T and two triangular solves,
-    every sum taken by ``math.fsum`` in pure Python: no BLAS or LAPACK,
-    so the result is the same on every CPU.  ``a`` and ``b`` must be
-    finite.  Returns None when a pivot is not positive beyond
-    ``_PIVOT_MIN`` of its diagonal entry, that is when ``a`` is indefinite
-    or (numerically) singular.
+    A Cholesky factorisation a = L L^T, row by row within the envelope of
+    ``a`` (George & Liu 1981), and two triangular solves, every sum taken
+    by ``math.fsum`` in pure Python: no BLAS or LAPACK, so the result is
+    the same on every CPU.  Row i of L is zero left of ``first[i]``, row
+    i's first nonzero in ``a``, and its sums skip those columns: the
+    skipped terms are exact zeros, and fsum rounds the exact sum once
+    (+0.0 when it is zero), so every bit, and which pivot fails, is that
+    of the dense factorisation.  ``a`` and ``b`` must be finite.  Returns
+    None when a pivot is not positive beyond ``_PIVOT_MIN`` of its
+    diagonal entry, that is when ``a`` is indefinite or (numerically)
+    singular.
     """
     m = len(b)
-    low = [[0.0] * m for _ in range(m)]
-    for j in range(m):
-        d = math.fsum([a[j][j]] + [-low[j][k] ** 2 for k in range(j)])
-        if not d > _PIVOT_MIN * abs(a[j][j]):
+    first = [0 if row[0] else next(compress(range(i), row), i) for i, row in enumerate(a)]  # no search on dense rows
+    low = []
+    for i, (ai, fi) in enumerate(zip(a, first)):
+        li = [0.0] * m
+        for j in range(fi, i):
+            lj = low[j]
+            li[j] = math.fsum([ai[j]] + [-li[k] * lj[k] for k in range(fi, j)]) / lj[j]
+        d = math.fsum([ai[i]] + [-v ** 2 for v in li[fi:i]])
+        if not d > _PIVOT_MIN * abs(ai[i]):
             return None
-        low[j][j] = math.sqrt(d)
-        for i in range(j + 1, m):
-            s = math.fsum([a[i][j]] + [-low[i][k] * low[j][k] for k in range(j)])
-            low[i][j] = s / low[j][j]
-    y = [0.0] * m
-    for i in range(m):
-        y[i] = math.fsum([b[i]] + [-low[i][k] * y[k] for k in range(i)]) / low[i][i]
+        li[i] = math.sqrt(d)
+        low.append(li)
+    y = []
+    for i, (li, fi) in enumerate(zip(low, first)):
+        y.append(math.fsum([b[i]] + [-li[k] * y[k] for k in range(fi, i)]) / li[i])
     x = [0.0] * m
     for i in reversed(range(m)):
-        x[i] = math.fsum([y[i]] + [-low[k][i] * x[k] for k in range(i + 1, m)]) / low[i][i]
+        x[i] = math.fsum([y[i]] + [-low[k][i] * x[k] for k in range(i + 1, m) if first[k] <= i]) / low[i][i]
     return x
 
 
@@ -1040,22 +1054,16 @@ def recover_luce_utility(
             + kernel.tuple_at(int(bad[0][0])).describe(universe)
         )
 
-    # one edge per pair of alternatives sharing menus, both ways: step[x, y]
-    # is u(y)/u(x) from the first shared menu in exact mode, and the mean of
-    # log u(y)/u(x) over the shared menus in float mode
-    view, n, exact = rho._dense, universe.size, rho.is_exact
-    e = view.entries  # ints over each row's lcm when exact
-    step: dict[tuple[int, int], Scalar] = {}
-    xs, ys = _triangle(n)  # the pairs x before y, in order
-    pair, menu = np.nonzero((view.mask[:, xs] & view.mask[:, ys]).T)  # each pair's menus in order
-    linked, first, count = np.unique(pair, return_index=True, return_counts=True)
+    # one edge per pair x before y sharing menus (the kernel's layout): u(y)/u(x)
+    # from the first shared menu when exact, else the mean log u(y)/u(x) over them
+    e, n, exact = rho._dense.entries, universe.size, rho.is_exact  # ints over each row's lcm when exact
+    xs, ys, lo, menu = kernel.edges
     if exact:
-        menu = menu[first]
-        xs, ys = xs[linked], ys[linked]
-        for x, y, ex, ey in zip(xs.tolist(), ys.tolist(), e[menu, xs].tolist(), e[menu, ys].tolist()):
-            step[x, y], step[y, x] = Fraction(ey, ex), Fraction(ex, ey)
+        at = menu[lo[:-1]]
+        links = list(map(Fraction, e[at, ys].tolist(), e[at, xs].tolist()))
     else:
-        ex, ey = e[menu, xs[pair]], e[menu, ys[pair]]
+        count = np.diff(lo)
+        ex, ey = e[menu, np.repeat(xs, count)], e[menu, np.repeat(ys, count)]
         # a ratio over a subnormal entry may overflow; its log is then taken
         # as log e_y - log e_x, which stays in range
         with np.errstate(over="ignore"):
@@ -1063,18 +1071,20 @@ def recover_luce_utility(
         if math.inf in logs:
             logs = [r if r < math.inf else math.log(b) - math.log(a)
                     for r, a, b in zip(logs, ex.tolist(), ey.tolist())]
-        for x, y, lo, m in zip(xs[linked].tolist(), ys[linked].tolist(), first.tolist(), count.tolist()):
-            step[x, y] = math.fsum(logs[lo : lo + m]) / m
-            step[y, x] = -step[x, y]
+        links = [math.fsum(logs[i:j]) / (j - i) for i, j in zip(lo.tolist(), lo[1:].tolist())]
+    near = [[] for _ in range(n)]  # each alternative's neighbours in index order, and the links
+    for x, y, link in zip(xs.tolist(), ys.tolist(), links):
+        near[x].append((y, link))
+        near[y].append((x, 1 / link if exact else -link))
 
     # float mode reads only which alternatives the walk reaches
     util: dict[int, Scalar] = {root: Fraction(1)}
     frontier = [root]
     while frontier:
         here = frontier.pop()
-        for nxt in range(n):
-            if (here, nxt) in step and nxt not in util:
-                util[nxt] = util[here] * step[here, nxt] if exact else None
+        for nxt, link in near[here]:
+            if nxt not in util:
+                util[nxt] = util[here] * link if exact else None
                 frontier.append(nxt)
 
     missing = [a for k, a in enumerate(universe.alternatives) if k not in util]
@@ -1085,15 +1095,18 @@ def recover_luce_utility(
         )
 
     if not exact:
-        # minimise the sum over edges of (l_y - l_x - step[x, y])^2 in
+        # minimise the sum over edges of (l_y - l_x - log u(y)/u(x))^2 in
         # l = log u: the Laplacian's diagonal holds the degrees, with -1
-        # per edge, and row k's right-hand side sums step[j, k] over k's
+        # per edge, and row k's right-hand side sums log u(k)/u(j) over k's
         # neighbours j
         free = [k for k in range(n) if k != root]
-        degree = [sum((i, j) in step for j in range(n)) for i in range(n)]
-        lap = [[float(degree[i]) if i == k else -float((i, k) in step) for k in free] for i in free]
-        rhs = [math.fsum(step[j, k] for j in range(n) if (j, k) in step) for k in free]
-        logs = _cholesky_solve(lap, rhs)
+        lap = [[0.0] * len(free) for _ in free]
+        for row, k in zip(lap, free):
+            row[k - (k > root)] = float(len(near[k]))
+            for j, _ in near[k]:
+                if j != root:
+                    row[j - (j > root)] = -1.0
+        logs = _cholesky_solve(lap, [math.fsum(-link for _, link in near[k]) for k in free])
         util = {root: 1.0}
         for k, x in zip(free, logs):
             try:

@@ -245,17 +245,24 @@ class _Dense:
 
     @cached_property
     def members(self) -> _Members:
-        """Each (menu, alternative) pair with the alternative in the menu, in
-        row-major order, as ``row``, ``col`` and the ``values`` there; each
-        menu's ``start`` in that list; and its ordered member ``pairs`` (k, l),
-        k = l included, as two rows of offsets.  Built once per view."""
-        row, col = np.nonzero(self.mask)
-        size = np.bincount(row, minlength=len(self.mask))
-        start, reps = np.cumsum(size) - size, size[row]
-        # membership k pairs with each of its menu's size[row[k]] members in turn
-        first = np.repeat(np.arange(len(row)), reps)
-        second = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps - start[row], reps)
-        return _Members(row, col, start, self.entries[row, col], np.stack((first, second)))
+        """:func:`_member_pairs` of the mask, each menu's (menu, alternative)
+        pairs with the ``values`` there.  Built once per view."""
+        row, col, start, pairs = _member_pairs(self.mask)
+        return _Members(row, col, start, self.entries[row, col], pairs)
+
+
+def _member_pairs(mask: np.ndarray):
+    """The cells ``row``, ``col`` of ``mask`` in row-major order, each row's
+    ``start`` in that list, and its ordered member ``pairs`` (k, l), k = l
+    included, as two rows of offsets into it, in row-major order: O(sum of
+    squared row sizes), whatever the width of ``mask``."""
+    row, col = np.nonzero(mask)
+    size = np.bincount(row, minlength=len(mask))
+    start, reps = np.cumsum(size) - size, size[row]
+    # membership k pairs with each of its menu's size[row[k]] members in turn
+    first = np.repeat(np.arange(len(row)), reps)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps - start[row], reps)
+    return row, col, start, np.stack((first, second))
 
 
 _Members = namedtuple("_Members", "row col start values pairs")

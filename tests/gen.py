@@ -2,10 +2,16 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 from lam import LamParams, StochasticChoice, Universe, lam_table, luce_table
 
 ALT_NAMES = tuple("abcdefghij")
+
+
+def names(n: int) -> tuple[str, ...]:
+    """The first ``n`` alternative names: ``ALT_NAMES``, then z0, z1, ..."""
+    return (ALT_NAMES + tuple(f"z{i}" for i in range(n - len(ALT_NAMES))))[:n]
 
 
 def random_utility(rng: random.Random, alts, max_int: int = 20):
@@ -19,7 +25,7 @@ def random_params(
     require_misaligned: bool = True,
 ) -> LamParams:
     """Random rational parameters, anchored at the first alternative."""
-    uni = Universe(ALT_NAMES[:n_alts])
+    uni = Universe(names(n_alts))
     while True:
         u = random_utility(rng, uni.alternatives)
         v = random_utility(rng, uni.alternatives)
@@ -44,6 +50,30 @@ def forward_pair(params: LamParams, min_size: int = 2):
         lam_table(params, menus),
         luce_table(params.universe, params.u, menus),
     )
+
+
+def linear_design(n: int) -> tuple[Universe, list]:
+    """A universe of ``n`` names and its linear design: for each y other than
+    the anchor a (the first name), the menus {a,y}, {a,y,z}, {a,y,t} and
+    {a,y,z,t}, with z and t the two names after y in a cycle over the other
+    names, each menu once: 4(n - 1) menus from n = 6 on.  The ratio graph
+    is a band of width 2 plus the anchor's star, with the cycle's wrap in
+    its last rows."""
+    uni = Universe(names(n))
+    a, rest = uni.alternatives[0], uni.alternatives[1:]
+    menus = {}
+    for i, y in enumerate(rest):
+        z, t = rest[(i + 1) % len(rest)], rest[(i + 2) % len(rest)]
+        menus.update(dict.fromkeys(map(frozenset, ({a, y}, {a, y, z}, {a, y, t}, {a, y, z, t}))))
+    return uni, list(menus)
+
+
+def star_design(n: int) -> tuple[Universe, list]:
+    """A universe of ``n`` names and every menu of 2-4 members that holds the
+    anchor (the first name)."""
+    uni = Universe(names(n))
+    a, rest = uni.alternatives[0], uni.alternatives[1:]
+    return uni, [frozenset((a, *others)) for r in (1, 2, 3) for others in combinations(rest, r)]
 
 
 def perturb_entry(

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gen
+import oracles
 from lam import (
     InstabilityTuple,
     InsufficientDataError,
@@ -597,6 +598,33 @@ def test_recover_float_least_squares_accuracy():
         chained.append(chained[-1] * rho.prob(y, menu) / rho.prob(x, menu))
     util = recover_luce_utility(rho, "a")
     assert [util[a] for a in "abcd"] == pytest.approx(chained, rel=1e-15)
+
+
+def test_recover_matches_the_mask_broadcast_oracle():
+    # the ratio graph from the kernel's pair list, the walk over adjacency
+    # lists and the envelope Cholesky give the utilities, bit for bit, of
+    # a menus x pairs mask, probes of every alternative and the dense solve
+    rng = random.Random(38)
+    for uni, menus in (gen.linear_design(40), gen.star_design(12)):
+        rho = luce_table(uni, gen.random_utility(rng, uni.alternatives), menus).as_float()
+        for anchor in (uni.alternatives[0], uni.alternatives[-1]):
+            got = recover_luce_utility(rho, anchor)
+            want = oracles.mask_broadcast_utility(rho, anchor)
+            assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
+    # exact mode on a table a little off Luce, within tol: the odds differ
+    # by menu, so the chain's value depends on the path the walk takes
+    uni, menus = gen.linear_design(12)
+    u = gen.random_utility(rng, uni.alternatives)
+    rows = {m: luce_choice(u, m) for m in menus}
+    for m in menus[1::3]:
+        x, y = uni.sorted_members(m)[-2:]
+        moved = rows[m][y] / rng.randint(200, 400)
+        rows[m][x], rows[m][y] = rows[m][x] + moved, rows[m][y] - moved
+    rho = StochasticChoice(uni, rows)
+    for anchor in (uni.alternatives[0], uni.alternatives[5], uni.alternatives[-1]):
+        got = recover_luce_utility(rho, anchor, tol=F(1, 100))
+        assert got == oracles.mask_broadcast_utility(rho, anchor)
+        assert got != {a: w / u[anchor] for a, w in u.items()}
 
 
 @given(rational_params())

@@ -755,8 +755,9 @@ def test_float_lab_reports_independent_of_cpu(run_python, tmp_path):
     # numpy transcendental, and their one BLAS call, the compliance sums'
     # limb product, sums ints below 2**53, which is exact on any kernel: so
     # their bytes do not depend on the kernels the CPU selects.  The n = 8
-    # pair on every menu runs that product on 64-menu blocks.  Not covered
-    # yet: fit (numpy's dispatched log and exp in the EM)
+    # pair on every menu runs that product on 64-menu blocks, and the n = 40
+    # linear design the envelope Cholesky on a banded Laplacian.  Not
+    # covered yet: fit (numpy's dispatched log and exp in the EM)
     rng = random.Random(6)
     params = gen.random_params(rng, 6)
     menus = [m for m in params.universe.all_menus(2) if rng.random() < 0.5]
@@ -766,10 +767,14 @@ def test_float_lab_reports_independent_of_cpu(run_python, tmp_path):
     large = gen.random_params(rng, 8)
     for name, table in zip(("ai8", "human8"), gen.forward_pair(large)):
         (tmp_path / f"{name}.csv").write_text(serialize_dataset(table.as_float()))
+    linear, (uni, menus) = gen.random_params(rng, 40), gen.linear_design(40)
+    for name, table in (("ai40", lam_table(linear, menus)), ("human40", luce_table(uni, linear.u, menus))):
+        (tmp_path / f"{name}.csv").write_text(serialize_dataset(table.as_float()))
     argv = [str(DATA / "lab_ai.csv"), str(DATA / "lab_human.csv"), "x",
             str(DATA / "lab_ai.csv"), str(DATA / "lab_human_perturbed.csv"), "x",
             str(tmp_path / "ai.csv"), str(tmp_path / "human.csv"), params.anchor,
-            str(tmp_path / "ai8.csv"), str(tmp_path / "human8.csv"), large.anchor]
+            str(tmp_path / "ai8.csv"), str(tmp_path / "human8.csv"), large.anchor,
+            str(tmp_path / "ai40.csv"), str(tmp_path / "human40.csv"), linear.anchor]
     outputs = set()
     for setting in CPU_SETTINGS:
         proc = run_python("-c", LAB_REPORTS, *argv, env=setting)
@@ -777,7 +782,7 @@ def test_float_lab_reports_independent_of_cpu(run_python, tmp_path):
         outputs.add(proc.stdout)
     assert len(outputs) == 1, "float lab reports differ across CPU settings"
     (out,) = outputs
-    assert out.count("status,point-identified") == 3 and "mode,float" in out
+    assert out.count("status,point-identified") == 4 and "mode,float" in out
 
 
 EXACT_FIELD_REPORTS = """

@@ -1,5 +1,6 @@
 """Simulation, likelihood, EM ascent, gradient checks, MLE fitting."""
 
+import itertools
 import math
 import random
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import gen
+import oracles
 from lam import (
     ChoiceCounts,
     InvalidParameterError,
@@ -396,9 +398,9 @@ def test_fit_at_the_aligned_saddle_is_no_maximum(uni4, ex_b_params):
     assert not fit.maximum
 
 
-def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
-    # criterion 7's first random start after 20 EM maps, where -H has an
-    # eigenvalue near -746: the Cholesky of -H fails, a shifted one does not
+def _criterion7_start(uni4, ex_b_params):
+    """Criterion 7's first random start after 20 EM maps: the counts' view,
+    the point, its E-step, gradient and -H, which has an eigenvalue near -746."""
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
     view = counts._dense
     rng = estimate._rng(7)  # fit_mle's draw for its second start, seed 7
@@ -409,7 +411,12 @@ def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
     e = estimate._e_step(view, *point)
     d_u, d_v, d_logit = estimate._gradient(view, e, point[2])
     grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
-    neg = -estimate._hessian(view, e, point[2])
+    return view, point, e, grad, -estimate._hessian(view, e, point[2])
+
+
+def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
+    # at criterion 7's start the Cholesky of -H fails, a shifted one does not
+    view, point, e, grad, neg = _criterion7_start(uni4, ex_b_params)
     assert estimate._cholesky_solve(neg.tolist(), grad.tolist()) is None
     step = estimate._newton_step(view, point, e, grad)
     assert step is not None
@@ -536,18 +543,61 @@ def test_cholesky_solve_matches_a_known_system():
     assert got == pytest.approx(x, abs=1e-14)
 
 
-@pytest.mark.parametrize(
-    "a",
-    [
-        [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1
-        [[-1.0, 0.0], [0.0, 2.0]],
-        [[1.0, 1.0], [1.0, 1.0]],  # singular
-        [[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [3.0, 3.0, 6.0]],  # row 3 = row 1 + row 2
-        [[0.0, 0.0], [0.0, 0.0]],
-    ],
-)
+NOT_POSITIVE_DEFINITE = [
+    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1
+    [[-1.0, 0.0], [0.0, 2.0]],
+    [[1.0, 1.0], [1.0, 1.0]],  # singular
+    [[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [3.0, 3.0, 6.0]],  # row 3 = row 1 + row 2
+    [[0.0, 0.0], [0.0, 0.0]],
+]
+
+
+@pytest.mark.parametrize("a", NOT_POSITIVE_DEFINITE)
 def test_cholesky_solve_refuses_indefinite_and_singular(a):
     assert estimate._cholesky_solve(a, [1.0] * len(a)) is None
+
+
+def _design_laplacian(design) -> np.ndarray:
+    """The ratio graph's Laplacian of a (universe, menus) design without the
+    anchor's row and column, the anchor being the first name."""
+    uni, menus = design
+    lap = np.zeros((uni.size, uni.size))
+    for menu in menus:
+        for x, y in itertools.combinations(sorted(map(uni.index, menu)), 2):
+            lap[x, y] = lap[y, x] = -1.0
+    lap -= np.diag(lap.sum(axis=1))
+    return lap[1:, 1:]
+
+
+def test_cholesky_solve_matches_the_dense_oracle(uni4, ex_b_params):
+    # the envelope Cholesky drops only exact zeros: its solutions and its
+    # None verdicts are the dense factorisation's, bit for bit, with the
+    # sign of every zero, on full, banded and arrow matrices, the linear
+    # design's Laplacian (its cyclic wrap fills the last rows; off the
+    # edges the Laplacian once held -0.0), -H of criterion 7's start
+    # (indefinite) and -H shifted, and the matrices that are not definite
+    rng = np.random.default_rng(38)
+    systems = []
+    for m in (1, 2, 3, 5, 8, 13):
+        g = rng.normal(size=(m, m))
+        arrow = np.diag(rng.uniform(m, 2 * m, m))
+        arrow[0, 1:] = arrow[1:, 0] = rng.uniform(-1, 1, m - 1)
+        band = np.diag(rng.uniform(2, 4, m)) - np.eye(m, k=1) - np.eye(m, k=-1)
+        systems += [g @ g.T + m * np.eye(m), band, arrow, arrow[::-1, ::-1]]
+    for n in (8, 40):
+        lap = _design_laplacian(gen.linear_design(n))
+        systems += [lap, np.where(lap == 0, -0.0, lap)]
+    neg = _criterion7_start(uni4, ex_b_params)[-1]
+    systems += [neg, neg + 1000 * np.eye(len(neg))]
+    verdicts = []
+    for a in [s.tolist() for s in systems] + NOT_POSITIVE_DEFINITE:
+        for b in (rng.normal(size=len(a)).tolist(), [0.0] * len(a)):
+            got, want = estimate._cholesky_solve(a, b), oracles.dense_cholesky_solve(a, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+            verdicts.append(got is None)
+    assert sum(verdicts) == 2 * (1 + len(NOT_POSITIVE_DEFINITE))
 
 
 def test_gain_equals_the_likelihood_difference():

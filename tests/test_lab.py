@@ -1,6 +1,7 @@
 """Laboratory identification, compliance estimation, the axiom checker."""
 
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -402,6 +403,22 @@ def test_lab_passes_stream_in_bounded_memory():
             tracemalloc.stop()
         assert (result.status, report.overall) == (status, status == "point-identified")
         assert peak < 16 * 2**20, peak
+
+
+def test_lab_scales_with_the_menus_it_reads():
+    # the float linear design at n = 512, 2,044 menus: the IIA scans, the
+    # ratio graph and its Laplacian read the menus' member pairs, and the
+    # envelope Cholesky skips the band's zeros, so neither call works
+    # through all C(n, 2) pairs or an O(n**3) dense factor
+    params = gen.random_params(random.Random(512), 512)
+    uni, menus = gen.linear_design(512)
+    ai = lam_table(params, menus).as_float()
+    human = luce_table(uni, params.u, menus).as_float()
+    for call, check in ((lambda: identify_lab(ai, human, params.anchor).status, "point-identified"),
+                        (lambda: check_axioms(ai, human).overall, True)):
+        started = time.perf_counter()
+        assert call() == check
+        assert time.perf_counter() - started < 5.0
 
 
 def test_identify_lab_partial_domain():
