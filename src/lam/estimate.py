@@ -25,9 +25,10 @@ is summed term by term too.  A start stops on the gradient, not on the
 likelihood change, or where a step can no longer gain: EM's gain is then
 below the rounding of the likelihood.  Estimation is double-precision
 throughout; exact inputs are converted on entry.
-It runs as array operations on the counts' membership list,
-``data._dense.members``, never reading a cell off a menu: menu totals by
-``np.add.reduceat``, per-alternative sums by ``np.bincount``, scalar
+It holds (u, v) as one vector w and runs as array operations on the
+counts' membership list, ``data._dense.members``, or on ``both``, that
+list for each rule end to end, never reading a cell off a menu: menu totals
+by ``np.add.reduceat``, per-alternative sums by ``np.bincount``, scalar
 totals by ``math.fsum``, so every float reduction has a fixed order and
 no result depends on ``PYTHONHASHSEED``.
 
@@ -111,74 +112,63 @@ def simulate_counts(
 # ---------------------------------------------------------------------------
 
 
-def _vectors(params: LamParams) -> tuple[np.ndarray, np.ndarray, float]:
-    """u and v in universe order and alpha, each value as ``float`` of it."""
-    return (np.array(params.u_vector(), dtype=float), np.array(params.v_vector(), dtype=float),
-            float(params.alpha))
+def _vectors(params: LamParams) -> tuple[np.ndarray, float]:
+    """w = (u, v), each in universe order, and alpha, each value as ``float`` of it."""
+    return np.array(params.u_vector() + params.v_vector(), dtype=float), float(params.alpha)
 
 
-def _totals(view: _Dense, x: np.ndarray) -> np.ndarray:
-    """The total of ``x`` over each membership's menu, summed in member order."""
-    return np.add.reduceat(x, view.members.start)[view.members.row]
+def _totals(at, x: np.ndarray) -> np.ndarray:
+    """The total of ``x`` over each membership's menu, summed in member order.
+    ``at`` indexes ``x``: ``view.members`` for one rule, ``view.both`` for both."""
+    return np.add.reduceat(x, at.start)[at.row]
 
 
-def _by_alt(view: _Dense, x: np.ndarray) -> np.ndarray:
-    """Each alternative's total of ``x``, one value per membership, in menu order."""
-    return np.bincount(view.members.col, x, view.mask.shape[1])
+def _by_alt(at, x: np.ndarray) -> np.ndarray:
+    """Each alternative's total of ``x`` (per rule, for both rules), summed in menu order."""
+    return np.bincount(at.col, x, at.bins)
 
 
-def _luce(view: _Dense, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Luce probabilities of utilities ``w`` at every membership, and its menu's total."""
-    cells = w[view.members.col]
-    totals = _totals(view, cells)
-    return cells / totals, totals
-
-
-def _e_step(view: _Dense, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
-    """Both components' probabilities and menu totals per membership, and the mixture."""
-    pu, su = _luce(view, u)
-    pv, sv = _luce(view, v)
-    return pu, su, pv, sv, a * pu + (1 - a) * pv
+def _e_step(view: _Dense, w: np.ndarray, a: float) -> tuple:
+    """Both rules' Luce probabilities of utilities ``w`` = (u, v) and their
+    menu totals, per membership and end to end, and the mixture."""
+    cells = w[view.both.col]
+    totals = _totals(view.both, cells)
+    p = cells / totals
+    half = len(view.members.row)
+    return p, totals, a * p[:half] + (1 - a) * p[half:]
 
 
 def _loglik(view: _Dense, mix: np.ndarray) -> float:
     return math.fsum((view.members.values * np.log(mix)).tolist())
 
 
-def _mm_step(view: _Dense, w, weights, totals, anchor: int) -> np.ndarray:
-    """One MM update of Luce utilities ``w`` on weighted counts.
+def _m_step(view: _Dense, w: np.ndarray, a: float, anchor: int, e: tuple) -> tuple:
+    """The EM update of (w, alpha) from the E-step ``e`` at that point.
 
-    Sets w(k) <- W(k) / sum over menus S containing k of N(S)/w(S), where
-    W(k) are k's weighted wins and N(S) the menu's weighted total.  The
-    update increases the weighted likelihood; alternatives with no
-    weighted wins keep their current value (their likelihood term is
-    flat at zero weight).
+    Each rule takes one MM step on its responsibility-weighted counts,
+    w(k) <- W(k) / sum over menus S containing k of N(S)/w(S) with W(k) k's
+    weighted wins and N(S) the menu's weighted total, and is rescaled to 1
+    at the anchor.  That raises the weighted likelihood (Hunter 2004); an
+    alternative with no weighted wins keeps its value (its term is flat at
+    zero weight).  At a boundary alpha the frozen rule keeps its half of ``w``.
     """
-    wins = _by_alt(view, weights)
-    denom = _by_alt(view, _totals(view, weights) / totals)
-    new = np.divide(wins, denom, out=w.copy(), where=wins > 0)
-    return new / new[anchor]
-
-
-def _m_step(view: _Dense, u, v, a: float, anchor: int, e: tuple) -> tuple:
-    """The EM update of (u, v, alpha) from the E-step ``e`` at that point."""
-    pu, su, pv, sv, mix = e
-    if a <= 0.0 or a >= 1.0:
-        warnings.warn(
-            "alpha is at a boundary; freezing it and updating the active "
-            "component only",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        if a >= 1.0:
-            return _mm_step(view, u, view.members.values, su, anchor), v, a
-        return u, _mm_step(view, v, view.members.values, sv, anchor), a
-    wu = view.members.values * a * pu / mix
-    return (
-        _mm_step(view, u, wu, su, anchor),
-        _mm_step(view, v, view.members.values - wu, sv, anchor),
-        math.fsum(wu.tolist()) / float(view.members.values.sum()),
-    )
+    p, totals, mix = e
+    counted = view.members.values
+    frozen = a <= 0.0 or a >= 1.0
+    if frozen:
+        warnings.warn("alpha is at a boundary; freezing it and updating the active component only",
+                      RuntimeWarning, stacklevel=3)
+        wu = counted if a >= 1.0 else 0.0 * counted
+    else:
+        wu = counted * a * p[: len(counted)] / mix
+    weights = np.concatenate((wu, counted - wu))
+    wins = _by_alt(view.both, weights)
+    denom = _by_alt(view.both, _totals(view.both, weights) / totals)
+    new = np.divide(wins, denom, out=w.copy(), where=wins > 0).reshape(2, -1)
+    new /= new[:, anchor, None]
+    if frozen:
+        new[int(a >= 1.0)] = w.reshape(2, -1)[int(a >= 1.0)]
+    return new.ravel(), a if frozen else math.fsum(wu.tolist()) / view.both.total
 
 
 def log_likelihood(params: LamParams, data: ChoiceCounts) -> float:
@@ -187,11 +177,11 @@ def log_likelihood(params: LamParams, data: ChoiceCounts) -> float:
     return _loglik(view, _e_step(view, *_vectors(params))[-1])
 
 
-def _gradient(view: _Dense, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _gradient(view: _Dense, e: tuple, a: float) -> np.ndarray:
     """The log-likelihood gradient at the E-step ``e`` of a point with weight ``a``.
 
-    Returns d/d log u and d/d log v for every alternative (the anchor's
-    entries included) and d/d logit alpha.  The last is a(1 - a) times
+    Returns (d/d log u, d/d log v, d/d logit alpha), the first two for every
+    alternative (the anchor's included).  The last is a(1 - a) times
     sum N (pu - pv) / mix, which the responsibilities reduce to
     sum wu - a * total.  Each entry sums one residual per membership, wu - pu W
     for d/d log u with W the menu's total wu (likewise for v), and
@@ -199,12 +189,12 @@ def _gradient(view: _Dense, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray,
     point, where the difference of two sums of the counts' size would
     read one ulp of those sums instead of the gradient.
     """
-    pu, _, pv, _, mix = e
-    wu = view.members.values * a * pu / mix
-    wv = view.members.values - wu
-    d_u = _by_alt(view, wu - pu * _totals(view, wu))
-    d_v = _by_alt(view, wv - pv * _totals(view, wv))
-    return d_u, d_v, math.fsum((wu - a * view.members.values).tolist())
+    p, _, mix = e
+    counted = view.members.values
+    wu = counted * a * p[: len(counted)] / mix
+    w = np.concatenate((wu, counted - wu))
+    d = _by_alt(view.both, w - p * _totals(view.both, w))
+    return np.concatenate((d, [math.fsum((wu - a * counted).tolist())]))
 
 
 def log_likelihood_gradient(
@@ -216,17 +206,16 @@ def log_likelihood_gradient(
     anchor is pinned at log 1 = 0) and the log-odds of alpha.  Keys are
     ("log_u", a), ("log_v", a), and ("logit_alpha", "").
     """
-    u, v, a = _vectors(params)
+    w, a = _vectors(params)
     if not 0 < a < 1:
         raise InvalidParameterError("gradient needs interior alpha")
     view = data._dense
-    d_u, d_v, d_logit = _gradient(view, _e_step(view, u, v, a), a)
+    d, n = _gradient(view, _e_step(view, w, a), a).tolist(), params.universe.size
     grad: dict[tuple[str, str], float] = {}
     for i, alt in enumerate(params.universe.alternatives):
         if alt != params.anchor:
-            grad[("log_u", alt)] = float(d_u[i])
-            grad[("log_v", alt)] = float(d_v[i])
-    grad[("logit_alpha", "")] = d_logit
+            grad[("log_u", alt)], grad[("log_v", alt)] = d[i], d[n + i]
+    grad[("logit_alpha", "")] = d[-1]
     return grad
 
 
@@ -237,14 +226,15 @@ def em_step(params: LamParams, data: ChoiceCounts) -> LamParams:
     mixture weight is frozen, only the active component is refit, and a
     warning is emitted.
     """
-    universe = params.universe
-    view = data._dense
-    u, v, a = _vectors(params)
-    u, v, a = _m_step(view, u, v, a, universe.index(params.anchor), _e_step(view, u, v, a))
-    alts = universe.alternatives
-    return LamParams(
-        universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), a, params.anchor
-    )
+    view, (w, a) = data._dense, _vectors(params)
+    w, a = _m_step(view, w, a, params.universe.index(params.anchor), _e_step(view, w, a))
+    return _params(params.universe, w, a, params.anchor)
+
+
+def _params(universe, w: np.ndarray, a: float, anchor: str) -> LamParams:
+    """The parameters at (w, alpha), w = (u, v) in universe order."""
+    w, alts = w.tolist(), universe.alternatives
+    return LamParams(universe, dict(zip(alts, w)), dict(zip(alts, w[len(alts):])), a, anchor)
 
 
 # SQUAREM extrapolates in (log u, log v, logit alpha).  A coordinate past
@@ -264,21 +254,23 @@ _NEWTON_HALVINGS = 8
 _NEWTON_SHIFTS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _coords(u: np.ndarray, v: np.ndarray, a) -> np.ndarray:
+def _coords(w: np.ndarray, a) -> np.ndarray:
     """A point as (log u, log v, logit alpha); the anchor's entries stay 0."""
-    return np.concatenate((np.log(u), np.log(v), [np.log(a) - np.log1p(-a)]))
+    return np.concatenate((np.log(w), [np.log(a) - np.log1p(-a)]))
+
+
+def _free(n: int) -> np.ndarray:
+    """The free coordinates of (log u, log v, logit alpha): all but 0 and n, the anchor's."""
+    return np.array([*range(1, n), *range(n + 1, 2 * n + 1)])
 
 
 def _point(x: np.ndarray) -> tuple | None:
-    """(u, v, alpha) at coordinates ``x``, or None where exp would overflow
+    """(w, alpha) at coordinates ``x``, or None where exp would overflow
     or alpha rounds to 0 or 1."""
     if not (np.abs(x) < _LOG_MAX).all():
         return None
     a = 1.0 / (1.0 + math.exp(-x[-1]))
-    if not 0.0 < a < 1.0:
-        return None
-    w = np.exp(x[:-1])
-    return w[: len(w) // 2], w[len(w) // 2 :], a
+    return (np.exp(x[:-1]), a) if 0.0 < a < 1.0 else None
 
 
 def _gain(view: _Dense, mix_p: np.ndarray, mix_q: np.ndarray) -> float:
@@ -304,10 +296,11 @@ def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
     The alpha row reuses the gradient's pieces: sum wu (e_k - pu) is
     d/d log u.
     """
-    pu, _, pv, _, mix = e
-    col, (i, j) = view.members.col, view.members.pairs
-    n = view.mask.shape[1]
-    r = view.members.values / mix
+    p, _, mix = e
+    pu, pv = p[: len(mix)], p[len(mix) :]
+    one = view.members
+    col, (i, j), n = one.col, one.pairs, one.bins
+    r = one.values / mix
     c = r / mix
     b = a * (1 - a)
     wu, wv = a * r * pu, (1 - a) * r * pv
@@ -318,22 +311,20 @@ def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
         # diag(sum of diag) + sum over member pairs (k, l) of S of
         # -y_k q_l - p_k y_l + t_S p_k q_l
         h = np.bincount(cell, (t * p - y)[i] * q[j] - p[i] * y[j], n * n)
-        h[:: n + 1] += _by_alt(view, diag)
+        h[:: n + 1] += _by_alt(one, diag)
         return h.reshape(n, n)[1:, 1:]
 
-    def tilt(y, p):  # sum over memberships of y_k (e_k - p)
-        return _by_alt(view, y - _totals(view, y) * p)[1:]
-
     yu, yv, yuv = wu - a * a * c * pu * pu, wv - (1 - a) ** 2 * c * pv * pv, b * c * pu * pv
-    su, sv = _totals(view, wu), _totals(view, wv)
+    su, sv = _totals(one, wu), _totals(one, wv)
     k = n - 1
     h = np.empty((2 * k + 1, 2 * k + 1))
-    h[:k, :k] = block(yu - su * pu, yu, _totals(view, yu) + su, pu, pu)
-    h[k:-1, k:-1] = block(yv - sv * pv, yv, _totals(view, yv) + sv, pv, pv)
-    h[:k, k:-1] = block(-yuv, -yuv, -_totals(view, yuv), pu, pv)
+    h[:k, :k] = block(yu - su * pu, yu, _totals(one, yu) + su, pu, pu)
+    h[k:-1, k:-1] = block(yv - sv * pv, yv, _totals(one, yv) + sv, pv, pv)
+    h[:k, k:-1] = block(-yuv, -yuv, -_totals(one, yuv), pu, pv)
     h[k:-1, :k] = h[:k, k:-1].T
-    h[:k, -1] = h[-1, :k] = tilt((1 - a) * wu - a * b * d * pu, pu)
-    h[k:-1, -1] = h[-1, k:-1] = tilt(-a * wv - (1 - a) * b * d * pv, pv)
+    # the alpha tilts, both rules at once: sum over memberships of y_k (e_k - p)
+    y = np.concatenate(((1 - a) * wu - a * b * d * pu, -a * wv - (1 - a) * b * d * pv))
+    h[:-1, -1] = h[-1, :-1] = _by_alt(view.both, y - _totals(view.both, y) * p)[_free(n)[:-1]]
     h[-1, -1] = (1 - 2 * a) * b * (r * (pu - pv)).sum() - b * b * (d * (pu - pv)).sum()
     return h
 
@@ -353,20 +344,20 @@ def _newton_step(view: _Dense, point: tuple, e: tuple, grad: np.ndarray) -> tupl
     the new point, its E-step and the gain, or None when no shift factors
     or no halving is accepted.
     """
-    n = len(point[0])
-    free = [*range(1, n), *range(n + 1, 2 * n + 1)]
+    free = _free(len(point[0]) // 2)
     x = _coords(*point)
     # a step may overflow anywhere; what that leaves non-finite fails the
     # guards below
     with np.errstate(all="ignore"):
-        neg = -_hessian(view, e, point[2])
+        neg = -_hessian(view, e, point[1])
         if not np.isfinite(neg).all():
             return None
-        diag = np.diag(neg).copy()
-        shift = np.abs(diag).max()
-        for mu in _NEWTON_SHIFTS:
-            np.fill_diagonal(neg, diag + mu * shift)
-            step = _cholesky_solve(neg.tolist(), grad.tolist())
+        rows, b, diag = neg.tolist(), grad.tolist(), np.diag(neg).tolist()
+        shift = max(map(abs, diag))
+        for mu in _NEWTON_SHIFTS:  # each rung sets the diagonal of the same rows
+            for i, d in enumerate(diag):
+                rows[i][i] = d + mu * shift
+            step = _cholesky_solve(rows, b)
             if step is not None:
                 break
         else:
@@ -386,7 +377,7 @@ def _newton_step(view: _Dense, point: tuple, e: tuple, grad: np.ndarray) -> tupl
 
 
 def _em_start(view: _Dense, point: tuple, tol_ll: float, max_iter: int) -> tuple:
-    """One start of SQUAREM-accelerated EM from ``point`` = (u, v, alpha),
+    """One start of SQUAREM-accelerated EM from ``point`` = (w, alpha),
     finished by Newton steps.
 
     Each cycle takes two EM maps x1 = F(x0), x2 = F(x1), extrapolates to
@@ -429,15 +420,13 @@ def _em_start(view: _Dense, point: tuple, tol_ll: float, max_iter: int) -> tuple
         eq = _e_step(view, *q)
         return q, eq, _loglik(view, eq[-1])
 
+    free = _free(len(point[0]) // 2)
     e = _e_step(view, *point)
     trace = [_loglik(view, e[-1])]
-    gains = []
-    maps = 0
-    wait = _NEWTON_WAIT
+    gains, maps, wait = [], 0, _NEWTON_WAIT
     newton_from = math.inf  # max |gradient| before an accepted Newton step
     while True:
-        d_u, d_v, d_logit = _gradient(view, e, point[2])
-        g = np.concatenate((d_u[1:], d_v[1:], [d_logit]))  # the free coordinates
+        g = _gradient(view, e, point[1])[free]
         grad = float(np.abs(g).max())
         converged = grad <= tol_ll * max(1.0, abs(trace[-1]))
         # a Newton step that neither lowered max |gradient| nor gained more
@@ -477,7 +466,7 @@ def _em_start(view: _Dense, point: tuple, tol_ll: float, max_iter: int) -> tuple
                         break
                     q, eq, llq = em_map(q, _e_step(view, *q))
                     maps += 1
-                    if not (0.0 < q[2] < 1.0 and math.isfinite(llq)):
+                    if not (0.0 < q[1] < 1.0 and math.isfinite(llq)):
                         break
                     if llq >= trace[-1]:
                         new = q, eq, llq
@@ -562,45 +551,32 @@ def fit_mle(
     """
     inits = _integer("inits", inits, "a positive integer", 1)
     max_iter = _integer("max_iter", max_iter, "a non-negative integer", 0)
-    universe = data.universe
-    alts = universe.alternatives
-    anchor = alts[0]
-    view = data._dense
-    rng = _rng(seed)
+    universe, view, rng = data.universe, data._dense, _rng(seed)
+    n = universe.size
 
     best = None  # (degenerate, -ll) minimizing tuple, then _em_start's results
     monotone = True
     start_iterations = []
     for start in range(inits):
-        u = np.ones(universe.size)
-        v = np.ones(universe.size)
-        alpha = 0.5
+        w, alpha = np.ones(2 * n), 0.5
         if start > 0:
-            for i in range(1, universe.size):  # the anchor, index 0, stays at 1
-                u[i] = math.exp(rng.normal())
-                v[i] = math.exp(rng.normal())
+            # u(i) and v(i) in turn for each i but the anchor, index 0, which stays at 1
+            z = rng.normal(size=2 * n - 2).tolist()
+            w[1:] = [*map(math.exp, z[::2]), 1.0, *map(math.exp, z[1::2])]
             alpha = float(rng.uniform(0.1, 0.9))
-
-        point, trace, gains, maps, converged, grad = _em_start(
-            view, (u, v, alpha), tol_ll, max_iter
-        )
+        point, trace, gains, maps, converged, grad = _em_start(view, (w, alpha), tol_ll, max_iter)
         start_iterations.append(maps)
         monotone = monotone and all(g >= -_LL_DROP for g in gains)
-        alpha = point[2]
-        degenerate = not (1e-12 < alpha < 1 - 1e-12)
-        key = (degenerate, -trace[-1])
+        key = (not 1e-12 < point[1] < 1 - 1e-12, -trace[-1])  # degenerate starts last
         if best is None or key < best[0]:
             best = (key, point, tuple(trace), maps, converged, grad)
 
-    _, (u, v, alpha), trace, iters, converged, grad = best
+    _, (w, alpha), trace, iters, converged, grad = best
     with np.errstate(all="ignore"):
-        neg = -_hessian(view, _e_step(view, u, v, alpha), alpha)
+        neg = -_hessian(view, _e_step(view, w, alpha), alpha)
     maximum = bool(np.isfinite(neg).all()) and _cholesky_solve(neg.tolist(), [0.0] * len(neg)) is not None
-    params = LamParams(
-        universe, dict(zip(alts, u.tolist())), dict(zip(alts, v.tolist())), alpha, anchor
-    )
     return FitResult(
-        params=params,
+        params=_params(universe, w, alpha, universe.alternatives[0]),
         log_likelihood=trace[-1],
         iterations=iters,
         converged=converged,

@@ -122,12 +122,14 @@ class CubicPoly:
 
     def is_zero(self, tol: Scalar | None = None) -> bool:
         """Whether every coefficient is within tol * scale of 0 (case 2); float ones
-        exactly, as ``ints`` over :func:`identification_polynomial`'s c_S c_T c_1 c_2."""
+        exactly, as ``ints`` over :func:`identification_polynomial`'s c_S c_T c_1 c_2
+        = 2**(-4e), e the :func:`~lam.choice._dyadic` exponent of ``ab``, in ints."""
         eff = resolve_tol(tol, self.is_exact)
         if self.ints is None or self.is_exact:
             return max(abs(c) for c in self.coefficients()) <= eff * self.scale
-        den = 1 << -4 * _dyadic(self.ab)[1]
-        return Fraction(max(map(abs, self.ints)), den) <= Fraction(eff) * Fraction(self.scale)
+        e = min(53, *(math.frexp(x)[1] for pair in self.ab for x in pair)) - 53
+        (tn, td), (sn, sd) = eff.as_integer_ratio(), self.scale.as_integer_ratio()
+        return max(map(abs, self.ints)) * td * sd <= tn * sn << -4 * e
 
     def evaluate(self, k: Scalar) -> Scalar:
         return _poly_eval([self.c0, self.c1, self.c2, self.c3], k)

@@ -246,9 +246,18 @@ class _Dense:
     @cached_property
     def members(self) -> _Members:
         """:func:`_member_pairs` of the mask, each menu's (menu, alternative)
-        pairs with the ``values`` there.  Built once per view."""
+        pairs with the ``values`` there, and ``bins``, the width.  Built once per view."""
         row, col, start, pairs = _member_pairs(self.mask)
-        return _Members(row, col, start, self.entries[row, col], pairs)
+        return _Members(row, col, start, self.mask.shape[1], self.entries[row, col], pairs)
+
+    @cached_property
+    def both(self) -> _Both:
+        """:attr:`members` and a copy offset by the width, the membership and
+        the menu count: the index of one value per membership and rule of a
+        two-rule mixture.  ``total`` is the values' float sum.  Built once per view."""
+        row, col, start, bins, values, _ = self.members
+        return _Both(np.concatenate((row, row + len(self.mask))), np.concatenate((col, col + bins)),
+                     np.concatenate((start, start + len(row))), 2 * bins, float(values.sum()))
 
 
 def _member_pairs(mask: np.ndarray):
@@ -265,7 +274,8 @@ def _member_pairs(mask: np.ndarray):
     return row, col, start, np.stack((first, second))
 
 
-_Members = namedtuple("_Members", "row col start values pairs")
+_Members = namedtuple("_Members", "row col start bins values pairs")
+_Both = namedtuple("_Both", "row col start bins total")
 
 
 def _floats(rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
@@ -537,7 +547,15 @@ class ChoiceCounts(_MenuRows):
         return sum(self.trials(m) for m in self.counts)
 
     def to_frequencies(self) -> StochasticChoice:
-        """Empirical choice frequencies, suitable for the identification routines."""
+        """Empirical choice frequencies, suitable for the identification routines:
+        each count over its menu's total, int / int, correctly rounded.  Below
+        2**53 the dense view's float quotients are those values, so where every
+        row records each member the table is built from them; else cell by cell."""
+        rows = self.counts.values()
+        if max(sum(r.values()) for r in rows) < 2**53 and sum(map(len, rows)) == self._dense.mask.sum():
+            view = self._dense
+            freqs = view.entries / view.entries.sum(axis=1)[:, None]
+            return StochasticChoice._from_rows(self.universe, self.domain, view.mask, freqs, None, ROW_SUM_TOL, 0.0)
         totals = {m: sum(row.values()) for m, row in self.counts.items()}
         table = {m: {a: c / totals[m] for a, c in row.items()} for m, row in self.counts.items()}
         return StochasticChoice(self.universe, table)

@@ -4,9 +4,11 @@ compare the current ones against bit for bit."""
 import math
 from fractions import Fraction
 
+import warnings
+
 import numpy as np
 
-from lam.choice import _PIVOT_MIN
+from lam.choice import _PIVOT_MIN, _dyadic
 
 
 def dense_cholesky_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
@@ -83,3 +85,96 @@ def mask_broadcast_utility(rho, anchor: str) -> dict:
         util = {root: 1.0}
         util.update((k, math.exp(x)) for k, x in zip(free, dense_cholesky_solve(lap, rhs)))
     return {a: util[k] for k, a in enumerate(universe.alternatives)}
+
+
+def fraction_is_zero(poly, eff) -> bool:
+    """``CubicPoly.is_zero`` of a float cubic with ``ints`` at the resolved
+    tolerance ``eff``, as it read with three ``Fraction``s and the exponent
+    from ``_dyadic`` of the cells."""
+    den = 1 << -4 * _dyadic(poly.ab)[1]
+    return Fraction(max(map(abs, poly.ints)), den) <= Fraction(eff) * Fraction(poly.scale)
+
+
+# The EM kernels with one pass per Luce rule, as the fit ran them before it
+# held (u, v) in one vector: ``view`` is a counts table's ``_dense`` view.
+
+
+def _totals(view, x: np.ndarray) -> np.ndarray:
+    """The total of ``x`` over each membership's menu, summed in member order."""
+    return np.add.reduceat(x, view.members.start)[view.members.row]
+
+
+def _by_alt(view, x: np.ndarray) -> np.ndarray:
+    """Each alternative's total of ``x``, one value per membership, in menu order."""
+    return np.bincount(view.members.col, x, view.mask.shape[1])
+
+
+def _luce(view, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Luce probabilities of utilities ``w`` at every membership, and its menu's total."""
+    cells = w[view.members.col]
+    totals = _totals(view, cells)
+    return cells / totals, totals
+
+
+def per_rule_e_step(view, u: np.ndarray, v: np.ndarray, a: float) -> tuple:
+    """Both components' probabilities and menu totals per membership, and the mixture."""
+    pu, su = _luce(view, u)
+    pv, sv = _luce(view, v)
+    return pu, su, pv, sv, a * pu + (1 - a) * pv
+
+
+def _mm_step(view, w, weights, totals, anchor: int) -> np.ndarray:
+    """One MM update of Luce utilities ``w`` on weighted counts."""
+    wins = _by_alt(view, weights)
+    denom = _by_alt(view, _totals(view, weights) / totals)
+    new = np.divide(wins, denom, out=w.copy(), where=wins > 0)
+    return new / new[anchor]
+
+
+def per_rule_m_step(view, u, v, a: float, anchor: int, e: tuple) -> tuple:
+    """The EM update of (u, v, alpha) from the E-step ``e`` at that point."""
+    pu, su, pv, sv, mix = e
+    if a <= 0.0 or a >= 1.0:
+        warnings.warn(
+            "alpha is at a boundary; freezing it and updating the active "
+            "component only",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if a >= 1.0:
+            return _mm_step(view, u, view.members.values, su, anchor), v, a
+        return u, _mm_step(view, v, view.members.values, sv, anchor), a
+    wu = view.members.values * a * pu / mix
+    return (
+        _mm_step(view, u, wu, su, anchor),
+        _mm_step(view, v, view.members.values - wu, sv, anchor),
+        math.fsum(wu.tolist()) / float(view.members.values.sum()),
+    )
+
+
+def per_rule_gradient(view, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The log-likelihood gradient at the E-step ``e`` of a point with weight ``a``:
+    d/d log u and d/d log v for every alternative, and d/d logit alpha."""
+    pu, _, pv, _, mix = e
+    wu = view.members.values * a * pu / mix
+    wv = view.members.values - wu
+    d_u = _by_alt(view, wu - pu * _totals(view, wu))
+    d_v = _by_alt(view, wv - pv * _totals(view, wv))
+    return d_u, d_v, math.fsum((wu - a * view.members.values).tolist())
+
+
+def per_rule_alpha_tilts(view, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian's (log u, logit alpha) and (log v, logit alpha) entries
+    of the alternatives but the anchor, index 0, at the E-step ``e``."""
+    pu, _, pv, _, mix = e
+    r = view.members.values / mix
+    c = r / mix
+    b = a * (1 - a)
+    wu, wv = a * r * pu, (1 - a) * r * pv
+    d = c * (pu - pv)
+
+    def tilt(y, p):  # sum over memberships of y_k (e_k - p)
+        return _by_alt(view, y - _totals(view, y) * p)[1:]
+
+    return (tilt((1 - a) * wu - a * b * d * pu, pu),
+            tilt(-a * wv - (1 - a) * b * d * pv, pv))

@@ -17,6 +17,7 @@ from lam import (
     InvalidParameterError,
     LamParams,
     MissingDataError,
+    StochasticChoice,
     classify_regime,
     em_step,
     fit_mle,
@@ -152,6 +153,37 @@ def test_counts_to_frequencies(uni3):
     counts = ChoiceCounts(uni3, {("x", "y"): {"x": 30, "y": 10}})
     rho = counts.to_frequencies()
     assert rho.prob("x", frozenset({"x", "y"})) == 0.75
+
+
+def dict_frequencies(counts):
+    """Each count over its menu's total, int / int, through the dict constructor."""
+    return StochasticChoice(counts.universe, {
+        m: {a: c / sum(row.values()) for a, c in row.items()} for m, row in counts.counts.items()
+    })
+
+
+def test_to_frequencies_equals_the_dict_table_bit_for_bit(uni3):
+    # simulated counts with zeros, rows that omit a member, and rows whose
+    # totals pass 2**53, where float sums of the counts would round
+    rng = random.Random(37)
+    cases = [random_counts(rng, n, partial) for n in (3, 4, 5, 6) for partial in (False, True)]
+    cases.append(ChoiceCounts(uni3, {("x", "y"): {"x": 3}, ("x", "y", "z"): {"x": 1, "y": 0, "z": 2}}))
+    big = {("x", "y"): {"x": 2**53 - 1, "y": 2}, ("x", "z"): {"x": 3, "z": 2**60 + 1},
+           ("x", "y", "z"): {"x": 2**52, "y": 2**52 - 1, "z": 0}}
+    cases.append(ChoiceCounts(uni3, big))
+    cases.append(ChoiceCounts(uni3, {("x", "y", "z"): {"x": 10**400, "y": 1, "z": 0}}))
+    for counts in cases:
+        got, want = counts.to_frequencies(), dict_frequencies(counts)
+        # from the dense view, with no second row check, where it is exact
+        complete = all(len(row) == len(m) and sum(row.values()) < 2**53 for m, row in counts.counts.items())
+        assert ("_clamped" in got.__dict__) == complete
+        assert got == want
+        assert (got.is_exact, got.is_positive, got.eps_sum) == (want.is_exact, want.is_positive, want.eps_sum)
+        for m, row in want.table.items():
+            assert [got.table[m][a].hex() for a in row] == [p.hex() for p in row.values()]
+        assert got.domain == want.domain
+        assert np.array_equal(got._dense.mask, want._dense.mask)
+        assert got._dense.entries.tobytes() == want._dense.entries.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +436,13 @@ def _criterion7_start(uni4, ex_b_params):
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
     view = counts._dense
     rng = estimate._rng(7)  # fit_mle's draw for its second start, seed 7
-    u, v = np.ones(4), np.ones(4)
+    w = np.ones(8)
     for i in range(1, 4):
-        u[i], v[i] = math.exp(rng.normal()), math.exp(rng.normal())
-    point = estimate._em_start(view, (u, v, float(rng.uniform(0.1, 0.9))), 1e-13, 20)[0]
+        w[i], w[4 + i] = math.exp(rng.normal()), math.exp(rng.normal())
+    point = estimate._em_start(view, (w, float(rng.uniform(0.1, 0.9))), 1e-13, 20)[0]
     e = estimate._e_step(view, *point)
-    d_u, d_v, d_logit = estimate._gradient(view, e, point[2])
-    grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
-    return view, point, e, grad, -estimate._hessian(view, e, point[2])
+    grad = estimate._gradient(view, e, point[1])[estimate._free(4)]
+    return view, point, e, grad, -estimate._hessian(view, e, point[1])
 
 
 def test_newton_step_shifts_an_indefinite_hessian(uni4, ex_b_params):
@@ -428,7 +459,7 @@ def test_newton_step_refuses_a_non_finite_hessian(uni4, ex_b_params):
     # to 0 in both rules: its count over the mixture there is infinite
     view = simulate_counts(ex_b_params, uni4.all_menus(2), 100, seed=1)._dense
     w = np.array([1.0, 1e-300, 1e300, 1.0])
-    point = (w, w.copy(), 0.5)
+    point = (np.concatenate((w, w)), 0.5)
     e = estimate._e_step(view, *point)
     assert (e[-1] == 0).any()
     assert estimate._newton_step(view, point, e, np.ones(7)) is None
@@ -437,10 +468,9 @@ def test_newton_step_refuses_a_non_finite_hessian(uni4, ex_b_params):
 def test_newton_step_refuses_a_step_that_no_halving_makes_ascend(uni4, ex_b_params):
     # given the negated gradient, the step descends however far it is halved
     view = simulate_counts(ex_b_params, uni4.all_menus(2), 1000, seed=1)._dense
-    point = (np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
+    point = (np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0]), 0.5)
     e = estimate._e_step(view, *point)
-    d_u, d_v, d_logit = estimate._gradient(view, e, point[2])
-    grad = np.concatenate((d_u[1:], d_v[1:], [d_logit]))
+    grad = estimate._gradient(view, e, point[1])[estimate._free(4)]
     assert np.abs(grad).max() > 1.0
     assert estimate._newton_step(view, point, e, grad) is not None
     assert estimate._newton_step(view, point, e, -grad) is None
@@ -508,9 +538,10 @@ def test_gradient_matches_a_per_cell_fsum_oracle(uni4, ex_b_params):
     fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
     view = counts._dense
     row, col, counted = view.members.row, view.members.col, view.members.values
-    u, v, a = estimate._vectors(fit.params)
-    e = estimate._e_step(view, u, v, a)
-    pu, _, pv, _, mix = e
+    w, a = estimate._vectors(fit.params)
+    e = estimate._e_step(view, w, a)
+    p, _, mix = e
+    pu, pv = p[: len(mix)], p[len(mix) :]
     wu = counted * a * pu / mix
     wv = counted - wu
 
@@ -521,8 +552,7 @@ def test_gradient_matches_a_per_cell_fsum_oracle(uni4, ex_b_params):
 
     d_alpha = math.fsum((wu - a * counted).tolist())
     want = np.array(oracle(wu, pu) + oracle(wv, pv) + [d_alpha])
-    d_u, d_v, d_logit = estimate._gradient(view, e, a)
-    assert np.abs(np.concatenate((d_u, d_v, [d_logit])) - want).max() <= 1e-11
+    assert np.abs(estimate._gradient(view, e, a) - want).max() <= 1e-11
 
 
 def test_fit_ends_every_start_at_zero_tolerance(uni4, ex_b_params):
@@ -620,17 +650,16 @@ def test_hessian_matches_finite_differences():
         view = counts._dense
         n = counts.universe.size
         point = estimate._vectors(gen.random_params(rng, n).as_float())
-        hess = estimate._hessian(view, estimate._e_step(view, *point), point[2])
+        hess = estimate._hessian(view, estimate._e_step(view, *point), point[1])
         x, h = estimate._coords(*point), 1e-5
-        free = [*range(1, n), *range(n + 1, 2 * n + 1)]
+        free = estimate._free(n)
         for col, i in enumerate(free):
             ends = []
             for dx in (h, -h):
                 y = x.copy()
                 y[i] += dx
                 p = estimate._point(y)
-                d_u, d_v, d_logit = estimate._gradient(view, estimate._e_step(view, *p), p[2])
-                ends.append(np.concatenate((d_u[1:], d_v[1:], [d_logit])))
+                ends.append(estimate._gradient(view, estimate._e_step(view, *p), p[1])[free])
             fd = (ends[0] - ends[1]) / (2 * h)
             assert np.abs(fd - hess[:, col]).max() <= 1e-6 * np.abs(hess).max()
 
@@ -639,7 +668,7 @@ def dense_hessian(counts, point):
     """The log-likelihood Hessian in the free coordinates, from einsums over
     the dense menus x alternatives view (every cell off a menu 0 in the
     Luce probabilities and counts, 1 in the mixture), at ``point``."""
-    u, v, a = point
+    (u, v), a = np.split(point[0], 2), point[1]
     mask, entries = counts._dense.mask, counts._dense.entries
 
     def luce(w):
@@ -692,7 +721,7 @@ def test_hessian_matches_the_dense_einsum_oracle(n):
         counts = random_counts(rng, n, partial, zero_wins)
         for _ in range(3):
             point = estimate._vectors(gen.random_params(rng, n).as_float())
-            got = estimate._hessian(counts._dense, estimate._e_step(counts._dense, *point), point[2])
+            got = estimate._hessian(counts._dense, estimate._e_step(counts._dense, *point), point[1])
             want = dense_hessian(counts, point)
             assert got.shape == want.shape == (2 * n - 1, 2 * n - 1)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -854,6 +883,67 @@ def test_em_step_boundary_matches_dict_reference(alpha):
         frozen = stepped.v if alpha == 1.0 else stepped.u
         assert frozen == (params.v if alpha == 1.0 else params.u)
         assert_params_close(stepped, reference_em_step(params, counts))
+
+
+def bits(*arrays) -> bytes:
+    """The float64 bytes of arrays and floats end to end: equal iff every
+    value and the sign of every zero are."""
+    return b"".join(np.asarray(x, dtype=float).tobytes() for x in arrays)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_one_vector_kernels_match_the_per_rule_oracles(n):
+    # E-step, MM update (interior and both boundaries), gradient and the
+    # Hessian's alpha tilts on (u, v) end to end against the per-rule
+    # kernels, bit for bit, on all menus and on menus of 2-3 members, at
+    # 3 draws per menu (many zero counts) and at 10**4
+    rng = random.Random(39 + n)
+    nrng = np.random.default_rng(n)
+    truth = gen.random_params(rng, n).as_float()
+    menus = truth.universe.all_menus(2)
+    for design in (menus, [m for m in menus if len(m) <= 3]):
+        for per_menu in (3, 10**4):
+            view = simulate_counts(truth, design, per_menu, seed=rng.randrange(10**6))._dense
+            assert (view.members.values == 0).any() or per_menu > 3
+            for _ in range(3):
+                u, v = (np.exp(nrng.normal(scale=3, size=n)) for _ in range(2))
+                u, v = u / u[0], v / v[0]
+                w, a = np.concatenate((u, v)), float(nrng.uniform(0.01, 0.99))
+                e, old = estimate._e_step(view, w, a), oracles.per_rule_e_step(view, u, v, a)
+                assert bits(*e) == bits(old[0], old[2], old[1], old[3], old[4])
+                got, want = estimate._m_step(view, w, a, 0, e), oracles.per_rule_m_step(view, u, v, a, 0, old)
+                assert bits(*got) == bits(*want)
+                got, want = estimate._gradient(view, e, a), oracles.per_rule_gradient(view, old, a)
+                assert bits(got) == bits(*want)
+                h = estimate._hessian(view, e, a)
+                tilts = oracles.per_rule_alpha_tilts(view, old, a)
+                assert bits(h[:-1, -1], h[-1, :-1]) == bits(*tilts, *tilts)
+                for edge in (0.0, 1.0):
+                    e, old = estimate._e_step(view, w, edge), oracles.per_rule_e_step(view, u, v, edge)
+                    with pytest.warns(RuntimeWarning, match="boundary"):
+                        got = estimate._m_step(view, w, edge, 0, e)
+                    with pytest.warns(RuntimeWarning, match="boundary"):
+                        want = oracles.per_rule_m_step(view, u, v, edge, 0, old)
+                    assert bits(*got) == bits(*want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_em_step_at_a_boundary_keeps_the_frozen_rule_bit_for_bit(uni3, ex_a_params, alpha):
+    # the frozen rule's anchor reads 1 + 1e-13, which LamParams accepts: an
+    # MM step of zero weight on it would divide its utilities by that value
+    counts = simulate_counts(ex_a_params, uni3.all_menus(2), 1000, seed=4)
+    u = {a: float(x) for a, x in ex_a_params.u.items()}
+    v = {a: float(x) for a, x in ex_a_params.v.items()}
+    frozen = v if alpha == 1.0 else u
+    frozen["x"] = 1 + 1e-13
+    params = LamParams(uni3, u, v, alpha, "x")
+    with pytest.warns(RuntimeWarning, match="boundary"):
+        stepped = em_step(params, counts)
+    assert stepped.alpha == alpha
+    kept = stepped.v if alpha == 1.0 else stepped.u
+    assert [x.hex() for x in kept.values()] == [x.hex() for x in frozen.values()]
+    active = stepped.u if alpha == 1.0 else stepped.v
+    assert active["x"] == 1.0
 
 
 # ---------------------------------------------------------------------------

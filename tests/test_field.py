@@ -1,5 +1,6 @@
 """Field identification: cubic construction, root screening, the swap class."""
 
+import itertools
 import math
 import random
 import re
@@ -8,15 +9,21 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+import oracles
+import test_extremes
 from lam import (
+    ChoiceCounts,
     CubicPoly,
     FieldResult,
     GapUndefinedError,
     InstabilityTuple,
     InsufficientDataError,
     InvalidParameterError,
+    LamError,
     LamParams,
     RejectedRoot,
     StochasticChoice,
@@ -32,7 +39,9 @@ from lam import (
     simulate_counts,
     sup_distance,
 )
+from lam import choice
 from lam.dataio import parse_dataset, parse_params
+from lam.types import resolve_tol
 
 DATA = Path(__file__).parent / "data"
 
@@ -1113,3 +1122,49 @@ def test_identify_field_non_generic_assembly(u, v, alpha, tol, reason, pairs):
         assert result.alpha_pair_candidates == pairs
     else:  # one float pair survives; the failure is in its assignment
         assert len(result.alpha_pair_candidates) == 1
+
+
+def _float_cubics(rho):
+    """Every float identification cubic of ``rho`` that carries ``ints``."""
+    for x, y, z, t in itertools.permutations(rho.universe.alternatives, 4):
+        try:
+            poly = identification_polynomial(rho, x, y, z, t)
+        except InsufficientDataError:
+            continue
+        if poly.ints is not None and not poly.is_exact:
+            yield poly
+
+
+def _assert_is_zero_matches_the_fraction_oracle(poly):
+    tols = [None, 0, 0.0, 1e-15, 1e-12, 1e-9, 1e-3, F(1, 10**9), 1]
+    if poly.scale > 0:  # the tol at which case 2 flips, and the floats beside it
+        edge = float(F(max(map(abs, poly.ints)), 1 << -4 * choice._dyadic(poly.ab)[1]) / F(poly.scale))
+        tols += [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf)]
+    for tol in tols:
+        assert poly.is_zero(tol) == oracles.fraction_is_zero(poly, resolve_tol(tol, False)), (poly, tol)
+
+
+def test_float_is_zero_matches_the_fraction_oracle_on_the_data_files():
+    cubics = 0
+    for path in sorted(DATA.glob("*.csv")):
+        try:
+            data = parse_dataset(path.read_text())
+        except LamError:  # a parameter file
+            continue
+        rho = data.to_frequencies() if isinstance(data, ChoiceCounts) else data
+        for poly in _float_cubics(rho):
+            _assert_is_zero_matches_the_fraction_oracle(poly)
+            cubics += 1
+    assert cubics > 20
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.one_of(test_extremes.pairs(), test_extremes.mixtures()))
+def test_float_is_zero_matches_the_fraction_oracle_on_extreme_tables(case):
+    for table in case[-2:]:
+        try:
+            rho = table.as_float()
+        except LamError:  # a row that leaves float range
+            continue
+        for poly in _float_cubics(rho):
+            _assert_is_zero_matches_the_fraction_oracle(poly)
