@@ -44,8 +44,8 @@ from .types import (
     Universe,
     UtilityRangeError,
     _floats,
-    _incidence,
     _member_pairs,
+    _memberships,
     _rows,
     _show,
     is_exact_scalar,
@@ -119,49 +119,51 @@ def lam_table(params: LamParams, menus: Iterable[Iterable[str]]) -> StochasticCh
     return StochasticChoice(u, {u.menu(m): lam_choice(params, m) for m in menus})
 
 
-def _mixture(params: LamParams, mask: np.ndarray):
-    """:func:`lam_choice` at the cells (r, x) of a menus x universe ``mask``,
-    row by row, as (r, x, num, den), or None unless the parameters are all
-    Fractions or all floats.  Fraction parameters give int arrays, a cell
-    being num/den; float parameters give float64 cells as ``num`` (den
-    None) with the operands and rounding of ``lam_choice``, each rule's
-    row totalled by ``sum`` in universe order.
+def _mixture(params: LamParams, row: np.ndarray, col: np.ndarray, start: np.ndarray):
+    """:func:`lam_choice` at the memberships (``row``, ``col``) of menus with
+    their ``start`` (:func:`types._memberships`), as (num, den), or None
+    unless the parameters are all Fractions or all floats.  Fraction
+    parameters give int arrays, a value being num/den; float parameters give
+    float64 values as ``num`` (den None) with the operands and rounding of
+    ``lam_choice``, each rule's menu totalled by ``sum`` in universe order.
     """
     a = params.alpha
     kinds = {type(s) for s in (a, *params.u.values(), *params.v.values())}
     if kinds != {Fraction} and kinds != {float}:
         return None
-    exact, rows = kinds == {Fraction}, mask.tolist()
-    r, x = np.nonzero(mask)
+    exact = kinds == {Fraction}
+    cols, ends = col.tolist(), [*start.tolist()[1:], len(col)]
     cells = []
     for w in (list(params.u.values()), list(params.v.values())):  # universe order
         if exact:  # ints over the rule's lcm
             lcm = math.lcm(*(p.denominator for p in w))
             w = [p.numerator * (lcm // p.denominator) for p in w]
-        totals = np.array([sum(compress(w, m)) for m in rows], dtype=object if exact else float)
-        cells.append((np.array(w, dtype=object)[x], totals[r]) if exact else np.array(w)[x] / totals[r])
+        totals = [sum(map(w.__getitem__, cols[i:j])) for i, j in zip(start.tolist(), ends)]
+        totals = np.array(totals, dtype=object if exact else float)
+        cells.append((np.array(w, dtype=object)[col], totals[row]) if exact else np.array(w)[col] / totals[row])
     if not exact:
-        return r, x, a * cells[0] + (1 - a) * cells[1], None
+        return a * cells[0] + (1 - a) * cells[1], None
     (u, us), (v, vs) = cells
-    return r, x, a.numerator * u * vs + (a.denominator - a.numerator) * v * us, a.denominator * us * vs
+    return a.numerator * u * vs + (a.denominator - a.numerator) * v * us, a.denominator * us * vs
 
 
 def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
-    """``sup_distance(lam_table(params, rho.domain), rho)``, from rho's dense view.
+    """``sup_distance(lam_table(params, rho.domain), rho)``, from rho's membership list.
 
-    With :func:`_mixture`'s cells, Fraction parameters give each predicted
-    cell as N/D in ints, differenced in ints from exact data and taken as
+    With :func:`_mixture`'s values, Fraction parameters give each predicted
+    value as N/D in ints, differenced in ints from exact data and taken as
     float(N/D) against float data; with float parameters a predicted row that
     the validating :class:`StochasticChoice` would reject raises its error.
     Parameters that mix Fractions and floats take the table path itself.
     """
     view = rho._dense
-    cells = _mixture(params, view.mask)
+    r = view.row
+    cells = _mixture(params, r, view.col, view.start)
     if cells is None:
         return sup_distance(lam_table(params, rho.domain), rho)
-    r, x, pred, den = cells
+    pred, den = cells
     if den is not None and rho.is_exact:
-        diff = view.scale[r] * pred - view.entries[r, x] * den
+        diff = view.scale[r] * pred - view.values * den
         miss = diff != 0
         if not miss.any():
             return 0
@@ -181,7 +183,7 @@ def _residual(params: LamParams, rho: StochasticChoice) -> Scalar:
     sums = np.bincount(r, np.where(inside, pred, np.nan))
     for i in np.flatnonzero(~(np.abs(sums - 1) <= ROW_SUM_TOL / 2)).tolist():
         lam_table(params, [rho.domain[i]])
-    worst = max(np.abs(pred - _floats(view.entries, view.scale)[view.mask]).tolist())
+    worst = max(np.abs(pred - _floats(view.values, view.scale, r)).tolist())
     return worst if worst > 0 else 0
 
 
@@ -350,36 +352,39 @@ def _products(f: list) -> tuple[tuple, tuple | None]:
 @lru_cache(maxsize=8)
 def _layout(universe: Universe, menus: tuple[Menu, ...]):
     """Runs of the pairs sharing menus, the runs' offsets in the tuple order,
-    per held count the flat indices of x's and of y's cells in a menus x
-    universe array, then in a second one after it, a row per pair: an array
-    shaped (4, pairs, menus held), and the ratio graph's ``edges``.
+    per held count the offsets of x's and of y's cells in the menus'
+    membership list (:func:`types._memberships`), then in a second list after
+    it, a row per pair: an array shaped (4, pairs, menus held), and the ratio
+    graph's ``edges``.
 
-    A run ``(xs, ys, held)`` is consecutive pairs x before y holding equally
-    many menus, at least two, with those menus' rows in ``held``, a row per
-    pair, and at most ``_PASS_TUPLES`` tuples unless one pair has more.
-    ``edges`` is ``(xs, ys, lo, menu)``: each pair x before y sharing a menu
-    (:func:`types._member_pairs`), and its menus ``menu[lo[j] : lo[j + 1]]``.
+    A run ``(xs, ys, held, kx, ky)`` is consecutive pairs x before y holding
+    equally many menus, at least two, their rows in ``held`` and x's and y's
+    memberships there in ``kx`` and ``ky``, a row per pair, and at most
+    ``_PASS_TUPLES`` tuples unless one pair has more.  ``edges`` is ``(xs, ys,
+    lo, kx, ky)``: each pair x before y sharing a menu, with its memberships
+    there in ``kx[lo[j] : lo[j + 1]]`` and ``ky[lo[j] : lo[j + 1]]``.
     """
     n = universe.size
-    row, col, _, (k, l) = _member_pairs(_incidence(universe, menus))
+    row, col, start, _ = _memberships(universe, menus)
+    k, l = _member_pairs(row, start)
     k, l = k[k < l], l[k < l]  # x before y, as each menu's members are in order
     key = col[k] * n + col[l]
     order = np.argsort(key, kind="stable")  # by (x, y), each pair's menus in order
-    key, menu = key[order], row[k[order]]
+    key, k, l = key[order], k[order], l[order]
     lo = np.append(np.flatnonzero(np.diff(key, prepend=-1)), len(key))
     (px, py), count = np.divmod(key[lo[:-1]], n), np.diff(lo)
     runs, sizes, cells = [], [0], []
     for h, group in groupby(np.flatnonzero(count > 1).tolist(), key=count.tolist().__getitem__):
         group = np.array(list(group))
-        xs, ys, held = px[group], py[group], menu[lo[group, None] + np.arange(h)]
-        x, y = held * n + xs[:, None], held * n + ys[:, None]
-        cells.append(np.array([x, y, x + len(menus) * n, y + len(menus) * n]))
+        at = lo[group, None] + np.arange(h)
+        run = px[group], py[group], row[k[at]], k[at], l[at]
+        cells.append(np.array([k[at], l[at], k[at] + len(row), l[at] + len(row)]))
         tuples = h * (h - 1) // 2
         step = max(1, _PASS_TUPLES // tuples)
-        for i in range(0, len(xs), step):
-            runs.append((xs[i : i + step], ys[i : i + step], held[i : i + step]))
+        for i in range(0, len(group), step):
+            runs.append(tuple(v[i : i + step] for v in run))
             sizes.append(len(runs[-1][0]) * tuples)
-    return runs, np.cumsum(sizes), cells, (px, py, lo, menu)
+    return runs, np.cumsum(sizes), cells, (px, py, lo, k, l)
 
 
 class _Kernel:
@@ -397,12 +402,12 @@ class _Kernel:
     (:class:`_Top`) and sums they need.  :meth:`sums` gives exact sums
     from inner products.
 
-    The rows and their ``mask`` come from :func:`types._rows`.  Float rows
-    keep the operand order of :func:`own_instability` and
-    :func:`composite_instability`, so they agree bit for bit.  Exact rows
-    are ints over each menu's joint lcm c_S, and the tuple (S, T) carries d
-    and p times ``k`` = c_S c_T.  Sign and ratio tests do not see the
-    scale, and :func:`_floor_scaled` puts a tolerance on it.
+    The values, one per membership, and their ``row`` and ``col`` come from
+    :func:`types._rows`.  Float values keep the operand order of
+    :func:`own_instability` and :func:`composite_instability`, so they agree
+    bit for bit.  Exact values are ints over each menu's joint lcm c_S, and
+    the tuple (S, T) carries d and p times ``k`` = c_S c_T.  Sign and ratio
+    tests do not see the scale, and :func:`_floor_scaled` puts a tolerance on it.
 
     A float kernel's tests read d and p in float64, the tables' arithmetic.
     An exact kernel is filtered in floats with an integer fallback
@@ -422,7 +427,7 @@ class _Kernel:
         self.universe = rho.universe
         self.menus = tuple(menus)
         tables = [rho] if other is None else [rho, other]
-        self.mask, self.c, (self.mine, *theirs) = _rows(tables, self.menus)
+        self.row, self.col, self.c, (self.mine, *theirs) = _rows(tables, self.menus)
         self.exact = self.c is not None
         self.theirs = theirs[0] if theirs else None
         self.runs, self.starts, self.cells, self.edges = _layout(self.universe, self.menus)
@@ -431,34 +436,32 @@ class _Kernel:
         # tolerance decides every test as 8 does, and has no float
         self.e = float(min(eff, 8))
 
-    def _cells(self, i: int) -> tuple[int, int, int, int]:
-        """The columns x, y and the rows S, T of the i-th canonical tuple."""
+    def _cells(self, i: int):
+        """The run of the i-th canonical tuple, its pair's row q there, and where S and T sit in it."""
         r = int(np.searchsorted(self.starts, i, side="right")) - 1
-        xs, ys, held = self.runs[r]
-        s, t = _triangle(held.shape[1])
+        s, t = _triangle(self.runs[r][2].shape[1])
         q, j = divmod(int(i - self.starts[r]), len(s))
-        return int(xs[q]), int(ys[q]), int(held[q, s[j]]), int(held[q, t[j]])
+        return self.runs[r], q, s[j], t[j]
 
     def tuple_at(self, i: int) -> InstabilityTuple:
         """The i-th canonical tuple."""
-        x, y, s, t = self._cells(i)
+        (xs, ys, held, _, _), q, s, t = self._cells(i)
         alts, menus = self.universe.alternatives, self.menus
-        return InstabilityTuple(alts[x], alts[y], menus[s], menus[t])
+        return InstabilityTuple(alts[xs[q]], alts[ys[q]], menus[held[q, s]], menus[held[q, t]])
 
     def coincide(self) -> bool:
-        """Whether ``rho`` and ``other`` are within ``eff`` of each other on
-        every menu; off a menu both rows read 0."""
-        c = None if self.c is None else self.c[:, None]
+        """Whether ``rho`` and ``other`` are within ``eff`` of each other on every menu."""
+        c = None if self.c is None else self.c[self.row]
         return not (np.abs(self.mine - self.theirs) > _floor_scaled(self.eff, c)).any()
 
     @staticmethod
     def _factors(run, tables, sel: np.ndarray | None = None, cast=None):
         """``ends`` and the factors of a run's tuples, or of those at the
-        positions ``sel`` in it: the entries (sx, tx, sy, ty) of x and y at S
+        positions ``sel`` in it: the values (sx, tx, sy, ty) of x and y at S
         and T in each of ``tables``, mapped by ``cast``.  ``ends`` maps
         per-menu values shaped as the run's ``held`` to their values at S and
         at T of those tuples."""
-        xs, ys, held = run
+        _, _, held, kx, ky = run
         s, t = _triangle(held.shape[1])
         if sel is None:
             def ends(v):
@@ -468,7 +471,7 @@ class _Kernel:
 
             def ends(v):
                 return v[q, s[j]], v[q, t[j]]
-        cells = [r[held, zs[:, None]] for r in tables for zs in (xs, ys)]
+        cells = [r[ks] for r in tables for ks in (kx, ky)]
         return ends, [e for v in (cells if cast is None else map(cast, cells)) for e in ends(v)]
 
     def _values(self, run, sel: np.ndarray | None = None, cast=None):
@@ -483,11 +486,11 @@ class _Kernel:
 
     @cached_property
     def _approx(self):
-        """The correctly rounded float64 rows (:func:`types._floats`) of an
-        exact kernel's tables, and the mask of their nonzero cells below
+        """The correctly rounded float64 values (:func:`types._floats`) of an
+        exact kernel's tables, and the mask of their nonzero values below
         ``_TINY``, or None if there is none."""
         tables = [t for t in (self.mine, self.theirs) if t is not None]
-        rows, tiny = [_floats(t, self.c) for t in tables], None
+        rows, tiny = [_floats(t, self.c, self.row) for t in tables], None
         for f, t in zip(rows, tables):
             low = f < _TINY
             if low.any():
@@ -523,8 +526,9 @@ class _Kernel:
         """``part`` (:meth:`_values` or :meth:`_estimates`) of the tuples at
         the sorted canonical indices ``among``, run by run, joined."""
         cuts, none = np.searchsorted(among, self.starts), np.zeros(0, int)
+        held = np.zeros((0, 2), int)
         got = [part(run, among[a:b] - lo) for run, lo, a, b in zip(self.runs, self.starts, cuts, cuts[1:]) if a < b]
-        got = got or [part((none, none, np.zeros((0, 2), int)), none)]  # typed empty arrays
+        got = got or [part((none, none, held, held, held), none)]  # typed empty arrays
         return tuple(None if v[0] is None else np.concatenate(v) for v in zip(*got))
 
     def evaluate(self, among: np.ndarray):
@@ -540,13 +544,14 @@ class _Kernel:
         exact kernel's is its float estimates with their radii, and its masks
         are decided on them, the band evaluated in ints."""
         first = 0
-        for (xs, ys, held), lo in zip(self.runs, self.starts):
-            tuples = len(_triangle(held.shape[1])[0])
-            q = np.arange(len(xs)) if keep is None else np.flatnonzero(keep[first : first + len(xs)])
-            first += len(xs)
+        for run, lo in zip(self.runs, self.starts):
+            pairs = len(run[0])
+            tuples = len(_triangle(run[2].shape[1])[0])
+            q = np.arange(pairs) if keep is None else np.flatnonzero(keep[first : first + pairs])
+            first += pairs
             if not len(q):
                 continue
-            ids, run = (lo + q[:, None] * tuples + np.arange(tuples)).ravel(), (xs[q], ys[q], held[q])
+            ids, run = (lo + q[:, None] * tuples + np.arange(tuples)).ravel(), tuple(v[q] for v in run)
             if not self.exact:
                 d, p, _ = self._values(run)
                 yield ids, (d, p, None, None), _tests(d, p, None, self.eff, names), run
@@ -574,13 +579,12 @@ class _Kernel:
         not quiet, nor is any pair at ``eff`` 0.
         """
         if self.exact:  # run by run: the first failing run stops the caller
-            for xs, ys, held in self.runs:
-                a, b = self.mine[held, xs[:, None]], self.mine[held, ys[:, None]]
+            for *_, kx, ky in self.runs:
+                a, b = self.mine[kx], self.mine[ky]
                 yield from (a * a).sum(1) * (b * b).sum(1) == (a * b).sum(1) ** 2
             return
-        mine = self.mine.ravel()
         for x, y, _, _ in self.cells:  # one gather per held count
-            a, b = mine[x], mine[y]
+            a, b = self.mine[x], self.mine[y]
             bound = _det_bound(a, b) + 2 * _U * a.max(1) * b.max(1)
             with np.errstate(invalid="ignore"):  # a NaN bound is not quiet
                 yield from bound * (1 + 16 * _U) + 2.0**-1000 <= self.eff
@@ -612,13 +616,13 @@ class _Kernel:
         """
         if not self.exact:
             return _binet_cauchy(self._float_grams(), repeat(1)) + (() if out is None else self.left_out(out))
-        n, scale = self.universe.size, self.c
-        rows = np.concatenate([self.mine, self.theirs], axis=1)
+        scale, m = self.c, len(self.mine)
+        rows = np.concatenate([self.mine, self.theirs])
         if lifted:
             top = math.lcm(*scale.tolist())
         dd = dp = pp = out_dp = out_pp = 0
-        for (xs, ys, held), flags in zip(self.runs, repeat(None) if out is None else out):
-            g = rows[held[:, :, None], np.stack([xs, ys, n + xs, n + ys], axis=1)[:, None, :]]
+        for (_, _, held, kx, ky), flags in zip(self.runs, repeat(None) if out is None else out):
+            g = rows[np.stack([kx, ky, kx + m, ky + m], axis=2)]
             wg, lift = g, repeat(1)
             if lifted:
                 pair = np.array([math.lcm(*row) for row in scale[held].tolist()], dtype=object)
@@ -644,8 +648,8 @@ class _Kernel:
 
     @cached_property
     def _frexp(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """np.frexp of a float kernel's rows, flat, and their :func:`_dyadic` exponent."""
-        frac, exp = np.frexp(np.concatenate([self.mine, self.theirs], axis=None))
+        """np.frexp of a float kernel's values, both tables end to end, and their :func:`_dyadic` exponent."""
+        frac, exp = np.frexp(np.concatenate([self.mine, self.theirs]))
         return frac, exp, int(exp.min(initial=53)) - 53
 
     def _float_grams(self) -> Iterator[tuple[int, ...]]:
@@ -710,7 +714,7 @@ class _Kernel:
         if self.exact:
             lam, top = self.slope, max(self.c.tolist())
             return lam is not None and (lam == 0 or 0 < lam <= 1 - Fraction(2**1022 + top * top, 2**1075))
-        e, mine, theirs = self.eff, self.mine.ravel(), self.theirs.ravel()
+        e, mine, theirs = self.eff, self.mine, self.theirs
         if not (e <= 1 and max(mine.max(), theirs.max()) <= 1) or self.first_usable is None:
             return False
         lam, bounds = max(0.0, float(np.divide(*self.raw(self.first_usable)[:2]))), []  # any lambda bounds
@@ -723,7 +727,7 @@ class _Kernel:
         delta = np.concatenate(bounds).max() * (1 + 64 * _U) + 16 * _U + 2.0**-1000
         if not 5 * delta < 1.000001 * e:
             return False
-        low = (self.mine - lam * self.theirs).min()  # cells off a menu read 0 - 0, within the margin
+        low = min((mine - lam * theirs).min(), 0.0)  # 0 - 0 off a menu (a tuple's menus differ), within the margin
         lam, delta, e, low, u = map(Fraction, (lam, delta, e, low, _U))
         return 5 * delta <= e and lam <= 1 - u - delta / e and 2 * (low - 3 * u) >= 2 * delta - e
 
@@ -777,11 +781,11 @@ class _Kernel:
     def raw(self, i: int):
         """d, p and k of tuple i as :meth:`evaluate` gives them, from its
         cells: ints over k = c_S c_T, or floats and None."""
-        x, y, s, t = self._cells(i)
+        (_, _, held, kx, ky), q, s, t = self._cells(i)
         tables = (self.mine,) if self.theirs is None else (self.mine, self.theirs)
-        (a, b), c = _products([r[m, z] for r in tables for z in (x, y) for m in (s, t)])
+        (a, b), c = _products([v[k[q, m]] for v in tables for k in (kx, ky) for m in (s, t)])
         p = None if c is None else (c[0] - c[1]) + (c[2] - c[3])
-        return a - b, p, None if self.c is None else self.c[s] * self.c[t]
+        return a - b, p, None if self.c is None else self.c[held[q, s]] * self.c[held[q, t]]
 
     def value(self, i: int) -> tuple[Scalar, Scalar]:
         """The true d and p of tuple i: Fractions in exact mode, floats otherwise."""
@@ -931,12 +935,11 @@ def _first_nonpositive(rho: StochasticChoice, eff: Scalar) -> tuple[Menu, str] |
     """The first (menu, alternative), in canonical order, with probability <= ``eff``;
     exact rows are tested in ints, over their lcm c_S, against floor(eff c_S)."""
     view = rho._dense
-    c = None if view.scale is None else view.scale[:, None]
-    i = _first_true(view.mask & ~(view.entries > _floor_scaled(eff, c)))
+    c = None if view.scale is None else view.scale[view.row]
+    i = _first_true(~(view.values > _floor_scaled(eff, c)))
     if i is None:
         return None
-    row, col = divmod(i, rho.universe.size)
-    return rho.domain[row], rho.universe.alternatives[col]
+    return rho.domain[view.row[i]], rho.universe.alternatives[view.col[i]]
 
 
 def iia_violations(rho: StochasticChoice, tol: Scalar | None = None) -> list[InstabilityTuple]:
@@ -1056,14 +1059,13 @@ def recover_luce_utility(
 
     # one edge per pair x before y sharing menus (the kernel's layout): u(y)/u(x)
     # from the first shared menu when exact, else the mean log u(y)/u(x) over them
-    e, n, exact = rho._dense.entries, universe.size, rho.is_exact  # ints over each row's lcm when exact
-    xs, ys, lo, menu = kernel.edges
+    e, n, exact = kernel.mine, universe.size, rho.is_exact  # ints over each row's lcm when exact
+    xs, ys, lo, kx, ky = kernel.edges
     if exact:
-        at = menu[lo[:-1]]
-        links = list(map(Fraction, e[at, ys].tolist(), e[at, xs].tolist()))
+        at = lo[:-1]
+        links = list(map(Fraction, e[ky[at]].tolist(), e[kx[at]].tolist()))
     else:
-        count = np.diff(lo)
-        ex, ey = e[menu, np.repeat(xs, count)], e[menu, np.repeat(ys, count)]
+        ex, ey = e[kx], e[ky]
         # a ratio over a subnormal entry may overflow; its log is then taken
         # as log e_y - log e_x, which stays in range
         with np.errstate(over="ignore"):

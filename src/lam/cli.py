@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .dataio import (
@@ -86,15 +85,11 @@ def _build_parser() -> _Parser:
 
 def _load_choice(path: str, exact: bool) -> tuple[StochasticChoice, bool]:
     """Load a dataset as probabilities, converting counts to frequencies:
-    each count over its menu's total, as a Fraction in exact mode."""
+    each count over its menu's total, in exact mode as ints over the totals."""
     data = parse_dataset(Path(path).read_text(), exact=exact)
     if not isinstance(data, ChoiceCounts):
         return data, False
-    if not exact:
-        return data.to_frequencies(), True
-    table = {m: {a: Fraction(n, sum(row.values())) for a, n in row.items()}
-             for m, row in data.counts.items()}
-    return StochasticChoice(data.universe, table), True
+    return (data._exact_frequencies() if exact else data.to_frequencies()), True
 
 
 def _header(command: str, exact: bool, tol: Scalar, *rows: str) -> list[str]:

@@ -26,8 +26,8 @@ likelihood change, or where a step can no longer gain: EM's gain is then
 below the rounding of the likelihood.  Estimation is double-precision
 throughout; exact inputs are converted on entry.
 It holds (u, v) as one vector w and runs as array operations on the
-counts' membership list, ``data._dense.members``, or on ``both``, that
-list for each rule end to end, never reading a cell off a menu: menu totals
+counts' membership list, ``data._dense``, or on its ``both``, that list
+for each rule end to end, never reading a cell off a menu: menu totals
 by ``np.add.reduceat``, per-alternative sums by ``np.bincount``, scalar
 totals by ``math.fsum``, so every float reduction has a fixed order and
 no result depends on ``PYTHONHASHSEED``.
@@ -53,8 +53,8 @@ from .types import (
     Menu,
     StochasticChoice,
     _Dense,
-    _incidence,
     _integer,
+    _memberships,
 )
 
 __all__ = [
@@ -91,13 +91,13 @@ def simulate_counts(
     universe = params.universe
     rng = _rng(seed)
     menus = sorted((universe.menu(m) for m in menus), key=universe.menu_key)
-    mask = _incidence(universe, menus)
-    cells = _mixture(params, mask)
+    row, col, start, _ = _memberships(universe, menus)
+    cells = _mixture(params, row, col, start)
     if cells is None:  # mixed scalar types
         probs = [np.array([float(q) for q in lam_choice(params, m).values()]) for m in menus]
     else:
-        _, _, num, den = cells
-        probs = np.split(num if den is None else (num / den).astype(float), np.cumsum(mask.sum(1))[:-1])
+        num, den = cells
+        probs = np.split(num if den is None else (num / den).astype(float), start[1:])
     counts: dict[Menu, dict[str, int]] = {}
     for m, p in zip(menus, probs):
         if m in counts:
@@ -119,7 +119,7 @@ def _vectors(params: LamParams) -> tuple[np.ndarray, float]:
 
 def _totals(at, x: np.ndarray) -> np.ndarray:
     """The total of ``x`` over each membership's menu, summed in member order.
-    ``at`` indexes ``x``: ``view.members`` for one rule, ``view.both`` for both."""
+    ``at`` indexes ``x``: the view for one rule, ``view.both`` for both."""
     return np.add.reduceat(x, at.start)[at.row]
 
 
@@ -134,12 +134,12 @@ def _e_step(view: _Dense, w: np.ndarray, a: float) -> tuple:
     cells = w[view.both.col]
     totals = _totals(view.both, cells)
     p = cells / totals
-    half = len(view.members.row)
+    half = len(view.row)
     return p, totals, a * p[:half] + (1 - a) * p[half:]
 
 
 def _loglik(view: _Dense, mix: np.ndarray) -> float:
-    return math.fsum((view.members.values * np.log(mix)).tolist())
+    return math.fsum((view.values * np.log(mix)).tolist())
 
 
 def _m_step(view: _Dense, w: np.ndarray, a: float, anchor: int, e: tuple) -> tuple:
@@ -153,7 +153,7 @@ def _m_step(view: _Dense, w: np.ndarray, a: float, anchor: int, e: tuple) -> tup
     zero weight).  At a boundary alpha the frozen rule keeps its half of ``w``.
     """
     p, totals, mix = e
-    counted = view.members.values
+    counted = view.values
     frozen = a <= 0.0 or a >= 1.0
     if frozen:
         warnings.warn("alpha is at a boundary; freezing it and updating the active component only",
@@ -190,7 +190,7 @@ def _gradient(view: _Dense, e: tuple, a: float) -> np.ndarray:
     read one ulp of those sums instead of the gradient.
     """
     p, _, mix = e
-    counted = view.members.values
+    counted = view.values
     wu = counted * a * p[: len(counted)] / mix
     w = np.concatenate((wu, counted - wu))
     d = _by_alt(view.both, w - p * _totals(view.both, w))
@@ -280,7 +280,7 @@ def _gain(view: _Dense, mix_p: np.ndarray, mix_q: np.ndarray) -> float:
     gain's digits where the difference of two ll readings, each rounded
     at the scale of |ll|, would lose them.
     """
-    return math.fsum((view.members.values * np.log1p((mix_q - mix_p) / mix_p)).tolist())
+    return math.fsum((view.values * np.log1p((mix_q - mix_p) / mix_p)).tolist())
 
 
 def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
@@ -298,9 +298,8 @@ def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
     """
     p, _, mix = e
     pu, pv = p[: len(mix)], p[len(mix) :]
-    one = view.members
-    col, (i, j), n = one.col, one.pairs, one.bins
-    r = one.values / mix
+    col, (i, j), n = view.col, view.pairs, view.bins
+    r = view.values / mix
     c = r / mix
     b = a * (1 - a)
     wu, wv = a * r * pu, (1 - a) * r * pv
@@ -311,16 +310,16 @@ def _hessian(view: _Dense, e: tuple, a: float) -> np.ndarray:
         # diag(sum of diag) + sum over member pairs (k, l) of S of
         # -y_k q_l - p_k y_l + t_S p_k q_l
         h = np.bincount(cell, (t * p - y)[i] * q[j] - p[i] * y[j], n * n)
-        h[:: n + 1] += _by_alt(one, diag)
+        h[:: n + 1] += _by_alt(view, diag)
         return h.reshape(n, n)[1:, 1:]
 
     yu, yv, yuv = wu - a * a * c * pu * pu, wv - (1 - a) ** 2 * c * pv * pv, b * c * pu * pv
-    su, sv = _totals(one, wu), _totals(one, wv)
+    su, sv = _totals(view, wu), _totals(view, wv)
     k = n - 1
     h = np.empty((2 * k + 1, 2 * k + 1))
-    h[:k, :k] = block(yu - su * pu, yu, _totals(one, yu) + su, pu, pu)
-    h[k:-1, k:-1] = block(yv - sv * pv, yv, _totals(one, yv) + sv, pv, pv)
-    h[:k, k:-1] = block(-yuv, -yuv, -_totals(one, yuv), pu, pv)
+    h[:k, :k] = block(yu - su * pu, yu, _totals(view, yu) + su, pu, pu)
+    h[k:-1, k:-1] = block(yv - sv * pv, yv, _totals(view, yv) + sv, pv, pv)
+    h[:k, k:-1] = block(-yuv, -yuv, -_totals(view, yuv), pu, pv)
     h[k:-1, :k] = h[:k, k:-1].T
     # the alpha tilts, both rules at once: sum over memberships of y_k (e_k - p)
     y = np.concatenate(((1 - a) * wu - a * b * d * pu, -a * wv - (1 - a) * b * d * pv))

@@ -148,7 +148,7 @@ def identification_polynomial(
 ) -> CubicPoly:
     """Build the cubic for target y with anchor x and reference pair (z, t).
 
-    Menu M gives a_M = A_M / c_M, b_M = B_M / c_M from the dense view: ints
+    Menu M gives a_M = A_M / c_M, b_M = B_M / c_M from the membership list: ints
     over the row's lcm c_M on exact data, and on float data the cells'
     mantissas over one power of two c_M (:func:`~lam.choice._dyadic`).
     With D_M = A_M k - B_M, the cubic is (c_S D_T + c_T D_S) D_1 D_2 -
@@ -171,7 +171,7 @@ def identification_polynomial(
         )
     view = rho_ai._dense
     at = [view.rows[m] for m in menus]
-    cells = view.entries[at][:, [universe.index(x), universe.index(y)]]
+    cells = view.values[view.find(at, [universe.index(x), universe.index(y)])[0]]
     if view.scale is None:  # float rows: ints over one power of two, exactly
         pairs, e = _dyadic(cells)
         cs = [1 << -e] * 4
@@ -632,11 +632,11 @@ class FieldResult:
 
 def _constant_odds(rho_ai: StochasticChoice, anchor: str, y: str, eff: Scalar) -> Scalar | None:
     """The menu-independent odds of y against the anchor, if they are constant,
-    from the dense view's rows holding both, in canonical order."""
+    from the membership list's rows holding both, in canonical order."""
     view, index = rho_ai._dense, rho_ai.universe.index
     x, j = index(anchor), index(y)
-    held = view.mask[:, x] & view.mask[:, j]
-    px, py = view.entries[held, x].tolist(), view.entries[held, j].tolist()
+    (ox, has_x), (oy, has_y) = (view.find(range(len(view.rows)), k) for k in (x, j))
+    px, py = (view.values[o[has_x & has_y]].tolist() for o in (ox, oy))
     if not all(p > 0 for p in px):
         return None
     ratios = [b / a if view.scale is None else Fraction(b, a) for a, b in zip(px, py)]

@@ -229,8 +229,8 @@ def recover_autonomous(
     entry < 0 - tol, where a float tol is exact: fl(0 - tol) = -tol.
     Any other alpha peels the float64 rows, whose values are the entries'
     ``float(entry)``, as arithmetic on the Fractions with a float does;
-    a clamped entry of exact tables is ``Fraction(0)``.  The peeled arrays
-    become the table's dense view as they are, and its ``table`` dict is
+    a clamped entry of exact tables is ``Fraction(0)``.  The peeled values
+    become the table's membership list as they are, and its ``table`` dict is
     built on first read (see :meth:`StochasticChoice._from_rows`).
     """
     exact = rho_ai.is_exact and rho_h.is_exact
@@ -238,30 +238,25 @@ def recover_autonomous(
     if not alpha < 1 - eff:
         raise DegenerateDivisionError("alpha = 1 leaves no autonomous component to recover")
     universe = rho_ai.universe
-    menus, mask, c, (a, h) = _join(rho_ai, rho_h, _DISJOINT)
-    rows, cols = np.nonzero(mask)  # the members, in canonical order
+    menus, row, col, c, (a, h) = _join(rho_ai, rho_h, _DISJOINT)  # the members, in canonical order
     if c is not None and isinstance(alpha, numbers.Rational):
         an, ad = int(alpha.numerator), int(alpha.denominator)
-        entries, scale = ad * a - an * h, (ad - an) * c
-        num, den = entries[mask], scale[rows]
-        low = _first_true(_compare_tol(num, 0, eff, den, below=True))
-        value = None if low is None else Fraction(num[low], den[low])
+        values, scale = ad * a - an * h, (ad - an) * c
+        low = _first_true(_compare_tol(values, 0, eff, scale[row], below=True))
+        value = None if low is None else Fraction(values[low], scale[row[low]])
     else:
-        a, h = _floats(a, c), _floats(h, c)
-        auto = (a[mask] - alpha * h[mask]) / (1 - alpha)
-        low, scale = _first_true(auto < -eff), None
-        value = None if low is None else float(auto[low])
-        entries = np.zeros(mask.shape)
-        entries[mask] = auto
+        values = (_floats(a, c, row) - alpha * _floats(h, c, row)) / (1 - alpha)
+        low, scale = _first_true(values < -eff), None
+        value = None if low is None else float(values[low])
     if low is not None:
         raise InconsistentInputsError(
-            f"autonomous probability of {universe.alternatives[cols[low]]!r} in "
-            f"{universe.sorted_members(menus[rows[low]])} is {_show(value)}; the pair "
+            f"autonomous probability of {universe.alternatives[col[low]]!r} in "
+            f"{universe.sorted_members(menus[row[low]])} is {_show(value)}; the pair "
             f"admits no mixture with alpha = {_show(alpha)}"
         )
-    try:  # entries within tol below 0 read as 0
+    try:  # values within tol below 0 read as 0
         return StochasticChoice._from_rows(
-            universe, menus, mask, entries, scale, max(rho_ai.eps_sum, 1e-9),
+            universe, menus, row, col, values, scale, max(rho_ai.eps_sum, 1e-9),
             Fraction(0) if exact else 0.0,
         )
     except InvalidParameterError as e:
@@ -542,20 +537,20 @@ def _bounded_divergence(kernel: _Kernel, binding: int | None) -> AxiomVerdict:
     """
     if binding is None:
         return AxiomVerdict(True, note="no tuples to compare")
-    mask, eff = kernel.mask, kernel.eff
+    eff = kernel.eff
     d, p, k = kernel.raw(binding)
-    lhs, rhs = kernel.mine[mask] * abs(p), kernel.theirs[mask] * abs(d)  # canonical order
+    lhs, rhs = kernel.mine * abs(p), kernel.theirs * abs(d)  # canonical order
     if eff == 0 and d != 0:
         fails = lhs <= rhs
     else:
-        scale = None if k is None else kernel.c[np.nonzero(mask)[0]] * k  # c_S k per member
+        scale = None if k is None else kernel.c[kernel.row] * k  # c_S k per member
         fails = _compare_tol(lhs, rhs, eff, scale, below=True)
     bad = _first_true(fails)
     if bad is None:
         return AxiomVerdict(True)
     t = kernel.tuple_at(binding)
     universe, menus = kernel.universe, kernel.menus
-    i, j = (k[bad] for k in np.nonzero(mask))
+    i, j = kernel.row[bad], kernel.col[bad]
     members, z = universe.sorted_members(menus[i]), universe.alternatives[j]
     return AxiomVerdict(
         False,

@@ -219,84 +219,99 @@ class Universe:
 # ---------------------------------------------------------------------------
 
 
-def _incidence(universe: Universe, menus: Sequence[Menu]) -> np.ndarray:
-    """The menus x universe matrix marking each menu's members, set member by member."""
-    n, index = universe.size, universe._index
-    inc = np.zeros((len(menus), n), dtype=bool)
-    inc.ravel()[[i * n + index[a] for i, m in enumerate(menus) for a in m]] = True
-    return inc
+def _memberships(universe: Universe, menus: Sequence[Menu], rows: Iterable[Mapping] = ()):
+    """Each member of each menu as its menu's position ``row`` and its ``col``,
+    menus in order and members in universe order, each menu's ``start``, and
+    each one's value in ``rows``, a dict per menu, 0 where a row records nothing."""
+    n, index, names = universe.size, universe._index, universe.alternatives
+    keys = sorted(i * n + index[a] for i, m in enumerate(menus) for a in m)  # row * n + col
+    row, col = np.divmod(np.array(keys, dtype=np.intp), n)
+    size, cols = np.bincount(row, minlength=len(menus)), iter(col.tolist())
+    values = [r.get(names[j], 0) for r, m in zip(rows, menus) for j in islice(cols, len(m))]
+    return row, col, np.cumsum(size) - size, values
+
+
+def _offsets(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """start[i], start[i] + 1, ... start[i] + size[i] - 1 for each i in turn."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
+
+
+def _member_pairs(row: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Each menu's ordered member pairs (k, l), k = l included, as two rows
+    of membership offsets, in canonical order: O(sum of squared menu sizes)."""
+    reps = np.bincount(row, minlength=len(start))[row]  # k pairs with each of its menu's members
+    return np.stack((np.repeat(np.arange(len(row)), reps), _offsets(start[row], reps)))
 
 
 @dataclass(frozen=True, eq=False)
 class _Dense:
-    """A table's rows as read-only arrays, menus in ``domain`` order x
-    universe order, so that row-major order is canonical order.
-
-    ``rows`` maps each menu to its row, ``mask`` marks each menu's members,
-    and ``entries`` holds the recorded values, 0 where a row records
+    """A table's memberships as read-only arrays, menus in ``domain`` order and
+    each menu's members in universe order: each one's menu ``row`` and ``col``,
+    each menu's ``start`` and its row in ``rows``, and the universe's size
+    ``bins``.  ``values`` holds one value per membership, 0 where a row records
     nothing: float64, or for an exact table ints over each row's lcm of
     denominators, with the lcms in ``scale`` (None for a float table).
     """
 
     rows: Mapping[Menu, int]
-    mask: np.ndarray
-    entries: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    start: np.ndarray
+    values: np.ndarray
     scale: np.ndarray | None
+    bins: int
 
     @cached_property
-    def members(self) -> _Members:
-        """:func:`_member_pairs` of the mask, each menu's (menu, alternative)
-        pairs with the ``values`` there, and ``bins``, the width.  Built once per view."""
-        row, col, start, pairs = _member_pairs(self.mask)
-        return _Members(row, col, start, self.mask.shape[1], self.entries[row, col], pairs)
+    def pairs(self) -> np.ndarray:
+        """:func:`_member_pairs` of the memberships, built once per view."""
+        return _member_pairs(self.row, self.start)
 
     @cached_property
     def both(self) -> _Both:
-        """:attr:`members` and a copy offset by the width, the membership and
+        """The memberships and a copy offset by the width, the membership and
         the menu count: the index of one value per membership and rule of a
         two-rule mixture.  ``total`` is the values' float sum.  Built once per view."""
-        row, col, start, bins, values, _ = self.members
-        return _Both(np.concatenate((row, row + len(self.mask))), np.concatenate((col, col + bins)),
-                     np.concatenate((start, start + len(row))), 2 * bins, float(values.sum()))
+        row, col, start, n = self.row, self.col, self.start, self.bins
+        return _Both(np.concatenate((row, row + len(self.rows))), np.concatenate((col, col + n)),
+                     np.concatenate((start, start + len(row))), 2 * n, float(self.values.sum()))
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """row * bins + col of each membership, ascending: :meth:`find` searches them."""
+        return self.row * self.bins + self.col
+
+    def find(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets of the cells (row, col) for each of ``rows`` and each of
+        ``cols``, and whether each cell is a membership."""
+        want = np.add.outer(np.asarray(rows) * self.bins, cols)
+        at = np.searchsorted(self.keys, want).clip(max=len(self.keys) - 1)
+        return at, self.keys[at] == want
 
 
-def _member_pairs(mask: np.ndarray):
-    """The cells ``row``, ``col`` of ``mask`` in row-major order, each row's
-    ``start`` in that list, and its ordered member ``pairs`` (k, l), k = l
-    included, as two rows of offsets into it, in row-major order: O(sum of
-    squared row sizes), whatever the width of ``mask``."""
-    row, col = np.nonzero(mask)
-    size = np.bincount(row, minlength=len(mask))
-    start, reps = np.cumsum(size) - size, size[row]
-    # membership k pairs with each of its menu's size[row[k]] members in turn
-    first = np.repeat(np.arange(len(row)), reps)
-    second = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps - start[row], reps)
-    return row, col, start, np.stack((first, second))
-
-
-_Members = namedtuple("_Members", "row col start bins values pairs")
 _Both = namedtuple("_Both", "row col start bins total")
 
 
-def _floats(rows: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
-    """Rows of ints over a per-row ``scale`` as float64, float rows as they
-    are: int / int is correctly rounded, so each value is ``float(entry)``."""
-    return rows if scale is None else (rows / scale[:, None]).astype(float)
+def _floats(values: np.ndarray, scale: np.ndarray | None, row: np.ndarray) -> np.ndarray:
+    """Values of ints over a per-menu ``scale``, each in menu ``row``, as float64,
+    float values as they are: int / int rounds correctly, to ``float(value)``."""
+    return values if scale is None else (values / scale[row]).astype(float)
 
 
 def _rows(tables: Sequence["StochasticChoice"], menus: Sequence[Menu]):
-    """The first table's mask at ``menus``, a subsequence of every table's
-    domain, and the tables' rows there: ints over each menu's joint lcm c_S
-    of the tables' denominators, and c_S, when every table is exact;
-    float64 rows (:func:`_floats`) and None otherwise."""
+    """The memberships of ``menus``, a subsequence of every table's domain, as
+    each one's ``row`` in ``menus`` and ``col``, and the tables' values there:
+    ints over each menu's joint lcm c_S of the tables' denominators, and c_S,
+    when every table is exact; float64 (:func:`_floats`) and None otherwise."""
     views = [t._dense for t in tables]
     at = [slice(None) if len(menus) == len(v.rows) else [v.rows[m] for m in menus] for v in views]
-    mask = views[0].mask[at[0]]
+    size = np.bincount(views[0].row, minlength=len(views[0].rows))[at[0]]  # each menu's members
+    take = [i if isinstance(i, slice) else _offsets(v.start[i], size) for v, i in zip(views, at)]
+    row, col = np.repeat(np.arange(len(menus)), size), views[0].col[take[0]]
     if any(v.scale is None for v in views):
-        return mask, None, [_floats(v.entries, v.scale)[i] for v, i in zip(views, at)]
+        return row, col, None, [_floats(v.values[k], v.scale, v.row[k]) for v, k in zip(views, take)]
     scales = [v.scale[i] for v, i in zip(views, at)]
     c = np.array([math.lcm(*cs) for cs in zip(*scales)], dtype=object)
-    return mask, c, [v.entries[i] * (c // s)[:, None] for v, i, s in zip(views, at, scales)]
+    return row, col, c, [v.values[k] * (c // s)[row] for v, k, s in zip(views, take, scales)]
 
 
 def _normalised_rows(table: "_MenuRows", outside: str, empty: str, cell: Callable):
@@ -333,27 +348,25 @@ class _MenuRows:
 
     @cached_property
     def _dense(self) -> _Dense:
-        """The rows as one dense view, built once per table on first use."""
+        """The rows as one membership list, built once per table on first use."""
         universe, domain = self.universe, self.domain
         table, lcms = self.__dict__.get("_ints") or (getattr(self, self._field), None)
-        # exact entries for an exact table; counts have no is_exact and are float64
-        n, index, exact = universe.size, universe._index, getattr(self, "is_exact", False)
-        mask = _incidence(universe, domain)
-        entries = np.zeros((len(domain), n), dtype=object if exact else float)
-        cells = [i * n + index[a] for i, m in enumerate(domain) for a in table[m]]
-        rows, scale = [table[m].values() for m in domain], None
+        # exact values for an exact table; counts have no is_exact and are float64
+        exact = getattr(self, "is_exact", False)
+        rows, scale = [table[m] for m in domain], None
+        row, col, start, cells = _memberships(universe, domain, rows)
         if exact:  # ints over each row's lcm, which a parsed file's ``_ints`` hold already
             if lcms is None:
-                lcms = {m: math.lcm(*(p.denominator for p in row)) for m, row in zip(domain, rows)}
-                rows = [[p.numerator * (lcms[m] // p.denominator) for p in row] for m, row in zip(domain, rows)]
+                lcms = {m: math.lcm(*(p.denominator for p in r.values())) for m, r in zip(domain, rows)}
+                cells = [p.numerator * (lcms[domain[i]] // p.denominator) for i, p in zip(row.tolist(), cells)]
             scale = np.array([lcms[m] for m in domain], dtype=object)
-            scale.flags.writeable = False
         try:
-            entries.ravel()[cells] = [p for row in rows for p in row]
+            values = np.array(cells, dtype=object if exact else float)
         except OverflowError:  # a count past float64's range
             raise InvalidParameterError("counts past float64's range have no float view") from None
-        mask.flags.writeable = entries.flags.writeable = False
-        return _Dense({m: i for i, m in enumerate(domain)}, mask, entries, scale)
+        for x in (row, col, start, values) + (() if scale is None else (scale,)):
+            x.flags.writeable = False
+        return _Dense({m: i for i, m in enumerate(domain)}, row, col, start, values, scale, universe.size)
 
 
 @dataclass(frozen=True)
@@ -420,70 +433,71 @@ class StochasticChoice(_MenuRows):
 
     @classmethod
     def _from_rows(
-        cls, universe: Universe, menus: Sequence[Menu], mask: np.ndarray, entries: np.ndarray,
-        scale: np.ndarray | None, eps_sum: float, zero: Scalar,
+        cls, universe: Universe, menus: Sequence[Menu], row: np.ndarray, col: np.ndarray,
+        values: np.ndarray, scale: np.ndarray | None, eps_sum: float, zero: Scalar,
     ) -> StochasticChoice:
-        """The table of ``entries`` at the members ``mask`` marks, over
-        ``menus``, distinct and in canonical order: ints over each menu's
-        ``scale``, or float64 (``scale`` None), 0 off the menus.  An entry
+        """The table of ``values`` at the memberships (``row``, ``col``) of
+        ``menus``, distinct and in canonical order (:func:`_memberships`):
+        ints over each menu's ``scale``, or float64 (``scale`` None).  A value
         below 0, which the caller has held to its tolerance, reads as 0: in
         float rows as ``zero``, 0.0 or ``Fraction(0)``.
 
         Each row gets the verdicts of :meth:`_check_row`, taken on the
-        arrays, and the first failing row raises through it.  The dense view
-        is the arrays themselves, an exact row divided by its gcd with its
-        scale: the lcm of its entries' reduced denominators.  ``table`` is
-        built from it on first read (:meth:`__getattr__`) and then kept.
+        arrays, and the first failing row raises through it.  The membership
+        list is the arrays themselves, an exact row divided by its gcd with
+        its scale: the lcm of its entries' reduced denominators.  ``table``
+        is built from it on first read (:meth:`__getattr__`) and then kept.
         """
-        low, exact = entries < 0, scale is not None
+        low, exact = values < 0, scale is not None
+        size = np.bincount(row, minlength=len(menus))
+        start = np.cumsum(size) - size
         if exact:
-            entries = np.where(low, 0, entries)
-            off = (entries > scale[:, None]).any(axis=1) | (entries.sum(axis=1) != scale)
-            g = np.gcd(np.gcd.reduce(entries, axis=1), scale)
-            entries, scale = entries // g[:, None], scale // g
+            values = np.where(low, 0, values)
+            off = np.logical_or.reduceat(values > scale[row], start) | (np.add.reduceat(values, start) != scale)
+            g = np.gcd(np.gcd.reduceat(values, start), scale)
+            values, scale = values // g[row], scale // g
         else:
-            entries = np.where(low, 0.0, entries)
+            values = np.where(low, 0.0, values)
             with np.errstate(invalid="ignore"):  # NaN is off [0, 1] as well
-                off = (mask & ~((entries >= -eps_sum) & (entries <= 1 + eps_sum))).any(axis=1)
+                off = np.logical_or.reduceat(~((values >= -eps_sum) & (values <= 1 + eps_sum)), start)
             # each row summed as __post_init__ sums it, in member order; a
             # clamped cell adds 0 as ``zero`` would
-            cells, ends = entries[mask].tolist(), np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            cells, ends = values.tolist(), np.cumsum(size).tolist()
             off |= [abs(sum(cells[i:j]) - 1) > eps_sum for i, j in zip([0] + ends, ends)]
         self = object.__new__(cls)
         for name, value in (("universe", universe), ("eps_sum", eps_sum), ("is_exact", exact)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "is_positive", bool((entries[mask] > 0).all()))
-        mask.flags.writeable = entries.flags.writeable = False
-        if exact:
-            scale.flags.writeable = False
+        object.__setattr__(self, "is_positive", bool((values > 0).all()))
+        for x in (row, col, start, values) + (() if scale is None else (scale,)):
+            x.flags.writeable = False
         self.__dict__["domain"] = tuple(menus)
-        self.__dict__["_dense"] = _Dense({m: i for i, m in enumerate(menus)}, mask, entries, scale)
-        self.__dict__["_clamped"] = None if exact else (low[mask], zero)
+        self.__dict__["_dense"] = _Dense(
+            {m: i for i, m in enumerate(menus)}, row, col, start, values, scale, universe.size)
+        self.__dict__["_clamped"] = None if exact else (low, zero)
         for i in np.flatnonzero(off)[:1]:
             self._check_row(menus[i], self.table[menus[i]], exact)  # raises
         return self
 
     def __getattr__(self, name: str):
         """``table`` of a table made by :meth:`_from_rows`, built from its
-        dense view on first read and kept, or of a parsed exact file, from its
-        ``_ints`` in file order; no other attribute is found here."""
+        membership list on first read and kept, or of a parsed exact file,
+        from its ``_ints`` in file order; no other attribute is found here."""
         if name != "table" or "_clamped" not in self.__dict__ and "_ints" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         if "_ints" in self.__dict__:
             rows, scale = self._ints
             self.__dict__["table"] = {m: {a: Fraction(p, scale[m]) for a, p in row.items()} for m, row in rows.items()}
             return self.table
-        view, clamped, (rows, cols) = self._dense, self._clamped, np.nonzero(self._dense.mask)
+        view, clamped = self._dense, self._clamped
         if clamped is None:
-            cells = map(Fraction, view.entries[view.mask].tolist(), view.scale[rows].tolist())
+            cells = map(Fraction, view.values.tolist(), view.scale[view.row].tolist())
         else:
-            cells = view.entries[view.mask].astype(object)
+            cells = view.values.astype(object)
             cells[clamped[0]] = clamped[1]
             cells = cells.tolist()
-        names, cells = self.universe.alternatives, zip(cols.tolist(), cells)
+        names, cells = self.universe.alternatives, zip(view.col.tolist(), cells)
         table = self.__dict__["table"] = {
-            m: {names[j]: p for j, p in islice(cells, k)}
-            for m, k in zip(self.domain, np.count_nonzero(view.mask, axis=1).tolist())
+            m: {names[j]: p for j, p in islice(cells, len(m))} for m in self.domain
         }
         return table
 
@@ -552,13 +566,24 @@ class ChoiceCounts(_MenuRows):
         2**53 the dense view's float quotients are those values, so where every
         row records each member the table is built from them; else cell by cell."""
         rows = self.counts.values()
-        if max(sum(r.values()) for r in rows) < 2**53 and sum(map(len, rows)) == self._dense.mask.sum():
+        if max(sum(r.values()) for r in rows) < 2**53 and sum(map(len, rows)) == len(self._dense.values):
             view = self._dense
-            freqs = view.entries / view.entries.sum(axis=1)[:, None]
-            return StochasticChoice._from_rows(self.universe, self.domain, view.mask, freqs, None, ROW_SUM_TOL, 0.0)
+            freqs = view.values / np.add.reduceat(view.values, view.start)[view.row]
+            return StochasticChoice._from_rows(
+                self.universe, self.domain, view.row, view.col, freqs, None, ROW_SUM_TOL, 0.0)
         totals = {m: sum(row.values()) for m, row in self.counts.items()}
         table = {m: {a: c / totals[m] for a, c in row.items()} for m, row in self.counts.items()}
         return StochasticChoice(self.universe, table)
+
+    def _exact_frequencies(self) -> StochasticChoice:
+        """:meth:`to_frequencies` in exact arithmetic, through the same
+        ``_from_rows``: each count an int over its menu's total (a member a
+        row omits counts 0), with no ``Fraction`` per cell."""
+        menus = self.domain
+        row, col, start, counts = _memberships(self.universe, menus, map(self.counts.__getitem__, menus))
+        counts = np.array(counts, dtype=object)
+        return StochasticChoice._from_rows(
+            self.universe, menus, row, col, counts, np.add.reduceat(counts, start), ROW_SUM_TOL, 0.0)
 
 
 def _same_universe(a: StochasticChoice, b: StochasticChoice) -> None:
@@ -580,16 +605,16 @@ def _shared(a: StochasticChoice, b: StochasticChoice, message: str) -> list[Menu
 
 
 def _join(a: StochasticChoice, b: StochasticChoice, message: str):
-    """The :func:`_shared` menus, then the mask, c_S or None, and rows of :func:`_rows`."""
+    """The :func:`_shared` menus, then the memberships, c_S or None, and values of :func:`_rows`."""
     menus = _shared(a, b, message)
     return (menus, *_rows((a, b), menus))
 
 
 def sup_distance(a: StochasticChoice, b: StochasticChoice) -> Scalar:
     """Sup-norm distance between two choice functions on their common menus."""
-    _, mask, c, (rows_a, rows_b) = _join(a, b, "the two choice functions share no menus")
-    gaps = np.abs(rows_a - rows_b)[mask].tolist()
-    worst = max(gaps if c is None else map(Fraction, gaps, c[np.nonzero(mask)[0]].tolist()))
+    _, row, _, c, (rows_a, rows_b) = _join(a, b, "the two choice functions share no menus")
+    gaps = np.abs(rows_a - rows_b).tolist()
+    worst = max(gaps if c is None else map(Fraction, gaps, c[row].tolist()))
     return worst if worst > 0 else 0
 
 

@@ -49,10 +49,14 @@ def mask_broadcast_utility(rho, anchor: str) -> dict:
     universe = rho.universe
     root = universe.index(anchor)
     view, n, exact = rho._dense, universe.size, rho.is_exact
-    e = view.entries
+    # the padded menus x universe arrays, rebuilt from the membership list
+    mask = np.zeros((len(view.rows), n), bool)
+    mask[view.row, view.col] = True
+    e = np.zeros(mask.shape, view.values.dtype)
+    e[view.row, view.col] = view.values
     step = {}
     xs, ys = np.triu_indices(n, 1)
-    pair, menu = np.nonzero((view.mask[:, xs] & view.mask[:, ys]).T)
+    pair, menu = np.nonzero((mask[:, xs] & mask[:, ys]).T)
     linked, first, count = np.unique(pair, return_index=True, return_counts=True)
     if exact:
         menu = menu[first]
@@ -101,17 +105,17 @@ def fraction_is_zero(poly, eff) -> bool:
 
 def _totals(view, x: np.ndarray) -> np.ndarray:
     """The total of ``x`` over each membership's menu, summed in member order."""
-    return np.add.reduceat(x, view.members.start)[view.members.row]
+    return np.add.reduceat(x, view.start)[view.row]
 
 
 def _by_alt(view, x: np.ndarray) -> np.ndarray:
     """Each alternative's total of ``x``, one value per membership, in menu order."""
-    return np.bincount(view.members.col, x, view.mask.shape[1])
+    return np.bincount(view.col, x, view.bins)
 
 
 def _luce(view, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Luce probabilities of utilities ``w`` at every membership, and its menu's total."""
-    cells = w[view.members.col]
+    cells = w[view.col]
     totals = _totals(view, cells)
     return cells / totals, totals
 
@@ -142,13 +146,13 @@ def per_rule_m_step(view, u, v, a: float, anchor: int, e: tuple) -> tuple:
             stacklevel=3,
         )
         if a >= 1.0:
-            return _mm_step(view, u, view.members.values, su, anchor), v, a
-        return u, _mm_step(view, v, view.members.values, sv, anchor), a
-    wu = view.members.values * a * pu / mix
+            return _mm_step(view, u, view.values, su, anchor), v, a
+        return u, _mm_step(view, v, view.values, sv, anchor), a
+    wu = view.values * a * pu / mix
     return (
         _mm_step(view, u, wu, su, anchor),
-        _mm_step(view, v, view.members.values - wu, sv, anchor),
-        math.fsum(wu.tolist()) / float(view.members.values.sum()),
+        _mm_step(view, v, view.values - wu, sv, anchor),
+        math.fsum(wu.tolist()) / float(view.values.sum()),
     )
 
 
@@ -156,18 +160,18 @@ def per_rule_gradient(view, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray,
     """The log-likelihood gradient at the E-step ``e`` of a point with weight ``a``:
     d/d log u and d/d log v for every alternative, and d/d logit alpha."""
     pu, _, pv, _, mix = e
-    wu = view.members.values * a * pu / mix
-    wv = view.members.values - wu
+    wu = view.values * a * pu / mix
+    wv = view.values - wu
     d_u = _by_alt(view, wu - pu * _totals(view, wu))
     d_v = _by_alt(view, wv - pv * _totals(view, wv))
-    return d_u, d_v, math.fsum((wu - a * view.members.values).tolist())
+    return d_u, d_v, math.fsum((wu - a * view.values).tolist())
 
 
 def per_rule_alpha_tilts(view, e: tuple, a: float) -> tuple[np.ndarray, np.ndarray]:
     """The Hessian's (log u, logit alpha) and (log v, logit alpha) entries
     of the alternatives but the anchor, index 0, at the E-step ``e``."""
     pu, _, pv, _, mix = e
-    r = view.members.values / mix
+    r = view.values / mix
     c = r / mix
     b = a * (1 - a)
     wu, wv = a * r * pu, (1 - a) * r * pv

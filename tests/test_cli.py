@@ -1,5 +1,6 @@
 """End-to-end CLI runs over the bundled golden files."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ import pytest
 import gen
 from lam.cli import main
 from lam.dataio import parse_dataset, parse_report, parse_scalar, serialize_dataset
-from lam import LamParams, lam_table, luce_table, Universe
+from lam import ChoiceCounts, LamParams, StochasticChoice, lam_table, luce_table, Universe
 
 DATA = Path(__file__).parent / "data"
 
@@ -945,6 +946,37 @@ def test_exact_flag_reads_counts_as_exact_frequencies(capsys, tmp_path):
     for argv in (["identify-lab", "--anchor", "x"], ["check-axioms"]):
         code, out, _ = run(capsys, *argv, "--ai", counts, "--human", counts, "--exact")
         assert code == 2 and out.splitlines()[1] == "mode,exact"
+
+
+@pytest.mark.parametrize("thinned", [False, True], ids=["whole", "thinned"])
+def test_exact_counts_report_as_their_frequencies(capsys, tmp_path, ex_b_params, thinned):
+    # example B's mixture as counts, each row over its lcm of denominators,
+    # thinned by a zero count on {x, y} and an omitted member of the full
+    # menu: with --exact every report is that of the exact probabilities
+    # file of the counts' frequencies, apart from the conversion row
+    uni, anchor = ex_b_params.universe, ex_b_params.anchor
+    menus = uni.all_menus(2)
+    counts = {}
+    for m, row in lam_table(ex_b_params, menus).table.items():
+        c = math.lcm(*(p.denominator for p in row.values()))
+        counts[m] = {a: int(p * c) for a, p in row.items()}
+    if thinned:
+        counts[frozenset("xy")]["x"] = 0
+        del counts[frozenset(uni.alternatives)]["t"]
+    freqs = {m: {a: F(k, sum(row.values())) for a, k in row.items()} for m, row in counts.items()}
+    files = {}
+    for name, data in (("counts", ChoiceCounts(uni, counts)), ("freqs", StochasticChoice(uni, freqs)),
+                       ("human", luce_table(uni, ex_b_params.u, menus))):
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text(serialize_dataset(data))
+    for argv in (["identify-lab", "--human", str(files["human"]), "--anchor", anchor],
+                 ["identify-field", "--anchor", anchor], ["check-axioms", "--human", str(files["human"])]):
+        code, out, err = run(capsys, *argv, "--ai", str(files["counts"]), "--exact")
+        want = run(capsys, *argv, "--ai", str(files["freqs"]), "--exact")
+        converted = "input,converted-counts-to-frequencies"
+        assert (converted in out.splitlines()) == (argv[0] != "check-axioms")
+        assert (code, [r for r in out.splitlines() if r != converted], err) == (want[0], want[1].splitlines(), want[2])
+        assert "mode,exact" in out.splitlines()
 
 
 def test_float_counts_are_reported_as_converted(capsys, tmp_path):

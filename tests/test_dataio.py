@@ -508,7 +508,7 @@ def dataset_files(draw):
         i = view.rows[menu]
         for a in universe.sorted_members(menu):
             p = ai.table[menu][a]
-            value = written(view.entries[i, universe.index(a)] if form == "counts" else p, form, k)
+            value = written(view.values[view.find(i, universe.index(a))[0]] if form == "counts" else p, form, k)
             # a member omitted where the row still sums to 1 within the tolerance
             omittable = form == "counts" or p == 0 or form == "float" and p < 1e-9
             if not (omittable and draw(st.integers(0, 2)) == 0):
@@ -584,7 +584,7 @@ def parsed(text: str, exact: bool, parse):
     try:
         view = data._dense
         arrays = [(a.dtype, a.shape, a.tobytes() if a.dtype != object else list(map(cell, a.ravel())))
-                  for a in (view.mask, view.entries, view.scale) if a is not None]
+                  for a in (view.row, view.col, view.start, view.values, view.scale) if a is not None]
         arrays.append(list(view.rows.items()))
     except LamError as e:
         arrays = (type(e), str(e))

@@ -30,6 +30,7 @@ from lam import (
 from lam import choice, estimate
 from lam.cli import main
 from lam.dataio import serialize_dataset
+from lam.types import _memberships
 
 
 def _perturbed(params, rng, radius=0.1):
@@ -99,8 +100,7 @@ def test_simulate_counts_equal_a_draw_through_lam_choice(kind):
         counts = simulate_counts(params, menus, 10**6, seed=trial)
         assert counts.counts == draw_through_lam_choice(params, menus, 10**6, trial)
         if kind != "mixed":  # the probabilities themselves, bit for bit
-            mask = np.array([[a in m for a in universe.alternatives] for m in menus])
-            _, _, num, den = choice._mixture(params, mask)
+            num, den = choice._mixture(params, *_memberships(universe, menus)[:3])
             got = (num / den).astype(float) if kind == "exact" else num
             want = [float(q) for m in menus for q in lam_choice(params, m).values()]
             assert [float(g).hex() for g in got] == [w.hex() for w in want]
@@ -182,8 +182,9 @@ def test_to_frequencies_equals_the_dict_table_bit_for_bit(uni3):
         for m, row in want.table.items():
             assert [got.table[m][a].hex() for a in row] == [p.hex() for p in row.values()]
         assert got.domain == want.domain
-        assert np.array_equal(got._dense.mask, want._dense.mask)
-        assert got._dense.entries.tobytes() == want._dense.entries.tobytes()
+        g, w = got._dense, want._dense
+        assert all(np.array_equal(getattr(g, k), getattr(w, k)) for k in ("row", "col", "start"))
+        assert g.values.tobytes() == w.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +538,7 @@ def test_gradient_matches_a_per_cell_fsum_oracle(uni4, ex_b_params):
     counts = simulate_counts(ex_b_params, uni4.all_menus(2), 10**5, seed=33)
     fit = fit_mle(counts, inits=4, seed=7, tol_ll=1e-13, max_iter=60000)
     view = counts._dense
-    row, col, counted = view.members.row, view.members.col, view.members.values
+    row, col, counted = view.row, view.col, view.values
     w, a = estimate._vectors(fit.params)
     e = estimate._e_step(view, w, a)
     p, _, mix = e
@@ -669,7 +670,11 @@ def dense_hessian(counts, point):
     the dense menus x alternatives view (every cell off a menu 0 in the
     Luce probabilities and counts, 1 in the mixture), at ``point``."""
     (u, v), a = np.split(point[0], 2), point[1]
-    mask, entries = counts._dense.mask, counts._dense.entries
+    view = counts._dense  # the padded menus x universe arrays
+    mask = np.zeros((len(view.rows), view.bins), bool)
+    mask[view.row, view.col] = True
+    entries = np.zeros(mask.shape)
+    entries[view.row, view.col] = view.values
 
     def luce(w):
         cells = mask * w
@@ -904,7 +909,7 @@ def test_one_vector_kernels_match_the_per_rule_oracles(n):
     for design in (menus, [m for m in menus if len(m) <= 3]):
         for per_menu in (3, 10**4):
             view = simulate_counts(truth, design, per_menu, seed=rng.randrange(10**6))._dense
-            assert (view.members.values == 0).any() or per_menu > 3
+            assert (view.values == 0).any() or per_menu > 3
             for _ in range(3):
                 u, v = (np.exp(nrng.normal(scale=3, size=n)) for _ in range(2))
                 u, v = u / u[0], v / v[0]

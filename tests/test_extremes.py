@@ -113,7 +113,8 @@ def test_cli_on_written_extreme_tables_exits_0_1_or_2(tmp_path_factory, pair):
     # the AI table as counts: its entries over each row's scale, as integers
     counts, rho, view = work / "counts.csv", pair[0], pair[0]._dense
     counts.write_text(serialize_dataset(ChoiceCounts(rho.universe, {
-        m: {a: view.entries[view.rows[m], rho.universe.index(a)] for a in row} for m, row in rho.table.items()
+        m: {a: view.values[view.find(view.rows[m], rho.universe.index(a))[0]] for a in row}
+        for m, row in rho.table.items()
     })))
     runs += [(["fit", "--data", str(counts), "--starts", "1", "--seed", "1", "--max-iter", "20"], []),
              (["identify-lab", "--ai", str(counts), "--human", str(human), "--anchor", "a", "--exact"], [])]

@@ -440,7 +440,7 @@ def test_kernel_matches_oracle_across_passes(monkeypatch):
             ai, human, anchor, tol = random_case(rng, n, exact, variant)
             runs = _Kernel(ai, common_menus(ai, human), human).runs
             assert len(runs) > 1
-            widths.update(len(xs) for xs, _, _ in runs)
+            widths.update(len(xs) for xs, *_ in runs)
             assert_matches_oracle(ai, human, anchor, tol)
         assert max(widths) > 1
     finally:
@@ -739,12 +739,20 @@ def test_kernel_sums_equal_brute_force(variant):
             ]
 
 
+def padded(kernel):
+    """A float kernel's two tables side by side as menus x 2n rows, 0 off each menu."""
+    n = kernel.universe.size
+    rows = np.zeros((len(kernel.menus), 2 * n))
+    rows[kernel.row, kernel.col], rows[kernel.row, n + kernel.col] = kernel.mine, kernel.theirs
+    return rows
+
+
 def dyadic_sums(kernel, flags):
     """A float kernel's sums in object ints: its rows as one set of
     ``_dyadic`` ints, each pair's sums from Python dot products by
     Binet-Cauchy, and the tuples that the flat canonical mask ``flags``
     marks one by one."""
-    rows = choice._dyadic(np.concatenate([kernel.mine, kernel.theirs], axis=1))[0].tolist()
+    rows = choice._dyadic(padded(kernel))[0].tolist()
     n, alts = kernel.universe.size, kernel.universe.alternatives
     sums, first = [0] * 5, 0
 
@@ -792,7 +800,7 @@ def test_float_sums_on_extreme_tables(pair, seed):
     kernel, want = assert_float_sums(ai, human, flags)
     # and the oracle is the tuples' true values times 2**(-4 b), for b the rows' exponent
     true = list(scan_rows(ai, menus, human, exact_value))
-    scale = F(2) ** -(4 * choice._dyadic(np.concatenate([kernel.mine, kernel.theirs], axis=1))[1])
+    scale = F(2) ** -(4 * choice._dyadic(padded(kernel))[1])
     kept = [r for r, flag in zip(true, flags) if flag]
     assert want == tuple(scale * sum(r[i] * r[j] for r in rows) for rows, (i, j) in zip(
         (true, true, true, kept, kept), ((4, 4), (4, 5), (5, 5), (4, 5), (5, 5))

@@ -38,7 +38,7 @@ from lam import (
     satisfies_iia,
     sup_distance,
 )
-from lam.choice import _Kernel, _Top, _triangle, luce_choice
+from lam.choice import _Kernel, _layout, _Top, _triangle, luce_choice
 from lam.lab import _DISJOINT, AlphaEstimate, _pair_verdicts
 from lam.types import _shared, resolve_tol
 from test_kernel import canon, oracle_check_axioms
@@ -419,6 +419,20 @@ def test_lab_scales_with_the_menus_it_reads():
         started = time.perf_counter()
         assert call() == check
         assert time.perf_counter() - started < 5.0
+    # and every array is one value per membership (6,132), never menus x
+    # universe (1.05 million cells): on fresh tables, their views and the
+    # menus' layout built inside the calls, the two trace under 16 MB
+    # (about 8 MB here)
+    ai, human = (StochasticChoice(t.universe, t.table) for t in (ai, human))
+    _layout.cache_clear()
+    tracemalloc.start()
+    try:
+        assert identify_lab(ai, human, params.anchor).status == "point-identified"
+        assert check_axioms(ai, human).overall
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_identify_lab_partial_domain():
@@ -952,12 +966,13 @@ def assert_rebuilds(got):
     assert repr(got.table) == repr(want.table)
     assert (got.is_exact, got.is_positive, got.domain) == (want.is_exact, want.is_positive, want.domain)
     g, w = got._dense, want._dense
-    assert g.rows == w.rows and np.array_equal(g.mask, w.mask)
-    assert g.entries.dtype == w.entries.dtype and repr(g.entries.tolist()) == repr(w.entries.tolist())
+    assert g.rows == w.rows and g.bins == w.bins
+    assert all(np.array_equal(getattr(g, k), getattr(w, k)) for k in ("row", "col", "start"))
+    assert g.values.dtype == w.values.dtype and repr(g.values.tolist()) == repr(w.values.tolist())
     assert repr(None if g.scale is None else g.scale.tolist()) == repr(
         None if w.scale is None else w.scale.tolist()
     )
-    assert not (g.mask.flags.writeable or g.entries.flags.writeable)
+    assert not any(getattr(g, k).flags.writeable for k in ("row", "col", "start", "values"))
 
 
 def clamped_peel(ai, human, alpha, zero):

@@ -15,6 +15,8 @@ from lam import (
     Universe,
     sup_distance,
 )
+from lam.dataio import parse_dataset, serialize_dataset
+from lam.lab import recover_autonomous
 
 
 def test_universe_needs_three_distinct_names():
@@ -299,12 +301,32 @@ def test_membership_list_of_a_thinned_design():
         uni, {("b", "c", "d"): {"b": 3, "c": 4, "d": 5}, ("d", "a"): {"a": 6, "d": 7},
               ("a", "b"): {"a": 1, "b": 2}},
     )
-    members = counts._dense.members
-    assert members.row.tolist() == [0, 0, 1, 1, 2, 2, 2]
-    assert members.col.tolist() == [0, 1, 0, 3, 1, 2, 3]
-    assert members.start.tolist() == [0, 2, 4]
-    assert members.values.tolist() == [1.0, 2.0, 6.0, 7.0, 3.0, 4.0, 5.0]
+    view = counts._dense
+    assert view.row.tolist() == [0, 0, 1, 1, 2, 2, 2]
+    assert view.col.tolist() == [0, 1, 0, 3, 1, 2, 3]
+    assert view.start.tolist() == [0, 2, 4]
+    assert view.values.tolist() == [1.0, 2.0, 6.0, 7.0, 3.0, 4.0, 5.0]
     want = [(s + k, s + l) for s, size in ((0, 2), (2, 2), (4, 3))
             for k in range(size) for l in range(size)]
-    assert list(zip(*members.pairs.tolist())) == want
-    assert counts._dense.members is members  # built once per view
+    assert list(zip(*view.pairs.tolist())) == want
+    assert view.pairs is view.pairs and counts._dense is view  # built once per view
+
+
+def test_views_hold_one_value_per_membership(ex_a_ai, ex_a_human):
+    # every member of every menu, recorded or not, and nothing off a menu:
+    # dict-built, parsed, peeled and frequency tables alike
+    uni = Universe(("a", "b", "c", "d"))
+    rows = {("a", "b", "c"): {"a": F(1, 2), "c": F(1, 2)}, ("b", "d"): {"b": F(1, 3), "d": F(2, 3)}}
+    thinned = StochasticChoice(uni, rows)
+    counts = ChoiceCounts(uni, {("a", "b", "c"): {"a": 3, "c": 0}, ("b", "d"): {"b": 1, "d": 4},
+                                ("a", "b", "c", "d"): {"a": 1, "b": 1, "c": 1, "d": 1}})
+    text = serialize_dataset(thinned)
+    tables = [thinned, thinned.as_float(), ex_a_ai, parse_dataset(text, exact=True),
+              parse_dataset(text), parse_dataset(serialize_dataset(counts)),
+              recover_autonomous(ex_a_ai, ex_a_human, F(1, 2)),
+              recover_autonomous(ex_a_ai.as_float(), ex_a_human.as_float(), 0.5),
+              counts, counts.to_frequencies(), ChoiceCounts(uni, {("a", "b"): {"a": 1, "b": 2}}).to_frequencies()]
+    for table in tables:
+        view = table._dense
+        assert len(view.values) == len(view.row) == len(view.col) == sum(map(len, table.domain))
+        assert view.start.tolist() == [view.row.tolist().index(i) for i in range(len(table.domain))]
